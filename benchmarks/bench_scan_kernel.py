@@ -1,26 +1,22 @@
-"""Scan-kernel microbenchmark: gather vs packed, per-query vs batched.
+"""Scan-kernel microbenchmark: per-query vs batched.
 
 Real host wall-clock (like ``bench_backend_overhead``, unlike the
-simulated figures) over a synthetic gaussian workload, comparing four
+simulated figures) over a synthetic gaussian workload, comparing three
 executions of the identical search:
 
-- ``legacy_per_query``  — the pre-batching executor, reconstructed
-  here verbatim: per-(query, shard) fancy-gather of the full base
-  matrix, per-slice re-gather of alive rows, ``np.setdiff1d`` prewarm
-  exclusion. This is the baseline the packed/batched path must beat.
-- ``packed_per_query``  — today's ``search_one`` loop: packed shard
-  layout + compacted ``ShardScan`` (``batch_queries=False``).
+- ``packed_per_query``  — the ``search_one`` loop: packed shard layout
+  + compacted ``ShardScan`` (``batch_queries=False``). This is the
+  reference the batched path must beat.
 - ``batched_serial``    — fused shard-major ``search_batch`` on the
   serial backend.
 - ``batched_thread``    — the same, with shard-groups fanned out over
   host threads.
 
-All four must return byte-identical ids (asserted). Results are saved
-both as a text table and as machine-readable
-``results/BENCH_scan_kernel.json`` so the perf trajectory accumulates
-across PRs; ``--smoke`` runs a small workload and exits non-zero if
-the batched path is slower than the legacy per-query path (the CI
-perf-smoke gate).
+All three must return byte-identical ids and distances (asserted).
+Results are saved both as a text table and as machine-readable
+``results/BENCH_scan_kernel.json``; ``--smoke`` runs a small workload
+and exits non-zero if the batched path is slower than the per-query
+path (the CI perf-smoke gate).
 
 Usage::
 
@@ -38,10 +34,8 @@ import time
 import numpy as np
 
 import _common as c
-from repro.core.executor import ScanKernel, SerialBackend, ThreadBackend, collect_results
+from repro.core.executor import SerialBackend, ThreadBackend
 from repro.core.partition import build_plan
-from repro.core.routing import shard_candidate_lists
-from repro.distance.partial import partial_squared_l2
 from repro.index.ivf import IVFFlatIndex
 
 FULL = dict(
@@ -52,82 +46,6 @@ SMOKE = dict(
     n=15_000, dim=64, nlist=32, nprobe=8, k=10,
     n_shards=2, slice_counts=(4,), batches=(32,), repeats=2,
 )
-
-
-class LegacyShardScan:
-    """The pre-batching ``ShardScan``, kept verbatim as the baseline.
-
-    Gathers all candidate rows up front, then re-gathers the alive
-    subset (full dimensionality) on every slice — the per-slice
-    ``rows[alive_idx]`` traffic the compacted scan eliminated. L2 only;
-    the benchmark workload is L2.
-    """
-
-    def __init__(self, base, candidate_ids, query, slices):
-        self.candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
-        self.query = np.asarray(query, dtype=np.float32)
-        self.slices = slices
-        self._rows = base[self.candidate_ids]
-        n = self.candidate_ids.size
-        self.accumulated = np.zeros(n, dtype=np.float64)
-        self.alive = np.ones(n, dtype=bool)
-        self.done: list[int] = []
-
-    @property
-    def n_alive(self):
-        return int(self.alive.sum())
-
-    def process_slice(self, slice_id):
-        alive_idx = np.flatnonzero(self.alive)
-        if alive_idx.size:
-            rows = self.slices.take(self._rows[alive_idx], slice_id)
-            q_slice = self.slices.take(self.query, slice_id)
-            self.accumulated[alive_idx] += partial_squared_l2(rows, q_slice)
-        self.done.append(slice_id)
-        return int(alive_idx.size)
-
-    def prune(self, threshold):
-        if not np.isfinite(threshold):
-            return
-        self.alive &= self.accumulated <= threshold
-
-    def survivors(self):
-        alive_idx = np.flatnonzero(self.alive)
-        return self.candidate_ids[alive_idx], self.accumulated[alive_idx]
-
-
-def run_legacy(index, plan, queries, k, nprobe):
-    """The pre-batching per-query executor, end to end."""
-    kernel = ScanKernel(index, plan, use_packed_base=False)
-    queries = kernel.prepare_queries(queries)
-    probes = index.probe(queries, nprobe)
-    heaps = []
-    for i in range(queries.shape[0]):
-        state = kernel.begin_query(i, queries[i], probes[i], k, None)
-        for shard in kernel.shards_for(state):
-            lists_here = shard_candidate_lists(
-                plan, state.probe_row, int(shard)
-            )
-            candidates = index.candidates(lists_here)
-            if state.prewarmed.size:
-                candidates = np.setdiff1d(
-                    candidates, state.prewarmed, assume_unique=False
-                )
-            if candidates.size == 0:
-                continue
-            scan = LegacyShardScan(
-                index.base, candidates, state.query, plan.slices
-            )
-            for block in range(plan.n_dim_blocks):
-                if scan.n_alive == 0:
-                    break
-                scan.process_slice(block)
-                scan.prune(state.heap.threshold)
-            if scan.n_alive:
-                ids, scores = scan.survivors()
-                state.heap.push_many(scores, ids)
-        heaps.append(state.heap)
-    return collect_results(heaps, k)
 
 
 def build_workload(params, seed=0):
@@ -177,10 +95,7 @@ def run_suite(params, log=print):
         for batch in params["batches"]:
             queries = all_queries[:batch]
             seconds = {}
-            seconds["legacy_per_query"], ref = _best_of(
-                lambda: run_legacy(index, plan, queries, k, nprobe),
-                params["repeats"],
-            )
+            ref = None
             variants = {
                 "packed_per_query": per_query,
                 "batched_serial": batched,
@@ -191,13 +106,14 @@ def run_suite(params, log=print):
                     lambda b=backend: b.search(queries, k=k, nprobe=nprobe),
                     params["repeats"],
                 )
+                if ref is None:
+                    ref = result
                 assert np.array_equal(result.ids, ref.ids), (
-                    f"{name} ids diverge from the legacy path"
+                    f"{name} ids diverge from the per-query path"
                 )
                 assert np.array_equal(result.distances, ref.distances), (
-                    f"{name} distances diverge from the legacy path"
+                    f"{name} distances diverge from the per-query path"
                 )
-            legacy = seconds["legacy_per_query"]
             best_batched = min(
                 seconds["batched_serial"], seconds["batched_thread"]
             )
@@ -206,7 +122,6 @@ def run_suite(params, log=print):
                 "n_slices": n_slices,
                 "n_shards": params["n_shards"],
                 "seconds": seconds,
-                "speedup_batched_vs_legacy": legacy / best_batched,
                 "speedup_batched_vs_packed_per_query": (
                     seconds["packed_per_query"] / best_batched
                 ),
@@ -218,8 +133,9 @@ def run_suite(params, log=print):
                     f"{name} {sec * 1e3:8.1f} ms"
                     for name, sec in seconds.items()
                 )
-                + f"  (batched {case['speedup_batched_vs_legacy']:.2f}x"
-                f" vs legacy)"
+                + "  (batched "
+                f"{case['speedup_batched_vs_packed_per_query']:.2f}x"
+                " vs per-query)"
             )
     return cases
 
@@ -238,22 +154,21 @@ def save_outputs(params, cases, smoke):
         [
             case["batch"],
             case["n_slices"],
-            round(case["seconds"]["legacy_per_query"] * 1e3, 1),
             round(case["seconds"]["packed_per_query"] * 1e3, 1),
             round(case["seconds"]["batched_serial"] * 1e3, 1),
             round(case["seconds"]["batched_thread"] * 1e3, 1),
-            round(case["speedup_batched_vs_legacy"], 2),
+            round(case["speedup_batched_vs_packed_per_query"], 2),
         ]
         for case in cases
     ]
     text = c.format_table(
         [
-            "batch", "slices", "legacy (ms)", "packed (ms)",
-            "batched (ms)", "threaded (ms)", "speedup vs legacy",
+            "batch", "slices", "per-query (ms)", "batched (ms)",
+            "threaded (ms)", "speedup vs per-query",
         ],
         rows,
         title=(
-            "scan kernel: packed layout + fused batching "
+            "scan kernel: fused batching vs the per-query loop "
             "(host wall-clock, synthetic gaussian)"
         ),
     )
@@ -282,15 +197,15 @@ def main(argv=None):
         slow = [
             case
             for case in cases
-            if case["speedup_batched_vs_legacy"] < 1.0
+            if case["speedup_batched_vs_packed_per_query"] < 1.0
         ]
         if slow:
             print(
-                "FAIL: batched path slower than the legacy per-query "
+                "FAIL: batched path slower than the per-query "
                 f"path in {len(slow)} case(s)"
             )
             return 1
-        print("OK: batched path beats the legacy per-query path")
+        print("OK: batched path beats the per-query path")
     return 0
 
 
@@ -303,7 +218,7 @@ def test_bench_scan_kernel(benchmark, capsys):
     with capsys.disabled():
         print("\n" + text)
     for case in cases:
-        assert case["speedup_batched_vs_legacy"] >= 1.0, case
+        assert case["speedup_batched_vs_packed_per_query"] >= 1.0, case
 
 
 if __name__ == "__main__":

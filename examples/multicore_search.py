@@ -2,7 +2,7 @@
 
 Two capabilities beyond the simulated cluster:
 
-1. :class:`ThreadedSearcher` executes HARMONY's pruned search for real
+1. :class:`ThreadBackend` executes HARMONY's pruned search for real
    on host threads — identical results to the distributed engine, real
    wall-clock timing (thread scaling depends on per-query numpy work).
 2. :class:`DriftMonitor` watches live traffic and re-plans the
@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from repro import HarmonyConfig, HarmonyDB, ThreadedSearcher
+from repro import HarmonyConfig, HarmonyDB, ThreadBackend
 from repro.core.monitor import DriftMonitor
 from repro.data import load_dataset
 from repro.workload import skewed_workload
@@ -37,7 +37,7 @@ def main() -> None:
     # --- real multicore execution -----------------------------------------
     _, reference_ids = index.search(dataset.queries, k=10, nprobe=8)
     for n_threads in (1, 4):
-        searcher = ThreadedSearcher(index, n_threads=n_threads)
+        searcher = ThreadBackend(index, n_threads=n_threads)
         start = time.perf_counter()
         result = searcher.search(dataset.queries, k=10, nprobe=8)
         elapsed = time.perf_counter() - start

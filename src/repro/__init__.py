@@ -51,7 +51,6 @@ from repro.core.executor import (
     SimulatedBackend,
     ThreadBackend,
 )
-from repro.core.parallel import ThreadedSearcher
 from repro.core.results import (
     BuildReport,
     DegradedReport,
@@ -90,7 +89,6 @@ __all__ = [
     "ServeResponse",
     "SimulatedBackend",
     "ThreadBackend",
-    "ThreadedSearcher",
     "WorkerUnavailableError",
     "check_exactness",
     "__version__",

@@ -306,10 +306,7 @@ class HostFaultInjector:
                 self.fired.append(f"shm-drop:batch={ordinal}")
         if not due:
             return
-        layout = getattr(backend, "_shared_layout", None)
-        if layout is not None:
-            layout.unlink()
-            backend._shared_layout = None
+        backend._retire_shared_layout()
         raise OSError(f"chaos: shared layout segment dropped (batch {ordinal})")
 
     # -- thread-backend side --------------------------------------------

@@ -39,7 +39,6 @@ from repro.core.executor import (
 )
 from repro.core.heap import TopKHeap
 from repro.core.monitor import DriftMonitor, DriftStatus
-from repro.core.parallel import ThreadedSearcher
 from repro.core.partition import (
     PartitionPlan,
     assign_lists_balanced,
@@ -90,7 +89,6 @@ __all__ = [
     "ShardScan",
     "SimulatedBackend",
     "ThreadBackend",
-    "ThreadedSearcher",
     "TopKHeap",
     "WorkloadProfile",
     "adaptive_order",

@@ -20,6 +20,7 @@ change: subclass :class:`Backend`, reuse the kernel.
 from __future__ import annotations
 
 import abc
+import contextlib
 
 import numpy as np
 
@@ -83,8 +84,6 @@ class HostBackend(Backend):
             fused shard-major ``search_batch`` path (bitwise identical
             to the per-query loop); False forces one ``search_one``
             call per query.
-        use_packed_base: cache and gather from the shard-major packed
-            layout instead of fancy-indexing the full base matrix.
         scan_precision: ``"fp32"`` or ``"sq8"`` (SQ8 candidate
             generation with exact float32 re-ranking — byte-identical
             results, a quarter of the candidate-scan bandwidth).
@@ -110,7 +109,6 @@ class HostBackend(Backend):
         prewarm_size: int = 32,
         enable_pruning: bool = True,
         batch_queries: bool = True,
-        use_packed_base: bool = True,
         scan_precision: str = "fp32",
         scan_timeout: "float | None" = None,
         scan_retries: int = 3,
@@ -153,7 +151,6 @@ class HostBackend(Backend):
             self.plan,
             prewarm_size=prewarm_size,
             enable_pruning=enable_pruning,
-            use_packed_base=use_packed_base,
             scan_precision=scan_precision,
             delta_compact_ratio=delta_compact_ratio,
             auto_compact=auto_compact,
@@ -174,9 +171,9 @@ class HostBackend(Backend):
     def layout_nbytes(self) -> int:
         """Resident bytes of the packed shard layout currently cached.
 
-        ``0`` when packing is disabled or no layout has been built yet
-        — reported as the ``harmony_layout_bytes`` gauge so memory
-        accounting (Table 5) sees the packed copy.
+        ``0`` when no layout has been built yet — reported as the
+        ``harmony_layout_bytes`` gauge so memory accounting (Table 5)
+        sees the packed copy.
         """
         packed = self.kernel._packed
         return 0 if packed is None else int(packed.nbytes)
@@ -213,13 +210,7 @@ class HostBackend(Backend):
         tracer = self.tracer
         kernel.tracer = tracer  # per-(shard, slice) wall spans when set
         rerank_before = kernel.rerank_candidates_total
-        queries = kernel.prepare_queries(queries)
-        if tracer is None:
-            probes = self.index.probe(queries, nprobe)
-        else:
-            with tracer.wall_span("route", "computation", n=queries.shape[0]):
-                probes = self.index.probe(queries, nprobe)
-        allowed = self.index.allowed_mask(filter_labels)
+        queries, probes, allowed = self._route(queries, nprobe, filter_labels)
         nq = queries.shape[0]
         if self.batch_queries and nq > 1:
             heaps = kernel.search_batch(
@@ -228,30 +219,35 @@ class HostBackend(Backend):
                 skip_shards=skip_shards,
                 coverage=coverage,
             )
-            self.last_rerank_count = (
-                kernel.rerank_candidates_total - rerank_before
-            )
-            return collect_results(heaps, k)
-        heaps = [None] * nq
-
-        def run_query(i: int) -> None:
-            heaps[i] = kernel.search_one(
-                i, queries[i], probes[i], k, allowed,
-                skip_shards=skip_shards, coverage=coverage,
-            )
-
-        if tracer is None:
-            self._map(run_query, nq)
         else:
+            heaps = [None] * nq
+
+            def run_query(i: int) -> None:
+                heaps[i] = kernel.search_one(
+                    i, queries[i], probes[i], k, allowed,
+                    skip_shards=skip_shards, coverage=coverage,
+                )
+
             def traced_query(i: int) -> None:
                 with tracer.wall_span("query", "computation", query=i):
                     run_query(i)
 
-            self._map(traced_query, nq)
+            self._map(run_query if tracer is None else traced_query, nq)
         self.last_rerank_count = (
             kernel.rerank_candidates_total - rerank_before
         )
         return collect_results(heaps, k)
+
+    def _route(self, queries, nprobe: int, filter_labels):
+        """Canonical queries, their probed lists (a ``route`` wall span
+        when traced) and the filter's admissibility mask."""
+        queries = self.kernel.prepare_queries(queries)
+        tracer = self.tracer
+        with contextlib.nullcontext() if tracer is None else tracer.wall_span(
+            "route", "computation", n=queries.shape[0]
+        ):
+            probes = self.index.probe(queries, nprobe)
+        return queries, probes, self.index.allowed_mask(filter_labels)
 
     @abc.abstractmethod
     def _map(self, fn, nq: int) -> None:

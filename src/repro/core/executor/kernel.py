@@ -1,17 +1,20 @@
 """The HARMONY scan kernel: Algorithm 1 implemented exactly once.
 
 Every execution backend — serial reference loop, host thread pool,
-discrete-event simulation — runs the same search algorithm: prewarm the
-top-K heap from the nearest probed list, walk each touched shard's
-candidates through the dimension pipeline with lossless early-stop
-pruning, and merge the survivors into the heap. Historically that
-algorithm lived in two private copies (``PipelineEngine`` and
-``ThreadedSearcher``); :class:`ScanKernel` is its single home.
+worker-process pool, discrete-event simulation — runs the same search
+algorithm: prewarm the top-K heap from the nearest probed list, walk
+each touched shard's candidates through the dimension pipeline with
+lossless early-stop pruning, and merge the survivors into the heap.
+:class:`ScanKernel` is that algorithm's single home, and the scan
+itself is three module-level functions every caller shares:
+:func:`open_scan` (gathered candidates → the right scan object),
+:func:`drive_scan` (the slice loop) and :func:`scan_group` (chunking a
+shard-group and handing survivors back per query).
 
-The kernel is deliberately *timing-free*: it gathers candidates (from a
-cached :class:`~repro.core.layout.ShardPackedBase` when enabled), scores
-batches, steps :class:`~repro.core.pruning.ShardScan` objects slice by
-slice, and maintains heaps. Backends decide *when* and *where* each
+The kernel is deliberately *timing-free*: it gathers candidates from a
+cached :class:`~repro.core.layout.ShardPackedBase`, scores batches,
+steps :class:`~repro.core.pruning.ShardScan` objects slice by slice,
+and maintains heaps. Backends decide *when* and *where* each
 step runs (host threads, simulated machines) and charge whatever cost
 model they like around the kernel calls — which is what keeps results
 byte-identical across backends by construction.
@@ -31,13 +34,14 @@ Two execution shapes share the kernel:
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.heap import TopKHeap
-from repro.core.layout import ShardPackedBase
+from repro.core.layout import CandidatePart, ShardPackedBase
 from repro.core.partition import PartitionPlan
 from repro.core.pruning import (
     ShardGroupScan,
@@ -60,6 +64,171 @@ from repro.distance.partial import query_slice_norms, slice_norms
 #: query-disjoint chunks so the batched path's working set stays
 #: cache-and-RAM friendly at any batch size.
 GROUP_BLOCK_ELEMENTS = 8_000_000
+
+_NO_SPAN = contextlib.nullcontext()
+
+
+def gather_part(
+    layout: ShardPackedBase,
+    scan_precision: str,
+    shard: int,
+    lists_here: np.ndarray,
+    allowed: np.ndarray | None,
+    exclude: np.ndarray | None = None,
+) -> CandidatePart | None:
+    """One (query, shard) candidate record, or None when it is empty."""
+    gather = layout.gather_sq8 if scan_precision == "sq8" else layout.gather
+    part = gather(shard, lists_here, allowed=allowed, exclude=exclude)
+    return part if part.ids.size else None
+
+
+def open_scan(layout, parts, queries, query_norms, plan, metric):
+    """*Open*: gathered candidates become the scan that walks them.
+
+    The one precision/arity switch. ``parts`` / ``queries`` /
+    ``query_norms`` are per-member sequences. One member opens the
+    per-query stepping unit (:class:`ShardScan`): the simulator steps
+    it out of canonical order and the serial per-query loop — the
+    reference the fused path is checked against — runs on it, which is
+    why it is not folded into the group class; a one-member chunk of
+    the fused path lands on it too because it measures ~10 % cheaper
+    per pool task than a group of one. Several members open the fused
+    group scan. Precision is read off the record: only ``gather_sq8``
+    fills ``err``.
+    """
+    sq8 = {"code_lo": layout.code_lo, "code_scale": layout.code_scale}
+    shared = {"slices": plan.slices, "metric": metric}
+    if len(parts) == 1:
+        part = parts[0]
+        shared.update(query=queries[0], query_norms=query_norms[0])
+        if part.err is not None:
+            return SQ8ShardScan(part, **shared, **sq8)
+        return ShardScan(
+            candidate_ids=part.ids, rows=part.rows,
+            base_slice_norms=part.norms, **shared,
+        )
+    shared.update(
+        ids=np.concatenate([part.ids for part in parts]),
+        query_of=np.repeat(
+            np.arange(len(parts), dtype=np.intp),
+            [part.ids.size for part in parts],
+        ),
+        queries=np.stack(queries),
+    )
+    if metric is not Metric.L2:
+        shared.update(
+            base_slice_norms=np.concatenate(
+                [part.norms for part in parts], axis=0
+            ),
+            query_norms=np.stack(query_norms),
+        )
+    if parts[0].err is not None:
+        return SQ8ShardGroupScan(parts, **shared, **sq8)
+    return ShardGroupScan(rows=[part.rows for part in parts], **shared)
+
+
+def drive_scan(scan, plan, thresholds=None, tracer=None, **labels) -> None:
+    """*Drive*: Algorithm 1's slice loop — the only copy in the tree.
+
+    Accumulate one dimension slice, prune on the monotone bound, stop
+    when nothing is alive. :meth:`ScanKernel.run_scan` (the per-query
+    path on every backend) and :func:`scan_group` (the fused path of
+    the serial/thread backends and the pool workers' task entry) both
+    run it; :meth:`ScanKernel.step` stays as the simulator's
+    single-stage entry because the simulator chooses its own order.
+
+    Args:
+        thresholds: zero-argument threshold source returning what the
+            scan's ``prune`` takes (a per-member array; a
+            :class:`ShardScan` also takes its one threshold as a
+            float); None disables pruning.
+        tracer / labels: with a tracer, each stage records a wall
+            span carrying ``labels`` (which never affect execution).
+    """
+    for block in range(plan.n_dim_blocks):
+        if scan.n_alive == 0:
+            break
+        with _NO_SPAN if tracer is None else tracer.wall_span(
+            "scan", "computation",
+            block=block, alive=int(scan.n_alive), **labels,
+        ):
+            scan.process_slice(block)
+            if thresholds is not None:
+                scan.prune(thresholds())
+
+
+def scan_group(
+    layout, gathered, plan, metric, thresholds, sink, tracer=None, shard=None
+) -> int:
+    """*Chunk/demux*: one shard for a group of queries, fused.
+
+    The group is split into query-disjoint chunks bounded by
+    :data:`GROUP_BLOCK_ELEMENTS` so the concatenated row block stays
+    memory-friendly at any batch size (chunks never share a query, so
+    chunking cannot change results); each chunk is opened, driven, and
+    its survivors handed back per member.
+
+    Args:
+        gathered: iterable of ``(member, part, query, query_norms)``
+            for the members with candidates, consumed lazily so only
+            one chunk's rows are resident at a time. ``member`` is the
+            caller's handle (a :class:`QueryState`, a query index).
+        thresholds: ``thresholds(members)`` → current per-member
+            pruning thresholds (the query heaps on the host backends,
+            the shared board row in a pool worker); None disables
+            pruning.
+        sink: ``sink(member, ids, scores)`` receives each member's
+            survivors (a locked heap push, or a worker-local top-k).
+        tracer / shard: passed to :func:`drive_scan` as span labels.
+
+    Returns:
+        Candidates re-ranked against fp32 rows (0 on the fp32 path).
+    """
+    max_rows = max(1, GROUP_BLOCK_ELEMENTS // plan.slices.dim)
+    run = (layout, plan, metric, thresholds, sink, tracer, shard)
+    reranked = 0
+    chunk, chunk_rows = [], 0
+    for item in gathered:
+        chunk.append(item)
+        chunk_rows += int(item[1].ids.size)
+        if chunk_rows >= max_rows:
+            reranked += _scan_chunk(chunk, *run)
+            chunk, chunk_rows = [], 0
+    if chunk:
+        reranked += _scan_chunk(chunk, *run)
+    return reranked
+
+
+def _scan_chunk(
+    chunk, layout, plan, metric, thresholds, sink, tracer, shard
+) -> int:
+    """Open, drive and demux one chunk of :func:`scan_group`.
+
+    A call of its own so the chunk's row blocks and scan die on return,
+    before the next chunk is gathered.
+    """
+    members, parts, queries, query_norms = zip(*chunk)
+    scan = open_scan(layout, parts, queries, query_norms, plan, metric)
+    drive_scan(
+        scan,
+        plan,
+        None if thresholds is None else lambda: thresholds(members),
+        tracer,
+        shard=shard,
+        group=len(members),
+    )
+    if scan.n_alive == 0:
+        return 0
+    survivors = scan.survivors()
+    if len(survivors) == 2:  # the per-query unit: one owner
+        sink(members[0], *survivors)
+    else:
+        ids, scores, owner = survivors
+        for local, member in enumerate(members):
+            mask = owner == local
+            if mask.any():
+                sink(member, ids[mask], scores[mask])
+    return getattr(scan, "reranked", 0)
 
 
 @dataclass
@@ -114,17 +283,11 @@ class ScanKernel:
         metric: similarity metric; defaults to the index's.
         prewarm_size: heap-seeding candidates per query (0 disables).
         enable_pruning: toggle lossless early-stop pruning.
-        use_packed_base: cache a :class:`ShardPackedBase` and gather
-            candidates from it (cheap shard-local indexing) instead of
-            fancy-indexing the full base matrix per (query, shard).
-            The packed copy is invalidated automatically when the
-            index's version moves (streaming adds / deletes).
         scan_precision: ``"fp32"`` scans full-precision rows (the
             classic path); ``"sq8"`` generates candidates on the
             packed uint8 representation with error-padded (lossless)
             pruning bounds, then re-ranks survivors against float32 —
-            results stay bitwise identical to the fp32 path. Requires
-            the packed base layout.
+            results stay bitwise identical to the fp32 path.
         delta_compact_ratio: compaction trigger — when the packed
             layout's pending rows (delta segments + tombstones) exceed
             this fraction of its base generation, the next
@@ -140,7 +303,6 @@ class ScanKernel:
         metric: Metric | None = None,
         prewarm_size: int = 32,
         enable_pruning: bool = True,
-        use_packed_base: bool = True,
         scan_precision: str = "fp32",
         delta_compact_ratio: float = 0.25,
         auto_compact: bool = True,
@@ -157,16 +319,11 @@ class ScanKernel:
                 f"unknown scan_precision {scan_precision!r}; "
                 "expected 'fp32' or 'sq8'"
             )
-        if scan_precision == "sq8" and not use_packed_base:
-            raise ValueError(
-                "scan_precision='sq8' requires the packed base layout"
-            )
         self.index = index
         self.plan = plan
         self.metric = index.metric if metric is None else metric
         self.prewarm_size = prewarm_size
         self.enable_pruning = enable_pruning
-        self.use_packed_base = use_packed_base
         self.scan_precision = scan_precision
         #: Candidates re-ranked against fp32 rows by completed SQ8
         #: scans (0 on the fp32 path). Guarded by a lock because the
@@ -224,7 +381,7 @@ class ScanKernel:
     # Cached data plane
     # ------------------------------------------------------------------
 
-    def packed_base(self) -> ShardPackedBase | None:
+    def packed_base(self) -> ShardPackedBase:
         """The shard-major packed layout, maintained incrementally.
 
         Mutation handling is LSM-style: when the cached layout can
@@ -235,35 +392,22 @@ class ScanKernel:
         ``delta_compact_ratio`` of the base (and ``auto_compact`` is
         on), they are merged into a fresh base generation via a full
         rebuild. Results are byte-identical either way.
-
-        Returns None when packing is disabled, in which case candidate
-        gathering falls back to fancy-indexing ``index.base``.
         """
-        if not self.use_packed_base:
-            return None
         with_codes = self.scan_precision == "sq8"
+
+        def usable(packed) -> bool:
+            return packed is not None and (not with_codes or packed.has_codes)
+
         packed = self._packed
-        if (
-            packed is not None
-            and packed.matches(self.index)
-            and (not with_codes or packed.has_codes)
-        ):
+        if usable(packed) and packed.matches(self.index):
             return packed
         with self._layout_lock:
             # Double-checked: another thread may have refreshed while
             # this one waited for the lock.
             packed = self._packed
-            if (
-                packed is not None
-                and packed.matches(self.index)
-                and (not with_codes or packed.has_codes)
-            ):
+            if usable(packed) and packed.matches(self.index):
                 return packed
-            if (
-                packed is not None
-                and (not with_codes or packed.has_codes)
-                and packed.can_refresh(self.index)
-            ):
+            if usable(packed) and packed.can_refresh(self.index):
                 self._refresh_base_norms()
                 new_norms = None
                 if self._base_slice_norms is not None:
@@ -298,30 +442,19 @@ class ScanKernel:
         """Merge pending deltas and tombstones into a new generation now.
 
         Returns a stats dict; ``compacted`` is False when there was
-        nothing pending (or packing is disabled).
+        nothing pending.
         """
-        if not self.use_packed_base:
-            return {
-                "compacted": False,
-                "generation": 0,
-                "delta_rows_merged": 0,
-                "tombstones_cleared": 0,
-            }
         with self._layout_lock:
             packed = self.packed_base()
             merged = packed.delta_rows
             cleared = packed.tombstones_since
-            if merged == 0 and cleared == 0:
-                return {
-                    "compacted": False,
-                    "generation": packed.generation,
-                    "delta_rows_merged": 0,
-                    "tombstones_cleared": 0,
-                }
-            with_codes = self.scan_precision == "sq8"
-            packed = self._rebuild_layout(with_codes, compaction=True)
+            compacted = bool(merged or cleared)
+            if compacted:
+                packed = self._rebuild_layout(
+                    self.scan_precision == "sq8", compaction=True
+                )
             return {
-                "compacted": True,
+                "compacted": compacted,
                 "generation": packed.generation,
                 "delta_rows_merged": merged,
                 "tombstones_cleared": cleared,
@@ -364,14 +497,6 @@ class ScanKernel:
                 self._base_slice_norms = slice_norms(
                     self.index.base, self.plan.slices
                 )
-
-    def _candidate_slice_norms(
-        self, candidates: np.ndarray
-    ) -> np.ndarray | None:
-        if self._base_slice_norms is None:
-            return None
-        self._refresh_base_norms()
-        return self._base_slice_norms[candidates]
 
     # ------------------------------------------------------------------
     # Algorithm 1 steps
@@ -472,46 +597,21 @@ class ScanKernel:
         state: QueryState,
         shard: int,
         allowed: np.ndarray | None,
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray | None] | None":
-        """One shard's candidate blocks for a query, or None if empty.
+    ) -> CandidatePart | None:
+        """One shard's candidate record for a query, or None if empty.
 
-        Returns ``(ids, rows, norms)`` on the fp32 path and the
-        6-tuple of :meth:`ShardPackedBase.gather_sq8` on the sq8 path
-        (either way, ``part[0]`` is the global ids). Uses the packed
-        layout when enabled (contiguous shard-local ranges); otherwise
-        falls back to the legacy full-base gather. Prewarmed ids are
-        excluded via the precomputed boolean mask in all paths.
+        Gathered from the packed layout (contiguous shard-local
+        ranges); prewarmed ids are excluded via the precomputed
+        boolean mask.
         """
-        lists_here = self._lists_for(state, shard)
-        packed = self.packed_base()
-        if packed is not None:
-            if self.scan_precision == "sq8":
-                part = packed.gather_sq8(
-                    shard,
-                    lists_here,
-                    allowed=allowed,
-                    exclude=state.prewarmed_mask,
-                )
-                if part[0].size == 0:
-                    return None
-                return part
-            ids, rows, norms = packed.gather(
-                shard,
-                lists_here,
-                allowed=allowed,
-                exclude=state.prewarmed_mask,
-            )
-            if ids.size == 0:
-                return None
-            return ids, rows, norms
-        candidates = self.index.candidates(lists_here, allowed=allowed)
-        if state.prewarmed_mask is not None and candidates.size:
-            candidates = candidates[~state.prewarmed_mask[candidates]]
-        if candidates.size == 0:
-            return None
-        rows = self.index.base[candidates]
-        norms = self._candidate_slice_norms(candidates)
-        return candidates, rows, norms
+        return gather_part(
+            self.packed_base(),
+            self.scan_precision,
+            shard,
+            self._lists_for(state, shard),
+            allowed,
+            state.prewarmed_mask,
+        )
 
     def make_scan(
         self,
@@ -527,32 +627,9 @@ class ScanKernel:
         part = self._gather_candidates(state, int(shard), allowed)
         if part is None:
             return None
-        if self.scan_precision == "sq8":
-            ids, codes, err, norms, rows_full, local = part
-            packed = self.packed_base()
-            return SQ8ShardScan(
-                candidate_ids=ids,
-                query=state.query,
-                slices=self.plan.slices,
-                metric=self.metric,
-                base_slice_norms=norms,
-                codes=codes,
-                code_err=err,
-                code_lo=packed.code_lo,
-                code_scale=packed.code_scale,
-                rows_full=rows_full,
-                local=local,
-                query_norms=state.query_norms,
-            )
-        ids, rows, norms = part
-        return ShardScan(
-            candidate_ids=ids,
-            query=state.query,
-            slices=self.plan.slices,
-            metric=self.metric,
-            base_slice_norms=norms,
-            rows=rows,
-            query_norms=state.query_norms,
+        return open_scan(
+            self.packed_base(), [part], [state.query], [state.query_norms],
+            self.plan, self.metric,
         )
 
     def count_candidates(
@@ -568,9 +645,7 @@ class ScanKernel:
         result honestly reports how much of its candidate set it saw.
         """
         part = self._gather_candidates(state, int(shard), allowed)
-        if part is None:
-            return 0
-        return int(part[0].size)
+        return 0 if part is None else int(part.ids.size)
 
     def step(self, scan: ShardScan, heap: TopKHeap, block: int) -> int:
         """Advance one scan by one dimension block, then prune.
@@ -592,21 +667,15 @@ class ScanKernel:
         """
         ids, scores = scan.survivors()
         heap.push_many(scores, ids)
-        self._count_rerank(scan)
+        self._count_rerank_amount(getattr(scan, "reranked", 0))
         return int(ids.size)
 
-    def _count_rerank(self, scan) -> None:
-        """Accumulate an SQ8 scan's re-rank count (no-op for fp32)."""
-        reranked = getattr(scan, "reranked", 0)
-        if reranked:
-            self._count_rerank_amount(int(reranked))
-
     def _count_rerank_amount(self, reranked: int) -> None:
-        """Thread-safe add to the lifetime re-rank counter (backends
-        executing scans out-of-kernel — the process pool — report
-        their workers' counts through this)."""
-        with self._rerank_lock:
-            self.rerank_candidates_total += int(reranked)
+        """Thread-safe add to the lifetime re-rank counter (0 on fp32;
+        the process pool reports its workers' counts through this)."""
+        if reranked:
+            with self._rerank_lock:
+                self.rerank_candidates_total += int(reranked)
 
     def run_scan(
         self, scan: ShardScan, heap: TopKHeap, shard: int | None = None
@@ -615,18 +684,13 @@ class ScanKernel:
 
         ``shard`` only labels trace spans; it never affects execution.
         """
-        tracer = self.tracer
-        for block in range(self.plan.n_dim_blocks):
-            if scan.n_alive == 0:
-                break
-            if tracer is None:
-                self.step(scan, heap, block)
-            else:
-                with tracer.wall_span(
-                    "scan", "computation",
-                    shard=shard, block=block, alive=int(scan.n_alive),
-                ):
-                    self.step(scan, heap, block)
+        drive_scan(
+            scan,
+            self.plan,
+            (lambda: heap.threshold) if self.enable_pruning else None,
+            self.tracer,
+            shard=shard,
+        )
         if scan.n_alive:
             self.merge_survivors(scan, heap)
 
@@ -675,6 +739,46 @@ class ScanKernel:
     # Batched shard-major execution
     # ------------------------------------------------------------------
 
+    def begin_batch(
+        self,
+        queries: np.ndarray,
+        probes: np.ndarray,
+        k: int,
+        allowed: np.ndarray | None = None,
+        skip_shards: "frozenset[int] | set[int] | None" = None,
+        coverage: np.ndarray | None = None,
+    ) -> "tuple[list[QueryState], dict[int, list[QueryState]]]":
+        """The fused paths' prologue: begin every query, group by shard.
+
+        Shared by :meth:`search_batch` and the process backend's
+        dispatcher. Prewarmed candidates count toward both coverage
+        columns and a skipped shard's candidates toward the total
+        only; scanned candidates are the caller's to count (here at
+        grouping time, on the pool as task results arrive).
+
+        Returns:
+            ``(states, groups)`` — one state per query, and per
+            non-skipped shard the states touching it, in query order.
+        """
+        states = [
+            self.begin_query(i, queries[i], probes[i], k, allowed)
+            for i in range(queries.shape[0])
+        ]
+        groups: dict[int, list[QueryState]] = {}
+        for state in states:
+            if coverage is not None:
+                coverage[state.query_index, :] += state.prewarmed.size
+            for shard in self.shards_for(state):
+                shard = int(shard)
+                if skip_shards and shard in skip_shards:
+                    if coverage is not None:
+                        coverage[state.query_index, 1] += (
+                            self.count_candidates(state, shard, allowed)
+                        )
+                    continue
+                groups.setdefault(shard, []).append(state)
+        return states, groups
+
     def search_batch(
         self,
         queries: np.ndarray,
@@ -714,29 +818,15 @@ class ScanKernel:
         Returns:
             One populated heap per query.
         """
-        nq = queries.shape[0]
-        states = [
-            self.begin_query(i, queries[i], probes[i], k, allowed)
-            for i in range(nq)
-        ]
+        states, groups = self.begin_batch(
+            queries, probes, k, allowed, skip_shards, coverage
+        )
         if coverage is not None:
-            for state in states:
-                coverage[state.query_index, :] += state.prewarmed.size
-        groups: dict[int, list[QueryState]] = {}
-        for state in states:
-            for shard in self.shards_for(state):
-                shard = int(shard)
-                if skip_shards and shard in skip_shards:
-                    if coverage is not None:
-                        coverage[state.query_index, 1] += (
-                            self.count_candidates(state, shard, allowed)
-                        )
-                    continue
-                if coverage is not None:
+            for shard, group in groups.items():
+                for state in group:
                     coverage[state.query_index, :] += self.count_candidates(
                         state, shard, allowed
                     )
-                groups.setdefault(shard, []).append(state)
         shard_order = sorted(groups)
         if map_groups is None:
             for shard in shard_order:
@@ -760,133 +850,39 @@ class ScanKernel:
     ) -> None:
         """Process one shard for every query in ``group``, fused.
 
-        The group is split into query-disjoint chunks bounded by
-        :data:`GROUP_BLOCK_ELEMENTS` so the concatenated row block stays
-        memory-friendly at any batch size; chunking cannot change
-        results because chunks never share a query.
+        :func:`scan_group` with the query heaps as threshold source and
+        a heap push — under the query's lock when shard-groups run
+        concurrently — as survivor sink.
         """
-        dim = int(self.index.base.shape[1])
-        max_rows = max(1, GROUP_BLOCK_ELEMENTS // dim)
-        chunk_states: list[QueryState] = []
-        chunk_parts: list[tuple] = []
-        chunk_rows = 0
-        for state in group:
-            part = self._gather_candidates(state, int(shard), allowed)
-            if part is None:
-                continue
-            chunk_states.append(state)
-            chunk_parts.append(part)
-            chunk_rows += int(part[0].size)
-            if chunk_rows >= max_rows:
-                self._run_group_chunk(chunk_states, chunk_parts, locks, shard)
-                chunk_states, chunk_parts, chunk_rows = [], [], 0
-        if chunk_states:
-            self._run_group_chunk(chunk_states, chunk_parts, locks, shard)
+        shard = int(shard)
 
-    def _run_group_chunk(
-        self,
-        states: "list[QueryState]",
-        parts: "list[tuple]",
-        locks: "list[threading.Lock] | None",
-        shard: int | None = None,
-    ) -> None:
-        sq8 = self.scan_precision == "sq8"
-        ids = np.concatenate([part[0] for part in parts])
-        sizes = [part[0].size for part in parts]
-        query_of = np.repeat(np.arange(len(states), dtype=np.intp), sizes)
-        queries = np.stack([state.query for state in states])
-        norms_at = 3 if sq8 else 2
-        base_norms = None
-        query_norms = None
-        if self.metric is not Metric.L2:
-            base_norms = np.concatenate(
-                [part[norms_at] for part in parts], axis=0
-            )
-            query_norms = np.stack([state.query_norms for state in states])
-        if sq8:
-            packed = self.packed_base()
-            scan = SQ8ShardGroupScan(
-                codes=[part[1] for part in parts],
-                ids=ids,
-                query_of=query_of,
-                queries=queries,
-                slices=self.plan.slices,
-                metric=self.metric,
-                base_slice_norms=base_norms,
-                query_norms=query_norms,
-                code_err=np.concatenate(
-                    [part[2] for part in parts], axis=0
-                ),
-                code_lo=packed.code_lo,
-                code_scale=packed.code_scale,
-                rows_full=parts[0][4],
-                local=np.concatenate([part[5] for part in parts]),
-            )
-        else:
-            scan = ShardGroupScan(
-                rows=[part[1] for part in parts],
-                ids=ids,
-                query_of=query_of,
-                queries=queries,
-                slices=self.plan.slices,
-                metric=self.metric,
-                base_slice_norms=base_norms,
-                query_norms=query_norms,
-            )
-        tracer = self.tracer
-        for block in range(self.plan.n_dim_blocks):
-            if scan.n_alive == 0:
-                break
-            if tracer is None:
-                self._group_step(scan, states, block)
-            else:
-                with tracer.wall_span(
-                    "scan", "computation",
-                    shard=shard, block=block,
-                    group=len(states), alive=int(scan.n_alive),
-                ):
-                    self._group_step(scan, states, block)
-        if scan.n_alive == 0:
-            return
-        survivor_ids, survivor_scores, survivor_query = scan.survivors()
-        self._count_rerank(scan)
-        self._merge_group_survivors(
-            states, survivor_ids, survivor_scores, survivor_query, locks
-        )
+        def gathered():
+            for state in group:
+                part = self._gather_candidates(state, shard, allowed)
+                if part is not None:
+                    yield state, part, state.query, state.query_norms
 
-    def _group_step(
-        self,
-        scan: ShardGroupScan,
-        states: "list[QueryState]",
-        block: int,
-    ) -> None:
-        """One fused (shard, slice) stage: accumulate, then group-prune."""
-        scan.process_slice(block)
-        if self.enable_pruning:
-            thresholds = np.array(
-                [state.heap.threshold for state in states]
-            )
-            scan.prune(thresholds)
+        def thresholds(states) -> np.ndarray:
+            return np.array([state.heap.threshold for state in states])
 
-    def _merge_group_survivors(
-        self,
-        states: "list[QueryState]",
-        survivor_ids: np.ndarray,
-        survivor_scores: np.ndarray,
-        survivor_query: np.ndarray,
-        locks: "list[threading.Lock] | None",
-    ) -> None:
-        for local, state in enumerate(states):
-            mask = survivor_query == local
-            if not mask.any():
-                continue
-            scores = survivor_scores[mask]
-            cand = survivor_ids[mask]
+        def sink(state, ids, scores) -> None:
             if locks is None:
-                state.heap.push_many(scores, cand)
+                state.heap.push_many(scores, ids)
             else:
                 with locks[state.query_index]:
-                    state.heap.push_many(scores, cand)
+                    state.heap.push_many(scores, ids)
+
+        reranked = scan_group(
+            self.packed_base(),
+            gathered(),
+            self.plan,
+            self.metric,
+            thresholds if self.enable_pruning else None,
+            sink,
+            self.tracer,
+            shard,
+        )
+        self._count_rerank_amount(reranked)
 
 
 def recall_vs_healthy(

@@ -61,7 +61,11 @@ import weakref
 import numpy as np
 
 from repro.cluster.host_faults import apply_task_chaos, sleep_for_delay
-from repro.core.executor.kernel import GROUP_BLOCK_ELEMENTS, collect_results
+from repro.core.executor.kernel import (
+    collect_results,
+    gather_part,
+    scan_group,
+)
 from repro.core.executor.threads import ThreadBackend
 from repro.core.heap import TopKHeap
 from repro.core.layout import (
@@ -70,12 +74,6 @@ from repro.core.layout import (
     _release_owned_segment,
 )
 from repro.core.partition import PartitionPlan
-from repro.core.pruning import (
-    ShardGroupScan,
-    ShardScan,
-    SQ8ShardGroupScan,
-    SQ8ShardScan,
-)
 from repro.core.results import SearchResult
 from repro.core.routing import shard_candidate_lists
 
@@ -112,12 +110,16 @@ class ProcessPoolError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-class _SharedInt64:
-    """A tiny shared int64 vector (deque heads/tails + steal counts)."""
+class _SharedVector:
+    """A small numpy vector in its own shared-memory segment.
 
-    def __init__(self, shm, n: int, owner: bool) -> None:
+    Two uses: a round's int64 scheduling block (deque heads/tails +
+    steal counts) and a batch's float64 live threshold board.
+    """
+
+    def __init__(self, shm, n: int, dtype, owner: bool) -> None:
         self.shm = shm
-        self.array = np.ndarray((n,), dtype=np.int64, buffer=shm.buf)
+        self.array = np.ndarray((n,), dtype=dtype, buffer=shm.buf)
         self._owner = owner
         self._finalizer = (
             weakref.finalize(self, _release_owned_segment, shm)
@@ -126,64 +128,29 @@ class _SharedInt64:
         )
 
     @classmethod
-    def create(cls, n: int) -> "_SharedInt64":
+    def create(cls, values: np.ndarray) -> "_SharedVector":
         from multiprocessing import shared_memory
 
-        shm = shared_memory.SharedMemory(create=True, size=max(8, 8 * n))
-        out = cls(shm, n, owner=True)
-        out.array[:] = 0
-        return out
-
-    @classmethod
-    def attach(cls, name: str, n: int) -> "_SharedInt64":
-        return cls(_attach_shm(name), n, owner=False)
-
-    def destroy(self) -> None:
-        arr, self.array = self.array, None
-        del arr
-        finalizer, self._finalizer = self._finalizer, None
-        if finalizer is not None:
-            finalizer.detach()
-        try:
-            self.shm.close()
-        except (OSError, BufferError):
-            pass
-        if self._owner:
-            try:
-                self.shm.unlink()
-            except (FileNotFoundError, OSError):
-                pass
-
-
-class _SharedF64:
-    """A shared float64 vector: the per-query live threshold board."""
-
-    def __init__(self, shm, n: int, owner: bool) -> None:
-        self.shm = shm
-        self.array = np.ndarray((n,), dtype=np.float64, buffer=shm.buf)
-        self._owner = owner
-        self._finalizer = (
-            weakref.finalize(self, _release_owned_segment, shm)
-            if owner
-            else None
+        shm = shared_memory.SharedMemory(
+            create=True, size=max(8, values.nbytes)
         )
-
-    @classmethod
-    def create(cls, values: np.ndarray) -> "_SharedF64":
-        from multiprocessing import shared_memory
-
-        n = int(values.size)
-        shm = shared_memory.SharedMemory(create=True, size=max(8, 8 * n))
-        out = cls(shm, n, owner=True)
+        out = cls(shm, values.size, values.dtype, owner=True)
         out.array[:] = values
         return out
 
     @classmethod
-    def attach(cls, manifest: dict) -> "_SharedF64":
-        return cls(_attach_shm(manifest["name"]), manifest["n"], owner=False)
+    def attach(cls, manifest: dict) -> "_SharedVector":
+        return cls(
+            _attach_shm(manifest["name"]), manifest["n"], manifest["dtype"],
+            owner=False,
+        )
 
     def manifest(self) -> dict:
-        return {"name": self.shm.name, "n": int(self.array.size)}
+        return {
+            "name": self.shm.name,
+            "n": int(self.array.size),
+            "dtype": self.array.dtype.str,
+        }
 
     def destroy(self) -> None:
         arr, self.array = self.array, None
@@ -230,215 +197,66 @@ def _steal(ctrl: np.ndarray, locks, wid: int, n_workers: int) -> int | None:
     return None
 
 
-def _filter_prewarmed(ids, rows, norms, prewarm_ids):
-    """Drop already-prewarmed candidates, preserving gather order.
+def _scan_task(layout, plan, metric, ctx, shard, qidxs, board):
+    """One (query-group, shard) task — the pool's only scan entry.
 
-    Equivalent to ``gather(..., exclude=mask)``: the keep-mask is
-    applied to the same post-``allowed`` ordering the parent's kernel
-    uses, so candidate order (and therefore scoring) is unchanged.
+    The kernel's :func:`~repro.core.executor.kernel.scan_group` with the
+    shared board row as threshold source and a worker-local
+    :class:`TopKHeap` per member as survivor sink, so only compact
+    top-k arrays cross the process boundary. A one-member task is a
+    group of one for dispatch; which scan class serves it is
+    ``open_scan``'s choice.
+
+    Returns ``(payload, n_reranked)`` with one
+    ``(qidx, scores, ids, n_candidates)`` payload entry per member.
     """
-    if prewarm_ids.size == 0 or ids.size == 0:
-        return ids, rows, norms
-    keep = ~np.isin(ids, prewarm_ids)
-    if keep.all():
-        return ids, rows, norms
-    return (
-        ids[keep],
-        rows[keep],
-        None if norms is None else norms[keep],
-    )
-
-
-def _gather_task(layout, plan, ctx, shard, qidx):
-    """One (query, shard) candidate gather, precision-aware.
-
-    Returns the per-candidate blocks as a tuple whose head is always
-    ``(ids, ...)`` — the fp32 3-tuple or the sq8 6-tuple — with the
-    prewarm filter applied to every per-candidate array.
-    """
-    probes = ctx["probes"][qidx]
-    lists_here = shard_candidate_lists(plan, probes, shard)
-    prewarm_ids = ctx["prewarm"][qidx]
-    if ctx.get("scan_precision") == "sq8":
-        ids, codes, err, norms, rows_full, local = layout.gather_sq8(
-            shard, lists_here, allowed=ctx["allowed"], exclude=None
-        )
-        if prewarm_ids.size and ids.size:
-            keep = ~np.isin(ids, prewarm_ids)
-            if not keep.all():
-                ids = ids[keep]
-                codes = codes[keep]
-                err = err[keep]
-                norms = None if norms is None else norms[keep]
-                local = local[keep]
-        return ids, codes, err, norms, rows_full, local
-    ids, rows, norms = layout.gather(
-        shard, lists_here, allowed=ctx["allowed"], exclude=None
-    )
-    return _filter_prewarmed(ids, rows, norms, prewarm_ids)
-
-
-def _make_worker_scan(layout, plan, metric, ctx, part, qidx):
-    """Build the precision-matched ShardScan for one gathered part."""
-    query_norms = ctx["query_norms"]
-    query_norms = None if query_norms is None else query_norms[qidx]
-    if ctx.get("scan_precision") == "sq8":
-        ids, codes, err, norms, rows_full, local = part
-        return SQ8ShardScan(
-            candidate_ids=ids,
-            query=ctx["queries"][qidx],
-            slices=plan.slices,
-            metric=metric,
-            base_slice_norms=norms,
-            codes=codes,
-            code_err=err,
-            code_lo=layout.code_lo,
-            code_scale=layout.code_scale,
-            rows_full=rows_full,
-            local=local,
-            query_norms=query_norms,
-        )
-    ids, rows, norms = part
-    return ShardScan(
-        candidate_ids=ids,
-        query=ctx["queries"][qidx],
-        slices=plan.slices,
-        metric=metric,
-        base_slice_norms=norms,
-        rows=rows,
-        query_norms=query_norms,
-    )
-
-
-def _scan_single(layout, plan, metric, ctx, shard, qidx, board):
-    """One (query, shard) scan.
-
-    Returns ``(scores, ids, n_candidates, n_reranked)``.
-    """
-    part = _gather_task(layout, plan, ctx, shard, qidx)
-    ids = part[0]
-    empty = (
-        np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64), 0, 0
-    )
-    if ids.size == 0:
-        return empty
-    scan = _make_worker_scan(layout, plan, metric, ctx, part, qidx)
-    pruning = ctx["enable_pruning"]
-    for block in range(plan.n_dim_blocks):
-        if scan.n_alive == 0:
-            break
-        scan.process_slice(block)
-        if pruning:
-            scan.prune(float(board[qidx]))
-    n_candidates = int(ids.size)
-    if scan.n_alive == 0:
-        return empty[0], empty[1], n_candidates, 0
-    sids, sscores = scan.survivors()
-    heap = TopKHeap(ctx["k"])
-    heap.push_many(sscores, sids)
-    scores, out_ids = heap.items_arrays()
-    return scores, out_ids, n_candidates, int(getattr(scan, "reranked", 0))
-
-
-def _scan_group(layout, plan, metric, ctx, shard, qidxs, board):
-    """One fused (query-group, shard) scan, chunked like the kernel.
-
-    Returns ``[(qidx, scores, ids, n_candidates, n_reranked), ...]``
-    with one compact local-top-k entry per group member.
-    """
-    dim = int(ctx["queries"].shape[1])
-    max_rows = max(1, GROUP_BLOCK_ELEMENTS // dim)
     out = {
-        q: [np.empty(0), np.empty(0, dtype=np.int64), 0, 0] for q in qidxs
+        q: [np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64), 0]
+        for q in qidxs
     }
-    sq8 = ctx.get("scan_precision") == "sq8"
+    query_norms = ctx["query_norms"]
 
-    chunk_q: list[int] = []
-    chunk_parts: list[tuple] = []
-    chunk_rows = 0
+    def gathered():
+        for qidx in qidxs:
+            part = gather_part(
+                layout,
+                ctx["scan_precision"],
+                shard,
+                shard_candidate_lists(plan, ctx["probes"][qidx], shard),
+                ctx["allowed"],
+            )
+            # Equivalent to ``exclude=`` on the parent's gather: the
+            # prewarm filter keeps the post-``allowed`` candidate order.
+            prewarm_ids = ctx["prewarm"][qidx]
+            if part is not None and prewarm_ids.size:
+                keep = ~np.isin(part.ids, prewarm_ids)
+                if not keep.all():
+                    part = part.take(keep) if keep.any() else None
+            if part is not None:
+                out[qidx][2] = int(part.ids.size)
+                yield (
+                    qidx,
+                    part,
+                    ctx["queries"][qidx],
+                    None if query_norms is None else query_norms[qidx],
+                )
 
-    def flush() -> None:
-        nonlocal chunk_q, chunk_parts, chunk_rows
-        if not chunk_q:
-            return
-        ids = np.concatenate([p[0] for p in chunk_parts])
-        sizes = [p[0].size for p in chunk_parts]
-        query_of = np.repeat(np.arange(len(chunk_q), dtype=np.intp), sizes)
-        queries = ctx["queries"][np.asarray(chunk_q)]
-        norms_at = 3 if sq8 else 2
-        base_norms = None
-        group_norms = None
-        if metric.name != "L2":
-            base_norms = np.concatenate(
-                [p[norms_at] for p in chunk_parts], axis=0
-            )
-            group_norms = ctx["query_norms"][np.asarray(chunk_q)]
-        if sq8:
-            scan = SQ8ShardGroupScan(
-                codes=[p[1] for p in chunk_parts],
-                ids=ids,
-                query_of=query_of,
-                queries=queries,
-                slices=plan.slices,
-                metric=metric,
-                base_slice_norms=base_norms,
-                query_norms=group_norms,
-                code_err=np.concatenate(
-                    [p[2] for p in chunk_parts], axis=0
-                ),
-                code_lo=layout.code_lo,
-                code_scale=layout.code_scale,
-                rows_full=chunk_parts[0][4],
-                local=np.concatenate([p[5] for p in chunk_parts]),
-            )
-        else:
-            scan = ShardGroupScan(
-                rows=[p[1] for p in chunk_parts],
-                ids=ids,
-                query_of=query_of,
-                queries=queries,
-                slices=plan.slices,
-                metric=metric,
-                base_slice_norms=base_norms,
-                query_norms=group_norms,
-            )
-        pruning = ctx["enable_pruning"]
-        q_arr = np.asarray(chunk_q)
-        for block in range(plan.n_dim_blocks):
-            if scan.n_alive == 0:
-                break
-            scan.process_slice(block)
-            if pruning:
-                scan.prune(np.array(board[q_arr]))
-        if scan.n_alive:
-            sids, sscores, squery = scan.survivors()
-            for local, qidx in enumerate(chunk_q):
-                mask = squery == local
-                if mask.any():
-                    heap = TopKHeap(ctx["k"])
-                    heap.push_many(sscores[mask], sids[mask])
-                    scores, out_ids = heap.items_arrays()
-                    out[qidx][0] = scores
-                    out[qidx][1] = out_ids
-                    if sq8:
-                        out[qidx][3] = int(mask.sum())
-        chunk_q, chunk_parts, chunk_rows = [], [], 0
+    def sink(qidx, ids, scores) -> None:
+        heap = TopKHeap(ctx["k"])
+        heap.push_many(scores, ids)
+        out[qidx][0], out[qidx][1] = heap.items_arrays()
 
-    for qidx in qidxs:
-        part = _gather_task(layout, plan, ctx, shard, qidx)
-        ids = part[0]
-        if ids.size == 0:
-            continue
-        out[qidx][2] = int(ids.size)
-        chunk_q.append(qidx)
-        chunk_parts.append(part)
-        chunk_rows += int(ids.size)
-        if chunk_rows >= max_rows:
-            flush()
-    flush()
-    return [
-        (q, out[q][0], out[q][1], out[q][2], out[q][3]) for q in qidxs
-    ]
+    reranked = scan_group(
+        layout,
+        gathered(),
+        plan,
+        metric,
+        (lambda members: board[list(members)])
+        if ctx["enable_pruning"]
+        else None,
+        sink,
+    )
+    return [(q, *out[q]) for q in qidxs], reranked
 
 
 def _worker_main(
@@ -496,10 +314,8 @@ def _worker_main(
                             layout = None
                         layout = SharedShardPackedBase.attach(manifest)
                         layout_key = key
-                    board = _SharedF64.attach(ctx["thresholds"])
-                    ctrl = _SharedInt64.attach(
-                        ctx["ctrl"]["name"], 3 * n_workers
-                    )
+                    board = _SharedVector.attach(ctx["thresholds"])
+                    ctrl = _SharedVector.attach(ctx["ctrl"])
                 except FileNotFoundError:
                     # Stale round: the batch already finished and its
                     # segments were reclaimed. Barrier out and move on.
@@ -525,25 +341,16 @@ def _worker_main(
                     task_ordinal += 1
                     shard, qidxs = tasks[task_id]
                     t0 = time.perf_counter()
-                    if len(qidxs) == 1:
-                        payload = [
-                            (qidxs[0],)
-                            + _scan_single(
-                                layout, plan, metric, ctx, shard,
-                                qidxs[0], board.array,
-                            )
-                        ]
-                    else:
-                        payload = _scan_group(
-                            layout, plan, metric, ctx, shard,
-                            list(qidxs), board.array,
-                        )
+                    payload, reranked = _scan_task(
+                        layout, plan, metric, ctx, shard, qidxs,
+                        board.array,
+                    )
                     t1 = time.perf_counter()
                     sleep_for_delay(delay, t1 - t0)
                     result_queue.put(
                         (
                             "task", batch_id, worker_id, task_id,
-                            payload, t0, t1, int(shard),
+                            payload, reranked, t0, t1, int(shard),
                         )
                     )
                 # Round barrier: after this message the worker provably
@@ -582,7 +389,7 @@ class ProcessBackend(ThreadBackend):
         prewarm_size / enable_pruning / batch_queries /
         scan_timeout / scan_retries: as on
             :class:`~repro.core.executor.base.HostBackend`. The packed
-            layout is always enabled — it *is* the shared data plane.
+            layout *is* the shared data plane.
 
     The pool starts lazily on the first ``search()`` and persists
     across calls; call :meth:`close` (or use the backend as a context
@@ -608,7 +415,6 @@ class ProcessBackend(ThreadBackend):
         prewarm_size: int = 32,
         enable_pruning: bool = True,
         batch_queries: bool = True,
-        use_packed_base: bool = True,
         scan_precision: str = "fp32",
         scan_timeout: "float | None" = None,
         scan_retries: int = 3,
@@ -624,7 +430,6 @@ class ProcessBackend(ThreadBackend):
             prewarm_size=prewarm_size,
             enable_pruning=enable_pruning,
             batch_queries=batch_queries,
-            use_packed_base=True,
             scan_precision=scan_precision,
             scan_timeout=scan_timeout,
             scan_retries=scan_retries,
@@ -718,13 +523,28 @@ class ProcessBackend(ThreadBackend):
             # The adopted layout already carries pending deltas (it was
             # refreshed before the pool existed); publish them too.
             shared.sync_overlay()
+        self._retire_shared_layout()
         # The parent scans the same pages: no second resident copy.
         self.kernel._packed = shared
-        if layout is not None:
-            layout.unlink()
         self._shared_layout = shared
         self.shm_base_rehomes += 1
         return shared
+
+    def _retire_shared_layout(self) -> None:
+        """Unlink the shared segment and forget every reference to it.
+
+        The kernel scans the same pages (``kernel._packed`` is the
+        shared layout), so that reference goes too: a search after a
+        retire — the thread fallback after a chaos drop, a revived
+        pool after ``close()`` — rebuilds rather than reading a closed
+        mapping.
+        """
+        layout, self._shared_layout = self._shared_layout, None
+        if layout is None:
+            return
+        if self.kernel._packed is layout:
+            self.kernel._packed = None
+        layout.unlink()
 
     def _spawn_worker(self, wid: int, ctx) -> None:
         """Start worker ``wid`` on a fresh command queue."""
@@ -836,11 +656,7 @@ class ProcessBackend(ThreadBackend):
     def close(self) -> None:
         """Stop workers and free every shared segment. Idempotent."""
         self._teardown_pool()
-        if self._shared_layout is not None:
-            if self.kernel._packed is self._shared_layout:
-                self.kernel._packed = None
-            self._shared_layout.unlink()
-            self._shared_layout = None
+        self._retire_shared_layout()
         super().close()
 
     def __del__(self) -> None:  # pragma: no cover - GC timing
@@ -852,7 +668,7 @@ class ProcessBackend(ThreadBackend):
     # -- scheduling -----------------------------------------------------
 
     def _make_tasks(
-        self, groups: "dict[int, list[int]]"
+        self, groups: "dict[int, list]"
     ) -> "list[tuple[int, tuple[int, ...]]]":
         """Shard-major (query-group, shard) task table.
 
@@ -862,17 +678,14 @@ class ProcessBackend(ThreadBackend):
         emits one task per (query, shard); both are query-disjoint, so
         the split can never change results.
         """
+        chunk = 1
+        if self.batch_queries:
+            total = sum(len(v) for v in groups.values())
+            target = max(1, TASKS_PER_WORKER * self.n_workers)
+            chunk = max(1, -(-total // target))
         tasks: list[tuple[int, tuple[int, ...]]] = []
-        if not self.batch_queries:
-            for shard in sorted(groups):
-                for qidx in groups[shard]:
-                    tasks.append((shard, (qidx,)))
-            return tasks
-        total = sum(len(v) for v in groups.values())
-        target = max(1, TASKS_PER_WORKER * self.n_workers)
-        chunk = max(1, -(-total // target))
         for shard in sorted(groups):
-            members = groups[shard]
+            members = [state.query_index for state in groups[shard]]
             for i in range(0, len(members), chunk):
                 tasks.append((shard, tuple(members[i: i + chunk])))
         return tasks
@@ -925,22 +738,18 @@ class ProcessBackend(ThreadBackend):
     ) -> SearchResult:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        if not self._ensure_pool():
-            return super().search(
-                queries, k, nprobe=nprobe, filter_labels=filter_labels,
-                skip_shards=skip_shards, coverage=coverage,
-            )
-        try:
-            return self._process_search(
-                queries, k, nprobe, filter_labels, skip_shards, coverage
-            )
-        except (ProcessPoolError, OSError, EOFError):
-            self._teardown_pool()
-            self._pool_broken = True
-            return super().search(
-                queries, k, nprobe=nprobe, filter_labels=filter_labels,
-                skip_shards=skip_shards, coverage=coverage,
-            )
+        if self._ensure_pool():
+            try:
+                return self._process_search(
+                    queries, k, nprobe, filter_labels, skip_shards, coverage
+                )
+            except (ProcessPoolError, OSError, EOFError):
+                self._teardown_pool()
+                self._pool_broken = True
+        return super().search(
+            queries, k, nprobe=nprobe, filter_labels=filter_labels,
+            skip_shards=skip_shards, coverage=coverage,
+        )
 
     def _process_search(
         self,
@@ -955,49 +764,26 @@ class ProcessBackend(ThreadBackend):
         tracer = self.tracer
         kernel.tracer = None  # worker spans are recorded from timings
         rerank_before = kernel.rerank_candidates_total
-        queries = kernel.prepare_queries(queries)
+        queries, probes, allowed = self._route(queries, nprobe, filter_labels)
         nq = queries.shape[0]
-        if tracer is None:
-            probes = self.index.probe(queries, nprobe)
-        else:
-            with tracer.wall_span("route", "computation", n=nq):
-                probes = self.index.probe(queries, nprobe)
-        allowed = self.index.allowed_mask(filter_labels)
 
         # Prewarm in the parent (it owns the heaps), exactly as the
         # kernel's batched path does; coverage goes to a local buffer
         # so a mid-batch fallback cannot double-count.
-        states = [
-            kernel.begin_query(i, queries[i], probes[i], k, allowed)
-            for i in range(nq)
-        ]
         local_cov = (
             np.zeros((nq, 2), dtype=np.int64)
             if coverage is not None else None
         )
-        if local_cov is not None:
-            for state in states:
-                local_cov[state.query_index, :] += state.prewarmed.size
-
-        groups: dict[int, list[int]] = {}
-        for state in states:
-            for shard in kernel.shards_for(state):
-                shard = int(shard)
-                if skip_shards and shard in skip_shards:
-                    if local_cov is not None:
-                        local_cov[state.query_index, 1] += (
-                            kernel.count_candidates(state, shard, allowed)
-                        )
-                    continue
-                groups.setdefault(shard, []).append(state.query_index)
-
+        states, groups = kernel.begin_batch(
+            queries, probes, k, allowed, skip_shards, local_cov
+        )
         tasks = self._make_tasks(groups)
         if tasks:
             self._dispatch_batch(
                 tasks, states, queries, probes, allowed, k, local_cov,
                 tracer,
             )
-        if coverage is not None and local_cov is not None:
+        if local_cov is not None:
             coverage += local_cov
         self.last_rerank_count = (
             kernel.rerank_candidates_total - rerank_before
@@ -1007,7 +793,7 @@ class ProcessBackend(ThreadBackend):
     def _dispatch_batch(
         self, tasks, states, queries, probes, allowed, k, local_cov, tracer
     ) -> None:
-        board = _SharedF64.create(
+        board = _SharedVector.create(
             np.array([s.heap.threshold for s in states], dtype=np.float64)
         )
         query_norms = None
@@ -1051,7 +837,9 @@ class ProcessBackend(ThreadBackend):
         self._round_counter += 1
         rid = self._round_counter
         round_tasks = [tasks[t] for t in task_ids]
-        ctrl = _SharedInt64.create(3 * self.n_workers)
+        ctrl = _SharedVector.create(
+            np.zeros(3 * self.n_workers, dtype=np.int64)
+        )
         ranges = self._seed_ranges(round_tasks, alive)
         n = self.n_workers
         for wid, (start, stop) in enumerate(ranges):
@@ -1064,7 +852,7 @@ class ProcessBackend(ThreadBackend):
         ctx = dict(
             ctx_base,
             tasks=round_tasks,
-            ctrl={"name": ctrl.shm.name, "n": n},
+            ctrl=ctrl.manifest(),
             chaos=chaos_spec,
         )
         rec = {
@@ -1264,7 +1052,7 @@ class ProcessBackend(ThreadBackend):
                 mark_round_progress(rec)
                 last_progress = now
                 continue
-            _, _, wid, local_tid, payload, t0, t1, shard = msg
+            _, _, wid, local_tid, payload, reranked, t0, t1, shard = msg
             if rec["batch"] is not batch_tag:
                 continue  # a previous batch's task: states are gone
             orig = rec["task_ids"][local_tid]
@@ -1273,11 +1061,10 @@ class ProcessBackend(ThreadBackend):
             completed.add(orig)
             outstanding.discard(orig)
             last_progress = now
-            for qidx, scores, ids, n_candidates, n_reranked in payload:
+            kernel._count_rerank_amount(reranked)
+            for qidx, scores, ids, n_candidates in payload:
                 if local_cov is not None:
                     local_cov[qidx, :] += int(n_candidates)
-                if n_reranked:
-                    kernel._count_rerank_amount(int(n_reranked))
                 if len(scores):
                     heap = states[qidx].heap
                     heap.push_many(scores, ids)
@@ -1322,9 +1109,3 @@ class ProcessBackend(ThreadBackend):
             elif msg[0] == "error":
                 raise ProcessPoolError(f"worker failed:\n{msg[3]}")
             # task messages here are duplicates of completed tasks
-
-    def __enter__(self) -> "ProcessBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

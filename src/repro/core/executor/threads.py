@@ -82,7 +82,6 @@ class ThreadBackend(HostBackend):
         prewarm_size: int = 32,
         enable_pruning: bool = True,
         batch_queries: bool = True,
-        use_packed_base: bool = True,
         scan_precision: str = "fp32",
         scan_timeout: "float | None" = None,
         scan_retries: int = 3,
@@ -97,7 +96,6 @@ class ThreadBackend(HostBackend):
             prewarm_size=prewarm_size,
             enable_pruning=enable_pruning,
             batch_queries=batch_queries,
-            use_packed_base=use_packed_base,
             scan_precision=scan_precision,
             scan_timeout=scan_timeout,
             scan_retries=scan_retries,

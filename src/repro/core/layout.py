@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,6 +162,31 @@ def _stacked_take(
     return out
 
 
+def _merged(base_part, delta_part):
+    """Base-then-delta concatenation where either side may be absent."""
+    if delta_part is None:
+        return base_part
+    if base_part is None:
+        return delta_part
+    return np.concatenate([base_part, delta_part])
+
+
+def _take_both(base, base_sel, delta, delta_sel):
+    """``base[base_sel]`` then ``delta.view[delta_sel]`` as one block.
+
+    ``delta`` is a :class:`GrowableArray`; either selection may be None
+    (no candidates on that side), and a None ``base`` (no norm table on
+    L2) yields None.
+    """
+    if base is None:
+        return None
+    if delta_sel is None:
+        return base[base_sel]
+    if base_sel is None:
+        return delta.view[delta_sel]
+    return _stacked_take(base, base_sel, delta.view, delta_sel)
+
+
 class SplitRows:
     """A base row block and its delta block, indexable as one array.
 
@@ -197,6 +223,44 @@ class SplitRows:
         out[in_base] = self._base[idx[in_base]]
         out[~in_base] = self._delta[idx[~in_base] - base_n]
         return out
+
+
+class CandidatePart(NamedTuple):
+    """One (query, shard) candidate gather, either precision.
+
+    :meth:`ShardPackedBase.gather` fills the first three fields;
+    :meth:`ShardPackedBase.gather_sq8` fills all six, so ``err is None``
+    is what tells a float32 part from an SQ8 one.
+
+    Attributes:
+        ids: global candidate ids.
+        rows: the blocks the scan streams — fresh float32 rows, or
+            uint8 codes on the SQ8 path.
+        norms: per-candidate per-slice norms (None for L2).
+        err: per-candidate per-slice SQ8 error norms.
+        rows_full: the shard's exact row storage (a :class:`SplitRows`
+            over base and delta blocks, not copied); SQ8 survivors
+            re-rank via ``rows_full[local]``.
+        local: each candidate's row index into ``rows_full``.
+    """
+
+    ids: np.ndarray
+    rows: np.ndarray
+    norms: "np.ndarray | None"
+    err: "np.ndarray | None" = None
+    rows_full: "SplitRows | None" = None
+    local: "np.ndarray | None" = None
+
+    def take(self, keep: np.ndarray) -> "CandidatePart":
+        """The part restricted to the candidates selected by ``keep``."""
+        return CandidatePart(
+            self.ids[keep],
+            self.rows[keep],
+            None if self.norms is None else self.norms[keep],
+            None if self.err is None else self.err[keep],
+            self.rows_full,
+            None if self.local is None else self.local[keep],
+        )
 
 
 class ShardPackedBase:
@@ -622,12 +686,12 @@ class ShardPackedBase:
         lists: np.ndarray,
         allowed: np.ndarray | None = None,
         exclude: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Candidate (ids, rows, norms) for the probed lists of a shard.
+    ) -> CandidatePart:
+        """Candidate ids, rows and norms for the probed lists of a shard.
 
         Rows come back list-by-list in packed (insertion) order — a
-        different candidate order than the legacy ascending-id gather,
-        which is harmless because heap retention is order-independent.
+        different candidate order than an ascending-id gather, which is
+        harmless because heap retention is order-independent.
 
         Args:
             shard: vector shard to gather from.
@@ -637,38 +701,23 @@ class ShardPackedBase:
                 (e.g. already-prewarmed candidates).
 
         Returns:
-            ``(ids, rows, norms)`` — global ids, a fresh float32 row
-            block, and the matching per-slice norm block (None for L2).
+            A :class:`CandidatePart` with ``ids``, a fresh float32
+            ``rows`` block, and the matching per-slice ``norms`` block
+            (None for L2).
         """
         local, ids = self._base_candidates(shard, lists, allowed, exclude)
         dsel, dids = self._delta_candidates(shard, lists, allowed, exclude)
-        if dsel is None:
-            if local is None:
-                return (
-                    np.empty(0, dtype=np.int64),
-                    np.empty(
-                        (0, self._rows[shard].shape[1]), dtype=np.float32
-                    ),
-                    None,
-                )
-            rows = self._rows[shard][local]
-            shard_norms = self._norms[shard]
-            norms = None if shard_norms is None else shard_norms[local]
-            return ids, rows, norms
-        drow_buf = self._drows[shard].view
-        dnorm_buf = self._dnorms[shard]
-        if local is None:
-            dnorms = None if dnorm_buf is None else dnorm_buf.view[dsel]
-            return dids, drow_buf[dsel], dnorms
-        ids = np.concatenate([ids, dids])
-        rows = _stacked_take(self._rows[shard], local, drow_buf, dsel)
-        shard_norms = self._norms[shard]
-        norms = (
-            None
-            if shard_norms is None
-            else _stacked_take(shard_norms, local, dnorm_buf.view, dsel)
+        if local is None and dsel is None:
+            return CandidatePart(
+                np.empty(0, dtype=np.int64),
+                np.empty((0, self._rows[shard].shape[1]), dtype=np.float32),
+                None,
+            )
+        return CandidatePart(
+            _merged(ids, dids),
+            _take_both(self._rows[shard], local, self._drows[shard], dsel),
+            _take_both(self._norms[shard], local, self._dnorms[shard], dsel),
         )
-        return ids, rows, norms
 
     def _base_candidates(
         self,
@@ -754,7 +803,7 @@ class ShardPackedBase:
         lists: np.ndarray,
         allowed: np.ndarray | None = None,
         exclude: np.ndarray | None = None,
-    ) -> tuple:
+    ) -> CandidatePart:
         """SQ8 candidate blocks plus a lazy handle on the exact rows.
 
         The SQ8 sibling of :meth:`gather`: the scan reads the compact
@@ -763,12 +812,8 @@ class ShardPackedBase:
         re-rank time.
 
         Returns:
-            ``(ids, codes, err, norms, rows_full, local)`` — global
-            ids, fresh uint8 code and float32 error-norm blocks, the
-            per-slice norm block (None for L2), the shard's full exact
-            row storage (a :class:`SplitRows` over the base and delta
-            blocks, not copied), and each candidate's row index into
-            it.
+            A fully populated :class:`CandidatePart`: ``rows`` holds
+            fresh uint8 codes, ``err`` the float32 error norms.
         """
         if not self.has_codes:
             raise RuntimeError("layout was packed without SQ8 codes")
@@ -778,44 +823,25 @@ class ShardPackedBase:
         dsel, dids = self._delta_candidates(shard, lists, allowed, exclude)
         if local is None and dsel is None:
             n_slices = self._code_err[shard].shape[1]
-            return (
+            return CandidatePart(
                 np.empty(0, dtype=np.int64),
                 np.empty((0, rows_full.shape[1]), dtype=np.uint8),
-                np.empty((0, n_slices), dtype=np.float32),
                 None,
+                np.empty((0, n_slices), dtype=np.float32),
                 rows_full,
                 np.empty(0, dtype=np.intp),
             )
-        shard_norms = self._norms[shard]
-        if dsel is None:
-            codes = self._codes[shard][local]
-            err = self._code_err[shard][local]
-            norms = None if shard_norms is None else shard_norms[local]
-            return ids, codes, err, norms, rows_full, local
-        dcode_buf = self._dcodes[shard].view
-        derr_buf = self._dcode_err[shard].view
-        dnorm_buf = self._dnorms[shard]
-        dlocal = (base_n + dsel).astype(np.intp)
-        if local is None:
-            dnorms = None if dnorm_buf is None else dnorm_buf.view[dsel]
-            return (
-                dids,
-                dcode_buf[dsel],
-                derr_buf[dsel],
-                dnorms,
-                rows_full,
-                dlocal,
-            )
-        ids = np.concatenate([ids, dids])
-        codes = _stacked_take(self._codes[shard], local, dcode_buf, dsel)
-        err = _stacked_take(self._code_err[shard], local, derr_buf, dsel)
-        norms = (
-            None
-            if shard_norms is None
-            else _stacked_take(shard_norms, local, dnorm_buf.view, dsel)
+        dlocal = None if dsel is None else (base_n + dsel).astype(np.intp)
+        return CandidatePart(
+            _merged(ids, dids),
+            _take_both(self._codes[shard], local, self._dcodes[shard], dsel),
+            _take_both(self._norms[shard], local, self._dnorms[shard], dsel),
+            _take_both(
+                self._code_err[shard], local, self._dcode_err[shard], dsel
+            ),
+            rows_full,
+            _merged(local, dlocal),
         )
-        local = np.concatenate([local, dlocal])
-        return ids, codes, err, norms, rows_full, local
 
 
 class SharedShardPackedBase(ShardPackedBase):

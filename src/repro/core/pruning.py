@@ -14,6 +14,13 @@ Score convention: smaller is better. For L2 the accumulated partial sum
 itself lower-bounds the final score; for inner product the bound
 subtracts the Cauchy-Schwarz cap on the remaining slices' contribution,
 read from a suffix-sum table precomputed at scan construction.
+
+:class:`SQ8ShardScan` / :class:`SQ8ShardGroupScan` are the two-phase
+siblings: they walk uint8 codes with error-padded (still lossless)
+bounds and re-rank survivors against float32. What differs between the
+precisions — one slice's scores, the error padding, the exact re-rank —
+is three module-level helpers each arity calls; what differs between
+the arities is the bookkeeping around them.
 """
 
 from __future__ import annotations
@@ -79,6 +86,78 @@ class PruningStats:
     def average_ratio(self) -> float:
         """Mean of the per-position ratios (Table 3's last column)."""
         return float(np.mean(self.ratios()))
+
+
+def _slice_scores(
+    rows: np.ndarray, q_slice: np.ndarray, metric: Metric
+) -> np.ndarray:
+    """One slice's per-row score contribution (``L2`` or ``-IP``)."""
+    if metric is Metric.L2:
+        return partial_squared_l2(rows, q_slice)
+    return -partial_inner_product(rows, q_slice)
+
+
+def _sq8_padded_scores(scan, codes, cols: slice, q_slice, err, at) -> np.ndarray:
+    """One slice's SQ8 scores, padded down to bound the exact ones.
+
+    For L2 each slice contributes ``max(0, sqrt(approx) - err)**2``
+    (reverse triangle inequality); for the inner-product family
+    ``approx - ||q_s|| * err`` (the query norm at index ``at``) bounds
+    the quantization cross-term by Cauchy-Schwarz. ``err`` was rounded
+    *up* at pack time.
+    """
+    decoded = sq8_decode(codes, scan._code_lo[cols], scan._code_scale[cols])
+    approx = _slice_scores(decoded, q_slice, scan.metric)
+    if scan.metric is Metric.L2:
+        return np.square(np.maximum(np.sqrt(approx) - err, 0.0))
+    return approx - scan._qnorms64[at] * err
+
+
+def _exact_scores(
+    rows: np.ndarray,
+    query: np.ndarray,
+    slices: DimensionSlices,
+    metric: Metric,
+) -> np.ndarray:
+    """Exact scores of float32 ``rows`` in canonical slice order.
+
+    The same per-row float64 reduction the fp32 scan accumulates, so
+    re-ranked SQ8 survivors carry bitwise the scores the fp32 oracle
+    reports.
+    """
+    exact = np.zeros(rows.shape[0], dtype=np.float64)
+    for slice_id in range(slices.n_slices):
+        start, stop = slices.slice_range(slice_id)
+        exact += _slice_scores(
+            rows[:, start:stop], query[start:stop], metric
+        )
+    return exact
+
+
+def _deflated(bounds: np.ndarray) -> np.ndarray:
+    """Error-padded bounds, deflated once more for float safety."""
+    return bounds - (np.abs(bounds) * BOUND_REL_EPS + BOUND_ABS_EPS)
+
+
+def _attach_sq8(
+    scan, code_err, rows_full, local, code_lo, code_scale, query_norms
+) -> None:
+    """The SQ8 side state both arities carry beside their code blocks."""
+    if scan.metric is not Metric.L2 and query_norms is None:
+        raise ValueError("inner-product SQ8 pruning requires query_norms")
+    scan._err = np.asarray(code_err, dtype=np.float64)
+    scan._rows_full = rows_full
+    scan._local = np.asarray(local, dtype=np.intp)
+    scan._code_lo = np.asarray(code_lo, dtype=np.float64)
+    scan._code_scale = np.asarray(code_scale, dtype=np.float64)
+    scan._qnorms64 = (
+        None
+        if scan.metric is Metric.L2
+        else np.asarray(query_norms, dtype=np.float64)
+    )
+    #: Candidates re-ranked against fp32 by the last survivors() call
+    #: (the harmony_rerank_candidates_total metric).
+    scan.reranked = 0
 
 
 class ShardScan:
@@ -171,23 +250,25 @@ class ShardScan:
             Number of candidate rows actually processed (the compute
             volume the simulator should charge for this stage).
         """
+        return self._advance(slice_id, self._exact_slice)
+
+    def _advance(self, slice_id: int, score) -> int:
+        """One stage: ``score(slice_id, cols)`` onto the accumulator,
+        then the done/canonical-order bookkeeping."""
         if self._done_mask[slice_id]:
             raise ValueError(f"slice {slice_id} already processed")
         n = self.ids.size
         if n:
-            start, stop = self.slices.slice_range(slice_id)
-            rows = self._rows[:, start:stop]
-            q_slice = self.query[start:stop]
-            if self.metric is Metric.L2:
-                partial = partial_squared_l2(rows, q_slice)
-            else:
-                partial = -partial_inner_product(rows, q_slice)
-            self.accumulated += partial
+            cols = slice(*self.slices.slice_range(slice_id))
+            self.accumulated += score(slice_id, cols)
         if slice_id != len(self.done):
             self._canonical = False
         self.done.append(slice_id)
         self._done_mask[slice_id] = True
         return int(n)
+
+    def _exact_slice(self, slice_id: int, cols: slice) -> np.ndarray:
+        return _slice_scores(self._rows[:, cols], self.query[cols], self.metric)
 
     def lower_bounds(self) -> np.ndarray:
         """Lossless lower bound on every alive candidate's final score.
@@ -211,7 +292,8 @@ class ShardScan:
         return self.accumulated - (raw * (1.0 + BOUND_REL_EPS) + BOUND_ABS_EPS)
 
     def prune(self, threshold: float) -> int:
-        """Kill candidates whose lower bound exceeds ``threshold``.
+        """Kill candidates whose lower bound exceeds ``threshold``
+        (a float, or the one-element array a group of one is given).
 
         Uses a strict comparison so boundary ties survive to the heap,
         keeping results identical to an unpruned scan. Survivors are
@@ -350,11 +432,17 @@ class ShardGroupScan:
         the same broadcast partial-distance kernel :class:`ShardScan`
         uses.
         """
+        return self._advance(slice_id, self._exact_block)
+
+    def _advance(self, slice_id: int, score) -> int:
+        """One stage: ``score(block, q, slice_id, cols, seg)`` per query
+        block — ``block`` its alive rows' slice columns, ``seg`` its
+        segment of the dense arrays — onto the accumulator."""
         if self._done_mask[slice_id]:
             raise ValueError(f"slice {slice_id} already processed")
         n = self.ids.size
         if n:
-            start, stop = self.slices.slice_range(slice_id)
+            cols = slice(*self.slices.slice_range(slice_id))
             partial = np.empty(n, dtype=np.float64)
             pos = 0
             for q in range(self.n_queries):
@@ -363,24 +451,17 @@ class ShardGroupScan:
                     continue
                 alive = self._alive_parts[q]
                 part = self._row_parts[q]
-                if alive is None:
-                    rows = part[:, start:stop]
-                else:
-                    rows = part[alive, start:stop]
-                q_slice = self.queries[q, start:stop]
-                if self.metric is Metric.L2:
-                    partial[pos : pos + size] = partial_squared_l2(
-                        rows, q_slice
-                    )
-                else:
-                    partial[pos : pos + size] = -partial_inner_product(
-                        rows, q_slice
-                    )
+                block = part[:, cols] if alive is None else part[alive, cols]
+                seg = slice(pos, pos + size)
+                partial[seg] = score(block, q, slice_id, cols, seg)
                 pos += size
             self.accumulated += partial
         self.done.append(slice_id)
         self._done_mask[slice_id] = True
         return int(n)
+
+    def _exact_block(self, block, q, slice_id, cols, seg) -> np.ndarray:
+        return _slice_scores(block, self.queries[q, cols], self.metric)
 
     def lower_bounds(self) -> np.ndarray:
         """Per-row lossless lower bound (same arithmetic as ShardScan)."""
@@ -448,111 +529,54 @@ class SQ8ShardScan(ShardScan):
     Phase one walks the *uint8* representation through the dimension
     pipeline — a quarter of the float32 row traffic — accumulating
     per-slice partial scores that are *padded down* by the packed
-    reconstruction-error norms, so every accumulated value lower-bounds
-    the exact score and pruning stays lossless: any candidate the fp32
-    scan would keep, this scan keeps too. Phase two
-    (:meth:`survivors`) re-ranks the few remaining candidates against
-    their float32 rows with the canonical per-slice kernels in
-    canonical slice order — the same per-row float64 reduction the
-    fp32 path runs — so final scores (and therefore heap contents) are
-    bitwise identical to the fp32 serial oracle.
-
-    Padding: for L2 each slice contributes
-    ``max(0, sqrt(approx) - err)**2`` (reverse triangle inequality);
-    for the inner-product family ``approx - ||q_s|| * err`` bounds the
-    quantization cross-term by Cauchy-Schwarz. The error norms were
-    rounded *up* at pack time, and :meth:`lower_bounds` deflates once
-    more by the standard float-safety epsilons, so float rounding can
-    never flip a keep into a kill.
+    reconstruction-error norms (:func:`_sq8_padded_scores`), so every
+    accumulated value lower-bounds the exact score and pruning stays
+    lossless: any candidate the fp32 scan would keep, this scan keeps
+    too. Phase two (:meth:`survivors`) re-ranks the few remaining
+    candidates against their float32 rows (:func:`_exact_scores`), so
+    final scores (and therefore heap contents) are bitwise identical to
+    the fp32 serial oracle. :meth:`lower_bounds` deflates once more by
+    the standard float-safety epsilons, so float rounding can never
+    flip a keep into a kill.
 
     Args:
-        codes: pre-gathered uint8 candidate codes ``(n, dim)``.
-        code_err: per-candidate per-slice error norms ``(n, m)``.
+        part: the candidates' :class:`~repro.core.layout.CandidatePart`
+            as ``gather_sq8`` returns it — uint8 codes in ``rows``,
+            per-slice error norms in ``err``, and the shard's exact
+            rows (``rows_full``, not copied) that survivors re-rank
+            against via ``rows_full[local]``.
         code_lo / code_scale: per-dimension dequantization params.
-        rows_full: the shard's full float32 row block (not copied);
-            survivors re-rank via ``rows_full[local]``.
-        local: each candidate's row index into ``rows_full``.
-
-    Remaining arguments match :class:`ShardScan`.
+        scan: ``query``, ``slices``, ``metric``, ``query_norms`` as on
+            :class:`ShardScan`.
     """
 
-    def __init__(
-        self,
-        candidate_ids: np.ndarray | None = None,
-        query: np.ndarray | None = None,
-        slices: DimensionSlices | None = None,
-        metric: Metric = Metric.L2,
-        base_slice_norms: np.ndarray | None = None,
-        codes: np.ndarray | None = None,
-        code_err: np.ndarray | None = None,
-        code_lo: np.ndarray | None = None,
-        code_scale: np.ndarray | None = None,
-        rows_full: np.ndarray | None = None,
-        local: np.ndarray | None = None,
-        query_norms: np.ndarray | None = None,
-    ) -> None:
-        if codes is None or code_err is None or rows_full is None:
-            raise ValueError("SQ8 scan requires codes, code_err, rows_full")
+    def __init__(self, part, code_lo, code_scale, **scan) -> None:
         # The uint8 codes ride in the parent's row slot: compaction and
-        # slice addressing are identical, only the per-slice arithmetic
-        # (overridden below) differs.
+        # slice addressing are identical, only the per-slice scorer
+        # differs.
         super().__init__(
-            candidate_ids=candidate_ids,
-            query=query,
-            slices=slices,
-            metric=metric,
-            base_slice_norms=base_slice_norms,
-            rows=codes,
-            query_norms=query_norms,
+            candidate_ids=part.ids,
+            rows=part.rows,
+            base_slice_norms=part.norms,
+            **scan,
         )
-        self._err = np.asarray(code_err, dtype=np.float64)
-        self._code_lo = np.asarray(code_lo, dtype=np.float64)
-        self._code_scale = np.asarray(code_scale, dtype=np.float64)
-        self._rows_full = rows_full
-        self._local = np.asarray(local, dtype=np.intp)
-        if metric is Metric.L2:
-            self._qnorms64 = None
-        else:
-            if query_norms is None:
-                query_norms = query_slice_norms(self.query, slices)
-            self._qnorms64 = np.asarray(query_norms, dtype=np.float64)
-        #: Candidates re-ranked against fp32 by the last survivors()
-        #: call (the harmony_rerank_candidates_total metric).
-        self.reranked = 0
+        _attach_sq8(
+            self, part.err, part.rows_full, part.local,
+            code_lo, code_scale, scan.get("query_norms"),
+        )
 
     def process_slice(self, slice_id: int) -> int:
         """Accumulate one slice's error-padded SQ8 partial scores."""
-        if self._done_mask[slice_id]:
-            raise ValueError(f"slice {slice_id} already processed")
-        n = self.ids.size
-        if n:
-            start, stop = self.slices.slice_range(slice_id)
-            decoded = sq8_decode(
-                self._rows[:, start:stop],
-                self._code_lo[start:stop],
-                self._code_scale[start:stop],
-            )
-            q_slice = self.query[start:stop]
-            err = self._err[:, slice_id]
-            if self.metric is Metric.L2:
-                approx = partial_squared_l2(decoded, q_slice)
-                padded = np.square(
-                    np.maximum(np.sqrt(approx) - err, 0.0)
-                )
-            else:
-                approx = -partial_inner_product(decoded, q_slice)
-                padded = approx - self._qnorms64[slice_id] * err
-            self.accumulated += padded
-        if slice_id != len(self.done):
-            self._canonical = False
-        self.done.append(slice_id)
-        self._done_mask[slice_id] = True
-        return int(n)
+        return self._advance(slice_id, self._padded_slice)
+
+    def _padded_slice(self, slice_id: int, cols: slice) -> np.ndarray:
+        return _sq8_padded_scores(
+            self, self._rows[:, cols], cols, self.query[cols],
+            self._err[:, slice_id], slice_id,
+        )
 
     def lower_bounds(self) -> np.ndarray:
-        """Error-padded bounds, deflated once more for float safety."""
-        raw = super().lower_bounds()
-        return raw - (np.abs(raw) * BOUND_REL_EPS + BOUND_ABS_EPS)
+        return _deflated(super().lower_bounds())
 
     def _compact(self, keep: np.ndarray) -> int:
         killed = super()._compact(keep)
@@ -561,28 +585,13 @@ class SQ8ShardScan(ShardScan):
         return killed
 
     def survivors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, *exact* scores): re-rank survivors against fp32 rows.
-
-        Gathers only the surviving rows from the shard's float32 block
-        and accumulates the canonical per-slice kernels in canonical
-        slice order — bitwise the scores the fp32 scan reports.
-        """
+        """(ids, *exact* scores): re-rank survivors against fp32 rows."""
         if not self.is_complete:
             raise RuntimeError("scan has unprocessed slices")
-        n = self.ids.size
-        self.reranked = int(n)
-        exact = np.zeros(n, dtype=np.float64)
-        if n:
-            rows = self._rows_full[self._local]
-            for slice_id in range(self.slices.n_slices):
-                start, stop = self.slices.slice_range(slice_id)
-                seg = rows[:, start:stop]
-                q_slice = self.query[start:stop]
-                if self.metric is Metric.L2:
-                    exact += partial_squared_l2(seg, q_slice)
-                else:
-                    exact += -partial_inner_product(seg, q_slice)
-        return self.ids, exact
+        self.reranked = int(self.ids.size)
+        return self.ids, _exact_scores(
+            self._rows_full[self._local], self.query, self.slices, self.metric
+        )
 
 
 class SQ8ShardGroupScan(ShardGroupScan):
@@ -595,102 +604,35 @@ class SQ8ShardGroupScan(ShardGroupScan):
     merged heaps stay bitwise identical to the fp32 serial oracle.
 
     Args:
-        codes: per-query uint8 code blocks (list, one per query).
-        code_err: concatenated per-row per-slice error norms ``(n, m)``.
+        parts: one ``gather_sq8`` record per query; all scan the same
+            shard, so the first one's ``rows_full`` serves the group.
         code_lo / code_scale: per-dimension dequantization params.
-        rows_full: the shard's full float32 row block (all queries in a
-            group scan the same shard, so one block serves the group).
-        local: concatenated row indices into ``rows_full``, ``(n,)``.
-
-    Remaining arguments match :class:`ShardGroupScan`.
+        scan: the dense per-row arguments of :class:`ShardGroupScan`
+            (everything but ``rows``).
     """
 
-    def __init__(
-        self,
-        codes: "list[np.ndarray]",
-        ids: np.ndarray,
-        query_of: np.ndarray,
-        queries: np.ndarray,
-        slices: DimensionSlices,
-        metric: Metric = Metric.L2,
-        base_slice_norms: np.ndarray | None = None,
-        query_norms: np.ndarray | None = None,
-        code_err: np.ndarray | None = None,
-        code_lo: np.ndarray | None = None,
-        code_scale: np.ndarray | None = None,
-        rows_full: np.ndarray | None = None,
-        local: np.ndarray | None = None,
-    ) -> None:
-        if code_err is None or rows_full is None or local is None:
-            raise ValueError(
-                "SQ8 group scan requires code_err, rows_full, local"
-            )
-        super().__init__(
-            rows=codes,
-            ids=ids,
-            query_of=query_of,
-            queries=queries,
-            slices=slices,
-            metric=metric,
-            base_slice_norms=base_slice_norms,
-            query_norms=query_norms,
+    def __init__(self, parts: list, code_lo, code_scale, **scan) -> None:
+        super().__init__(rows=[part.rows for part in parts], **scan)
+        _attach_sq8(
+            self,
+            np.concatenate([part.err for part in parts], axis=0),
+            parts[0].rows_full,
+            np.concatenate([part.local for part in parts]),
+            code_lo, code_scale, scan.get("query_norms"),
         )
-        self._err = np.asarray(code_err, dtype=np.float64)
-        self._code_lo = np.asarray(code_lo, dtype=np.float64)
-        self._code_scale = np.asarray(code_scale, dtype=np.float64)
-        self._rows_full = rows_full
-        self._local = np.asarray(local, dtype=np.intp)
-        if metric is Metric.L2:
-            self._qnorms64 = None
-        else:
-            self._qnorms64 = np.asarray(query_norms, dtype=np.float64)
-        self.reranked = 0
 
     def process_slice(self, slice_id: int) -> int:
         """One error-padded SQ8 dimension stage over the whole group."""
-        if self._done_mask[slice_id]:
-            raise ValueError(f"slice {slice_id} already processed")
-        n = self.ids.size
-        if n:
-            start, stop = self.slices.slice_range(slice_id)
-            lo = self._code_lo[start:stop]
-            scale = self._code_scale[start:stop]
-            err_col = self._err[:, slice_id]
-            partial = np.empty(n, dtype=np.float64)
-            pos = 0
-            for q in range(self.n_queries):
-                size = self._alive_size(q)
-                if size == 0:
-                    continue
-                alive = self._alive_parts[q]
-                part = self._row_parts[q]
-                if alive is None:
-                    code_block = part[:, start:stop]
-                else:
-                    code_block = part[alive, start:stop]
-                decoded = sq8_decode(code_block, lo, scale)
-                q_slice = self.queries[q, start:stop]
-                err = err_col[pos : pos + size]
-                if self.metric is Metric.L2:
-                    approx = partial_squared_l2(decoded, q_slice)
-                    partial[pos : pos + size] = np.square(
-                        np.maximum(np.sqrt(approx) - err, 0.0)
-                    )
-                else:
-                    approx = -partial_inner_product(decoded, q_slice)
-                    partial[pos : pos + size] = (
-                        approx - self._qnorms64[q, slice_id] * err
-                    )
-                pos += size
-            self.accumulated += partial
-        self.done.append(slice_id)
-        self._done_mask[slice_id] = True
-        return int(n)
+        return self._advance(slice_id, self._padded_block)
+
+    def _padded_block(self, block, q, slice_id, cols, seg) -> np.ndarray:
+        return _sq8_padded_scores(
+            self, block, cols, self.queries[q, cols],
+            self._err[seg, slice_id], (q, slice_id),
+        )
 
     def lower_bounds(self) -> np.ndarray:
-        """Error-padded bounds, deflated once more for float safety."""
-        raw = super().lower_bounds()
-        return raw - (np.abs(raw) * BOUND_REL_EPS + BOUND_ABS_EPS)
+        return _deflated(super().lower_bounds())
 
     def _compact_dense(self, keep: np.ndarray) -> None:
         super()._compact_dense(keep)
@@ -703,26 +645,17 @@ class SQ8ShardGroupScan(ShardGroupScan):
             raise RuntimeError("scan has unprocessed slices")
         n = self.ids.size
         self.reranked = int(n)
-        exact = np.zeros(n, dtype=np.float64)
-        if n:
-            bounds = np.searchsorted(
-                self.query_of, np.arange(self.n_queries + 1)
-            )
-            for q in range(self.n_queries):
-                seg_lo, seg_hi = int(bounds[q]), int(bounds[q + 1])
-                if seg_hi == seg_lo:
-                    continue
-                rows = self._rows_full[self._local[seg_lo:seg_hi]]
-                for slice_id in range(self.slices.n_slices):
-                    start, stop = self.slices.slice_range(slice_id)
-                    seg = rows[:, start:stop]
-                    q_slice = self.queries[q, start:stop]
-                    if self.metric is Metric.L2:
-                        exact[seg_lo:seg_hi] += partial_squared_l2(
-                            seg, q_slice
-                        )
-                    else:
-                        exact[seg_lo:seg_hi] += -partial_inner_product(
-                            seg, q_slice
-                        )
+        exact = np.empty(n, dtype=np.float64)
+        bounds = np.searchsorted(
+            self.query_of, np.arange(self.n_queries + 1)
+        )
+        for q in range(self.n_queries):
+            seg_lo, seg_hi = int(bounds[q]), int(bounds[q + 1])
+            if seg_hi > seg_lo:
+                exact[seg_lo:seg_hi] = _exact_scores(
+                    self._rows_full[self._local[seg_lo:seg_hi]],
+                    self.queries[q],
+                    self.slices,
+                    self.metric,
+                )
         return self.ids, exact, self.query_of

@@ -66,8 +66,8 @@ def test_shared_layout_gathers_like_packed(metric):
         lists = np.arange(index.nlist, dtype=np.int64)
         for shard in range(plan.n_vector_shards):
             shard_lists = plan.lists_of_shard(shard)
-            ids_p, rows_p, norms_p = packed.gather(shard, shard_lists)
-            ids_s, rows_s, norms_s = shared.gather(shard, shard_lists)
+            ids_p, rows_p, norms_p, *_ = packed.gather(shard, shard_lists)
+            ids_s, rows_s, norms_s, *_ = shared.gather(shard, shard_lists)
             np.testing.assert_array_equal(ids_s, ids_p)
             np.testing.assert_array_equal(rows_s, rows_p)
             if norms_p is None:
@@ -92,8 +92,8 @@ def test_shared_layout_manifest_roundtrip():
         assert attached.matches(index)
         for shard in range(plan.n_vector_shards):
             shard_lists = plan.lists_of_shard(shard)
-            ids_a, rows_a, _ = attached.gather(shard, shard_lists)
-            ids_s, rows_s, _ = shared.gather(shard, shard_lists)
+            ids_a, rows_a, *_ = attached.gather(shard, shard_lists)
+            ids_s, rows_s, *_ = shared.gather(shard, shard_lists)
             np.testing.assert_array_equal(ids_a, ids_s)
             np.testing.assert_array_equal(rows_a, rows_s)
         # Attachers share physical pages: a write through one mapping
@@ -127,11 +127,11 @@ def test_shared_layout_code_segments_roundtrip():
         )
         for shard in range(plan.n_vector_shards):
             lists = plan.lists_of_shard(shard)
-            ids_p, codes_p, err_p, _, rows_p, local_p = packed.gather_sq8(
+            ids_p, codes_p, _, err_p, rows_p, local_p = packed.gather_sq8(
                 shard, lists
             )
             for layout in (shared, attached):
-                ids, codes, err, _, rows_full, local = layout.gather_sq8(
+                ids, codes, _, err, rows_full, local = layout.gather_sq8(
                     shard, lists
                 )
                 np.testing.assert_array_equal(ids, ids_p)
@@ -478,6 +478,55 @@ def test_shared_memory_unavailable_falls_back(monkeypatch):
         assert not backend.pool_running
         np.testing.assert_array_equal(got.ids, reference.ids)
         np.testing.assert_array_equal(got.distances, reference.distances)
+
+
+def test_chaos_shm_drop_falls_back_exact_and_leaves_no_segment():
+    """A dropped shared layout must not leave the kernel scanning it.
+
+    The drop unlinks the segment the kernel's packed layout also lives
+    in; the thread fallback has to rebuild, not read the closed mapping.
+    """
+    from repro.cluster.host_faults import DropSharedMemory, HostFaultInjector
+
+    rng = np.random.default_rng(0)
+    base = rng.standard_normal((1500, 24)).astype(np.float32)
+    queries = rng.standard_normal((16, 24)).astype(np.float32)
+    config = HarmonyConfig(
+        n_machines=4, nlist=16, nprobe=4, backend="process", n_workers=2
+    )
+    oracle_db = HarmonyDB(dim=24, config=config.replace(backend="serial"))
+    oracle_db.build(base, sample_queries=queries)
+    oracle, _ = oracle_db.search(queries, k=5)
+    oracle_db.close()
+
+    segments_before = set(os.listdir("/dev/shm"))
+    db = HarmonyDB(dim=24, config=config)
+    db.build(base, sample_queries=queries)
+    try:
+        db.search(queries, k=5)  # pool up, layout re-homed into shm
+        backend = db._get_host_backend()
+        assert backend.shared_layout_nbytes() > 0
+        db.set_host_faults(
+            HostFaultInjector(shm_drops=[DropSharedMemory(at_batch=0)])
+        )
+        result, _ = db.search(queries, k=5)
+        assert backend.fallback_active
+        assert backend.shared_layout_nbytes() == 0
+        np.testing.assert_array_equal(result.ids, oracle.ids)
+        np.testing.assert_array_equal(result.distances, oracle.distances)
+        assert set(os.listdir("/dev/shm")) <= segments_before
+    finally:
+        db.close()
+
+
+def test_process_module_holds_no_scan_class():
+    """The pool workers scan through the kernel's driver, not a copy."""
+    import repro.core.executor.process as process
+
+    for name in (
+        "ShardScan", "ShardGroupScan", "SQ8ShardScan", "SQ8ShardGroupScan"
+    ):
+        assert not hasattr(process, name)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import HarmonyConfig, Mode
 from repro.core.database import HarmonyDB
-from repro.core.parallel import ThreadedSearcher
+from repro.core.executor.threads import ThreadBackend
 from repro.data.synthetic import gaussian_blobs
 from repro.index.flat import FlatIndex
 from repro.index.ivf import IVFFlatIndex
@@ -137,7 +137,7 @@ class TestDistributedFilteredSearch:
 
     def test_threaded_searcher_filtered(self, db, labelled):
         _, queries, _ = labelled
-        searcher = ThreadedSearcher(db.index, n_threads=2)
+        searcher = ThreadBackend(db.index, n_threads=2)
         result = searcher.search(queries, k=5, nprobe=4, filter_labels=[2])
         _, ref_i = db.index.search(
             queries, k=5, nprobe=4, filter_labels=[2]

@@ -49,7 +49,7 @@ class TestBuildAndGather:
         assert packed.nbytes > 0
         for shard in range(plan.n_vector_shards):
             lists = plan.lists_of_shard(shard)
-            ids, rows, norms = packed.gather(shard, lists)
+            ids, rows, norms, *_ = packed.gather(shard, lists)
             assert norms is None
             np.testing.assert_array_equal(rows, index.base[ids])
             # Same candidate *set* as the unpacked gather.
@@ -62,7 +62,7 @@ class TestBuildAndGather:
         plan = make_plan(index)
         packed = ShardPackedBase.build(index, plan)
         lists = plan.lists_of_shard(0)[:1]
-        ids, rows, _ = packed.gather(0, lists)
+        ids, rows, *_ = packed.gather(0, lists)
         np.testing.assert_array_equal(
             np.sort(ids), np.sort(index.list_members(int(lists[0])))
         )
@@ -72,7 +72,7 @@ class TestBuildAndGather:
         index = make_index()
         plan = make_plan(index)
         packed = ShardPackedBase.build(index, plan)
-        ids, rows, norms = packed.gather(0, np.empty(0, dtype=np.int64))
+        ids, rows, norms, *_ = packed.gather(0, np.empty(0, dtype=np.int64))
         assert ids.size == 0
         assert rows.shape == (0, DIM)
         assert norms is None
@@ -82,12 +82,12 @@ class TestBuildAndGather:
         plan = make_plan(index)
         packed = ShardPackedBase.build(index, plan)
         lists = plan.lists_of_shard(0)
-        all_ids, _, _ = packed.gather(0, lists)
+        all_ids, *_ = packed.gather(0, lists)
         allowed = np.zeros(index.ntotal, dtype=bool)
         allowed[all_ids[::2]] = True
         exclude = np.zeros(index.ntotal, dtype=bool)
         exclude[all_ids[:4]] = True
-        ids, rows, _ = packed.gather(0, lists, allowed=allowed, exclude=exclude)
+        ids, rows, *_ = packed.gather(0, lists, allowed=allowed, exclude=exclude)
         expected = [
             i for i in all_ids if allowed[i] and not exclude[i]
         ]
@@ -100,7 +100,7 @@ class TestBuildAndGather:
         table = slice_norms(index.base, plan.slices)
         packed = ShardPackedBase.build(index, plan, base_slice_norms=table)
         lists = plan.lists_of_shard(1)
-        ids, _, norms = packed.gather(1, lists)
+        ids, _, norms, *_ = packed.gather(1, lists)
         np.testing.assert_array_equal(norms, table[ids])
 
 
@@ -211,19 +211,13 @@ class TestInvalidation:
         packed = kernel.packed_base()
         gathered: list[np.ndarray] = []
         for shard in range(plan.n_vector_shards):
-            ids, rows, _ = packed.gather(shard, plan.lists_of_shard(shard))
+            ids, rows, *_ = packed.gather(shard, plan.lists_of_shard(shard))
             np.testing.assert_array_equal(rows, index.base[ids])
             gathered.append(ids)
         all_ids = np.concatenate(gathered)
         new_ids = np.arange(N, N + 2)
         assert np.isin(new_ids, all_ids).all()  # added rows present
         assert not np.isin(removed, all_ids).any()  # deleted ids gone
-
-    def test_disabled_packing_returns_none(self):
-        index = make_index()
-        plan = make_plan(index)
-        kernel = ScanKernel(index, plan, use_packed_base=False)
-        assert kernel.packed_base() is None
 
     def test_packed_gather_matches_legacy_candidates(self):
         """Per (query, shard): same candidate set as index.candidates."""
@@ -237,7 +231,7 @@ class TestInvalidation:
         for probe_row in probes:
             for shard in range(plan.n_vector_shards):
                 lists_here = shard_candidate_lists(plan, probe_row, shard)
-                ids, _, _ = packed.gather(shard, lists_here)
+                ids, *_ = packed.gather(shard, lists_here)
                 np.testing.assert_array_equal(
                     np.sort(ids), np.sort(index.candidates(lists_here))
                 )
@@ -299,8 +293,8 @@ class TestSQ8Codes:
         assert packed.codes_nbytes * 4 == packed.rows_nbytes
         for shard in range(plan.n_vector_shards):
             lists = plan.lists_of_shard(shard)
-            ref_ids, ref_rows, _ = packed.gather(shard, lists)
-            ids, codes, err, norms, rows_full, local = packed.gather_sq8(
+            ref_ids, ref_rows, *_ = packed.gather(shard, lists)
+            ids, codes, norms, err, rows_full, local = packed.gather_sq8(
                 shard, lists
             )
             np.testing.assert_array_equal(ids, ref_ids)
@@ -319,15 +313,15 @@ class TestSQ8Codes:
         plan = make_plan(index)
         packed = ShardPackedBase.build(index, plan, with_codes=True)
         lists = plan.lists_of_shard(0)
-        all_ids, _, _ = packed.gather(0, lists)
+        all_ids, *_ = packed.gather(0, lists)
         allowed = np.zeros(index.ntotal, dtype=bool)
         allowed[all_ids[::2]] = True
         exclude = np.zeros(index.ntotal, dtype=bool)
         exclude[all_ids[:4]] = True
-        ref_ids, ref_rows, _ = packed.gather(
+        ref_ids, ref_rows, *_ = packed.gather(
             0, lists, allowed=allowed, exclude=exclude
         )
-        ids, codes, err, _, rows_full, local = packed.gather_sq8(
+        ids, codes, _, err, rows_full, local = packed.gather_sq8(
             0, lists, allowed=allowed, exclude=exclude
         )
         np.testing.assert_array_equal(ids, ref_ids)
@@ -343,13 +337,9 @@ class TestSQ8Codes:
         with pytest.raises(RuntimeError, match="codes"):
             packed.gather_sq8(0, plan.lists_of_shard(0))
 
-    def test_kernel_sq8_requires_packed_layout(self):
+    def test_kernel_rejects_unknown_scan_precision(self):
         index = make_index()
         plan = make_plan(index)
-        with pytest.raises(ValueError, match="packed base layout"):
-            ScanKernel(
-                index, plan, use_packed_base=False, scan_precision="sq8"
-            )
         with pytest.raises(ValueError, match="scan_precision"):
             ScanKernel(index, plan, scan_precision="fp16")
 
@@ -376,8 +366,8 @@ def test_gather_is_independent_of_base_size():
     plan = make_plan(index)
     packed = ShardPackedBase.build(index, plan)
     lists = plan.lists_of_shard(0)
-    ids, rows, _ = packed.gather(0, lists)
+    ids, rows, *_ = packed.gather(0, lists)
     rows[:] = -1.0
-    ids2, rows2, _ = packed.gather(0, lists)
+    ids2, rows2, *_ = packed.gather(0, lists)
     np.testing.assert_array_equal(ids, ids2)
     np.testing.assert_array_equal(rows2, index.base[ids2])

@@ -11,7 +11,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.core.config import HarmonyConfig, Mode
 from repro.core.database import HarmonyDB
-from repro.core.parallel import ThreadedSearcher
+from repro.core.executor.threads import ThreadBackend
 from repro.data.synthetic import gaussian_blobs
 from repro.index.ivf import IVFFlatIndex
 
@@ -85,7 +85,7 @@ class TestNonL2EndToEnd:
         assert np.all(ratios >= 0.0)
 
     def test_threaded_searcher_matches(self, index, queries):
-        searcher = ThreadedSearcher(index, n_threads=4)
+        searcher = ThreadBackend(index, n_threads=4)
         result = searcher.search(queries, k=5, nprobe=4)
         _, ref_i = index.search(queries, k=5, nprobe=4)
         np.testing.assert_array_equal(result.ids, ref_i)

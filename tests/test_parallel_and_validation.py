@@ -1,18 +1,18 @@
-"""Tests for ThreadedSearcher, validation utilities, report export."""
+"""Tests for ThreadBackend, validation utilities, report export."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import HarmonyConfig, Mode
 from repro.core.database import HarmonyDB
-from repro.core.parallel import ThreadedSearcher
+from repro.core.executor.threads import ThreadBackend
 from repro.core.partition import build_plan
 from repro.validation import check_exactness
 
 
-class TestThreadedSearcher:
+class TestThreadBackend:
     def test_matches_reference_ivf(self, trained_index, tiny_queries):
-        searcher = ThreadedSearcher(trained_index)
+        searcher = ThreadBackend(trained_index)
         result = searcher.search(tiny_queries, k=5, nprobe=4)
         ref_d, ref_i = trained_index.search(tiny_queries, k=5, nprobe=4)
         np.testing.assert_array_equal(result.ids, ref_i)
@@ -22,24 +22,24 @@ class TestThreadedSearcher:
     def test_deterministic_across_thread_counts(
         self, trained_index, tiny_queries, n_threads
     ):
-        single = ThreadedSearcher(trained_index, n_threads=1).search(
+        single = ThreadBackend(trained_index, n_threads=1).search(
             tiny_queries, k=5, nprobe=4
         )
-        multi = ThreadedSearcher(trained_index, n_threads=n_threads).search(
+        multi = ThreadBackend(trained_index, n_threads=n_threads).search(
             tiny_queries, k=5, nprobe=4
         )
         np.testing.assert_array_equal(single.ids, multi.ids)
 
     def test_custom_plan(self, trained_index, tiny_queries):
         plan = build_plan(trained_index, 4, 2, 2)
-        searcher = ThreadedSearcher(trained_index, plan=plan)
+        searcher = ThreadBackend(trained_index, plan=plan)
         result = searcher.search(tiny_queries, k=5, nprobe=4)
         _, ref_i = trained_index.search(tiny_queries, k=5, nprobe=4)
         np.testing.assert_array_equal(result.ids, ref_i)
 
     def test_pruning_off_same_results(self, trained_index, tiny_queries):
-        on = ThreadedSearcher(trained_index, enable_pruning=True)
-        off = ThreadedSearcher(trained_index, enable_pruning=False)
+        on = ThreadBackend(trained_index, enable_pruning=True)
+        off = ThreadBackend(trained_index, enable_pruning=False)
         r_on = on.search(tiny_queries, k=5, nprobe=4)
         r_off = off.search(tiny_queries, k=5, nprobe=4)
         np.testing.assert_array_equal(r_on.ids, r_off.ids)
@@ -53,7 +53,7 @@ class TestThreadedSearcher:
         _, first = index.search(tiny_queries, k=5, nprobe=16)
         victims = np.unique(first[first >= 0])[:10]
         index.remove_ids(victims)
-        searcher = ThreadedSearcher(index)
+        searcher = ThreadBackend(index)
         result = searcher.search(tiny_queries, k=5, nprobe=16)
         assert not (set(result.ids[result.ids >= 0]) & set(victims))
 
@@ -61,15 +61,15 @@ class TestThreadedSearcher:
         from repro.index.ivf import IVFFlatIndex
 
         with pytest.raises(RuntimeError, match="trained"):
-            ThreadedSearcher(IVFFlatIndex(dim=8, nlist=4))
+            ThreadBackend(IVFFlatIndex(dim=8, nlist=4))
 
     def test_invalid_params(self, trained_index):
         with pytest.raises(ValueError):
-            ThreadedSearcher(trained_index, n_threads=0)
+            ThreadBackend(trained_index, n_threads=0)
         with pytest.raises(ValueError):
-            ThreadedSearcher(trained_index, prewarm_size=-1)
+            ThreadBackend(trained_index, prewarm_size=-1)
         with pytest.raises(ValueError, match="k must be positive"):
-            ThreadedSearcher(trained_index).search(np.ones((1, 32)), k=0)
+            ThreadBackend(trained_index).search(np.ones((1, 32)), k=0)
 
 
 class TestCheckExactness:
