@@ -11,10 +11,10 @@ itself is three module-level functions every caller shares:
 :func:`drive_scan` (the slice loop) and :func:`scan_group` (chunking a
 shard-group and handing survivors back per query).
 
-The kernel is deliberately *timing-free*: it gathers candidates from a
-cached :class:`~repro.core.layout.ShardPackedBase`, scores batches,
-steps :class:`~repro.core.pruning.ShardScan` objects slice by slice,
-and maintains heaps. Backends decide *when* and *where* each
+The kernel is deliberately *timing-free*: it gathers candidate indices
+from a cached :class:`~repro.core.layout.ShardPackedBase`, scores
+batches, steps :class:`~repro.core.pruning.ShardScan` objects slice by
+slice, and maintains heaps. Backends decide *when* and *where* each
 step runs (host threads, simulated machines) and charge whatever cost
 model they like around the kernel calls — which is what keeps results
 byte-identical across backends by construction.
@@ -25,11 +25,11 @@ Two execution shapes share the kernel:
 - :meth:`ScanKernel.search_batch` — the throughput path: queries are
   grouped by touched shard and every (shard, slice) stage advances the
   whole group at once (:class:`~repro.core.pruning.ShardGroupScan`) —
-  dense vectorized bookkeeping and pruning across the group, per-query
-  row blocks scored with the per-query broadcast kernel. Because the
-  group stage reuses the per-query einsum reduction row for row, its
-  results are *bitwise identical* to the looped :meth:`search_one` — a
-  property the equivalence tests pin.
+  dense vectorized bookkeeping and pruning across the group, each
+  member's alive rows scored with the per-query broadcast kernel.
+  Because the group stage reuses the per-query einsum reduction row for
+  row, its results are *bitwise identical* to the looped
+  :meth:`search_one` — a property the equivalence tests pin.
 """
 
 from __future__ import annotations
@@ -59,11 +59,21 @@ from repro.distance.kernels import scores_to_query
 from repro.distance.metrics import Metric, normalize_rows
 from repro.distance.partial import query_slice_norms, slice_norms
 
-#: Upper bound on float32 elements per fused group chunk (~32 MB of
-#: candidate rows). Groups larger than this are processed in sequential
+#: Upper bound on 8-byte elements of dense per-row bookkeeping in one
+#: fused group chunk (~8 MB). A chunk holds no candidate rows — they
+#: stay in the layout's slabs — so what grows with its row count is the
+#: group scan's dense arrays: per row ids, owner, accumulated score,
+#: stage partial and alive index, the threshold gather, bound and keep
+#: mask of a prune, and up to ``2 * n_slices`` table columns (the IP
+#: suffix sums, the SQ8 error norms) — ``8 + 2 * n_slices`` elements,
+#: which :func:`scan_group` divides by. The two stage buffers are sized
+#: by the chunk's largest *member* (one member is never split), not by
+#: this bound. Groups larger than it are processed in sequential
 #: query-disjoint chunks so the batched path's working set stays
-#: cache-and-RAM friendly at any batch size.
-GROUP_BLOCK_ELEMENTS = 8_000_000
+#: cache-and-RAM friendly at any batch size. Not a tuned value: at four
+#: slices it gives 62 500 rows a chunk, and 31k–250k rows a chunk time
+#: the same on the ledger's ``batch_fp32``.
+GROUP_BLOCK_ELEMENTS = 1_000_000
 
 _NO_SPAN = contextlib.nullcontext()
 
@@ -76,7 +86,13 @@ def gather_part(
     allowed: np.ndarray | None,
     exclude: np.ndarray | None = None,
 ) -> CandidatePart | None:
-    """One (query, shard) candidate record, or None when it is empty."""
+    """One (query, shard) candidate record, or None when it is empty.
+
+    ``exclude`` is the query's prewarmed ids (already in its heap): the
+    parent's gather and the pool worker's both drop them here, inside
+    the one candidate mask, so the surviving order is the same on
+    every backend.
+    """
     gather = layout.gather_sq8 if scan_precision == "sq8" else layout.gather
     part = gather(shard, lists_here, allowed=allowed, exclude=exclude)
     return part if part.ids.size else None
@@ -103,28 +119,13 @@ def open_scan(layout, parts, queries, query_norms, plan, metric):
         shared.update(query=queries[0], query_norms=query_norms[0])
         if part.err is not None:
             return SQ8ShardScan(part, **shared, **sq8)
-        return ShardScan(
-            candidate_ids=part.ids, rows=part.rows,
-            base_slice_norms=part.norms, **shared,
-        )
-    shared.update(
-        ids=np.concatenate([part.ids for part in parts]),
-        query_of=np.repeat(
-            np.arange(len(parts), dtype=np.intp),
-            [part.ids.size for part in parts],
-        ),
-        queries=np.stack(queries),
-    )
+        return ShardScan(part=part, **shared)
+    shared.update(queries=np.stack(queries))
     if metric is not Metric.L2:
-        shared.update(
-            base_slice_norms=np.concatenate(
-                [part.norms for part in parts], axis=0
-            ),
-            query_norms=np.stack(query_norms),
-        )
+        shared.update(query_norms=np.stack(query_norms))
     if parts[0].err is not None:
         return SQ8ShardGroupScan(parts, **shared, **sq8)
-    return ShardGroupScan(rows=[part.rows for part in parts], **shared)
+    return ShardGroupScan(parts, **shared)
 
 
 def drive_scan(scan, plan, thresholds=None, tracer=None, **labels) -> None:
@@ -163,7 +164,7 @@ def scan_group(
     """*Chunk/demux*: one shard for a group of queries, fused.
 
     The group is split into query-disjoint chunks bounded by
-    :data:`GROUP_BLOCK_ELEMENTS` so the concatenated row block stays
+    :data:`GROUP_BLOCK_ELEMENTS` so the dense per-row bookkeeping stays
     memory-friendly at any batch size (chunks never share a query, so
     chunking cannot change results); each chunk is opened, driven, and
     its survivors handed back per member.
@@ -171,8 +172,9 @@ def scan_group(
     Args:
         gathered: iterable of ``(member, part, query, query_norms)``
             for the members with candidates, consumed lazily so only
-            one chunk's rows are resident at a time. ``member`` is the
-            caller's handle (a :class:`QueryState`, a query index).
+            one chunk's index arrays are resident at a time. ``member``
+            is the caller's handle (a :class:`QueryState`, a query
+            index).
         thresholds: ``thresholds(members)`` → current per-member
             pruning thresholds (the query heaps on the host backends,
             the shared board row in a pool worker); None disables
@@ -184,7 +186,9 @@ def scan_group(
     Returns:
         Candidates re-ranked against fp32 rows (0 on the fp32 path).
     """
-    max_rows = max(1, GROUP_BLOCK_ELEMENTS // plan.slices.dim)
+    max_rows = max(
+        1, GROUP_BLOCK_ELEMENTS // (8 + 2 * plan.slices.n_slices)
+    )
     run = (layout, plan, metric, thresholds, sink, tracer, shard)
     reranked = 0
     chunk, chunk_rows = [], 0
@@ -204,8 +208,8 @@ def _scan_chunk(
 ) -> int:
     """Open, drive and demux one chunk of :func:`scan_group`.
 
-    A call of its own so the chunk's row blocks and scan die on return,
-    before the next chunk is gathered.
+    A call of its own so the chunk's scan — its dense arrays and stage
+    buffers — dies on return, before the next chunk is gathered.
     """
     members, parts, queries, query_norms = zip(*chunk)
     scan = open_scan(layout, parts, queries, query_norms, plan, metric)
@@ -240,12 +244,8 @@ class QueryState:
         query: the (cosine-normalized, float32) query vector.
         probe_row: probed inverted-list ids for this query.
         heap: the query's top-K heap; its threshold drives pruning.
-        prewarmed: ids already scored during prewarm (shard scans skip
-            them).
-        prewarmed_mask: boolean mask over all ids, True at prewarmed
-            ids; None when nothing was prewarmed. Precomputed once so
-            per-shard candidate exclusion is a mask lookup instead of a
-            set difference.
+        prewarmed: ids already scored during prewarm; every shard
+            gather takes them as its ``exclude`` so scans skip them.
         query_norms: per-slice query norms (IP metrics only), computed
             once per query and shared by every shard scan's
             Cauchy-Schwarz bound.
@@ -261,7 +261,6 @@ class QueryState:
     probe_row: np.ndarray
     heap: TopKHeap
     prewarmed: np.ndarray
-    prewarmed_mask: np.ndarray | None = None
     query_norms: np.ndarray | None = None
     route: "object | None" = None
 
@@ -514,18 +513,13 @@ class ScanKernel:
 
         Prewarm scores up to ``prewarm_size`` members of the nearest
         probed list in one batched distance call, seeding the heap with
-        a finite threshold before any shard scan starts. Per-query
-        reusables — the prewarm exclusion mask and (for IP metrics) the
-        per-slice query norms — are computed here exactly once.
+        a finite threshold before any shard scan starts. The per-slice
+        query norms (IP metrics) are computed here exactly once.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         heap = TopKHeap(k)
         prewarmed = self._prewarm(query, probe_row, heap, allowed)
-        prewarmed_mask = None
-        if prewarmed.size:
-            prewarmed_mask = np.zeros(self.index.ntotal, dtype=bool)
-            prewarmed_mask[prewarmed] = True
         query_norms = None
         if self.metric is not Metric.L2:
             query_norms = query_slice_norms(
@@ -537,7 +531,6 @@ class ScanKernel:
             probe_row=probe_row,
             heap=heap,
             prewarmed=prewarmed,
-            prewarmed_mask=prewarmed_mask,
             query_norms=query_norms,
         )
 
@@ -601,8 +594,7 @@ class ScanKernel:
         """One shard's candidate record for a query, or None if empty.
 
         Gathered from the packed layout (contiguous shard-local
-        ranges); prewarmed ids are excluded via the precomputed
-        boolean mask.
+        ranges) as indices, minus the query's prewarmed ids.
         """
         return gather_part(
             self.packed_base(),
@@ -610,7 +602,7 @@ class ScanKernel:
             shard,
             self._lists_for(state, shard),
             allowed,
-            state.prewarmed_mask,
+            state.prewarmed,
         )
 
     def make_scan(

@@ -197,6 +197,24 @@ def _steal(ctrl: np.ndarray, locks, wid: int, n_workers: int) -> int | None:
     return None
 
 
+def _pin_to_own_cpu(worker_id: int) -> None:
+    """Give pool worker ``worker_id`` a CPU of its own.
+
+    Workers are woken through pipes by one parent, and the kernel's
+    wake-affine placement can leave all of them on the parent's CPU
+    for seconds while another sits idle (measured: two workers at half
+    speed each for the first 1-2 s of a pool's life, ``nivcsw`` 3-6 a
+    task, the second CPU 100 % idle), so a batch's wall time depended
+    on when the load balancer got round to them. Round-robin over the
+    CPUs the process may use; a no-op where that is one CPU or the
+    platform has no affinity call.
+    """
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        if len(cpus) > 1:
+            os.sched_setaffinity(0, {cpus[worker_id % len(cpus)]})
+
+
 def _scan_task(layout, plan, metric, ctx, shard, qidxs, board):
     """One (query-group, shard) task — the pool's only scan entry.
 
@@ -224,14 +242,8 @@ def _scan_task(layout, plan, metric, ctx, shard, qidxs, board):
                 shard,
                 shard_candidate_lists(plan, ctx["probes"][qidx], shard),
                 ctx["allowed"],
+                ctx["prewarm"][qidx],
             )
-            # Equivalent to ``exclude=`` on the parent's gather: the
-            # prewarm filter keeps the post-``allowed`` candidate order.
-            prewarm_ids = ctx["prewarm"][qidx]
-            if part is not None and prewarm_ids.size:
-                keep = ~np.isin(part.ids, prewarm_ids)
-                if not keep.all():
-                    part = part.take(keep) if keep.any() else None
             if part is not None:
                 out[qidx][2] = int(part.ids.size)
                 yield (
@@ -277,6 +289,7 @@ def _worker_main(
     (the parent finished the batch without this worker) degenerates
     to an immediate barrier message.
     """
+    _pin_to_own_cpu(worker_id)
     layout: SharedShardPackedBase | None = None
     # Attachment cache key: (base shm name, overlay shm name). Every
     # overlay sync publishes under a fresh name, so a key change is

@@ -3,17 +3,21 @@
 Candidate gathering used to fancy-index the full base matrix once per
 (query, shard) — exactly the scattered DRAM traffic that dominates
 IVF scan cost at scale. :class:`ShardPackedBase` instead packs each
-vector shard's list members (and, for the inner-product family, their
-per-slice norms) into contiguous float32 arrays at plan time, ordered
-list-by-list, with a per-list local row range. Gathering a query's
-candidates then reduces to concatenating a handful of ``arange`` ranges
-and one fancy-index into a small shard-local array — cheap, cache-
-friendly, and independent of the total base size.
+vector shard's list members at plan time, ordered list-by-list with a
+per-list local row range, as one contiguous *slab* per dimension block
+of the plan: ``rows[shard][block]`` has shape ``(n, width)``. A slab is
+what one grid cell's machine holds in the paper (§3.1, §4.1), and it is
+what one (shard, slice) scan stage reads. Gathering a query's
+candidates is index work only — a handful of ``arange`` ranges and the
+id lookups — and returns a :class:`CandidatePart` of shard-local row
+indices plus a :class:`ShardSlabs` handle; no row is copied until a
+scan stage takes exactly the slice columns of exactly the rows still
+alive.
 
 The packed arrays are maintained LSM-style. A full :meth:`build` packs
 one immutable *base generation*; streaming mutations never touch it.
 :meth:`refresh` appends newly added rows to per-shard append-only
-*delta segments* (rows/ids/norms, plus SQ8 codes encoded against the
+*delta segments* (slabs/ids/norms, plus SQ8 codes encoded against the
 generation's frozen quantization params) and mirrors deletions into a
 *tombstone mask* that gathers apply before any row reaches a heap —
 so an ``add``/``remove`` batch costs O(batch), not O(ntotal), and the
@@ -69,11 +73,36 @@ def sq8_encode(
 
 
 def sq8_decode(
-    codes: np.ndarray, lo: np.ndarray, scale: np.ndarray
+    codes: np.ndarray,
+    lo: np.ndarray,
+    scale: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Float64 reconstruction; scans must decode with this exact
-    arithmetic so the packed error table keeps bounding them."""
-    return codes.astype(np.float64) * scale + lo
+    """Float64 reconstruction ``codes * scale + lo``; scans must decode
+    with this exact arithmetic so the packed error table keeps bounding
+    them. ``out`` is an optional float64 scratch of ``codes``' shape
+    that the codes are widened into and decoded in place."""
+    if out is None:
+        return codes.astype(np.float64) * scale + lo
+    np.copyto(out, codes)
+    out *= scale
+    out += lo
+    return out
+
+
+def _sq8_slab_error(
+    rows: np.ndarray, codes: np.ndarray, lo: np.ndarray, scale: np.ndarray
+) -> np.ndarray:
+    """Float64 reconstruction-error norm of every row of one slab."""
+    seg = rows.astype(np.float64) - sq8_decode(codes, lo, scale)
+    return np.sqrt(np.einsum("ij,ij->i", seg, seg))
+
+
+def _sq8_round_up(err: np.ndarray) -> np.ndarray:
+    """Float32 error table, never below its float64 source: the cast
+    rounds to nearest (at most half an ulp down), so one ``nextafter``
+    bump toward +inf keeps the padded pruning bound lossless."""
+    return np.nextafter(err.astype(np.float32), np.float32(np.inf))
 
 
 def sq8_slice_errors(
@@ -86,18 +115,15 @@ def sq8_slice_errors(
     """Per-row per-slice reconstruction-error norms, rounded *up*.
 
     ``err[r, s] >= || rows[r, slice_s] - decode(codes[r, slice_s]) ||``
-    is the padding that keeps SQ8 pruning bounds lossless. The float32
-    cast rounds to nearest (at most half an ulp down), so one
-    ``nextafter`` bump toward +inf guarantees the stored value is never
-    below the float64 norm.
+    is the padding that keeps SQ8 pruning bounds lossless.
     """
-    diff = rows.astype(np.float64) - sq8_decode(codes, lo, scale)
     err = np.empty((rows.shape[0], slices.n_slices), dtype=np.float64)
     for j in range(slices.n_slices):
-        start, stop = slices.slice_range(j)
-        seg = diff[:, start:stop]
-        err[:, j] = np.sqrt(np.einsum("ij,ij->i", seg, seg))
-    return np.nextafter(err.astype(np.float32), np.float32(np.inf))
+        cols = slice(*slices.slice_range(j))
+        err[:, j] = _sq8_slab_error(
+            rows[:, cols], codes[:, cols], lo[cols], scale[cols]
+        )
+    return _sq8_round_up(err)
 
 
 def _release_owned_segment(shm) -> None:
@@ -139,29 +165,6 @@ def _attach_shm(name: str):
         resource_tracker.register = original
 
 
-def _stacked_take(
-    base: np.ndarray,
-    base_sel: np.ndarray,
-    delta: np.ndarray,
-    delta_sel: np.ndarray,
-) -> np.ndarray:
-    """Gather base and delta candidate rows into one fresh block.
-
-    The hot path of every mixed base+delta scan: ``np.take`` with
-    ``mode="clip"`` writes straight into the preallocated output, so
-    each candidate row is copied exactly once — fancy indexing plus
-    ``np.concatenate`` would copy everything twice. Indices are
-    in-range by construction, so clipping never fires.
-    """
-    n_base = base_sel.size
-    out = np.empty(
-        (n_base + delta_sel.size,) + base.shape[1:], dtype=base.dtype
-    )
-    np.take(base, base_sel, axis=0, out=out[:n_base], mode="clip")
-    np.take(delta, delta_sel, axis=0, out=out[n_base:], mode="clip")
-    return out
-
-
 def _merged(base_part, delta_part):
     """Base-then-delta concatenation where either side may be absent."""
     if delta_part is None:
@@ -172,99 +175,155 @@ def _merged(base_part, delta_part):
 
 
 def _take_both(base, base_sel, delta, delta_sel):
-    """``base[base_sel]`` then ``delta.view[delta_sel]`` as one block.
+    """``base[base_sel]`` then ``delta.view[delta_sel]`` as one table.
 
-    ``delta`` is a :class:`GrowableArray`; either selection may be None
-    (no candidates on that side), and a None ``base`` (no norm table on
-    L2) yields None.
+    For the small per-candidate tables (slice norms, SQ8 error norms)
+    only — row slabs are never gathered here. ``delta`` is a
+    :class:`GrowableArray`; either selection may be None (no candidates
+    on that side), and a None ``base`` (no norm table on L2) yields
+    None.
     """
     if base is None:
         return None
     if delta_sel is None:
-        return base[base_sel]
+        return base[:0] if base_sel is None else base[base_sel]
     if base_sel is None:
         return delta.view[delta_sel]
-    return _stacked_take(base, base_sel, delta.view, delta_sel)
+    return np.concatenate([base[base_sel], delta.view[delta_sel]])
 
 
-class SplitRows:
-    """A base row block and its delta block, indexable as one array.
+#: Slots of the direct-mapped filter :func:`_not_among` tests ids
+#: against; a power of two far above any prewarm size, so aliases are
+#: rare (<1 % of candidates at 32 excluded ids) and the table stays 4 KB.
+_EXCLUDE_SLOTS = 4096
 
-    SQ8 re-ranking touches exact rows through two operations only —
-    fancy indexing with local row indices and ``.shape`` — so the
-    base/delta split can stay invisible to the scan classes: indices
-    below the base length resolve into the base block, the rest into
-    the delta block, positionally identical to indexing their
-    concatenation (without ever materializing it).
+
+def _not_among(ids: np.ndarray, exclude: np.ndarray) -> np.ndarray:
+    """Mask of ``ids`` that are not one of the few ``exclude`` ids.
+
+    O(len(ids) + len(exclude)) whatever the index size: a fixed-size
+    table keyed on the ids' low bits flags every true hit plus a few
+    aliases, and only those suspects are compared exactly.
+    """
+    table = np.zeros(_EXCLUDE_SLOTS, dtype=bool)
+    table[exclude & (_EXCLUDE_SLOTS - 1)] = True
+    hit = table[ids & (_EXCLUDE_SLOTS - 1)]
+    suspects = np.flatnonzero(hit)
+    hit[suspects] = (ids[suspects, None] == exclude).any(axis=1)
+    return ~hit
+
+
+class ShardSlabs:
+    """One shard's rows where they lie: a slab per dimension block.
+
+    ``base[j]`` is the immutable generation's ``(n_base, width_j)``
+    slab of block ``j`` and ``delta[j]`` the delta segment's; a
+    shard-local row index below ``n_base`` addresses the base slab, the
+    rest the delta slab. The handle copies nothing — a scan stage calls
+    :meth:`take` for exactly the slice and rows it is about to score.
+
+    A plain row block is the same thing with column views for slabs
+    (:meth:`of_rows`), which is how :class:`~repro.core.pruning.
+    ShardScan` serves callers that hold no packed layout.
     """
 
-    __slots__ = ("_base", "_delta")
+    __slots__ = ("base", "delta", "n_base")
 
-    def __init__(self, base: np.ndarray, delta: np.ndarray) -> None:
-        self._base = base
-        self._delta = delta
+    def __init__(
+        self,
+        base: "list[np.ndarray]",
+        delta: "list[np.ndarray] | None" = None,
+    ) -> None:
+        self.base = base
+        self.delta = delta
+        self.n_base = base[0].shape[0]
+
+    @classmethod
+    def of_rows(cls, rows: np.ndarray, slices) -> "ShardSlabs":
+        """Slabs that are the slice column views of one row block."""
+        return cls([slices.take(rows, j) for j in range(slices.n_slices)])
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (
-            self._base.shape[0] + self._delta.shape[0],
-            self._base.shape[1],
+    def max_width(self) -> int:
+        return max(slab.shape[1] for slab in self.base)
+
+    def take(
+        self, block: int, local: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Rows ``local`` of slab ``block``, written into ``out``.
+
+        ``local`` must list base rows before delta rows — the order
+        gathers produce and compaction keeps — so base versus delta is
+        one split point, not a per-row branch. ``np.take`` with
+        ``mode="clip"`` writes straight into ``out`` (indices are
+        in-range by construction, so clipping never fires).
+        """
+        base = self.base[block]
+        if out is None:
+            out = np.empty((local.size, base.shape[1]), dtype=base.dtype)
+        if self.delta is None:
+            split = local.size
+        else:
+            split = int(np.count_nonzero(local < self.n_base))
+            np.take(
+                self.delta[block], local[split:] - self.n_base,
+                axis=0, out=out[split:], mode="clip",
+            )
+        np.take(base, local[:split], axis=0, out=out[:split], mode="clip")
+        return out
+
+    def rows(self, local: np.ndarray) -> np.ndarray:
+        """Full rows ``local`` re-assembled column-wise (a fresh copy).
+
+        For tests and inspection; no scan path calls it.
+        """
+        return np.concatenate(
+            [self.take(j, local) for j in range(len(self.base))], axis=1
         )
 
-    def __getitem__(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.intp)
-        base_n = self._base.shape[0]
-        in_base = idx < base_n
-        if in_base.all():
-            return self._base[idx]
-        out = np.empty(
-            (idx.shape[0], self._base.shape[1]), dtype=self._base.dtype
-        )
-        out[in_base] = self._base[idx[in_base]]
-        out[~in_base] = self._delta[idx[~in_base] - base_n]
-        return out
+
+def _slab_nbytes(shards) -> int:
+    """Bytes of ``shards[shard][block]`` slabs (None shards hold none)."""
+    return int(
+        sum(slab.nbytes for slabs in shards if slabs is not None
+            for slab in slabs)
+    )
 
 
 class CandidatePart(NamedTuple):
     """One (query, shard) candidate gather, either precision.
 
-    :meth:`ShardPackedBase.gather` fills the first three fields;
+    Index arrays and a handle — no candidate row is copied to build
+    one. :meth:`ShardPackedBase.gather` fills the first four fields;
     :meth:`ShardPackedBase.gather_sq8` fills all six, so ``err is None``
     is what tells a float32 part from an SQ8 one.
 
     Attributes:
         ids: global candidate ids.
-        rows: the blocks the scan streams — fresh float32 rows, or
-            uint8 codes on the SQ8 path.
+        local: each candidate's shard-local row index into ``slabs``
+            (and ``exact``), base rows before delta rows.
+        slabs: what the scan streams — the shard's float32 slabs, or
+            its uint8 code slabs on the SQ8 path.
         norms: per-candidate per-slice norms (None for L2).
         err: per-candidate per-slice SQ8 error norms.
-        rows_full: the shard's exact row storage (a :class:`SplitRows`
-            over base and delta blocks, not copied); SQ8 survivors
-            re-rank via ``rows_full[local]``.
-        local: each candidate's row index into ``rows_full``.
+        exact: the shard's float32 slabs on the SQ8 path; survivors
+            re-rank against ``exact.take(block, local)``.
     """
 
     ids: np.ndarray
-    rows: np.ndarray
+    local: np.ndarray
+    slabs: ShardSlabs
     norms: "np.ndarray | None"
     err: "np.ndarray | None" = None
-    rows_full: "SplitRows | None" = None
-    local: "np.ndarray | None" = None
-
-    def take(self, keep: np.ndarray) -> "CandidatePart":
-        """The part restricted to the candidates selected by ``keep``."""
-        return CandidatePart(
-            self.ids[keep],
-            self.rows[keep],
-            None if self.norms is None else self.norms[keep],
-            None if self.err is None else self.err[keep],
-            self.rows_full,
-            None if self.local is None else self.local[keep],
-        )
+    exact: "ShardSlabs | None" = None
 
 
 class ShardPackedBase:
     """Per-shard contiguous copies of list-member rows, ids, and norms.
+
+    Rows (and SQ8 codes) are held as one ``(n, width)`` slab per
+    dimension block of the plan — ``rows[shard][block]`` — never as a
+    row-major ``(n, dim)`` block; the byte count is the same.
 
     Build with :meth:`build`; query with :meth:`gather`. The base
     arrays are an immutable snapshot of the index at build time;
@@ -289,14 +348,14 @@ class ShardPackedBase:
 
     def __init__(
         self,
-        rows: "list[np.ndarray]",
+        rows: "list[list[np.ndarray]]",
         ids: "list[np.ndarray]",
         norms: "list[np.ndarray | None]",
         list_start: np.ndarray,
         list_stop: np.ndarray,
         version: int,
         ntotal: int,
-        codes: "list[np.ndarray | None] | None" = None,
+        codes: "list[list[np.ndarray] | None] | None" = None,
         code_err: "list[np.ndarray | None] | None" = None,
         code_lo: np.ndarray | None = None,
         code_scale: np.ndarray | None = None,
@@ -335,7 +394,7 @@ class ShardPackedBase:
 
     def _init_empty_deltas(self) -> None:
         n_shards = len(self._rows)
-        dim = self._rows[0].shape[1] if n_shards else 0
+        widths = [slab.shape[1] for slab in self._rows[0]] if n_shards else []
         n_slices = None
         for err in self._code_err:
             if err is not None:
@@ -345,7 +404,7 @@ class ShardPackedBase:
                 if norm is not None:
                     n_slices = norm.shape[1]
         self._drows = [
-            GrowableArray(row_shape=(dim,), dtype=np.float32)
+            [GrowableArray(row_shape=(w,), dtype=np.float32) for w in widths]
             for _ in range(n_shards)
         ]
         self._dids = [
@@ -365,7 +424,7 @@ class ShardPackedBase:
         ]
         with_codes = self._code_lo is not None
         self._dcodes = [
-            GrowableArray(row_shape=(dim,), dtype=np.uint8)
+            [GrowableArray(row_shape=(w,), dtype=np.uint8) for w in widths]
             if with_codes
             else None
             for _ in range(n_shards)
@@ -385,7 +444,7 @@ class ShardPackedBase:
         base_slice_norms: np.ndarray | None = None,
         with_codes: bool = False,
     ) -> "ShardPackedBase":
-        """Pack every shard's live list members into contiguous arrays.
+        """Pack every shard's live list members, a slab per dim block.
 
         Args:
             index: trained+populated IVF index.
@@ -394,16 +453,21 @@ class ShardPackedBase:
                 metrics); packed alongside the rows so scans never
                 index the full table again.
             with_codes: also pack the SQ8 representation — per-shard
-                uint8 codes plus the per-row per-slice reconstruction-
-                error table that pads the pruning bounds. Quantization
-                params are trained on the live base at build time and
-                re-homed / invalidated with everything else.
+                uint8 code slabs plus the per-row per-slice
+                reconstruction-error table that pads the pruning
+                bounds. Quantization params are trained on the live
+                base at build time and re-homed / invalidated with
+                everything else.
         """
         base = index.base
-        rows: list[np.ndarray] = []
+        blocks = [
+            slice(*plan.slices.slice_range(j))
+            for j in range(plan.slices.n_slices)
+        ]
+        rows: "list[list[np.ndarray]]" = []
         ids: list[np.ndarray] = []
         norms: list[np.ndarray | None] = []
-        codes: "list[np.ndarray | None]" = []
+        codes: "list[list[np.ndarray] | None]" = []
         code_err: "list[np.ndarray | None]" = []
         code_lo = code_scale = None
         if with_codes:
@@ -423,8 +487,12 @@ class ShardPackedBase:
             else:
                 shard_ids = np.empty(0, dtype=np.int64)
             ids.append(shard_ids)
-            shard_rows = np.ascontiguousarray(base[shard_ids])
-            rows.append(shard_rows)
+            # One gather per grid cell, straight into its slab: the
+            # row-major (n, dim) shard block is never materialized.
+            slabs = [
+                np.ascontiguousarray(base[shard_ids, cols]) for cols in blocks
+            ]
+            rows.append(slabs)
             if base_slice_norms is None:
                 norms.append(None)
             else:
@@ -432,12 +500,25 @@ class ShardPackedBase:
                     np.ascontiguousarray(base_slice_norms[shard_ids])
                 )
             if with_codes:
-                shard_codes = sq8_encode(shard_rows, code_lo, code_scale)
+                shard_codes = [
+                    sq8_encode(slab, code_lo[cols], code_scale[cols])
+                    for slab, cols in zip(slabs, blocks)
+                ]
                 codes.append(shard_codes)
                 code_err.append(
-                    sq8_slice_errors(
-                        shard_rows, shard_codes, code_lo, code_scale,
-                        plan.slices,
+                    _sq8_round_up(
+                        np.stack(
+                            [
+                                _sq8_slab_error(
+                                    slab, slab_codes,
+                                    code_lo[cols], code_scale[cols],
+                                )
+                                for slab, slab_codes, cols in zip(
+                                    slabs, shard_codes, blocks
+                                )
+                            ],
+                            axis=1,
+                        )
                     )
                 )
             else:
@@ -566,18 +647,20 @@ class ShardPackedBase:
         norms: np.ndarray | None,
     ) -> None:
         rows = np.ascontiguousarray(rows, dtype=np.float32)
-        self._drows[shard].append(rows)
+        slices = self._plan.slices
+        for j, slab in enumerate(self._drows[shard]):
+            slab.append(slices.take(rows, j))
         self._dids[shard].append(ids)
         self._dlists[shard].append(lists)
         if self._dnorms[shard] is not None:
             self._dnorms[shard].append(norms)
         if self._dcodes[shard] is not None:
             codes = sq8_encode(rows, self._code_lo, self._code_scale)
-            self._dcodes[shard].append(codes)
+            for j, slab in enumerate(self._dcodes[shard]):
+                slab.append(slices.take(codes, j))
             self._dcode_err[shard].append(
                 sq8_slice_errors(
-                    rows, codes, self._code_lo, self._code_scale,
-                    self._plan.slices,
+                    rows, codes, self._code_lo, self._code_scale, slices
                 )
             )
 
@@ -601,6 +684,11 @@ class ShardPackedBase:
     def n_shards(self) -> int:
         return len(self._rows)
 
+    @property
+    def n_blocks(self) -> int:
+        """Dimension blocks (slabs per shard) the layout was packed in."""
+        return len(self._rows[0]) if self._rows else 0
+
     def shard_size(self, shard: int) -> int:
         """Packed row count of one shard (base + delta segments)."""
         return self._ids[shard].size + len(self._dids[shard])
@@ -608,20 +696,14 @@ class ShardPackedBase:
     @property
     def nbytes(self) -> int:
         """Total bytes held by the packed arrays (base + deltas)."""
-        total = 0
+        total = self.rows_nbytes + self.codes_nbytes
         for arrays in (
-            self._rows, self._ids, self._norms, self._codes, self._code_err
+            self._ids, self._norms, self._code_err,
+            self._dids, self._dlists, self._dnorms, self._dcode_err,
         ):
             for arr in arrays:
                 if arr is not None:
                     total += arr.nbytes
-        for buffers in (
-            self._drows, self._dids, self._dlists, self._dnorms,
-            self._dcodes, self._dcode_err,
-        ):
-            for buf in buffers:
-                if buf is not None:
-                    total += buf.nbytes
         if self._list_start is not None:
             total += self._list_start.nbytes + self._list_stop.nbytes
         total += self._tombstone.nbytes
@@ -652,19 +734,13 @@ class ShardPackedBase:
 
     @property
     def rows_nbytes(self) -> int:
-        """Bytes of the float32 row blocks alone (base + delta)."""
-        return int(
-            sum(arr.nbytes for arr in self._rows)
-            + sum(buf.nbytes for buf in self._drows)
-        )
+        """Bytes of the float32 row slabs alone (base + delta)."""
+        return _slab_nbytes(self._rows) + _slab_nbytes(self._drows)
 
     @property
     def codes_nbytes(self) -> int:
-        """Bytes of the uint8 code blocks alone (0 without codes)."""
-        return int(
-            sum(arr.nbytes for arr in self._codes if arr is not None)
-            + sum(buf.nbytes for buf in self._dcodes if buf is not None)
-        )
+        """Bytes of the uint8 code slabs alone (0 without codes)."""
+        return _slab_nbytes(self._codes) + _slab_nbytes(self._dcodes)
 
     @property
     def code_overhead_nbytes(self) -> int:
@@ -687,36 +763,68 @@ class ShardPackedBase:
         allowed: np.ndarray | None = None,
         exclude: np.ndarray | None = None,
     ) -> CandidatePart:
-        """Candidate ids, rows and norms for the probed lists of a shard.
+        """Candidate ids, row indices and norms for a shard's probed lists.
 
-        Rows come back list-by-list in packed (insertion) order — a
-        different candidate order than an ascending-id gather, which is
-        harmless because heap retention is order-independent.
+        Index work only: no candidate row is copied. Candidates come
+        back list-by-list in packed (insertion) order, base rows before
+        delta rows — a different order than an ascending-id gather,
+        which is harmless because heap retention is order-independent.
 
         Args:
             shard: vector shard to gather from.
             lists: probed inverted-list ids living in this shard.
             allowed: optional per-global-id admissibility mask.
-            exclude: optional per-global-id mask of ids to drop
-                (e.g. already-prewarmed candidates).
+            exclude: optional array of the few global ids to drop (the
+                query's already-prewarmed candidates); costs
+                O(candidates + len(exclude)), never O(ntotal).
 
         Returns:
-            A :class:`CandidatePart` with ``ids``, a fresh float32
-            ``rows`` block, and the matching per-slice ``norms`` block
+            A :class:`CandidatePart` whose ``slabs`` are the shard's
+            float32 slabs, with the matching per-slice ``norms`` table
             (None for L2).
         """
-        local, ids = self._base_candidates(shard, lists, allowed, exclude)
-        dsel, dids = self._delta_candidates(shard, lists, allowed, exclude)
-        if local is None and dsel is None:
-            return CandidatePart(
-                np.empty(0, dtype=np.int64),
-                np.empty((0, self._rows[shard].shape[1]), dtype=np.float32),
-                None,
-            )
+        ids, local, base_sel, delta_sel = self._candidates(
+            shard, lists, allowed, exclude
+        )
         return CandidatePart(
-            _merged(ids, dids),
-            _take_both(self._rows[shard], local, self._drows[shard], dsel),
-            _take_both(self._norms[shard], local, self._dnorms[shard], dsel),
+            ids,
+            local,
+            self._slabs(self._rows, self._drows, shard, delta_sel),
+            _take_both(
+                self._norms[shard], base_sel, self._dnorms[shard], delta_sel
+            ),
+        )
+
+    def _slabs(self, base, delta, shard: int, delta_sel) -> ShardSlabs:
+        """Handle on one shard's slabs; the delta side is attached only
+        when the part holds delta rows, so the common all-base part
+        takes the single-``np.take`` path."""
+        return ShardSlabs(
+            base[shard],
+            None if delta_sel is None else [d.view for d in delta[shard]],
+        )
+
+    def _candidates(self, shard: int, lists, allowed, exclude):
+        """``(ids, local, base_sel, delta_sel)`` of a shard's candidates.
+
+        ``local`` indexes the shard's slabs (delta rows offset by the
+        base row count); the two selections index the base and delta
+        side tables and are None where that side has no candidate.
+        """
+        base_sel, ids = self._base_candidates(shard, lists, allowed, exclude)
+        delta_sel, dids = self._delta_candidates(
+            shard, lists, allowed, exclude
+        )
+        if base_sel is None and delta_sel is None:
+            return (
+                np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp),
+                None, None,
+            )
+        dlocal = None
+        if delta_sel is not None:
+            dlocal = delta_sel + self._ids[shard].size
+        return (
+            _merged(ids, dids), _merged(base_sel, dlocal), base_sel, delta_sel
         )
 
     def _base_candidates(
@@ -787,8 +895,8 @@ class ShardPackedBase:
         mask = None
         if allowed is not None:
             mask = allowed[ids]
-        if exclude is not None:
-            drop = ~exclude[ids]
+        if exclude is not None and exclude.size:
+            drop = _not_among(ids, exclude)
             mask = drop if mask is None else mask & drop
         if self._tombstones_since:
             live = ~self._tombstone[ids]
@@ -804,51 +912,55 @@ class ShardPackedBase:
         allowed: np.ndarray | None = None,
         exclude: np.ndarray | None = None,
     ) -> CandidatePart:
-        """SQ8 candidate blocks plus a lazy handle on the exact rows.
+        """The SQ8 sibling of :meth:`gather`, same arguments.
 
-        The SQ8 sibling of :meth:`gather`: the scan reads the compact
-        uint8 representation, and only the few candidates that survive
-        pruning ever touch float32 — via ``rows_full[local]`` at
-        re-rank time.
+        The scan reads the compact uint8 code slabs, and only the few
+        candidates that survive pruning ever touch float32 — via
+        ``exact.take(block, local)`` at re-rank time.
 
         Returns:
-            A fully populated :class:`CandidatePart`: ``rows`` holds
-            fresh uint8 codes, ``err`` the float32 error norms.
+            A fully populated :class:`CandidatePart`: ``slabs`` are the
+            shard's code slabs, ``err`` the float32 error norms and
+            ``exact`` its float32 slabs.
         """
         if not self.has_codes:
             raise RuntimeError("layout was packed without SQ8 codes")
-        base_n = self._rows[shard].shape[0]
-        rows_full = SplitRows(self._rows[shard], self._drows[shard].view)
-        local, ids = self._base_candidates(shard, lists, allowed, exclude)
-        dsel, dids = self._delta_candidates(shard, lists, allowed, exclude)
-        if local is None and dsel is None:
-            n_slices = self._code_err[shard].shape[1]
-            return CandidatePart(
-                np.empty(0, dtype=np.int64),
-                np.empty((0, rows_full.shape[1]), dtype=np.uint8),
-                None,
-                np.empty((0, n_slices), dtype=np.float32),
-                rows_full,
-                np.empty(0, dtype=np.intp),
-            )
-        dlocal = None if dsel is None else (base_n + dsel).astype(np.intp)
-        return CandidatePart(
-            _merged(ids, dids),
-            _take_both(self._codes[shard], local, self._dcodes[shard], dsel),
-            _take_both(self._norms[shard], local, self._dnorms[shard], dsel),
-            _take_both(
-                self._code_err[shard], local, self._dcode_err[shard], dsel
-            ),
-            rows_full,
-            _merged(local, dlocal),
+        ids, local, base_sel, delta_sel = self._candidates(
+            shard, lists, allowed, exclude
         )
+        return CandidatePart(
+            ids,
+            local,
+            self._slabs(self._codes, self._dcodes, shard, delta_sel),
+            _take_both(
+                self._norms[shard], base_sel, self._dnorms[shard], delta_sel
+            ),
+            _take_both(
+                self._code_err[shard], base_sel,
+                self._dcode_err[shard], delta_sel,
+            ),
+            self._slabs(self._rows, self._drows, shard, delta_sel),
+        )
+
+
+def _named_slabs(prefix: str, shard: int, slabs) -> "list[tuple]":
+    """``(segment key, slab)`` per dimension block of one shard."""
+    return [
+        (f"{prefix}{shard}_{block}", slab) for block, slab in enumerate(slabs)
+    ]
+
+
+def _slab_views(view, prefix: str, shard: int, n_blocks: int):
+    """One shard's slabs looked up by key (None when not packed)."""
+    slabs = [view(f"{prefix}{shard}_{block}") for block in range(n_blocks)]
+    return None if slabs and slabs[0] is None else slabs
 
 
 class SharedShardPackedBase(ShardPackedBase):
     """A :class:`ShardPackedBase` whose arrays live in shared memory.
 
     The process backend's zero-copy data plane: the parent packs every
-    shard's rows / ids / norms into **one**
+    shard's row slabs / ids / norms into **one**
     :class:`multiprocessing.shared_memory.SharedMemory` segment
     (:meth:`from_packed`), ships only the tiny :meth:`manifest` —
     segment name plus per-array ``(offset, shape, dtype)`` records —
@@ -896,12 +1008,12 @@ class SharedShardPackedBase(ShardPackedBase):
 
         arrays: list[tuple[str, np.ndarray]] = []
         for shard in range(packed.n_shards):
-            arrays.append((f"rows{shard}", packed._rows[shard]))
+            arrays += _named_slabs("rows", shard, packed._rows[shard])
             arrays.append((f"ids{shard}", packed._ids[shard]))
             if packed._norms[shard] is not None:
                 arrays.append((f"norms{shard}", packed._norms[shard]))
             if packed._codes[shard] is not None:
-                arrays.append((f"codes{shard}", packed._codes[shard]))
+                arrays += _named_slabs("codes", shard, packed._codes[shard])
                 arrays.append((f"code_err{shard}", packed._code_err[shard]))
         arrays.append(("list_start", packed._list_start))
         arrays.append(("list_stop", packed._list_stop))
@@ -923,8 +1035,12 @@ class SharedShardPackedBase(ShardPackedBase):
             views[key] = view
             offset += arr.nbytes
 
+        n_blocks = packed.n_blocks
         layout = cls(
-            rows=[views[f"rows{s}"] for s in range(packed.n_shards)],
+            rows=[
+                _slab_views(views.get, "rows", s, n_blocks)
+                for s in range(packed.n_shards)
+            ],
             ids=[views[f"ids{s}"] for s in range(packed.n_shards)],
             norms=[
                 views.get(f"norms{s}") for s in range(packed.n_shards)
@@ -934,7 +1050,8 @@ class SharedShardPackedBase(ShardPackedBase):
             version=packed.version,
             ntotal=packed.ntotal,
             codes=[
-                views.get(f"codes{s}") for s in range(packed.n_shards)
+                _slab_views(views.get, "codes", s, n_blocks)
+                for s in range(packed.n_shards)
             ],
             code_err=[
                 views.get(f"code_err{s}") for s in range(packed.n_shards)
@@ -1011,6 +1128,7 @@ class SharedShardPackedBase(ShardPackedBase):
         return {
             "shm_name": self._shm.name,
             "n_shards": self.n_shards,
+            "n_blocks": self.n_blocks,
             "spec": dict(self._spec),
             "version": self.version,
             "ntotal": self.ntotal,
@@ -1046,13 +1164,17 @@ class SharedShardPackedBase(ShardPackedBase):
             ("tombstone", self._tombstone)
         ]
         for shard in range(self.n_shards):
-            arrays.append((f"drows{shard}", self._drows[shard].view))
+            arrays += _named_slabs(
+                "drows", shard, [d.view for d in self._drows[shard]]
+            )
             arrays.append((f"dids{shard}", self._dids[shard].view))
             arrays.append((f"dlists{shard}", self._dlists[shard].view))
             if self._dnorms[shard] is not None:
                 arrays.append((f"dnorms{shard}", self._dnorms[shard].view))
             if self._dcodes[shard] is not None:
-                arrays.append((f"dcodes{shard}", self._dcodes[shard].view))
+                arrays += _named_slabs(
+                    "dcodes", shard, [d.view for d in self._dcodes[shard]]
+                )
                 arrays.append(
                     (f"dcode_err{shard}", self._dcode_err[shard].view)
                 )
@@ -1110,15 +1232,22 @@ class SharedShardPackedBase(ShardPackedBase):
             )
 
         n_shards = manifest["n_shards"]
+        n_blocks = manifest["n_blocks"]
         layout = cls(
-            rows=[view(f"rows{s}") for s in range(n_shards)],
+            rows=[
+                _slab_views(view, "rows", s, n_blocks)
+                for s in range(n_shards)
+            ],
             ids=[view(f"ids{s}") for s in range(n_shards)],
             norms=[view(f"norms{s}") for s in range(n_shards)],
             list_start=view("list_start"),
             list_stop=view("list_stop"),
             version=manifest["version"],
             ntotal=manifest["ntotal"],
-            codes=[view(f"codes{s}") for s in range(n_shards)],
+            codes=[
+                _slab_views(view, "codes", s, n_blocks)
+                for s in range(n_shards)
+            ],
             code_err=[view(f"code_err{s}") for s in range(n_shards)],
             code_lo=view("code_lo"),
             code_scale=view("code_scale"),
@@ -1150,12 +1279,16 @@ class SharedShardPackedBase(ShardPackedBase):
             arr = view(key)
             return None if arr is None else GrowableArray.wrap(arr)
 
-        n_shards = self.n_shards
-        self._drows = [wrap(f"drows{s}") for s in range(n_shards)]
+        n_shards, n_blocks = self.n_shards, self.n_blocks
+        self._drows = [
+            _slab_views(wrap, "drows", s, n_blocks) for s in range(n_shards)
+        ]
         self._dids = [wrap(f"dids{s}") for s in range(n_shards)]
         self._dlists = [wrap(f"dlists{s}") for s in range(n_shards)]
         self._dnorms = [wrap(f"dnorms{s}") for s in range(n_shards)]
-        self._dcodes = [wrap(f"dcodes{s}") for s in range(n_shards)]
+        self._dcodes = [
+            _slab_views(wrap, "dcodes", s, n_blocks) for s in range(n_shards)
+        ]
         self._dcode_err = [wrap(f"dcode_err{s}") for s in range(n_shards)]
         self._tombstone = view("tombstone")
         self._dead_at_build = manifest.get("dead_at_build", 0)

@@ -2,13 +2,21 @@
 
 :class:`ShardScan` tracks one (query, shard) candidate batch through
 the dimension pipeline: it accumulates per-slice partial scores,
-compacts the batch to its alive candidates after every prune, and
+compacts its bookkeeping to the alive candidates after every prune, and
 exposes the lossless lower bound compared against the top-K threshold.
 :class:`ShardGroupScan` is its multi-query sibling used by the batched
-executor path: one dense block holding every group member's candidates,
-advanced through each (shard, slice) stage with a single fused
-partial-distance call. :class:`PruningStats` aggregates the per-slice
-pruning ratios reported in the paper's Figure 2(a) and Table 3.
+executor path: dense bookkeeping over every group member's candidates,
+advanced through each (shard, slice) stage one member block at a time.
+:class:`PruningStats` aggregates the per-slice pruning ratios reported
+in the paper's Figure 2(a) and Table 3.
+
+No scan holds candidate rows. Each keeps the *alive index array* of its
+candidates — shard-local row indices into a
+:class:`~repro.core.layout.ShardSlabs` handle — and every stage takes
+just that slice's columns of just those rows out of the slab, into
+stage buffers the scan object owns (never shared: the thread backend
+runs shard-groups concurrently). Pruning therefore moves index arrays
+only.
 
 Score convention: smaller is better. For L2 the accumulated partial sum
 itself lower-bounds the final score; for inner product the bound
@@ -27,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.layout import sq8_decode
+from repro.core.layout import CandidatePart, ShardSlabs, sq8_decode
 from repro.distance.metrics import Metric
 from repro.distance.partial import (
     BOUND_ABS_EPS,
@@ -88,50 +96,89 @@ class PruningStats:
         return float(np.mean(self.ratios()))
 
 
+class _StageBuffers:
+    """The two buffers one scan object reuses for every stage.
+
+    ``stage`` takes a slice's alive rows out of the slab into the
+    first (the slab's own dtype) and hands back, beside them, a float64
+    scratch of the same shape for the distance kernel to widen into.
+    Both are flat and viewed as C-contiguous ``(n, width)`` from offset
+    0, so any stage no larger than the first reuses the same memory
+    with the operand layout the einsum reduction's bits depend on.
+    Owned by one scan, never module-global: scans run concurrently on
+    the thread backend.
+    """
+
+    __slots__ = ("_taken", "_f64")
+
+    def __init__(self, n_rows: int, slabs: ShardSlabs) -> None:
+        size = n_rows * slabs.max_width
+        self._taken = np.empty(size, dtype=slabs.base[0].dtype)
+        self._f64 = np.empty(size, dtype=np.float64)
+
+    def f64(self, n: int, width: int) -> np.ndarray:
+        return self._f64[: n * width].reshape(n, width)
+
+    def stage(self, slabs: ShardSlabs, block: int, local: np.ndarray):
+        n, width = local.size, slabs.base[block].shape[1]
+        taken = self._taken[: n * width].reshape(n, width)
+        return slabs.take(block, local, out=taken), self.f64(n, width)
+
+
 def _slice_scores(
-    rows: np.ndarray, q_slice: np.ndarray, metric: Metric
+    rows: np.ndarray, q_slice: np.ndarray, metric: Metric, f64: np.ndarray
 ) -> np.ndarray:
-    """One slice's per-row score contribution (``L2`` or ``-IP``)."""
+    """One slice's per-row score contribution (``L2`` or ``-IP``),
+    widened into the scan's ``f64`` scratch."""
     if metric is Metric.L2:
-        return partial_squared_l2(rows, q_slice)
-    return -partial_inner_product(rows, q_slice)
+        return partial_squared_l2(rows, q_slice, f64)
+    return -partial_inner_product(rows, q_slice, f64)
 
 
-def _sq8_padded_scores(scan, codes, cols: slice, q_slice, err, at) -> np.ndarray:
+def _sq8_padded_scores(
+    scan, codes, f64, cols: slice, q_slice, err, at
+) -> np.ndarray:
     """One slice's SQ8 scores, padded down to bound the exact ones.
 
-    For L2 each slice contributes ``max(0, sqrt(approx) - err)**2``
-    (reverse triangle inequality); for the inner-product family
-    ``approx - ||q_s|| * err`` (the query norm at index ``at``) bounds
-    the quantization cross-term by Cauchy-Schwarz. ``err`` was rounded
-    *up* at pack time.
+    The codes are decoded into the scan's ``f64`` scratch and scored in
+    place. For L2 each slice contributes ``max(0, sqrt(approx) -
+    err)**2`` (reverse triangle inequality); for the inner-product
+    family ``approx - ||q_s|| * err`` (the query norm at index ``at``)
+    bounds the quantization cross-term by Cauchy-Schwarz. ``err`` was
+    rounded *up* at pack time.
     """
-    decoded = sq8_decode(codes, scan._code_lo[cols], scan._code_scale[cols])
-    approx = _slice_scores(decoded, q_slice, scan.metric)
+    decoded = sq8_decode(
+        codes, scan._code_lo[cols], scan._code_scale[cols], out=f64
+    )
     if scan.metric is Metric.L2:
+        approx = partial_squared_l2(decoded, q_slice, decoded)
         return np.square(np.maximum(np.sqrt(approx) - err, 0.0))
+    approx = -partial_inner_product(decoded, q_slice)
     return approx - scan._qnorms64[at] * err
 
 
 def _exact_scores(
-    rows: np.ndarray,
+    exact: ShardSlabs,
+    local: np.ndarray,
     query: np.ndarray,
     slices: DimensionSlices,
     metric: Metric,
+    buffers: _StageBuffers,
 ) -> np.ndarray:
-    """Exact scores of float32 ``rows`` in canonical slice order.
+    """Exact scores of float32 rows ``local`` in canonical slice order.
 
-    The same per-row float64 reduction the fp32 scan accumulates, so
-    re-ranked SQ8 survivors carry bitwise the scores the fp32 oracle
-    reports.
+    One small take per slab, then the same per-row float64 reduction
+    the fp32 scan accumulates, so re-ranked SQ8 survivors carry bitwise
+    the scores the fp32 oracle reports.
     """
-    exact = np.zeros(rows.shape[0], dtype=np.float64)
+    total = np.zeros(local.size, dtype=np.float64)
     for slice_id in range(slices.n_slices):
-        start, stop = slices.slice_range(slice_id)
-        exact += _slice_scores(
-            rows[:, start:stop], query[start:stop], metric
+        cols = slice(*slices.slice_range(slice_id))
+        rows = exact.take(slice_id, local)
+        total += _slice_scores(
+            rows, query[cols], metric, buffers.f64(*rows.shape)
         )
-    return exact
+    return total
 
 
 def _deflated(bounds: np.ndarray) -> np.ndarray:
@@ -140,14 +187,13 @@ def _deflated(bounds: np.ndarray) -> np.ndarray:
 
 
 def _attach_sq8(
-    scan, code_err, rows_full, local, code_lo, code_scale, query_norms
+    scan, code_err, exact, code_lo, code_scale, query_norms
 ) -> None:
-    """The SQ8 side state both arities carry beside their code blocks."""
+    """The SQ8 side state both arities carry beside their code slabs."""
     if scan.metric is not Metric.L2 and query_norms is None:
         raise ValueError("inner-product SQ8 pruning requires query_norms")
     scan._err = np.asarray(code_err, dtype=np.float64)
-    scan._rows_full = rows_full
-    scan._local = np.asarray(local, dtype=np.intp)
+    scan._exact = exact
     scan._code_lo = np.asarray(code_lo, dtype=np.float64)
     scan._code_scale = np.asarray(code_scale, dtype=np.float64)
     scan._qnorms64 = (
@@ -163,27 +209,32 @@ def _attach_sq8(
 class ShardScan:
     """Pipelined partial-distance scan of one (query, shard) batch.
 
-    The scan keeps *dense* state: after every prune it compacts rows,
-    ids, accumulated scores, and norm tables down to the alive
-    candidates, so each slice stage touches only surviving rows (no
-    per-slice ``rows[alive_idx]`` re-gather, no bound arithmetic for
-    already-dead candidates). :attr:`alive` remains a full-length mask
-    over the *original* candidate order for reporting.
+    The scan keeps *dense* bookkeeping: after every prune it compacts
+    ids, accumulated scores, norm tables and the alive index array down
+    to the alive candidates, so each slice stage takes only surviving
+    rows out of the slab and does no bound arithmetic for already-dead
+    candidates. Rows themselves are never held or compacted.
+    :attr:`alive` remains a full-length mask over the *original*
+    candidate order for reporting.
 
     Args:
         base: full base-vector matrix (rows indexed by global id).
-            Optional when ``rows`` is given.
+            Optional when ``rows`` or ``part`` is given.
         candidate_ids: global ids of this shard's candidates.
         query: the query vector, full dimensionality.
         slices: the plan's dimension slicing.
         metric: L2 or inner-product family.
         base_slice_norms: per-candidate per-slice norms (IP only),
             shape ``(n_candidates, n_slices)``.
-        rows: pre-gathered candidate rows ``(n_candidates, dim)`` —
-            e.g. from a packed shard layout — replacing the
-            ``base[candidate_ids]`` gather.
+        rows: the candidates' own rows ``(n_candidates, dim)``,
+            replacing ``base``. Either way the block is a slab source
+            whose slabs are its slice column views; nothing is copied
+            out of it until a stage scores it.
         query_norms: per-slice query norms (IP only), hoisted out of
             the scan when the caller computes them once per query.
+        part: a gathered :class:`~repro.core.layout.CandidatePart`
+            (the executor's form), replacing ``base`` /
+            ``candidate_ids`` / ``rows`` / ``base_slice_norms``.
     """
 
     def __init__(
@@ -196,17 +247,28 @@ class ShardScan:
         base_slice_norms: np.ndarray | None = None,
         rows: np.ndarray | None = None,
         query_norms: np.ndarray | None = None,
+        part: CandidatePart | None = None,
     ) -> None:
-        self.candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
+        if part is None:
+            ids = np.asarray(candidate_ids, dtype=np.int64)
+            if rows is not None:
+                source, local = rows, np.arange(ids.size, dtype=np.intp)
+            elif base is not None:
+                source, local = base, np.asarray(ids, dtype=np.intp)
+            else:
+                raise ValueError("need either base or pre-gathered rows")
+            part = CandidatePart(
+                ids, local, ShardSlabs.of_rows(source, slices),
+                base_slice_norms,
+            )
+        self.candidate_ids = part.ids
         self.query = np.asarray(query, dtype=np.float32)
         self.slices = slices
         self.metric = metric
-        if rows is None:
-            if base is None:
-                raise ValueError("need either base or pre-gathered rows")
-            rows = base[self.candidate_ids]
-        self._rows = rows
+        self._slabs = part.slabs
+        self._local = part.local
         n = self.candidate_ids.size
+        self._buffers = _StageBuffers(n, part.slabs)
         self.ids = self.candidate_ids
         self.accumulated = np.zeros(n, dtype=np.float64)
         self.alive = np.ones(n, dtype=bool)
@@ -218,13 +280,13 @@ class ShardScan:
             self._contrib = None
             self._suffix = None
         else:
-            if base_slice_norms is None:
+            if part.norms is None:
                 raise ValueError(
                     "inner-product pruning requires base_slice_norms"
                 )
             if query_norms is None:
                 query_norms = query_slice_norms(self.query, slices)
-            contrib = np.asarray(base_slice_norms, dtype=np.float64) * (
+            contrib = np.asarray(part.norms, dtype=np.float64) * (
                 np.asarray(query_norms, dtype=np.float64)[None, :]
             )
             self._contrib = contrib
@@ -253,22 +315,26 @@ class ShardScan:
         return self._advance(slice_id, self._exact_slice)
 
     def _advance(self, slice_id: int, score) -> int:
-        """One stage: ``score(slice_id, cols)`` onto the accumulator,
-        then the done/canonical-order bookkeeping."""
+        """One stage: take the alive rows' slice columns out of the
+        slab, ``score(taken, f64, slice_id, cols)`` onto the
+        accumulator, then the done/canonical-order bookkeeping."""
         if self._done_mask[slice_id]:
             raise ValueError(f"slice {slice_id} already processed")
         n = self.ids.size
         if n:
             cols = slice(*self.slices.slice_range(slice_id))
-            self.accumulated += score(slice_id, cols)
+            taken, f64 = self._buffers.stage(
+                self._slabs, slice_id, self._local
+            )
+            self.accumulated += score(taken, f64, slice_id, cols)
         if slice_id != len(self.done):
             self._canonical = False
         self.done.append(slice_id)
         self._done_mask[slice_id] = True
         return int(n)
 
-    def _exact_slice(self, slice_id: int, cols: slice) -> np.ndarray:
-        return _slice_scores(self._rows[:, cols], self.query[cols], self.metric)
+    def _exact_slice(self, taken, f64, slice_id: int, cols: slice):
+        return _slice_scores(taken, self.query[cols], self.metric, f64)
 
     def lower_bounds(self) -> np.ndarray:
         """Lossless lower bound on every alive candidate's final score.
@@ -308,11 +374,13 @@ class ShardScan:
         return self._compact(keep)
 
     def _compact(self, keep: np.ndarray) -> int:
+        """Shrink the bookkeeping to ``keep`` — index arrays and
+        per-candidate tables only; no row moves."""
         killed = int(keep.size) - int(keep.sum())
         self.alive[self._orig_idx[~keep]] = False
         self.ids = self.ids[keep]
         self.accumulated = self.accumulated[keep]
-        self._rows = self._rows[keep]
+        self._local = self._local[keep]
         self._orig_idx = self._orig_idx[keep]
         if self._contrib is not None:
             self._contrib = self._contrib[keep]
@@ -332,80 +400,61 @@ class ShardGroupScan:
     Holds every group member's candidates at once: the cheap per-row
     bookkeeping (ids, owning query, accumulated scores, bound tables)
     lives in dense concatenated arrays so pruning is one vectorized
-    pass against each row's *own* query threshold, while the fat
-    float32 row blocks stay per query and are never copied by
-    compaction — each (shard, slice) stage gathers just the alive
-    rows' slice columns and applies exactly the broadcast kernel
-    :class:`ShardScan` uses. Identical inputs, identical reduction,
-    hence bitwise-identical partial scores. (An earlier variant scored
-    one concatenated block against a materialized per-row query
-    matrix; same flop count, but the query-matrix traffic and
-    whole-block row compaction made it slower than the per-query
-    loop it was meant to beat.)
+    pass against each row's *own* query threshold, while rows stay in
+    the shard's slabs — each member keeps only its alive index array,
+    and each (shard, slice) stage takes just the alive rows' slice
+    columns and applies exactly the broadcast kernel :class:`ShardScan`
+    uses. Identical inputs, identical reduction, hence
+    bitwise-identical partial scores. (An earlier variant scored one
+    concatenated block against a materialized per-row query matrix;
+    same flop count, but the query-matrix traffic and whole-block row
+    compaction made it slower than the per-query loop it was meant to
+    beat.)
 
     Args:
-        rows: candidate rows grouped by owning query — either one
-            ``(n, dim)`` float32 block ordered by ``query_of``, or a
-            list with one ``(n_q, dim)`` block per query (the batched
-            executor passes its per-query gathers straight through,
-            skipping the concatenation).
-        ids: concatenated global candidate ids, ``(n,)``.
-        query_of: local (within-group) query index owning each row;
-            must be non-decreasing.
-        queries: the group's query vectors, ``(n_queries, dim)`` float32.
+        parts: one gathered :class:`~repro.core.layout.CandidatePart`
+            per member, all of the same shard; the dense arrays are
+            their concatenation in member order.
+        queries: the members' query vectors, ``(n_queries, dim)``
+            float32 (or a sequence of them).
         slices: the plan's dimension slicing.
         metric: L2 or inner-product family.
-        base_slice_norms: per-row per-slice norms (IP only), ``(n, m)``.
         query_norms: per-query per-slice norms (IP only),
             ``(n_queries, m)``.
     """
 
     def __init__(
         self,
-        rows: "np.ndarray | list[np.ndarray]",
-        ids: np.ndarray,
-        query_of: np.ndarray,
+        parts: "list[CandidatePart]",
         queries: np.ndarray,
         slices: DimensionSlices,
         metric: Metric = Metric.L2,
-        base_slice_norms: np.ndarray | None = None,
         query_norms: np.ndarray | None = None,
     ) -> None:
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self.query_of = np.asarray(query_of, dtype=np.intp)
-        if self.query_of.size and np.any(np.diff(self.query_of) < 0):
-            raise ValueError("rows must be grouped by query (sorted query_of)")
+        sizes = [part.ids.size for part in parts]
+        self.ids = np.concatenate([part.ids for part in parts])
+        self.query_of = np.repeat(np.arange(len(parts), dtype=np.intp), sizes)
         self.queries = np.asarray(queries, dtype=np.float32)
         self.slices = slices
         self.metric = metric
-        self.n_queries = self.queries.shape[0]
-        n = self.ids.size
-        bounds = np.searchsorted(
-            self.query_of, np.arange(self.n_queries + 1)
-        )
-        if isinstance(rows, list):
-            self._row_parts = list(rows)
-        else:
-            self._row_parts = [
-                rows[bounds[q] : bounds[q + 1]] for q in range(self.n_queries)
-            ]
-        if sum(part.shape[0] for part in self._row_parts) != n:
-            raise ValueError("row blocks do not cover the candidate ids")
-        #: per-query indices of alive rows within the query's block;
-        #: None means the whole block is still alive (no copy needed).
-        self._alive_parts: "list[np.ndarray | None]" = [None] * self.n_queries
-        self.accumulated = np.zeros(n, dtype=np.float64)
+        self._slabs = [part.slabs for part in parts]
+        #: per-member shard-local indices of its alive rows; pruning
+        #: shrinks these, never a row block.
+        self._alive = [part.local for part in parts]
+        self._buffers = _StageBuffers(max(sizes), parts[0].slabs)
+        self.accumulated = np.zeros(self.ids.size, dtype=np.float64)
         self.done: list[int] = []
         self._done_mask = np.zeros(slices.n_slices, dtype=bool)
         if metric is Metric.L2:
             self._suffix = None
         else:
-            if base_slice_norms is None or query_norms is None:
+            if query_norms is None or any(p.norms is None for p in parts):
                 raise ValueError(
                     "inner-product pruning requires base_slice_norms "
                     "and query_norms"
                 )
-            contrib = np.asarray(base_slice_norms, dtype=np.float64) * (
+            norms = np.concatenate([part.norms for part in parts], axis=0)
+            contrib = np.asarray(norms, dtype=np.float64) * (
                 np.asarray(query_norms, dtype=np.float64)[self.query_of]
             )
             self._suffix = suffix_ip_bounds(contrib)
@@ -418,26 +467,20 @@ class ShardGroupScan:
     def is_complete(self) -> bool:
         return len(self.done) == self.slices.n_slices
 
-    def _alive_size(self, q: int) -> int:
-        alive = self._alive_parts[q]
-        if alive is None:
-            return int(self._row_parts[q].shape[0])
-        return int(alive.size)
-
     def process_slice(self, slice_id: int) -> int:
         """One dimension stage over the whole group.
 
-        Walks the group's per-query row blocks (each owning one
-        contiguous segment of the dense bookkeeping arrays) and applies
-        the same broadcast partial-distance kernel :class:`ShardScan`
-        uses.
+        Walks the members (each owning one contiguous segment of the
+        dense bookkeeping arrays) and applies the same broadcast
+        partial-distance kernel :class:`ShardScan` uses.
         """
         return self._advance(slice_id, self._exact_block)
 
     def _advance(self, slice_id: int, score) -> int:
-        """One stage: ``score(block, q, slice_id, cols, seg)`` per query
-        block — ``block`` its alive rows' slice columns, ``seg`` its
-        segment of the dense arrays — onto the accumulator."""
+        """One stage: per member, take its alive rows' slice columns
+        out of the slab and ``score(taken, f64, q, slice_id, cols,
+        seg)`` — ``seg`` its segment of the dense arrays — onto the
+        accumulator."""
         if self._done_mask[slice_id]:
             raise ValueError(f"slice {slice_id} already processed")
         n = self.ids.size
@@ -445,23 +488,22 @@ class ShardGroupScan:
             cols = slice(*self.slices.slice_range(slice_id))
             partial = np.empty(n, dtype=np.float64)
             pos = 0
-            for q in range(self.n_queries):
-                size = self._alive_size(q)
-                if size == 0:
+            for q, alive in enumerate(self._alive):
+                if alive.size == 0:
                     continue
-                alive = self._alive_parts[q]
-                part = self._row_parts[q]
-                block = part[:, cols] if alive is None else part[alive, cols]
-                seg = slice(pos, pos + size)
-                partial[seg] = score(block, q, slice_id, cols, seg)
-                pos += size
+                taken, f64 = self._buffers.stage(
+                    self._slabs[q], slice_id, alive
+                )
+                seg = slice(pos, pos + alive.size)
+                partial[seg] = score(taken, f64, q, slice_id, cols, seg)
+                pos = seg.stop
             self.accumulated += partial
         self.done.append(slice_id)
         self._done_mask[slice_id] = True
         return int(n)
 
-    def _exact_block(self, block, q, slice_id, cols, seg) -> np.ndarray:
-        return _slice_scores(block, self.queries[q, cols], self.metric)
+    def _exact_block(self, taken, f64, q, slice_id, cols, seg) -> np.ndarray:
+        return _slice_scores(taken, self.queries[q, cols], self.metric, f64)
 
     def lower_bounds(self) -> np.ndarray:
         """Per-row lossless lower bound (same arithmetic as ShardScan)."""
@@ -473,6 +515,10 @@ class ShardGroupScan:
 
     def prune(self, thresholds: np.ndarray) -> int:
         """Compact away rows beating their own query's threshold.
+
+        Only index arrays and per-row tables move: each member's alive
+        index array shrinks, and the next stage takes the survivors'
+        slice columns straight from the slab.
 
         Args:
             thresholds: per-query thresholds, ``(n_queries,)``; ``inf``
@@ -488,23 +534,12 @@ class ShardGroupScan:
         if keep.all():
             return 0
         killed = int(keep.size) - int(keep.sum())
-        # The fat row blocks are never copied: only the per-query alive
-        # index arrays move, and the next stage gathers alive rows'
-        # slice columns directly from the original blocks.
         pos = 0
-        for q in range(self.n_queries):
-            size = self._alive_size(q)
-            if size == 0:
-                continue
-            seg = keep[pos : pos + size]
-            pos += size
-            if seg.all():
-                continue
-            alive = self._alive_parts[q]
-            if alive is None:
-                self._alive_parts[q] = np.flatnonzero(seg)
-            else:
-                self._alive_parts[q] = alive[seg]
+        for q, alive in enumerate(self._alive):
+            seg = keep[pos : pos + alive.size]
+            pos += alive.size
+            if not seg.all():
+                self._alive[q] = alive[seg]
         self._compact_dense(keep)
         return killed
 
@@ -526,14 +561,14 @@ class ShardGroupScan:
 class SQ8ShardScan(ShardScan):
     """Two-phase scan: SQ8 candidate generation, exact fp32 re-rank.
 
-    Phase one walks the *uint8* representation through the dimension
+    Phase one walks the *uint8* code slabs through the dimension
     pipeline — a quarter of the float32 row traffic — accumulating
     per-slice partial scores that are *padded down* by the packed
     reconstruction-error norms (:func:`_sq8_padded_scores`), so every
     accumulated value lower-bounds the exact score and pruning stays
     lossless: any candidate the fp32 scan would keep, this scan keeps
     too. Phase two (:meth:`survivors`) re-ranks the few remaining
-    candidates against their float32 rows (:func:`_exact_scores`), so
+    candidates against their float32 slabs (:func:`_exact_scores`), so
     final scores (and therefore heap contents) are bitwise identical to
     the fp32 serial oracle. :meth:`lower_bounds` deflates once more by
     the standard float-safety epsilons, so float rounding can never
@@ -541,27 +576,22 @@ class SQ8ShardScan(ShardScan):
 
     Args:
         part: the candidates' :class:`~repro.core.layout.CandidatePart`
-            as ``gather_sq8`` returns it — uint8 codes in ``rows``,
-            per-slice error norms in ``err``, and the shard's exact
-            rows (``rows_full``, not copied) that survivors re-rank
-            against via ``rows_full[local]``.
+            as ``gather_sq8`` returns it — uint8 code slabs in
+            ``slabs``, per-slice error norms in ``err``, and the
+            shard's float32 slabs (``exact``) that survivors re-rank
+            against at the same ``local`` indices.
         code_lo / code_scale: per-dimension dequantization params.
         scan: ``query``, ``slices``, ``metric``, ``query_norms`` as on
             :class:`ShardScan`.
     """
 
     def __init__(self, part, code_lo, code_scale, **scan) -> None:
-        # The uint8 codes ride in the parent's row slot: compaction and
-        # slice addressing are identical, only the per-slice scorer
-        # differs.
-        super().__init__(
-            candidate_ids=part.ids,
-            rows=part.rows,
-            base_slice_norms=part.norms,
-            **scan,
-        )
+        # The code slabs ride in the parent's slab slot: index
+        # compaction and slice addressing are identical, only the
+        # per-slice scorer differs.
+        super().__init__(part=part, **scan)
         _attach_sq8(
-            self, part.err, part.rows_full, part.local,
+            self, part.err, part.exact,
             code_lo, code_scale, scan.get("query_norms"),
         )
 
@@ -569,9 +599,9 @@ class SQ8ShardScan(ShardScan):
         """Accumulate one slice's error-padded SQ8 partial scores."""
         return self._advance(slice_id, self._padded_slice)
 
-    def _padded_slice(self, slice_id: int, cols: slice) -> np.ndarray:
+    def _padded_slice(self, taken, f64, slice_id: int, cols: slice):
         return _sq8_padded_scores(
-            self, self._rows[:, cols], cols, self.query[cols],
+            self, taken, f64, cols, self.query[cols],
             self._err[:, slice_id], slice_id,
         )
 
@@ -581,16 +611,16 @@ class SQ8ShardScan(ShardScan):
     def _compact(self, keep: np.ndarray) -> int:
         killed = super()._compact(keep)
         self._err = self._err[keep]
-        self._local = self._local[keep]
         return killed
 
     def survivors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, *exact* scores): re-rank survivors against fp32 rows."""
+        """(ids, *exact* scores): re-rank survivors against fp32 slabs."""
         if not self.is_complete:
             raise RuntimeError("scan has unprocessed slices")
         self.reranked = int(self.ids.size)
         return self.ids, _exact_scores(
-            self._rows_full[self._local], self.query, self.slices, self.metric
+            self._exact, self._local, self.query, self.slices, self.metric,
+            self._buffers,
         )
 
 
@@ -600,24 +630,21 @@ class SQ8ShardGroupScan(ShardGroupScan):
     Phase one advances every group member's uint8 codes through each
     (shard, slice) stage with the same error-padded arithmetic as
     :class:`SQ8ShardScan`; phase two re-ranks each query's survivors
-    against the shard's float32 rows in canonical slice order, so the
+    against the shard's float32 slabs in canonical slice order, so the
     merged heaps stay bitwise identical to the fp32 serial oracle.
 
     Args:
-        parts: one ``gather_sq8`` record per query; all scan the same
-            shard, so the first one's ``rows_full`` serves the group.
+        parts: one ``gather_sq8`` record per member.
         code_lo / code_scale: per-dimension dequantization params.
-        scan: the dense per-row arguments of :class:`ShardGroupScan`
-            (everything but ``rows``).
+        scan: the remaining arguments of :class:`ShardGroupScan`.
     """
 
     def __init__(self, parts: list, code_lo, code_scale, **scan) -> None:
-        super().__init__(rows=[part.rows for part in parts], **scan)
+        super().__init__(parts, **scan)
         _attach_sq8(
             self,
             np.concatenate([part.err for part in parts], axis=0),
-            parts[0].rows_full,
-            np.concatenate([part.local for part in parts]),
+            [part.exact for part in parts],
             code_lo, code_scale, scan.get("query_norms"),
         )
 
@@ -625,9 +652,9 @@ class SQ8ShardGroupScan(ShardGroupScan):
         """One error-padded SQ8 dimension stage over the whole group."""
         return self._advance(slice_id, self._padded_block)
 
-    def _padded_block(self, block, q, slice_id, cols, seg) -> np.ndarray:
+    def _padded_block(self, taken, f64, q, slice_id, cols, seg) -> np.ndarray:
         return _sq8_padded_scores(
-            self, block, cols, self.queries[q, cols],
+            self, taken, f64, cols, self.queries[q, cols],
             self._err[seg, slice_id], (q, slice_id),
         )
 
@@ -637,7 +664,6 @@ class SQ8ShardGroupScan(ShardGroupScan):
     def _compact_dense(self, keep: np.ndarray) -> None:
         super()._compact_dense(keep)
         self._err = self._err[keep]
-        self._local = self._local[keep]
 
     def survivors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ids, *exact* scores, owning query) via fp32 re-rank."""
@@ -646,16 +672,12 @@ class SQ8ShardGroupScan(ShardGroupScan):
         n = self.ids.size
         self.reranked = int(n)
         exact = np.empty(n, dtype=np.float64)
-        bounds = np.searchsorted(
-            self.query_of, np.arange(self.n_queries + 1)
-        )
-        for q in range(self.n_queries):
-            seg_lo, seg_hi = int(bounds[q]), int(bounds[q + 1])
-            if seg_hi > seg_lo:
-                exact[seg_lo:seg_hi] = _exact_scores(
-                    self._rows_full[self._local[seg_lo:seg_hi]],
-                    self.queries[q],
-                    self.slices,
-                    self.metric,
+        pos = 0
+        for q, alive in enumerate(self._alive):
+            if alive.size:
+                exact[pos : pos + alive.size] = _exact_scores(
+                    self._exact[q], alive, self.queries[q],
+                    self.slices, self.metric, self._buffers,
                 )
+                pos += alive.size
         return self.ids, exact, self.query_of

@@ -91,25 +91,39 @@ class DimensionSlices:
 
 
 def partial_squared_l2(
-    base_slice: np.ndarray, query_slice: np.ndarray
+    base_slice: np.ndarray,
+    query_slice: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-row squared-L2 contribution of one dimension slice.
 
     Args:
         base_slice: candidate rows restricted to the slice, ``(n, w)``.
         query_slice: the query restricted to the slice, ``(w,)``.
+        out: optional C-contiguous float64 ``(n, w)`` scratch (it may
+            be ``base_slice`` itself) the rows are widened into and the
+            query subtracted from in place, instead of two fresh
+            temporaries. The arithmetic is the same either way — rows
+            widened to float64, one float64 subtract, one einsum over
+            contiguous operands — so the result does not depend on it.
 
     Returns:
         Non-negative array of length ``n``.
     """
-    diff = np.asarray(base_slice, dtype=np.float64) - np.asarray(
-        query_slice, dtype=np.float64
-    )
+    query = np.asarray(query_slice, dtype=np.float64)
+    if out is None:
+        diff = np.asarray(base_slice, dtype=np.float64) - query
+    else:
+        if out is not base_slice:
+            np.copyto(out, base_slice)
+        diff = np.subtract(out, query, out=out)
     return np.einsum("ij,ij->i", diff, diff)
 
 
 def partial_inner_product(
-    base_slice: np.ndarray, query_slice: np.ndarray
+    base_slice: np.ndarray,
+    query_slice: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-row inner-product contribution of one dimension slice.
 
@@ -117,9 +131,15 @@ def partial_inner_product(
     gemv accumulate in different orders, so a matrix-vector product
     here would not be bitwise reproducible across batch shapes. The
     einsum reduction is the one loop the per-query and batched
-    executor paths share.
+    executor paths share. ``out`` is an optional C-contiguous float64
+    ``(n, w)`` scratch that receives the widened rows instead of a
+    fresh temporary.
     """
-    base = np.asarray(base_slice, dtype=np.float64)
+    if out is None:
+        base = np.asarray(base_slice, dtype=np.float64)
+    else:
+        np.copyto(out, base_slice)
+        base = out
     query = np.asarray(query_slice, dtype=np.float64)
     return np.einsum("ij,ij->i", base, np.broadcast_to(query, base.shape))
 

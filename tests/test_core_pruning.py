@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core.layout import CandidatePart, ShardSlabs
 from repro.core.pruning import PruningStats, ShardScan
 from repro.distance.metrics import Metric, squared_l2
 from repro.distance.partial import DimensionSlices, slice_norms
@@ -21,6 +24,17 @@ def query():
 @pytest.fixture()
 def slices():
     return DimensionSlices.even(16, 4)
+
+
+def row_part(rows, slices, norms=None):
+    """A plain row block as the gather record the group scan takes."""
+    n = rows.shape[0]
+    return CandidatePart(
+        np.arange(n, dtype=np.int64),
+        np.arange(n, dtype=np.intp),
+        ShardSlabs.of_rows(rows, slices),
+        norms,
+    )
 
 
 def make_scan(base, query, slices, metric=Metric.L2):
@@ -203,17 +217,11 @@ class TestShardGroupScan:
         singles = [make_scan(base, q, slices, metric=metric) for q in queries]
         thresholds = np.array([np.inf, 2.0, 5.0])
 
-        ids = np.tile(np.arange(60, dtype=np.int64), 3)
         group = ShardGroupScan(
-            rows=np.concatenate([base] * 3, axis=0),
-            ids=ids,
-            query_of=np.repeat(np.arange(3), 60),
+            [row_part(base, slices, norms) for _ in queries],
             queries=queries,
             slices=slices,
             metric=metric,
-            base_slice_norms=(
-                None if norms is None else np.concatenate([norms] * 3)
-            ),
             query_norms=(
                 None
                 if norms is None
@@ -240,10 +248,8 @@ class TestShardGroupScan:
 
         with pytest.raises(ValueError, match="base_slice_norms"):
             ShardGroupScan(
-                rows=base,
-                ids=np.arange(60),
-                query_of=np.zeros(60, dtype=np.intp),
-                queries=base[:1],
+                [row_part(base, slices), row_part(base, slices)],
+                queries=base[:2],
                 slices=slices,
                 metric=Metric.INNER_PRODUCT,
             )
@@ -291,3 +297,117 @@ class TestPruningStats:
     def test_invalid_size_raises(self):
         with pytest.raises(ValueError):
             PruningStats(0)
+
+
+class TestSlabFedScanIsBitIdentical:
+    """A scan fed from the packed layout's slabs accumulates, slice by
+    slice, exactly the float64 bits of the row-major arithmetic: rows
+    widened to float64, the query subtracted (L2) or broadcast (IP
+    family), one ``einsum("ij,ij->i")`` over fresh contiguous arrays —
+    written out below, with nothing reused between slices."""
+
+    @staticmethod
+    def _reference_slice(rows, query, cols, metric):
+        rows64 = np.array(rows[:, cols], dtype=np.float64)
+        q64 = np.array(query[cols], dtype=np.float64)
+        if metric is Metric.L2:
+            d = rows64 - q64
+            return np.einsum("ij,ij->i", d, d)
+        return -np.einsum(
+            "ij,ij->i", rows64, np.broadcast_to(q64, rows64.shape)
+        )
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 2**16),
+        metric=st.sampled_from(
+            [Metric.L2, Metric.INNER_PRODUCT, Metric.COSINE]
+        ),
+        sq8=st.booleans(),
+        filtered=st.booleans(),
+        n_blocks=st.sampled_from([2, 3, 4]),
+    )
+    def test_per_slice_accumulated_bits(
+        self, seed, metric, sq8, filtered, n_blocks
+    ):
+        from repro.core.executor.kernel import ScanKernel, open_scan
+        from repro.core.layout import sq8_encode
+        from repro.core.partition import build_plan
+        from repro.index.ivf import IVFFlatIndex
+
+        rng = np.random.default_rng(seed)
+        dim = 14
+        base = rng.standard_normal((240, dim)).astype(np.float32)
+        index = IVFFlatIndex(dim=dim, nlist=6, metric=metric, seed=0)
+        index.train(base)
+        index.add(base)
+        plan = build_plan(
+            index, n_machines=n_blocks, n_vector_shards=1,
+            n_dim_blocks=n_blocks,
+        )
+        kernel = ScanKernel(
+            index, plan, scan_precision="sq8" if sq8 else "fp32"
+        )
+        # A delta segment and tombstones, so takes cross the base/delta
+        # split point.
+        index.add(rng.standard_normal((20, dim)).astype(np.float32))
+        index.remove_ids(rng.choice(240, size=10, replace=False))
+        layout = kernel.packed_base()
+        allowed = rng.random(index.ntotal) < 0.7 if filtered else None
+        query = kernel.prepare_queries(
+            rng.standard_normal(dim).astype(np.float32)
+        )[0]
+        state = kernel.begin_query(
+            0, query, index.probe(query[None, :], 4)[0], 5, allowed
+        )
+        part = kernel._gather_candidates(state, 0, allowed)
+        if part is None:
+            return
+        scan = open_scan(
+            layout, [part], [query], [state.query_norms], plan, kernel.metric
+        )
+        slices = plan.slices
+        rows = index.base[part.ids]
+        if sq8:
+            lo, scale = layout.code_lo, layout.code_scale
+            codes = sq8_encode(rows, lo, scale)
+            err = np.array(part.err, dtype=np.float64)
+        expect = np.zeros(part.ids.size, dtype=np.float64)
+        alive = np.ones(part.ids.size, dtype=bool)
+        for j in range(slices.n_slices):
+            cols = slice(*slices.slice_range(j))
+            if not sq8:
+                expect += self._reference_slice(rows, query, cols, metric)
+            else:
+                # Decode, score the decoded slice the same way, pad the
+                # score down by the packed error norm.
+                decoded = np.zeros((part.ids.size, dim), dtype=np.float64)
+                decoded[:, cols] = (
+                    codes[:, cols].astype(np.float64) * scale[cols] + lo[cols]
+                )
+                approx = self._reference_slice(decoded, query, cols, metric)
+                if metric is Metric.L2:
+                    expect += np.square(
+                        np.maximum(np.sqrt(approx) - err[:, j], 0.0)
+                    )
+                else:
+                    expect += approx - float(state.query_norms[j]) * err[:, j]
+            assert scan.process_slice(j) == int(alive.sum())
+            assert scan.accumulated.tobytes() == expect[alive].tobytes()
+            # Prune on the median bound so later stages take a
+            # compacted, still base-before-delta index array.
+            scan.prune(float(np.median(scan.lower_bounds())))
+            alive = scan.alive.copy()
+        if sq8:
+            # Re-ranked survivors carry the fp32 scan's exact bits.
+            exact = np.zeros(part.ids.size, dtype=np.float64)
+            for j in range(slices.n_slices):
+                cols = slice(*slices.slice_range(j))
+                exact += self._reference_slice(rows, query, cols, metric)
+            ids, scores = scan.survivors()
+            np.testing.assert_array_equal(ids, part.ids[alive])
+            assert scores.tobytes() == exact[alive].tobytes()

@@ -66,14 +66,20 @@ def test_shared_layout_gathers_like_packed(metric):
         lists = np.arange(index.nlist, dtype=np.int64)
         for shard in range(plan.n_vector_shards):
             shard_lists = plan.lists_of_shard(shard)
-            ids_p, rows_p, norms_p, *_ = packed.gather(shard, shard_lists)
-            ids_s, rows_s, norms_s, *_ = shared.gather(shard, shard_lists)
-            np.testing.assert_array_equal(ids_s, ids_p)
-            np.testing.assert_array_equal(rows_s, rows_p)
-            if norms_p is None:
-                assert norms_s is None
+            part_p = packed.gather(shard, shard_lists)
+            part_s = shared.gather(shard, shard_lists)
+            np.testing.assert_array_equal(part_s.ids, part_p.ids)
+            np.testing.assert_array_equal(
+                part_s.slabs.rows(part_s.local),
+                part_p.slabs.rows(part_p.local),
+            )
+            np.testing.assert_array_equal(
+                part_s.slabs.rows(part_s.local), index.base[part_p.ids]
+            )
+            if part_p.norms is None:
+                assert part_s.norms is None
             else:
-                np.testing.assert_array_equal(norms_s, norms_p)
+                np.testing.assert_array_equal(part_s.norms, part_p.norms)
     finally:
         shared.unlink()
 
@@ -92,10 +98,13 @@ def test_shared_layout_manifest_roundtrip():
         assert attached.matches(index)
         for shard in range(plan.n_vector_shards):
             shard_lists = plan.lists_of_shard(shard)
-            ids_a, rows_a, *_ = attached.gather(shard, shard_lists)
-            ids_s, rows_s, *_ = shared.gather(shard, shard_lists)
-            np.testing.assert_array_equal(ids_a, ids_s)
-            np.testing.assert_array_equal(rows_a, rows_s)
+            part_a = attached.gather(shard, shard_lists)
+            part_s = shared.gather(shard, shard_lists)
+            np.testing.assert_array_equal(part_a.ids, part_s.ids)
+            np.testing.assert_array_equal(
+                part_a.slabs.rows(part_a.local),
+                part_s.slabs.rows(part_s.local),
+            )
         # Attachers share physical pages: a write through one mapping
         # is visible through the other (zero-copy, not a pickle).
         shared._ids[0][0] = 123456
@@ -127,18 +136,18 @@ def test_shared_layout_code_segments_roundtrip():
         )
         for shard in range(plan.n_vector_shards):
             lists = plan.lists_of_shard(shard)
-            ids_p, codes_p, _, err_p, rows_p, local_p = packed.gather_sq8(
-                shard, lists
-            )
+            part_p = packed.gather_sq8(shard, lists)
             for layout in (shared, attached):
-                ids, codes, _, err, rows_full, local = layout.gather_sq8(
-                    shard, lists
-                )
-                np.testing.assert_array_equal(ids, ids_p)
-                np.testing.assert_array_equal(codes, codes_p)
-                np.testing.assert_array_equal(err, err_p)
+                part = layout.gather_sq8(shard, lists)
+                np.testing.assert_array_equal(part.ids, part_p.ids)
                 np.testing.assert_array_equal(
-                    rows_full[local], rows_p[local_p]
+                    part.slabs.rows(part.local),
+                    part_p.slabs.rows(part_p.local),
+                )
+                np.testing.assert_array_equal(part.err, part_p.err)
+                np.testing.assert_array_equal(
+                    part.exact.rows(part.local),
+                    part_p.exact.rows(part_p.local),
                 )
     finally:
         if attached is not None:
@@ -362,6 +371,31 @@ def test_single_worker_pool():
         np.testing.assert_array_equal(got.ids, reference.ids)
         np.testing.assert_array_equal(got.distances, reference.distances)
         assert backend.total_steals == 0
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs CPU affinity calls and at least two usable CPUs",
+)
+def test_workers_are_pinned_one_cpu_each_round_robin():
+    """Every worker — a respawned one too — sits on one CPU of the
+    parent's set, neighbours on different ones; the parent keeps its
+    own affinity. Unpinned, the kernel left both workers of a 2-CPU box
+    on one CPU for seconds at a time (see ``_pin_to_own_cpu``)."""
+    cpus = sorted(os.sched_getaffinity(0))
+    index = make_index()
+    plan = build_plan(index, n_machines=4, n_vector_shards=2, n_dim_blocks=2)
+    queries = make_queries(index.dim)
+    expected = [{cpus[w % len(cpus)]} for w in range(3)]
+    with ProcessBackend(index, plan=plan, n_workers=3) as backend:
+        backend.search(queries, k=5, nprobe=4)
+        assert [os.sched_getaffinity(p.pid) for p in backend._procs] == expected
+        victim = backend._procs[1]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=5.0)
+        backend.search(queries, k=5, nprobe=4)
+        assert [os.sched_getaffinity(p.pid) for p in backend._procs] == expected
+        assert os.sched_getaffinity(0) == set(cpus)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.core.routing import shard_candidate_lists
 from repro.distance.metrics import Metric
 from repro.distance.partial import slice_norms
 from repro.index.ivf import IVFFlatIndex
+from repro.util.growable import GrowableArray
 
 N, DIM, NLIST = 300, 12, 8
 
@@ -27,6 +28,11 @@ def make_index(metric=Metric.L2, n=N, seed=0):
     index.train(base)
     index.add(base)
     return index
+
+
+def rows_of(part):
+    """A gathered part's full rows, re-assembled from the slabs."""
+    return part.slabs.rows(part.local)
 
 
 def make_plan(index, n_vector_shards=2, n_dim_blocks=2):
@@ -49,8 +55,12 @@ class TestBuildAndGather:
         assert packed.nbytes > 0
         for shard in range(plan.n_vector_shards):
             lists = plan.lists_of_shard(shard)
-            ids, rows, norms, *_ = packed.gather(shard, lists)
-            assert norms is None
+            part = packed.gather(shard, lists)
+            ids = part.ids
+            assert part.norms is None
+            assert part.err is None and part.exact is None
+            rows = rows_of(part)
+            assert rows.dtype == np.float32 and rows.shape == (ids.size, DIM)
             np.testing.assert_array_equal(rows, index.base[ids])
             # Same candidate *set* as the unpacked gather.
             np.testing.assert_array_equal(
@@ -62,22 +72,23 @@ class TestBuildAndGather:
         plan = make_plan(index)
         packed = ShardPackedBase.build(index, plan)
         lists = plan.lists_of_shard(0)[:1]
-        ids, rows, *_ = packed.gather(0, lists)
+        part = packed.gather(0, lists)
+        ids = part.ids
         np.testing.assert_array_equal(
             np.sort(ids), np.sort(index.list_members(int(lists[0])))
         )
-        np.testing.assert_array_equal(rows, index.base[ids])
+        np.testing.assert_array_equal(rows_of(part), index.base[ids])
 
     def test_gather_empty_lists(self):
         index = make_index()
         plan = make_plan(index)
         packed = ShardPackedBase.build(index, plan)
-        ids, rows, norms, *_ = packed.gather(0, np.empty(0, dtype=np.int64))
-        assert ids.size == 0
-        assert rows.shape == (0, DIM)
-        assert norms is None
+        part = packed.gather(0, np.empty(0, dtype=np.int64))
+        assert part.ids.size == 0 and part.local.size == 0
+        assert rows_of(part).shape == (0, DIM)
+        assert part.norms is None
 
-    def test_gather_allowed_and_exclude_masks(self):
+    def test_gather_allowed_mask_and_excluded_ids(self):
         index = make_index()
         plan = make_plan(index)
         packed = ShardPackedBase.build(index, plan)
@@ -85,14 +96,27 @@ class TestBuildAndGather:
         all_ids, *_ = packed.gather(0, lists)
         allowed = np.zeros(index.ntotal, dtype=bool)
         allowed[all_ids[::2]] = True
-        exclude = np.zeros(index.ntotal, dtype=bool)
-        exclude[all_ids[:4]] = True
-        ids, rows, *_ = packed.gather(0, lists, allowed=allowed, exclude=exclude)
+        exclude = all_ids[:4]
+        part = packed.gather(0, lists, allowed=allowed, exclude=exclude)
         expected = [
-            i for i in all_ids if allowed[i] and not exclude[i]
+            i for i in all_ids if allowed[i] and i not in set(exclude)
         ]
-        np.testing.assert_array_equal(ids, expected)
-        np.testing.assert_array_equal(rows, index.base[ids])
+        np.testing.assert_array_equal(part.ids, expected)
+        np.testing.assert_array_equal(rows_of(part), index.base[part.ids])
+
+    def test_excluded_ids_keep_order_and_ignore_aliases(self):
+        """Exclusion drops exactly the named ids — not ids that merely
+        share their low bits — and keeps the candidate order."""
+        from repro.core.layout import _EXCLUDE_SLOTS, _not_among
+
+        ids = np.arange(0, 5 * _EXCLUDE_SLOTS, 7, dtype=np.int64)
+        exclude = ids[[3, 50, 51, 400]]
+        keep = _not_among(ids, exclude)
+        np.testing.assert_array_equal(keep, ~np.isin(ids, exclude))
+        assert keep[ids == exclude[0] + _EXCLUDE_SLOTS * 7].all()
+        # Unsorted and absent excluded ids are fine too.
+        keep = _not_among(ids, np.array([ids[9], -1 + 2**40, ids[2]]))
+        assert int((~keep).sum()) == 2
 
     def test_norm_blocks_follow_rows(self):
         index = make_index(metric=Metric.INNER_PRODUCT)
@@ -100,8 +124,8 @@ class TestBuildAndGather:
         table = slice_norms(index.base, plan.slices)
         packed = ShardPackedBase.build(index, plan, base_slice_norms=table)
         lists = plan.lists_of_shard(1)
-        ids, _, norms, *_ = packed.gather(1, lists)
-        np.testing.assert_array_equal(norms, table[ids])
+        part = packed.gather(1, lists)
+        np.testing.assert_array_equal(part.norms, table[part.ids])
 
 
 class TestInvalidation:
@@ -211,9 +235,9 @@ class TestInvalidation:
         packed = kernel.packed_base()
         gathered: list[np.ndarray] = []
         for shard in range(plan.n_vector_shards):
-            ids, rows, *_ = packed.gather(shard, plan.lists_of_shard(shard))
-            np.testing.assert_array_equal(rows, index.base[ids])
-            gathered.append(ids)
+            part = packed.gather(shard, plan.lists_of_shard(shard))
+            np.testing.assert_array_equal(rows_of(part), index.base[part.ids])
+            gathered.append(part.ids)
         all_ids = np.concatenate(gathered)
         new_ids = np.arange(N, N + 2)
         assert np.isin(new_ids, all_ids).all()  # added rows present
@@ -293,20 +317,32 @@ class TestSQ8Codes:
         assert packed.codes_nbytes * 4 == packed.rows_nbytes
         for shard in range(plan.n_vector_shards):
             lists = plan.lists_of_shard(shard)
-            ref_ids, ref_rows, *_ = packed.gather(shard, lists)
-            ids, codes, norms, err, rows_full, local = packed.gather_sq8(
-                shard, lists
-            )
-            np.testing.assert_array_equal(ids, ref_ids)
+            ref = packed.gather(shard, lists)
+            ref_rows = rows_of(ref)
+            part = packed.gather_sq8(shard, lists)
+            np.testing.assert_array_equal(part.ids, ref.ids)
+            np.testing.assert_array_equal(part.local, ref.local)
             # codes decode to within half a step of the fp32 rows, and
             # the local indices recover those exact rows for re-rank.
-            np.testing.assert_array_equal(rows_full[local], ref_rows)
+            np.testing.assert_array_equal(
+                part.exact.rows(part.local), ref_rows
+            )
+            codes = rows_of(part)
+            assert codes.dtype == np.uint8 and codes.shape == ref_rows.shape
             decoded = sq8_decode(codes, packed.code_lo, packed.code_scale)
             assert np.all(
                 np.abs(decoded - ref_rows.astype(np.float64))
                 <= packed.code_scale / 2 + 1e-12
             )
-            assert err.shape == (ids.size, plan.slices.n_slices)
+            assert part.err.dtype == np.float32
+            assert part.err.shape == (part.ids.size, plan.slices.n_slices)
+            np.testing.assert_array_equal(
+                part.err,
+                sq8_slice_errors(
+                    ref_rows, codes, packed.code_lo, packed.code_scale,
+                    plan.slices,
+                ),
+            )
 
     def test_gather_sq8_masks_match_gather(self):
         index = make_index()
@@ -316,17 +352,14 @@ class TestSQ8Codes:
         all_ids, *_ = packed.gather(0, lists)
         allowed = np.zeros(index.ntotal, dtype=bool)
         allowed[all_ids[::2]] = True
-        exclude = np.zeros(index.ntotal, dtype=bool)
-        exclude[all_ids[:4]] = True
-        ref_ids, ref_rows, *_ = packed.gather(
-            0, lists, allowed=allowed, exclude=exclude
+        exclude = all_ids[:4]
+        ref = packed.gather(0, lists, allowed=allowed, exclude=exclude)
+        part = packed.gather_sq8(0, lists, allowed=allowed, exclude=exclude)
+        np.testing.assert_array_equal(part.ids, ref.ids)
+        np.testing.assert_array_equal(
+            part.exact.rows(part.local), rows_of(ref)
         )
-        ids, codes, _, err, rows_full, local = packed.gather_sq8(
-            0, lists, allowed=allowed, exclude=exclude
-        )
-        np.testing.assert_array_equal(ids, ref_ids)
-        np.testing.assert_array_equal(rows_full[local], ref_rows)
-        assert codes.shape[0] == err.shape[0] == ids.size
+        assert rows_of(part).shape[0] == part.err.shape[0] == part.ids.size
 
     def test_gather_sq8_without_codes_raises(self):
         index = make_index()
@@ -359,15 +392,148 @@ class TestSQ8Codes:
 
 
 def test_gather_is_independent_of_base_size():
-    """The point of packing: gather cost scales with the shard, and the
-    returned blocks are fresh copies (mutating them must not corrupt
-    the layout)."""
+    """The point of packing: gather cost scales with the shard, and what
+    a stage takes out of the slabs is a fresh copy (mutating it must
+    not corrupt the layout)."""
     index = make_index()
     plan = make_plan(index)
     packed = ShardPackedBase.build(index, plan)
     lists = plan.lists_of_shard(0)
-    ids, rows, *_ = packed.gather(0, lists)
-    rows[:] = -1.0
-    ids2, rows2, *_ = packed.gather(0, lists)
-    np.testing.assert_array_equal(ids, ids2)
-    np.testing.assert_array_equal(rows2, index.base[ids2])
+    part = packed.gather(0, lists)
+    part.slabs.take(0, part.local)[:] = -1.0
+    rows_of(part)[:] = -1.0
+    again = packed.gather(0, lists)
+    np.testing.assert_array_equal(part.ids, again.ids)
+    np.testing.assert_array_equal(rows_of(again), index.base[again.ids])
+
+
+class TestSlabLayout:
+    """Rows live as one contiguous slab per (shard, dimension block)."""
+
+    @staticmethod
+    def _all_parts(packed, plan, sq8=False):
+        gather = packed.gather_sq8 if sq8 else packed.gather
+        return [
+            gather(shard, plan.lists_of_shard(shard))
+            for shard in range(plan.n_vector_shards)
+        ]
+
+    @staticmethod
+    def _assert_slabs(packed, plan):
+        """No row-major (n, dim) block anywhere: every stored row array
+        is the contiguous (n, width) slab of its dimension block."""
+        widths = list(plan.slices.widths())
+        for shards, dtype in (
+            (packed._rows, np.float32), (packed._drows, np.float32),
+            (packed._codes, np.uint8), (packed._dcodes, np.uint8),
+        ):
+            for shard, slabs in enumerate(shards):
+                if slabs is None:
+                    continue
+                slabs = [
+                    slab.view if isinstance(slab, GrowableArray) else slab
+                    for slab in slabs
+                ]
+                assert [slab.shape[1] for slab in slabs] == widths
+                assert len({slab.shape[0] for slab in slabs}) == 1
+                for slab in slabs:
+                    assert slab.dtype == dtype
+                    assert slab.flags["C_CONTIGUOUS"]
+
+    def _check_rows(self, packed, plan, index, sq8=False):
+        self._assert_slabs(packed, plan)
+        seen = []
+        for part in self._all_parts(packed, plan, sq8):
+            exact = part.exact if sq8 else part.slabs
+            rows = exact.rows(part.local)
+            assert rows.tobytes() == index.base[part.ids].tobytes()
+            if sq8:
+                expect = sq8_encode(
+                    index.base[part.ids], packed.code_lo, packed.code_scale
+                )
+                assert rows_of(part).tobytes() == expect.tobytes()
+            seen.append(part.ids)
+        live = np.flatnonzero(~np.asarray(index.deleted_mask))
+        np.testing.assert_array_equal(np.sort(np.concatenate(seen)), live)
+
+    @pytest.mark.parametrize("sq8", [False, True])
+    def test_slabs_reassemble_to_base_rows_through_the_write_path(self, sq8):
+        index = make_index()
+        plan = make_plan(index, n_vector_shards=2, n_dim_blocks=3)
+        kernel = ScanKernel(
+            index, plan, scan_precision="sq8" if sq8 else "fp32",
+            auto_compact=False,
+        )
+        packed = kernel.packed_base()
+        self._check_rows(packed, plan, index, sq8)
+        # Delta rows after a refresh (and tombstones beside them).
+        rng = np.random.default_rng(11)
+        index.add(rng.standard_normal((17, DIM)).astype(np.float32))
+        index.remove_ids([3, 4, N + 2])
+        assert kernel.packed_base() is packed
+        assert packed.delta_rows == 17
+        self._check_rows(packed, plan, index, sq8)
+        # A compaction folds them into the next generation's slabs.
+        assert kernel.compact()["compacted"]
+        compacted = kernel.packed_base()
+        assert compacted.delta_rows == 0
+        self._check_rows(compacted, plan, index, sq8)
+
+    @pytest.mark.parametrize("sq8", [False, True])
+    def test_slabs_survive_the_shared_memory_round_trip(self, sq8):
+        from repro.core.layout import SharedShardPackedBase
+
+        index = make_index()
+        plan = make_plan(index, n_vector_shards=2, n_dim_blocks=3)
+        packed = ShardPackedBase.build(index, plan, with_codes=sq8)
+        shared = SharedShardPackedBase.from_packed(packed)
+        attached = []
+        try:
+            attached.append(SharedShardPackedBase.attach(shared.manifest()))
+            self._check_rows(shared, plan, index, sq8)
+            self._check_rows(attached[0], plan, index, sq8)
+            # Deltas travel through the overlay segment.
+            rng = np.random.default_rng(12)
+            index.add(rng.standard_normal((9, DIM)).astype(np.float32))
+            index.remove_ids([7])
+            assert shared.refresh(index)
+            assert shared.sync_overlay()
+            attached.append(SharedShardPackedBase.attach(shared.manifest()))
+            assert attached[1].delta_rows == 9
+            self._check_rows(shared, plan, index, sq8)
+            self._check_rows(attached[1], plan, index, sq8)
+        finally:
+            for layout in attached:
+                layout.close()
+            shared.unlink()
+
+    def test_byte_counts_equal_the_row_major_formulae(self):
+        """Slabs re-arrange the row bytes; they do not add any."""
+        index = make_index(metric=Metric.INNER_PRODUCT)
+        plan = make_plan(index, n_vector_shards=2, n_dim_blocks=3)
+        m = plan.slices.n_slices
+        kernel = ScanKernel(
+            index, plan, scan_precision="sq8", auto_compact=False
+        )
+        packed = kernel.packed_base()
+
+        def expected(n_base, n_delta, ntotal):
+            n = n_base + n_delta
+            rows, codes = n * DIM * 4, n * DIM
+            tables = n * (8 + m * 8 + m * 4)  # ids, norms, code_err
+            return rows, codes, (
+                rows + codes + tables
+                + n_delta * 8          # delta list tags
+                + 2 * NLIST * 8        # list_start / list_stop
+                + ntotal               # tombstone mask
+                + 2 * DIM * 8          # code_lo / code_scale
+            )
+
+        rows, codes, total = expected(N, 0, N)
+        assert (packed.rows_nbytes, packed.codes_nbytes) == (rows, codes)
+        assert packed.nbytes == total
+        index.add(np.ones((5, DIM), dtype=np.float32))
+        assert kernel.packed_base() is packed
+        rows, codes, total = expected(N, 5, N + 5)
+        assert (packed.rows_nbytes, packed.codes_nbytes) == (rows, codes)
+        assert packed.nbytes == total
