@@ -109,17 +109,7 @@ class CacheStats:
     semantic_distance_max: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "semantic_hits": self.semantic_hits,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "entries": self.entries,
-            "bytes": self.bytes,
-            "semantic_distance_mean": self.semantic_distance_mean,
-            "semantic_distance_max": self.semantic_distance_max,
-        }
+        return dict(vars(self))  # the declared counters, in field order
 
 
 @dataclass

@@ -127,25 +127,12 @@ class HostFaultCounters:
 
     @property
     def any_activity(self) -> bool:
-        return bool(
-            self.worker_respawns
-            or self.tasks_requeued
-            or self.scan_timeouts
-            or self.abandoned_scans
-        )
+        return any(vars(self).values())
 
     def take(self) -> "HostFaultCounters":
         """Snapshot-and-reset (per-search report accounting)."""
-        out = HostFaultCounters(
-            worker_respawns=self.worker_respawns,
-            tasks_requeued=self.tasks_requeued,
-            scan_timeouts=self.scan_timeouts,
-            abandoned_scans=self.abandoned_scans,
-        )
-        self.worker_respawns = 0
-        self.tasks_requeued = 0
-        self.scan_timeouts = 0
-        self.abandoned_scans = 0
+        out = HostFaultCounters(**vars(self))
+        self.__init__()
         return out
 
 

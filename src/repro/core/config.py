@@ -8,6 +8,7 @@ Mirrors the user-facing parameters of the paper's implementation
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 
@@ -50,6 +51,56 @@ def resolve_mode(mode: "Mode | str") -> Mode:
         raise ValueError(
             f"unknown mode {mode!r}; supported modes: {supported}"
         ) from exc
+
+
+#: ``(fields, predicate, requirement, None allowed)``: the range every
+#: numeric knob must lie in, and the words the error names it with.
+_RANGE_RULES = (
+    (
+        ("n_machines", "nlist", "nprobe", "plan_sample", "retry_timeout",
+         "delta_compact_ratio", "serve_max_batch", "serve_slo_ms",
+         "serve_queue_depth", "cache_size", "routing_cache_size"),
+        lambda v: v > 0, "positive", False,
+    ),
+    (("n_threads", "n_workers"), lambda v: v > 0, "positive", True),
+    (
+        ("hedge_latency_threshold", "scan_timeout", "memory_bandwidth"),
+        lambda v: v > 0, "positive or None", True,
+    ),
+    (
+        ("alpha", "prewarm_size", "max_retries", "scan_retries",
+         "cache_semantic_epsilon"),
+        lambda v: v >= 0, "non-negative", False,
+    ),
+    (
+        ("serve_deadline_fraction",),
+        lambda v: 0.0 < v <= 1.0, "in (0, 1]", False,
+    ),
+)
+
+#: ``(field, choices, noun, hyphens normalize to underscores)``: knobs
+#: that name one of a fixed set; stored lower-cased.
+_CHOICE_RULES = (
+    ("backend", ("sim", "thread", "serial", "process"), "backends", False),
+    ("scan_precision", ("fp32", "sq8"), "precisions", False),
+    ("serve_shed_policy", SHED_POLICIES, "policies", True),
+    ("serve_deadline_policy", DEADLINE_POLICIES, "policies", True),
+)
+
+#: Switches coerced to ``bool``.
+_FLAGS = ("batch_queries", "degraded_mode", "auto_compact", "enable_cache")
+
+#: Knobs a :class:`~repro.core.executor.kernel.ScanKernel` takes, under
+#: the kernel's own keyword names.
+_KERNEL_KNOBS = (
+    "prewarm_size", "enable_pruning", "scan_precision",
+    "delta_compact_ratio", "auto_compact", "routing_cache_size",
+)
+
+#: Knobs every host backend takes beside the kernel's, and the pool-size
+#: knob of the two that have a pool.
+_HOST_KNOBS = ("batch_queries", "scan_timeout", "scan_retries")
+_POOL_KNOB = {"thread": ("n_threads",), "process": ("n_workers",)}
 
 
 @dataclass
@@ -243,141 +294,55 @@ class HarmonyConfig:
     def __post_init__(self) -> None:
         self.metric = resolve_metric(self.metric)
         self.mode = resolve_mode(self.mode)
-        if self.n_machines <= 0:
-            raise ValueError(f"n_machines must be positive, got {self.n_machines}")
-        if self.nlist <= 0:
-            raise ValueError(f"nlist must be positive, got {self.nlist}")
-        if self.nprobe <= 0:
-            raise ValueError(f"nprobe must be positive, got {self.nprobe}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if self.prewarm_size < 0:
-            raise ValueError(
-                f"prewarm_size must be non-negative, got {self.prewarm_size}"
-            )
-        if self.plan_sample <= 0:
-            raise ValueError(f"plan_sample must be positive, got {self.plan_sample}")
+        for names, holds, requirement, nullable in _RANGE_RULES:
+            for name in names:
+                value = getattr(self, name)
+                if value is None and nullable:
+                    continue
+                if not holds(value):
+                    raise ValueError(
+                        f"{name} must be {requirement}, got {value}"
+                    )
         if self.forced_grid is not None:
             b_vec, b_dim = self.forced_grid
             if b_vec <= 0 or b_dim <= 0:
                 raise ValueError(
-                    f"forced_grid entries must be positive, got {self.forced_grid}"
+                    f"forced_grid entries must be positive, got "
+                    f"{self.forced_grid}"
                 )
+            self.forced_grid = (b_vec, b_dim)  # a saved file holds a list
         if not 1 <= self.replicas <= self.n_machines:
             raise ValueError(
                 f"replicas must be in [1, n_machines], got {self.replicas}"
             )
-        self.backend = str(self.backend).lower()
-        if self.backend not in ("sim", "thread", "serial", "process"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}; supported backends: "
-                f"process, serial, sim, thread"
-            )
-        if self.n_threads is not None and self.n_threads <= 0:
-            raise ValueError(
-                f"n_threads must be positive, got {self.n_threads}"
-            )
-        if self.n_workers is not None and self.n_workers <= 0:
-            raise ValueError(
-                f"n_workers must be positive, got {self.n_workers}"
-            )
-        self.batch_queries = bool(self.batch_queries)
-        self.degraded_mode = bool(self.degraded_mode)
-        if self.retry_timeout <= 0:
-            raise ValueError(
-                f"retry_timeout must be positive, got {self.retry_timeout}"
-            )
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be non-negative, got {self.max_retries}"
-            )
-        if (
-            self.hedge_latency_threshold is not None
-            and self.hedge_latency_threshold <= 0
-        ):
-            raise ValueError(
-                f"hedge_latency_threshold must be positive or None, got "
-                f"{self.hedge_latency_threshold}"
-            )
-        if self.scan_timeout is not None and self.scan_timeout <= 0:
-            raise ValueError(
-                f"scan_timeout must be positive or None, got "
-                f"{self.scan_timeout}"
-            )
-        if self.scan_retries < 0:
-            raise ValueError(
-                f"scan_retries must be non-negative, got {self.scan_retries}"
-            )
-        self.scan_precision = str(self.scan_precision).lower()
-        if self.scan_precision not in ("fp32", "sq8"):
-            raise ValueError(
-                f"unknown scan_precision {self.scan_precision!r}; "
-                f"supported precisions: fp32, sq8"
-            )
-        if self.delta_compact_ratio <= 0:
-            raise ValueError(
-                f"delta_compact_ratio must be positive, got "
-                f"{self.delta_compact_ratio}"
-            )
-        self.auto_compact = bool(self.auto_compact)
-        if self.memory_bandwidth is not None and self.memory_bandwidth <= 0:
-            raise ValueError(
-                f"memory_bandwidth must be positive or None, got "
-                f"{self.memory_bandwidth}"
-            )
-        if self.serve_max_batch <= 0:
-            raise ValueError(
-                f"serve_max_batch must be positive, got {self.serve_max_batch}"
-            )
-        if self.serve_slo_ms <= 0:
-            raise ValueError(
-                f"serve_slo_ms must be positive, got {self.serve_slo_ms}"
-            )
-        if not 0.0 < self.serve_deadline_fraction <= 1.0:
-            raise ValueError(
-                f"serve_deadline_fraction must be in (0, 1], got "
-                f"{self.serve_deadline_fraction}"
-            )
-        if self.serve_queue_depth <= 0:
-            raise ValueError(
-                f"serve_queue_depth must be positive, got "
-                f"{self.serve_queue_depth}"
-            )
-        self.serve_shed_policy = (
-            str(self.serve_shed_policy).lower().replace("-", "_")
-        )
-        if self.serve_shed_policy not in SHED_POLICIES:
-            raise ValueError(
-                f"unknown serve_shed_policy {self.serve_shed_policy!r}; "
-                f"supported policies: {', '.join(sorted(SHED_POLICIES))}"
-            )
-        self.serve_deadline_policy = (
-            str(self.serve_deadline_policy).lower().replace("-", "_")
-        )
-        if self.serve_deadline_policy not in DEADLINE_POLICIES:
-            raise ValueError(
-                f"unknown serve_deadline_policy "
-                f"{self.serve_deadline_policy!r}; supported policies: "
-                f"{', '.join(sorted(DEADLINE_POLICIES))}"
-            )
-        self.enable_cache = bool(self.enable_cache)
-        if self.cache_size <= 0:
-            raise ValueError(
-                f"cache_size must be positive, got {self.cache_size}"
-            )
-        if self.cache_semantic_epsilon < 0:
-            raise ValueError(
-                f"cache_semantic_epsilon must be non-negative, got "
-                f"{self.cache_semantic_epsilon}"
-            )
-        if self.routing_cache_size <= 0:
-            raise ValueError(
-                f"routing_cache_size must be positive, got "
-                f"{self.routing_cache_size}"
-            )
+        for name, choices, noun, hyphens in _CHOICE_RULES:
+            value = str(getattr(self, name)).lower()
+            if hyphens:
+                value = value.replace("-", "_")
+            if value not in choices:
+                raise ValueError(
+                    f"unknown {name} {value!r}; supported {noun}: "
+                    f"{', '.join(sorted(choices))}"
+                )
+            setattr(self, name, value)
+        for name in _FLAGS:
+            setattr(self, name, bool(getattr(self, name)))
+
+    def kernel_options(self) -> dict:
+        """The config → :class:`ScanKernel` mapping, written once.
+
+        Every executor's kernel — the sim engine's and each host
+        backend's — is built from these keywords.
+        """
+        return {name: getattr(self, name) for name in _KERNEL_KNOBS}
+
+    def host_options(self) -> dict:
+        """Constructor keywords of the configured host backend:
+        :meth:`kernel_options` plus the backend's own knobs (a pool's
+        size goes under that pool's own name)."""
+        names = _KERNEL_KNOBS + _HOST_KNOBS + _POOL_KNOB.get(self.backend, ())
+        return {name: getattr(self, name) for name in names}
 
     def replace(self, **changes: object) -> "HarmonyConfig":
         """Copy of this config with the given fields replaced."""
-        from dataclasses import replace as dc_replace
-
-        return dc_replace(self, **changes)  # type: ignore[arg-type]
+        return dataclasses.replace(self, **changes)  # type: ignore[arg-type]

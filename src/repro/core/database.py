@@ -19,17 +19,28 @@ full simulated-performance report.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import threading
+import time
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.stats import TimeBreakdown
 from repro.core.config import HarmonyConfig, Mode
 from repro.core.cost_model import CostParameters, WorkloadProfile
 from repro.core.partition import PartitionPlan
 from repro.core.pipeline import PipelineEngine
 from repro.core.planner import PlanDecision, QueryPlanner
-from repro.core.results import BuildReport, ExecutionReport, SearchResult
+from repro.core.results import (
+    BuildReport,
+    DegradedReport,
+    ExecutionReport,
+    FaultStats,
+    SearchResult,
+    stamp_from,
+)
 
 
 class HarmonyDB:
@@ -218,11 +229,10 @@ class HarmonyDB:
         """
         if not self.is_built:
             raise RuntimeError("build() must be called before add()")
-        assert self._engine is not None
         self.index.add(vectors, labels=labels)
         if self._result_cache is not None:
             self._result_cache.invalidate()
-        return self._refresh_engine()
+        return self._place_engine()
 
     def remove(self, ids: np.ndarray) -> int:
         """Delete vectors by id (tombstoned, never returned again).
@@ -236,26 +246,27 @@ class HarmonyDB:
         if removed:
             if self._result_cache is not None:
                 self._result_cache.invalidate()
-            self._refresh_engine()
+            self._place_engine()
         return removed
 
-    def _refresh_engine(self):
-        """Rebuild the sim engine/placement after an index mutation.
+    def _place_engine(self):
+        """(Re)build the sim engine for the active plan and place its
+        blocks: after planning, after a load, and after every index
+        mutation.
 
         The host backend (thread/process pools, shared segments) is
-        deliberately *kept*: the plan is unchanged, so its kernel
-        absorbs the mutation lazily as delta rows / tombstone bits on
-        the next search instead of paying a full layout repack.
+        deliberately *kept* across mutations: the plan is unchanged, so
+        its kernel absorbs them lazily as delta rows / tombstone bits
+        on the next search instead of paying a full layout repack.
         """
-        assert self._engine is not None and self._decision is not None
-        self._engine.release_data()
+        if self._engine is not None:
+            self._engine.release_data()
         self._engine = PipelineEngine(
             index=self.index,
-            plan=self._decision.plan,
+            plan=self.plan,
             cluster=self.cluster,
             config=self.config,
         )
-        self._tune_engine_kernel()
         self._placement = self._engine.place_data()
         return self._placement
 
@@ -269,21 +280,12 @@ class HarmonyDB:
         on the process backend, re-homes the shared segment once on the
         next search). Returns a stats dict with ``compacted``,
         ``generation``, ``delta_rows_merged`` and
-        ``tombstones_cleared``; a no-op (nothing pending, or no host
-        backend active yet) reports ``compacted: False``.
+        ``tombstones_cleared``; a no-op (nothing pending) reports
+        ``compacted: False``.
         """
         if not self.is_built:
             raise RuntimeError("build() must be called before compact()")
-        with self._backend_lock:
-            backend = self._host_backend
-        if backend is None:
-            return {
-                "compacted": False,
-                "generation": 0,
-                "delta_rows_merged": 0,
-                "tombstones_cleared": 0,
-            }
-        stats = backend.kernel.compact()
+        stats = self._executor().kernel.compact()
         if stats.get("compacted") and self._result_cache is not None:
             # Compaction opens a new layout generation; cached entries
             # must never be served across it.
@@ -301,8 +303,6 @@ class HarmonyDB:
         """
         if not self.is_built:
             raise RuntimeError("build() has not been called")
-        assert self._engine is not None
-        self._engine.release_data()
         self._plan_and_place(sample_queries, k)
         assert self._decision is not None
         return self._decision
@@ -349,25 +349,8 @@ class HarmonyDB:
             forced_grid=config.forced_grid,
             replicas=config.replicas,
         )
-        self._engine = PipelineEngine(
-            index=self.index,
-            plan=self._decision.plan,
-            cluster=self.cluster,
-            config=config,
-        )
-        self._tune_engine_kernel()
-        self._placement = self._engine.place_data()
+        self._place_engine()
         self._drop_host_backend()
-
-    def _tune_engine_kernel(self) -> None:
-        """Apply config knobs the engine doesn't thread through itself
-        (currently the routing-cache capacity)."""
-        assert self._engine is not None
-        from repro.core.routing import RoutingCache
-
-        self._engine.kernel.routing_cache = RoutingCache(
-            max_entries=self.config.routing_cache_size
-        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -402,13 +385,34 @@ class HarmonyDB:
         """
         if not self.is_built:
             raise RuntimeError("build() must be called before search()")
-        assert self._engine is not None
         if self._result_cache is not None and arrival_times is None:
             return self._cached_search(
                 queries, k=k, nprobe=nprobe, filter_labels=filter_labels
             )
+        return self._uncached_search(
+            queries, k, nprobe, filter_labels, arrival_times
+        )
+
+    def _executor(self):
+        """What the configured backend searches through: the sim engine
+        or the (lazily built) host backend. Either way ``.kernel`` is
+        the scan kernel in use."""
         if self.config.backend == "sim":
-            return self._engine.run(
+            return self._engine
+        return self._get_host_backend()
+
+    def _uncached_search(
+        self,
+        queries: np.ndarray,
+        k: int,
+        nprobe: int | None,
+        filter_labels: "np.ndarray | list[int] | None",
+        arrival_times: np.ndarray | None = None,
+    ) -> tuple[SearchResult, ExecutionReport]:
+        """The configured backend's search, bypassing the result cache."""
+        executor = self._executor()
+        if executor is self._engine:
+            return executor.run(
                 queries,
                 k=k,
                 nprobe=nprobe,
@@ -420,33 +424,7 @@ class HarmonyDB:
                 "arrival_times (open-loop simulation) requires the "
                 "'sim' backend"
             )
-        return self._host_search(
-            queries, k=k, nprobe=nprobe, filter_labels=filter_labels
-        )
-
-    def _uncached_search(
-        self,
-        queries: np.ndarray,
-        k: int,
-        nprobe: int | None,
-        filter_labels: "np.ndarray | list[int] | None",
-    ) -> tuple[SearchResult, ExecutionReport]:
-        """The configured backend's search, bypassing the result cache."""
-        assert self._engine is not None
-        if self.config.backend == "sim":
-            return self._engine.run(
-                queries, k=k, nprobe=nprobe, filter_labels=filter_labels
-            )
-        return self._host_search(
-            queries, k=k, nprobe=nprobe, filter_labels=filter_labels
-        )
-
-    def _search_kernel(self):
-        """The scan kernel the configured backend searches through."""
-        assert self._engine is not None
-        if self.config.backend == "sim":
-            return self._engine.kernel
-        return self._get_host_backend().kernel
+        return self._host_search(executor, queries, k, nprobe, filter_labels)
 
     def _cache_generation(self) -> tuple:
         """The ``(index uid, index version, layout generation)`` tuple
@@ -454,17 +432,10 @@ class HarmonyDB:
         compactions (and full rebuilds) move the layout generation, and
         a whole new index object moves the uid — any of the three
         invalidates the cache."""
-        if self.config.backend == "sim":
-            kernel = self._engine.kernel if self._engine is not None else None
-        else:
-            backend = self._host_backend
-            kernel = backend.kernel if backend is not None else None
-        layout_generation = (
-            kernel.layout_stats()["layout_generation"]
-            if kernel is not None
-            else 0
+        layout = self._executor().kernel.layout_stats()
+        return (
+            self.index.uid, self.index.version, layout["layout_generation"]
         )
-        return (self.index.uid, self.index.version, layout_generation)
 
     def cache_probe(
         self,
@@ -486,7 +457,7 @@ class HarmonyDB:
             return None
         from repro.cache import make_filter_key
 
-        prepared = self._search_kernel().prepare_queries(query)
+        prepared = self._executor().kernel.prepare_queries(query)
         if prepared.shape[0] != 1:
             raise ValueError(
                 f"cache_probe takes a single query, got "
@@ -519,25 +490,20 @@ class HarmonyDB:
         semantic hits (ε > 0) serve a cached neighbor's answer and are
         flagged in the report's ``result_cache_semantic_hits``.
         """
-        import time
-
         from repro.cache import make_filter_key
         from repro.cache.result_cache import CACHE_LANE
-        from repro.cluster.stats import TimeBreakdown
 
         cache = self._result_cache
         assert cache is not None
         nprobe = nprobe if nprobe is not None else self.config.nprobe
-        kernel = self._search_kernel()
-        prepared = kernel.prepare_queries(queries)
+        executor = self._executor()
+        prepared = executor.kernel.prepare_queries(queries)
         nq = prepared.shape[0]
         if nq == 0:
-            return self._uncached_search(
-                queries, k=k, nprobe=nprobe, filter_labels=filter_labels
-            )
+            return self._uncached_search(queries, k, nprobe, filter_labels)
         metric = self.config.metric.value
         filter_key = make_filter_key(filter_labels)
-        stats_before = cache.stats()
+        stats_before = vars(cache.stats())
         generation = self._cache_generation()
         lookup_start = time.perf_counter()
         hits = [
@@ -549,36 +515,25 @@ class HarmonyDB:
         lookup_end = time.perf_counter()
         miss_rows = [i for i, hit in enumerate(hits) if hit is None]
 
+        def trace_lookup() -> None:
+            self._tracer.record(
+                "cache-lookup", "other", CACHE_LANE,
+                lookup_start, lookup_end,
+                batch=nq, hits=nq - len(miss_rows),
+            )
+
         if not miss_rows:
             # Whole batch served from cache: no routing, no scan.
             elapsed = lookup_end - lookup_start
             if self._tracer is not None:
                 self._tracer.clear()
-                self._tracer.record(
-                    "cache-lookup", "other", CACHE_LANE,
-                    lookup_start, lookup_end,
-                    batch=nq, hits=nq,
-                )
-            stats_after = cache.stats()
-            report = ExecutionReport(
-                n_queries=nq,
-                k=k,
-                nprobe=nprobe,
-                simulated_seconds=elapsed,
-                breakdown=TimeBreakdown(other=elapsed),
-                worker_loads=np.zeros(
-                    self.config.n_machines, dtype=np.float64
-                ),
-                pruning=None,
-                peak_memory_bytes=0,
-                plan_summary=f"{self.plan.describe()} [result cache]",
-                trace=(
-                    self._tracer.trace()
-                    if self._tracer is not None
-                    else None
-                ),
+                trace_lookup()
+            report = self._wall_clock_report(
+                nq, k, nprobe, "result cache", TimeBreakdown(other=elapsed)
             )
-            self._fill_cache_report(report, stats_before, stats_after)
+            stamp_from(
+                report, "result_cache", stats_before, vars(cache.stats())
+            )
             result = SearchResult(
                 distances=np.stack([hit.distances for hit in hits]),
                 ids=np.stack([hit.ids for hit in hits]),
@@ -593,7 +548,7 @@ class HarmonyDB:
         raw = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         sub = np.ascontiguousarray(raw[miss_rows])
         sub_result, report = self._uncached_search(
-            sub, k=k, nprobe=nprobe, filter_labels=filter_labels
+            sub, k, nprobe, filter_labels
         )
 
         # Only cache answers that are (a) fully covered — degraded
@@ -617,19 +572,14 @@ class HarmonyDB:
                     sub_result.ids[j], sub_result.distances[j],
                 )
 
-        if self._tracer is not None and self.config.backend != "sim":
+        if self._tracer is not None and executor is not self._engine:
             # The backend cleared the tracer at sub-batch start, so the
             # lookup span is stamped afterwards (host wall-clock lanes
             # only — the sim trace runs on simulated time).
-            self._tracer.record(
-                "cache-lookup", "other", CACHE_LANE,
-                lookup_start, lookup_end,
-                batch=nq, hits=nq - len(miss_rows),
-            )
+            trace_lookup()
             report.trace = self._tracer.trace()
 
-        stats_after = cache.stats()
-        self._fill_cache_report(report, stats_before, stats_after)
+        stamp_from(report, "result_cache", stats_before, vars(cache.stats()))
         if len(miss_rows) == nq:
             return sub_result, report
 
@@ -649,27 +599,28 @@ class HarmonyDB:
         report.n_queries = nq
         return SearchResult(distances=distances, ids=ids), report
 
-    @staticmethod
-    def _fill_cache_report(report, stats_before, stats_after) -> None:
-        """Stamp per-batch result-cache deltas (+ bytes gauge) onto a
-        finished report."""
-        report.result_cache_hits = stats_after.hits - stats_before.hits
-        report.result_cache_misses = (
-            stats_after.misses - stats_before.misses
+    def _wall_clock_report(
+        self, n_queries, k, nprobe, served_by, breakdown, **fields
+    ) -> ExecutionReport:
+        """Report of a batch timed on the host: the measured seconds
+        all sit in one category and no simulated worker did anything."""
+        return ExecutionReport(
+            n_queries=n_queries,
+            k=k,
+            nprobe=nprobe,
+            simulated_seconds=breakdown.total,
+            breakdown=breakdown,
+            worker_loads=np.zeros(self.config.n_machines, dtype=np.float64),
+            pruning=None,
+            peak_memory_bytes=0,
+            plan_summary=f"{self.plan.describe()} [{served_by}]",
+            trace=self._tracer.trace() if self._tracer is not None else None,
+            **fields,
         )
-        report.result_cache_semantic_hits = (
-            stats_after.semantic_hits - stats_before.semantic_hits
-        )
-        report.result_cache_evictions = (
-            stats_after.evictions - stats_before.evictions
-        )
-        report.result_cache_invalidations = (
-            stats_after.invalidations - stats_before.invalidations
-        )
-        report.result_cache_bytes = stats_after.bytes
 
     def _host_search(
         self,
+        backend,
         queries: np.ndarray,
         k: int,
         nprobe: int | None,
@@ -683,21 +634,18 @@ class HarmonyDB:
         accounting (``degraded_mode``). Timed fault schedules need the
         simulated timeline and are rejected here.
         """
-        import time
-
-        from repro.cluster.stats import TimeBreakdown
-
+        config = self.config
         if self.cluster.fault_schedule is not None:
             raise ValueError(
                 "fault schedules require the 'sim' backend; the "
-                f"{self.config.backend!r} backend has no simulated "
+                f"{config.backend!r} backend has no simulated "
                 "timeline to apply timed events to"
             )
-        backend = self._get_host_backend()
-        nprobe = nprobe if nprobe is not None else self.config.nprobe
-        lstats_before = backend.kernel.layout_stats()
-        routing_cache = backend.kernel.routing_cache
-        rstats_before = (
+        kernel = backend.kernel
+        nprobe = nprobe if nprobe is not None else config.nprobe
+        layout_before = kernel.layout_stats()
+        routing_cache = kernel.routing_cache
+        routing_before = (
             routing_cache.stats() if routing_cache is not None else None
         )
         dead: set[int] = set()
@@ -705,7 +653,7 @@ class HarmonyDB:
             from repro.cluster.recovery import unavailable_shards
 
             dead = unavailable_shards(self.cluster, self.plan)
-            if dead and not self.config.degraded_mode:
+            if dead and not config.degraded_mode:
                 shard = sorted(dead)[0]
                 raise RuntimeError(
                     f"no live replica of grid blocks of shard {shard}; "
@@ -715,8 +663,8 @@ class HarmonyDB:
                 )
         coverage = None
         skip_shards = None
-        if self.config.degraded_mode:
-            prepared = backend.kernel.prepare_queries(queries)
+        if config.degraded_mode:
+            prepared = kernel.prepare_queries(queries)
             coverage = np.zeros((prepared.shape[0], 2), dtype=np.int64)
             skip_shards = frozenset(dead) if dead else None
         if self._tracer is not None:
@@ -729,64 +677,37 @@ class HarmonyDB:
             skip_shards=skip_shards, coverage=coverage,
         )
         elapsed = time.perf_counter() - start
-        from repro.core.results import FaultStats
-
-        host_faults = backend.fault_counters.take()
+        faults = FaultStats(**vars(backend.fault_counters.take()))
         degraded = None
-        skipped = 0
         if coverage is not None:
             from repro.core.executor.kernel import recall_vs_healthy
-            from repro.core.results import DegradedReport
             from repro.core.routing import touched_shards
 
-            prepared = backend.kernel.prepare_queries(queries)
             probes = self.index.probe(prepared, nprobe)
             allowed = self.index.allowed_mask(filter_labels)
             if dead:
-                for i in range(prepared.shape[0]):
-                    shards = touched_shards(self.plan, probes[i])
-                    skipped += sum(1 for s in shards if int(s) in dead)
-            scanned, total = coverage[:, 0], coverage[:, 1]
-            fractions = np.where(
-                total > 0, scanned / np.maximum(total, 1), 1.0
-            )
-            degraded_idx = np.flatnonzero(scanned < total)
-            degraded = DegradedReport(
-                coverage=fractions,
-                n_degraded_queries=int(degraded_idx.size),
-                skipped_scans=skipped,
-                abandoned_scans=host_faults.abandoned_scans,
-                recall_vs_healthy=recall_vs_healthy(
-                    backend.kernel, prepared, probes, k, allowed,
+                faults.skipped_scans = sum(
+                    int(shard) in dead
+                    for probe_row in probes
+                    for shard in touched_shards(self.plan, probe_row)
+                )
+            degraded = DegradedReport.from_counts(
+                coverage,
+                skipped_scans=faults.skipped_scans,
+                abandoned_scans=faults.abandoned_scans,
+                recall_of=lambda degraded_idx: recall_vs_healthy(
+                    kernel, prepared, probes, k, allowed,
                     degraded_idx, result.ids,
                 ),
             )
-        stats = FaultStats(
-            skipped_scans=skipped,
-            abandoned_scans=host_faults.abandoned_scans,
-            worker_respawns=host_faults.worker_respawns,
-            tasks_requeued=host_faults.tasks_requeued,
-            scan_timeouts=host_faults.scan_timeouts,
-        )
-        fault_stats = stats if stats.any_activity else None
-        report = ExecutionReport(
-            n_queries=result.n_queries,
-            k=k,
-            nprobe=nprobe,
-            simulated_seconds=elapsed,
-            breakdown=TimeBreakdown(computation=elapsed),
-            worker_loads=np.zeros(self.config.n_machines, dtype=np.float64),
-            pruning=None,
-            peak_memory_bytes=0,
-            plan_summary=(
-                f"{self.plan.describe()} [{backend.name} backend, "
-                f"host wall-clock]"
-            ),
-            fault_stats=fault_stats,
+        report = self._wall_clock_report(
+            result.n_queries,
+            k,
+            nprobe,
+            f"{backend.name} backend, host wall-clock",
+            TimeBreakdown(computation=elapsed),
+            fault_stats=faults if faults.any_activity else None,
             degraded=degraded,
-            trace=(
-                self._tracer.trace() if self._tracer is not None else None
-            ),
             layout_bytes=backend.layout_nbytes(),
             worker_steals=(
                 [int(s) for s in backend.last_steal_counts]
@@ -795,27 +716,10 @@ class HarmonyDB:
             rerank_candidates=int(backend.last_rerank_count),
             code_bytes=backend.code_nbytes(),
         )
-        # Gauges are end-of-batch state; build/refresh/compaction
-        # counters are per-batch deltas (metrics counters accumulate
-        # across reports, mirroring the routing-cache idiom).
-        lstats = backend.kernel.layout_stats()
-        report.layout_generation = lstats["layout_generation"]
-        report.delta_rows = lstats["delta_rows"]
-        report.tombstones_pending = lstats["tombstones_since_build"]
-        for key in (
-            "layout_builds", "layout_refreshes", "layout_compactions"
-        ):
-            setattr(report, key, lstats[key] - lstats_before[key])
+        stamp_from(report, "layout", layout_before, kernel.layout_stats())
         if routing_cache is not None:
-            rstats_after = routing_cache.stats()
-            report.routing_cache_hits = (
-                rstats_after["hits"] - rstats_before["hits"]
-            )
-            report.routing_cache_misses = (
-                rstats_after["misses"] - rstats_before["misses"]
-            )
-            report.routing_cache_evictions = (
-                rstats_after["evictions"] - rstats_before["evictions"]
+            stamp_from(
+                report, "routing", routing_before, routing_cache.stats()
             )
         return result, report
 
@@ -833,61 +737,15 @@ class HarmonyDB:
             return backend
         with self._backend_lock:
             backend = self._host_backend
-            if backend is not None:
-                return backend
-            from repro.core.executor import (
-                ProcessBackend,
-                SerialBackend,
-                ThreadBackend,
-            )
+            if backend is None:
+                from repro.core.executor import resolve_backend
 
-            if self.config.backend == "thread":
-                backend = ThreadBackend(
-                    self.index,
-                    plan=self.plan,
-                    n_threads=self.config.n_threads,
-                    prewarm_size=self.config.prewarm_size,
-                    enable_pruning=self.config.enable_pruning,
-                    batch_queries=self.config.batch_queries,
-                    scan_precision=self.config.scan_precision,
-                    scan_timeout=self.config.scan_timeout,
-                    scan_retries=self.config.scan_retries,
-                    delta_compact_ratio=self.config.delta_compact_ratio,
-                    auto_compact=self.config.auto_compact,
+                backend = resolve_backend(self.config.backend)(
+                    self.index, plan=self.plan, **self.config.host_options()
                 )
-            elif self.config.backend == "process":
-                backend = ProcessBackend(
-                    self.index,
-                    plan=self.plan,
-                    n_workers=self.config.n_workers,
-                    prewarm_size=self.config.prewarm_size,
-                    enable_pruning=self.config.enable_pruning,
-                    batch_queries=self.config.batch_queries,
-                    scan_precision=self.config.scan_precision,
-                    scan_timeout=self.config.scan_timeout,
-                    scan_retries=self.config.scan_retries,
-                    delta_compact_ratio=self.config.delta_compact_ratio,
-                    auto_compact=self.config.auto_compact,
-                )
-            else:
-                backend = SerialBackend(
-                    self.index,
-                    plan=self.plan,
-                    prewarm_size=self.config.prewarm_size,
-                    enable_pruning=self.config.enable_pruning,
-                    batch_queries=self.config.batch_queries,
-                    scan_precision=self.config.scan_precision,
-                    delta_compact_ratio=self.config.delta_compact_ratio,
-                    auto_compact=self.config.auto_compact,
-                )
-            from repro.core.routing import RoutingCache
-
-            backend.kernel.routing_cache = RoutingCache(
-                max_entries=self.config.routing_cache_size
-            )
-            backend.tracer = self._tracer
-            backend.chaos = self._host_faults
-            self._host_backend = backend
+                backend.tracer = self._tracer
+                backend.chaos = self._host_faults
+                self._host_backend = backend
         return backend
 
     def _drop_host_backend(self) -> None:
@@ -1053,56 +911,17 @@ class HarmonyDB:
         """
         if not self.is_built:
             raise RuntimeError("build() must be called before save()")
-        import json
-
         plan = self.plan
-        config = self.config
         config_json = json.dumps(
             {
-                "n_machines": config.n_machines,
-                "nlist": config.nlist,
-                "nprobe": config.nprobe,
-                "metric": config.metric.value,
-                "mode": config.mode.value,
-                "alpha": config.alpha,
-                "enable_pruning": config.enable_pruning,
-                "enable_pipeline": config.enable_pipeline,
-                "enable_load_balance": config.enable_load_balance,
-                "prewarm_size": config.prewarm_size,
-                "plan_sample": config.plan_sample,
-                "kmeans_iterations": config.kmeans_iterations,
-                "seed": config.seed,
-                "backend": config.backend,
-                "n_threads": config.n_threads,
-                "n_workers": config.n_workers,
-                "batch_queries": config.batch_queries,
-                "degraded_mode": config.degraded_mode,
-                "retry_timeout": config.retry_timeout,
-                "max_retries": config.max_retries,
-                "hedge_latency_threshold": config.hedge_latency_threshold,
-                "scan_precision": config.scan_precision,
-                "delta_compact_ratio": config.delta_compact_ratio,
-                "auto_compact": config.auto_compact,
-                "scan_timeout": config.scan_timeout,
-                "scan_retries": config.scan_retries,
-                "memory_bandwidth": config.memory_bandwidth,
-                "serve_max_batch": config.serve_max_batch,
-                "serve_slo_ms": config.serve_slo_ms,
-                "serve_deadline_fraction": config.serve_deadline_fraction,
-                "serve_queue_depth": config.serve_queue_depth,
-                "serve_shed_policy": config.serve_shed_policy,
-                "serve_deadline_policy": config.serve_deadline_policy,
-                "enable_cache": config.enable_cache,
-                "cache_size": config.cache_size,
-                "cache_semantic_epsilon": config.cache_semantic_epsilon,
-                "routing_cache_size": config.routing_cache_size,
+                name: getattr(value, "value", value)  # enums by value
+                for name, value in dataclasses.asdict(self.config).items()
             }
         )
         assignment = np.full(self.index.ntotal, -1, dtype=np.int64)
         for list_id in range(self.index.nlist):
             assignment[self.index._list_ids[list_id]] = list_id
-        np.savez_compressed(
-            path,
+        arrays = dict(
             base=self.index.base,
             centroids=self.index.centroids,
             assignment=assignment,
@@ -1113,28 +932,29 @@ class HarmonyDB:
             placement=plan.placement,
             slice_boundaries=np.array(plan.slices.boundaries, dtype=np.int64),
         )
+        if plan.replica_placement is not None:
+            # Only a replicated plan adds an array; an unreplicated
+            # deployment's file keeps the set it always had.
+            arrays["replica_placement"] = plan.replica_placement
+        np.savez_compressed(path, **arrays)
 
     @classmethod
     def load(
         cls, path: "str | object", cluster: Cluster | None = None
     ) -> "HarmonyDB":
-        """Reconstruct a deployment saved with :meth:`save`."""
-        import json
+        """Reconstruct a deployment saved with :meth:`save`.
 
-        from repro.core.partition import PartitionPlan
+        Config keys the file lacks (it was written before the knob
+        existed) take their defaults.
+        """
         from repro.distance.partial import DimensionSlices
-        from repro.index.ivf import IVFFlatIndex
 
         with np.load(path, allow_pickle=False) as data:
-            config_dict = json.loads(str(data["config"]))
-            config = HarmonyConfig(**config_dict)
-            index = IVFFlatIndex(
-                dim=int(data["base"].shape[1]),
-                nlist=config.nlist,
-                metric=config.metric,
-                seed=config.seed,
-                max_iterations=config.kmeans_iterations,
+            config = HarmonyConfig(**json.loads(str(data["config"])))
+            db = cls(
+                dim=int(data["base"].shape[1]), config=config, cluster=cluster
             )
+            index = db.index
             index._centroids = data["centroids"]
             index._base = data["base"]
             index._deleted = data["deleted"]
@@ -1147,9 +967,12 @@ class HarmonyDB:
             shard_of_list = data["shard_of_list"]
             placement = data["placement"]
             boundaries = tuple(int(b) for b in data["slice_boundaries"])
+            replica_placement = (
+                data["replica_placement"]
+                if "replica_placement" in data.files
+                else None
+            )
 
-        db = cls(dim=index.dim, config=config, cluster=cluster)
-        db.index = index
         plan = PartitionPlan(
             n_machines=config.n_machines,
             n_vector_shards=int(placement.shape[0]),
@@ -1157,6 +980,7 @@ class HarmonyDB:
             slices=DimensionSlices(boundaries),
             shard_of_list=shard_of_list,
             placement=placement,
+            replica_placement=replica_placement,
         )
         # Re-score the saved plan so plan_decision stays meaningful.
         params = CostParameters.from_cluster(db.cluster, alpha=config.alpha)
@@ -1174,11 +998,7 @@ class HarmonyDB:
                 ((plan.n_vector_shards, plan.n_dim_blocks), cost),
             ),
         )
-        db._engine = PipelineEngine(
-            index=index, plan=plan, cluster=db.cluster, config=config
-        )
-        db._tune_engine_kernel()
-        db._placement = db._engine.place_data()
+        db._place_engine()
         return db
 
     # ------------------------------------------------------------------

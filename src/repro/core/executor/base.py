@@ -77,16 +77,10 @@ class HostBackend(Backend):
     Args:
         index: trained+populated IVF index.
         plan: partition plan; defaults to :func:`default_plan`.
-        prewarm_size: heap-seeding candidates per query (0 disables
-            pruning entirely).
-        enable_pruning: toggle lossless early-stop pruning.
         batch_queries: route multi-query batches through the kernel's
             fused shard-major ``search_batch`` path (bitwise identical
             to the per-query loop); False forces one ``search_one``
             call per query.
-        scan_precision: ``"fp32"`` or ``"sq8"`` (SQ8 candidate
-            generation with exact float32 re-ranking — byte-identical
-            results, a quarter of the candidate-scan bandwidth).
         scan_timeout: per-task straggler watchdog in wall-clock
             seconds. ``None`` (default) disables it; when set, a shard
             task exceeding the timeout is speculatively re-issued
@@ -97,23 +91,21 @@ class HostBackend(Backend):
         scan_retries: re-issues per straggling task before the
             supervisor gives up (degraded mode then abandons the task
             with coverage accounting; otherwise it keeps waiting).
-        delta_compact_ratio / auto_compact: LSM write-path knobs
-            forwarded to the kernel (see
-            :class:`~repro.core.executor.kernel.ScanKernel`).
+        **kernel_options: every other keyword — ``prewarm_size``,
+            ``enable_pruning``, ``scan_precision``,
+            ``delta_compact_ratio``, ``auto_compact``,
+            ``routing_cache_size`` — goes to the one signature that
+            owns it, :class:`~repro.core.executor.kernel.ScanKernel`.
     """
 
     def __init__(
         self,
         index: "IVFFlatIndex",
         plan: PartitionPlan | None = None,
-        prewarm_size: int = 32,
-        enable_pruning: bool = True,
         batch_queries: bool = True,
-        scan_precision: str = "fp32",
         scan_timeout: "float | None" = None,
         scan_retries: int = 3,
-        delta_compact_ratio: float = 0.25,
-        auto_compact: bool = True,
+        **kernel_options,
     ) -> None:
         if not index.is_trained:
             raise RuntimeError("backend requires a trained index")
@@ -146,15 +138,7 @@ class HostBackend(Backend):
         #: Candidates re-ranked against fp32 rows by the most recent
         #: search() call (always 0 on the fp32 path).
         self.last_rerank_count = 0
-        self.kernel = ScanKernel(
-            index,
-            self.plan,
-            prewarm_size=prewarm_size,
-            enable_pruning=enable_pruning,
-            scan_precision=scan_precision,
-            delta_compact_ratio=delta_compact_ratio,
-            auto_compact=auto_compact,
-        )
+        self.kernel = ScanKernel(index, self.plan, **kernel_options)
 
     @property
     def prewarm_size(self) -> int:

@@ -399,10 +399,11 @@ class ProcessBackend(ThreadBackend):
         n_workers: pool size (default ``os.cpu_count()``).
         start_method: multiprocessing start method; default prefers
             ``fork`` (cheap startup) and falls back to ``spawn``.
-        prewarm_size / enable_pruning / batch_queries /
-        scan_timeout / scan_retries: as on
-            :class:`~repro.core.executor.base.HostBackend`. The packed
-            layout *is* the shared data plane.
+        **options: every other keyword of
+            :class:`~repro.core.executor.base.HostBackend`
+            (``batch_queries``, ``scan_timeout``, ``scan_retries`` and
+            the kernel's own). The packed layout *is* the shared data
+            plane.
 
     The pool starts lazily on the first ``search()`` and persists
     across calls; call :meth:`close` (or use the backend as a context
@@ -425,30 +426,11 @@ class ProcessBackend(ThreadBackend):
         plan: PartitionPlan | None = None,
         n_workers: int | None = None,
         start_method: str | None = None,
-        prewarm_size: int = 32,
-        enable_pruning: bool = True,
-        batch_queries: bool = True,
-        scan_precision: str = "fp32",
-        scan_timeout: "float | None" = None,
-        scan_retries: int = 3,
-        delta_compact_ratio: float = 0.25,
-        auto_compact: bool = True,
+        **options,
     ) -> None:
         if n_workers is not None and n_workers <= 0:
             raise ValueError(f"n_workers must be positive, got {n_workers}")
-        super().__init__(
-            index,
-            plan=plan,
-            n_threads=n_workers,
-            prewarm_size=prewarm_size,
-            enable_pruning=enable_pruning,
-            batch_queries=batch_queries,
-            scan_precision=scan_precision,
-            scan_timeout=scan_timeout,
-            scan_retries=scan_retries,
-            delta_compact_ratio=delta_compact_ratio,
-            auto_compact=auto_compact,
-        )
+        super().__init__(index, plan=plan, n_threads=n_workers, **options)
         self.n_workers = (
             int(n_workers) if n_workers is not None
             else max(1, os.cpu_count() or 1)

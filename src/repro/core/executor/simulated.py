@@ -37,9 +37,11 @@ class SimulatedBackend(Backend):
         cluster: simulated cluster; a default one sized to the plan is
             created when omitted.
         config: full deployment config; when omitted a minimal one is
-            derived from the index, plan, and the keyword toggles.
-        prewarm_size / enable_pruning: used only when ``config`` is
-            omitted, mirroring the host backends' constructor.
+            derived from the index, plan, and the keyword knobs.
+        **knobs: :class:`HarmonyConfig` fields (``prewarm_size``,
+            ``enable_pruning``, ``scan_precision``,
+            ``memory_bandwidth`` …) for that derived config; used only
+            when ``config`` is omitted.
     """
 
     name = "sim"
@@ -50,10 +52,7 @@ class SimulatedBackend(Backend):
         plan: PartitionPlan | None = None,
         cluster: Cluster | None = None,
         config: HarmonyConfig | None = None,
-        prewarm_size: int = 32,
-        enable_pruning: bool = True,
-        scan_precision: str = "fp32",
-        memory_bandwidth: "float | None" = None,
+        **knobs,
     ) -> None:
         from repro.core.pipeline import PipelineEngine
 
@@ -64,10 +63,7 @@ class SimulatedBackend(Backend):
                 n_machines=plan.n_machines,
                 nlist=index.nlist,
                 metric=index.metric,
-                prewarm_size=prewarm_size,
-                enable_pruning=enable_pruning,
-                scan_precision=scan_precision,
-                memory_bandwidth=memory_bandwidth,
+                **knobs,
             )
         if cluster is None:
             cluster = Cluster(

@@ -61,11 +61,9 @@ class ThreadBackend(HostBackend):
         plan: partition plan; defaults to a single-shard plan with 4
             dimension slices (pruning-friendly).
         n_threads: worker threads (default: ``ThreadPoolExecutor``'s).
-        prewarm_size: heap-seeding candidates per query (0 disables
-            pruning entirely).
-        enable_pruning: toggle lossless early-stop pruning.
-        scan_timeout / scan_retries: straggler watchdog (see
-            :class:`HostBackend`).
+        **options: every other keyword of :class:`HostBackend`
+            (``batch_queries``, ``scan_timeout`` / ``scan_retries`` —
+            the straggler watchdog — and the kernel's own).
 
     With a ``tracer`` attached (see :class:`HostBackend`), wall-clock
     spans land on one lane per pool thread, so the exported timeline
@@ -79,29 +77,11 @@ class ThreadBackend(HostBackend):
         index: "IVFFlatIndex",
         plan: PartitionPlan | None = None,
         n_threads: int | None = None,
-        prewarm_size: int = 32,
-        enable_pruning: bool = True,
-        batch_queries: bool = True,
-        scan_precision: str = "fp32",
-        scan_timeout: "float | None" = None,
-        scan_retries: int = 3,
-        delta_compact_ratio: float = 0.25,
-        auto_compact: bool = True,
+        **options,
     ) -> None:
         if n_threads is not None and n_threads <= 0:
             raise ValueError(f"n_threads must be positive, got {n_threads}")
-        super().__init__(
-            index,
-            plan=plan,
-            prewarm_size=prewarm_size,
-            enable_pruning=enable_pruning,
-            batch_queries=batch_queries,
-            scan_precision=scan_precision,
-            scan_timeout=scan_timeout,
-            scan_retries=scan_retries,
-            delta_compact_ratio=delta_compact_ratio,
-            auto_compact=auto_compact,
-        )
+        super().__init__(index, plan=plan, **options)
         self.n_threads = n_threads
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()

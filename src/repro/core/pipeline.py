@@ -170,12 +170,7 @@ class PipelineEngine:
         self._coverage: np.ndarray | None = None
         # The algorithm itself: shared with the serial/thread backends.
         self.kernel = ScanKernel(
-            index,
-            plan,
-            metric=config.metric,
-            prewarm_size=config.prewarm_size,
-            enable_pruning=config.enable_pruning,
-            scan_precision=config.scan_precision,
+            index, plan, metric=config.metric, **config.kernel_options()
         )
         #: Bytes each scanned element streams through a worker's memory
         #: system: 1-byte SQ8 codes vs 4-byte fp32 rows. Feeds the
@@ -400,18 +395,11 @@ class PipelineEngine:
         ]
         degraded = None
         if self._coverage is not None:
-            scanned = self._coverage[:, 0]
-            total = self._coverage[:, 1]
-            coverage = np.where(
-                total > 0, scanned / np.maximum(total, 1), 1.0
-            )
-            degraded_idx = np.flatnonzero(scanned < total)
-            degraded = DegradedReport(
-                coverage=coverage,
-                n_degraded_queries=int(degraded_idx.size),
+            degraded = DegradedReport.from_counts(
+                self._coverage,
                 skipped_scans=fault_stats.skipped_scans,
                 abandoned_scans=fault_stats.abandoned_scans,
-                recall_vs_healthy=recall_vs_healthy(
+                recall_of=lambda degraded_idx: recall_vs_healthy(
                     self.kernel, queries, probes, k, allowed,
                     degraded_idx, result.ids,
                 ),

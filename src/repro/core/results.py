@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -74,34 +74,10 @@ class FaultStats:
 
     @property
     def any_activity(self) -> bool:
-        return any(
-            (
-                self.retries,
-                self.failovers,
-                self.hedges,
-                self.hedge_wins,
-                self.dropped_messages,
-                self.skipped_scans,
-                self.abandoned_scans,
-                self.worker_respawns,
-                self.tasks_requeued,
-                self.scan_timeouts,
-            )
-        )
+        return any(vars(self).values())
 
     def to_dict(self) -> dict:
-        return {
-            "retries": self.retries,
-            "failovers": self.failovers,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
-            "dropped_messages": self.dropped_messages,
-            "skipped_scans": self.skipped_scans,
-            "abandoned_scans": self.abandoned_scans,
-            "worker_respawns": self.worker_respawns,
-            "tasks_requeued": self.tasks_requeued,
-            "scan_timeouts": self.scan_timeouts,
-        }
+        return dict(vars(self))  # the declared counters, in field order
 
 
 @dataclass
@@ -125,6 +101,30 @@ class DegradedReport:
     skipped_scans: int = 0
     abandoned_scans: int = 0
     recall_vs_healthy: float = 1.0
+
+    @classmethod
+    def from_counts(
+        cls,
+        counts: np.ndarray,
+        skipped_scans: int,
+        abandoned_scans: int,
+        recall_of,
+    ) -> "DegradedReport":
+        """Build the report from ``(nq, 2)`` per-query ``[scanned,
+        total]`` candidate counts — what every executor accumulates
+        under ``degraded_mode``. ``recall_of(degraded_idx)`` re-runs the
+        degraded queries healthy and returns their mean overlap."""
+        scanned, total = counts[:, 0], counts[:, 1]
+        degraded_idx = np.flatnonzero(scanned < total)
+        return cls(
+            coverage=np.where(
+                total > 0, scanned / np.maximum(total, 1), 1.0
+            ),
+            n_degraded_queries=int(degraded_idx.size),
+            skipped_scans=skipped_scans,
+            abandoned_scans=abandoned_scans,
+            recall_vs_healthy=recall_of(degraded_idx),
+        )
 
     @property
     def mean_coverage(self) -> float:
@@ -153,6 +153,26 @@ class DegradedReport:
             "recall_vs_healthy": self.recall_vs_healthy,
             "recall_delta": self.recall_delta,
         }
+
+
+def _flat(
+    metric=None, *, always=False, default=0, delta_of=None, state_of=None
+):
+    """A flat numeric report field, declared once.
+
+    ``metric`` is its family ``(kind, harmony_* name, help)``: gauges
+    are always published, counters only when non-zero unless
+    ``always``. ``delta_of`` / ``state_of`` name the ``(source, key)``
+    of a component's own stats snapshot the field is the per-batch
+    delta / the end-of-batch value of (see :func:`stamp_from`).
+    """
+    metadata = {}
+    if metric is not None:
+        only_nonzero = metric[0] == "counter" and not always
+        metadata["metric"] = (*metric, only_nonzero)
+    if delta_of or state_of:
+        metadata["source"] = (*(delta_of or state_of), delta_of is not None)
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
@@ -236,10 +256,17 @@ class ExecutionReport:
             steady-state read batch reports zeros for all three).
     """
 
-    n_queries: int
+    n_queries: int = _flat(
+        ("counter", "harmony_queries_total", "Queries served"),
+        always=True,
+        default=MISSING,
+    )
     k: int
     nprobe: int
-    simulated_seconds: float
+    simulated_seconds: float = _flat(
+        ("gauge", "harmony_simulated_seconds", "Batch makespan (simulated)"),
+        default=MISSING,
+    )
     breakdown: TimeBreakdown
     worker_loads: np.ndarray
     pruning: PruningStats | None
@@ -252,26 +279,95 @@ class ExecutionReport:
     fault_stats: FaultStats | None = None
     degraded: DegradedReport | None = None
     trace: "object | None" = None
-    layout_bytes: int = 0
+    layout_bytes: int = _flat(
+        ("gauge", "harmony_layout_bytes",
+         "Resident bytes of the packed/shared shard layout scanned"),
+    )
     worker_steals: "list[int] | None" = None
-    rerank_candidates: int = 0
-    code_bytes: int = 0
-    routing_cache_hits: int = 0
-    routing_cache_misses: int = 0
-    routing_cache_evictions: int = 0
-    result_cache_hits: int = 0
-    result_cache_misses: int = 0
-    result_cache_semantic_hits: int = 0
-    result_cache_evictions: int = 0
-    result_cache_invalidations: int = 0
-    result_cache_bytes: int = 0
-    queue_seconds: float = 0.0
-    layout_generation: int = 0
-    delta_rows: int = 0
-    tombstones_pending: int = 0
-    layout_builds: int = 0
-    layout_refreshes: int = 0
-    layout_compactions: int = 0
+    rerank_candidates: int = _flat(
+        ("counter", "harmony_rerank_candidates_total",
+         "Survivors re-ranked against fp32 rows (sq8 scan path)"),
+    )
+    code_bytes: int = _flat(
+        ("gauge", "harmony_code_bytes",
+         "Resident bytes of the packed SQ8 code blocks (0 on fp32)"),
+    )
+    routing_cache_hits: int = _flat(
+        ("counter", "harmony_routing_cache_hits_total",
+         "Probe-cell routing lookups served from the memoized cache"),
+        delta_of=("routing", "hits"),
+    )
+    routing_cache_misses: int = _flat(
+        ("counter", "harmony_routing_cache_misses_total",
+         "Probe-cell routing lookups that recomputed touched shards"),
+        delta_of=("routing", "misses"),
+    )
+    routing_cache_evictions: int = _flat(
+        ("counter", "harmony_routing_cache_evictions_total",
+         "Routing-cache entries evicted under capacity pressure"),
+        delta_of=("routing", "evictions"),
+    )
+    result_cache_hits: int = _flat(
+        ("counter", "harmony_result_cache_hits_total",
+         "Queries answered from the result cache"),
+        delta_of=("result_cache", "hits"),
+    )
+    result_cache_misses: int = _flat(
+        ("counter", "harmony_result_cache_misses_total",
+         "Queries that missed the result cache and were scanned"),
+        delta_of=("result_cache", "misses"),
+    )
+    result_cache_semantic_hits: int = _flat(
+        ("counter", "harmony_result_cache_semantic_hits_total",
+         "Result-cache hits served by the epsilon-ball semantic tier"),
+        delta_of=("result_cache", "semantic_hits"),
+    )
+    result_cache_evictions: int = _flat(
+        ("counter", "harmony_result_cache_evictions_total",
+         "Result-cache entries evicted under capacity pressure"),
+        delta_of=("result_cache", "evictions"),
+    )
+    result_cache_invalidations: int = _flat(
+        ("counter", "harmony_result_cache_invalidations_total",
+         "Result-cache entries dropped by index/layout generation moves"),
+        delta_of=("result_cache", "invalidations"),
+    )
+    result_cache_bytes: int = _flat(
+        ("gauge", "harmony_result_cache_bytes",
+         "Resident bytes of the result cache (queries + cached answers)"),
+        state_of=("result_cache", "bytes"),
+    )
+    queue_seconds: float = _flat(
+        ("counter", "harmony_queue_wait_seconds_total",
+         "Serving-layer coalescing queue wait, summed over requests"),
+        default=0.0,
+    )
+    layout_generation: int = _flat(
+        ("gauge", "harmony_layout_generation",
+         "Base-generation counter of the scanned packed layout"),
+        state_of=("layout", "layout_generation"),
+    )
+    delta_rows: int = _flat(
+        ("gauge", "harmony_delta_rows",
+         "Mutation rows pending in the layout's delta segments"),
+        state_of=("layout", "delta_rows"),
+    )
+    tombstones_pending: int = _flat(
+        ("gauge", "harmony_tombstones_pending",
+         "Removals tombstoned since the base generation was built"),
+        state_of=("layout", "tombstones_since_build"),
+    )
+    layout_builds: int = _flat(delta_of=("layout", "layout_builds"))
+    layout_refreshes: int = _flat(
+        ("counter", "harmony_layout_refreshes_total",
+         "In-place delta refreshes of the packed layout"),
+        delta_of=("layout", "layout_refreshes"),
+    )
+    layout_compactions: int = _flat(
+        ("counter", "harmony_compactions_total",
+         "Delta-merge compactions into a fresh base generation"),
+        delta_of=("layout", "layout_compactions"),
+    )
 
     @property
     def qps(self) -> float:
@@ -350,32 +446,11 @@ class ExecutionReport:
             "worker_loads": self.worker_loads.tolist(),
             "load_imbalance": self.load_imbalance,
             "normalized_imbalance": self.normalized_imbalance,
-            "peak_memory_bytes": int(self.peak_memory_bytes),
-            "mean_peak_memory_bytes": float(self.mean_peak_memory_bytes),
-            "layout_bytes": int(self.layout_bytes),
-            "rerank_candidates": int(self.rerank_candidates),
-            "code_bytes": int(self.code_bytes),
-            "routing_cache_hits": int(self.routing_cache_hits),
-            "routing_cache_misses": int(self.routing_cache_misses),
-            "routing_cache_evictions": int(self.routing_cache_evictions),
-            "result_cache_hits": int(self.result_cache_hits),
-            "result_cache_misses": int(self.result_cache_misses),
-            "result_cache_semantic_hits": int(
-                self.result_cache_semantic_hits
-            ),
-            "result_cache_evictions": int(self.result_cache_evictions),
-            "result_cache_invalidations": int(
-                self.result_cache_invalidations
-            ),
-            "result_cache_bytes": int(self.result_cache_bytes),
-            "queue_seconds": float(self.queue_seconds),
-            "layout_generation": int(self.layout_generation),
-            "delta_rows": int(self.delta_rows),
-            "tombstones_pending": int(self.tombstones_pending),
-            "layout_builds": int(self.layout_builds),
-            "layout_refreshes": int(self.layout_refreshes),
-            "layout_compactions": int(self.layout_compactions),
         }
+        values = vars(self)
+        for name, cast in _FLAT_FIELDS:
+            if name not in out:
+                out[name] = cast(values[name])
         if self.worker_steals is not None:
             out["worker_steals"] = [int(s) for s in self.worker_steals]
         if self.latencies.size:
@@ -394,6 +469,46 @@ class ExecutionReport:
         if self.trace is not None:
             out["trace"] = self.trace.to_dict()
         return out
+
+
+#: ``(field, cast)`` of every flat numeric field, for ``to_dict``.
+_FLAT_FIELDS = tuple(
+    (f.name, int if f.type == "int" else float)
+    for f in fields(ExecutionReport)
+    if f.type in ("int", "float")
+)
+
+#: ``(field, kind, family, help, only when non-zero)`` of every flat
+#: field that has a metric family; ``repro.obs.report_metrics`` loops
+#: over it.
+REPORT_FAMILIES = tuple(
+    (f.name, *f.metadata["metric"])
+    for f in fields(ExecutionReport)
+    if "metric" in f.metadata
+)
+
+
+def _sourced_fields() -> "dict[str, list]":
+    """``source -> [(field, key, is a delta), ...]`` of the fields
+    copied off a component's stats snapshot."""
+    table: "dict[str, list]" = {}
+    for f in fields(ExecutionReport):
+        if "source" in f.metadata:
+            source, key, is_delta = f.metadata["source"]
+            table.setdefault(source, []).append((f.name, key, is_delta))
+    return table
+
+
+_SOURCED = _sourced_fields()
+
+
+def stamp_from(report: ExecutionReport, source: str, before, after) -> None:
+    """Fill every report field fed by ``source`` from two of the
+    source's own stats snapshots (mappings): counters become the
+    batch's ``after - before``, gauges the end-of-batch value."""
+    for name, key, is_delta in _SOURCED[source]:
+        value = after[key]
+        setattr(report, name, value - before[key] if is_delta else value)
 
 
 @dataclass

@@ -24,6 +24,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from repro.core.results import REPORT_FAMILIES
+
 #: Default histogram bucket upper bounds (seconds): spans microseconds
 #: to seconds, the range of simulated per-stage waits and latencies.
 DEFAULT_BUCKETS = (
@@ -269,12 +271,14 @@ def report_metrics(
     degraded-mode coverage, and the simulated latency distribution.
     """
     registry = registry if registry is not None else MetricsRegistry()
-    registry.counter(
-        "harmony_queries_total", "Queries served"
-    ).inc(report.n_queries)
-    registry.gauge(
-        "harmony_simulated_seconds", "Batch makespan (simulated)"
-    ).set(report.simulated_seconds)
+    # The flat fields: each family is declared on its report field.
+    values = vars(report)
+    for name, kind, family, help, only_nonzero in REPORT_FAMILIES:
+        value = float(values[name])
+        if kind == "gauge":
+            registry.gauge(family, help).set(value)
+        elif value or not only_nonzero:
+            registry.counter(family, help).inc(value)
     registry.gauge("harmony_qps", "Simulated queries per second").set(
         report.qps
     )
@@ -300,109 +304,8 @@ def report_metrics(
     registry.gauge(
         "harmony_load_imbalance", "Std dev of worker loads (I(pi))"
     ).set(report.load_imbalance)
-    registry.gauge(
-        "harmony_layout_bytes",
-        "Resident bytes of the packed/shared shard layout scanned",
-    ).set(float(getattr(report, "layout_bytes", 0)))
-    registry.gauge(
-        "harmony_code_bytes",
-        "Resident bytes of the packed SQ8 code blocks (0 on fp32)",
-    ).set(float(getattr(report, "code_bytes", 0)))
-    rerank_candidates = float(getattr(report, "rerank_candidates", 0))
-    if rerank_candidates:
-        registry.counter(
-            "harmony_rerank_candidates_total",
-            "Survivors re-ranked against fp32 rows (sq8 scan path)",
-        ).inc(rerank_candidates)
-    cache_hits = float(getattr(report, "routing_cache_hits", 0))
-    cache_misses = float(getattr(report, "routing_cache_misses", 0))
-    if cache_hits:
-        registry.counter(
-            "harmony_routing_cache_hits_total",
-            "Probe-cell routing lookups served from the memoized cache",
-        ).inc(cache_hits)
-    if cache_misses:
-        registry.counter(
-            "harmony_routing_cache_misses_total",
-            "Probe-cell routing lookups that recomputed touched shards",
-        ).inc(cache_misses)
-    routing_evictions = float(getattr(report, "routing_cache_evictions", 0))
-    if routing_evictions:
-        registry.counter(
-            "harmony_routing_cache_evictions_total",
-            "Routing-cache entries evicted under capacity pressure",
-        ).inc(routing_evictions)
-    result_hits = float(getattr(report, "result_cache_hits", 0))
-    if result_hits:
-        registry.counter(
-            "harmony_result_cache_hits_total",
-            "Queries answered from the result cache",
-        ).inc(result_hits)
-    result_misses = float(getattr(report, "result_cache_misses", 0))
-    if result_misses:
-        registry.counter(
-            "harmony_result_cache_misses_total",
-            "Queries that missed the result cache and were scanned",
-        ).inc(result_misses)
-    semantic_hits = float(
-        getattr(report, "result_cache_semantic_hits", 0)
-    )
-    if semantic_hits:
-        registry.counter(
-            "harmony_result_cache_semantic_hits_total",
-            "Result-cache hits served by the epsilon-ball semantic tier",
-        ).inc(semantic_hits)
-    result_evictions = float(getattr(report, "result_cache_evictions", 0))
-    if result_evictions:
-        registry.counter(
-            "harmony_result_cache_evictions_total",
-            "Result-cache entries evicted under capacity pressure",
-        ).inc(result_evictions)
-    result_invalidations = float(
-        getattr(report, "result_cache_invalidations", 0)
-    )
-    if result_invalidations:
-        registry.counter(
-            "harmony_result_cache_invalidations_total",
-            "Result-cache entries dropped by index/layout generation moves",
-        ).inc(result_invalidations)
-    registry.gauge(
-        "harmony_result_cache_bytes",
-        "Resident bytes of the result cache (queries + cached answers)",
-    ).set(float(getattr(report, "result_cache_bytes", 0)))
-    registry.gauge(
-        "harmony_delta_rows",
-        "Mutation rows pending in the layout's delta segments",
-    ).set(float(getattr(report, "delta_rows", 0)))
-    registry.gauge(
-        "harmony_tombstones_pending",
-        "Removals tombstoned since the base generation was built",
-    ).set(float(getattr(report, "tombstones_pending", 0)))
-    registry.gauge(
-        "harmony_layout_generation",
-        "Base-generation counter of the scanned packed layout",
-    ).set(float(getattr(report, "layout_generation", 0)))
-    compactions = float(getattr(report, "layout_compactions", 0))
-    if compactions:
-        registry.counter(
-            "harmony_compactions_total",
-            "Delta-merge compactions into a fresh base generation",
-        ).inc(compactions)
-    refreshes = float(getattr(report, "layout_refreshes", 0))
-    if refreshes:
-        registry.counter(
-            "harmony_layout_refreshes_total",
-            "In-place delta refreshes of the packed layout",
-        ).inc(refreshes)
-    queue_seconds = float(getattr(report, "queue_seconds", 0.0))
-    if queue_seconds:
-        registry.counter(
-            "harmony_queue_wait_seconds_total",
-            "Serving-layer coalescing queue wait, summed over requests",
-        ).inc(queue_seconds)
-    worker_steals = getattr(report, "worker_steals", None)
-    if worker_steals is not None:
-        for worker, steals in enumerate(worker_steals):
+    if report.worker_steals is not None:
+        for worker, steals in enumerate(report.worker_steals):
             registry.counter(
                 "harmony_worker_steals_total",
                 "Work-stealing task migrations per pool worker",

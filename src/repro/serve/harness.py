@@ -47,14 +47,11 @@ def make_serial_oracle(db):
     """
     from repro.core.executor.serial import SerialBackend
 
-    config = db.config
     backend = SerialBackend(
         db.index,
         plan=db.plan,
-        prewarm_size=config.prewarm_size,
-        enable_pruning=config.enable_pruning,
         batch_queries=False,
-        scan_precision=config.scan_precision,
+        **db.config.kernel_options(),
     )
 
     def oracle(query, k: int, nprobe: int):

@@ -148,22 +148,8 @@ class ServeStats:
         return self.completed / self.batches
 
     def to_dict(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "shed": self.shed,
-            "degraded": self.degraded,
-            "failed": self.failed,
-            "batches": self.batches,
-            "mean_batch_size": self.mean_batch_size,
-            "max_queue_depth": self.max_queue_depth,
-            "queue_seconds": float(self.queue_seconds),
-            "service_seconds": float(self.service_seconds),
-            "slo_violations": self.slo_violations,
-            "deadline_exceeded": self.deadline_exceeded,
-            "cache_hits": self.cache_hits,
-        }
+        """The declared counters plus the derived ``mean_batch_size``."""
+        return {**vars(self), "mean_batch_size": self.mean_batch_size}
 
 
 @dataclass

@@ -1,5 +1,9 @@
 """Unit tests for repro.core.config."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import HarmonyConfig, Mode, resolve_mode
@@ -39,20 +43,146 @@ class TestHarmonyConfig:
         assert config.metric is Metric.COSINE
         assert config.mode is Mode.DIMENSION
 
+    # One bad value per validation rule, with the exact text the
+    # hand-written checks produced before they became a rule table.
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, message",
         [
-            {"n_machines": 0},
-            {"nlist": 0},
-            {"nprobe": 0},
-            {"alpha": -1.0},
-            {"prewarm_size": -1},
-            {"plan_sample": 0},
+            ({"n_machines": 0}, "n_machines must be positive, got 0"),
+            ({"nlist": 0}, "nlist must be positive, got 0"),
+            ({"nprobe": 0}, "nprobe must be positive, got 0"),
+            ({"alpha": -1.0}, "alpha must be non-negative, got -1.0"),
+            (
+                {"prewarm_size": -1},
+                "prewarm_size must be non-negative, got -1",
+            ),
+            ({"plan_sample": 0}, "plan_sample must be positive, got 0"),
+            (
+                {"forced_grid": (0, 2)},
+                "forced_grid entries must be positive, got (0, 2)",
+            ),
+            ({"replicas": 9}, "replicas must be in [1, n_machines], got 9"),
+            (
+                {"backend": "gpu"},
+                "unknown backend 'gpu'; supported backends: process, "
+                "serial, sim, thread",
+            ),
+            ({"n_threads": 0}, "n_threads must be positive, got 0"),
+            ({"n_workers": 0}, "n_workers must be positive, got 0"),
+            ({"retry_timeout": 0.0}, "retry_timeout must be positive, got 0.0"),
+            ({"max_retries": -1}, "max_retries must be non-negative, got -1"),
+            (
+                {"hedge_latency_threshold": 0.0},
+                "hedge_latency_threshold must be positive or None, got 0.0",
+            ),
+            (
+                {"scan_timeout": -1},
+                "scan_timeout must be positive or None, got -1",
+            ),
+            ({"scan_retries": -1}, "scan_retries must be non-negative, got -1"),
+            (
+                {"scan_precision": "fp16"},
+                "unknown scan_precision 'fp16'; supported precisions: "
+                "fp32, sq8",
+            ),
+            (
+                {"delta_compact_ratio": 0.0},
+                "delta_compact_ratio must be positive, got 0.0",
+            ),
+            (
+                {"memory_bandwidth": 0.0},
+                "memory_bandwidth must be positive or None, got 0.0",
+            ),
+            ({"serve_max_batch": 0}, "serve_max_batch must be positive, got 0"),
+            ({"serve_slo_ms": 0.0}, "serve_slo_ms must be positive, got 0.0"),
+            (
+                {"serve_deadline_fraction": 1.5},
+                "serve_deadline_fraction must be in (0, 1], got 1.5",
+            ),
+            (
+                {"serve_queue_depth": 0},
+                "serve_queue_depth must be positive, got 0",
+            ),
+            (
+                {"serve_shed_policy": "drop"},
+                "unknown serve_shed_policy 'drop'; supported policies: "
+                "degrade_nprobe, reject, shed_oldest",
+            ),
+            (
+                {"serve_deadline_policy": "wait"},
+                "unknown serve_deadline_policy 'wait'; supported "
+                "policies: block, partial, timeout",
+            ),
+            ({"cache_size": 0}, "cache_size must be positive, got 0"),
+            (
+                {"cache_semantic_epsilon": -0.5},
+                "cache_semantic_epsilon must be non-negative, got -0.5",
+            ),
+            (
+                {"routing_cache_size": 0},
+                "routing_cache_size must be positive, got 0",
+            ),
+            (
+                {"metric": "hamming"},
+                "unknown metric 'hamming'; supported metrics: l2, ip, cosine",
+            ),
+            (
+                {"mode": "roundrobin"},
+                "unknown mode 'roundrobin'; supported modes: harmony, "
+                "harmony-vector, harmony-dimension",
+            ),
         ],
     )
-    def test_invalid_values_raise(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_invalid_values_raise(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             HarmonyConfig(**kwargs)
+
+    def test_optional_knobs_accept_none_and_names_normalize(self):
+        config = HarmonyConfig(
+            n_threads=None,
+            scan_timeout=None,
+            backend="Serial",
+            scan_precision="SQ8",
+            serve_shed_policy="degrade-nprobe",
+            serve_deadline_policy="Partial",
+            forced_grid=[2, 2],
+        )
+        assert config.backend == "serial"
+        assert config.scan_precision == "sq8"
+        assert config.serve_shed_policy == "degrade_nprobe"
+        assert config.serve_deadline_policy == "partial"
+        assert config.forced_grid == (2, 2)
+
+    def test_every_field_is_in_the_api_reference(self):
+        """docs/api.md holds the one configuration table; a knob added
+        without a row there fails here."""
+        api = Path(__file__).resolve().parents[1] / "docs" / "api.md"
+        table = api.read_text(encoding="utf-8")
+        missing = [
+            field.name
+            for field in dataclasses.fields(HarmonyConfig)
+            if f"| `{field.name}` |" not in table
+        ]
+        assert not missing
+
+    def test_kernel_and_host_options_name_the_backend_keywords(self):
+        config = HarmonyConfig(
+            backend="process", n_workers=3, scan_precision="sq8",
+            auto_compact=False, scan_timeout=0.5,
+        )
+        kernel = config.kernel_options()
+        assert kernel == dict(
+            prewarm_size=32, enable_pruning=True, scan_precision="sq8",
+            delta_compact_ratio=0.25, auto_compact=False,
+            routing_cache_size=4096,
+        )
+        assert config.host_options() == dict(
+            kernel, batch_queries=True, scan_timeout=0.5, scan_retries=3,
+            n_workers=3,
+        )
+        assert "n_threads" in config.replace(backend="thread").host_options()
+        serial = config.replace(backend="serial").host_options()
+        assert "n_workers" not in serial and "n_threads" not in serial
 
     def test_replace(self):
         config = HarmonyConfig(nlist=32)

@@ -98,13 +98,59 @@ class TestDatabasePersistence:
             loaded.plan.placement, db.plan.placement
         )
 
-    def test_round_trip_preserves_config(self, db, tmp_path):
+    def test_round_trip_preserves_config(
+        self, tiny_data, tiny_queries, tmp_path
+    ):
+        """The whole deployment survives: every config field, and the
+        replica placement failover depends on."""
+        db = HarmonyDB(
+            dim=32,
+            config=HarmonyConfig(
+                n_machines=4, nlist=16, nprobe=4, replicas=2,
+                forced_grid=(2, 1), scan_precision="sq8", enable_cache=True,
+            ),
+        )
+        db.build(tiny_data, sample_queries=tiny_queries)
         path = tmp_path / "db.npz"
         db.save(path)
         loaded = HarmonyDB.load(path)
-        assert loaded.config.nprobe == db.config.nprobe
-        assert loaded.config.mode is db.config.mode
-        assert loaded.config.metric is db.config.metric
+        assert loaded.config == db.config
+        assert loaded.plan.replicas == 2
+        np.testing.assert_array_equal(
+            loaded.plan.replica_placement, db.plan.replica_placement
+        )
+        healthy, _ = loaded.search(tiny_queries, k=5)
+        loaded.result_cache.invalidate()  # make the next search scan
+        loaded.cluster.fail_worker(int(loaded.plan.placement[0, 0]))
+        failed_over, _ = loaded.search(tiny_queries, k=5)
+        np.testing.assert_array_equal(failed_over.ids, healthy.ids)
+        np.testing.assert_array_equal(
+            failed_over.distances, healthy.distances
+        )
+
+    def test_load_opens_a_file_without_the_newer_keys(
+        self, db, tiny_queries, tmp_path
+    ):
+        """A file written before a knob existed (no ``replicas`` /
+        ``forced_grid`` keys, no ``replica_placement`` array) loads
+        with that knob's default."""
+        import json
+
+        path = tmp_path / "db.npz"
+        db.save(path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        assert "replica_placement" not in arrays
+        config = json.loads(str(arrays["config"]))
+        del config["replicas"], config["forced_grid"]
+        arrays["config"] = np.array(json.dumps(config))
+        old_path = tmp_path / "old.npz"
+        np.savez_compressed(old_path, **arrays)
+        loaded = HarmonyDB.load(old_path)
+        assert loaded.config == db.config
+        r1, _ = db.search(tiny_queries, k=5)
+        r2, _ = loaded.search(tiny_queries, k=5)
+        np.testing.assert_array_equal(r1.ids, r2.ids)
 
     def test_loaded_db_supports_mutations(self, db, tiny_queries, tmp_path):
         path = tmp_path / "db.npz"
