@@ -48,7 +48,6 @@ from repro.core.executor import (
     Backend,
     ScanKernel,
     SerialBackend,
-    SimulatedBackend,
     ThreadBackend,
 )
 from repro.core.results import (
@@ -87,7 +86,6 @@ __all__ = [
     "SearchResult",
     "SerialBackend",
     "ServeResponse",
-    "SimulatedBackend",
     "ThreadBackend",
     "WorkerUnavailableError",
     "check_exactness",

@@ -124,6 +124,10 @@ class ReplicaDirectory:
     def block_nbytes(self, shard: int, block: int) -> int:
         return block_bytes(self.index, self.plan, shard, block)
 
+    def resident_bytes(self, machine: int) -> int:
+        """Data bytes of the live copies on ``machine``."""
+        return sum(self.block_nbytes(*key) for key in self.blocks_on(machine))
+
     # ------------------------------------------------------------------
     # Transitions
     # ------------------------------------------------------------------
@@ -247,7 +251,13 @@ class RecoveryManager:
     def _least_loaded_target(
         self, excluded: "set[int] | tuple[int, ...]"
     ) -> int | None:
-        """Live machine with the fewest resident bytes, id as tiebreak."""
+        """Live machine with the fewest resident bytes, id as tiebreak.
+
+        Ranked on the directory's placement, not on the cluster's
+        memory counters: those are charged by whichever executor is
+        open, so they would make the target depend on the backend and
+        on whether a search has run yet.
+        """
         options = [
             m
             for m in range(self.cluster.n_workers)
@@ -257,7 +267,7 @@ class RecoveryManager:
             return None
         return min(
             options,
-            key=lambda m: (self.cluster.node(m).current_bytes, m),
+            key=lambda m: (self.directory.resident_bytes(m), m),
         )
 
     def mark_failed(self, node: int) -> list[tuple[int, int]]:

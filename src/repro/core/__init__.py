@@ -33,7 +33,6 @@ from repro.core.executor import (
     QueryState,
     ScanKernel,
     SerialBackend,
-    SimulatedBackend,
     ThreadBackend,
     resolve_backend,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "SearchResult",
     "SerialBackend",
     "ShardScan",
-    "SimulatedBackend",
     "ThreadBackend",
     "TopKHeap",
     "WorkloadProfile",

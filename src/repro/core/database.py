@@ -31,7 +31,7 @@ from repro.cluster.stats import TimeBreakdown
 from repro.core.config import HarmonyConfig, Mode
 from repro.core.cost_model import CostParameters, WorkloadProfile
 from repro.core.partition import PartitionPlan
-from repro.core.pipeline import PipelineEngine
+from repro.core.pipeline import placement_report
 from repro.core.planner import PlanDecision, QueryPlanner
 from repro.core.results import (
     BuildReport,
@@ -44,7 +44,7 @@ from repro.core.results import (
 
 
 class HarmonyDB:
-    """A HARMONY deployment: index + planner + cluster + engine.
+    """A HARMONY deployment: index + planner + cluster + executor.
 
     Args:
         dim: vector dimensionality.
@@ -80,14 +80,13 @@ class HarmonyDB:
             seed=self.config.seed,
             max_iterations=self.config.kmeans_iterations,
         )
-        self._engine: PipelineEngine | None = None
         self._decision: PlanDecision | None = None
-        self._placement = None
-        self._host_backend = None
+        self._backend = None  # the one executor, see _executor()
+        self._replica_directory = None
         self._host_faults = None
-        # Serializes lazy host-backend construction and teardown:
-        # concurrent first searches used to race the spawn (two pools,
-        # one leaked). The search path itself stays lock-free.
+        # Serializes lazy backend construction and teardown: concurrent
+        # first searches used to race the spawn (two pools, one
+        # leaked). The search path itself stays lock-free.
         self._backend_lock = threading.Lock()
         self._tracer = None
         self._metrics = None
@@ -122,8 +121,6 @@ class HarmonyDB:
             ValueError: if the config disagrees with the index's
                 nlist or metric.
         """
-        from repro.index.ivf import IVFFlatIndex  # noqa: F811
-
         if not index.is_trained or index.ntotal == 0:
             raise RuntimeError("index must be trained and populated")
         config = config or HarmonyConfig(nlist=index.nlist, metric=index.metric)
@@ -146,7 +143,7 @@ class HarmonyDB:
 
     @property
     def is_built(self) -> bool:
-        return self._engine is not None
+        return self._decision is not None
 
     @property
     def ntotal(self) -> int:
@@ -155,9 +152,7 @@ class HarmonyDB:
     @property
     def plan(self) -> PartitionPlan:
         """The active partition plan."""
-        if self._decision is None:
-            raise RuntimeError("build() has not been called")
-        return self._decision.plan
+        return self.plan_decision.plan
 
     @property
     def result_cache(self):
@@ -206,33 +201,38 @@ class HarmonyDB:
         add_seconds = stats.add_elements / client_rate
 
         self._plan_and_place(sample_queries, k)
-        assert self._placement is not None
+        placement = placement_report(
+            self.index, self.plan, self.config, self.cluster.network
+        )
         return BuildReport(
             train_seconds=train_seconds,
             add_seconds=add_seconds,
-            preassign_seconds=self._placement.preassign_seconds,
-            placement=self._placement,
+            preassign_seconds=placement.preassign_seconds,
+            placement=placement,
         )
 
-    def add(self, vectors: np.ndarray, labels: np.ndarray | None = None):
+    def add(
+        self, vectors: np.ndarray, labels: np.ndarray | None = None
+    ) -> int:
         """Insert vectors into a built deployment (streaming ingest).
 
         New vectors join their nearest centroid's inverted list under
-        the existing clustering and partition plan; the affected grid
-        blocks are re-shipped to their machines. Subsequent searches
-        see the new vectors immediately and remain exact w.r.t. a
-        single-node scan. Optional per-vector metadata ``labels`` are
-        usable as search filters.
+        the existing clustering and partition plan; the executor's
+        kernel absorbs them as delta rows on its next search.
+        Subsequent searches see the new vectors immediately and remain
+        exact w.r.t. a single-node scan. Optional per-vector metadata
+        ``labels`` are usable as search filters.
 
         Returns:
-            The refreshed :class:`PlacementReport`.
+            Number of vectors added.
         """
         if not self.is_built:
             raise RuntimeError("build() must be called before add()")
+        before = self.index.ntotal
         self.index.add(vectors, labels=labels)
         if self._result_cache is not None:
             self._result_cache.invalidate()
-        return self._place_engine()
+        return self.index.ntotal - before
 
     def remove(self, ids: np.ndarray) -> int:
         """Delete vectors by id (tombstoned, never returned again).
@@ -243,32 +243,9 @@ class HarmonyDB:
         if not self.is_built:
             raise RuntimeError("build() must be called before remove()")
         removed = self.index.remove_ids(ids)
-        if removed:
-            if self._result_cache is not None:
-                self._result_cache.invalidate()
-            self._place_engine()
+        if removed and self._result_cache is not None:
+            self._result_cache.invalidate()
         return removed
-
-    def _place_engine(self):
-        """(Re)build the sim engine for the active plan and place its
-        blocks: after planning, after a load, and after every index
-        mutation.
-
-        The host backend (thread/process pools, shared segments) is
-        deliberately *kept* across mutations: the plan is unchanged, so
-        its kernel absorbs them lazily as delta rows / tombstone bits
-        on the next search instead of paying a full layout repack.
-        """
-        if self._engine is not None:
-            self._engine.release_data()
-        self._engine = PipelineEngine(
-            index=self.index,
-            plan=self.plan,
-            cluster=self.cluster,
-            config=self.config,
-        )
-        self._placement = self._engine.place_data()
-        return self._placement
 
     def compact(self) -> dict:
         """Merge pending delta segments and tombstones into a fresh
@@ -304,8 +281,7 @@ class HarmonyDB:
         if not self.is_built:
             raise RuntimeError("build() has not been called")
         self._plan_and_place(sample_queries, k)
-        assert self._decision is not None
-        return self._decision
+        return self.plan_decision
 
     def _plan_and_place(
         self, sample_queries: np.ndarray | None, k: int
@@ -349,8 +325,10 @@ class HarmonyDB:
             forced_grid=config.forced_grid,
             replicas=config.replicas,
         )
-        self._place_engine()
-        self._drop_host_backend()
+        # A new plan: the executor and the replica directory built for
+        # the old one go with it.
+        self._replica_directory = None
+        self.close()
 
     # ------------------------------------------------------------------
     # Queries
@@ -393,14 +371,6 @@ class HarmonyDB:
             queries, k, nprobe, filter_labels, arrival_times
         )
 
-    def _executor(self):
-        """What the configured backend searches through: the sim engine
-        or the (lazily built) host backend. Either way ``.kernel`` is
-        the scan kernel in use."""
-        if self.config.backend == "sim":
-            return self._engine
-        return self._get_host_backend()
-
     def _uncached_search(
         self,
         queries: np.ndarray,
@@ -411,7 +381,7 @@ class HarmonyDB:
     ) -> tuple[SearchResult, ExecutionReport]:
         """The configured backend's search, bypassing the result cache."""
         executor = self._executor()
-        if executor is self._engine:
+        if executor.name == "sim":
             return executor.run(
                 queries,
                 k=k,
@@ -572,7 +542,7 @@ class HarmonyDB:
                     sub_result.ids[j], sub_result.distances[j],
                 )
 
-        if self._tracer is not None and executor is not self._engine:
+        if self._tracer is not None and executor.name != "sim":
             # The backend cleared the tracer at sub-batch start, so the
             # lookup span is stamped afterwards (host wall-clock lanes
             # only — the sim trace runs on simulated time).
@@ -652,7 +622,9 @@ class HarmonyDB:
         if self.cluster.failed_workers:
             from repro.cluster.recovery import unavailable_shards
 
-            dead = unavailable_shards(self.cluster, self.plan)
+            dead = unavailable_shards(
+                self.cluster, self.plan, self._replica_directory
+            )
             if dead and not config.degraded_mode:
                 shard = sorted(dead)[0]
                 raise RuntimeError(
@@ -723,45 +695,55 @@ class HarmonyDB:
             )
         return result, report
 
-    def _get_host_backend(self):
-        """The lazily built host backend for the active plan.
+    def _executor(self):
+        """The backend ``config.backend`` names, built lazily for the
+        active plan; ``.kernel`` is the scan kernel in use.
 
-        The backend persists across searches (thread/process pools are
-        expensive to spin up); it is closed and rebuilt whenever the
-        plan or placement changes, and released by :meth:`close`.
-        Construction is serialized by ``_backend_lock`` so concurrent
-        first callers share one backend instead of racing the spawn.
+        Built when the plan changes, never when the data changes: it
+        outlives mutations (its kernel absorbs them as delta rows /
+        tombstone bits) and is dropped only by a new plan or
+        :meth:`close`. ``_backend_lock`` serializes construction so
+        concurrent first callers share one backend.
         """
-        backend = self._host_backend
+        backend = self._backend
         if backend is not None:
             return backend
         with self._backend_lock:
-            backend = self._host_backend
+            backend = self._backend
             if backend is None:
                 from repro.core.executor import resolve_backend
 
-                backend = resolve_backend(self.config.backend)(
-                    self.index, plan=self.plan, **self.config.host_options()
+                backend = resolve_backend(self.config.backend).deploy(
+                    self.index, self.plan, self.cluster, self.config
                 )
                 backend.tracer = self._tracer
                 backend.chaos = self._host_faults
-                self._host_backend = backend
+                backend.replica_directory = self._replica_directory
+                self._backend = backend
         return backend
 
-    def _drop_host_backend(self) -> None:
-        """Close and forget the host backend (pools, shared memory)."""
+    # The perf ledger (benchmarks/ledger, frozen) reads the executor
+    # under these two names.
+    _get_host_backend = _executor
+    _host_backend = property(lambda self: self._backend)
+
+    def close(self) -> None:
+        """Release the executor (worker pools, shared memory, the
+        simulated cluster's placed blocks).
+
+        Idempotent; the database remains usable — the next search
+        lazily rebuilds it.
+        """
         with self._backend_lock:
-            backend, self._host_backend = self._host_backend, None
+            backend, self._backend = self._backend, None
         if backend is not None:
             backend.close()
 
-    def close(self) -> None:
-        """Release execution resources (worker pools, shared memory).
+    def __enter__(self) -> "HarmonyDB":
+        return self
 
-        Idempotent; the database remains usable — the next search
-        lazily rebuilds whatever backend it needs.
-        """
-        self._drop_host_backend()
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def set_host_faults(self, injector) -> None:
         """Attach a :class:`repro.cluster.HostFaultInjector` (or None).
@@ -779,7 +761,7 @@ class HarmonyDB:
             )
         self._host_faults = injector
         with self._backend_lock:
-            backend = self._host_backend
+            backend = self._backend
         if backend is not None:
             backend.chaos = injector
 
@@ -832,16 +814,16 @@ class HarmonyDB:
             capacity=capacity if capacity is not None else DEFAULT_CAPACITY
         )
         self.cluster.tracer = self._tracer
-        if self._host_backend is not None:
-            self._host_backend.tracer = self._tracer
+        if self._backend is not None:
+            self._backend.tracer = self._tracer
         return self._tracer
 
     def disable_tracing(self) -> None:
         """Detach the tracer; the hot path returns to untraced cost."""
         self._tracer = None
         self.cluster.tracer = None
-        if self._host_backend is not None:
-            self._host_backend.tracer = None
+        if self._backend is not None:
+            self._backend.tracer = None
 
     def attach_metrics(self, registry=None):
         """Attach (or create) a live metrics registry; returns it.
@@ -877,21 +859,22 @@ class HarmonyDB:
     def enable_fault_recovery(self):
         """Track live replicas and return a :class:`RecoveryManager`.
 
-        Wires a :class:`~repro.cluster.recovery.ReplicaDirectory` into
-        the execution engine (replica routing then follows the live
-        directory instead of the plan's static placement) and returns
-        the manager whose ``fail(node, now)`` / ``restore(node, now)``
-        drive simulated re-replication and rebalancing.
+        The :class:`~repro.cluster.recovery.ReplicaDirectory` is the
+        deployment's: until the plan changes, every search on any
+        backend routes by it instead of the plan's static placement.
+        The returned manager's ``fail(node, now)`` / ``restore(node,
+        now)`` drive simulated re-replication and rebalancing.
         """
         if not self.is_built:
             raise RuntimeError(
                 "build() must be called before enable_fault_recovery()"
             )
-        assert self._engine is not None
         from repro.cluster.recovery import RecoveryManager, ReplicaDirectory
 
         directory = ReplicaDirectory(self.plan, self.index)
-        self._engine.replica_directory = directory
+        self._replica_directory = directory
+        if self._backend is not None:
+            self._backend.replica_directory = directory
         return RecoveryManager(
             cluster=self.cluster,
             plan=self.plan,
@@ -998,7 +981,6 @@ class HarmonyDB:
                 ((plan.n_vector_shards, plan.n_dim_blocks), cost),
             ),
         )
-        db._place_engine()
         return db
 
     # ------------------------------------------------------------------
@@ -1012,14 +994,15 @@ class HarmonyDB:
         id to resident index bytes under the active plan;
         ``single_node_total`` is what one Faiss-style node would hold.
         """
-        if self._placement is None:
-            raise RuntimeError("build() has not been called")
+        placement = placement_report(
+            self.index, self.plan, self.config, self.cluster.network
+        )
         single = self.index.memory_report()
         return {
-            "per_machine": dict(self._placement.per_machine_bytes),
-            "max_machine_bytes": self._placement.max_machine_bytes,
-            "mean_machine_bytes": self._placement.mean_machine_bytes,
-            "total_bytes": self._placement.total_bytes,
+            "per_machine": placement.per_machine_bytes,
+            "max_machine_bytes": placement.max_machine_bytes,
+            "mean_machine_bytes": placement.mean_machine_bytes,
+            "total_bytes": placement.total_bytes,
             "single_node_total": single["total"],
             "plan": self.plan.describe(),
         }

@@ -10,8 +10,11 @@ name      class                       substrate
 serial    :class:`SerialBackend`      plain loop (reference oracle)
 thread    :class:`ThreadBackend`      persistent host thread pool
 process   :class:`ProcessBackend`     worker processes over shared memory
-sim       :class:`SimulatedBackend`   discrete-event cluster + timelines
+sim       ``PipelineEngine``          discrete-event cluster + timelines
 ========  ==========================  ===================================
+
+(``PipelineEngine`` lives in :mod:`repro.core.pipeline`, which imports
+this package, so it is not re-exported here.)
 
 All backends return byte-identical ids/distances by construction; only
 the timing side effects differ.
@@ -31,7 +34,6 @@ from repro.core.executor.kernel import (
 )
 from repro.core.executor.process import ProcessBackend, ProcessPoolError
 from repro.core.executor.serial import SerialBackend
-from repro.core.executor.simulated import SimulatedBackend
 from repro.core.executor.threads import ThreadBackend
 
 __all__ = [
@@ -43,7 +45,6 @@ __all__ = [
     "QueryState",
     "ScanKernel",
     "SerialBackend",
-    "SimulatedBackend",
     "ThreadBackend",
     "collect_results",
     "default_plan",

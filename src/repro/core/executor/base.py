@@ -10,8 +10,8 @@ execution substrate. The library ships four:
 - :class:`~repro.core.executor.process.ProcessBackend` — persistent
   worker processes scanning shared-memory shard layouts with
   work-stealing scheduling (multi-core without the GIL);
-- :class:`~repro.core.executor.simulated.SimulatedBackend` — the
-  discrete-event cluster, charging compute/comm to machine timelines.
+- :class:`~repro.core.pipeline.PipelineEngine` — the discrete-event
+  cluster, charging compute/comm to machine timelines.
 
 Adding another substrate (async server, RPC fan-out) is a one-file
 change: subclass :class:`Backend`, reuse the kernel.
@@ -41,6 +41,26 @@ class Backend(abc.ABC):
     #: Short name used by ``HarmonyConfig.backend`` / ``--backend``.
     name: str = "abstract"
 
+    #: Deployment state a ``HarmonyDB`` hands the executor it builds
+    #: (None = off, and the hot path stays free of it): a
+    #: ``repro.obs.Tracer`` — host backends record wall-clock spans, one
+    #: lane per worker thread; the simulator forwards it to its cluster
+    #: — a :class:`~repro.cluster.host_faults.HostFaultInjector`
+    #: driving deterministic chaos, which only host backends consult,
+    #: and the live :class:`~repro.cluster.recovery.ReplicaDirectory`,
+    #: which overrides the plan's static replica placement (only the
+    #: simulator routes by machine; ``HarmonyDB`` applies it to host
+    #: searches as the set of shards to skip).
+    tracer = None
+    chaos = None
+    replica_directory = None
+
+    @classmethod
+    def deploy(cls, index, plan, cluster, config) -> "Backend":
+        """This backend as ``HarmonyDB`` builds it for a deployment
+        (the simulated ``cluster`` is the sim backend's substrate only)."""
+        return cls(index, plan=plan, **config.host_options())
+
     @abc.abstractmethod
     def search(
         self,
@@ -58,6 +78,12 @@ class Backend(abc.ABC):
         resources; a closed backend may lazily re-acquire resources on
         the next ``search()``.
         """
+
+    def __enter__(self) -> "Backend":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def default_plan(index: "IVFFlatIndex") -> PartitionPlan:
@@ -124,17 +150,9 @@ class HostBackend(Backend):
         self.batch_queries = batch_queries
         self.scan_timeout = scan_timeout
         self.scan_retries = int(scan_retries)
-        #: Optional :class:`repro.cluster.host_faults.HostFaultInjector`
-        #: driving deterministic chaos through this backend. None
-        #: (default) keeps the hot path injection-free.
-        self.chaos = None
         #: Recovery activity (respawns / requeues / timeouts /
         #: abandons) since the last ``fault_counters.take()``.
         self.fault_counters = HostFaultCounters()
-        #: Optional repro.obs.Tracer recording wall-clock spans, one
-        #: lane per host worker thread. None (default) keeps the
-        #: untraced path free of instrumentation.
-        self.tracer = None
         #: Candidates re-ranked against fp32 rows by the most recent
         #: search() call (always 0 on the fp32 path).
         self.last_rerank_count = 0
@@ -276,7 +294,7 @@ class HostBackend(Backend):
 
 
 BACKENDS: dict[str, str] = {
-    "sim": "repro.core.executor.simulated:SimulatedBackend",
+    "sim": "repro.core.pipeline:PipelineEngine",
     "thread": "repro.core.executor.threads:ThreadBackend",
     "serial": "repro.core.executor.serial:SerialBackend",
     "process": "repro.core.executor.process:ProcessBackend",

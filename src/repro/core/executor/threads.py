@@ -105,12 +105,6 @@ class ThreadBackend(HostBackend):
             pool.shutdown(wait=True)
         super().close()
 
-    def __enter__(self) -> "ThreadBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- chaos + supervision --------------------------------------------
 
     def _chaos_wrap(self, fn):

@@ -53,6 +53,7 @@ from repro.cluster.messages import (
     result_set_bytes,
 )
 from repro.core.config import HarmonyConfig
+from repro.core.executor.base import Backend
 from repro.core.executor.kernel import (
     QueryState,
     ScanKernel,
@@ -96,6 +97,56 @@ IN_FLIGHT_SCANS = 8
 RESTRUCTURE_BYTES_PER_SECOND = 2e9
 
 
+def placement_report(
+    index: IVFFlatIndex, plan: PartitionPlan, config: HarmonyConfig, network
+) -> PlacementReport:
+    """Per-machine bytes and simulated time of the Pre-assign stage —
+    pure accounting, no cluster state is touched.
+
+    The client streams each grid block over the network, and machines
+    hosting *dimension-sliced* blocks additionally restructure them
+    into column-sliced layout and initialize partial-result workspaces
+    — the data-size-dependent extra cost the paper observes for
+    Harmony / Harmony-dimension.
+    """
+    widths = plan.slices.widths()
+    sizes = index.list_sizes()
+    per_machine: dict[int, int] = {m: 0 for m in range(plan.n_machines)}
+    send_clock = 0.0
+    ready_at: dict[int, float] = {m: 0.0 for m in range(plan.n_machines)}
+
+    expected_candidates = int(
+        np.ceil(index.ntotal * config.nprobe / index.nlist)
+    )
+    for shard in range(plan.n_vector_shards):
+        shard_rows = int(sizes[plan.lists_of_shard(shard)].sum())
+        for block in range(plan.n_dim_blocks):
+            block_bytes = shard_rows * widths[block] * 4
+            if config.scan_precision == "sq8":
+                # Dual representation: uint8 codes ride alongside
+                # the fp32 rows (scans stream the codes; survivors
+                # re-rank against the full-precision block).
+                block_bytes += shard_rows * widths[block]
+            id_bytes = shard_rows * 8
+            nbytes = block_bytes + id_bytes
+            restructure = 0.0
+            if plan.n_dim_blocks > 1:
+                nbytes += expected_candidates * PARTIAL_ENTRY_BYTES
+                restructure = block_bytes / RESTRUCTURE_BYTES_PER_SECOND
+            # Every replica holds (and receives) a full copy.
+            for machine in plan.replica_machines(shard, block):
+                machine = int(machine)
+                per_machine[machine] += nbytes
+                send_clock += network.transfer_time(nbytes)
+                ready_at[machine] = max(
+                    ready_at[machine], send_clock + restructure
+                )
+    preassign = max(ready_at.values()) if ready_at else 0.0
+    return PlacementReport(
+        per_machine_bytes=per_machine, preassign_seconds=preassign
+    )
+
+
 @dataclass
 class _ScanState:
     """One in-flight (query, shard) pass through the dimension pipeline."""
@@ -116,8 +167,16 @@ class _ScanState:
     remaining: list[int] = field(default_factory=list)
 
 
-class PipelineEngine:
-    """Distributed query executor for one (index, plan, cluster) triple.
+class PipelineEngine(Backend):
+    """Distributed query executor for one (index, plan, cluster) triple:
+    the ``sim`` :class:`~repro.core.executor.base.Backend`.
+
+    Unlike the host backends it steps per query — the timing model
+    charges stages query by query — but on the same kernel and packed
+    layout; charges depend only on candidate counts, which the packed
+    gather preserves exactly. Like them it lives as long as its plan:
+    the kept kernel absorbs index mutations and :meth:`run` redoes only
+    the placed blocks' memory accounting.
 
     Args:
         index: trained+populated IVF index (shared across strategies).
@@ -125,6 +184,8 @@ class PipelineEngine:
         cluster: simulated cluster whose timelines are charged.
         config: flags controlling pruning / pipelining / load balance.
     """
+
+    name = "sim"
 
     def __init__(
         self,
@@ -145,6 +206,7 @@ class PipelineEngine:
         self.cluster = cluster
         self.config = config
         self._static_allocations: dict[int, int] = {}
+        self._placed_version = index.version
         self._inflight: dict[int, list[int]] = {}
         # The client's result-merge side runs on its own timeline: the
         # 56-thread client overlaps dispatching new queries with merging
@@ -161,10 +223,6 @@ class PipelineEngine:
         # replica routing balances against this because real loads are
         # still zero while a batch is being dispatched.
         self._dispatch_loads = np.zeros(cluster.n_workers, dtype=np.float64)
-        # Live replica locations; when a recovery manager is wired in
-        # (HarmonyDB.enable_fault_recovery) this directory overrides the
-        # plan's static placement, so re-replicated copies are routable.
-        self.replica_directory = None
         # Per-run fault bookkeeping, rebuilt by run().
         self._fault_stats = FaultStats()
         self._coverage: np.ndarray | None = None
@@ -178,66 +236,64 @@ class PipelineEngine:
         self._scan_bytes_per_element = (
             1 if config.scan_precision == "sq8" else 4
         )
+        #: Timing report of the most recent :meth:`search`.
+        self.last_report: ExecutionReport | None = None
+
+    # ------------------------------------------------------------------
+    # Backend interface
+    # ------------------------------------------------------------------
+
+    @classmethod
+    def deploy(cls, index, plan, cluster, config) -> "PipelineEngine":
+        engine = cls(index, plan, cluster, config)
+        engine.place_data()
+        return engine
+
+    @property
+    def tracer(self):
+        """The cluster's ``repro.obs.Tracer``: every simulated charge
+        is a span on its machine's lane, so assigning a tracer here
+        traces the engine like any other backend."""
+        return self.cluster.tracer
+
+    @tracer.setter
+    def tracer(self, tracer) -> None:
+        self.cluster.tracer = tracer
+
+    def search(
+        self,
+        queries: np.ndarray,
+        k: int,
+        nprobe: int = 1,
+        filter_labels: "np.ndarray | list[int] | None" = None,
+    ) -> SearchResult:
+        """:meth:`run` behind the uniform backend signature; the timing
+        report lands in :attr:`last_report`."""
+        result, self.last_report = self.run(
+            queries, k=k, nprobe=nprobe, filter_labels=filter_labels
+        )
+        return result
+
+    def close(self) -> None:
+        """Release the placed blocks' memory from the cluster."""
+        self.release_data()
 
     # ------------------------------------------------------------------
     # Data placement
     # ------------------------------------------------------------------
 
     def place_data(self) -> PlacementReport:
-        """Distribute index blocks to machines (the Pre-assign stage).
-
-        Charges static memory to each worker and computes the simulated
-        pre-assignment time: the client streams each grid block over
-        the network, and machines hosting *dimension-sliced* blocks
-        additionally restructure them into column-sliced layout and
-        initialize partial-result workspaces — the data-size-dependent
-        extra cost the paper observes for Harmony / Harmony-dimension.
-        """
+        """Charge :func:`placement_report`'s static bytes to the workers."""
         if self._static_allocations:
             raise RuntimeError("data already placed; call release_data() first")
-        plan = self.plan
-        widths = plan.slices.widths()
-        sizes = self.index.list_sizes()
-        network = self.cluster.network
-        per_machine: dict[int, int] = {m: 0 for m in range(plan.n_machines)}
-        send_clock = 0.0
-        ready_at: dict[int, float] = {m: 0.0 for m in range(plan.n_machines)}
-
-        expected_candidates = int(
-            np.ceil(
-                self.index.ntotal * self.config.nprobe / self.index.nlist
-            )
+        report = placement_report(
+            self.index, self.plan, self.config, self.cluster.network
         )
-        for shard in range(plan.n_vector_shards):
-            shard_rows = int(sizes[plan.lists_of_shard(shard)].sum())
-            for block in range(plan.n_dim_blocks):
-                block_bytes = shard_rows * widths[block] * 4
-                if self.config.scan_precision == "sq8":
-                    # Dual representation: uint8 codes ride alongside
-                    # the fp32 rows (scans stream the codes; survivors
-                    # re-rank against the full-precision block).
-                    block_bytes += shard_rows * widths[block]
-                id_bytes = shard_rows * 8
-                nbytes = block_bytes + id_bytes
-                restructure = 0.0
-                if plan.n_dim_blocks > 1:
-                    nbytes += expected_candidates * PARTIAL_ENTRY_BYTES
-                    restructure = block_bytes / RESTRUCTURE_BYTES_PER_SECOND
-                # Every replica holds (and receives) a full copy.
-                for machine in plan.replica_machines(shard, block):
-                    machine = int(machine)
-                    per_machine[machine] += nbytes
-                    send_clock += network.transfer_time(nbytes)
-                    ready_at[machine] = max(
-                        ready_at[machine], send_clock + restructure
-                    )
-        for machine, nbytes in per_machine.items():
+        for machine, nbytes in report.per_machine_bytes.items():
             self.cluster.allocate(machine, nbytes)
-        self._static_allocations = dict(per_machine)
-        preassign = max(ready_at.values()) if ready_at else 0.0
-        return PlacementReport(
-            per_machine_bytes=per_machine, preassign_seconds=preassign
-        )
+        self._static_allocations = dict(report.per_machine_bytes)
+        self._placed_version = self.index.version
+        return report
 
     def release_data(self) -> None:
         """Release statically placed blocks (used when re-planning)."""
@@ -294,6 +350,14 @@ class PipelineEngine:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         nprobe = nprobe if nprobe is not None else self.config.nprobe
+        if (
+            self._static_allocations
+            and self._placed_version != self.index.version
+        ):
+            # The index mutated under placed data: the kernel absorbs
+            # the rows lazily, only the memory accounting is redone.
+            self.release_data()
+            self.place_data()
         queries = self.kernel.prepare_queries(queries)
         if arrival_times is not None:
             arrival_times = np.asarray(arrival_times, dtype=np.float64)

@@ -18,7 +18,8 @@ from repro.cluster.node import (
     WorkerNode,
 )
 from repro.core.config import HarmonyConfig
-from repro.core.executor import SerialBackend, SimulatedBackend
+from repro.core.executor import SerialBackend, default_plan
+from repro.core.pipeline import PipelineEngine
 from repro.index.ivf import IVFFlatIndex
 
 
@@ -129,11 +130,17 @@ class TestClusterPassthrough:
 
 class TestSimulatedContention:
     def run_sim(self, index, queries, scan_precision, memory_bandwidth):
-        backend = SimulatedBackend(
-            index,
+        plan = default_plan(index)
+        config = HarmonyConfig(
+            n_machines=plan.n_machines,
+            nlist=index.nlist,
             scan_precision=scan_precision,
             memory_bandwidth=memory_bandwidth,
         )
+        cluster = Cluster(
+            n_workers=plan.n_machines, memory_bandwidth=memory_bandwidth
+        )
+        backend = PipelineEngine(index, plan, cluster, config)
         result = backend.search(queries, k=5, nprobe=4)
         return result, backend.last_report
 
@@ -173,11 +180,19 @@ class TestSimulatedContention:
         index = make_index()
         rng = np.random.default_rng(2)
         queries = rng.standard_normal((8, index.dim)).astype(np.float32)
-        _, default_report = self.run_sim(index, queries, "fp32", None)
-        backend = SimulatedBackend(index)
+        _, uncapped_report = self.run_sim(index, queries, "fp32", None)
+        # The library defaults, with the knob named nowhere: they must
+        # be the uncapped model, not merely agree with themselves.
+        plan = default_plan(index)
+        backend = PipelineEngine(
+            index,
+            plan,
+            Cluster(n_workers=plan.n_machines),
+            HarmonyConfig(n_machines=plan.n_machines, nlist=index.nlist),
+        )
         backend.search(queries, k=5, nprobe=4)
         assert (
-            default_report.simulated_seconds
+            uncapped_report.simulated_seconds
             == backend.last_report.simulated_seconds
         )
 

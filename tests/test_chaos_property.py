@@ -29,7 +29,7 @@ CHAOS_SEEDS = [0, 1, 2, 3, 4, 5]
 
 def _assert_genuine(db, result, queries, coverage, oracle):
     """Every row is byte-exact (full coverage) or flagged + genuine."""
-    prepared = db._engine.kernel.prepare_queries(queries)
+    prepared = db._executor().kernel.prepare_queries(queries)
     for i in range(result.n_queries):
         if coverage[i] == 1.0:
             np.testing.assert_array_equal(result.ids[i], oracle.ids[i])

@@ -149,8 +149,12 @@ class TestReplan:
             dim=32, config=HarmonyConfig(n_machines=4, nlist=16, nprobe=4)
         )
         db.build(tiny_data, sample_queries=tiny_queries)
+        db.search(tiny_queries, k=5)  # opens the executor: blocks placed
         before = sum(w.current_bytes for w in db.cluster.workers)
+        assert before > 0
         db.replan(tiny_queries)
+        assert all(w.current_bytes == 0 for w in db.cluster.workers)
+        db.search(tiny_queries, k=5)
         after = sum(w.current_bytes for w in db.cluster.workers)
         assert after == pytest.approx(before, rel=0.2)
 

@@ -18,15 +18,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.cluster import Cluster
 from repro.core.config import HarmonyConfig
 from repro.core.executor import (
     ProcessBackend,
     SerialBackend,
-    SimulatedBackend,
     ThreadBackend,
     resolve_backend,
 )
 from repro.core.partition import build_plan
+from repro.core.pipeline import PipelineEngine
 from repro.distance.metrics import Metric
 from repro.index.ivf import IVFFlatIndex
 
@@ -60,7 +61,7 @@ def sim_backend(
         enable_load_balance=not canonical_order,
         scan_precision=scan_precision,
     )
-    return SimulatedBackend(index, plan=plan, config=config)
+    return PipelineEngine(index, plan, Cluster(plan.n_machines), config)
 
 
 def assert_equivalent(results, ids_ref, dist_ref, bitwise):
@@ -203,7 +204,7 @@ def test_serial_backend_matches_single_node_scan():
 def test_resolve_backend_names():
     assert resolve_backend("serial") is SerialBackend
     assert resolve_backend("THREAD") is ThreadBackend
-    assert resolve_backend("sim") is SimulatedBackend
+    assert resolve_backend("sim") is PipelineEngine
     assert resolve_backend("process") is ProcessBackend
     with pytest.raises(ValueError, match="unknown backend"):
         resolve_backend("mpi")

@@ -559,6 +559,9 @@ class TestRecovery:
     def test_memory_accounting_balances(self, tiny_data, tiny_queries):
         db = self._db(tiny_data, tiny_queries)
         manager = db.enable_fault_recovery()
+        # Open the executor so the sim backend's placed blocks are on
+        # the books: an over-release must not hide behind a zero floor.
+        db.search(tiny_queries, k=5)
         before = [n.current_bytes for n in db.cluster.workers]
         manager.fail(0, now=0.0)
         manager.restore(0, now=0.5)

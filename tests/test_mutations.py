@@ -249,11 +249,7 @@ class TestDeltaLayoutMaintenance:
             ),
         )
         db.build(tiny_data, sample_queries=tiny_queries)
-        kernel = (
-            db._engine.kernel
-            if backend == "sim"
-            else db._get_host_backend().kernel
-        )
+        kernel = db._executor().kernel
         assert kernel.auto_compact is False
         assert kernel.delta_compact_ratio == 0.05
         assert kernel.routing_cache.max_entries == 7

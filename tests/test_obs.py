@@ -410,20 +410,18 @@ class TestHostBackendTracing:
 
 class TestBackendTracerSurface:
     def test_simulated_backend_forwards_to_cluster(self, data):
-        from repro.core.executor.simulated import SimulatedBackend
+        from repro.cluster.cluster import Cluster
+        from repro.core.pipeline import PipelineEngine
 
         base, queries = data
         db = make_db(data)
-        backend = SimulatedBackend(db.index, plan=db.plan)
+        backend = PipelineEngine(db.index, db.plan, Cluster(4), db.config)
         assert backend.tracer is None
         tracer = Tracer()
         backend.tracer = tracer
         assert backend.cluster.tracer is tracer
         backend.search(queries, k=5, nprobe=4)
         assert len(tracer.spans()) > 0
-        registry = MetricsRegistry()
-        backend.metrics = registry
-        assert backend.cluster.metrics is registry
 
 
 class TestFaultTracing:
