@@ -129,8 +129,8 @@ def run_suite(params, log=print):
         ref = None
         rerank = 0
         for name, backend in backends.items():
-            seconds[name], result = _best_of(
-                lambda b=backend: b.search(queries, k=k, nprobe=nprobe),
+            seconds[name], (result, report) = _best_of(
+                lambda b=backend: b.run(queries, k=k, nprobe=nprobe),
                 params["repeats"],
             )
             if name == "serial_fp32":
@@ -143,7 +143,7 @@ def run_suite(params, log=print):
                 f"{name} distances diverge from the fp32 serial oracle"
             )
             if name == "serial_sq8":
-                rerank = int(backend.last_rerank_count)
+                rerank = report.rerank_candidates
         case = {
             "batch": batch,
             "n_slices": params["n_slices"],

@@ -56,9 +56,7 @@ from repro.core.results import (
     SearchResult,
 )
 from repro.core.routing import (
-    adaptive_order,
     shard_candidate_lists,
-    slice_order,
     staggered_order,
     touched_shards,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "ThreadBackend",
     "TopKHeap",
     "WorkloadProfile",
-    "adaptive_order",
     "assign_lists_balanced",
     "assign_lists_contiguous",
     "build_plan",
@@ -103,7 +100,6 @@ __all__ = [
     "resolve_mode",
     "round_robin_placement",
     "shard_candidate_lists",
-    "slice_order",
     "staggered_order",
     "touched_shards",
 ]

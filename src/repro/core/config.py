@@ -99,7 +99,7 @@ _KERNEL_KNOBS = (
 
 #: Knobs every host backend takes beside the kernel's, and the pool-size
 #: knob of the two that have a pool.
-_HOST_KNOBS = ("batch_queries", "scan_timeout", "scan_retries")
+_HOST_KNOBS = ("batch_queries", "scan_timeout", "scan_retries", "degraded_mode")
 _POOL_KNOB = {"thread": ("n_threads",), "process": ("n_workers",)}
 
 

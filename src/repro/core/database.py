@@ -35,9 +35,7 @@ from repro.core.pipeline import placement_report
 from repro.core.planner import PlanDecision, QueryPlanner
 from repro.core.results import (
     BuildReport,
-    DegradedReport,
     ExecutionReport,
-    FaultStats,
     SearchResult,
     stamp_from,
 )
@@ -363,6 +361,10 @@ class HarmonyDB:
         """
         if not self.is_built:
             raise RuntimeError("build() must be called before search()")
+        if self._tracer is not None:
+            # One trace per batch (the simulator's reset_time does the
+            # same for an engine driven directly).
+            self._tracer.clear()
         if self._result_cache is not None and arrival_times is None:
             return self._cached_search(
                 queries, k=k, nprobe=nprobe, filter_labels=filter_labels
@@ -380,21 +382,13 @@ class HarmonyDB:
         arrival_times: np.ndarray | None = None,
     ) -> tuple[SearchResult, ExecutionReport]:
         """The configured backend's search, bypassing the result cache."""
-        executor = self._executor()
-        if executor.name == "sim":
-            return executor.run(
-                queries,
-                k=k,
-                nprobe=nprobe,
-                arrival_times=arrival_times,
-                filter_labels=filter_labels,
-            )
-        if arrival_times is not None:
-            raise ValueError(
-                "arrival_times (open-loop simulation) requires the "
-                "'sim' backend"
-            )
-        return self._host_search(executor, queries, k, nprobe, filter_labels)
+        return self._executor().run(
+            queries,
+            k,
+            nprobe if nprobe is not None else self.config.nprobe,
+            filter_labels=filter_labels,
+            arrival_times=arrival_times,
+        )
 
     def _cache_generation(self) -> tuple:
         """The ``(index uid, index version, layout generation)`` tuple
@@ -466,8 +460,7 @@ class HarmonyDB:
         cache = self._result_cache
         assert cache is not None
         nprobe = nprobe if nprobe is not None else self.config.nprobe
-        executor = self._executor()
-        prepared = executor.kernel.prepare_queries(queries)
+        prepared = self._executor().kernel.prepare_queries(queries)
         nq = prepared.shape[0]
         if nq == 0:
             return self._uncached_search(queries, k, nprobe, filter_labels)
@@ -484,8 +477,10 @@ class HarmonyDB:
         ]
         lookup_end = time.perf_counter()
         miss_rows = [i for i, hit in enumerate(hits) if hit is None]
-
-        def trace_lookup() -> None:
+        if self._tracer is not None:
+            # A wall-clock span: it stays in a host backend's trace of
+            # the sub-batch below, and goes when the simulator resets
+            # the trace to simulated time zero.
             self._tracer.record(
                 "cache-lookup", "other", CACHE_LANE,
                 lookup_start, lookup_end,
@@ -495,11 +490,12 @@ class HarmonyDB:
         if not miss_rows:
             # Whole batch served from cache: no routing, no scan.
             elapsed = lookup_end - lookup_start
-            if self._tracer is not None:
-                self._tracer.clear()
-                trace_lookup()
-            report = self._wall_clock_report(
-                nq, k, nprobe, "result cache", TimeBreakdown(other=elapsed)
+            report = ExecutionReport.host_timed(
+                nq, k, nprobe, self.plan, "result cache",
+                TimeBreakdown(other=elapsed),
+                trace=(
+                    self._tracer.trace() if self._tracer is not None else None
+                ),
             )
             stamp_from(
                 report, "result_cache", stats_before, vars(cache.stats())
@@ -542,13 +538,6 @@ class HarmonyDB:
                     sub_result.ids[j], sub_result.distances[j],
                 )
 
-        if self._tracer is not None and executor.name != "sim":
-            # The backend cleared the tracer at sub-batch start, so the
-            # lookup span is stamped afterwards (host wall-clock lanes
-            # only — the sim trace runs on simulated time).
-            trace_lookup()
-            report.trace = self._tracer.trace()
-
         stamp_from(report, "result_cache", stats_before, vars(cache.stats()))
         if len(miss_rows) == nq:
             return sub_result, report
@@ -568,132 +557,6 @@ class HarmonyDB:
                 distances[i] = hit.distances
         report.n_queries = nq
         return SearchResult(distances=distances, ids=ids), report
-
-    def _wall_clock_report(
-        self, n_queries, k, nprobe, served_by, breakdown, **fields
-    ) -> ExecutionReport:
-        """Report of a batch timed on the host: the measured seconds
-        all sit in one category and no simulated worker did anything."""
-        return ExecutionReport(
-            n_queries=n_queries,
-            k=k,
-            nprobe=nprobe,
-            simulated_seconds=breakdown.total,
-            breakdown=breakdown,
-            worker_loads=np.zeros(self.config.n_machines, dtype=np.float64),
-            pruning=None,
-            peak_memory_bytes=0,
-            plan_summary=f"{self.plan.describe()} [{served_by}]",
-            trace=self._tracer.trace() if self._tracer is not None else None,
-            **fields,
-        )
-
-    def _host_search(
-        self,
-        backend,
-        queries: np.ndarray,
-        k: int,
-        nprobe: int | None,
-        filter_labels: "np.ndarray | list[int] | None",
-    ) -> tuple[SearchResult, ExecutionReport]:
-        """Run the batch on a host backend; report host wall-clock.
-
-        Host backends honor the cluster's failure state the same way
-        the simulator does: a shard whose every replica of some block
-        is failed either raises (default) or is skipped with coverage
-        accounting (``degraded_mode``). Timed fault schedules need the
-        simulated timeline and are rejected here.
-        """
-        config = self.config
-        if self.cluster.fault_schedule is not None:
-            raise ValueError(
-                "fault schedules require the 'sim' backend; the "
-                f"{config.backend!r} backend has no simulated "
-                "timeline to apply timed events to"
-            )
-        kernel = backend.kernel
-        nprobe = nprobe if nprobe is not None else config.nprobe
-        layout_before = kernel.layout_stats()
-        routing_cache = kernel.routing_cache
-        routing_before = (
-            routing_cache.stats() if routing_cache is not None else None
-        )
-        dead: set[int] = set()
-        if self.cluster.failed_workers:
-            from repro.cluster.recovery import unavailable_shards
-
-            dead = unavailable_shards(
-                self.cluster, self.plan, self._replica_directory
-            )
-            if dead and not config.degraded_mode:
-                shard = sorted(dead)[0]
-                raise RuntimeError(
-                    f"no live replica of grid blocks of shard {shard}; "
-                    f"failed workers: "
-                    f"{sorted(self.cluster.failed_workers)}; enable "
-                    f"degraded_mode to serve partial results"
-                )
-        coverage = None
-        skip_shards = None
-        if config.degraded_mode:
-            prepared = kernel.prepare_queries(queries)
-            coverage = np.zeros((prepared.shape[0], 2), dtype=np.int64)
-            skip_shards = frozenset(dead) if dead else None
-        if self._tracer is not None:
-            # One trace per batch, matching the sim backend's
-            # reset_time semantics.
-            self._tracer.clear()
-        start = time.perf_counter()
-        result = backend.search(
-            queries, k=k, nprobe=nprobe, filter_labels=filter_labels,
-            skip_shards=skip_shards, coverage=coverage,
-        )
-        elapsed = time.perf_counter() - start
-        faults = FaultStats(**vars(backend.fault_counters.take()))
-        degraded = None
-        if coverage is not None:
-            from repro.core.executor.kernel import recall_vs_healthy
-            from repro.core.routing import touched_shards
-
-            probes = self.index.probe(prepared, nprobe)
-            allowed = self.index.allowed_mask(filter_labels)
-            if dead:
-                faults.skipped_scans = sum(
-                    int(shard) in dead
-                    for probe_row in probes
-                    for shard in touched_shards(self.plan, probe_row)
-                )
-            degraded = DegradedReport.from_counts(
-                coverage,
-                skipped_scans=faults.skipped_scans,
-                abandoned_scans=faults.abandoned_scans,
-                recall_of=lambda degraded_idx: recall_vs_healthy(
-                    kernel, prepared, probes, k, allowed,
-                    degraded_idx, result.ids,
-                ),
-            )
-        report = self._wall_clock_report(
-            result.n_queries,
-            k,
-            nprobe,
-            f"{backend.name} backend, host wall-clock",
-            TimeBreakdown(computation=elapsed),
-            fault_stats=faults if faults.any_activity else None,
-            degraded=degraded,
-            layout_bytes=backend.layout_nbytes(),
-            worker_steals=(
-                [int(s) for s in backend.last_steal_counts]
-                if backend.name == "process" else None
-            ),
-            rerank_candidates=int(backend.last_rerank_count),
-            code_bytes=backend.code_nbytes(),
-        )
-        stamp_from(report, "layout", layout_before, kernel.layout_stats())
-        if routing_cache is not None:
-            stamp_from(
-                report, "routing", routing_before, routing_cache.stats()
-            )
-        return result, report
 
     def _executor(self):
         """The backend ``config.backend`` names, built lazily for the
@@ -901,23 +764,15 @@ class HarmonyDB:
                 for name, value in dataclasses.asdict(self.config).items()
             }
         )
-        assignment = np.full(self.index.ntotal, -1, dtype=np.int64)
-        for list_id in range(self.index.nlist):
-            assignment[self.index._list_ids[list_id]] = list_id
         arrays = dict(
-            base=self.index.base,
-            centroids=self.index.centroids,
-            assignment=assignment,
-            deleted=self.index._deleted,
-            labels=self.index._labels,
+            self.index.state_arrays(),
             config=np.array(config_json),
             shard_of_list=plan.shard_of_list,
             placement=plan.placement,
             slice_boundaries=np.array(plan.slices.boundaries, dtype=np.int64),
         )
         if plan.replica_placement is not None:
-            # Only a replicated plan adds an array; an unreplicated
-            # deployment's file keeps the set it always had.
+            # Only a replicated plan stores the array.
             arrays["replica_placement"] = plan.replica_placement
         np.savez_compressed(path, **arrays)
 
@@ -931,39 +786,28 @@ class HarmonyDB:
         existed) take their defaults.
         """
         from repro.distance.partial import DimensionSlices
+        from repro.index.ivf import saved_path
 
-        with np.load(path, allow_pickle=False) as data:
-            config = HarmonyConfig(**json.loads(str(data["config"])))
-            db = cls(
-                dim=int(data["base"].shape[1]), config=config, cluster=cluster
-            )
-            index = db.index
-            index._centroids = data["centroids"]
-            index._base = data["base"]
-            index._deleted = data["deleted"]
-            index._labels = data["labels"]
-            assignment = data["assignment"]
-            for list_id in range(index.nlist):
-                index._list_ids[list_id] = np.flatnonzero(
-                    assignment == list_id
-                ).astype(np.int64)
-            shard_of_list = data["shard_of_list"]
-            placement = data["placement"]
-            boundaries = tuple(int(b) for b in data["slice_boundaries"])
-            replica_placement = (
-                data["replica_placement"]
-                if "replica_placement" in data.files
-                else None
-            )
+        with np.load(saved_path(path), allow_pickle=False) as data:
+            arrays = dict(data)
+        config = HarmonyConfig(**json.loads(str(arrays["config"])))
+        db = cls(
+            dim=int(arrays["base"].shape[1]), config=config, cluster=cluster
+        )
+        index = db.index
+        index.restore_state(arrays)
+        placement = arrays["placement"]
 
         plan = PartitionPlan(
             n_machines=config.n_machines,
             n_vector_shards=int(placement.shape[0]),
             n_dim_blocks=int(placement.shape[1]),
-            slices=DimensionSlices(boundaries),
-            shard_of_list=shard_of_list,
+            slices=DimensionSlices(
+                tuple(int(b) for b in arrays["slice_boundaries"])
+            ),
+            shard_of_list=arrays["shard_of_list"],
             placement=placement,
-            replica_placement=replica_placement,
+            replica_placement=arrays.get("replica_placement"),
         )
         # Re-score the saved plan so plan_decision stays meaningful.
         params = CostParameters.from_cluster(db.cluster, alpha=config.alpha)

@@ -21,21 +21,35 @@ from __future__ import annotations
 
 import abc
 import contextlib
+import time
 
 import numpy as np
 
-from repro.core.executor.kernel import ScanKernel, collect_results
+from repro.cluster.stats import TimeBreakdown
+from repro.core.executor.kernel import (
+    ScanKernel,
+    collect_results,
+    recall_vs_healthy,
+)
 from repro.core.partition import PartitionPlan, build_plan
-from repro.core.results import SearchResult
+from repro.core.results import (
+    DegradedReport,
+    ExecutionReport,
+    FaultStats,
+    SearchResult,
+    stamp_from,
+)
 
 
 class Backend(abc.ABC):
     """Uniform search interface over one ``(index, plan)`` pair.
 
-    The contract every implementation is tested on: ``search`` returns
+    The contract every implementation is tested on: :meth:`run` returns
     byte-identical ids and distances to every other backend with the
     same parameters — the substrate may only change *when* work runs,
-    never *what* is computed.
+    never *what* is computed — beside that execution's own report.
+    One rule governs the report: *a number in it is taken in the pass
+    that does the work, never recomputed afterwards to fill it.*
     """
 
     #: Short name used by ``HarmonyConfig.backend`` / ``--backend``.
@@ -46,30 +60,38 @@ class Backend(abc.ABC):
     #: ``repro.obs.Tracer`` — host backends record wall-clock spans, one
     #: lane per worker thread; the simulator forwards it to its cluster
     #: — a :class:`~repro.cluster.host_faults.HostFaultInjector`
-    #: driving deterministic chaos, which only host backends consult,
-    #: and the live :class:`~repro.cluster.recovery.ReplicaDirectory`,
-    #: which overrides the plan's static replica placement (only the
-    #: simulator routes by machine; ``HarmonyDB`` applies it to host
-    #: searches as the set of shards to skip).
+    #: driving deterministic chaos, which only host backends consult;
+    #: the deployment's :class:`~repro.cluster.cluster.Cluster`, whose
+    #: failed workers every backend honors (the simulator also runs on
+    #: it), and the live
+    #: :class:`~repro.cluster.recovery.ReplicaDirectory`, which
+    #: overrides the plan's static replica placement (the simulator
+    #: routes by machine; host backends skip the shards it leaves
+    #: without a live copy).
     tracer = None
     chaos = None
+    cluster = None
     replica_directory = None
 
     @classmethod
     def deploy(cls, index, plan, cluster, config) -> "Backend":
-        """This backend as ``HarmonyDB`` builds it for a deployment
-        (the simulated ``cluster`` is the sim backend's substrate only)."""
-        return cls(index, plan=plan, **config.host_options())
+        """This backend as ``HarmonyDB`` builds it for a deployment."""
+        backend = cls(index, plan=plan, **config.host_options())
+        backend.cluster = cluster
+        return backend
 
     @abc.abstractmethod
-    def search(
+    def run(
         self,
         queries: np.ndarray,
         k: int,
-        nprobe: int = 1,
+        nprobe: int,
         filter_labels: "np.ndarray | list[int] | None" = None,
-    ) -> SearchResult:
-        """Pruned top-``k`` search for a query batch."""
+        arrival_times: np.ndarray | None = None,
+    ) -> "tuple[SearchResult, ExecutionReport]":
+        """Pruned top-``k`` search for a query batch: the answers and
+        this execution's report. ``arrival_times`` (open-loop simulated
+        arrivals) is the simulator's; other backends refuse it."""
 
     def close(self) -> None:
         """Release execution resources (pools, shared memory).
@@ -117,6 +139,9 @@ class HostBackend(Backend):
         scan_retries: re-issues per straggling task before the
             supervisor gives up (degraded mode then abandons the task
             with coverage accounting; otherwise it keeps waiting).
+        degraded_mode: :meth:`run` serves partial results, with
+            coverage accounting, when the deployment's cluster has
+            lost every copy of a shard, instead of raising.
         **kernel_options: every other keyword — ``prewarm_size``,
             ``enable_pruning``, ``scan_precision``,
             ``delta_compact_ratio``, ``auto_compact``,
@@ -131,6 +156,7 @@ class HostBackend(Backend):
         batch_queries: bool = True,
         scan_timeout: "float | None" = None,
         scan_retries: int = 3,
+        degraded_mode: bool = False,
         **kernel_options,
     ) -> None:
         if not index.is_trained:
@@ -150,12 +176,10 @@ class HostBackend(Backend):
         self.batch_queries = batch_queries
         self.scan_timeout = scan_timeout
         self.scan_retries = int(scan_retries)
+        self.degraded_mode = bool(degraded_mode)
         #: Recovery activity (respawns / requeues / timeouts /
         #: abandons) since the last ``fault_counters.take()``.
         self.fault_counters = HostFaultCounters()
-        #: Candidates re-ranked against fp32 rows by the most recent
-        #: search() call (always 0 on the fp32 path).
-        self.last_rerank_count = 0
         self.kernel = ScanKernel(index, self.plan, **kernel_options)
 
     @property
@@ -170,25 +194,140 @@ class HostBackend(Backend):
     def scan_precision(self) -> str:
         return self.kernel.scan_precision
 
-    def layout_nbytes(self) -> int:
-        """Resident bytes of the packed shard layout currently cached.
+    #: Successful work steals per pool worker during the most recent
+    #: :meth:`search`; None on a backend whose pool does not steal.
+    last_steal_counts = None
 
-        ``0`` when no layout has been built yet — reported as the
-        ``harmony_layout_bytes`` gauge so memory accounting (Table 5)
-        sees the packed copy.
+    def run(
+        self,
+        queries: np.ndarray,
+        k: int,
+        nprobe: int = 1,
+        filter_labels: "np.ndarray | list[int] | None" = None,
+        arrival_times: np.ndarray | None = None,
+    ) -> "tuple[SearchResult, ExecutionReport]":
+        """:meth:`search` plus its report, timed on the host.
+
+        Honors the deployment cluster's failure state the way the
+        simulator does: a shard with no live copy of some block either
+        raises (default) or is skipped with coverage accounting
+        (``degraded_mode``). Every count in the report is one the scan
+        itself took — coverage from the gathers it performed, skips in
+        the loop that skipped — read off the kernel's and the backend's
+        own counters before and after; only the queries that came back
+        degraded are probed a second time, for the healthy re-run their
+        recall is measured against.
         """
-        packed = self.kernel._packed
-        return 0 if packed is None else int(packed.nbytes)
+        if arrival_times is not None:
+            raise ValueError(
+                "arrival_times (open-loop simulation) requires the "
+                "'sim' backend"
+            )
+        skip_shards = self._shards_without_a_live_copy()
+        kernel = self.kernel
+        coverage = None
+        if self.degraded_mode:
+            coverage = np.zeros(
+                (np.atleast_2d(queries).shape[0], 2), dtype=np.int64
+            )
+        routing_cache = kernel.routing_cache
+        layout_before = kernel.layout_stats()
+        routing_before = (
+            routing_cache.stats() if routing_cache is not None else None
+        )
+        reranked_before = kernel.rerank_candidates_total
+        skipped_before = kernel.skipped_scans_total
+        start = time.perf_counter()
+        result = self.search(
+            queries, k, nprobe, filter_labels, skip_shards, coverage
+        )
+        elapsed = time.perf_counter() - start
+        faults = FaultStats(
+            **vars(self.fault_counters.take()),
+            skipped_scans=kernel.skipped_scans_total - skipped_before,
+        )
+        degraded = None
+        if coverage is not None:
 
-    def code_nbytes(self) -> int:
-        """Resident bytes of the packed SQ8 code blocks (0 on fp32).
+            def recall_of(degraded_idx: np.ndarray) -> float:
+                if degraded_idx.size == 0:
+                    return 1.0
+                lost = kernel.prepare_queries(
+                    np.atleast_2d(queries)[degraded_idx]
+                )
+                return recall_vs_healthy(
+                    kernel,
+                    lost,
+                    self.index.probe(lost, nprobe),
+                    k,
+                    self.index.allowed_mask(filter_labels),
+                    np.arange(degraded_idx.size),
+                    result.ids[degraded_idx],
+                )
 
-        Reported as the ``harmony_code_bytes`` gauge — the compact
-        representation candidate scans actually stream on the sq8
-        path, next to ``harmony_layout_bytes`` for the whole layout.
+            degraded = DegradedReport.from_counts(
+                coverage,
+                skipped_scans=faults.skipped_scans,
+                abandoned_scans=faults.abandoned_scans,
+                recall_of=recall_of,
+            )
+        steals = self.last_steal_counts
+        packed = kernel._packed  # the layout this batch scanned
+        report = ExecutionReport.host_timed(
+            result.n_queries,
+            k,
+            nprobe,
+            self.plan,
+            f"{self.name} backend, host wall-clock",
+            TimeBreakdown(computation=elapsed),
+            fault_stats=faults if faults.any_activity else None,
+            degraded=degraded,
+            layout_bytes=0 if packed is None else int(packed.nbytes),
+            code_bytes=0 if packed is None else int(packed.codes_nbytes),
+            worker_steals=(
+                None if steals is None else [int(s) for s in steals]
+            ),
+            rerank_candidates=(
+                kernel.rerank_candidates_total - reranked_before
+            ),
+            trace=self.tracer.trace() if self.tracer is not None else None,
+        )
+        stamp_from(report, "layout", layout_before, kernel.layout_stats())
+        if routing_cache is not None:
+            stamp_from(
+                report, "routing", routing_before, routing_cache.stats()
+            )
+        return result, report
+
+    def _shards_without_a_live_copy(self) -> "frozenset[int] | None":
+        """What the deployment cluster's failed workers cost this plan:
+        the shards :meth:`run` must skip, None when there are none.
+
+        Raises when the cluster scripts timed faults (they need the
+        simulated timeline) or when a shard is lost and
+        ``degraded_mode`` is off.
         """
-        packed = self.kernel._packed
-        return 0 if packed is None else int(packed.codes_nbytes)
+        cluster = self.cluster
+        if cluster is None:
+            return None
+        if cluster.fault_schedule is not None:
+            raise ValueError(
+                "fault schedules require the 'sim' backend; the "
+                f"{self.name!r} backend has no simulated "
+                "timeline to apply timed events to"
+            )
+        if not cluster.failed_workers:
+            return None
+        from repro.cluster.recovery import unavailable_shards
+
+        dead = unavailable_shards(cluster, self.plan, self.replica_directory)
+        if dead and not self.degraded_mode:
+            raise RuntimeError(
+                f"no live replica of grid blocks of shard {min(dead)}; "
+                f"failed workers: {sorted(cluster.failed_workers)}; "
+                f"enable degraded_mode to serve partial results"
+            )
+        return frozenset(dead) or None
 
     def search(
         self,
@@ -199,7 +338,8 @@ class HostBackend(Backend):
         skip_shards: "frozenset[int] | set[int] | None" = None,
         coverage: np.ndarray | None = None,
     ) -> SearchResult:
-        """Pruned top-``k`` search, exact w.r.t. a single-node IVF scan.
+        """Pruned top-``k`` search, exact w.r.t. a single-node IVF scan:
+        the report-free scan entry :meth:`run` times.
 
         ``skip_shards`` / ``coverage`` are the degraded-mode hooks (see
         :meth:`ScanKernel.search_one`): skipped shards' candidates are
@@ -211,7 +351,6 @@ class HostBackend(Backend):
         kernel = self.kernel
         tracer = self.tracer
         kernel.tracer = tracer  # per-(shard, slice) wall spans when set
-        rerank_before = kernel.rerank_candidates_total
         queries, probes, allowed = self._route(queries, nprobe, filter_labels)
         nq = queries.shape[0]
         if self.batch_queries and nq > 1:
@@ -235,9 +374,6 @@ class HostBackend(Backend):
                     run_query(i)
 
             self._map(run_query if tracer is None else traced_query, nq)
-        self.last_rerank_count = (
-            kernel.rerank_candidates_total - rerank_before
-        )
         return collect_results(heaps, k)
 
     def _route(self, queries, nprobe: int, filter_labels):

@@ -75,7 +75,8 @@ from repro.distance.partial import query_slice_norms, slice_norms
 #: the same on the ledger's ``batch_fp32``.
 GROUP_BLOCK_ELEMENTS = 1_000_000
 
-_NO_SPAN = contextlib.nullcontext()
+#: Stands in for a trace span or a lock that is not there.
+_NOTHING = contextlib.nullcontext()
 
 
 def gather_part(
@@ -149,7 +150,7 @@ def drive_scan(scan, plan, thresholds=None, tracer=None, **labels) -> None:
     for block in range(plan.n_dim_blocks):
         if scan.n_alive == 0:
             break
-        with _NO_SPAN if tracer is None else tracer.wall_span(
+        with _NOTHING if tracer is None else tracer.wall_span(
             "scan", "computation",
             block=block, alive=int(scan.n_alive), **labels,
         ):
@@ -327,11 +328,14 @@ class ScanKernel:
         self.prewarm_size = prewarm_size
         self.enable_pruning = enable_pruning
         self.scan_precision = scan_precision
-        #: Candidates re-ranked against fp32 rows by completed SQ8
-        #: scans (0 on the fp32 path). Guarded by a lock because the
-        #: thread backend merges survivors concurrently.
+        #: Lifetime counters a backend reads before and after a batch:
+        #: candidates re-ranked against fp32 rows by completed SQ8
+        #: scans (0 on the fp32 path), and (query, shard) scans skipped
+        #: because the shard was in ``skip_shards``. Added to under a
+        #: lock because the thread backend runs queries concurrently.
         self.rerank_candidates_total = 0
-        self._rerank_lock = threading.Lock()
+        self.skipped_scans_total = 0
+        self._count_lock = threading.Lock()
         #: Optional repro.obs.Tracer. When set, host execution records a
         #: wall-clock span per (shard, slice) stage; None (default)
         #: keeps the scan loops instrumentation-free.
@@ -671,8 +675,14 @@ class ScanKernel:
         """Thread-safe add to the lifetime re-rank counter (0 on fp32;
         the process pool reports its workers' counts through this)."""
         if reranked:
-            with self._rerank_lock:
+            with self._count_lock:
                 self.rerank_candidates_total += int(reranked)
+
+    def count_skipped_scans(self, skipped: int) -> None:
+        """Thread-safe add to the lifetime skipped-scan counter."""
+        if skipped:
+            with self._count_lock:
+                self.skipped_scans_total += int(skipped)
 
     def run_scan(
         self, scan: ShardScan, heap: TopKHeap, shard: int | None = None
@@ -717,9 +727,11 @@ class ScanKernel:
         state = self.begin_query(query_index, query, probe_row, k, allowed)
         if coverage is not None:
             coverage[query_index, :] += state.prewarmed.size
+        skipped = 0
         for shard in self.shards_for(state):
             shard = int(shard)
             if skip_shards and shard in skip_shards:
+                skipped += 1
                 if coverage is not None:
                     coverage[query_index, 1] += self.count_candidates(
                         state, shard, allowed
@@ -730,6 +742,7 @@ class ScanKernel:
                 if coverage is not None:
                     coverage[query_index, :] += scan.n_candidates
                 self.run_scan(scan, state.heap, shard=shard)
+        self.count_skipped_scans(skipped)
         return state.heap
 
     # ------------------------------------------------------------------
@@ -744,37 +757,42 @@ class ScanKernel:
         allowed: np.ndarray | None = None,
         skip_shards: "frozenset[int] | set[int] | None" = None,
         coverage: np.ndarray | None = None,
-    ) -> "tuple[list[QueryState], dict[int, list[QueryState]]]":
+    ) -> "tuple[list[QueryState], dict[int, list[QueryState]], int]":
         """The fused paths' prologue: begin every query, group by shard.
 
         Shared by :meth:`search_batch` and the process backend's
         dispatcher. Prewarmed candidates count toward both coverage
         columns and a skipped shard's candidates toward the total
-        only; scanned candidates are the caller's to count (here at
-        grouping time, on the pool as task results arrive).
+        only; scanned candidates are counted by whoever gathers them
+        (:meth:`run_shard_group`, a pool worker's task).
 
         Returns:
-            ``(states, groups)`` — one state per query, and per
-            non-skipped shard the states touching it, in query order.
+            ``(states, groups, skipped)`` — one state per query, per
+            non-skipped shard the states touching it in query order,
+            and the number of (query, shard) scans skipped, which the
+            caller hands to :meth:`count_skipped_scans` once the batch
+            is certain to complete on this path.
         """
         states = [
             self.begin_query(i, queries[i], probes[i], k, allowed)
             for i in range(queries.shape[0])
         ]
         groups: dict[int, list[QueryState]] = {}
+        skipped = 0
         for state in states:
             if coverage is not None:
                 coverage[state.query_index, :] += state.prewarmed.size
             for shard in self.shards_for(state):
                 shard = int(shard)
                 if skip_shards and shard in skip_shards:
+                    skipped += 1
                     if coverage is not None:
                         coverage[state.query_index, 1] += (
                             self.count_candidates(state, shard, allowed)
                         )
                     continue
                 groups.setdefault(shard, []).append(state)
-        return states, groups
+        return states, groups, skipped
 
     def search_batch(
         self,
@@ -808,34 +826,33 @@ class ScanKernel:
                 because thresholds only tighten and pruning is
                 lossless.
             skip_shards / coverage: degraded-mode accounting, exactly
-                as in :meth:`search_one`. Coverage is accumulated here
-                in the single-threaded grouping pass, so the
-                concurrent group executor never races on it.
+                as in :meth:`search_one`. Scanned candidates are
+                counted from the gather each shard-group performs,
+                under the member's lock when groups run concurrently.
 
         Returns:
             One populated heap per query.
         """
-        states, groups = self.begin_batch(
+        states, groups, skipped = self.begin_batch(
             queries, probes, k, allowed, skip_shards, coverage
         )
-        if coverage is not None:
-            for shard, group in groups.items():
-                for state in group:
-                    coverage[state.query_index, :] += self.count_candidates(
-                        state, shard, allowed
-                    )
+        self.count_skipped_scans(skipped)
         shard_order = sorted(groups)
+        locks = (
+            None if map_groups is None
+            else [threading.Lock() for _ in states]
+        )
+
+        def run_group(shard) -> None:
+            self.run_shard_group(
+                shard, groups[shard], allowed, locks, coverage
+            )
+
         if map_groups is None:
             for shard in shard_order:
-                self.run_shard_group(shard, groups[shard], allowed)
+                run_group(shard)
         else:
-            locks = [threading.Lock() for _ in states]
-            map_groups(
-                lambda shard: self.run_shard_group(
-                    shard, groups[shard], allowed, locks
-                ),
-                shard_order,
-            )
+            map_groups(run_group, shard_order)
         return [state.heap for state in states]
 
     def run_shard_group(
@@ -844,30 +861,37 @@ class ScanKernel:
         group: "list[QueryState]",
         allowed: np.ndarray | None = None,
         locks: "list[threading.Lock] | None" = None,
+        coverage: np.ndarray | None = None,
     ) -> None:
         """Process one shard for every query in ``group``, fused.
 
         :func:`scan_group` with the query heaps as threshold source and
-        a heap push — under the query's lock when shard-groups run
-        concurrently — as survivor sink.
+        a heap push as survivor sink. A member's heap and its
+        ``coverage`` row (both columns grow by the candidates gathered
+        here) are shared with the other shard-groups it belongs to, so
+        both are touched under the member's lock when groups run
+        concurrently (``locks``).
         """
         shard = int(shard)
+
+        def locked(state):
+            return _NOTHING if locks is None else locks[state.query_index]
 
         def gathered():
             for state in group:
                 part = self._gather_candidates(state, shard, allowed)
                 if part is not None:
+                    if coverage is not None:
+                        with locked(state):
+                            coverage[state.query_index, :] += part.ids.size
                     yield state, part, state.query, state.query_norms
 
         def thresholds(states) -> np.ndarray:
             return np.array([state.heap.threshold for state in states])
 
         def sink(state, ids, scores) -> None:
-            if locks is None:
+            with locked(state):
                 state.heap.push_many(scores, ids)
-            else:
-                with locks[state.query_index]:
-                    state.heap.push_many(scores, ids)
 
         reranked = scan_group(
             self.packed_base(),

@@ -76,6 +76,7 @@ from repro.core.layout import (
 from repro.core.partition import PartitionPlan
 from repro.core.results import SearchResult
 from repro.core.routing import shard_candidate_lists
+from repro.util.retry import backoff_delay
 
 #: Trace lane base for pool workers (host threads use 1000+).
 PROCESS_LANE_BASE = 2000
@@ -446,7 +447,8 @@ class ProcessBackend(ThreadBackend):
         #: Live round records keyed by round id; rounds that outlast
         #: their batch (abandoned stragglers) are reaped here later.
         self._rounds: dict[int, dict] = {}
-        #: Successful steals per worker in the most recent batch.
+        #: Successful steals per worker during the most recent
+        #: search() — zeros when the pool ran no task for it.
         self.last_steal_counts: np.ndarray = np.zeros(
             self.n_workers, dtype=np.int64
         )
@@ -733,6 +735,7 @@ class ProcessBackend(ThreadBackend):
     ) -> SearchResult:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
+        self.last_steal_counts = np.zeros(self.n_workers, dtype=np.int64)
         if self._ensure_pool():
             try:
                 return self._process_search(
@@ -758,18 +761,18 @@ class ProcessBackend(ThreadBackend):
         kernel = self.kernel
         tracer = self.tracer
         kernel.tracer = None  # worker spans are recorded from timings
-        rerank_before = kernel.rerank_candidates_total
         queries, probes, allowed = self._route(queries, nprobe, filter_labels)
         nq = queries.shape[0]
 
         # Prewarm in the parent (it owns the heaps), exactly as the
         # kernel's batched path does; coverage goes to a local buffer
-        # so a mid-batch fallback cannot double-count.
+        # and the skip count is held back, so a mid-batch fallback
+        # cannot double-count either.
         local_cov = (
             np.zeros((nq, 2), dtype=np.int64)
             if coverage is not None else None
         )
-        states, groups = kernel.begin_batch(
+        states, groups, skipped = kernel.begin_batch(
             queries, probes, k, allowed, skip_shards, local_cov
         )
         tasks = self._make_tasks(groups)
@@ -780,9 +783,7 @@ class ProcessBackend(ThreadBackend):
             )
         if local_cov is not None:
             coverage += local_cov
-        self.last_rerank_count = (
-            kernel.rerank_candidates_total - rerank_before
-        )
+        kernel.count_skipped_scans(skipped)
         return collect_results([state.heap for state in states], k)
 
     def _dispatch_batch(
@@ -806,7 +807,6 @@ class ProcessBackend(ThreadBackend):
             "enable_pruning": self.enable_pruning,
             "scan_precision": self.scan_precision,
         }
-        self.last_steal_counts = np.zeros(self.n_workers, dtype=np.int64)
         try:
             self._supervise(
                 tasks, ctx_base, states, board, allowed, local_cov, tracer
@@ -864,8 +864,8 @@ class ProcessBackend(ThreadBackend):
             "completed_at_dispatch": int(completed_count),
         }
         if self.scan_timeout is not None:
-            rec["deadline"] = rec["start"] + (
-                float(self.scan_timeout) * (2.0 ** rec["attempt"])
+            rec["deadline"] = rec["start"] + backoff_delay(
+                rec["attempt"], self.scan_timeout
             )
         self._rounds[rid] = rec
         for wid in alive:

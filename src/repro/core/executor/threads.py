@@ -50,7 +50,7 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from repro.cluster.host_faults import InjectedWorkerKill, sleep_for_delay
 from repro.core.executor.base import HostBackend
 from repro.core.partition import PartitionPlan
-from repro.util.retry import RetryPolicy
+from repro.util.retry import backoff_delay
 
 
 class ThreadBackend(HostBackend):
@@ -153,9 +153,6 @@ class ThreadBackend(HostBackend):
         supervisor simply keeps waiting on every copy; the hedges
         bound straggler latency, not worst-case work.
         """
-        policy = RetryPolicy(
-            base=float(self.scan_timeout), max_attempts=self.scan_retries
-        )
         outstanding: dict[int, list] = {
             i: [pool.submit(fn, i)] for i in range(nq)
         }
@@ -166,7 +163,7 @@ class ThreadBackend(HostBackend):
             min_attempt = min(attempts[i] for i in outstanding)
             timeout = None
             if min_attempt <= self.scan_retries:
-                timeout = policy.delay(min(min_attempt, policy.max_attempts))
+                timeout = backoff_delay(min_attempt, self.scan_timeout)
             done, _ = wait(running, timeout=timeout, return_when=FIRST_COMPLETED)
             progressed = False
             for i in list(outstanding):

@@ -63,7 +63,6 @@ from repro.core.executor.kernel import (
 from repro.core.heap import TopKHeap
 from repro.core.partition import PartitionPlan
 from repro.core.pruning import PruningStats, ShardScan
-from repro.util.retry import RetryPolicy
 from repro.core.results import (
     DegradedReport,
     ExecutionReport,
@@ -74,6 +73,7 @@ from repro.core.results import (
 from repro.core.routing import staggered_order
 from repro.index.ivf import IVFFlatIndex
 from repro.obs.trace import trace_context
+from repro.util.retry import backoff_delay
 
 #: Client-side cost of merging one partial-result batch (barrier mode).
 MERGE_OVERHEAD_SECONDS = 2e-6
@@ -236,8 +236,6 @@ class PipelineEngine(Backend):
         self._scan_bytes_per_element = (
             1 if config.scan_precision == "sq8" else 4
         )
-        #: Timing report of the most recent :meth:`search`.
-        self.last_report: ExecutionReport | None = None
 
     # ------------------------------------------------------------------
     # Backend interface
@@ -259,20 +257,6 @@ class PipelineEngine(Backend):
     @tracer.setter
     def tracer(self, tracer) -> None:
         self.cluster.tracer = tracer
-
-    def search(
-        self,
-        queries: np.ndarray,
-        k: int,
-        nprobe: int = 1,
-        filter_labels: "np.ndarray | list[int] | None" = None,
-    ) -> SearchResult:
-        """:meth:`run` behind the uniform backend signature; the timing
-        report lands in :attr:`last_report`."""
-        result, self.last_report = self.run(
-            queries, k=k, nprobe=nprobe, filter_labels=filter_labels
-        )
-        return result
 
     def close(self) -> None:
         """Release the placed blocks' memory from the cluster."""
@@ -326,8 +310,8 @@ class PipelineEngine(Backend):
         queries: np.ndarray,
         k: int,
         nprobe: int | None = None,
-        arrival_times: np.ndarray | None = None,
         filter_labels: "np.ndarray | list[int] | None" = None,
+        arrival_times: np.ndarray | None = None,
     ) -> tuple[SearchResult, ExecutionReport]:
         """Execute a query batch; returns answers plus a timing report.
 
@@ -338,14 +322,14 @@ class PipelineEngine(Backend):
             queries: ``(nq, dim)`` query batch.
             k: neighbours per query.
             nprobe: probed lists (defaults to the config's).
+            filter_labels: optional metadata labels; only vectors whose
+                label is in this set are searched.
             arrival_times: optional per-query simulated arrival
                 timestamps (ascending) for open-loop load experiments;
                 a query is not dispatched before it arrives, and its
                 reported latency includes any queueing delay. When
                 omitted, the batch is treated closed-loop (all queries
                 available at time zero).
-            filter_labels: optional metadata labels; only vectors whose
-                label is in this set are searched.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -693,11 +677,6 @@ class PipelineEngine(Backend):
         widths = self.plan.slices.widths()
         machine = state.machine_for[block]
         clock = ready
-        # Jitter-free policy: simulated fault timelines must replay
-        # byte-identically, so attempt i waits exactly base * 2**i.
-        backoff = RetryPolicy(
-            base=config.retry_timeout, max_attempts=config.max_retries
-        )
         for attempt in range(config.max_retries + 1):
             hedge_machine = None
             hedge_end = None
@@ -751,7 +730,7 @@ class PipelineEngine(Backend):
             # to another live replica (re-shipping the query chunk) or
             # knock on the same machine again — it may have recovered.
             fstats.retries += 1
-            clock += backoff.delay(attempt)
+            clock += backoff_delay(attempt, config.retry_timeout)
             alternate = self._pick_alternate(state, block, machine, clock)
             if alternate is not None:
                 fstats.failovers += 1

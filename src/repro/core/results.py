@@ -369,6 +369,27 @@ class ExecutionReport:
         delta_of=("layout", "layout_compactions"),
     )
 
+    @classmethod
+    def host_timed(
+        cls, n_queries, k, nprobe, plan, served_by, breakdown, **fields
+    ) -> "ExecutionReport":
+        """Report of a batch timed on the host: ``simulated_seconds`` is
+        the measured wall-clock in ``breakdown`` and no simulated worker
+        did anything. ``served_by`` names what answered (a host
+        backend, the result cache) beside the plan."""
+        return cls(
+            n_queries=n_queries,
+            k=k,
+            nprobe=nprobe,
+            simulated_seconds=breakdown.total,
+            breakdown=breakdown,
+            worker_loads=np.zeros(plan.n_machines, dtype=np.float64),
+            pruning=None,
+            peak_memory_bytes=0,
+            plan_summary=f"{plan.describe()} [{served_by}]",
+            **fields,
+        )
+
     @property
     def qps(self) -> float:
         """Simulated queries per second.

@@ -2,15 +2,14 @@
 
 Implements the routing half of the paper's Figure 4 — mapping a query's
 probed inverted lists to the vector shards / grid blocks that must be
-visited — plus the execution-order policies of Section 4.3:
-
-- *staggering*: consecutive queries start their dimension pipeline on
-  different machines (Figure 5(b)'s ``Q1 -> D1, Q2 -> D2, Q3 -> D3``)
-  so no two in-flight queries contend for the same slice stage;
-- *adaptive ordering*: an overloaded machine's slice is deferred to the
-  end of the pipeline, where accumulated pruning has already discarded
-  most candidates ("if M1 becomes overloaded, subsequent queries
-  process D1 last").
+visited — plus Section 4.3's static execution-order policy,
+*staggering*: consecutive queries start their dimension pipeline on
+different machines (Figure 5(b)'s ``Q1 -> D1, Q2 -> D2, Q3 -> D3``) so
+no two in-flight queries contend for the same slice stage. The
+load-aware policy ("if M1 becomes overloaded, subsequent queries
+process D1 last") needs the replica actually chosen and the loads of
+the round it runs in, so it lives with the engine that has both:
+:meth:`repro.core.pipeline.PipelineEngine._next_block`.
 """
 
 from __future__ import annotations
@@ -217,42 +216,3 @@ def staggered_order(
         raise ValueError(f"n_blocks must be positive, got {n_blocks}")
     offset = (query_index + shard) % n_blocks
     return (np.arange(n_blocks, dtype=np.int64) + offset) % n_blocks
-
-
-def adaptive_order(
-    plan: PartitionPlan, shard: int, machine_loads: np.ndarray
-) -> np.ndarray:
-    """Load-aware slice order: least-loaded machines first.
-
-    Machines are ranked by their cumulative computation load; the
-    busiest machine's slice runs last, when pruning has shrunk the
-    candidate set the most (early pipeline positions process the full
-    candidate set, late positions only the survivors). Ties fall back
-    to slice id for determinism.
-    """
-    machines = plan.placement[shard]
-    loads = np.asarray(machine_loads, dtype=np.float64)[machines]
-    return np.lexsort((np.arange(plan.n_dim_blocks), loads)).astype(np.int64)
-
-
-def slice_order(
-    plan: PartitionPlan,
-    shard: int,
-    query_index: int,
-    machine_loads: np.ndarray,
-    load_balance: bool,
-    pipeline: bool,
-) -> np.ndarray:
-    """Pick the dimension-slice execution order for one (query, shard).
-
-    Load-aware adaptive ordering dominates when enabled; otherwise the
-    pipelined engine staggers starting slices across queries, and the
-    fully naive engine always runs slices in canonical order.
-    """
-    if plan.n_dim_blocks == 1:
-        return np.zeros(1, dtype=np.int64)
-    if load_balance:
-        return adaptive_order(plan, shard, machine_loads)
-    if pipeline:
-        return staggered_order(plan.n_dim_blocks, query_index, shard)
-    return np.arange(plan.n_dim_blocks, dtype=np.int64)

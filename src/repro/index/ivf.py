@@ -10,6 +10,7 @@ IVF structure — only the *placement* of its lists/dimensions differs.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,17 @@ from repro.util.growable import GrowableArray
 #: *objects* even when their ``(version, ntotal)`` counters collide
 #: (e.g. a reloaded index whose version restarted at 0).
 _UIDS = itertools.count(1)
+
+
+def saved_path(path):
+    """The file a ``save(path)`` wrote: ``np.savez`` appends ``.npz`` to
+    a name that lacks it, so ``load(path)`` looks there too (a file
+    that exists under the exact name given still wins)."""
+    if isinstance(path, (str, os.PathLike)):
+        name = os.fspath(path)
+        if not name.endswith(".npz") and not os.path.exists(name):
+            return name + ".npz"
+    return path
 
 
 class _InvertedLists:
@@ -523,6 +535,48 @@ class IVFFlatIndex:
     # Persistence
     # ------------------------------------------------------------------
 
+    def state_arrays(self) -> "dict[str, np.ndarray]":
+        """Everything a file needs to rebuild this index, as arrays.
+
+        The one writer of index state: :meth:`save` stores exactly
+        these, and ``HarmonyDB.save`` stores them beside its config and
+        plan. :meth:`restore_state` is the one reader.
+        """
+        if not self.is_trained:
+            raise RuntimeError("cannot save an untrained index")
+        return {
+            "base": self._base,
+            "centroids": self._centroids,
+            "assignment": self._assignments(),
+            "deleted": self._deleted,
+            "labels": self._labels,
+            "meta": np.array(
+                [self.dim, self.nlist, self.seed, self.max_iterations,
+                 self._train_elements, self._add_elements],
+                dtype=np.int64,
+            ),
+            "metric": np.array(self.metric.value),
+        }
+
+    def restore_state(self, data) -> None:
+        """Adopt :meth:`state_arrays` output (a mapping or an open
+        ``.npz``) into this index, constructed with the same ``dim`` /
+        ``nlist`` / ``metric``. A file written before the build-stat
+        counters were stored leaves them at zero."""
+        if "meta" in data:
+            self._train_elements = int(data["meta"][4])
+            self._add_elements = int(data["meta"][5])
+        self._centroids = data["centroids"]
+        self._base = data["base"]
+        self._deleted = data["deleted"]
+        self._labels = data["labels"]
+        assignment = data["assignment"]
+        for list_id in range(self.nlist):
+            # Ids within a list are ascending == insertion order.
+            self._list_ids[list_id] = np.flatnonzero(
+                assignment == list_id
+            ).astype(np.int64)
+
     def save(self, path: "str | object") -> None:
         """Serialize the index to a ``.npz`` file.
 
@@ -530,29 +584,12 @@ class IVFFlatIndex:
         tombstones and metadata; :meth:`load` reconstructs an index
         that returns byte-identical search results.
         """
-        if not self.is_trained:
-            raise RuntimeError("cannot save an untrained index")
-        assignment = self._assignments()
-        meta = np.array(
-            [self.dim, self.nlist, self.seed, self.max_iterations,
-             self._train_elements, self._add_elements],
-            dtype=np.int64,
-        )
-        np.savez_compressed(
-            path,
-            base=self._base,
-            centroids=self._centroids,
-            assignment=assignment,
-            deleted=self._deleted,
-            labels=self._labels,
-            meta=meta,
-            metric=np.array(self.metric.value),
-        )
+        np.savez_compressed(path, **self.state_arrays())
 
     @classmethod
     def load(cls, path: "str | object") -> "IVFFlatIndex":
         """Reconstruct an index saved with :meth:`save`."""
-        with np.load(path, allow_pickle=False) as data:
+        with np.load(saved_path(path), allow_pickle=False) as data:
             meta = data["meta"]
             index = cls(
                 dim=int(meta[0]),
@@ -561,18 +598,7 @@ class IVFFlatIndex:
                 seed=int(meta[2]),
                 max_iterations=int(meta[3]),
             )
-            index._train_elements = int(meta[4])
-            index._add_elements = int(meta[5])
-            index._centroids = data["centroids"]
-            index._base = data["base"]
-            index._deleted = data["deleted"]
-            index._labels = data["labels"]
-            assignment = data["assignment"]
-        for list_id in range(index.nlist):
-            # Ids within a list are ascending == insertion order.
-            index._list_ids[list_id] = np.flatnonzero(
-                assignment == list_id
-            ).astype(np.int64)
+            index.restore_state(data)
         return index
 
     def reconstruct(self, ids: np.ndarray) -> np.ndarray:

@@ -190,59 +190,26 @@ class HarmonyServer:
         deadline_policy: str | None = None,
         metrics=None,
     ) -> None:
-        config = db.config
+        overrides = {
+            "serve_max_batch": max_batch,
+            "serve_slo_ms": slo_ms,
+            "serve_deadline_fraction": deadline_fraction,
+            "serve_queue_depth": queue_depth,
+            "serve_shed_policy": shed_policy,
+            "serve_deadline_policy": deadline_policy,
+        }
+        # The deployment's config with this server's overrides applied:
+        # HarmonyConfig validates and normalizes the serve_* knobs once.
+        config = db.config.replace(
+            **{k: v for k, v in overrides.items() if v is not None}
+        )
         self.db = db
-        self.max_batch = int(
-            max_batch if max_batch is not None else config.serve_max_batch
-        )
-        self.slo_ms = float(
-            slo_ms if slo_ms is not None else config.serve_slo_ms
-        )
-        fraction = float(
-            deadline_fraction
-            if deadline_fraction is not None
-            else config.serve_deadline_fraction
-        )
-        self.deadline_fraction = fraction
-        self.queue_depth = int(
-            queue_depth if queue_depth is not None else config.serve_queue_depth
-        )
-        policy = (
-            shed_policy if shed_policy is not None else config.serve_shed_policy
-        )
-        policy = str(policy).lower().replace("-", "_")
-        from repro.core.config import DEADLINE_POLICIES, SHED_POLICIES
-
-        if policy not in SHED_POLICIES:
-            raise ValueError(
-                f"unknown shed_policy {policy!r}; expected one of "
-                f"{', '.join(SHED_POLICIES)}"
-            )
-        self.shed_policy = policy
-        dpolicy = (
-            deadline_policy
-            if deadline_policy is not None
-            else config.serve_deadline_policy
-        )
-        dpolicy = str(dpolicy).lower().replace("-", "_")
-        if dpolicy not in DEADLINE_POLICIES:
-            raise ValueError(
-                f"unknown deadline_policy {dpolicy!r}; expected one of "
-                f"{', '.join(DEADLINE_POLICIES)}"
-            )
-        self.deadline_policy = dpolicy
-        if self.max_batch <= 0:
-            raise ValueError(f"max_batch must be positive, got {max_batch}")
-        if self.slo_ms <= 0:
-            raise ValueError(f"slo_ms must be positive, got {slo_ms}")
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(
-                f"deadline_fraction must be in (0, 1], got {fraction}"
-            )
-        if self.queue_depth <= 0:
-            raise ValueError(
-                f"queue_depth must be positive, got {queue_depth}"
-            )
+        self.max_batch = config.serve_max_batch
+        self.slo_ms = config.serve_slo_ms
+        self.deadline_fraction = config.serve_deadline_fraction
+        self.queue_depth = config.serve_queue_depth
+        self.shed_policy = config.serve_shed_policy
+        self.deadline_policy = config.serve_deadline_policy
         self.metrics = metrics if metrics is not None else db.metrics
         self.stats = ServeStats()
         self.last_report = None
@@ -704,9 +671,9 @@ class HarmonyServer:
         self.stats.service_seconds += service
         tracer = self.db.tracer
         if tracer is not None:
-            # Recorded after the search: _host_search clears the tracer
-            # per batch (one trace per batch), so the serve span must
-            # land once the backend's own spans are in place.
+            # Recorded after the search: HarmonyDB.search clears the
+            # tracer per batch (one trace per batch), so the serve span
+            # must land once the backend's own spans are in place.
             tracer.record(
                 "serve-batch",
                 "other",

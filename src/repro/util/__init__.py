@@ -1,6 +1,6 @@
 """Small shared utilities with no dependency on the core engine."""
 
 from repro.util.growable import GrowableArray
-from repro.util.retry import RetryPolicy, backoff_delay
+from repro.util.retry import backoff_delay
 
-__all__ = ["GrowableArray", "RetryPolicy", "backoff_delay"]
+__all__ = ["GrowableArray", "backoff_delay"]

@@ -141,8 +141,7 @@ class TestSimulatedContention:
             n_workers=plan.n_machines, memory_bandwidth=memory_bandwidth
         )
         backend = PipelineEngine(index, plan, cluster, config)
-        result = backend.search(queries, k=5, nprobe=4)
-        return result, backend.last_report
+        return backend.run(queries, k=5, nprobe=4)
 
     def test_cap_slows_fp32_but_sq8_relieves_it(self):
         """Under a tight bandwidth cap the fp32 makespan inflates;
@@ -190,10 +189,10 @@ class TestSimulatedContention:
             Cluster(n_workers=plan.n_machines),
             HarmonyConfig(n_machines=plan.n_machines, nlist=index.nlist),
         )
-        backend.search(queries, k=5, nprobe=4)
+        _, default_report = backend.run(queries, k=5, nprobe=4)
         assert (
             uncapped_report.simulated_seconds
-            == backend.last_report.simulated_seconds
+            == default_report.simulated_seconds
         )
 
     def test_config_validation(self):

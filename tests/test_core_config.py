@@ -178,7 +178,7 @@ class TestHarmonyConfig:
         )
         assert config.host_options() == dict(
             kernel, batch_queries=True, scan_timeout=0.5, scan_retries=3,
-            n_workers=3,
+            degraded_mode=False, n_workers=3,
         )
         assert "n_threads" in config.replace(backend="thread").host_options()
         serial = config.replace(backend="serial").host_options()

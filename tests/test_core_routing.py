@@ -5,9 +5,7 @@ import pytest
 
 from repro.core.partition import build_plan
 from repro.core.routing import (
-    adaptive_order,
     shard_candidate_lists,
-    slice_order,
     staggered_order,
     touched_shards,
 )
@@ -79,47 +77,3 @@ class TestStaggeredOrder:
     def test_invalid_blocks(self):
         with pytest.raises(ValueError):
             staggered_order(0, 0, 0)
-
-
-class TestAdaptiveOrder:
-    def test_least_loaded_first(self, dim_plan):
-        loads = np.array([3.0, 1.0, 2.0, 0.5])
-        order = adaptive_order(dim_plan, 0, loads)
-        machines = dim_plan.placement[0][order]
-        assert np.all(np.diff(loads[machines]) >= 0)
-
-    def test_busiest_machine_last(self, dim_plan):
-        """The paper's deferral rule: overloaded machine runs last."""
-        loads = np.array([100.0, 0.0, 0.0, 0.0])
-        order = adaptive_order(dim_plan, 0, loads)
-        last_machine = dim_plan.machine_of(0, int(order[-1]))
-        assert last_machine == 0
-
-    def test_tie_break_by_slice_id(self, dim_plan):
-        order = adaptive_order(dim_plan, 0, np.zeros(4))
-        np.testing.assert_array_equal(order, [0, 1, 2, 3])
-
-    def test_is_permutation(self, dim_plan):
-        rng = np.random.default_rng(0)
-        order = adaptive_order(dim_plan, 0, rng.uniform(size=4))
-        np.testing.assert_array_equal(np.sort(order), np.arange(4))
-
-
-class TestSliceOrder:
-    def test_single_block_trivial(self, trained_index):
-        plan = build_plan(trained_index, 4, 4, 1)
-        order = slice_order(plan, 0, 5, np.zeros(4), True, True)
-        np.testing.assert_array_equal(order, [0])
-
-    def test_load_balance_wins(self, dim_plan):
-        loads = np.array([10.0, 0.0, 0.0, 0.0])
-        order = slice_order(dim_plan, 0, 0, loads, True, True)
-        assert dim_plan.machine_of(0, int(order[-1])) == 0
-
-    def test_pipeline_staggers(self, dim_plan):
-        order = slice_order(dim_plan, 0, 3, np.zeros(4), False, True)
-        np.testing.assert_array_equal(order, staggered_order(4, 3, 0))
-
-    def test_naive_canonical(self, dim_plan):
-        order = slice_order(dim_plan, 0, 3, np.zeros(4), False, False)
-        np.testing.assert_array_equal(order, [0, 1, 2, 3])

@@ -124,8 +124,8 @@ def test_three_backends_identical(metric, prewarm, filtered, precision):
             "serial": serial.search(queries, **kwargs),
             "thread": thread.search(queries, **kwargs),
             "process": process.search(queries, **kwargs),
-            "sim-canonical": sim_canonical.search(queries, **kwargs),
-            "sim-default": sim_default.search(queries, **kwargs),
+            "sim-canonical": sim_canonical.run(queries, **kwargs)[0],
+            "sim-default": sim_default.run(queries, **kwargs)[0],
         }
         assert not process.fallback_active
     assert_equivalent(
@@ -176,7 +176,7 @@ def test_backends_identical_after_mutations(metric, precision):
             results = {
                 "thread": thread.search(queries, k=5, nprobe=4),
                 "process": process.search(queries, k=5, nprobe=4),
-                "sim-canonical": sim.search(queries, k=5, nprobe=4),
+                "sim-canonical": sim.run(queries, k=5, nprobe=4)[0],
             }
             assert_equivalent(
                 results, reference.ids, reference.distances, bitwise={}
@@ -423,6 +423,6 @@ def test_property_backend_equivalence(
             "serial": serial.search(queries, **kwargs),
             "thread": thread.search(queries, **kwargs),
             "process": process.search(queries, **kwargs),
-            "sim-canonical": sim.search(queries, **kwargs),
+            "sim-canonical": sim.run(queries, **kwargs)[0],
         }
     assert_equivalent(results, reference.ids, reference.distances, bitwise={})

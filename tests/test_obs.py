@@ -420,7 +420,7 @@ class TestBackendTracerSurface:
         tracer = Tracer()
         backend.tracer = tracer
         assert backend.cluster.tracer is tracer
-        backend.search(queries, k=5, nprobe=4)
+        backend.run(queries, k=5, nprobe=4)
         assert len(tracer.spans()) > 0
 
 

@@ -173,3 +173,64 @@ class TestDatabasePersistence:
         loaded = HarmonyDB.load(path, cluster=Cluster(8))
         r, _ = loaded.search(tiny_queries, k=5)
         assert r.ids.shape == (len(tiny_queries), 5)
+
+
+class TestLoadOpensWhatSaveWrote:
+    """``np.savez`` appends ``.npz`` to a name that lacks it; ``load``
+    resolves the name the same way, and both writers store the index
+    through the index's own state arrays."""
+
+    @pytest.mark.parametrize("as_str", [False, True])
+    def test_index_round_trip_without_the_suffix(
+        self, trained_index, tiny_queries, tmp_path, as_str
+    ):
+        path = tmp_path / "snap"
+        path = str(path) if as_str else path
+        trained_index.save(path)
+        assert (tmp_path / "snap.npz").exists()
+        loaded = IVFFlatIndex.load(path)
+        d1, i1 = trained_index.search(tiny_queries, k=5, nprobe=4)
+        d2, i2 = loaded.search(tiny_queries, k=5, nprobe=4)
+        np.testing.assert_array_equal(i1, i2)
+        np.testing.assert_array_equal(d1, d2)
+
+    def test_database_round_trip_without_the_suffix(
+        self, tiny_data, tiny_queries, tmp_path, db_factory
+    ):
+        db = db_factory(tiny_data, tiny_queries)
+        db.save(tmp_path / "snap")
+        loaded = HarmonyDB.load(tmp_path / "snap")
+        r1, _ = db.search(tiny_queries, k=5)
+        r2, _ = loaded.search(tiny_queries, k=5)
+        np.testing.assert_array_equal(r1.ids, r2.ids)
+        # The index's own loader restores the build counters; the
+        # deployment loader used to drop them.
+        assert loaded.index.build_stats() == db.index.build_stats()
+
+    def test_a_file_named_without_the_suffix_still_opens(
+        self, trained_index, tmp_path
+    ):
+        trained_index.save(tmp_path / "snap.npz")
+        (tmp_path / "snap.npz").rename(tmp_path / "snap")
+        assert IVFFlatIndex.load(tmp_path / "snap").ntotal == (
+            trained_index.ntotal
+        )
+
+    def test_a_deployment_file_without_the_index_metadata_loads(
+        self, tiny_data, tiny_queries, tmp_path, db_factory
+    ):
+        """Files written before ``HarmonyDB.save`` went through
+        ``IVFFlatIndex.state_arrays`` hold no ``meta`` / ``metric``."""
+        db = db_factory(tiny_data, tiny_queries)
+        db.save(tmp_path / "db.npz")
+        with np.load(tmp_path / "db.npz", allow_pickle=False) as data:
+            arrays = {
+                name: data[name] for name in data.files
+                if name not in ("meta", "metric")
+            }
+        np.savez_compressed(tmp_path / "old.npz", **arrays)
+        loaded = HarmonyDB.load(tmp_path / "old.npz")
+        r1, _ = db.search(tiny_queries, k=5)
+        r2, _ = loaded.search(tiny_queries, k=5)
+        np.testing.assert_array_equal(r1.ids, r2.ids)
+        np.testing.assert_array_equal(r1.distances, r2.distances)

@@ -1,61 +1,26 @@
-"""RetryPolicy: exponential growth, caps, deterministic jitter."""
+"""backoff_delay: the one exponential backoff."""
 
 import pytest
 
-from repro.util.retry import RetryPolicy, backoff_delay
+from repro.util.retry import backoff_delay
 
 
 def test_exponential_growth():
     assert backoff_delay(0, 0.1) == pytest.approx(0.1)
     assert backoff_delay(1, 0.1) == pytest.approx(0.2)
     assert backoff_delay(3, 0.1) == pytest.approx(0.8)
-    assert backoff_delay(2, 0.5, factor=3.0) == pytest.approx(4.5)
-
-
-def test_max_delay_caps_before_jitter():
-    assert backoff_delay(10, 1.0, max_delay=5.0) == pytest.approx(5.0)
-    # Jitter stretches the capped value, never beyond (1 + jitter)x.
-    got = backoff_delay(10, 1.0, max_delay=5.0, jitter=0.5, seed=3)
-    assert 5.0 <= got <= 7.5
-
-
-def test_jitter_is_deterministic_and_bounded():
-    a = backoff_delay(2, 0.1, jitter=0.5, seed=7, key=11)
-    b = backoff_delay(2, 0.1, jitter=0.5, seed=7, key=11)
-    assert a == b  # same (seed, key, attempt) -> same delay
-    assert 0.4 <= a <= 0.6
-    # Different keys de-synchronize concurrent retriers.
-    c = backoff_delay(2, 0.1, jitter=0.5, seed=7, key=12)
-    assert c != a
 
 
 def test_zero_jitter_matches_pure_exponential():
-    policy = RetryPolicy(base=2e-4, max_attempts=3)
-    assert policy.delays() == [
-        pytest.approx(2e-4 * 2.0**i) for i in range(3)
-    ]
-    assert policy.total_delay() == pytest.approx(2e-4 * (1 + 2 + 4))
+    """Replayable: a delay is exactly ``base * 2**attempt``, every time."""
+    delays = [backoff_delay(i, 2e-4) for i in range(3)]
+    assert delays == [2e-4 * 2.0**i for i in range(3)]
+    assert delays == [backoff_delay(i, 2e-4) for i in range(3)]
 
 
 def test_policy_schedule_and_validation():
-    policy = RetryPolicy(
-        base=0.1, factor=2.0, max_attempts=4, jitter=0.25, seed=1
-    )
-    assert len(policy.delays()) == 4
-    assert policy.delays() == policy.delays()  # replayable
-    assert policy.total_delay(key=5) == pytest.approx(
-        sum(policy.delay(i, key=5) for i in range(4))
-    )
     with pytest.raises(ValueError, match="base"):
-        RetryPolicy(base=0.0)
-    with pytest.raises(ValueError, match="factor"):
-        RetryPolicy(base=0.1, factor=0.5)
-    with pytest.raises(ValueError, match="max_attempts"):
-        RetryPolicy(base=0.1, max_attempts=-1)
-    with pytest.raises(ValueError, match="max_delay"):
-        RetryPolicy(base=0.1, max_delay=0.0)
-    with pytest.raises(ValueError, match="jitter"):
-        RetryPolicy(base=0.1, jitter=-0.1)
+        backoff_delay(0, 0.0)
     with pytest.raises(ValueError, match="attempt"):
         backoff_delay(-1, 0.1)
 
