@@ -39,55 +39,17 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.partition import PartitionPlan
+from repro.index.quantized import (  # the codec's one home; re-exported
+    sq8_decode,
+    sq8_encode,
+    sq8_train_params,
+)
 from repro.util.growable import GrowableArray
 
 #: Process-wide base-generation ids: every full build/compaction gets
 #: a fresh one, so the process backend can tell "same generation, new
 #: deltas" (overlay sync) from "new generation" (full shm re-home).
 _GENERATIONS = itertools.count(1)
-
-#: Smallest admissible per-dimension quantization step. Constant
-#: columns have zero span; without the clamp encode would divide by a
-#: zero (or denormal) scale. Any positive step is exact for them:
-#: every code lands on 0 and decodes back to ``lo``.
-SQ8_SCALE_EPS = 1e-12
-
-
-def sq8_train_params(base: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """Per-dimension ``(lo, scale)`` for uint8 scalar quantization."""
-    if base.shape[0] == 0:
-        dim = base.shape[1]
-        return np.zeros(dim, dtype=np.float64), np.ones(dim, dtype=np.float64)
-    lo = base.min(axis=0).astype(np.float64)
-    hi = base.max(axis=0).astype(np.float64)
-    scale = np.maximum((hi - lo) / 255.0, SQ8_SCALE_EPS)
-    return lo, scale
-
-
-def sq8_encode(
-    rows: np.ndarray, lo: np.ndarray, scale: np.ndarray
-) -> np.ndarray:
-    """Quantize float rows to uint8 codes."""
-    codes = np.rint((rows.astype(np.float64) - lo) / scale)
-    return np.clip(codes, 0, 255).astype(np.uint8)
-
-
-def sq8_decode(
-    codes: np.ndarray,
-    lo: np.ndarray,
-    scale: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Float64 reconstruction ``codes * scale + lo``; scans must decode
-    with this exact arithmetic so the packed error table keeps bounding
-    them. ``out`` is an optional float64 scratch of ``codes``' shape
-    that the codes are widened into and decoded in place."""
-    if out is None:
-        return codes.astype(np.float64) * scale + lo
-    np.copyto(out, codes)
-    out *= scale
-    out += lo
-    return out
 
 
 def _sq8_slab_error(

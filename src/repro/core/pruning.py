@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.layout import CandidatePart, ShardSlabs, sq8_decode
+from repro.core.layout import CandidatePart, ShardSlabs
 from repro.distance.metrics import Metric
 from repro.distance.partial import (
     BOUND_ABS_EPS,
@@ -135,26 +135,105 @@ def _slice_scores(
     return -partial_inner_product(rows, q_slice, f64)
 
 
+#: float32's unit roundoff, float64's, and the two float32 range limits
+#: the phase-one pad is written against. ``_F32_TINY`` is the absolute
+#: error budget of one term: a weight or a product under float32's
+#: normal range (2**-126) is rounded with an absolute, not a relative,
+#: error — or dropped whole by a flush-to-zero BLAS build — and a weight
+#: is then multiplied by a code (< 2**8) or its square (< 2**16).
+#: ``_F32_SAFE`` is the largest sum of a stage's term magnitudes for
+#: which every float32 partial sum, in any order, is still finite.
+_F32_U = 2.0**-24
+_F64_U = 2.0**-53
+_F32_TINY = 2.0**-108
+_F32_SAFE = 1e37
+
+
 def _sq8_padded_scores(
-    scan, codes, f64, cols: slice, q_slice, err, at
+    scan, codes, f64, q: int, slice_id: int, cols: slice, err
 ) -> np.ndarray:
     """One slice's SQ8 scores, padded down to bound the exact ones.
 
-    The codes are decoded into the scan's ``f64`` scratch and scored in
-    place. For L2 each slice contributes ``max(0, sqrt(approx) -
-    err)**2`` (reverse triangle inequality); for the inner-product
-    family ``approx - ||q_s|| * err`` (the query norm at index ``at``)
-    bounds the quantization cross-term by Cauchy-Schwarz. ``err`` was
-    rounded *up* at pack time.
+    Nothing is decoded. The codes (integers up to 255, exact in
+    float32) are cast once into a float32 view of the scan's ``f64``
+    scratch and scored against the weights :func:`_attach_sq8` hoisted
+    for member ``q``, with BLAS — phase one is a bound, not a bit
+    pattern, so any summation order will do. Writing ``c`` for a row's
+    codes, ``s`` / ``lo`` for the slice's scale / offset, ``u = q - lo``
+    and ``w`` for the slice width:
+
+    * L2: ``||decode(c) - q||² = A - 2X + C`` with ``A = Σ s²c²``,
+      ``X = Σ (s∘u)·c``, ``C = Σ u²`` — ``sgemv`` of the squared block
+      against ``s²``, of the block against ``-2 s∘u``, and a per
+      (member, slice) constant;
+    * IP family: ``-decode(c)·q = Y - lo·q`` with ``Y = -Σ (s∘q)·c`` —
+      one ``sgemv`` and a constant.
+
+    **Rounding.** With ``γ = (w+2)·u / (1 - (w+2)·u)``, ``u = 2⁻²⁴``, a
+    float32 dot product of ``w`` terms against weights that were
+    themselves rounded to float32 is off by at most ``γ · Σ|terms|``
+    whatever order the library adds them in (Higham, *Accuracy and
+    Stability*, §3.1), so
+
+    * ``|Â - A| ≤ γ·A`` (all terms non-negative),
+    * ``|2X̂ - 2X| ≤ 2γ·Σ|s∘u|·c ≤ 2γ·√(A·C) ≤ γ·(A + C)``
+      (Cauchy-Schwarz, then ``2√(AC) ≤ A + C``),
+    * ``|Ŷ - Y| ≤ γ·Σ|s∘q|·c ≤ γ·G``, ``G = 255·Σ|s∘q|`` (``c ≤ 255``),
+
+    hence ``A - 2X + C ≥ (Â - 2X̂ + C) - ε·(Â + C)`` for ``ε = 3γ ≥
+    2γ/(1-γ)``, and ``Y ≥ Ŷ - 2γ·G``. The slack left in ``3γ`` and
+    ``2γ`` (at least ``γ/2``, against float64 errors ``2²⁹`` times
+    smaller) covers the float64 roundings of the weights, constants and
+    final sums. Two absolute terms ride along. ``w·_F32_TINY`` is for
+    products in float32's denormal range, where the relative model
+    fails. The other is float64's: the error table bounds the row's
+    distance to ``decode(c)`` *as float64 computes it*, which lies up
+    to ``2⁻⁵²·(|s·c| + |lo|)`` per dimension from the real-number
+    decode expanded above — ``2⁻⁵⁰·Σ lo²`` for L2, and for the IP
+    family ``2(w+4)·2⁻⁵³·Σ|lo∘q|``, which also spans the ``w`` roundings
+    of ``lo·q`` here and in the exact score the bound is held against
+    (an offset far larger than the span leaves those to cancellation).
+
+    All of it is subtracted first; the stage then pads by the packed
+    error norm exactly as the decode form did: for L2 ``max(0,
+    sqrt(approx) - err)**2`` (reverse triangle inequality), for the
+    inner-product family ``approx - ||q_s|| * err`` (Cauchy-Schwarz).
+    ``err`` was rounded *up* at pack time.
+
+    **Range.** float32 overflows where float32 *data* does not (squares
+    pass 3.4e38 near 1.8e19), and ``inf - inf`` is NaN, which compares
+    False against every threshold — a pruned true neighbour. Where the
+    stage's term magnitudes could exceed ``_F32_SAFE``
+    (:func:`_attach_sq8` marks the (member, slice) with a ``-inf``
+    constant) nothing is computed and the stage returns the bound that
+    is true of anything: 0 for L2, ``-inf`` for the inner-product
+    family. Elsewhere every intermediate is finite by construction.
     """
-    decoded = sq8_decode(
-        codes, scan._code_lo[cols], scan._code_scale[cols], out=f64
+    n, width = codes.shape
+    l2 = scan.metric is Metric.L2
+    const = scan._sq8_const[q, slice_id]
+    if const == -np.inf:
+        return np.full(n, 0.0 if l2 else -np.inf)
+    block = f64.reshape(-1).view(np.float32)[: n * width].reshape(n, width)
+    np.copyto(block, codes)
+    linear = np.dot(block, scan._sq8_linear[q, cols])
+    if not l2:
+        approx = np.add(linear, const, dtype=np.float64)
+        approx -= np.multiply(
+            err, scan._qnorms64[q, slice_id], dtype=np.float64
+        )
+        return approx
+    np.square(block, out=block)
+    approx = np.multiply(
+        np.dot(block, scan._sq8_square[cols]),
+        scan._sq8_keep[slice_id],
+        dtype=np.float64,
     )
-    if scan.metric is Metric.L2:
-        approx = partial_squared_l2(decoded, q_slice, decoded)
-        return np.square(np.maximum(np.sqrt(approx) - err, 0.0))
-    approx = -partial_inner_product(decoded, q_slice)
-    return approx - scan._qnorms64[at] * err
+    approx += linear
+    approx += const
+    np.sqrt(np.maximum(approx, 0.0, out=approx), out=approx)
+    approx -= err
+    return np.square(np.maximum(approx, 0.0, out=approx), out=approx)
 
 
 def _exact_scores(
@@ -164,21 +243,33 @@ def _exact_scores(
     slices: DimensionSlices,
     metric: Metric,
     buffers: _StageBuffers,
+    taken: np.ndarray,
 ) -> np.ndarray:
     """Exact scores of float32 rows ``local`` in canonical slice order.
 
-    One small take per slab, then the same per-row float64 reduction
-    the fp32 scan accumulates, so re-ranked SQ8 survivors carry bitwise
-    the scores the fp32 oracle reports.
+    One small take per slab — into ``taken``, the flat float32 block
+    :func:`_rerank_block` sized for the survivors, reused by every slab
+    — then the same per-row float64 reduction the fp32 scan
+    accumulates, so re-ranked SQ8 survivors carry bitwise the scores
+    the fp32 oracle reports.
     """
-    total = np.zeros(local.size, dtype=np.float64)
+    n = local.size
+    total = np.zeros(n, dtype=np.float64)
     for slice_id in range(slices.n_slices):
-        cols = slice(*slices.slice_range(slice_id))
-        rows = exact.take(slice_id, local)
+        start, stop = slices.slice_range(slice_id)
+        width = stop - start
+        rows = exact.take(
+            slice_id, local, out=taken[: n * width].reshape(n, width)
+        )
         total += _slice_scores(
-            rows, query[cols], metric, buffers.f64(*rows.shape)
+            rows, query[start:stop], metric, buffers.f64(n, width)
         )
     return total
+
+
+def _rerank_block(exact: ShardSlabs, n_rows: int) -> np.ndarray:
+    """The float32 block one ``survivors()`` call re-ranks through."""
+    return np.empty(n_rows * exact.max_width, dtype=exact.base[0].dtype)
 
 
 def _deflated(bounds: np.ndarray) -> np.ndarray:
@@ -186,24 +277,75 @@ def _deflated(bounds: np.ndarray) -> np.ndarray:
     return bounds - (np.abs(bounds) * BOUND_REL_EPS + BOUND_ABS_EPS)
 
 
+def _kept_rows(table: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``table[keep]`` for a 2-D table: a row take at the kept indices,
+    an order of magnitude cheaper than a boolean-mask row copy."""
+    return table.take(np.flatnonzero(keep), axis=0)
+
+
 def _attach_sq8(
-    scan, code_err, exact, code_lo, code_scale, query_norms
+    scan, queries, code_err, exact, code_lo, code_scale, query_norms
 ) -> None:
-    """The SQ8 side state both arities carry beside their code slabs."""
-    if scan.metric is not Metric.L2 and query_norms is None:
+    """The SQ8 side state both arities carry beside their code slabs.
+
+    Everything :func:`_sq8_padded_scores` needs that does not depend on
+    the row is computed here, once per scan, in float64: the float32
+    ``sgemv`` weights per dimension, and per (member, slice) the
+    constant term with the whole rounding pad already taken off it
+    (``-inf`` where float32 could overflow). ``queries`` is one query
+    or the group's ``(n_queries, dim)`` block; a single scan is member
+    0 of a group of one.
+    """
+    l2 = scan.metric is Metric.L2
+    if not l2 and query_norms is None:
         raise ValueError("inner-product SQ8 pruning requires query_norms")
-    scan._err = np.asarray(code_err, dtype=np.float64)
+    scan._err = np.asarray(code_err)
     scan._exact = exact
-    scan._code_lo = np.asarray(code_lo, dtype=np.float64)
-    scan._code_scale = np.asarray(code_scale, dtype=np.float64)
     scan._qnorms64 = (
         None
-        if scan.metric is Metric.L2
-        else np.asarray(query_norms, dtype=np.float64)
+        if l2
+        else np.atleast_2d(np.asarray(query_norms, dtype=np.float64))
     )
     #: Candidates re-ranked against fp32 by the last survivors() call
     #: (the harmony_rerank_candidates_total metric).
     scan.reranked = 0
+
+    lo = np.asarray(code_lo, dtype=np.float64)
+    scale = np.asarray(code_scale, dtype=np.float64)
+    q64 = np.atleast_2d(queries).astype(np.float64)
+    bounds = np.asarray(scan.slices.boundaries)
+    widths = np.diff(bounds)
+
+    def per_slice(values: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(values, bounds[:-1], axis=-1)
+
+    gamma = (widths + 2) * _F32_U / (1.0 - (widths + 2) * _F32_U)
+    tiny = widths * _F32_TINY
+    if l2:
+        u = q64 - lo
+        square = scale * scale
+        linear = -2.0 * scale * u
+        c = per_slice(u * u)
+        keep = 1.0 - 3.0 * gamma
+        const = c * keep - 2.0**-50 * per_slice(lo * lo) - tiny
+        safe = 65025.0 * per_slice(square) + c < _F32_SAFE
+        scan._sq8_keep = keep
+    else:
+        linear = -(scale * q64)
+        lo_q = lo * q64
+        reach = 255.0 * per_slice(np.abs(linear))
+        const = -per_slice(lo_q) - (
+            2.0 * gamma * reach
+            + 2.0 * (widths + 4) * _F64_U * per_slice(np.abs(lo_q))
+            + tiny
+        )
+        safe = reach < _F32_SAFE
+    scan._sq8_const = np.where(safe, const, -np.inf)
+    # Unsafe slices may overflow the cast; their weights are never read.
+    with np.errstate(over="ignore"):
+        scan._sq8_linear = linear.astype(np.float32)
+        if l2:
+            scan._sq8_square = square.astype(np.float32)
 
 
 class ShardScan:
@@ -591,7 +733,7 @@ class SQ8ShardScan(ShardScan):
         # per-slice scorer differs.
         super().__init__(part=part, **scan)
         _attach_sq8(
-            self, part.err, part.exact,
+            self, self.query, part.err, part.exact,
             code_lo, code_scale, scan.get("query_norms"),
         )
 
@@ -601,8 +743,7 @@ class SQ8ShardScan(ShardScan):
 
     def _padded_slice(self, taken, f64, slice_id: int, cols: slice):
         return _sq8_padded_scores(
-            self, taken, f64, cols, self.query[cols],
-            self._err[:, slice_id], slice_id,
+            self, taken, f64, 0, slice_id, cols, self._err[:, slice_id]
         )
 
     def lower_bounds(self) -> np.ndarray:
@@ -610,7 +751,7 @@ class SQ8ShardScan(ShardScan):
 
     def _compact(self, keep: np.ndarray) -> int:
         killed = super()._compact(keep)
-        self._err = self._err[keep]
+        self._err = _kept_rows(self._err, keep)
         return killed
 
     def survivors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -620,7 +761,7 @@ class SQ8ShardScan(ShardScan):
         self.reranked = int(self.ids.size)
         return self.ids, _exact_scores(
             self._exact, self._local, self.query, self.slices, self.metric,
-            self._buffers,
+            self._buffers, _rerank_block(self._exact, self.ids.size),
         )
 
 
@@ -643,6 +784,7 @@ class SQ8ShardGroupScan(ShardGroupScan):
         super().__init__(parts, **scan)
         _attach_sq8(
             self,
+            self.queries,
             np.concatenate([part.err for part in parts], axis=0),
             [part.exact for part in parts],
             code_lo, code_scale, scan.get("query_norms"),
@@ -654,8 +796,7 @@ class SQ8ShardGroupScan(ShardGroupScan):
 
     def _padded_block(self, taken, f64, q, slice_id, cols, seg) -> np.ndarray:
         return _sq8_padded_scores(
-            self, taken, f64, cols, self.queries[q, cols],
-            self._err[seg, slice_id], (q, slice_id),
+            self, taken, f64, q, slice_id, cols, self._err[seg, slice_id]
         )
 
     def lower_bounds(self) -> np.ndarray:
@@ -663,7 +804,7 @@ class SQ8ShardGroupScan(ShardGroupScan):
 
     def _compact_dense(self, keep: np.ndarray) -> None:
         super()._compact_dense(keep)
-        self._err = self._err[keep]
+        self._err = _kept_rows(self._err, keep)
 
     def survivors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ids, *exact* scores, owning query) via fp32 re-rank."""
@@ -672,12 +813,15 @@ class SQ8ShardGroupScan(ShardGroupScan):
         n = self.ids.size
         self.reranked = int(n)
         exact = np.empty(n, dtype=np.float64)
+        taken = _rerank_block(
+            self._exact[0], max(alive.size for alive in self._alive)
+        )
         pos = 0
         for q, alive in enumerate(self._alive):
             if alive.size:
                 exact[pos : pos + alive.size] = _exact_scores(
                     self._exact[q], alive, self.queries[q],
-                    self.slices, self.metric, self._buffers,
+                    self.slices, self.metric, self._buffers, taken,
                 )
                 pos += alive.size
         return self.ids, exact, self.query_of

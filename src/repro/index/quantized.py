@@ -21,6 +21,39 @@ from repro.distance.kernels import top_k_smallest
 from repro.distance.metrics import Metric, resolve_metric
 from repro.index.ivf import IVFFlatIndex
 
+#: Smallest admissible per-dimension quantization step. Constant
+#: columns have zero span; without the clamp encode would divide by a
+#: zero (or denormal) scale. Any positive step is exact for them:
+#: every code lands on 0 and decodes back to ``lo``.
+SQ8_SCALE_EPS = 1e-12
+
+
+def sq8_train_params(base: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Per-dimension ``(lo, scale)`` for uint8 scalar quantization."""
+    if base.shape[0] == 0:
+        dim = base.shape[1]
+        return np.zeros(dim, dtype=np.float64), np.ones(dim, dtype=np.float64)
+    lo = base.min(axis=0).astype(np.float64)
+    hi = base.max(axis=0).astype(np.float64)
+    scale = np.maximum((hi - lo) / 255.0, SQ8_SCALE_EPS)
+    return lo, scale
+
+
+def sq8_encode(
+    rows: np.ndarray, lo: np.ndarray, scale: np.ndarray
+) -> np.ndarray:
+    """Quantize float rows to uint8 codes (clipped to the trained range)."""
+    codes = np.rint((rows.astype(np.float64) - lo) / scale)
+    return np.clip(codes, 0, 255).astype(np.uint8)
+
+
+def sq8_decode(
+    codes: np.ndarray, lo: np.ndarray, scale: np.ndarray
+) -> np.ndarray:
+    """Float64 reconstruction ``codes * scale + lo``. The packed
+    layout's error table is measured against this exact arithmetic."""
+    return codes.astype(np.float64) * scale + lo
+
 
 class SQ8IVFIndex:
     """IVF with 8-bit scalar-quantized storage.
@@ -76,29 +109,20 @@ class SQ8IVFIndex:
         """Learn the clustering and the per-dimension code ranges."""
         data = np.atleast_2d(np.asarray(data, dtype=np.float32))
         self._ivf.train(data)
-        lo = data.min(axis=0).astype(np.float64)
-        hi = data.max(axis=0).astype(np.float64)
-        span = hi - lo
-        self._lo = lo
-        # Constant dimensions have zero span; clamp the *scale* (not
-        # just the span) to a positive epsilon so encode's division is
-        # finite and decode maps code 0 back to the constant exactly.
-        self._scale = np.maximum(span / 255.0, 1e-12)
+        self._lo, self._scale = sq8_train_params(data)
 
     def encode(self, vectors: np.ndarray) -> np.ndarray:
         """Quantize float vectors to uint8 codes (clipped to range)."""
         if self._lo is None or self._scale is None:
             raise RuntimeError("train() must be called before encoding")
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        codes = np.rint((vectors - self._lo) / self._scale)
-        return np.clip(codes, 0, 255).astype(np.uint8)
+        return sq8_encode(np.atleast_2d(vectors), self._lo, self._scale)
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
         """Reconstruct approximate float vectors from codes."""
         if self._lo is None or self._scale is None:
             raise RuntimeError("train() must be called before decoding")
-        return (
-            np.atleast_2d(codes).astype(np.float64) * self._scale + self._lo
+        return sq8_decode(
+            np.atleast_2d(codes), self._lo, self._scale
         ).astype(np.float32)
 
     def add(self, vectors: np.ndarray) -> None:

@@ -304,7 +304,9 @@ class TestSlabFedScanIsBitIdentical:
     slice, exactly the float64 bits of the row-major arithmetic: rows
     widened to float64, the query subtracted (L2) or broadcast (IP
     family), one ``einsum("ij,ij->i")`` over fresh contiguous arrays —
-    written out below, with nothing reused between slices."""
+    written out below, with nothing reused between slices. The SQ8
+    scan's phase one lower-bounds those bits, keeps every row the fp32
+    scan keeps, and re-ranks its survivors to exactly them."""
 
     @staticmethod
     def _reference_slice(rows, query, cols, metric):
@@ -335,7 +337,6 @@ class TestSlabFedScanIsBitIdentical:
         self, seed, metric, sq8, filtered, n_blocks
     ):
         from repro.core.executor.kernel import ScanKernel, open_scan
-        from repro.core.layout import sq8_encode
         from repro.core.partition import build_plan
         from repro.index.ivf import IVFFlatIndex
 
@@ -373,41 +374,69 @@ class TestSlabFedScanIsBitIdentical:
         slices = plan.slices
         rows = index.base[part.ids]
         if sq8:
-            lo, scale = layout.code_lo, layout.code_scale
-            codes = sq8_encode(rows, lo, scale)
-            err = np.array(part.err, dtype=np.float64)
+            # The fp32 scan over the same candidates, pruned on the same
+            # thresholds: whatever it keeps, phase one must keep.
+            fp32 = ShardScan(
+                rows=rows, candidate_ids=part.ids, query=query,
+                slices=slices, metric=metric, base_slice_norms=part.norms,
+                query_norms=state.query_norms,
+            )
         expect = np.zeros(part.ids.size, dtype=np.float64)
         alive = np.ones(part.ids.size, dtype=bool)
         for j in range(slices.n_slices):
             cols = slice(*slices.slice_range(j))
-            if not sq8:
-                expect += self._reference_slice(rows, query, cols, metric)
-            else:
-                # Decode, score the decoded slice the same way, pad the
-                # score down by the packed error norm.
-                decoded = np.zeros((part.ids.size, dim), dtype=np.float64)
-                decoded[:, cols] = (
-                    codes[:, cols].astype(np.float64) * scale[cols] + lo[cols]
-                )
-                approx = self._reference_slice(decoded, query, cols, metric)
-                if metric is Metric.L2:
-                    expect += np.square(
-                        np.maximum(np.sqrt(approx) - err[:, j], 0.0)
-                    )
-                else:
-                    expect += approx - float(state.query_norms[j]) * err[:, j]
+            expect += self._reference_slice(rows, query, cols, metric)
             assert scan.process_slice(j) == int(alive.sum())
-            assert scan.accumulated.tobytes() == expect[alive].tobytes()
+            if not sq8:
+                assert scan.accumulated.tobytes() == expect[alive].tobytes()
+            else:
+                # Phase one promises a bound, not a bit pattern (its
+                # float32 BLAS sums depend on the library's order).
+                assert np.all(scan.accumulated <= expect[alive])
+                fp32.process_slice(j)
             # Prune on the median bound so later stages take a
             # compacted, still base-before-delta index array.
-            scan.prune(float(np.median(scan.lower_bounds())))
+            threshold = float(np.median(scan.lower_bounds()))
+            scan.prune(threshold)
             alive = scan.alive.copy()
+            if sq8:
+                fp32.prune(threshold)
+                assert not (fp32.alive & ~alive).any()
         if sq8:
             # Re-ranked survivors carry the fp32 scan's exact bits.
-            exact = np.zeros(part.ids.size, dtype=np.float64)
-            for j in range(slices.n_slices):
-                cols = slice(*slices.slice_range(j))
-                exact += self._reference_slice(rows, query, cols, metric)
             ids, scores = scan.survivors()
             np.testing.assert_array_equal(ids, part.ids[alive])
-            assert scores.tobytes() == exact[alive].tobytes()
+            assert scores.tobytes() == expect[alive].tobytes()
+
+
+class TestPhaseOneScoresCodesWhereTheyLie:
+    """Structural guard: SQ8 phase one never decodes again."""
+
+    @staticmethod
+    def _called_names(node):
+        import ast
+
+        return {
+            call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, (ast.Name, ast.Attribute))
+        }
+
+    def test_no_decode_and_no_float64_kernel_in_the_scorer(self):
+        import ast
+        import inspect
+
+        import repro.core.pruning as pruning
+
+        tree = ast.parse(inspect.getsource(pruning))
+        assert "sq8_decode" not in self._called_names(tree)
+        (scorer,) = [
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "_sq8_padded_scores"
+        ]
+        assert not self._called_names(scorer) & {
+            "sq8_decode", "partial_squared_l2", "partial_inner_product",
+            "einsum",
+        }
