@@ -71,7 +71,7 @@ from repro.core.heap import TopKHeap
 from repro.core.layout import (
     SharedShardPackedBase,
     _attach_shm,
-    _release_owned_segment,
+    _release_segment,
 )
 from repro.core.partition import PartitionPlan
 from repro.core.results import SearchResult
@@ -123,7 +123,7 @@ class _SharedVector:
         self.array = np.ndarray((n,), dtype=dtype, buffer=shm.buf)
         self._owner = owner
         self._finalizer = (
-            weakref.finalize(self, _release_owned_segment, shm)
+            weakref.finalize(self, _release_segment, shm, True)
             if owner
             else None
         )
@@ -159,15 +159,7 @@ class _SharedVector:
         finalizer, self._finalizer = self._finalizer, None
         if finalizer is not None:
             finalizer.detach()
-        try:
-            self.shm.close()
-        except (OSError, BufferError):
-            pass
-        if self._owner:
-            try:
-                self.shm.unlink()
-            except (FileNotFoundError, OSError):
-                pass
+        _release_segment(self.shm, unlink=self._owner)
 
 
 # ---------------------------------------------------------------------------
@@ -497,21 +489,11 @@ class ProcessBackend(ThreadBackend):
         generation* appears — the first build or a compaction.
         """
         layout = self._shared_layout
-        if (
-            layout is not None
-            and self.kernel._packed is layout
-            and layout.matches(self.index)
-            and (self.scan_precision != "sq8" or layout.has_codes)
-        ):
-            # Still current — but the kernel may have absorbed deltas
-            # in place since the last dispatch; republishing is a no-op
-            # unless the overlay version moved.
-            if layout.sync_overlay():
-                self.shm_overlay_syncs += 1
-            return layout
         packed = self.kernel.packed_base()
         if packed is layout and layout is not None:
-            # Same generation, new deltas/tombstones: overlay-only sync.
+            # Same generation: the kernel may have absorbed deltas in
+            # place since the last dispatch; republishing is a no-op
+            # unless the overlay version moved.
             if layout.sync_overlay():
                 self.shm_overlay_syncs += 1
             return layout

@@ -19,8 +19,9 @@ one immutable *base generation*; streaming mutations never touch it.
 :meth:`refresh` appends newly added rows to per-shard append-only
 *delta segments* (slabs/ids/norms, plus SQ8 codes encoded against the
 generation's frozen quantization params) and mirrors deletions into a
-*tombstone mask* that gathers apply before any row reaches a heap —
-so an ``add``/``remove`` batch costs O(batch), not O(ntotal), and the
+*tombstone mask* (one ``bool`` byte per row) that gathers apply before
+any row reaches a heap — so an ``add``/``remove`` batch moves O(batch)
+rows plus that mask, never the O(ntotal) packed rows, and the
 shared-memory copy of the base never has to be re-homed for it.
 Because every pruning bound and score is computed per row (partial
 einsums are independent of which other rows share a block), scanning
@@ -50,6 +51,106 @@ from repro.util.growable import GrowableArray
 #: a fresh one, so the process backend can tell "same generation, new
 #: deltas" (overlay sync) from "new generation" (full shm re-home).
 _GENERATIONS = itertools.count(1)
+
+#: How a family is indexed: one array for the whole layout, one per
+#: vector shard, or one per (shard, dimension block) grid cell.
+_GLOBAL, _SHARD, _CELL = "global", "shard", "cell"
+
+#: The base generation's arrays, each declared once: ``(name, scope,
+#: may be absent, delta twin)``. Family ``rows`` is the attribute
+#: ``_rows`` (``_rows[shard][block]``; ``_ids[shard]`` for a shard
+#: family) and the segment keys ``rows{shard}_{block}`` (``ids{shard}``,
+#: ``list_start``). An absent family holds None, per shard where it is
+#: indexed: norms on L2, the SQ8 arrays without codes. The twin is the
+#: family's append-only delta segment — zero rows to begin with, of the
+#: base family's scope, row shape and dtype. So delta norms are float64
+#: to match the base norm table bit-for-bit: slice norms feed the
+#: conservative pruning bound, and a float32 round-down (even half an
+#: ulp) could unsafely prune a true candidate.
+_BASE_FAMILIES = (
+    ("rows", _CELL, False, "drows"),
+    ("ids", _SHARD, False, "dids"),
+    ("norms", _SHARD, True, "dnorms"),
+    ("codes", _CELL, True, "dcodes"),
+    ("code_err", _SHARD, True, "dcode_err"),
+    ("list_start", _GLOBAL, False, None),
+    ("list_stop", _GLOBAL, False, None),
+    ("code_lo", _GLOBAL, True, None),
+    ("code_scale", _GLOBAL, True, None),
+)
+
+#: What mutations move, and the shared layout's overlay segment
+#: mirrors: the delta twins, each delta row's list tag (base rows lie
+#: in ``list_start``/``list_stop`` ranges instead) and the tombstone
+#: mask — ``(name, scope, may be absent)``.
+_OVERLAY_FAMILIES = tuple(
+    (twin, scope, optional)
+    for _, scope, optional, twin in _BASE_FAMILIES
+    if twin is not None
+) + (("dlists", _SHARD, False), ("tombstone", _GLOBAL, False))
+
+
+def _key(name: str, shard=None, block=None) -> str:
+    """Segment key: ``list_start``, ``ids{shard}``, ``rows{shard}_{block}``."""
+    if shard is None:
+        return name
+    return f"{name}{shard}" if block is None else f"{name}{shard}_{block}"
+
+
+def _named_arrays(layout, families):
+    """``(segment key, array)`` of every array of ``families`` held.
+
+    The one walk over a family table — byte counts and both segment
+    writers go through it. Growth buffers yield their logical contents.
+    """
+    def plain(arr):
+        return arr.view if isinstance(arr, GrowableArray) else arr
+
+    for name, scope, *_ in families:
+        held = getattr(layout, "_" + name)
+        if held is None:
+            continue
+        if scope is _GLOBAL:
+            yield name, held
+        elif scope is _SHARD:
+            for s, arr in enumerate(held):
+                if arr is not None:
+                    yield _key(name, s), plain(arr)
+        else:
+            for s, slabs in enumerate(held):
+                for b, slab in enumerate(slabs or ()):
+                    yield _key(name, s, b), plain(slab)
+
+
+def _bind(families, arrays: dict, n_shards: int, n_blocks: int, wrap=None):
+    """Inverse of :func:`_named_arrays`: ``{family name: arrays}``.
+
+    ``arrays`` maps segment keys to arrays; a family whose keys are
+    missing is absent (None). ``wrap`` is applied to the indexed arrays
+    only (the overlay's are growth buffers; a global array never grows).
+    """
+
+    def indexed(key: str):
+        arr = arrays.get(key)
+        return arr if arr is None or wrap is None else wrap(arr)
+
+    bound = {}
+    for name, scope, *_ in families:
+        if scope is _GLOBAL:
+            bound[name] = arrays.get(name)
+        elif scope is _SHARD:
+            bound[name] = [indexed(_key(name, s)) for s in range(n_shards)]
+        else:
+            cells = [
+                [indexed(_key(name, s, b)) for b in range(n_blocks)]
+                for s in range(n_shards)
+            ]
+            # A shard holds a cell family for every block or for none.
+            bound[name] = [
+                None if any(slab is None for slab in slabs) else slabs
+                for slabs in cells
+            ]
+    return bound
 
 
 def _sq8_slab_error(
@@ -88,23 +189,26 @@ def sq8_slice_errors(
     return _sq8_round_up(err)
 
 
-def _release_owned_segment(shm) -> None:
-    """Finalizer body for owner layouts: drop the mapping, free pages.
+def _release_segment(shm, unlink: bool) -> None:
+    """Drop this process's mapping; the creator (``unlink``) also
+    frees the pages.
 
-    Module-level (not a bound method) so the ``weakref.finalize``
-    callback holds no reference to the layout; it keeps only the
-    ``SharedMemory`` handle alive, which is exactly the resource it
-    must release. Runs at most once — :meth:`SharedShardPackedBase.
-    unlink` detaches it on the explicit-cleanup path.
+    Also the finalizer body for owner layouts. Module-level (not a
+    bound method) so the ``weakref.finalize`` callback holds no
+    reference to the layout; it keeps only the ``SharedMemory`` handle
+    alive, which is exactly the resource it must release. Runs at most
+    once — :meth:`SharedShardPackedBase.unlink` runs it early on the
+    explicit-cleanup path.
     """
     try:
         shm.close()
     except (OSError, BufferError):
         pass
-    try:
-        shm.unlink()
-    except (FileNotFoundError, OSError):
-        pass
+    if unlink:
+        try:
+            shm.unlink()
+        except (FileNotFoundError, OSError):
+            pass
 
 
 def _attach_shm(name: str):
@@ -125,6 +229,45 @@ def _attach_shm(name: str):
         return shared_memory.SharedMemory(name=name)
     finally:
         resource_tracker.register = original
+
+
+#: Every array of a segment starts on a multiple of this, so it is
+#: aligned for its dtype whatever odd-sized slab lies before it (numpy
+#: tolerates a misaligned view; a ``memmap`` or C reader would not).
+_SEGMENT_ALIGN = 64
+
+
+def _segment_views(buf, spec: dict) -> "dict[str, np.ndarray]":
+    """Zero-copy views over a segment, one per ``{key: (offset, shape,
+    dtype)}`` record of its spec."""
+    return {
+        key: np.ndarray(
+            shape, dtype=np.dtype(dtype), buffer=buf, offset=offset
+        )
+        for key, (offset, shape, dtype) in spec.items()
+    }
+
+
+def _write_segment(arrays):
+    """Copy ``(key, array)`` pairs end to end into one fresh segment.
+
+    Returns the ``SharedMemory`` and the spec that reads it back.
+    Padding lives in the segment size only; no byte count reports it.
+    """
+    from multiprocessing import shared_memory
+
+    arrays = list(arrays)
+    spec: dict[str, tuple[int, tuple, str]] = {}
+    end = 0
+    for key, arr in arrays:
+        offset = -(-end // _SEGMENT_ALIGN) * _SEGMENT_ALIGN
+        spec[key] = (offset, tuple(arr.shape), arr.dtype.str)
+        end = offset + arr.nbytes
+    shm = shared_memory.SharedMemory(create=True, size=max(1, end))
+    views = _segment_views(shm.buf, spec)
+    for key, arr in arrays:
+        views[key][...] = arr
+    return shm, spec
 
 
 def _merged(base_part, delta_part):
@@ -309,94 +452,64 @@ class ShardPackedBase:
     """
 
     def __init__(
-        self,
-        rows: "list[list[np.ndarray]]",
-        ids: "list[np.ndarray]",
-        norms: "list[np.ndarray | None]",
-        list_start: np.ndarray,
-        list_stop: np.ndarray,
-        version: int,
-        ntotal: int,
-        codes: "list[list[np.ndarray] | None] | None" = None,
-        code_err: "list[np.ndarray | None] | None" = None,
-        code_lo: np.ndarray | None = None,
-        code_scale: np.ndarray | None = None,
-        plan: PartitionPlan | None = None,
-        index_uid: int = 0,
-        generation: int = 0,
-        tombstone: np.ndarray | None = None,
-        dead_at_build: int = 0,
+        self, bound: dict, meta: dict, plan: PartitionPlan | None = None
     ) -> None:
-        self._rows = rows
-        self._ids = ids
-        self._norms = norms
-        self._list_start = list_start
-        self._list_stop = list_stop
-        self.version = version
-        self.ntotal = ntotal
-        self._codes = codes if codes is not None else [None] * len(rows)
-        self._code_err = (
-            code_err if code_err is not None else [None] * len(rows)
-        )
-        self._code_lo = code_lo
-        self._code_scale = code_scale
-        self._plan = plan
-        self.index_uid = index_uid
-        self.generation = generation if generation else next(_GENERATIONS)
-        self.delta_version = 0
-        self._tombstone = (
-            tombstone
-            if tombstone is not None
-            else np.zeros(ntotal, dtype=bool)
-        )
-        self._dead_at_build = dead_at_build
-        self._tombstones_since = 0
-        self._with_norms = any(n is not None for n in norms)
-        self._init_empty_deltas()
+        """One generation with nothing pending.
 
-    def _init_empty_deltas(self) -> None:
-        n_shards = len(self._rows)
-        widths = [slab.shape[1] for slab in self._rows[0]] if n_shards else []
-        n_slices = None
-        for err in self._code_err:
-            if err is not None:
-                n_slices = err.shape[1]
-        if n_slices is None and self._with_norms:
-            for norm in self._norms:
-                if norm is not None:
-                    n_slices = norm.shape[1]
-        self._drows = [
-            [GrowableArray(row_shape=(w,), dtype=np.float32) for w in widths]
-            for _ in range(n_shards)
-        ]
-        self._dids = [
-            GrowableArray(dtype=np.int64) for _ in range(n_shards)
-        ]
-        self._dlists = [
-            GrowableArray(dtype=np.int64) for _ in range(n_shards)
-        ]
-        # float64 to match the base norm table bit-for-bit: slice norms
-        # feed the conservative pruning bound, and a float32 round-down
-        # (even half an ulp) could unsafely prune a true candidate.
-        self._dnorms = [
-            GrowableArray(row_shape=(n_slices,), dtype=np.float64)
-            if self._with_norms
-            else None
-            for _ in range(n_shards)
-        ]
-        with_codes = self._code_lo is not None
-        self._dcodes = [
-            [GrowableArray(row_shape=(w,), dtype=np.uint8) for w in widths]
-            if with_codes
-            else None
-            for _ in range(n_shards)
-        ]
-        self._dcode_err = [
-            GrowableArray(row_shape=(n_slices,), dtype=np.float32)
-            if with_codes
-            else None
-            for _ in range(n_shards)
-        ]
+        Args:
+            bound: ``{family name: arrays}`` for ``_BASE_FAMILIES``.
+            meta: the record :meth:`_meta` emits; only ``version``,
+                ``ntotal`` and ``index_uid`` are required, and an
+                absent ``generation`` means a new one.
+            plan: the plan packed from (None on attached layouts).
+        """
+        self._plan = plan
+        self.version = meta["version"]
+        self.ntotal = meta["ntotal"]
+        self.index_uid = meta["index_uid"]
+        self.generation = meta.get("generation") or next(_GENERATIONS)
+        self.delta_version = meta.get("delta_version", 0)
+        self._dead_at_build = meta.get("dead_at_build", 0)
+        self._tombstones_since = meta.get("tombstones_since", 0)
+        self._hold(bound)
+        # The base generation never changes, so its bytes are counted
+        # once; a search reads ``nbytes`` for its report every call.
+        self._base_nbytes = sum(
+            arr.nbytes for _, arr in _named_arrays(self, _BASE_FAMILIES)
+        )
+        self._with_norms = any(n is not None for n in self._norms)
+
+        def empty(like: np.ndarray) -> GrowableArray:
+            return GrowableArray(row_shape=like.shape[1:], dtype=like.dtype)
+
+        for name, scope, _, twin in _BASE_FAMILIES:
+            if twin is not None:
+                twins = [
+                    None if held is None
+                    else [empty(slab) for slab in held] if scope is _CELL
+                    else empty(held)
+                    for held in bound[name]
+                ]
+                setattr(self, "_" + twin, twins)
+        self._dlists = [GrowableArray(dtype=np.int64) for _ in self._ids]
+        self._tombstone = np.zeros(self.ntotal, dtype=bool)
+
+    def _hold(self, bound: dict) -> None:
+        """Take ``{family name: arrays}`` as the family attributes."""
+        for name, held in bound.items():
+            setattr(self, "_" + name, held)
+
+    def _meta(self) -> dict:
+        """The scalars that, with the arrays, are the layout's state."""
+        return {
+            "version": self.version,
+            "ntotal": self.ntotal,
+            "index_uid": self.index_uid,
+            "generation": self.generation,
+            "delta_version": self.delta_version,
+            "dead_at_build": self._dead_at_build,
+            "tombstones_since": self._tombstones_since,
+        }
 
     @classmethod
     def build(
@@ -487,23 +600,28 @@ class ShardPackedBase:
                 codes.append(None)
                 code_err.append(None)
         tombstone = np.array(index.deleted_mask, dtype=bool, copy=True)
-        return cls(
-            rows=rows,
-            ids=ids,
-            norms=norms,
-            list_start=list_start,
-            list_stop=list_stop,
-            version=index.version,
-            ntotal=index.ntotal,
-            codes=codes,
-            code_err=code_err,
-            code_lo=code_lo,
-            code_scale=code_scale,
-            plan=plan,
-            index_uid=index.uid,
-            tombstone=tombstone,
-            dead_at_build=int(tombstone.sum()),
+        layout = cls(
+            dict(
+                rows=rows,
+                ids=ids,
+                norms=norms,
+                codes=codes,
+                code_err=code_err,
+                list_start=list_start,
+                list_stop=list_stop,
+                code_lo=code_lo,
+                code_scale=code_scale,
+            ),
+            {
+                "version": index.version,
+                "ntotal": index.ntotal,
+                "index_uid": index.uid,
+                "dead_at_build": int(tombstone.sum()),
+            },
+            plan,
         )
+        layout._tombstone = tombstone
+        return layout
 
     def matches(self, index: "IVFFlatIndex") -> bool:
         """True while the layout still reflects the index's contents.
@@ -549,8 +667,9 @@ class ShardPackedBase:
         base-generation params — still lossless, because the pruning
         bound is padded by each row's actual reconstruction error and
         survivors re-rank against exact float32). Deletions only flip
-        tombstone bits. The base arrays are never touched, so a
-        mutation batch costs O(batch + ntotal/8 bits), not a repack.
+        tombstone flags. The base arrays are never touched, so a
+        mutation batch costs O(batch) rows plus one copy of the
+        one-byte-per-row tombstone mask, not a repack.
 
         Args:
             index: the (mutated) source index; must satisfy
@@ -658,21 +777,8 @@ class ShardPackedBase:
     @property
     def nbytes(self) -> int:
         """Total bytes held by the packed arrays (base + deltas)."""
-        total = self.rows_nbytes + self.codes_nbytes
-        for arrays in (
-            self._ids, self._norms, self._code_err,
-            self._dids, self._dlists, self._dnorms, self._dcode_err,
-        ):
-            for arr in arrays:
-                if arr is not None:
-                    total += arr.nbytes
-        if self._list_start is not None:
-            total += self._list_start.nbytes + self._list_stop.nbytes
-        total += self._tombstone.nbytes
-        for arr in (self._code_lo, self._code_scale):
-            if arr is not None:
-                total += arr.nbytes
-        return int(total)
+        pending = _named_arrays(self, _OVERLAY_FAMILIES)
+        return int(self._base_nbytes + sum(arr.nbytes for _, arr in pending))
 
     @property
     def has_codes(self) -> bool:
@@ -707,16 +813,10 @@ class ShardPackedBase:
     @property
     def code_overhead_nbytes(self) -> int:
         """Bytes of the SQ8 side tables (error norms + dequant params)."""
-        total = sum(
-            arr.nbytes for arr in self._code_err if arr is not None
-        )
-        total += sum(
-            buf.nbytes for buf in self._dcode_err if buf is not None
-        )
-        for arr in (self._code_lo, self._code_scale):
-            if arr is not None:
-                total += arr.nbytes
-        return int(total)
+        tables = [
+            *self._code_err, *self._dcode_err, self._code_lo, self._code_scale
+        ]
+        return int(sum(arr.nbytes for arr in tables if arr is not None))
 
     def gather(
         self,
@@ -905,19 +1005,6 @@ class ShardPackedBase:
         )
 
 
-def _named_slabs(prefix: str, shard: int, slabs) -> "list[tuple]":
-    """``(segment key, slab)`` per dimension block of one shard."""
-    return [
-        (f"{prefix}{shard}_{block}", slab) for block, slab in enumerate(slabs)
-    ]
-
-
-def _slab_views(view, prefix: str, shard: int, n_blocks: int):
-    """One shard's slabs looked up by key (None when not packed)."""
-    slabs = [view(f"{prefix}{shard}_{block}") for block in range(n_blocks)]
-    return None if slabs and slabs[0] is None else slabs
-
-
 class SharedShardPackedBase(ShardPackedBase):
     """A :class:`ShardPackedBase` whose arrays live in shared memory.
 
@@ -942,13 +1029,15 @@ class SharedShardPackedBase(ShardPackedBase):
     ``/dev/shm`` pages for the life of the machine.
     """
 
-    def __init__(self, *args, shm=None, owner=False, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(
+        self, bound, meta, plan=None, shm=None, spec=None, owner=False
+    ) -> None:
+        super().__init__(bound, meta, plan)
         self._shm = shm
         self._owner = owner
-        self._spec: dict = {}
+        self._spec: dict = dict(spec or {})
         self._finalizer = (
-            weakref.finalize(self, _release_owned_segment, shm)
+            weakref.finalize(self, _release_segment, shm, True)
             if owner and shm is not None
             else None
         )
@@ -966,106 +1055,28 @@ class SharedShardPackedBase(ShardPackedBase):
     @classmethod
     def from_packed(cls, packed: ShardPackedBase) -> "SharedShardPackedBase":
         """Re-home an existing packed layout into one shared segment."""
-        from multiprocessing import shared_memory
-
-        arrays: list[tuple[str, np.ndarray]] = []
-        for shard in range(packed.n_shards):
-            arrays += _named_slabs("rows", shard, packed._rows[shard])
-            arrays.append((f"ids{shard}", packed._ids[shard]))
-            if packed._norms[shard] is not None:
-                arrays.append((f"norms{shard}", packed._norms[shard]))
-            if packed._codes[shard] is not None:
-                arrays += _named_slabs("codes", shard, packed._codes[shard])
-                arrays.append((f"code_err{shard}", packed._code_err[shard]))
-        arrays.append(("list_start", packed._list_start))
-        arrays.append(("list_stop", packed._list_stop))
-        if packed._code_lo is not None:
-            arrays.append(("code_lo", packed._code_lo))
-            arrays.append(("code_scale", packed._code_scale))
-
-        total = sum(arr.nbytes for _, arr in arrays)
-        shm = shared_memory.SharedMemory(create=True, size=max(1, total))
-        offset = 0
-        spec: dict[str, tuple[int, tuple, str]] = {}
-        views: dict[str, np.ndarray] = {}
-        for key, arr in arrays:
-            view = np.ndarray(
-                arr.shape, dtype=arr.dtype, buffer=shm.buf, offset=offset
-            )
-            view[...] = arr
-            spec[key] = (offset, tuple(arr.shape), arr.dtype.str)
-            views[key] = view
-            offset += arr.nbytes
-
-        n_blocks = packed.n_blocks
+        shm, spec = _write_segment(_named_arrays(packed, _BASE_FAMILIES))
         layout = cls(
-            rows=[
-                _slab_views(views.get, "rows", s, n_blocks)
-                for s in range(packed.n_shards)
-            ],
-            ids=[views[f"ids{s}"] for s in range(packed.n_shards)],
-            norms=[
-                views.get(f"norms{s}") for s in range(packed.n_shards)
-            ],
-            list_start=views["list_start"],
-            list_stop=views["list_stop"],
-            version=packed.version,
-            ntotal=packed.ntotal,
-            codes=[
-                _slab_views(views.get, "codes", s, n_blocks)
-                for s in range(packed.n_shards)
-            ],
-            code_err=[
-                views.get(f"code_err{s}") for s in range(packed.n_shards)
-            ],
-            code_lo=views.get("code_lo"),
-            code_scale=views.get("code_scale"),
-            plan=packed._plan,
-            index_uid=packed.index_uid,
-            generation=packed.generation,
-            tombstone=packed._tombstone,
-            dead_at_build=packed._dead_at_build,
-            shm=shm,
-            owner=True,
+            _bind(
+                _BASE_FAMILIES, _segment_views(shm.buf, spec),
+                packed.n_shards, packed.n_blocks,
+            ),
+            packed._meta(), packed._plan, shm=shm, spec=spec, owner=True,
         )
-        layout._spec = spec
-        layout._adopt_delta_state(packed)
+        # Take over the source layout's delta state wholesale: the
+        # owner keeps deltas in private (host-memory) growth buffers —
+        # they stay small by construction, bounded by the compaction
+        # ratio — and mirrors them into the overlay segment on
+        # :meth:`sync_overlay`.
+        for name, *_ in _OVERLAY_FAMILIES:
+            setattr(layout, "_" + name, getattr(packed, "_" + name))
         return layout
 
-    def _adopt_delta_state(self, packed: ShardPackedBase) -> None:
-        """Take over the source layout's delta segments wholesale.
-
-        The owner keeps deltas in private (host-memory) growth buffers
-        — they stay small by construction, bounded by the compaction
-        ratio — and mirrors them into the overlay segment on
-        :meth:`sync_overlay`.
-        """
-        self._drows = packed._drows
-        self._dids = packed._dids
-        self._dlists = packed._dlists
-        self._dnorms = packed._dnorms
-        self._dcodes = packed._dcodes
-        self._dcode_err = packed._dcode_err
-        self._tombstone = packed._tombstone
-        self._dead_at_build = packed._dead_at_build
-        self._tombstones_since = packed._tombstones_since
-        self.delta_version = packed.delta_version
-
     @classmethod
-    def build(
-        cls,
-        index: "IVFFlatIndex",
-        plan: PartitionPlan,
-        base_slice_norms: np.ndarray | None = None,
-        with_codes: bool = False,
-    ) -> "SharedShardPackedBase":
-        """Pack straight into shared memory (build + re-home)."""
-        packed = ShardPackedBase.build(
-            index, plan,
-            base_slice_norms=base_slice_norms,
-            with_codes=with_codes,
-        )
-        return cls.from_packed(packed)
+    def build(cls, index, plan, **options) -> "SharedShardPackedBase":
+        """Pack straight into shared memory: :meth:`ShardPackedBase.
+        build` with the same arguments, then :meth:`from_packed`."""
+        return cls.from_packed(ShardPackedBase.build(index, plan, **options))
 
     # -- cross-process plumbing ----------------------------------------
 
@@ -1075,8 +1086,9 @@ class SharedShardPackedBase(ShardPackedBase):
         ``shm_name`` is the immutable base generation's segment;
         ``overlay`` (None until the first post-build mutation) names
         the current delta/tombstone mirror. Workers key their cached
-        attachment on the pair, so delta-only refreshes re-map just
-        the small overlay.
+        attachment on the pair of names and, when either moves, close
+        and re-attach both segments — a re-``mmap`` of pages already
+        resident (about 0.1 ms), never a copy.
         """
         if self._shm is None:
             raise RuntimeError("layout is not backed by shared memory")
@@ -1088,16 +1100,11 @@ class SharedShardPackedBase(ShardPackedBase):
                 "delta_version": self._overlay_version,
             }
         return {
+            **self._meta(),
             "shm_name": self._shm.name,
             "n_shards": self.n_shards,
             "n_blocks": self.n_blocks,
             "spec": dict(self._spec),
-            "version": self.version,
-            "ntotal": self.ntotal,
-            "uid": self.index_uid,
-            "generation": self.generation,
-            "dead_at_build": self._dead_at_build,
-            "tombstones_since": self._tombstones_since,
             "overlay": overlay,
         }
 
@@ -1120,44 +1127,14 @@ class SharedShardPackedBase(ShardPackedBase):
             and self._overlay_version == self.delta_version
         ):
             return False
-        from multiprocessing import shared_memory
-
-        arrays: list[tuple[str, np.ndarray]] = [
-            ("tombstone", self._tombstone)
-        ]
-        for shard in range(self.n_shards):
-            arrays += _named_slabs(
-                "drows", shard, [d.view for d in self._drows[shard]]
-            )
-            arrays.append((f"dids{shard}", self._dids[shard].view))
-            arrays.append((f"dlists{shard}", self._dlists[shard].view))
-            if self._dnorms[shard] is not None:
-                arrays.append((f"dnorms{shard}", self._dnorms[shard].view))
-            if self._dcodes[shard] is not None:
-                arrays += _named_slabs(
-                    "dcodes", shard, [d.view for d in self._dcodes[shard]]
-                )
-                arrays.append(
-                    (f"dcode_err{shard}", self._dcode_err[shard].view)
-                )
-        total = sum(arr.nbytes for _, arr in arrays)
-        shm = shared_memory.SharedMemory(create=True, size=max(1, total))
-        offset = 0
-        spec: dict[str, tuple[int, tuple, str]] = {}
-        for key, arr in arrays:
-            view = np.ndarray(
-                arr.shape, dtype=arr.dtype, buffer=shm.buf, offset=offset
-            )
-            view[...] = arr
-            spec[key] = (offset, tuple(arr.shape), arr.dtype.str)
-            offset += arr.nbytes
+        shm, spec = _write_segment(_named_arrays(self, _OVERLAY_FAMILIES))
         self._retire_overlay()
         self._overlay_shm = shm
         self._overlay_spec = spec
         self._overlay_version = self.delta_version
         if self._owner:
             self._overlay_finalizer = weakref.finalize(
-                self, _release_owned_segment, shm
+                self, _release_segment, shm, True
             )
         return True
 
@@ -1169,96 +1146,38 @@ class SharedShardPackedBase(ShardPackedBase):
         self._overlay_spec = {}
         self._overlay_version = -1
         if shm is not None:
-            try:
-                shm.close()
-            except (OSError, BufferError):
-                pass
-            if self._owner:
-                try:
-                    shm.unlink()
-                except (FileNotFoundError, OSError):
-                    pass
+            _release_segment(shm, unlink=self._owner)
 
     @classmethod
     def attach(cls, manifest: dict) -> "SharedShardPackedBase":
         """Map an existing segment read-only-by-convention, zero-copy."""
         shm = _attach_shm(manifest["shm_name"])
         spec = manifest["spec"]
-
-        def view(key: str) -> np.ndarray | None:
-            if key not in spec:
-                return None
-            offset, shape, dtype = spec[key]
-            return np.ndarray(
-                shape, dtype=np.dtype(dtype), buffer=shm.buf, offset=offset
-            )
-
-        n_shards = manifest["n_shards"]
-        n_blocks = manifest["n_blocks"]
         layout = cls(
-            rows=[
-                _slab_views(view, "rows", s, n_blocks)
-                for s in range(n_shards)
-            ],
-            ids=[view(f"ids{s}") for s in range(n_shards)],
-            norms=[view(f"norms{s}") for s in range(n_shards)],
-            list_start=view("list_start"),
-            list_stop=view("list_stop"),
-            version=manifest["version"],
-            ntotal=manifest["ntotal"],
-            codes=[
-                _slab_views(view, "codes", s, n_blocks)
-                for s in range(n_shards)
-            ],
-            code_err=[view(f"code_err{s}") for s in range(n_shards)],
-            code_lo=view("code_lo"),
-            code_scale=view("code_scale"),
-            index_uid=manifest.get("uid", 0),
-            generation=manifest.get("generation", 0),
-            shm=shm,
-            owner=False,
+            _bind(
+                _BASE_FAMILIES, _segment_views(shm.buf, spec),
+                manifest["n_shards"], manifest["n_blocks"],
+            ),
+            manifest, shm=shm, spec=spec,
         )
-        layout._spec = dict(spec)
-        overlay = manifest.get("overlay")
+        overlay = manifest["overlay"]
         if overlay is not None:
-            layout._attach_overlay(manifest, overlay)
+            layout._attach_overlay(overlay)
         return layout
 
-    def _attach_overlay(self, manifest: dict, overlay: dict) -> None:
+    def _attach_overlay(self, overlay: dict) -> None:
         """Map the delta/tombstone overlay alongside the base views."""
         shm = _attach_shm(overlay["shm_name"])
-        spec = overlay["spec"]
-
-        def view(key: str) -> np.ndarray | None:
-            if key not in spec:
-                return None
-            offset, shape, dtype = spec[key]
-            return np.ndarray(
-                shape, dtype=np.dtype(dtype), buffer=shm.buf, offset=offset
+        self._hold(
+            _bind(
+                _OVERLAY_FAMILIES,
+                _segment_views(shm.buf, overlay["spec"]),
+                self.n_shards, self.n_blocks, wrap=GrowableArray.wrap,
             )
-
-        def wrap(key: str):
-            arr = view(key)
-            return None if arr is None else GrowableArray.wrap(arr)
-
-        n_shards, n_blocks = self.n_shards, self.n_blocks
-        self._drows = [
-            _slab_views(wrap, "drows", s, n_blocks) for s in range(n_shards)
-        ]
-        self._dids = [wrap(f"dids{s}") for s in range(n_shards)]
-        self._dlists = [wrap(f"dlists{s}") for s in range(n_shards)]
-        self._dnorms = [wrap(f"dnorms{s}") for s in range(n_shards)]
-        self._dcodes = [
-            _slab_views(wrap, "dcodes", s, n_blocks) for s in range(n_shards)
-        ]
-        self._dcode_err = [wrap(f"dcode_err{s}") for s in range(n_shards)]
-        self._tombstone = view("tombstone")
-        self._dead_at_build = manifest.get("dead_at_build", 0)
-        self._tombstones_since = manifest.get("tombstones_since", 0)
-        self.delta_version = overlay.get("delta_version", 0)
+        )
         self._overlay_shm = shm
-        self._overlay_spec = dict(spec)
-        self._overlay_version = self.delta_version
+        self._overlay_spec = dict(overlay["spec"])
+        self._overlay_version = overlay["delta_version"]
 
     # -- lifecycle ------------------------------------------------------
 
@@ -1269,31 +1188,19 @@ class SharedShardPackedBase(ShardPackedBase):
     def close(self) -> None:
         """Drop this process's mappings (views become invalid)."""
         shm, self._shm = self._shm, None
-        self._rows = self._ids = self._norms = []  # release buffer refs
-        self._codes = self._code_err = []
-        self._drows = self._dids = self._dlists = []
-        self._dnorms = self._dcodes = self._dcode_err = []
-        self._tombstone = np.zeros(0, dtype=bool)
-        self._list_start = self._list_stop = None
-        self._code_lo = self._code_scale = None
+        # Binding no shards to no arrays releases every buffer ref.
+        self._hold(_bind(_BASE_FAMILIES + _OVERLAY_FAMILIES, {}, 0, 0))
+        self._base_nbytes = 0
         self._retire_overlay()
         if shm is not None:
-            try:
-                shm.close()
-            except (OSError, BufferError):
-                pass
+            _release_segment(shm, unlink=False)
 
     def unlink(self) -> None:
         """Free the segments (creator only); also closes the mappings."""
-        shm = self._shm
-        owner = self._owner
-        finalizer, self._finalizer = self._finalizer, None
-        if finalizer is not None:
-            finalizer.detach()
         self.close()  # retires the overlay (unlinking it when owner)
         self._owner = False
-        if shm is not None and owner:
-            try:
-                shm.unlink()
-            except (FileNotFoundError, OSError):
-                pass
+        finalizer, self._finalizer = self._finalizer, None
+        if finalizer is not None:
+            # The owner's guard, run now rather than at collection: it
+            # still holds the base segment after close() has let go.
+            finalizer()

@@ -210,22 +210,25 @@ def test_process_backend_rebuilds_codeless_shared_layout():
 def test_shared_layout_staleness_and_unbacked_manifest():
     index = make_index()
     plan = build_plan(index, n_machines=4, n_vector_shards=2, n_dim_blocks=2)
+    from repro.core.layout import _attach_shm
+
     shared = SharedShardPackedBase.build(index, plan)
+    name = shared.shm_name
     try:
         assert shared.matches(index)
         index.add(np.ones((3, index.dim), dtype=np.float32))
         assert not shared.matches(index)
+        # close() is the only way a layout comes to have no segment.
+        shared.close()
+        with pytest.raises(RuntimeError, match="not backed"):
+            shared.manifest()
     finally:
         shared.unlink()
+    with pytest.raises(FileNotFoundError):
+        _attach_shm(name)  # the owner frees it even after its own close()
     plain = ShardPackedBase.build(index, plan)
     with pytest.raises(AttributeError):
         plain.manifest()  # only the shared subclass has a manifest
-    unbacked = SharedShardPackedBase(
-        rows=[], ids=[], norms=[], list_start=np.zeros(0, dtype=np.int64),
-        list_stop=np.zeros(0, dtype=np.int64), version=0, ntotal=0,
-    )
-    with pytest.raises(RuntimeError, match="not backed"):
-        unbacked.manifest()
 
 
 def test_owner_layout_segment_freed_without_unlink():

@@ -1,5 +1,8 @@
 """Unit tests for repro.core.layout (ShardPackedBase + kernel caching)."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -21,13 +24,31 @@ from repro.util.growable import GrowableArray
 N, DIM, NLIST = 300, 12, 8
 
 
-def make_index(metric=Metric.L2, n=N, seed=0):
+def make_index(metric=Metric.L2, n=N, seed=0, dim=DIM):
     rng = np.random.default_rng(seed)
-    base = rng.standard_normal((n, DIM)).astype(np.float32)
-    index = IVFFlatIndex(dim=DIM, nlist=NLIST, metric=metric, seed=0)
+    base = rng.standard_normal((n, dim)).astype(np.float32)
+    index = IVFFlatIndex(dim=dim, nlist=NLIST, metric=metric, seed=0)
     index.train(base)
     index.add(base)
     return index
+
+
+def _arrays_under(held):
+    """Every array under one attribute: nested lists, growth buffers."""
+    if isinstance(held, GrowableArray):
+        return [held.view]
+    if isinstance(held, np.ndarray):
+        return [held]
+    if isinstance(held, list):
+        return [arr for item in held for arr in _arrays_under(item)]
+    return []
+
+
+def _held_arrays(layout):
+    """``{attribute: [arrays]}`` of whatever the layout holds — read off
+    the object, not off the family tables, so it can check them."""
+    found = {attr: _arrays_under(held) for attr, held in vars(layout).items()}
+    return {attr: arrays for attr, arrays in found.items() if arrays}
 
 
 def rows_of(part):
@@ -479,33 +500,130 @@ class TestSlabLayout:
         assert compacted.delta_rows == 0
         self._check_rows(compacted, plan, index, sq8)
 
+    @staticmethod
+    def _round_trip_cases():
+        """``(index, plan, base norms)``: the plain grid; an
+        inner-product index (norms and delta norms exist); slabs
+        8/8/7/7 wide over 1 001 rows (an odd-sized uint8 code slab ends
+        off every wider dtype's alignment); a shard that owns no list."""
+        index = make_index()
+        yield index, make_plan(index, n_vector_shards=2, n_dim_blocks=3), None
+        index = make_index(metric=Metric.INNER_PRODUCT)
+        plan = make_plan(index, n_vector_shards=2, n_dim_blocks=3)
+        yield index, plan, slice_norms(index.base, plan.slices)
+        index = make_index(n=1001, dim=30)
+        yield index, make_plan(index, n_vector_shards=2, n_dim_blocks=4), None
+        index = make_index()
+        plan = make_plan(index, n_vector_shards=2, n_dim_blocks=3)
+        no_lists = np.zeros_like(plan.shard_of_list)  # all in shard 0
+        yield index, dataclasses.replace(plan, shard_of_list=no_lists), None
+
+    @staticmethod
+    def _assert_mirrors(attached, owner, heap):
+        """A worker's view is the owner's layout, array for array and
+        byte count for byte count — and the heap layout's in size."""
+        mine, theirs = _held_arrays(attached), _held_arrays(owner)
+        assert mine.keys() == theirs.keys() == _held_arrays(heap).keys()
+        for attr, arrays in mine.items():
+            assert len(arrays) == len(theirs[attr]), attr
+            for got, want in zip(arrays, theirs[attr]):
+                assert got.flags.aligned, attr
+                assert got.dtype == want.dtype, attr
+                np.testing.assert_array_equal(got, want)
+        manifest = owner.manifest()
+        specs = [manifest["spec"]]
+        if manifest["overlay"] is not None:
+            specs.append(manifest["overlay"]["spec"])
+        for spec in specs:
+            assert all(offset % 64 == 0 for offset, _, _ in spec.values())
+        for counter in (
+            "nbytes", "rows_nbytes", "codes_nbytes", "code_overhead_nbytes"
+        ):
+            assert (
+                getattr(attached, counter)
+                == getattr(owner, counter)
+                == getattr(heap, counter)
+            ), counter
+
     @pytest.mark.parametrize("sq8", [False, True])
     def test_slabs_survive_the_shared_memory_round_trip(self, sq8):
         from repro.core.layout import SharedShardPackedBase
 
-        index = make_index()
-        plan = make_plan(index, n_vector_shards=2, n_dim_blocks=3)
-        packed = ShardPackedBase.build(index, plan, with_codes=sq8)
-        shared = SharedShardPackedBase.from_packed(packed)
-        attached = []
-        try:
-            attached.append(SharedShardPackedBase.attach(shared.manifest()))
-            self._check_rows(shared, plan, index, sq8)
-            self._check_rows(attached[0], plan, index, sq8)
-            # Deltas travel through the overlay segment.
-            rng = np.random.default_rng(12)
-            index.add(rng.standard_normal((9, DIM)).astype(np.float32))
-            index.remove_ids([7])
-            assert shared.refresh(index)
-            assert shared.sync_overlay()
-            attached.append(SharedShardPackedBase.attach(shared.manifest()))
-            assert attached[1].delta_rows == 9
-            self._check_rows(shared, plan, index, sq8)
-            self._check_rows(attached[1], plan, index, sq8)
-        finally:
-            for layout in attached:
-                layout.close()
-            shared.unlink()
+        for index, plan, norms in self._round_trip_cases():
+            heap, packed = (
+                ShardPackedBase.build(
+                    index, plan, base_slice_norms=norms, with_codes=sq8
+                )
+                for _ in range(2)
+            )
+            shared = SharedShardPackedBase.from_packed(packed)
+            attached = []
+            try:
+                attached.append(
+                    SharedShardPackedBase.attach(shared.manifest())
+                )
+                self._check_rows(shared, plan, index, sq8)
+                self._check_rows(attached[0], plan, index, sq8)
+                self._assert_mirrors(attached[0], shared, heap)
+                # Deltas travel through the overlay segment.
+                rng = np.random.default_rng(12)
+                added = rng.standard_normal((9, index.dim)).astype(np.float32)
+                index.add(added)
+                index.remove_ids([7])
+                if norms is not None:
+                    norms = slice_norms(added, plan.slices)
+                assert heap.refresh(index, new_slice_norms=norms)
+                assert shared.refresh(index, new_slice_norms=norms)
+                assert shared.sync_overlay()
+                attached.append(
+                    SharedShardPackedBase.attach(shared.manifest())
+                )
+                assert attached[1].delta_rows == 9
+                self._check_rows(shared, plan, index, sq8)
+                self._check_rows(attached[1], plan, index, sq8)
+                self._assert_mirrors(attached[1], shared, heap)
+            finally:
+                for layout in attached:
+                    layout.close()
+                shared.unlink()
+
+    def test_every_held_array_is_a_declared_family_and_reaches_workers(self):
+        """The tables are the format: whatever a heap layout holds is a
+        declared family, and its keys are in the owner's manifest exactly
+        when it is held — an array packed by ``build`` but left out of
+        the tables would never reach a worker, and fails here."""
+        from repro.core.layout import (
+            _BASE_FAMILIES,
+            _OVERLAY_FAMILIES,
+            SharedShardPackedBase,
+        )
+
+        declared = {
+            "_" + name: optional
+            for name, _, optional, *_ in _BASE_FAMILIES + _OVERLAY_FAMILIES
+        }
+        assert len(declared) == 16
+        for sq8 in (False, True):
+            for index, plan, norms in self._round_trip_cases():
+                heap = ShardPackedBase.build(
+                    index, plan, base_slice_norms=norms, with_codes=sq8
+                )
+                held = set(_held_arrays(heap))
+                assert held <= set(declared)
+                absent = set(declared) - held
+                assert all(declared[attr] for attr in absent), absent
+                shared = SharedShardPackedBase.from_packed(heap)
+                try:
+                    assert shared.sync_overlay()
+                    manifest = shared.manifest()
+                    keys = [*manifest["spec"], *manifest["overlay"]["spec"]]
+                    assert len(keys) == len(set(keys))
+                    in_manifest = {
+                        "_" + re.sub(r"\d+(_\d+)?$", "", key) for key in keys
+                    }
+                    assert in_manifest == held
+                finally:
+                    shared.unlink()
 
     def test_byte_counts_equal_the_row_major_formulae(self):
         """Slabs re-arrange the row bytes; they do not add any."""
