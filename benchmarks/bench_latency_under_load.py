@@ -191,7 +191,9 @@ def run_serve_experiment(params, log=print):
                 f"  {row['arrival']:<8} {row['offered_qps']:>8,.0f} offered: "
                 f"{row['sustained_qps']:>8,.0f} sustained "
                 f"({row['speedup_vs_sequential']:.2f}x), batch "
-                f"{row['mean_batch_size']:.1f}, p99 {row['p99_ms']:.2f} ms"
+                f"{row['mean_batch_size']:.1f}, p99 {row['p99_ms']:.2f} ms "
+                f"(median {row['queue_p50_ms']:.2f} queued + "
+                f"{row['service_p50_ms']:.2f} in service)"
             )
         if study["oracle_mismatches"]:
             failures.append(
@@ -305,6 +307,7 @@ def save_serve_outputs(params, study, admission, smoke):
         (
             "closed seq", "--", round(seq["qps"]), "1.00", "1.0",
             round(seq["p50_ms"], 2), round(seq["p99_ms"], 2),
+            "0.0", round(seq["p50_ms"], 2),
         )
     ]
     rows += [
@@ -316,6 +319,8 @@ def save_serve_outputs(params, study, admission, smoke):
             f"{row['mean_batch_size']:.1f}",
             round(row["p50_ms"], 2),
             round(row["p99_ms"], 2),
+            round(row["queue_p50_ms"], 2),
+            round(row["service_p50_ms"], 2),
         )
         for row in study["rows"]
     ]
@@ -323,6 +328,7 @@ def save_serve_outputs(params, study, admission, smoke):
         [
             "mode", "offered QPS", "sustained QPS", "x seq",
             "batch", "p50 (ms)", "p99 (ms)",
+            "queued p50 (ms)", "in service p50 (ms)",
         ],
         rows,
         title=(

@@ -247,8 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--slo-ms", type=float, default=None, dest="slo_ms",
-        help="end-to-end latency SLO; the flush deadline is "
-        "slo * deadline fraction",
+        help="end-to-end latency SLO that slo_violations and the "
+        "deadline policy are measured against",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=None, dest="queue_depth",

@@ -72,10 +72,6 @@ _RANGE_RULES = (
          "cache_semantic_epsilon"),
         lambda v: v >= 0, "non-negative", False,
     ),
-    (
-        ("serve_deadline_fraction",),
-        lambda v: 0.0 < v <= 1.0, "in (0, 1]", False,
-    ),
 )
 
 #: ``(field, choices, noun, hyphens normalize to underscores)``: knobs
@@ -196,15 +192,13 @@ class HarmonyConfig:
             a finite cap reproduces the bandwidth-contention "more
             cores hurts" regime that motivates the sq8 path.
         serve_max_batch: largest micro-batch the serving front end
-            (:class:`repro.serve.HarmonyServer`) coalesces before
-            flushing; reaching it flushes immediately.
+            (:class:`repro.serve.HarmonyServer`) dispatches at once;
+            whatever arrived beyond it rides the next batch.
         serve_slo_ms: end-to-end latency SLO target in milliseconds.
-            The server derives its batch flush deadline from it:
-            ``flush_deadline = serve_slo_ms * serve_deadline_fraction``
-            — a request never waits in the coalescing buffer longer
-            than that before its batch is dispatched.
-        serve_deadline_fraction: fraction of the SLO budget spent
-            waiting for batch-mates, in ``(0, 1]``.
+            Responses slower than it count as ``slo_violations``, and
+            it is the deadline ``serve_deadline_policy`` enforces. It
+            delays nothing: the server dispatches pending requests the
+            moment it is free, so batch size follows the load.
         serve_queue_depth: admitted-request bound. When the pending
             queue reaches it, the shed policy applies — queueing
             theory's alternative is unbounded queue growth and
@@ -282,7 +276,6 @@ class HarmonyConfig:
     memory_bandwidth: "float | None" = None
     serve_max_batch: int = 32
     serve_slo_ms: float = 20.0
-    serve_deadline_fraction: float = 0.25
     serve_queue_depth: int = 256
     serve_shed_policy: str = "reject"
     serve_deadline_policy: str = "block"

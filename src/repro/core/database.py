@@ -40,6 +40,11 @@ from repro.core.results import (
     stamp_from,
 )
 
+#: Config fields that once existed and are still in files saved back
+#: then; :meth:`HarmonyDB.load` drops exactly these (a key that was
+#: never a field still fails as an unexpected keyword).
+_RETIRED_CONFIG_FIELDS = ("serve_deadline_fraction",)
+
 
 class HarmonyDB:
     """A HARMONY deployment: index + planner + cluster + executor.
@@ -638,7 +643,7 @@ class HarmonyDB:
         The server's coalescing / SLO / admission knobs default to the
         deployment's ``serve_*`` config fields; keyword overrides
         (``max_batch=``, ``slo_ms=``, ``queue_depth=``,
-        ``shed_policy=``, ``deadline_fraction=``, ``metrics=``) adjust
+        ``shed_policy=``, ``deadline_policy=``, ``metrics=``) adjust
         them per server. The returned server is already started; use
         it as a context manager or call ``close()`` to drain and stop.
         """
@@ -783,14 +788,18 @@ class HarmonyDB:
         """Reconstruct a deployment saved with :meth:`save`.
 
         Config keys the file lacks (it was written before the knob
-        existed) take their defaults.
+        existed) take their defaults; keys of knobs retired since
+        (``_RETIRED_CONFIG_FIELDS``) are dropped.
         """
         from repro.distance.partial import DimensionSlices
         from repro.index.ivf import saved_path
 
         with np.load(saved_path(path), allow_pickle=False) as data:
             arrays = dict(data)
-        config = HarmonyConfig(**json.loads(str(arrays["config"])))
+        saved = json.loads(str(arrays["config"]))
+        for name in _RETIRED_CONFIG_FIELDS:
+            saved.pop(name, None)
+        config = HarmonyConfig(**saved)
         db = cls(
             dim=int(arrays["base"].shape[1]), config=config, cluster=cluster
         )

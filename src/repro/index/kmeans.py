@@ -112,13 +112,29 @@ class KMeans:
     def _init_plus_plus(
         self, data: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """k-means++ seeding: spread initial centroids by D^2 sampling."""
+        """k-means++ seeding: spread initial centroids by D^2 sampling.
+
+        Each distance column is :func:`pairwise_squared_l2` of the data
+        against one centroid, term for term, with the two things that
+        do not depend on the centroid — the float64 copy of the data
+        and its row norms — computed once instead of ``n_clusters``
+        times.
+        """
         n, dim = data.shape
+        data64 = data.astype(np.float64)
+        data_sq = np.sum(data64 * data64, axis=1)[:, None]
+
+        def distance_to(centroid: np.ndarray) -> np.ndarray:
+            self._elements += n * dim
+            c_sq = np.sum(centroid * centroid, axis=1)[None, :]
+            out = data_sq + c_sq - 2.0 * (data64 @ centroid.T)
+            np.maximum(out, 0.0, out=out)
+            return out[:, 0]
+
         centroids = np.empty((self.n_clusters, dim), dtype=np.float64)
         first = int(rng.integers(n))
         centroids[0] = data[first]
-        closest = pairwise_squared_l2(data, centroids[0:1])[:, 0]
-        self._elements += n * dim
+        closest = distance_to(centroids[0:1])
         for i in range(1, self.n_clusters):
             total = float(closest.sum())
             if total <= 0.0:
@@ -128,9 +144,7 @@ class KMeans:
             else:
                 pick = int(rng.choice(n, p=closest / total))
             centroids[i] = data[pick]
-            new_dist = pairwise_squared_l2(data, centroids[i : i + 1])[:, 0]
-            self._elements += n * dim
-            np.minimum(closest, new_dist, out=closest)
+            np.minimum(closest, distance_to(centroids[i : i + 1]), out=closest)
         return centroids
 
     def _recompute_centroids(

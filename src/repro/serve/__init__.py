@@ -4,9 +4,9 @@
 each pay full per-request dispatch and can never share the fused
 shard-major ``search_batch`` path. :class:`HarmonyServer` turns the
 library into a service — individual ``submit(query, k)`` calls from
-many threads (or the asyncio facade) are coalesced into micro-batches,
-flushed on size or an SLO-derived deadline, executed through the
-existing kernel on any backend, and demultiplexed back to per-request
+many threads (or the asyncio facade) are coalesced into micro-batches
+of whatever is pending the moment the server is free, executed through
+the existing kernel on any backend, and demultiplexed back to per-request
 futures. Admission control bounds the queue under overload instead of
 letting p99 grow without bound.
 

@@ -169,14 +169,19 @@ class OpenLoopResult:
     def percentile_ms(self, percentile: float) -> float:
         return _percentile_ms(self.latencies, percentile)
 
+    def _completed(self, attribute: str) -> np.ndarray:
+        """One :class:`ServeResponse` field over the completed requests."""
+        return np.array(
+            [
+                getattr(r, attribute) for r in self.responses
+                if isinstance(r, ServeResponse)
+            ],
+            dtype=np.float64,
+        )
+
     def mean_batch_size(self) -> float:
-        sizes = [
-            r.batch_size for r in self.responses
-            if isinstance(r, ServeResponse)
-        ]
-        if not sizes:
-            return 0.0
-        return float(np.mean(sizes))
+        sizes = self._completed("batch_size")
+        return float(sizes.mean()) if sizes.size else 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -195,6 +200,14 @@ class OpenLoopResult:
             else 0.0,
             "p50_ms": self.percentile_ms(50),
             "p99_ms": self.percentile_ms(99),
+            # Where a median request's time went: waiting for the
+            # flusher, and inside the batch it rode.
+            "queue_p50_ms": _percentile_ms(
+                self._completed("queue_seconds"), 50
+            ),
+            "service_p50_ms": _percentile_ms(
+                self._completed("service_seconds"), 50
+            ),
         }
 
 

@@ -1,4 +1,4 @@
-"""Micro-batch coalescing server with SLO-derived flush deadlines.
+"""Work-conserving micro-batch coalescing server.
 
 The serving state machine (per pending request):
 
@@ -10,13 +10,13 @@ The serving state machine (per pending request):
    the head (oldest waiter) to make room, ``degrade_nprobe`` admits up
    to ``2 x queue_depth`` requests flagged for half-``nprobe`` service
    and sheds the oldest beyond that hard cap.
-2. **coalesce** — the flusher thread sleeps until either the head-
-   compatible run of the queue reaches ``max_batch`` or the *oldest*
-   pending request ages past the flush deadline
-   ``serve_slo_ms * serve_deadline_fraction`` milliseconds. The
-   deadline is anchored to the oldest waiter, so a trickle of traffic
-   never waits longer than the deadline and a burst fills batches
-   without waiting at all.
+2. **coalesce** — the flusher thread sleeps on one condition only:
+   nothing is pending (or the server is paused). The moment it is free
+   and something is pending it takes the head-compatible run of the
+   queue, up to ``max_batch``, so a request queues only while the
+   previous batch is running and a batch is whatever arrived during
+   that run — one or two requests at low load, ``max_batch`` at
+   overload. No timer, nothing to tune: the load sets the batch size.
 3. **execute** — the batch (requests sharing a ``(k, nprobe,
    degraded)`` compatibility key, popped head-first) is stacked into
    one query matrix and run through ``HarmonyDB.search``, which
@@ -172,7 +172,10 @@ class HarmonyServer:
     Thread-safe: any number of caller threads may ``submit``
     concurrently; a single internal flusher thread owns batch
     execution, so the underlying backend never sees concurrent
-    searches from the server. Async callers use :meth:`asubmit`.
+    searches from the server. The flusher is work-conserving: it
+    dispatches whatever is pending the moment the previous batch
+    returns and never holds a request back for batch-mates. Async
+    callers use :meth:`asubmit`.
 
     Construct via :meth:`repro.core.database.HarmonyDB.serve`, which
     defaults every knob from the deployment's ``serve_*`` config
@@ -184,7 +187,6 @@ class HarmonyServer:
         db,
         max_batch: int | None = None,
         slo_ms: float | None = None,
-        deadline_fraction: float | None = None,
         queue_depth: int | None = None,
         shed_policy: str | None = None,
         deadline_policy: str | None = None,
@@ -193,7 +195,6 @@ class HarmonyServer:
         overrides = {
             "serve_max_batch": max_batch,
             "serve_slo_ms": slo_ms,
-            "serve_deadline_fraction": deadline_fraction,
             "serve_queue_depth": queue_depth,
             "serve_shed_policy": shed_policy,
             "serve_deadline_policy": deadline_policy,
@@ -206,7 +207,6 @@ class HarmonyServer:
         self.db = db
         self.max_batch = config.serve_max_batch
         self.slo_ms = config.serve_slo_ms
-        self.deadline_fraction = config.serve_deadline_fraction
         self.queue_depth = config.serve_queue_depth
         self.shed_policy = config.serve_shed_policy
         self.deadline_policy = config.serve_deadline_policy
@@ -227,21 +227,6 @@ class HarmonyServer:
             target=self._flush_loop, name="harmony-serve-flusher", daemon=True
         )
         self._thread.start()
-
-    # ------------------------------------------------------------------
-    # Derived parameters
-    # ------------------------------------------------------------------
-
-    @property
-    def flush_deadline_seconds(self) -> float:
-        """Max coalescing wait: ``slo_ms * deadline_fraction``, seconds.
-
-        The deadline budgets a fraction of the SLO for batching and
-        leaves the rest for service; anchored to the *oldest* pending
-        request so no admitted request waits longer than this before
-        its batch is dispatched.
-        """
-        return self.slo_ms * self.deadline_fraction / 1000.0
 
     @property
     def depth(self) -> int:
@@ -276,6 +261,15 @@ class HarmonyServer:
             raise ValueError(
                 f"submit takes one query vector, got shape {query.shape}"
             )
+        # Checked here, per request: a bad vector found at np.stack
+        # time would fail every request batched with it.
+        dim = self.db.index.dim
+        if query.shape[0] != dim:
+            raise ValueError(
+                f"query has dimension {query.shape[0]}, the index has {dim}"
+            )
+        if not np.isfinite(query).all():
+            raise ValueError("query has a non-finite (NaN or inf) component")
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         effective_nprobe = int(
@@ -355,7 +349,7 @@ class HarmonyServer:
 
         A hit returns an already-resolved future: the request never
         enters the pending queue, so it can neither be rejected nor
-        shed, dodges the SLO coalescing deadline entirely, and reports
+        shed, never waits behind a running batch, and reports
         ``queue_seconds == 0``. A miss (or probe failure) returns None
         and the request takes the normal admission path — the miss is
         not counted here; the authoritative cache lookup happens when
@@ -432,9 +426,9 @@ class HarmonyServer:
     def close(self, timeout: float | None = 30.0) -> None:
         """Drain pending requests, stop the flusher, reject new work.
 
-        Idempotent. Pending requests are still executed (flushed
-        immediately, ignoring the deadline); only *new* submissions
-        fail with :class:`ServerClosed`.
+        Idempotent. Pending requests are still executed (a paused
+        server is resumed to drain them); only *new* submissions fail
+        with :class:`ServerClosed`.
         """
         with self._cond:
             if self._closed:
@@ -458,21 +452,8 @@ class HarmonyServer:
     # Flusher
     # ------------------------------------------------------------------
 
-    def _head_run(self) -> int:
-        """Length of the head-compatible run, capped at ``max_batch``."""
-        count = 0
-        key = None
-        for request in self._pending:
-            if key is None:
-                key = request.batch_key
-            elif request.batch_key != key:
-                break
-            count += 1
-            if count >= self.max_batch:
-                break
-        return count
-
     def _take_batch(self) -> "list[_Request]":
+        """Pop the head-compatible run, FIFO, capped at ``max_batch``."""
         batch: list[_Request] = []
         key = self._pending[0].batch_key
         while (
@@ -485,41 +466,21 @@ class HarmonyServer:
 
     def _flush_loop(self) -> None:
         while True:
-            batch = None
             with self._cond:
-                while batch is None:
-                    if not self._pending:
-                        if self._closing:
-                            return
-                        self._cond.wait()
-                        continue
-                    if self._paused and not self._closing:
-                        self._cond.wait()
-                        continue
-                    now = time.perf_counter()
-                    deadline = (
-                        self._pending[0].t_submit
-                        + self.flush_deadline_seconds
-                    )
-                    if (
-                        self._closing
-                        or self._head_run() >= self.max_batch
-                        # Saturation flush: once admission control is
-                        # shedding, waiting for a deeper batch only
-                        # evicts more waiters (shed_oldest would
-                        # otherwise churn the head and push the
-                        # head-anchored deadline forever forward).
-                        or len(self._pending) >= self.queue_depth
-                        or now >= deadline
-                    ):
-                        batch = self._take_batch()
-                        if self.metrics is not None:
-                            self._gauge(
-                                "harmony_serve_queue_depth",
-                                "Pending coalescing-queue depth",
-                            ).set(float(len(self._pending)))
-                    else:
-                        self._cond.wait(timeout=deadline - now)
+                # The one wait: nothing to run, or told not to run it
+                # (a closing server ignores the pause and drains).
+                while not self._pending or (
+                    self._paused and not self._closing
+                ):
+                    if self._closing:
+                        return
+                    self._cond.wait()
+                batch = self._take_batch()
+                if self.metrics is not None:
+                    self._gauge(
+                        "harmony_serve_queue_depth",
+                        "Pending coalescing-queue depth",
+                    ).set(float(len(self._pending)))
             self._execute(batch)
 
     def _execute(self, batch: "list[_Request]") -> None:

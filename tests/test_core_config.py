@@ -96,8 +96,9 @@ class TestHarmonyConfig:
             ({"serve_max_batch": 0}, "serve_max_batch must be positive, got 0"),
             ({"serve_slo_ms": 0.0}, "serve_slo_ms must be positive, got 0.0"),
             (
-                {"serve_deadline_fraction": 1.5},
-                "serve_deadline_fraction must be in (0, 1], got 1.5",
+                {"mode": "roundrobin"},
+                "unknown mode 'roundrobin'; supported modes: harmony, "
+                "harmony-vector, harmony-dimension",
             ),
             (
                 {"serve_queue_depth": 0},
@@ -125,11 +126,6 @@ class TestHarmonyConfig:
             (
                 {"metric": "hamming"},
                 "unknown metric 'hamming'; supported metrics: l2, ip, cosine",
-            ),
-            (
-                {"mode": "roundrobin"},
-                "unknown mode 'roundrobin'; supported modes: harmony, "
-                "harmony-vector, harmony-dimension",
             ),
         ],
     )

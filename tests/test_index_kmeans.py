@@ -120,3 +120,54 @@ class TestKMeansAccounting:
         ).fit(data)
         # Full-data assignment still covers everything.
         assert result.assignments.shape == (600,)
+
+
+def _seeding_before_the_hoist(self, data, rng):
+    """``KMeans._init_plus_plus`` as it was: one full
+    ``pairwise_squared_l2`` call (cast + row norms) per centroid."""
+    from repro.distance.kernels import pairwise_squared_l2
+
+    n, dim = data.shape
+    centroids = np.empty((self.n_clusters, dim), dtype=np.float64)
+    centroids[0] = data[int(rng.integers(n))]
+    closest = pairwise_squared_l2(data, centroids[0:1])[:, 0]
+    self._elements += n * dim
+    for i in range(1, self.n_clusters):
+        total = float(closest.sum())
+        if total <= 0.0:
+            pick = int(rng.integers(n))
+        else:
+            pick = int(rng.choice(n, p=closest / total))
+        centroids[i] = data[pick]
+        new_dist = pairwise_squared_l2(data, centroids[i : i + 1])[:, 0]
+        self._elements += n * dim
+        np.minimum(closest, new_dist, out=closest)
+    return centroids
+
+
+class TestSeedingIsBitIdenticalToThePerCentroidForm:
+    """Hoisting the cast and the row norms out of the seeding loop
+    changes no bit of a fit."""
+
+    @staticmethod
+    def _assert_same_fit(data, monkeypatch, **kwargs):
+        new = KMeans(**kwargs).fit(data)
+        monkeypatch.setattr(
+            KMeans, "_init_plus_plus", _seeding_before_the_hoist
+        )
+        old = KMeans(**kwargs).fit(data)
+        np.testing.assert_array_equal(new.centroids, old.centroids)
+        np.testing.assert_array_equal(new.assignments, old.assignments)
+        assert new.inertia == old.inertia
+        assert new.n_iterations == old.n_iterations
+        assert new.elements_processed == old.elements_processed
+
+    @pytest.mark.parametrize("n, dim, k", [(600, 16, 12), (3000, 128, 32)])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_l2_data(self, n, dim, k, seed, monkeypatch):
+        data = gaussian_blobs(n, dim, n_blobs=9, cluster_std=0.6, seed=seed)
+        self._assert_same_fit(data, monkeypatch, n_clusters=k, seed=seed)
+
+    def test_all_duplicates_takes_the_uniform_branch(self, monkeypatch):
+        data = np.full((50, 8), 1.25, dtype=np.float32)
+        self._assert_same_fit(data, monkeypatch, n_clusters=4, seed=3)

@@ -152,6 +152,40 @@ class TestDatabasePersistence:
         r2, _ = loaded.search(tiny_queries, k=5)
         np.testing.assert_array_equal(r1.ids, r2.ids)
 
+    @staticmethod
+    def _resave_with_config_key(db, tmp_path, key, value):
+        import json
+
+        path = tmp_path / "db.npz"
+        db.save(path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        config = json.loads(str(arrays["config"]))
+        config[key] = value
+        arrays["config"] = np.array(json.dumps(config))
+        edited = tmp_path / "edited.npz"
+        np.savez_compressed(edited, **arrays)
+        return edited
+
+    def test_load_drops_a_retired_knob(self, db, tiny_queries, tmp_path):
+        """Every file saved while ``serve_deadline_fraction`` was a
+        field carries it; the key is dropped, not refused."""
+        path = self._resave_with_config_key(
+            db, tmp_path, "serve_deadline_fraction", 0.25
+        )
+        loaded = HarmonyDB.load(path)
+        assert loaded.config == db.config
+        r1, _ = db.search(tiny_queries, k=5)
+        r2, _ = loaded.search(tiny_queries, k=5)
+        np.testing.assert_array_equal(r1.ids, r2.ids)
+
+    def test_load_refuses_a_key_that_was_never_a_knob(self, db, tmp_path):
+        path = self._resave_with_config_key(
+            db, tmp_path, "serve_flush_timer_ms", 5.0
+        )
+        with pytest.raises(TypeError, match="serve_flush_timer_ms"):
+            HarmonyDB.load(path)
+
     def test_loaded_db_supports_mutations(self, db, tiny_queries, tmp_path):
         path = tmp_path / "db.npz"
         db.save(path)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import itertools
 import time
 
 import numpy as np
@@ -68,18 +69,69 @@ def test_full_batch_coalesces(serve_db, serve_queries):
     assert server.stats.completed == 16
 
 
-def test_deadline_flushes_partial_batch(serve_db, serve_queries):
-    """A lone request flushes after ~slo_ms * deadline_fraction."""
-    with serve_db.serve(
-        max_batch=64, slo_ms=40.0, deadline_fraction=0.25
-    ) as server:
+def test_lone_request_is_dispatched_without_a_timer(serve_db, serve_queries):
+    """An idle server runs a lone request at once: no SLO-derived wait."""
+    serve_db.search(serve_queries[:1], k=3)  # executor built, not timed
+    with serve_db.serve(max_batch=64, slo_ms=2000.0) as server:
         t0 = time.perf_counter()
         response = server.submit(serve_queries[0], k=3).result(timeout=30)
         elapsed = time.perf_counter() - t0
     assert response.batch_size == 1
-    # Flushed by the 10 ms deadline, not instantly and not never.
-    assert 0.005 < elapsed < 5.0
-    assert response.queue_seconds >= 0.005
+    # A flush timer at any fraction of a 2 s SLO worth configuring
+    # would hold the request far longer than this.
+    assert elapsed < 0.25
+    assert response.queue_seconds < 0.25
+
+
+def test_backlog_drains_in_max_batch_runs(serve_db, serve_queries):
+    """70 queued requests leave as batches of 32, 32, 6, in FIFO order."""
+    queries = np.concatenate([serve_queries, serve_queries[:6]])
+    with serve_db.serve(max_batch=32, queue_depth=128) as server:
+        server.pause()
+        futures = [server.submit(q, k=3) for q in queries]
+        assert server.depth == 70
+        server.resume()
+        responses = [f.result(timeout=30) for f in futures]
+    assert server.stats.batches == 3
+    # Batch-mates share one service time, so runs of equal values in
+    # submission order are the batches, in the order they were cut.
+    runs = [
+        len(list(group))
+        for _, group in itertools.groupby(r.service_seconds for r in responses)
+    ]
+    assert runs == [32, 32, 6]
+    assert [r.batch_size for r in responses] == [32] * 64 + [6] * 6
+    oracle = make_serial_oracle(serve_db)
+    assert verify_against_oracle(responses, queries, oracle) == []
+
+
+def test_arrivals_during_a_batch_ride_the_next_one(
+    serve_db, serve_queries, monkeypatch
+):
+    """Load, not a clock, sets batch size: what arrives while a batch
+    runs is the next batch."""
+    import threading
+
+    real_search = serve_db.search
+    started = threading.Event()
+    release = threading.Event()
+
+    def gated_search(*args, **kwargs):
+        started.set()
+        assert release.wait(timeout=30)
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(serve_db, "search", gated_search)
+    with serve_db.serve(max_batch=32, slo_ms=2000.0) as server:
+        first = server.submit(serve_queries[0], k=3)
+        assert started.wait(timeout=30)  # batch one is running, alone
+        during = [server.submit(q, k=3) for q in serve_queries[1:10]]
+        assert server.depth == 9  # queued behind the running batch
+        release.set()
+        assert first.result(timeout=30).batch_size == 1
+        responses = [f.result(timeout=30) for f in during]
+    assert [r.batch_size for r in responses] == [9] * 9
+    assert server.stats.batches == 2
 
 
 def test_incompatible_requests_split_batches(serve_db, serve_queries):
@@ -235,6 +287,29 @@ def test_submit_validation(serve_db, serve_queries):
         response = server.submit(serve_queries[:1], k=3).result(timeout=30)
         assert response.ids.shape == (3,)
 
+        # Wrong length or a non-finite component is refused at submit,
+        # to that caller only, before any counter moves — and never
+        # reaches the batch it would have been stacked into.
+        submitted = server.stats.submitted
+        poisoned = serve_queries[1].copy()
+        server.pause()
+        futures = [server.submit(q, k=3) for q in serve_queries[:2]]
+        with pytest.raises(ValueError, match="dimension 31"):
+            server.submit(serve_queries[0][:31], k=3)
+        for bad in (np.nan, np.inf, -np.inf):
+            poisoned[7] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                server.submit(poisoned, k=3)
+        futures += [server.submit(q, k=3) for q in serve_queries[2:4]]
+        assert server.stats.submitted == submitted + 4
+        assert server.depth == 4
+        server.resume()
+        responses = [f.result(timeout=30) for f in futures]
+    assert all(r.batch_size == 4 for r in responses)
+    assert server.stats.failed == 0
+    oracle = make_serial_oracle(serve_db)
+    assert verify_against_oracle(responses, serve_queries[:4], oracle) == []
+
 
 def test_asyncio_facade(serve_db, serve_queries):
     oracle = make_serial_oracle(serve_db)
@@ -373,8 +448,6 @@ def test_server_rejects_bad_overrides(serve_db):
         serve_db.serve(shed_policy="drop_everything")
     with pytest.raises(ValueError, match="max_batch"):
         serve_db.serve(max_batch=0)
-    with pytest.raises(ValueError, match="deadline_fraction"):
-        serve_db.serve(deadline_fraction=1.5)
     with pytest.raises(ValueError, match="queue_depth"):
         serve_db.serve(queue_depth=-1)
     with pytest.raises(ValueError, match="slo_ms"):
@@ -386,8 +459,6 @@ def test_config_serve_knob_validation():
         HarmonyConfig(serve_max_batch=0)
     with pytest.raises(ValueError, match="serve_slo_ms"):
         HarmonyConfig(serve_slo_ms=-1.0)
-    with pytest.raises(ValueError, match="serve_deadline_fraction"):
-        HarmonyConfig(serve_deadline_fraction=0.0)
     with pytest.raises(ValueError, match="serve_queue_depth"):
         HarmonyConfig(serve_queue_depth=0)
     with pytest.raises(ValueError, match="serve_shed_policy"):
@@ -407,7 +478,6 @@ def test_serve_knobs_survive_save_load(tmp_path, serve_db, serve_queries):
         backend="thread",
         serve_max_batch=48,
         serve_slo_ms=12.5,
-        serve_deadline_fraction=0.5,
         serve_queue_depth=99,
         serve_shed_policy="shed_oldest",
     )
@@ -419,14 +489,12 @@ def test_serve_knobs_survive_save_load(tmp_path, serve_db, serve_queries):
         config = loaded.config
         assert config.serve_max_batch == 48
         assert config.serve_slo_ms == 12.5
-        assert config.serve_deadline_fraction == 0.5
         assert config.serve_queue_depth == 99
         assert config.serve_shed_policy == "shed_oldest"
         server = loaded.serve()
         assert server.max_batch == 48
         assert server.queue_depth == 99
         assert server.shed_policy == "shed_oldest"
-        assert server.flush_deadline_seconds == pytest.approx(0.00625)
         server.close()
     finally:
         loaded.close()
