@@ -76,7 +76,6 @@ def run_timeline(
             "qps": len(queries) / elapsed,
             "worker_respawns": stats.get("worker_respawns", 0),
             "tasks_requeued": stats.get("tasks_requeued", 0),
-            "scan_timeouts": stats.get("scan_timeouts", 0),
             "fallback_active": bool(
                 backend is not None and backend.fallback_active
             ),

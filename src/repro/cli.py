@@ -92,24 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "results, a quarter of the scan bandwidth)",
     )
     run.add_argument(
-        "--scan-timeout",
-        type=float,
-        default=None,
-        dest="scan_timeout",
-        metavar="SECONDS",
-        help="per-task scan watchdog on host backends: tasks running "
-        "longer are hedged onto a fresh attempt (stragglers), and "
-        "abandoned with coverage accounting in degraded mode",
-    )
-    run.add_argument(
-        "--scan-retries",
-        type=int,
-        default=3,
-        dest="scan_retries",
-        help="hedged re-issues per task before it is abandoned "
-        "(degraded mode) or the batch fails",
-    )
-    run.add_argument(
         "--cache",
         action="store_true",
         help="attach the result cache: exact repeats replay cached "
@@ -308,8 +290,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         n_workers=args.workers,
         batch_queries=not args.no_batch_queries,
         scan_precision=args.scan_precision,
-        scan_timeout=args.scan_timeout,
-        scan_retries=args.scan_retries,
         enable_cache=args.cache,
         cache_size=args.cache_size,
         cache_semantic_epsilon=args.cache_epsilon,

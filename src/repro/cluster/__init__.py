@@ -33,10 +33,7 @@ from repro.cluster.messages import (
 from repro.cluster.host_faults import (
     DelayScan,
     DropSharedMemory,
-    HostFaultCounters,
-    HostFaultError,
     HostFaultInjector,
-    InjectedWorkerKill,
     KillWorker,
 )
 from repro.cluster.network import CommMode, NetworkModel
@@ -56,10 +53,7 @@ __all__ = [
     "DropSharedMemory",
     "FaultEvent",
     "FaultSchedule",
-    "HostFaultCounters",
-    "HostFaultError",
     "HostFaultInjector",
-    "InjectedWorkerKill",
     "KillWorker",
     "MESSAGE_HEADER_BYTES",
     "NetworkModel",

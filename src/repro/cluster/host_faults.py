@@ -10,12 +10,12 @@ moments:
   its ``T``-th task. On the process backend the worker process calls
   ``os._exit`` (a genuine SIGKILL-equivalent death the supervisor must
   detect, requeue around, and respawn); on the thread backend the task
-  raises :class:`InjectedWorkerKill` at entry — before any shared
-  state is touched — so the supervisor can re-run it safely.
+  is killed at entry — before any shared state is touched — and simply
+  re-run.
 - **delay** (:class:`DelayScan`) — straggler emulation: matching
   tasks run ``multiplier``x slower (the task is timed and the excess
-  slept) or sleep a fixed ``seconds``. Exercises the scan-timeout
-  watchdog and hedged re-issue.
+  slept) or sleep a fixed ``seconds``. On the process pool, idle
+  workers steal the slowed worker's queued tasks.
 - **drop shm** (:class:`DropSharedMemory`) — the shared layout
   segment disappears before dispatch ``at_batch``; the process
   backend must treat this as total pool loss and fall back to the
@@ -44,14 +44,6 @@ import numpy as np
 #: Exit code used by chaos-killed worker processes (visible in
 #: ``Process.exitcode`` — distinguishes injected deaths from bugs).
 CHAOS_EXIT_CODE = 42
-
-
-class HostFaultError(RuntimeError):
-    """Base class of injected host-path failures."""
-
-
-class InjectedWorkerKill(HostFaultError):
-    """A thread-backend task was chaos-killed at entry (retry-safe)."""
 
 
 @dataclass(frozen=True)
@@ -109,31 +101,6 @@ class DropSharedMemory:
     """
 
     at_batch: int
-
-
-@dataclass
-class HostFaultCounters:
-    """Recovery activity a host backend accumulated since last reset.
-
-    Mirrors the ``harmony_*_total`` families the supervisor publishes:
-    every counter here surfaces through
-    ``ExecutionReport.fault_stats`` and ``repro.obs.report_metrics``.
-    """
-
-    worker_respawns: int = 0
-    tasks_requeued: int = 0
-    scan_timeouts: int = 0
-    abandoned_scans: int = 0
-
-    @property
-    def any_activity(self) -> bool:
-        return any(vars(self).values())
-
-    def take(self) -> "HostFaultCounters":
-        """Snapshot-and-reset (per-search report accounting)."""
-        out = HostFaultCounters(**vars(self))
-        self.__init__()
-        return out
 
 
 def apply_task_chaos(
@@ -302,7 +269,7 @@ class HostFaultInjector:
         """Per-task event for the thread backend's global task stream.
 
         Returns ``(delay_descriptor | None, kill: bool)``; a kill is
-        one-shot (the rule is consumed) and must be raised by the
+        one-shot (the rule is consumed) and must be acted on by the
         caller *before* touching shared state.
         """
         with self._lock:

@@ -64,12 +64,11 @@ _RANGE_RULES = (
     ),
     (("n_threads", "n_workers"), lambda v: v > 0, "positive", True),
     (
-        ("hedge_latency_threshold", "scan_timeout", "memory_bandwidth"),
+        ("hedge_latency_threshold", "memory_bandwidth"),
         lambda v: v > 0, "positive or None", True,
     ),
     (
-        ("alpha", "prewarm_size", "max_retries", "scan_retries",
-         "cache_semantic_epsilon"),
+        ("alpha", "prewarm_size", "max_retries", "cache_semantic_epsilon"),
         lambda v: v >= 0, "non-negative", False,
     ),
 )
@@ -95,7 +94,7 @@ _KERNEL_KNOBS = (
 
 #: Knobs every host backend takes beside the kernel's, and the pool-size
 #: knob of the two that have a pool.
-_HOST_KNOBS = ("batch_queries", "scan_timeout", "scan_retries", "degraded_mode")
+_HOST_KNOBS = ("batch_queries", "degraded_mode")
 _POOL_KNOB = {"thread": ("n_threads",), "process": ("n_workers",)}
 
 
@@ -160,17 +159,6 @@ class HarmonyConfig:
             above which a duplicate request is hedged to a second live
             replica, taking whichever finishes first. ``None`` (the
             default) disables hedging.
-        scan_timeout: host-backend straggler watchdog in wall-clock
-            seconds (thread/process backends). ``None`` (default)
-            disables it; when set, a shard task exceeding the timeout
-            is speculatively re-issued with exponential escalation —
-            the host mirror of the sim pipeline's retry/hedge path.
-            Results stay byte-identical (hedged duplicates are
-            deduplicated by task).
-        scan_retries: re-issues per straggling host task before the
-            supervisor gives up; with ``degraded_mode`` the task is
-            then abandoned and charged to per-query coverage,
-            otherwise the supervisor keeps waiting.
         scan_precision: candidate-generation representation. ``"fp32"``
             (the default) scans full-precision rows; ``"sq8"`` scans
             packed uint8 codes with error-padded lossless pruning
@@ -268,8 +256,6 @@ class HarmonyConfig:
     retry_timeout: float = 2e-4
     max_retries: int = 3
     hedge_latency_threshold: "float | None" = None
-    scan_timeout: "float | None" = None
-    scan_retries: int = 3
     scan_precision: str = "fp32"
     delta_compact_ratio: float = 0.25
     auto_compact: bool = True

@@ -43,7 +43,7 @@ from repro.core.results import (
 #: Config fields that once existed and are still in files saved back
 #: then; :meth:`HarmonyDB.load` drops exactly these (a key that was
 #: never a field still fails as an unexpected keyword).
-_RETIRED_CONFIG_FIELDS = ("serve_deadline_fraction",)
+_RETIRED_CONFIG_FIELDS = ("serve_deadline_fraction", "scan_timeout", "scan_retries")
 
 
 class HarmonyDB:
@@ -621,11 +621,16 @@ class HarmonyDB:
         backends consult the injector at task boundaries. Applies to
         the current backend and to any backend built later. Pass
         ``None`` to disarm.
+
+        Raises ``ValueError`` on any other backend: ``serial`` has no
+        pool to act the faults out, and ``sim`` scripts faults via
+        ``FaultSchedule``.
         """
-        if self.config.backend == "sim":
+        if self.config.backend not in ("thread", "process"):
             raise ValueError(
-                "host fault injection applies to host backends; the "
-                "'sim' backend scripts faults via FaultSchedule"
+                "host fault injection applies to the thread and process "
+                f"pools; the {self.config.backend!r} backend has none "
+                "('sim' scripts faults via FaultSchedule)"
             )
         self._host_faults = injector
         with self._backend_lock:

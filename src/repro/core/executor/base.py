@@ -129,16 +129,6 @@ class HostBackend(Backend):
             fused shard-major ``search_batch`` path (bitwise identical
             to the per-query loop); False forces one ``search_one``
             call per query.
-        scan_timeout: per-task straggler watchdog in wall-clock
-            seconds. ``None`` (default) disables it; when set, a shard
-            task exceeding the timeout is speculatively re-issued
-            (results are deduplicated, so hedged duplicates stay
-            byte-identical), escalating exponentially across
-            ``scan_retries`` attempts — the host mirror of the sim
-            pipeline's retry/hedge semantics.
-        scan_retries: re-issues per straggling task before the
-            supervisor gives up (degraded mode then abandons the task
-            with coverage accounting; otherwise it keeps waiting).
         degraded_mode: :meth:`run` serves partial results, with
             coverage accounting, when the deployment's cluster has
             lost every copy of a shard, instead of raising.
@@ -154,32 +144,19 @@ class HostBackend(Backend):
         index: "IVFFlatIndex",
         plan: PartitionPlan | None = None,
         batch_queries: bool = True,
-        scan_timeout: "float | None" = None,
-        scan_retries: int = 3,
         degraded_mode: bool = False,
         **kernel_options,
     ) -> None:
         if not index.is_trained:
             raise RuntimeError("backend requires a trained index")
-        if scan_timeout is not None and scan_timeout <= 0:
-            raise ValueError(
-                f"scan_timeout must be positive or None, got {scan_timeout}"
-            )
-        if scan_retries < 0:
-            raise ValueError(
-                f"scan_retries must be non-negative, got {scan_retries}"
-            )
-        from repro.cluster.host_faults import HostFaultCounters
-
         self.index = index
         self.plan = plan if plan is not None else default_plan(index)
         self.batch_queries = batch_queries
-        self.scan_timeout = scan_timeout
-        self.scan_retries = int(scan_retries)
         self.degraded_mode = bool(degraded_mode)
-        #: Recovery activity (respawns / requeues / timeouts /
-        #: abandons) since the last ``fault_counters.take()``.
-        self.fault_counters = HostFaultCounters()
+        #: Recovery activity (respawns / requeues / abandons) the pools
+        #: count where they act; :meth:`run` hands it to its report
+        #: and starts a fresh one.
+        self.fault_counters = FaultStats()
         self.kernel = ScanKernel(index, self.plan, **kernel_options)
 
     @property
@@ -242,10 +219,8 @@ class HostBackend(Backend):
             queries, k, nprobe, filter_labels, skip_shards, coverage
         )
         elapsed = time.perf_counter() - start
-        faults = FaultStats(
-            **vars(self.fault_counters.take()),
-            skipped_scans=kernel.skipped_scans_total - skipped_before,
-        )
+        faults, self.fault_counters = self.fault_counters, FaultStats()
+        faults.skipped_scans = kernel.skipped_scans_total - skipped_before
         degraded = None
         if coverage is not None:
 

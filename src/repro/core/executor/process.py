@@ -30,22 +30,21 @@ happens to release; this backend sidesteps it with a pool of
   repair round for the survivors and is respawned in the background
   (``harmony_worker_respawns_total`` / ``harmony_tasks_requeued_total``),
   and the query completes byte-identically on the pool — results are
-  deduplicated by task, so a task finished twice merges once. With
-  ``scan_timeout`` set, rounds exceeding their (exponentially
-  escalating) deadline hedge their stragglers onto new rounds
-  (``harmony_scan_timeouts_total``); once ``scan_retries`` is
-  exhausted, degraded mode abandons the task with per-query coverage
-  accounting (``harmony_abandoned_scans_total``) instead of blocking.
+  deduplicated by task, so a task finished twice merges once. A slow
+  worker needs no supervision of its own: its peers steal its queued
+  tasks. In degraded mode, requeue rounds that complete nothing
+  abandon their tasks with per-query coverage accounting
+  (``harmony_abandoned_scans_total``).
 - **Graceful degradation** — only when the *whole* pool is lost (every
   worker dead, shared memory unavailable, repeated requeues making no
   progress) does the backend tear the pool down and transparently
   re-run the batch on the inherited thread path (same kernel, same
   bytes out).
 
-Per-round scheduling segments are what make recovery safe: a straggler
-or a dead worker can never corrupt the next round's deques because no
-round ever reuses another round's control block. Chaos kills fire at
-task boundaries (see :mod:`repro.cluster.host_faults`), so the one
+Per-round scheduling segments are what make recovery safe: a dead
+worker can never corrupt the next round's deques because no round ever
+reuses another round's control block. Chaos kills fire at task
+boundaries (see :mod:`repro.cluster.host_faults`), so the one
 genuinely unrecoverable interleaving — a worker dying while *holding a
 deque lock* — is left to the stall watchdog, which falls back.
 """
@@ -76,7 +75,6 @@ from repro.core.layout import (
 from repro.core.partition import PartitionPlan
 from repro.core.results import SearchResult
 from repro.core.routing import shard_candidate_lists
-from repro.util.retry import backoff_delay
 
 #: Trace lane base for pool workers (host threads use 1000+).
 PROCESS_LANE_BASE = 2000
@@ -394,9 +392,8 @@ class ProcessBackend(ThreadBackend):
             ``fork`` (cheap startup) and falls back to ``spawn``.
         **options: every other keyword of
             :class:`~repro.core.executor.base.HostBackend`
-            (``batch_queries``, ``scan_timeout``, ``scan_retries`` and
-            the kernel's own). The packed layout *is* the shared data
-            plane.
+            (``batch_queries``, ``degraded_mode`` and the kernel's
+            own). The packed layout *is* the shared data plane.
 
     The pool starts lazily on the first ``search()`` and persists
     across calls; call :meth:`close` (or use the backend as a context
@@ -406,9 +403,11 @@ class ProcessBackend(ThreadBackend):
     unfinished tasks are requeued onto the survivors, the worker is
     respawned in the background, and the batch completes on the pool
     with byte-identical results — :attr:`fallback_active` stays False.
-    Only a total loss (every worker dead, shared memory gone, or
-    repeated requeues without progress) flips execution to the
-    inherited thread path, which still returns the same bytes.
+    A slow worker is not supervised at all: idle workers steal the
+    tasks still queued behind it. Only a total loss (every worker
+    dead, shared memory gone, or repeated requeues without progress)
+    flips execution to the inherited thread path, which still returns
+    the same bytes.
     """
 
     name = "process"
@@ -436,8 +435,8 @@ class ProcessBackend(ThreadBackend):
         self._shared_layout: SharedShardPackedBase | None = None
         self._pool_broken = False
         self._round_counter = 0
-        #: Live round records keyed by round id; rounds that outlast
-        #: their batch (abandoned stragglers) are reaped here later.
+        #: Live round records keyed by round id; rounds whose barriers
+        #: outlast their batch's settle grace are reaped here later.
         self._rounds: dict[int, dict] = {}
         #: Successful steals per worker during the most recent
         #: search() — zeros when the pool ran no task for it.
@@ -804,8 +803,7 @@ class ProcessBackend(ThreadBackend):
         ]
 
     def _dispatch_round(
-        self, task_ids, tasks, ctx_base, batch_tag, attempt, gen,
-        completed_count,
+        self, task_ids, tasks, ctx_base, batch_tag, gen, completed_count
     ) -> dict:
         """Ship one round (a subset of the batch's tasks) to the pool."""
         alive = self._alive_workers()
@@ -839,16 +837,9 @@ class ProcessBackend(ThreadBackend):
             "ctrl": ctrl,
             "workers": set(alive),
             "done": set(),
-            "start": time.monotonic(),
-            "attempt": int(attempt),
             "gen": int(gen),
-            "hedged": False,
             "completed_at_dispatch": int(completed_count),
         }
-        if self.scan_timeout is not None:
-            rec["deadline"] = rec["start"] + backoff_delay(
-                rec["attempt"], self.scan_timeout
-            )
         self._rounds[rid] = rec
         for wid in alive:
             self._cmd_queues[wid].put(("batch", rid, ctx))
@@ -874,11 +865,12 @@ class ProcessBackend(ThreadBackend):
         schedule:
 
         - every task id is merged **at most once** (``completed`` /
-          ``abandoned`` gate the merge), so hedged duplicates and
-          requeued re-executions can never double-push candidates;
-        - rounds never share scheduling segments, so a straggler from
+          ``abandoned`` gate the merge), so a requeued re-execution
+          can never double-push candidates;
+        - rounds never share scheduling segments, so a late worker from
           round *i* cannot pop tasks meant for round *j*;
-        - a task is only *abandoned* in degraded mode, and its missed
+        - a task is only *abandoned* in degraded mode, after requeue
+          rounds stop completing anything, and its missed
           candidates are charged to the per-query coverage buffer the
           same way skipped shards are.
         """
@@ -887,7 +879,6 @@ class ProcessBackend(ThreadBackend):
         outstanding = set(range(len(tasks)))
         completed: set[int] = set()
         abandoned: set[int] = set()
-        reissues = {t: 0 for t in outstanding}
         covered = {t: set() for t in outstanding}  # task -> active rounds
 
         def abandon(task_ids) -> None:
@@ -905,7 +896,7 @@ class ProcessBackend(ThreadBackend):
 
         def requeue_after_settle(rec) -> None:
             if rec["batch"] is not batch_tag:
-                return  # a previous batch's straggler round
+                return  # a previous batch's late round
             stale = [
                 t for t in rec["task_ids"]
                 if t in outstanding and not covered[t]
@@ -930,8 +921,7 @@ class ProcessBackend(ThreadBackend):
                 )
             new_rec = self._dispatch_round(
                 stale, tasks, ctx_base, batch_tag,
-                attempt=rec["attempt"], gen=rec["gen"] + 1,
-                completed_count=len(completed),
+                gen=rec["gen"] + 1, completed_count=len(completed),
             )
             for t in stale:
                 covered[t].add(new_rec["id"])
@@ -962,45 +952,9 @@ class ProcessBackend(ThreadBackend):
                 if len(rec["workers"]) != before:
                     mark_round_progress(rec)
 
-        def check_deadlines(now: float) -> None:
-            if self.scan_timeout is None:
-                return
-            for rec in list(self._rounds.values()):
-                if (
-                    rec["batch"] is not batch_tag
-                    or rec["hedged"]
-                    or now < rec.get("deadline", float("inf"))
-                ):
-                    continue
-                rec["hedged"] = True
-                late = [t for t in rec["task_ids"] if t in outstanding]
-                if not late:
-                    continue
-                hedge = [t for t in late if reissues[t] < self.scan_retries]
-                spent = [t for t in late if reissues[t] >= self.scan_retries]
-                if hedge:
-                    for t in hedge:
-                        reissues[t] += 1
-                    self.fault_counters.scan_timeouts += len(hedge)
-                    new_rec = self._dispatch_round(
-                        hedge, tasks, ctx_base, batch_tag,
-                        attempt=rec["attempt"] + 1, gen=rec["gen"],
-                        completed_count=len(completed),
-                    )
-                    for t in hedge:
-                        covered[t].add(new_rec["id"])
-                if spent and local_cov is not None:
-                    # Degraded mode: stop waiting — charge the missed
-                    # candidates to coverage, exactly like a skipped
-                    # shard, and let the batch return promptly.
-                    abandon(spent)
-                # Non-degraded: keep waiting; the straggler is slow,
-                # not lost, and the stall watchdog bounds the worst
-                # case (a genuinely wedged pool falls back).
-
         first = self._dispatch_round(
             sorted(outstanding), tasks, ctx_base, batch_tag,
-            attempt=0, gen=0, completed_count=0,
+            gen=0, completed_count=0,
         )
         for t in outstanding:
             covered[t].add(first["id"])
@@ -1014,7 +968,6 @@ class ProcessBackend(ThreadBackend):
             now = time.monotonic()
             if msg is None:
                 check_workers()
-                check_deadlines(now)
                 if now - last_progress > _STALL_SECONDS:
                     raise ProcessPoolError("worker pool stalled")
                 continue
@@ -1034,7 +987,7 @@ class ProcessBackend(ThreadBackend):
                 continue  # a previous batch's task: states are gone
             orig = rec["task_ids"][local_tid]
             if orig in completed or orig in abandoned:
-                continue  # hedged duplicate: first result won
+                continue  # a requeued duplicate: first result won
             completed.add(orig)
             outstanding.discard(orig)
             last_progress = now
@@ -1057,12 +1010,10 @@ class ProcessBackend(ThreadBackend):
 
         # All results are in. Give the round barriers a short grace
         # window so steal accounting stays exact on the healthy path;
-        # rounds past their deadline (hedged stragglers) are not worth
-        # waiting on — later batches reap them.
+        # barriers later than that are reaped by later batches.
         grace_end = time.monotonic() + _SETTLE_GRACE
         while any(
-            rec["batch"] is batch_tag and not rec["hedged"]
-            for rec in self._rounds.values()
+            rec["batch"] is batch_tag for rec in self._rounds.values()
         ):
             remaining = grace_end - time.monotonic()
             if remaining <= 0:

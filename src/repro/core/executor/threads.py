@@ -18,39 +18,26 @@ spawns on every query batch); :meth:`ThreadBackend.close` releases it,
 and a closed backend transparently re-creates the pool if searched
 again.
 
-Fault story (host-path robustness):
-
-- With ``scan_timeout`` set, the per-query path supervises each query
-  task through a future: a task that exceeds the (exponentially
-  escalating) timeout is **hedged** — re-submitted to the pool — and
-  whichever copy finishes first wins. ``kernel.search_one`` is pure
-  (it builds a fresh heap, mutating no shared state), so a duplicate
-  run computes the identical heap and the race is benign: results
-  stay byte-identical.
-- An attached :class:`~repro.cluster.host_faults.HostFaultInjector`
-  can delay tasks (straggler emulation) or kill them at entry
-  (:class:`~repro.cluster.host_faults.InjectedWorkerKill`); injected
-  kills fire *before* any shared state is touched, so the supervisor
-  simply re-runs the task — the thread-pool analogue of the process
-  backend's requeue-and-respawn.
-- The batched shard-group path supports delay and entry-kill
-  injection (retried the same way) but not timeout hedging: group
-  tasks merge into shared per-query heaps mid-flight, so duplicating
-  one would double-push candidates. Straggler *hedging* therefore
-  needs ``batch_queries=False`` or the process backend, whose tasks
-  are hedge-safe by construction.
+Fault story (host-path robustness): an attached
+:class:`~repro.cluster.host_faults.HostFaultInjector` can delay tasks
+(straggler emulation) or kill them at entry. An injected kill fires
+*before* the task touches any shared state, so the task is simply run
+again — the thread-pool analogue of the process backend's
+requeue-and-respawn — and each kill rule is one-shot, so the re-runs
+end. A delayed task holds its pool thread for longer; nothing races
+it, because a duplicate on the same pool would compete for the very
+cores the straggler is short of.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
-from repro.cluster.host_faults import InjectedWorkerKill, sleep_for_delay
+from repro.cluster.host_faults import sleep_for_delay
 from repro.core.executor.base import HostBackend
 from repro.core.partition import PartitionPlan
-from repro.util.retry import backoff_delay
 
 
 class ThreadBackend(HostBackend):
@@ -62,8 +49,7 @@ class ThreadBackend(HostBackend):
             dimension slices (pruning-friendly).
         n_threads: worker threads (default: ``ThreadPoolExecutor``'s).
         **options: every other keyword of :class:`HostBackend`
-            (``batch_queries``, ``scan_timeout`` / ``scan_retries`` —
-            the straggler watchdog — and the kernel's own).
+            (``batch_queries``, ``degraded_mode`` and the kernel's own).
 
     With a ``tracer`` attached (see :class:`HostBackend`), wall-clock
     spans land on one lane per pool thread, so the exported timeline
@@ -105,96 +91,36 @@ class ThreadBackend(HostBackend):
             pool.shutdown(wait=True)
         super().close()
 
-    # -- chaos + supervision --------------------------------------------
+    # -- chaos ---------------------------------------------------------
 
     def _chaos_wrap(self, fn):
-        """Wrap a task callable with chaos injection + kill retry.
+        """Wrap a task callable with chaos injection.
 
         Injected kills fire at task entry (before any shared state is
-        touched), so re-running the task is always safe; each retry is
-        counted as a requeue. Delays time the task body and stretch it
-        by the injected straggler factor.
+        touched), so re-running the task is always safe; each re-run is
+        counted as a requeue, and ends because a kill rule fires once.
+        Delays time the task body and stretch it by the injected
+        straggler factor.
         """
         chaos = self.chaos
         if chaos is None:
             return fn
 
         def wrapped(arg):
-            for _ in range(self.scan_retries + 1):
+            delay, kill = chaos.thread_task_event()
+            while kill:  # the task body never started: run it again
+                self.fault_counters.tasks_requeued += 1
                 delay, kill = chaos.thread_task_event()
-                if kill:
-                    self.fault_counters.tasks_requeued += 1
-                    continue  # re-run: the task body never started
-                t0 = time.perf_counter()
-                out = fn(arg)
-                sleep_for_delay(delay, time.perf_counter() - t0)
-                return out
-            raise InjectedWorkerKill(
-                "chaos kill kept firing beyond scan_retries"
-            )
+            t0 = time.perf_counter()
+            out = fn(arg)
+            sleep_for_delay(delay, time.perf_counter() - t0)
+            return out
 
         return wrapped
 
     def _map(self, fn, nq: int) -> None:
         pool = self._ensure_thread_pool()
-        fn = self._chaos_wrap(fn)
-        if self.scan_timeout is None:
-            list(pool.map(fn, range(nq)))
-            return
-        self._map_hedged(pool, fn, nq)
-
-    def _map_hedged(self, pool, fn, nq: int) -> None:
-        """Per-query supervision: hedge stragglers past the timeout.
-
-        ``fn(i)`` must be idempotent — on this path it is
-        ``kernel.search_one`` writing its (deterministic) heap into
-        ``heaps[i]`` — so racing duplicates are benign. A pool thread
-        cannot be killed, so after ``scan_retries`` hedges the
-        supervisor simply keeps waiting on every copy; the hedges
-        bound straggler latency, not worst-case work.
-        """
-        outstanding: dict[int, list] = {
-            i: [pool.submit(fn, i)] for i in range(nq)
-        }
-        attempts = {i: 0 for i in range(nq)}
-        errors: list[BaseException] = []
-        while outstanding:
-            running = [f for futs in outstanding.values() for f in futs]
-            min_attempt = min(attempts[i] for i in outstanding)
-            timeout = None
-            if min_attempt <= self.scan_retries:
-                timeout = backoff_delay(min_attempt, self.scan_timeout)
-            done, _ = wait(running, timeout=timeout, return_when=FIRST_COMPLETED)
-            progressed = False
-            for i in list(outstanding):
-                futs = outstanding[i]
-                finished = [f for f in futs if f.done()]
-                if finished:
-                    progressed = True
-                    exc = None
-                    for f in finished:
-                        exc = f.exception()
-                        if exc is None:
-                            break
-                    if exc is not None and len(finished) == len(futs):
-                        errors.append(exc)
-                    elif exc is not None:
-                        continue  # a live hedge may still succeed
-                    del outstanding[i]
-            if progressed or not outstanding:
-                continue
-            # Timeout tick: hedge every straggler that still has
-            # attempts left; results are idempotent so the duplicate
-            # is free of correctness risk.
-            for i in list(outstanding):
-                if attempts[i] < self.scan_retries:
-                    attempts[i] += 1
-                    self.fault_counters.scan_timeouts += 1
-                    outstanding[i].append(pool.submit(fn, i))
-                else:
-                    attempts[i] += 1  # stop rearming the wait timeout
-        if errors:
-            raise errors[0]
+        list(pool.map(self._chaos_wrap(fn), range(nq)))
 
     def _group_mapper(self):
         def run(task, shards) -> None:

@@ -37,6 +37,11 @@ class SearchResult:
 class FaultStats:
     """Fault-handling activity observed during one search batch.
 
+    The one counters record on every backend: the simulator fills it
+    per batch, and a host backend's pools count into their own
+    (``fault_counters``) until :meth:`HostBackend.run` hands it to the
+    report.
+
     Attributes:
         retries: compute attempts re-issued after hitting a crashed
             worker (each retry charges its backoff delay in simulated
@@ -57,8 +62,6 @@ class FaultStats:
             by the supervisor during the batch.
         tasks_requeued: (query-group, shard) tasks re-issued to
             surviving workers after a worker death or injected kill.
-        scan_timeouts: tasks that exceeded ``scan_timeout`` and were
-            hedged onto a fresh attempt by the straggler watchdog.
     """
 
     retries: int = 0
@@ -70,7 +73,6 @@ class FaultStats:
     abandoned_scans: int = 0
     worker_respawns: int = 0
     tasks_requeued: int = 0
-    scan_timeouts: int = 0
 
     @property
     def any_activity(self) -> bool:

@@ -43,7 +43,8 @@ class TestHarmonyConfig:
         assert config.metric is Metric.COSINE
         assert config.mode is Mode.DIMENSION
 
-    # One bad value per validation rule, with the exact text the
+    # One bad value per validation rule (plus NaN, which every range rule
+    # must refuse, and both forced_grid entries), with the exact text the
     # hand-written checks produced before they became a rule table.
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -76,10 +77,13 @@ class TestHarmonyConfig:
                 "hedge_latency_threshold must be positive or None, got 0.0",
             ),
             (
-                {"scan_timeout": -1},
-                "scan_timeout must be positive or None, got -1",
+                {"serve_slo_ms": float("nan")},
+                "serve_slo_ms must be positive, got nan",
             ),
-            ({"scan_retries": -1}, "scan_retries must be non-negative, got -1"),
+            (
+                {"forced_grid": (2, 0)},
+                "forced_grid entries must be positive, got (2, 0)",
+            ),
             (
                 {"scan_precision": "fp16"},
                 "unknown scan_precision 'fp16'; supported precisions: "
@@ -136,7 +140,6 @@ class TestHarmonyConfig:
     def test_optional_knobs_accept_none_and_names_normalize(self):
         config = HarmonyConfig(
             n_threads=None,
-            scan_timeout=None,
             backend="Serial",
             scan_precision="SQ8",
             serve_shed_policy="degrade-nprobe",
@@ -151,20 +154,20 @@ class TestHarmonyConfig:
 
     def test_every_field_is_in_the_api_reference(self):
         """docs/api.md holds the one configuration table; a knob added
-        without a row there fails here."""
+        without a row there, or a row left for a retired knob, fails
+        here."""
         api = Path(__file__).resolve().parents[1] / "docs" / "api.md"
         table = api.read_text(encoding="utf-8")
-        missing = [
-            field.name
-            for field in dataclasses.fields(HarmonyConfig)
-            if f"| `{field.name}` |" not in table
-        ]
+        names = {field.name for field in dataclasses.fields(HarmonyConfig)}
+        missing = [name for name in names if f"| `{name}` |" not in table]
         assert not missing
+        rows = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+        assert [row for row in rows if row not in names] == []
 
     def test_kernel_and_host_options_name_the_backend_keywords(self):
         config = HarmonyConfig(
             backend="process", n_workers=3, scan_precision="sq8",
-            auto_compact=False, scan_timeout=0.5,
+            auto_compact=False,
         )
         kernel = config.kernel_options()
         assert kernel == dict(
@@ -173,8 +176,7 @@ class TestHarmonyConfig:
             routing_cache_size=4096,
         )
         assert config.host_options() == dict(
-            kernel, batch_queries=True, scan_timeout=0.5, scan_retries=3,
-            degraded_mode=False, n_workers=3,
+            kernel, batch_queries=True, degraded_mode=False, n_workers=3,
         )
         assert "n_threads" in config.replace(backend="thread").host_options()
         serial = config.replace(backend="serial").host_options()

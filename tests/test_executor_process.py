@@ -586,6 +586,28 @@ def test_steal_counters_shape_and_accumulation():
             assert backend.total_steals == total  # lifetime accumulation
 
 
+def test_peers_steal_from_a_slow_worker():
+    """A straggling worker needs no watchdog: its idle peer steals the
+    tasks queued behind it, and nothing is requeued or falls back."""
+    from repro.cluster.host_faults import DelayScan, HostFaultInjector
+
+    index = make_index(n=1200, nlist=24)
+    plan = build_plan(index, n_machines=4, n_vector_shards=4, n_dim_blocks=1)
+    queries = make_queries(index.dim, nq=24)
+    reference = SerialBackend(index, plan=plan).search(queries, k=5, nprobe=8)
+    with ProcessBackend(index, plan=plan, n_workers=2) as backend:
+        backend.run(queries, k=5, nprobe=8)  # pool up, layout attached
+        backend.chaos = HostFaultInjector(
+            delays=[DelayScan(seconds=0.05, worker=0)]
+        )
+        got, report = backend.run(queries, k=5, nprobe=8)
+        assert backend.last_steal_counts[1] > 0
+        assert not backend.fallback_active
+        assert report.fault_stats is None  # no respawn, requeue, abandon
+        np.testing.assert_array_equal(got.ids, reference.ids)
+        np.testing.assert_array_equal(got.distances, reference.distances)
+
+
 def test_worker_spans_recorded_on_process_lanes():
     from repro.core.executor.process import PROCESS_LANE_BASE
     from repro.obs.trace import Tracer

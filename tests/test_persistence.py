@@ -167,17 +167,26 @@ class TestDatabasePersistence:
         np.savez_compressed(edited, **arrays)
         return edited
 
-    def test_load_drops_a_retired_knob(self, db, tiny_queries, tmp_path):
-        """Every file saved while ``serve_deadline_fraction`` was a
-        field carries it; the key is dropped, not refused."""
-        path = self._resave_with_config_key(
-            db, tmp_path, "serve_deadline_fraction", 0.25
-        )
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("serve_deadline_fraction", 0.25),
+            ("scan_timeout", 0.5),
+            ("scan_retries", 3),
+        ],
+    )
+    def test_load_drops_a_retired_knob(
+        self, db, tiny_queries, tmp_path, key, value
+    ):
+        """Every file saved while a retired knob was a field carries
+        it; the key is dropped, not refused, and the answers match."""
+        path = self._resave_with_config_key(db, tmp_path, key, value)
         loaded = HarmonyDB.load(path)
         assert loaded.config == db.config
         r1, _ = db.search(tiny_queries, k=5)
         r2, _ = loaded.search(tiny_queries, k=5)
         np.testing.assert_array_equal(r1.ids, r2.ids)
+        np.testing.assert_array_equal(r1.distances, r2.distances)
 
     def test_load_refuses_a_key_that_was_never_a_knob(self, db, tmp_path):
         path = self._resave_with_config_key(

@@ -58,7 +58,6 @@ def _process_sq8() -> ExecutionReport:
             abandoned_scans=1,
             worker_respawns=1,
             tasks_requeued=3,
-            scan_timeouts=4,
         ),
         degraded=DegradedReport(
             coverage=np.array([1.0, 0.5, 0.75]),
@@ -301,8 +300,7 @@ GOLDEN['process_sq8'] = {'to_dict': {'n_queries': 3,
                              'skipped_scans': 2,
                              'abandoned_scans': 1,
                              'worker_respawns': 1,
-                             'tasks_requeued': 3,
-                             'scan_timeouts': 4},
+                             'tasks_requeued': 3},
              'degraded': {'mean_coverage': 0.75,
                           'min_coverage': 0.5,
                           'n_degraded_queries': 2,
@@ -388,9 +386,6 @@ GOLDEN['process_sq8'] = {'to_dict': {'n_queries': 3,
                                                     'lookups that recomputed '
                                                     'touched shards',
                                                     [[]], [2.0]],
-             'harmony_scan_timeouts_total': ['counter',
-                                             'Fault handling: scan_timeouts',
-                                             [[]], [4.0]],
              'harmony_simulated_seconds': ['gauge',
                                            'Batch makespan (simulated)', [[]],
                                            [0.25]],

@@ -130,7 +130,6 @@ class TestFaultStatsDict:
             "abandoned_scans",
             "worker_respawns",
             "tasks_requeued",
-            "scan_timeouts",
         ]
 
     def test_values_round_trip(self):
