@@ -1,21 +1,16 @@
-"""Semantic result cache under skewed repeated-query traffic.
+"""Result cache under skewed repeated-query traffic.
 
 Real host wall-clock over Zipf-distributed repeated-query streams
 (:func:`repro.workload.zipf_query_stream`): a small pool of queries is
 replayed with popularity ``p(rank) ∝ rank^-alpha``, the traffic shape
-the result cache is built for. Three arm families run the identical
-stream against identically built deployments:
+the result cache is built for. Two arms run the identical stream
+against identically built deployments:
 
 - ``off``: cache disabled — every request pays routing + scan. This
   arm doubles as the byte-identity oracle for the exact arm.
-- ``exact``: :class:`repro.cache.ResultCache` with ``epsilon = 0`` —
-  repeats are answered from the cache, byte-identical to the uncached
-  answer (asserted row by row against the ``off`` arm).
-- ``semantic-ε``: opt-in ε-ball matching over a *jittered* stream
-  (repeat occurrences perturbed by Gaussian noise), the near-duplicate
-  traffic exact keys cannot hit. Per-ε recall against the uncached
-  answer for the very same jittered query is measured and reported —
-  semantic approximation is never silent.
+- ``exact``: :class:`repro.cache.ResultCache` attached — repeats are
+  answered from the cache, byte-identical to the uncached answer
+  (asserted row by row against the ``off`` arm).
 
 The closed loop measures per-request p50/p99/QPS per arm; an open-loop
 pass replays a Poisson schedule through the coalescing server and
@@ -24,7 +19,7 @@ final mutation round checks invalidation: after ``db.add`` the cache
 flushes (invalidations counter moves) and post-mutation answers match
 the uncached deployment byte for byte.
 
-Results accumulate in ``results/BENCH_semantic_cache.json`` plus a
+Results accumulate in ``results/BENCH_result_cache.json`` plus a
 text table; ``--smoke`` runs a small stream and exits non-zero if the
 exact arm diverges from the uncached oracle, its hit rate falls below
 60%, or invalidation misbehaves (the CI cache-smoke gate). The full
@@ -33,8 +28,8 @@ deliver >= 3x p50 and >= 2x QPS over the uncached arm.
 
 Usage::
 
-    PYTHONPATH=../src python bench_semantic_cache.py            # full
-    PYTHONPATH=../src python bench_semantic_cache.py --smoke    # CI gate
+    PYTHONPATH=../src python bench_result_cache.py            # full
+    PYTHONPATH=../src python bench_result_cache.py --smoke    # CI gate
 """
 
 from __future__ import annotations
@@ -55,12 +50,12 @@ from repro.workload import poisson_arrivals, zipf_query_stream
 FULL = dict(
     n=40_000, dim=64, nlist=64, nprobe=8, k=10,
     pool=64, stream=768, alpha=1.2, n_threads=4,
-    epsilons=(0.05, 0.1, 0.2), serve_requests=256, mutate_rows=256,
+    serve_requests=256, mutate_rows=256,
 )
 SMOKE = dict(
     n=6_000, dim=48, nlist=32, nprobe=8, k=10,
     pool=32, stream=160, alpha=1.2, n_threads=2,
-    epsilons=(0.1,), serve_requests=64, mutate_rows=64,
+    serve_requests=64, mutate_rows=64,
 )
 
 #: Gates for the full run's headline numbers (the issue's acceptance
@@ -80,7 +75,7 @@ def build_dataset(params, seed=0):
     return base, pool
 
 
-def build_db(params, base, pool, enable_cache, epsilon=0.0):
+def build_db(params, base, pool, enable_cache):
     """One deployment; identical seed/plan across arms."""
     config = HarmonyConfig(
         nlist=params["nlist"],
@@ -89,22 +84,11 @@ def build_db(params, base, pool, enable_cache, epsilon=0.0):
         n_threads=params["n_threads"],
         enable_cache=enable_cache,
         cache_size=4 * params["pool"],
-        cache_semantic_epsilon=epsilon,
     )
     db = HarmonyDB(dim=params["dim"], config=config)
     db.build(base, sample_queries=pool)
     db.search(pool[:1], k=params["k"])  # warm the layout + pool
     return db
-
-
-def jitter_for(epsilon: float, dim: int) -> float:
-    """Noise std placing repeat occurrences inside the ε ball.
-
-    Per-dim Gaussian jitter of std ``s`` lands at expected L2 distance
-    ``s * sqrt(dim)``; aim for half the ball radius so hits are
-    comfortably inside without being byte-equal.
-    """
-    return epsilon / (2.0 * float(np.sqrt(dim)))
 
 
 def run_closed_loop(db, stream, k):
@@ -138,14 +122,6 @@ def mismatch_count(ids_a, dist_a, ids_b, dist_b) -> int:
             and np.array_equal(dist_a[i], dist_b[i])
         )
     )
-
-
-def mean_recall(ids, ref_ids, k) -> float:
-    overlaps = [
-        len(set(map(int, ids[i])) & set(map(int, ref_ids[i]))) / k
-        for i in range(len(ids))
-    ]
-    return float(np.mean(overlaps))
 
 
 def run_serve_pass(db, stream, k, rate, label, log=print):
@@ -267,44 +243,6 @@ def run_suite(params, smoke, log=print):
             f"{MIN_HIT_RATE:.0%} gate on a Zipf({params['alpha']}) stream"
         )
 
-    # Semantic arms: jittered repeats, recall measured per ε against
-    # the uncached answer for the same jittered query.
-    for epsilon in params["epsilons"]:
-        jittered, _ = zipf_query_stream(
-            pool,
-            alpha=params["alpha"],
-            n=params["stream"],
-            seed=7,
-            jitter=jitter_for(epsilon, params["dim"]),
-        )
-        ref, _ = db_off.search(jittered, k=k)
-        db_sem = build_db(params, base, pool, enable_cache=True,
-                          epsilon=epsilon)
-        sem_row, sem_ids, _sem_dist = run_closed_loop(db_sem, jittered, k)
-        sstats = db_sem.result_cache.stats()
-        lookups = sstats.hits + sstats.misses
-        sem_row |= {
-            "arm": f"semantic-{epsilon:g}",
-            "epsilon": float(epsilon),
-            "hit_rate": sstats.hits / lookups if lookups else 0.0,
-            "semantic_hits": int(sstats.semantic_hits),
-            "recall_vs_uncached": mean_recall(sem_ids, list(ref.ids), k),
-            "cache": sstats.to_dict(),
-        }
-        rows.append(sem_row)
-        db_sem.close()
-        log(
-            f"  closed sem ε={epsilon:<5g}: p50 {sem_row['p50_ms']:7.3f} ms,"
-            f" hit rate {sem_row['hit_rate']:.0%}"
-            f" ({sem_row['semantic_hits']} semantic),"
-            f" recall {sem_row['recall_vs_uncached']:.3f}"
-        )
-        if sem_row["semantic_hits"] < 1:
-            failures.append(
-                f"semantic arm ε={epsilon:g} recorded no semantic hits on "
-                "a jittered repeat stream"
-            )
-
     # Open loop: cache hits resolve at submit time, ahead of the
     # micro-batch queue.
     rate = 2.0 * max(off_row["qps"], 1.0)
@@ -353,21 +291,17 @@ def save_outputs(params, rows, serve_rows, invalidation, speedups, smoke):
                 "alpha", "n_threads", "serve_requests", "mutate_rows",
             )
         }
-        | {
-            "epsilons": list(params["epsilons"]),
-            "smoke": smoke,
-            "cpu_count": os.cpu_count(),
-        },
+        | {"smoke": smoke, "cpu_count": os.cpu_count()},
         "closed_loop": rows,
         "open_loop": serve_rows,
         "invalidation": invalidation,
         "speedup": speedups,
     }
     c.save_result(
-        "BENCH_semantic_cache.json", json.dumps(payload, indent=2)
+        "BENCH_result_cache.json", json.dumps(payload, indent=2)
     )
     table = c.format_table(
-        ["arm", "p50 (ms)", "p99 (ms)", "qps", "hit rate", "recall"],
+        ["arm", "p50 (ms)", "p99 (ms)", "qps", "hit rate"],
         [
             [
                 row["arm"],
@@ -375,21 +309,16 @@ def save_outputs(params, rows, serve_rows, invalidation, speedups, smoke):
                 round(row["p99_ms"], 3),
                 round(row["qps"], 1),
                 f"{row['hit_rate']:.0%}",
-                (
-                    f"{row['recall_vs_uncached']:.3f}"
-                    if "recall_vs_uncached" in row
-                    else "exact"
-                ),
             ]
             for row in rows
         ],
         title=(
-            f"semantic result cache on Zipf({params['alpha']}) repeats "
+            f"result cache on Zipf({params['alpha']}) repeats "
             f"(exact: p50 {speedups['p50']:.1f}x, qps "
             f"{speedups['qps']:.1f}x; host wall-clock)"
         ),
     )
-    c.save_result("semantic_cache.txt", table)
+    c.save_result("result_cache.txt", table)
     return table
 
 
@@ -407,7 +336,7 @@ def main(argv=None):
     params = SMOKE if args.smoke else FULL
     label = "smoke" if args.smoke else "full"
     print(
-        f"semantic-cache benchmark ({label}): {params['n']:,} x "
+        f"result-cache benchmark ({label}): {params['n']:,} x "
         f"{params['dim']}, {params['stream']} requests over a "
         f"{params['pool']}-query pool, alpha {params['alpha']}"
     )
@@ -432,7 +361,7 @@ def main(argv=None):
     return 0
 
 
-def test_bench_semantic_cache(benchmark, capsys):
+def test_bench_result_cache(benchmark, capsys):
     """Pytest entry point (smoke workload) for the benchmark suite."""
     rows, serve_rows, invalidation, speedups, failures = benchmark.pedantic(
         lambda: run_suite(SMOKE, smoke=True, log=lambda *_: None),

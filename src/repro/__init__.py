@@ -26,9 +26,8 @@ Architecture (bottom-up):
   (skewed) query workloads.
 - :mod:`repro.core` — partition plans, cost model, planner, pipelined
   pruning engine, and the :class:`HarmonyDB` facade.
-- :mod:`repro.cache` — the result cache (:class:`ResultCache`): exact
-  byte-identical and opt-in semantic (ε-ball) hits for repeated,
-  skewed serving traffic.
+- :mod:`repro.cache` — the result cache (:class:`ResultCache`): exact,
+  byte-identical hits for repeated, skewed serving traffic.
 - :mod:`repro.serve` — the coalescing online-serving front end
   (:class:`HarmonyServer`) and its open-loop load harness.
 - :mod:`repro.baselines` — the Auncel-like comparator.

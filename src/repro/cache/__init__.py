@@ -3,8 +3,8 @@
 Public surface:
 
 - :class:`ResultCache` — bounded, thread-safe segmented-LRU cache of
-  finished top-K answers with exact (byte-identical) and opt-in
-  semantic (ε-ball) hit tiers, invalidated through index/layout
+  finished top-K answers, served back byte-identically on an exact
+  match of the request and invalidated through index/layout
   generations.
 - :class:`CacheHit` / :class:`CacheStats` — lookup result and counter
   snapshot types.
@@ -12,8 +12,8 @@ Public surface:
   ``filter_labels`` argument.
 
 Enable it on a deployment with ``HarmonyConfig(enable_cache=True)``
-(plus ``cache_size`` / ``cache_semantic_epsilon``); the CLI flags are
-``--cache`` / ``--cache-size`` / ``--cache-epsilon``.
+(plus ``cache_size``); the CLI flags are ``--cache`` /
+``--cache-size``.
 """
 
 from repro.cache.result_cache import (

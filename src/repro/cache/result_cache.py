@@ -1,25 +1,14 @@
-"""Bounded segmented-LRU result cache with exact and semantic hits.
+"""Bounded segmented-LRU result cache of exact, byte-identical hits.
 
 Real serving traffic repeats itself: recommendation / RAG workloads
-re-issue near-identical queries under a Zipf popularity law, so the
+re-issue the same queries under a Zipf popularity law, so the
 cheapest "scan" is the one that never happens. :class:`ResultCache`
 memoizes finished top-K answers keyed on the full request identity —
-``(query bytes, k, nprobe, metric, filter)`` — and serves them back in
-two tiers:
-
-- **exact hits**: the incoming query's float32 bytes equal a cached
-  query's bytes. The cached ``(ids, distances)`` are returned
-  *byte-identically*, skipping routing and scanning entirely. Exact
-  hits can never change results — the key includes every input that
-  influences the answer.
-- **semantic hits** (opt-in, ``epsilon > 0``): the incoming query lies
-  within an ε-ball (squared-L2 radius ``epsilon**2``) of a cached
-  query with the same ``(k, nprobe, metric, filter)``. The cached
-  *neighbor's* answer is served instead of scanning — an approximation
-  whose error is bounded by ε and whose cost is a small brute-force
-  scan over the cached query vectors. Every semantic hit records the
-  query-to-query distance so the hit-rate / recall trade is measured,
-  never silent.
+``(query bytes, k, nprobe, metric, filter)`` — and serves them back
+when an incoming query's float32 bytes equal a cached query's bytes.
+The cached ``(ids, distances)`` are returned *byte-identically*,
+skipping routing and scanning entirely. A hit can never change a
+result: the key includes every input that influences the answer.
 
 Invalidation is generation-based, the same staleness protocol the
 packed layouts use: every entry belongs to the
@@ -75,38 +64,24 @@ class CacheHit:
     """One served cache lookup.
 
     Attributes:
-        ids / distances: the cached top-K answer (read-only arrays;
-            byte-identical to the original search for exact hits).
-        semantic: True when served from the ε-ball test rather than an
-            exact byte match.
-        distance: L2 distance from the incoming query to the cached
-            query that answered it (``0.0`` for exact hits).
+        ids / distances: the cached top-K answer (read-only arrays,
+            byte-identical to the original search).
     """
 
     ids: np.ndarray
     distances: np.ndarray
-    semantic: bool = False
-    distance: float = 0.0
 
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Consistent counter snapshot of a :class:`ResultCache`.
-
-    ``semantic_distance_mean`` / ``..._max`` aggregate the per-hit
-    query-to-query distances, the measurable face of the ε
-    approximation.
-    """
+    """Consistent counter snapshot of a :class:`ResultCache`."""
 
     hits: int = 0
     misses: int = 0
-    semantic_hits: int = 0
     evictions: int = 0
     invalidations: int = 0
     entries: int = 0
     bytes: int = 0
-    semantic_distance_mean: float = 0.0
-    semantic_distance_max: float = 0.0
 
     def to_dict(self) -> dict:
         return dict(vars(self))  # the declared counters, in field order
@@ -116,7 +91,6 @@ class CacheStats:
 class _Entry:
     """One cached answer plus everything eviction accounting needs."""
 
-    query: np.ndarray
     ids: np.ndarray
     distances: np.ndarray
     nbytes: int
@@ -127,40 +101,26 @@ class ResultCache:
 
     Args:
         max_entries: total capacity across both segments.
-        epsilon: semantic hit radius (plain L2 over query embeddings);
-            ``0.0`` (default) disables the semantic tier entirely —
-            only exact byte matches are served, so results are
-            guaranteed byte-identical to an uncached run.
     """
 
-    def __init__(self, max_entries: int = 1024, epsilon: float = 0.0) -> None:
+    def __init__(self, max_entries: int = 1024) -> None:
         if max_entries <= 0:
             raise ValueError(
                 f"max_entries must be positive, got {max_entries}"
             )
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be non-negative, got {epsilon}")
         self.max_entries = int(max_entries)
-        self.epsilon = float(epsilon)
         self._protected_cap = max(
             1, int(self.max_entries * PROTECTED_FRACTION)
         )
         self._lock = threading.Lock()
         self._probation: OrderedDict[tuple, _Entry] = OrderedDict()
         self._protected: OrderedDict[tuple, _Entry] = OrderedDict()
-        #: subkey (k, nprobe, metric, filter) -> {full key -> query row};
-        #: the semantic tier's scan set, kept in lockstep with the
-        #: segments so evicted entries can't produce ghost hits.
-        self._vectors: dict[tuple, dict[tuple, np.ndarray]] = {}
         self._generation: "tuple | None" = None
         self._bytes = 0
         self.hits = 0
         self.misses = 0
-        self.semantic_hits = 0
         self.evictions = 0
         self.invalidations = 0
-        self._semantic_distance_sum = 0.0
-        self._semantic_distance_max = 0.0
 
     def __len__(self) -> int:
         with self._lock:
@@ -176,10 +136,6 @@ class ResultCache:
     ) -> tuple:
         return (query.tobytes(), int(k), int(nprobe), str(metric), filter_key)
 
-    @staticmethod
-    def _subkey(key: tuple) -> tuple:
-        return key[1:]
-
     # ------------------------------------------------------------------
     # Generation handling
     # ------------------------------------------------------------------
@@ -194,7 +150,6 @@ class ResultCache:
                 self.invalidations += dropped
             self._probation.clear()
             self._protected.clear()
-            self._vectors.clear()
             self._bytes = 0
             self._generation = generation
 
@@ -207,7 +162,6 @@ class ResultCache:
                 self.invalidations += dropped
             self._probation.clear()
             self._protected.clear()
-            self._vectors.clear()
             self._bytes = 0
             self._generation = None
             return dropped
@@ -249,55 +203,9 @@ class ResultCache:
                 self._protected.move_to_end(key)
                 self.hits += 1
                 return CacheHit(ids=entry.ids, distances=entry.distances)
-            if self.epsilon > 0.0:
-                hit = self._semantic_lookup(key, query)
-                if hit is not None:
-                    return hit
             if record_miss:
                 self.misses += 1
         return None
-
-    def _semantic_lookup(
-        self, key: tuple, query: np.ndarray
-    ) -> "CacheHit | None":
-        """ε-ball scan over cached query vectors (locked).
-
-        Brute force over the (bounded, small) cached set: ties break
-        toward the nearest cached query, then insertion order.
-        """
-        pool = self._vectors.get(self._subkey(key))
-        if not pool:
-            return None
-        keys = list(pool.keys())
-        stacked = np.stack([pool[k] for k in keys])
-        deltas = stacked - query[None, :]
-        d2 = np.einsum("ij,ij->i", deltas, deltas)
-        best = int(np.argmin(d2))
-        best_d2 = float(d2[best])
-        if best_d2 > self.epsilon * self.epsilon:
-            return None
-        neighbor_key = keys[best]
-        entry = self._probation.pop(neighbor_key, None)
-        if entry is not None:
-            self._admit_protected(neighbor_key, entry)
-        else:
-            entry = self._protected.get(neighbor_key)
-            if entry is None:
-                return None
-            self._protected.move_to_end(neighbor_key)
-        distance = float(np.sqrt(best_d2))
-        self.hits += 1
-        self.semantic_hits += 1
-        self._semantic_distance_sum += distance
-        self._semantic_distance_max = max(
-            self._semantic_distance_max, distance
-        )
-        return CacheHit(
-            ids=entry.ids,
-            distances=entry.distances,
-            semantic=True,
-            distance=distance,
-        )
 
     def insert(
         self,
@@ -316,16 +224,15 @@ class ResultCache:
         those are wrong to replay once the cluster heals.
         """
         key = self._key(query, k, nprobe, metric, filter_key)
-        query = np.array(query, dtype=np.float32, copy=True)
         ids = np.array(ids, copy=True)
         distances = np.array(distances, copy=True)
-        for arr in (query, ids, distances):
+        for arr in (ids, distances):
             arr.setflags(write=False)
+        # The key holds the query's bytes: they count toward residency.
         entry = _Entry(
-            query=query,
             ids=ids,
             distances=distances,
-            nbytes=int(query.nbytes + ids.nbytes + distances.nbytes),
+            nbytes=len(key[0]) + int(ids.nbytes + distances.nbytes),
         )
         with self._lock:
             self._check_generation(generation)
@@ -337,7 +244,6 @@ class ResultCache:
             ):
                 self._evict_one()
             self._probation[key] = entry
-            self._vectors.setdefault(self._subkey(key), {})[key] = query
             self._bytes += entry.nbytes
 
     # ------------------------------------------------------------------
@@ -363,12 +269,6 @@ class ResultCache:
             return
         self.evictions += 1
         self._bytes -= entry.nbytes
-        subkey = self._subkey(key)
-        pool = self._vectors.get(subkey)
-        if pool is not None:
-            pool.pop(key, None)
-            if not pool:
-                del self._vectors[subkey]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -379,17 +279,10 @@ class ResultCache:
             return CacheStats(
                 hits=self.hits,
                 misses=self.misses,
-                semantic_hits=self.semantic_hits,
                 evictions=self.evictions,
                 invalidations=self.invalidations,
                 entries=len(self._probation) + len(self._protected),
                 bytes=self._bytes,
-                semantic_distance_mean=(
-                    self._semantic_distance_sum / self.semantic_hits
-                    if self.semantic_hits
-                    else 0.0
-                ),
-                semantic_distance_max=self._semantic_distance_max,
             )
 
     def clear(self) -> None:
@@ -397,6 +290,5 @@ class ResultCache:
         with self._lock:
             self._probation.clear()
             self._protected.clear()
-            self._vectors.clear()
             self._bytes = 0
             self._generation = None

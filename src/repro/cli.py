@@ -105,17 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="result-cache capacity in entries (segmented LRU)",
     )
     run.add_argument(
-        "--cache-epsilon",
-        type=float,
-        default=0.0,
-        dest="cache_epsilon",
-        metavar="EPSILON",
-        help="semantic hit radius (L2 over query embeddings); 0 "
-        "serves only exact byte matches, a positive value also "
-        "serves cached neighbors within the epsilon ball (bounded, "
-        "measured recall trade)",
-    )
-    run.add_argument(
         "--trace",
         default=None,
         metavar="FILE",
@@ -229,8 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--slo-ms", type=float, default=None, dest="slo_ms",
-        help="end-to-end latency SLO that slo_violations and the "
-        "deadline policy are measured against",
+        help="end-to-end latency SLO that slo_violations are "
+        "counted against",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=None, dest="queue_depth",
@@ -242,15 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="shed_policy",
         choices=["reject", "shed_oldest", "degrade_nprobe"],
         help="overload policy for the admission study rows",
-    )
-    serve.add_argument(
-        "--deadline-policy",
-        default=None,
-        dest="deadline_policy",
-        choices=["block", "partial", "timeout"],
-        help="what a request whose SLO deadline expires mid-batch "
-        "gets: block (wait for the full result), partial (degraded "
-        "empty response, flagged), or timeout (typed RequestTimeout)",
     )
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
@@ -292,7 +272,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scan_precision=args.scan_precision,
         enable_cache=args.cache,
         cache_size=args.cache_size,
-        cache_semantic_epsilon=args.cache_epsilon,
     )
     print(
         f"dataset {dataset.name}: {dataset.size:,} x {dataset.dim} vectors, "
@@ -332,9 +311,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if db.result_cache is not None:
         stats = db.result_cache.stats()
         print(
-            f"result cache: {stats.hits} hits / {stats.misses} misses "
-            f"({stats.semantic_hits} semantic), {stats.entries} entries, "
-            f"{stats.bytes:,} bytes"
+            f"result cache: {stats.hits} hits / {stats.misses} misses, "
+            f"{stats.entries} entries, {stats.bytes:,} bytes"
         )
     _export_observability(db, report, args.trace, args.metrics)
     db.close()
@@ -512,11 +490,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         backend=args.backend,
         forced_grid=grid,
         seed=args.seed,
-        serve_deadline_policy=(
-            args.deadline_policy
-            if args.deadline_policy is not None
-            else "block"
-        ),
     )
     db = HarmonyDB(dim=dataset.dim, config=config)
     db.build(dataset.base, sample_queries=dataset.queries)

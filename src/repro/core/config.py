@@ -20,11 +20,6 @@ from repro.distance.metrics import Metric, resolve_metric
 #: underscores, so the paper-issue spelling ``degrade-nprobe`` works).
 SHED_POLICIES = ("reject", "shed_oldest", "degrade_nprobe")
 
-#: ``HarmonyConfig.serve_deadline_policy``: what the serving layer does
-#: with a request whose end-to-end deadline expires while its batch is
-#: still executing (hyphens normalize to underscores).
-DEADLINE_POLICIES = ("block", "partial", "timeout")
-
 
 class Mode(str, enum.Enum):
     """Partitioning mode (the paper's ``-Mode`` parameter).
@@ -68,7 +63,7 @@ _RANGE_RULES = (
         lambda v: v > 0, "positive or None", True,
     ),
     (
-        ("alpha", "prewarm_size", "max_retries", "cache_semantic_epsilon"),
+        ("alpha", "prewarm_size", "max_retries"),
         lambda v: v >= 0, "non-negative", False,
     ),
 )
@@ -79,7 +74,6 @@ _CHOICE_RULES = (
     ("backend", ("sim", "thread", "serial", "process"), "backends", False),
     ("scan_precision", ("fp32", "sq8"), "precisions", False),
     ("serve_shed_policy", SHED_POLICIES, "policies", True),
-    ("serve_deadline_policy", DEADLINE_POLICIES, "policies", True),
 )
 
 #: Switches coerced to ``bool``.
@@ -183,10 +177,11 @@ class HarmonyConfig:
             (:class:`repro.serve.HarmonyServer`) dispatches at once;
             whatever arrived beyond it rides the next batch.
         serve_slo_ms: end-to-end latency SLO target in milliseconds.
-            Responses slower than it count as ``slo_violations``, and
-            it is the deadline ``serve_deadline_policy`` enforces. It
-            delays nothing: the server dispatches pending requests the
-            moment it is free, so batch size follows the load.
+            Responses slower than it count as ``slo_violations``. It
+            delays and cuts short nothing: the server dispatches pending
+            requests the moment it is free, so batch size follows the
+            load, and a caller that wants a bound on its own wait uses
+            ``future.result(timeout=)``.
         serve_queue_depth: admitted-request bound. When the pending
             queue reaches it, the shed policy applies — queueing
             theory's alternative is unbounded queue growth and
@@ -209,28 +204,10 @@ class HarmonyConfig:
         cache_size: result-cache capacity in entries (segmented LRU:
             repeat-hit entries are protected from one-hit-wonder
             floods).
-        cache_semantic_epsilon: opt-in semantic hit radius (L2 over
-            query embeddings). ``0.0`` (default) serves only exact byte
-            matches — results stay byte-identical to an uncached run;
-            a positive ε also serves a cached *neighbor's* answer when
-            a new query falls inside its ε-ball, trading bounded recall
-            loss (measured and reported per hit, never silent) for hit
-            rate.
         routing_cache_size: capacity of the kernel's planner-level
             :class:`~repro.core.routing.RoutingCache` (LRU entries per
             internal map); hot probe rows skip shard routing and
             candidate-list splitting.
-        serve_deadline_policy: what the server does when executing a
-            batch would blow a request's end-to-end deadline
-            (``t_submit + serve_slo_ms``): ``"block"`` (default)
-            waits for the batch regardless — the pre-deadline
-            behavior; ``"partial"`` resolves expired waiters with an
-            empty, ``timed_out``-flagged degraded response while the
-            batch keeps running for the rest; ``"timeout"`` fails
-            expired waiters with
-            :class:`repro.serve.RequestTimeout`. Either way the
-            flusher thread itself never blocks past the deadline and
-            a batch-execution crash fails only that batch's futures.
     """
 
     n_machines: int = 4
@@ -264,10 +241,8 @@ class HarmonyConfig:
     serve_slo_ms: float = 20.0
     serve_queue_depth: int = 256
     serve_shed_policy: str = "reject"
-    serve_deadline_policy: str = "block"
     enable_cache: bool = False
     cache_size: int = 1024
-    cache_semantic_epsilon: float = 0.0
     routing_cache_size: int = 4096
 
     def __post_init__(self) -> None:

@@ -43,7 +43,20 @@ from repro.core.results import (
 #: Config fields that once existed and are still in files saved back
 #: then; :meth:`HarmonyDB.load` drops exactly these (a key that was
 #: never a field still fails as an unexpected keyword).
-_RETIRED_CONFIG_FIELDS = ("serve_deadline_fraction", "scan_timeout", "scan_retries")
+_RETIRED_CONFIG_FIELDS = ("serve_deadline_fraction", "scan_timeout", "scan_retries", "serve_deadline_policy", "cache_semantic_epsilon")
+
+
+def check_queries(queries: np.ndarray, dim: int) -> None:
+    """Refuse a query batch with a row of the wrong dimension or a
+    non-finite component: a NaN row would otherwise score, answer and
+    be cached like any other."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+    if queries.ndim != 2 or queries.shape[1] != dim:
+        raise ValueError(
+            f"query has dimension {queries.shape[-1]}, the index has {dim}"
+        )
+    if not np.isfinite(queries).all():
+        raise ValueError("query has a non-finite (NaN or inf) component")
 
 
 class HarmonyDB:
@@ -97,10 +110,7 @@ class HarmonyDB:
         if self.config.enable_cache:
             from repro.cache import ResultCache
 
-            self._result_cache = ResultCache(
-                max_entries=self.config.cache_size,
-                epsilon=self.config.cache_semantic_epsilon,
-            )
+            self._result_cache = ResultCache(max_entries=self.config.cache_size)
 
     @classmethod
     def from_trained_index(
@@ -363,9 +373,14 @@ class HarmonyDB:
         timings; under ``"thread"`` / ``"process"`` / ``"serial"``
         the batch runs on the host and the report's
         ``simulated_seconds`` is measured host wall-clock instead.
+
+        Raises:
+            ValueError: when a query row has the wrong dimension or a
+                non-finite component.
         """
         if not self.is_built:
             raise RuntimeError("build() must be called before search()")
+        check_queries(queries, self.index.dim)
         if self._tracer is not None:
             # One trace per batch (the simulator's reset_time does the
             # same for an engine driven directly).
@@ -454,10 +469,8 @@ class HarmonyDB:
         answers, dispatch only the miss rows to the backend, and cache
         fresh non-degraded answers for next time.
 
-        Exact hits are byte-identical by construction (the key includes
-        the prepared query bytes and every answer-shaping parameter);
-        semantic hits (ε > 0) serve a cached neighbor's answer and are
-        flagged in the report's ``result_cache_semantic_hits``.
+        Hits are byte-identical by construction: the key includes the
+        prepared query bytes and every answer-shaping parameter.
         """
         from repro.cache import make_filter_key
         from repro.cache.result_cache import CACHE_LANE
@@ -648,9 +661,9 @@ class HarmonyDB:
         The server's coalescing / SLO / admission knobs default to the
         deployment's ``serve_*`` config fields; keyword overrides
         (``max_batch=``, ``slo_ms=``, ``queue_depth=``,
-        ``shed_policy=``, ``deadline_policy=``, ``metrics=``) adjust
-        them per server. The returned server is already started; use
-        it as a context manager or call ``close()`` to drain and stop.
+        ``shed_policy=``, ``metrics=``) adjust them per server. The
+        returned server is already started; use it as a context
+        manager or call ``close()`` to drain and stop.
         """
         if not self.is_built:
             raise RuntimeError("build() must be called before serve()")

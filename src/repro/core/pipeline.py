@@ -73,7 +73,6 @@ from repro.core.results import (
 from repro.core.routing import staggered_order
 from repro.index.ivf import IVFFlatIndex
 from repro.obs.trace import trace_context
-from repro.util.retry import backoff_delay
 
 #: Client-side cost of merging one partial-result batch (barrier mode).
 MERGE_OVERHEAD_SECONDS = 2e-6
@@ -730,7 +729,7 @@ class PipelineEngine(Backend):
             # to another live replica (re-shipping the query chunk) or
             # knock on the same machine again — it may have recovered.
             fstats.retries += 1
-            clock += backoff_delay(attempt, config.retry_timeout)
+            clock += config.retry_timeout * 2.0**attempt
             alternate = self._pick_alternate(state, block, machine, clock)
             if alternate is not None:
                 fstats.failovers += 1

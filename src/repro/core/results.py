@@ -230,9 +230,6 @@ class ExecutionReport:
         result_cache_hits / result_cache_misses: queries answered from
             / missing the deployment's :class:`repro.cache.ResultCache`
             during the batch (all ``0`` when caching is disabled).
-        result_cache_semantic_hits: subset of ``result_cache_hits``
-            served by the ε-ball semantic tier rather than an exact
-            byte match.
         result_cache_evictions: result-cache entries evicted under
             capacity pressure during the batch.
         result_cache_invalidations: cached entries dropped by index /
@@ -318,11 +315,6 @@ class ExecutionReport:
         ("counter", "harmony_result_cache_misses_total",
          "Queries that missed the result cache and were scanned"),
         delta_of=("result_cache", "misses"),
-    )
-    result_cache_semantic_hits: int = _flat(
-        ("counter", "harmony_result_cache_semantic_hits_total",
-         "Result-cache hits served by the epsilon-ball semantic tier"),
-        delta_of=("result_cache", "semantic_hits"),
     )
     result_cache_evictions: int = _flat(
         ("counter", "harmony_result_cache_evictions_total",

@@ -43,7 +43,6 @@ from repro.serve.server import (
     HarmonyServer,
     RequestRejected,
     RequestShed,
-    RequestTimeout,
     ServeResponse,
     ServerClosed,
     ServeStats,
@@ -56,7 +55,6 @@ __all__ = [
     "OpenLoopResult",
     "RequestRejected",
     "RequestShed",
-    "RequestTimeout",
     "SequentialResult",
     "ServeResponse",
     "ServerClosed",

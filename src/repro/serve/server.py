@@ -36,10 +36,11 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.core.database import check_queries
 
 SERVE_LANE = 3000
 """Trace lane for serve-layer batch spans.
@@ -65,11 +66,6 @@ class RequestShed(AdmissionError):
     """The request was evicted from the queue to admit newer traffic."""
 
 
-class RequestTimeout(RuntimeError):
-    """The request's end-to-end deadline expired before its batch
-    finished (``serve_deadline_policy="timeout"``)."""
-
-
 class ServerClosed(RuntimeError):
     """``submit`` was called on a closed (or closing) server."""
 
@@ -91,10 +87,6 @@ class ServeResponse:
         service_seconds: wall-clock of the batch search this request
             rode in.
         batch_size: how many requests shared that batch.
-        timed_out: True when the request's end-to-end deadline expired
-            mid-execution and ``serve_deadline_policy="partial"``
-            resolved it with an empty degraded payload (``ids`` all
-            ``-1``, ``distances`` all ``+inf``) instead of blocking.
         cache_hit: True when the answer came straight from the
             deployment's result cache at submit time — the request
             never entered the coalescing queue, so admission control
@@ -110,7 +102,6 @@ class ServeResponse:
     queue_seconds: float
     service_seconds: float
     batch_size: int
-    timed_out: bool = False
     cache_hit: bool = False
 
     @property
@@ -138,7 +129,6 @@ class ServeStats:
     queue_seconds: float = 0.0
     service_seconds: float = 0.0
     slo_violations: int = 0
-    deadline_exceeded: int = 0
     cache_hits: int = 0
 
     @property
@@ -189,7 +179,6 @@ class HarmonyServer:
         slo_ms: float | None = None,
         queue_depth: int | None = None,
         shed_policy: str | None = None,
-        deadline_policy: str | None = None,
         metrics=None,
     ) -> None:
         overrides = {
@@ -197,7 +186,6 @@ class HarmonyServer:
             "serve_slo_ms": slo_ms,
             "serve_queue_depth": queue_depth,
             "serve_shed_policy": shed_policy,
-            "serve_deadline_policy": deadline_policy,
         }
         # The deployment's config with this server's overrides applied:
         # HarmonyConfig validates and normalizes the serve_* knobs once.
@@ -209,7 +197,6 @@ class HarmonyServer:
         self.slo_ms = config.serve_slo_ms
         self.queue_depth = config.serve_queue_depth
         self.shed_policy = config.serve_shed_policy
-        self.deadline_policy = config.serve_deadline_policy
         self.metrics = metrics if metrics is not None else db.metrics
         self.stats = ServeStats()
         self.last_report = None
@@ -218,11 +205,6 @@ class HarmonyServer:
         self._paused = False
         self._closing = False
         self._closed = False
-        #: Single-thread helper that runs batch searches when a
-        #: non-blocking deadline policy is active, so the flusher can
-        #: resolve expired waiters while the search is still running.
-        #: Lazy: the default "block" policy never creates it.
-        self._exec_pool = None
         self._thread = threading.Thread(
             target=self._flush_loop, name="harmony-serve-flusher", daemon=True
         )
@@ -261,15 +243,10 @@ class HarmonyServer:
             raise ValueError(
                 f"submit takes one query vector, got shape {query.shape}"
             )
-        # Checked here, per request: a bad vector found at np.stack
-        # time would fail every request batched with it.
-        dim = self.db.index.dim
-        if query.shape[0] != dim:
-            raise ValueError(
-                f"query has dimension {query.shape[0]}, the index has {dim}"
-            )
-        if not np.isfinite(query).all():
-            raise ValueError("query has a non-finite (NaN or inf) component")
+        # Checked here, per request: a bad vector found when its batch
+        # reaches HarmonyDB.search would fail every request batched
+        # with it.
+        check_queries(query, self.db.index.dim)
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         effective_nprobe = int(
@@ -437,9 +414,6 @@ class HarmonyServer:
             self._paused = False
             self._cond.notify_all()
         self._thread.join(timeout)
-        if self._exec_pool is not None:
-            self._exec_pool.shutdown(wait=True)
-            self._exec_pool = None
         self._closed = True
 
     def __enter__(self) -> "HarmonyServer":
@@ -504,117 +478,15 @@ class HarmonyServer:
             for request in unresolved:
                 request.future.set_exception(exc)
 
-    # -- deadline-aware execution ---------------------------------------
-
-    def _ensure_exec_pool(self):
-        if self._exec_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._exec_pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="harmony-serve-exec"
-            )
-        return self._exec_pool
-
-    def _resolve_expired(
-        self, request: "_Request", now: float, batch_size: int, t_start: float
-    ) -> None:
-        """Resolve one waiter whose e2e deadline passed mid-execution."""
-        self.stats.deadline_exceeded += 1
-        self.stats.slo_violations += 1
-        self._count(
-            "harmony_serve_deadline_exceeded_total",
-            "Requests resolved at their expired e2e deadline",
-        )
-        self._count(
-            "harmony_serve_slo_violations_total",
-            "Requests whose e2e latency exceeded serve_slo_ms",
-        )
-        if self.deadline_policy == "timeout":
-            self.stats.failed += 1
-            request.future.set_exception(
-                RequestTimeout(
-                    f"deadline ({self.slo_ms:g} ms) expired before the "
-                    f"batch finished"
-                )
-            )
-            return
-        # "partial": an empty degraded payload, flagged — the serving
-        # twin of degraded-mode coverage flags, with zero coverage.
-        self.stats.completed += 1
-        request.future.set_result(
-            ServeResponse(
-                ids=np.full(request.k, -1, dtype=np.int64),
-                distances=np.full(request.k, np.inf, dtype=np.float64),
-                k=request.k,
-                nprobe_used=request.nprobe,
-                degraded=True,
-                queue_seconds=float(t_start - request.t_submit),
-                service_seconds=float(now - t_start),
-                batch_size=batch_size,
-                timed_out=True,
-            )
-        )
-
-    def _search_with_deadlines(self, batch, queries, k, nprobe, t_start):
-        """Run the batch on the helper thread, resolving waiters whose
-        deadline expires mid-flight; returns ``(result, report)`` or
-        ``(None, None)`` when every waiter was already resolved.
-
-        The helper pool has exactly one thread, so batch searches stay
-        serialized even when an abandoned search is still draining —
-        the backend never sees concurrent calls.
-        """
-        pool = self._ensure_exec_pool()
-        search = pool.submit(self.db.search, queries, k=k, nprobe=nprobe)
-        slo = self.slo_ms / 1000.0
-        waiters = sorted(batch, key=lambda r: r.t_submit)
-        idx = 0
-        while True:
-            now = time.perf_counter()
-            while idx < len(waiters) and waiters[idx].t_submit + slo <= now:
-                if not search.done():
-                    self._resolve_expired(
-                        waiters[idx], now, len(batch), t_start
-                    )
-                idx += 1
-            if search.done():
-                break
-            if idx >= len(waiters):
-                # Every waiter is resolved; let the search drain on the
-                # helper (the next batch queues behind it) and swallow
-                # its eventual outcome.
-                search.add_done_callback(lambda f: f.exception())
-                return None, None
-            try:
-                search.result(
-                    timeout=max(0.0, waiters[idx].t_submit + slo - now)
-                )
-            except _FuturesTimeout:
-                continue
-            break
-        # Done (or failed): surface the outcome to the normal path.
-        return search.result()
-
     def _execute_batch(self, batch: "list[_Request]") -> None:
         queries = np.stack([request.query for request in batch])
         k = batch[0].k
         nprobe = batch[0].nprobe
         degraded = batch[0].degraded
         t_start = time.perf_counter()
-        if self.deadline_policy == "block":
-            result, report = self.db.search(queries, k=k, nprobe=nprobe)
-        else:
-            result, report = self._search_with_deadlines(
-                batch, queries, k, nprobe, t_start
-            )
-            if result is None:
-                return
+        result, report = self.db.search(queries, k=k, nprobe=nprobe)
         t_end = time.perf_counter()
         service = t_end - t_start
-        # Waiters resolved at their deadline mid-execution (partial /
-        # timeout policies) already got their answer; the late real
-        # results are discarded for them below.
-        live = [not request.future.done() for request in batch]
         queue_waits = np.array(
             [t_start - request.t_submit for request in batch],
             dtype=np.float64,
@@ -627,7 +499,7 @@ class HarmonyServer:
         report.queue_seconds = float(queue_waits.sum())
         self.last_report = report
         self.stats.batches += 1
-        self.stats.completed += sum(live)
+        self.stats.completed += len(batch)
         self.stats.queue_seconds += float(queue_waits.sum())
         self.stats.service_seconds += service
         tracer = self.db.tracer
@@ -673,8 +545,6 @@ class HarmonyServer:
                 queue_hist.observe(float(wait))
                 e2e_hist.observe(float(wait) + service)
         for i, request in enumerate(batch):
-            if not live[i]:
-                continue  # resolved at its deadline mid-execution
             e2e = float(queue_waits[i]) + service
             if e2e > slo_seconds:
                 self.stats.slo_violations += 1

@@ -30,7 +30,6 @@ def zipf_query_stream(
     alpha: float,
     n: int,
     seed: int = 0,
-    jitter: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample a repeated-query stream with Zipf-distributed popularity.
 
@@ -39,12 +38,6 @@ def zipf_query_stream(
     popularity rank ``r`` drawn with probability proportional to
     ``r ** -alpha``. Ranks are assigned by a seeded permutation of the
     pool so popularity does not correlate with row order.
-
-    With ``jitter > 0``, every occurrence of a pool query *after its
-    first* receives i.i.d. Gaussian noise with standard deviation
-    ``jitter`` — near-duplicate traffic for exercising semantic
-    (ε-ball) cache hits. The first occurrence stays byte-exact so exact
-    caches still see each pool query verbatim.
 
     Returns ``(stream, picks)`` where ``stream`` is the ``(n, dim)``
     float32 query stream and ``picks`` the pool row index behind each
@@ -57,8 +50,6 @@ def zipf_query_stream(
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    if jitter < 0.0:
-        raise ValueError(f"jitter must be >= 0, got {jitter}")
 
     rng = np.random.default_rng(seed)
     n_pool = pool.shape[0]
@@ -69,22 +60,7 @@ def zipf_query_stream(
     probs = np.empty(n_pool, dtype=np.float64)
     probs[order] = weights / weights.sum()
     picks = rng.choice(n_pool, size=n, p=probs)
-
-    stream = pool[picks].copy()
-    if jitter > 0.0:
-        seen: set[int] = set()
-        repeat_rows = np.empty(n, dtype=bool)
-        for i, pick in enumerate(picks):
-            pick = int(pick)
-            repeat_rows[i] = pick in seen
-            seen.add(pick)
-        n_repeat = int(repeat_rows.sum())
-        if n_repeat:
-            noise = rng.normal(
-                0.0, jitter, size=(n_repeat, pool.shape[1])
-            ).astype(np.float32)
-            stream[repeat_rows] += noise
-    return stream, picks
+    return pool[picks], picks
 
 
 def load_imbalance(loads: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Result cache: SLRU behavior, generation invalidation, semantic tier.
+"""Result cache: exact hits, SLRU behavior, generation invalidation.
 
 Unit tests drive :class:`repro.cache.ResultCache` directly; the
 integration class checks the cache wired through ``HarmonyDB.search``
@@ -63,8 +63,6 @@ class TestExactTier:
         ids, distances = _insert(cache, q)
         hit = _lookup(cache, q)
         assert isinstance(hit, CacheHit)
-        assert not hit.semantic
-        assert hit.distance == 0.0
         np.testing.assert_array_equal(hit.ids, ids)
         np.testing.assert_array_equal(hit.distances, distances)
         assert hit.ids.tobytes() == ids.tobytes()
@@ -110,6 +108,16 @@ class TestExactTier:
         hit = _lookup(cache, q)
         assert int(hit.ids[0]) == 0
         assert float(hit.distances[0]) == 0.0
+
+    def test_near_duplicate_is_a_miss(self):
+        """Only the query's exact bytes hit: a query 1e-4 away from a
+        cached one is scanned, never answered with its neighbor's
+        result."""
+        cache = ResultCache(max_entries=8)
+        q = _query(60)
+        _insert(cache, q)
+        assert _lookup(cache, q + np.float32(1e-4)) is None
+        assert cache.stats().hits == 0
 
 
 class TestSegmentedLRU:
@@ -162,8 +170,6 @@ class TestSegmentedLRU:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="max_entries"):
             ResultCache(max_entries=0)
-        with pytest.raises(ValueError, match="epsilon"):
-            ResultCache(epsilon=-0.1)
 
 
 class TestGenerationInvalidation:
@@ -202,77 +208,10 @@ class TestGenerationInvalidation:
         assert stats.invalidations == 0
 
 
-class TestSemanticTier:
-    def test_epsilon_zero_never_serves_neighbors(self):
-        cache = ResultCache(max_entries=8, epsilon=0.0)
-        q = _query(60)
-        _insert(cache, q)
-        near = q + np.float32(1e-4)
-        assert _lookup(cache, near) is None
-        assert cache.stats().semantic_hits == 0
-
-    def test_ball_hit_is_marked_and_measured(self):
-        cache = ResultCache(max_entries=8, epsilon=0.5)
-        q = _query(61)
-        ids, _ = _insert(cache, q)
-        near = q.copy()
-        near[0] += np.float32(0.1)
-        hit = _lookup(cache, near)
-        assert hit is not None and hit.semantic
-        assert 0.0 < hit.distance <= 0.5
-        np.testing.assert_array_equal(hit.ids, ids)
-        stats = cache.stats()
-        assert stats.semantic_hits == 1
-        assert stats.hits == 1
-        assert stats.semantic_distance_mean == pytest.approx(hit.distance)
-        assert stats.semantic_distance_max == pytest.approx(hit.distance)
-
-    def test_outside_ball_misses(self):
-        cache = ResultCache(max_entries=8, epsilon=0.05)
-        q = _query(62)
-        _insert(cache, q)
-        far = q.copy()
-        far[0] += np.float32(1.0)
-        assert _lookup(cache, far) is None
-
-    def test_exact_match_preferred_over_semantic(self):
-        cache = ResultCache(max_entries=8, epsilon=10.0)
-        q = _query(63)
-        _insert(cache, q)
-        hit = _lookup(cache, q)
-        assert hit is not None and not hit.semantic
-
-    def test_ball_never_crosses_request_subkeys(self):
-        cache = ResultCache(max_entries=8, epsilon=10.0)
-        q = _query(64)
-        _insert(cache, q, k=5)
-        assert _lookup(cache, q + np.float32(0.01), k=7) is None
-
-    def test_nearest_neighbor_wins(self):
-        cache = ResultCache(max_entries=8, epsilon=10.0)
-        a, b = _query(65), _query(66)
-        _insert(cache, a, offset=0)
-        ids_b, _ = _insert(cache, b, offset=100)
-        probe = b.copy()
-        probe[0] += np.float32(0.01)
-        hit = _lookup(cache, probe)
-        np.testing.assert_array_equal(hit.ids, ids_b)
-
-    def test_evicted_entry_cannot_ghost_hit(self):
-        cache = ResultCache(max_entries=1, epsilon=0.5)
-        a = _query(67)
-        b = a + np.float32(100.0)  # far outside a's ball
-        _insert(cache, a)
-        _insert(cache, b)  # evicts a
-        assert _lookup(cache, a + np.float32(0.01)) is None
-
-
 class TestConfigValidation:
     def test_cache_knobs_validated(self):
         with pytest.raises(ValueError, match="cache_size"):
             HarmonyConfig(cache_size=0)
-        with pytest.raises(ValueError, match="cache_semantic_epsilon"):
-            HarmonyConfig(cache_semantic_epsilon=-0.5)
         with pytest.raises(ValueError, match="routing_cache_size"):
             HarmonyConfig(routing_cache_size=0)
 
@@ -405,7 +344,6 @@ class TestDatabaseIntegration:
             for field in (
                 "result_cache_hits",
                 "result_cache_misses",
-                "result_cache_semantic_hits",
                 "result_cache_evictions",
                 "result_cache_invalidations",
                 "result_cache_bytes",
@@ -420,23 +358,6 @@ class TestDatabaseIntegration:
         finally:
             db.close()
 
-    def test_semantic_epsilon_end_to_end(self, tiny_data, tiny_queries):
-        db = make_db(
-            tiny_data,
-            tiny_queries,
-            enable_cache=True,
-            cache_semantic_epsilon=0.05,
-        )
-        try:
-            db.search(tiny_queries, k=5)
-            jittered = tiny_queries + np.float32(1e-4)
-            _, report = db.search(jittered, k=5)
-            assert report.result_cache_semantic_hits == tiny_queries.shape[0]
-            stats = db.result_cache.stats()
-            assert 0.0 < stats.semantic_distance_max <= 0.05
-        finally:
-            db.close()
-
     def test_save_load_roundtrip_keeps_cache_config(
         self, tmp_path, tiny_data, tiny_queries
     ):
@@ -447,7 +368,6 @@ class TestDatabaseIntegration:
             tiny_queries,
             enable_cache=True,
             cache_size=33,
-            cache_semantic_epsilon=0.25,
             routing_cache_size=77,
         )
         path = tmp_path / "db.npz"
@@ -459,7 +379,6 @@ class TestDatabaseIntegration:
         try:
             assert loaded.config.enable_cache is True
             assert loaded.config.cache_size == 33
-            assert loaded.config.cache_semantic_epsilon == 0.25
             assert loaded.config.routing_cache_size == 77
             assert loaded.result_cache is not None
             cold, _ = loaded.search(tiny_queries, k=5)

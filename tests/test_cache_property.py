@@ -5,9 +5,7 @@ replay identical add / remove / compact / search interleavings from
 identical cloned indexes. Exact caching must be invisible: every
 search (cold, warm, and straight after a mutation flush) returns ids
 and distances byte-identical to the cache-off twin, on every backend
-and scan precision. A second property pins the ε = 0 degeneracy: a
-semantic cache with zero radius behaves exactly like the exact cache
-(no semantic hits, ever).
+and scan precision.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ def saved_index(tiny_data):
     return buf.getvalue()
 
 
-def _twin(saved_index, backend, precision, enable_cache, epsilon=0.0):
+def _twin(saved_index, backend, precision, enable_cache):
     index = IVFFlatIndex.load(io.BytesIO(saved_index))
     config = HarmonyConfig(
         n_machines=4,
@@ -58,7 +56,6 @@ def _twin(saved_index, backend, precision, enable_cache, epsilon=0.0):
         scan_precision=precision,
         delta_compact_ratio=0.5,  # keep deltas live across steps
         enable_cache=enable_cache,
-        cache_semantic_epsilon=epsilon,
     )
     return HarmonyDB.from_trained_index(index, config=config)
 
@@ -128,31 +125,6 @@ def test_cached_interleavings_byte_identical(
         plain.close()
 
 
-@settings(
-    max_examples=6,
-    deadline=None,
-    suppress_health_check=[
-        HealthCheck.function_scoped_fixture, HealthCheck.too_slow
-    ],
-)
-@given(ops=_OPS, seed=st.integers(0, 2**16))
-def test_epsilon_zero_degenerates_to_exact(
-    ops, seed, saved_index, tiny_queries
-):
-    """A semantic cache with ε = 0 is the exact cache: byte-identical
-    answers and zero semantic hits through any interleaving."""
-    cached = _twin(
-        saved_index, "sim", "fp32", enable_cache=True, epsilon=0.0
-    )
-    plain = _twin(saved_index, "sim", "fp32", enable_cache=False)
-    try:
-        _replay(cached, plain, ops, seed, tiny_queries)
-        assert cached.result_cache.stats().semantic_hits == 0
-    finally:
-        cached.close()
-        plain.close()
-
-
 @pytest.mark.parametrize("precision", ["fp32", "sq8"])
 def test_interleavings_process_backend(precision, saved_index, tiny_queries):
     """The process pool with the cache attached stays byte-identical
@@ -189,15 +161,11 @@ def test_interleavings_process_backend(precision, saved_index, tiny_queries):
         plain.close()
 
 
-def test_semantic_entry_never_crosses_layout_generation(
-    saved_index, tiny_queries
-):
-    """A compaction moves the layout generation; ε-ball entries from
-    the old generation must flush rather than answer post-compaction
-    queries (the staleness half of the semantic contract)."""
-    cached = _twin(
-        saved_index, "thread", "fp32", enable_cache=True, epsilon=0.05
-    )
+def test_entry_never_crosses_layout_generation(saved_index, tiny_queries):
+    """A live compaction moves the layout generation; entries from the
+    old generation must flush rather than answer post-compaction
+    queries (the staleness half of the cache contract)."""
+    cached = _twin(saved_index, "thread", "fp32", enable_cache=True)
     try:
         cached.search(tiny_queries, k=5)  # build the packed layout
         # Small add (below the auto-compact ratio): the next search
@@ -206,17 +174,13 @@ def test_semantic_entry_never_crosses_layout_generation(
         rng = np.random.default_rng(3)
         cached.add(rng.standard_normal((40, 32)).astype(np.float32))
         cached.search(tiny_queries, k=5)
-        jittered = tiny_queries + np.float32(1e-4)
-        _, warm = cached.search(jittered, k=5)
-        assert warm.result_cache_semantic_hits == tiny_queries.shape[0]
-        # Compaction moves the layout generation; the ε-ball pool from
-        # the old generation must be gone.
+        _, warm = cached.search(tiny_queries, k=5)
+        assert warm.result_cache_hits == tiny_queries.shape[0]
         stats = cached.compact()
         assert stats["compacted"] is True
-        result, post = cached.search(jittered, k=5)
-        assert post.result_cache_semantic_hits == 0
+        result, post = cached.search(tiny_queries, k=5)
         assert post.result_cache_hits == 0
-        _, ref_ids = cached.index.search(jittered, k=5, nprobe=4)
+        _, ref_ids = cached.index.search(tiny_queries, k=5, nprobe=4)
         np.testing.assert_array_equal(result.ids, ref_ids)
     finally:
         cached.close()

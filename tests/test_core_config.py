@@ -113,16 +113,9 @@ class TestHarmonyConfig:
                 "unknown serve_shed_policy 'drop'; supported policies: "
                 "degrade_nprobe, reject, shed_oldest",
             ),
-            (
-                {"serve_deadline_policy": "wait"},
-                "unknown serve_deadline_policy 'wait'; supported "
-                "policies: block, partial, timeout",
-            ),
+            ({"replicas": 0}, "replicas must be in [1, n_machines], got 0"),
             ({"cache_size": 0}, "cache_size must be positive, got 0"),
-            (
-                {"cache_semantic_epsilon": -0.5},
-                "cache_semantic_epsilon must be non-negative, got -0.5",
-            ),
+            ({"alpha": float("nan")}, "alpha must be non-negative, got nan"),
             (
                 {"routing_cache_size": 0},
                 "routing_cache_size must be positive, got 0",
@@ -143,13 +136,11 @@ class TestHarmonyConfig:
             backend="Serial",
             scan_precision="SQ8",
             serve_shed_policy="degrade-nprobe",
-            serve_deadline_policy="Partial",
             forced_grid=[2, 2],
         )
         assert config.backend == "serial"
         assert config.scan_precision == "sq8"
         assert config.serve_shed_policy == "degrade_nprobe"
-        assert config.serve_deadline_policy == "partial"
         assert config.forced_grid == (2, 2)
 
     def test_every_field_is_in_the_api_reference(self):

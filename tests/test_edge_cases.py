@@ -87,8 +87,34 @@ class TestDegenerateDeployments:
     def test_query_dim_mismatch_raises(self, small):
         data, queries = small
         db = build(data, queries)
-        with pytest.raises(ValueError, match="expected dim"):
+        with pytest.raises(ValueError, match="dimension 7, the index has 16"):
             db.search(np.ones((2, 7)), k=3)
+
+
+@pytest.mark.parametrize("enable_cache", [False, True])
+@pytest.mark.parametrize("backend", ["serial", "thread", "process", "sim"])
+def test_non_finite_query_is_refused_and_never_cached(
+    small, backend, enable_cache
+):
+    """``search`` refuses a NaN / inf row on every backend, before the
+    cache or a scan sees it — the same check ``HarmonyServer.submit``
+    runs per request."""
+    data, queries = small
+    pool = {"n_workers": 2} if backend == "process" else {}
+    with build(
+        data, queries, backend=backend, enable_cache=enable_cache, **pool
+    ) as db:
+        for bad in (np.nan, np.inf, -np.inf):
+            poisoned = queries[:3].copy()
+            poisoned[1, 5] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                db.search(poisoned, k=3)
+        if enable_cache:
+            stats = db.result_cache.stats()
+            assert (stats.entries, stats.hits, stats.misses) == (0, 0, 0)
+        result, _ = db.search(queries, k=3)
+        _, ref = db.index.search(queries, k=3, nprobe=2)
+        np.testing.assert_array_equal(result.ids, ref)
 
 
 class TestDuplicateAndConstantData:

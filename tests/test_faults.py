@@ -588,3 +588,20 @@ class TestRecovery:
             return fail.to_dict(), report.simulated_seconds, restore.to_dict()
 
         assert run() == run()
+
+
+def test_sim_crash_is_retried_failed_over_or_skipped(tiny_data, tiny_queries):
+    """A worker crashed at t=0 sends the sim pipeline down its backoff
+    path: every scan it owned is retried, failed over, or skipped."""
+    db = make_db(
+        tiny_data, tiny_queries, backend="sim",
+        degraded_mode=True, replicas=2,
+    )
+    db.set_fault_schedule(
+        FaultSchedule([FaultEvent(time=0.0, kind="crash", node=0)])
+    )
+    _, report = db.search(tiny_queries, k=5)
+    stats = report.fault_stats
+    assert stats is not None and (
+        stats.retries > 0 or stats.failovers > 0 or stats.skipped_scans > 0
+    )

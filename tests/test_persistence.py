@@ -153,7 +153,7 @@ class TestDatabasePersistence:
         np.testing.assert_array_equal(r1.ids, r2.ids)
 
     @staticmethod
-    def _resave_with_config_key(db, tmp_path, key, value):
+    def _resave_with_config(db, tmp_path, changes):
         import json
 
         path = tmp_path / "db.npz"
@@ -161,7 +161,7 @@ class TestDatabasePersistence:
         with np.load(path, allow_pickle=False) as data:
             arrays = {name: data[name] for name in data.files}
         config = json.loads(str(arrays["config"]))
-        config[key] = value
+        config.update(changes)
         arrays["config"] = np.array(json.dumps(config))
         edited = tmp_path / "edited.npz"
         np.savez_compressed(edited, **arrays)
@@ -173,6 +173,8 @@ class TestDatabasePersistence:
             ("serve_deadline_fraction", 0.25),
             ("scan_timeout", 0.5),
             ("scan_retries", 3),
+            ("serve_deadline_policy", "partial"),
+            ("cache_semantic_epsilon", 0.1),
         ],
     )
     def test_load_drops_a_retired_knob(
@@ -180,7 +182,7 @@ class TestDatabasePersistence:
     ):
         """Every file saved while a retired knob was a field carries
         it; the key is dropped, not refused, and the answers match."""
-        path = self._resave_with_config_key(db, tmp_path, key, value)
+        path = self._resave_with_config(db, tmp_path, {key: value})
         loaded = HarmonyDB.load(path)
         assert loaded.config == db.config
         r1, _ = db.search(tiny_queries, k=5)
@@ -188,9 +190,45 @@ class TestDatabasePersistence:
         np.testing.assert_array_equal(r1.ids, r2.ids)
         np.testing.assert_array_equal(r1.distances, r2.distances)
 
+    def test_load_serves_a_file_saved_with_the_retired_serving_knobs(
+        self, db, tiny_queries, tmp_path
+    ):
+        """A file from when the semantic cache tier and the mid-batch
+        deadline policies existed, saved with both switched on, loads
+        into the exact cache and the plain server: every served answer,
+        cold and cached, is the serial oracle's."""
+        from repro.serve import make_serial_oracle, verify_against_oracle
+
+        path = self._resave_with_config(
+            db,
+            tmp_path,
+            {
+                "enable_cache": True,
+                "cache_semantic_epsilon": 0.1,
+                "serve_deadline_policy": "partial",
+            },
+        )
+        loaded = HarmonyDB.load(path)
+        try:
+            assert loaded.config == db.config.replace(enable_cache=True)
+            oracle = make_serial_oracle(loaded)
+            with loaded.serve() as server:
+                for _ in range(2):  # cold, then answered from the cache
+                    responses = [
+                        server.submit(q, k=5).result(timeout=30)
+                        for q in tiny_queries
+                    ]
+                    assert not any(r.degraded for r in responses)
+                    assert not verify_against_oracle(
+                        responses, tiny_queries, oracle
+                    )
+            assert responses[0].cache_hit
+        finally:
+            loaded.close()
+
     def test_load_refuses_a_key_that_was_never_a_knob(self, db, tmp_path):
-        path = self._resave_with_config_key(
-            db, tmp_path, "serve_flush_timer_ms", 5.0
+        path = self._resave_with_config(
+            db, tmp_path, {"serve_flush_timer_ms": 5.0}
         )
         with pytest.raises(TypeError, match="serve_flush_timer_ms"):
             HarmonyDB.load(path)

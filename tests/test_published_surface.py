@@ -98,7 +98,6 @@ def _served_cached() -> ExecutionReport:
         routing_cache_hits=9,
         result_cache_hits=6,
         result_cache_misses=2,
-        result_cache_semantic_hits=1,
         result_cache_evictions=3,
         result_cache_invalidations=4,
         result_cache_bytes=8192,
@@ -164,7 +163,6 @@ GOLDEN['sim_fp32'] = {'to_dict': {'n_queries': 4,
              'routing_cache_evictions': 0,
              'result_cache_hits': 0,
              'result_cache_misses': 0,
-             'result_cache_semantic_hits': 0,
              'result_cache_evictions': 0,
              'result_cache_invalidations': 0,
              'result_cache_bytes': 0,
@@ -280,7 +278,6 @@ GOLDEN['process_sq8'] = {'to_dict': {'n_queries': 3,
              'routing_cache_evictions': 1,
              'result_cache_hits': 0,
              'result_cache_misses': 0,
-             'result_cache_semantic_hits': 0,
              'result_cache_evictions': 0,
              'result_cache_invalidations': 0,
              'result_cache_bytes': 0,
@@ -454,7 +451,6 @@ GOLDEN['served_cached'] = {'to_dict': {'n_queries': 8,
              'routing_cache_evictions': 0,
              'result_cache_hits': 6,
              'result_cache_misses': 2,
-             'result_cache_semantic_hits': 1,
              'result_cache_evictions': 3,
              'result_cache_invalidations': 4,
              'result_cache_bytes': 8192,
@@ -528,12 +524,6 @@ GOLDEN['served_cached'] = {'to_dict': {'n_queries': 8,
                                                    'result cache and were '
                                                    'scanned',
                                                    [[]], [2.0]],
-             'harmony_result_cache_semantic_hits_total': ['counter',
-                                                          'Result-cache hits '
-                                                          'served by the '
-                                                          'epsilon-ball '
-                                                          'semantic tier',
-                                                          [[]], [1.0]],
              'harmony_routing_cache_hits_total': ['counter',
                                                   'Probe-cell routing lookups '
                                                   'served from the memoized '

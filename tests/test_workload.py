@@ -148,23 +148,12 @@ class TestZipfQueryStream:
         # alpha=0 (uniform) does.
         assert top_skewed > 2 * top_flat
 
-    def test_jitter_preserves_first_occurrence(self, tiny_queries):
+    def test_every_row_is_its_pool_query_verbatim(self, tiny_queries):
         stream, picks = zipf_query_stream(
-            tiny_queries, alpha=1.2, n=60, seed=2, jitter=0.01
+            tiny_queries, alpha=1.2, n=60, seed=2
         )
-        seen = set()
-        for i, pick in enumerate(picks):
-            pick = int(pick)
-            if pick not in seen:
-                # First occurrence stays byte-exact…
-                assert stream[i].tobytes() == tiny_queries[pick].tobytes()
-                seen.add(pick)
-            else:
-                # …repeats are perturbed but nearby.
-                assert not np.array_equal(stream[i], tiny_queries[pick])
-                assert np.linalg.norm(
-                    stream[i] - tiny_queries[pick]
-                ) < 1.0
+        for row, pick in zip(stream, picks):
+            assert row.tobytes() == tiny_queries[pick].tobytes()
 
     def test_validation(self, tiny_queries):
         with pytest.raises(ValueError, match="non-empty"):
@@ -173,5 +162,3 @@ class TestZipfQueryStream:
             zipf_query_stream(tiny_queries, alpha=-1.0, n=5)
         with pytest.raises(ValueError, match="n must be"):
             zipf_query_stream(tiny_queries, alpha=1.0, n=0)
-        with pytest.raises(ValueError, match="jitter"):
-            zipf_query_stream(tiny_queries, alpha=1.0, n=5, jitter=-0.1)
