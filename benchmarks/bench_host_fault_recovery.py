@@ -1,7 +1,7 @@
 """Host fault recovery: supervised worker-pool crash overhead, measured.
 
-The sim-timeline twin (``bench_fault_recovery.py``) scripts failures on
-simulated clocks; this experiment kills a **real worker process** mid-
+The sim twin (``bench_fault_recovery.py``) fails machines of the
+simulated cluster; this experiment kills a **real worker process** mid-
 batch and measures what supervision costs on the wall clock. A process-
 backend deployment serves repeated query windows through three phases:
 

@@ -34,7 +34,7 @@ def main() -> None:
 
     # --- kill a machine -----------------------------------------------------
     db.cluster.fail_worker(1)
-    db.cluster.enable_tracing()
+    db.enable_tracing()
     result, degraded = db.search(dataset.queries, k=10)
     assert np.array_equal(result.ids, reference.ids), "failover changed results!"
     print(

@@ -21,7 +21,10 @@ Architecture (bottom-up):
 
 - :mod:`repro.distance` — metrics, batch kernels, partial distances.
 - :mod:`repro.index` — k-means, IVF-Flat, the Faiss-like baseline.
-- :mod:`repro.cluster` — discrete-event cluster simulator.
+- :mod:`repro.cluster` — discrete-event cluster simulator; faults are
+  static machine failures (``fail_worker``, replicas,
+  :class:`RecoveryManager`) that every backend honours alike, plus the
+  host chaos harness that kills and slows real pool workers.
 - :mod:`repro.data` / :mod:`repro.workload` — dataset analogues and
   (skewed) query workloads.
 - :mod:`repro.core` — partition plans, cost model, planner, pipelined
@@ -35,11 +38,7 @@ Architecture (bottom-up):
 """
 
 from repro.cache import CacheHit, CacheStats, ResultCache
-from repro.cluster.faults import (
-    FaultEvent,
-    FaultSchedule,
-    WorkerUnavailableError,
-)
+from repro.cluster.cluster import WorkerUnavailableError
 from repro.cluster.recovery import RecoveryManager, ReplicaDirectory
 from repro.core.config import HarmonyConfig, Mode
 from repro.core.database import HarmonyDB
@@ -70,8 +69,6 @@ __all__ = [
     "DegradedReport",
     "ExactnessReport",
     "ExecutionReport",
-    "FaultEvent",
-    "FaultSchedule",
     "FaultStats",
     "HarmonyConfig",
     "HarmonyDB",

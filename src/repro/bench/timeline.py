@@ -1,9 +1,9 @@
 """ASCII utilization timelines from cluster traces.
 
-Enable tracing on a cluster, run a batch, and render what every node
-was doing over simulated time::
+Enable tracing, run a batch, and render what every node was doing over
+simulated time::
 
-    db.cluster.enable_tracing()
+    db.enable_tracing()
     db.search(queries, k=10)
     print(render_timeline(db.cluster))
 
@@ -25,7 +25,10 @@ SHADES = " .:-=#"
 def utilization_grid(
     cluster: Cluster, buckets: int = 60
 ) -> tuple[list[int], np.ndarray]:
-    """Busy fraction per (node, time bucket) from the recorded trace.
+    """Busy fraction per (node, time bucket) from the cluster's tracer.
+
+    Rows are the client and every worker; spans on any other lane (the
+    client's merge timeline, host threads, the cache lane) are skipped.
 
     Returns:
         ``(node_ids, grid)`` where ``grid[i, j]`` is node
@@ -33,30 +36,36 @@ def utilization_grid(
 
     Raises:
         RuntimeError: when tracing was not enabled.
-        ValueError: for a non-positive bucket count.
+        ValueError: for a non-positive bucket count, or a trace whose
+            ring buffer dropped spans (early buckets would under-shade).
     """
-    if cluster.events is None:
+    if cluster.tracer is None:
         raise RuntimeError(
-            "tracing is not enabled; call cluster.enable_tracing() first"
+            "tracing is not enabled; call db.enable_tracing() first"
         )
     if buckets <= 0:
         raise ValueError(f"buckets must be positive, got {buckets}")
+    trace = cluster.tracer.trace()
+    if trace.n_dropped > 0:
+        raise ValueError(
+            f"the trace dropped {trace.n_dropped} spans; raise the "
+            "tracer's capacity to render a complete timeline"
+        )
     node_ids = [CLIENT_NODE] + [w.node_id for w in cluster.workers]
     index_of = {nid: i for i, nid in enumerate(node_ids)}
+    spans = [span for span in trace.spans if span.node in index_of]
     grid = np.zeros((len(node_ids), buckets), dtype=np.float64)
-    if not cluster.events:
-        return node_ids, grid
-    horizon = max(end for _, _, _, end in cluster.events)
+    horizon = max((span.end for span in spans), default=0.0)
     if horizon <= 0:
         return node_ids, grid
     width = horizon / buckets
-    for _, node_id, start, end in cluster.events:
-        row = index_of[node_id]
-        first = int(start / width)
-        last = min(int(end / width), buckets - 1)
+    for span in spans:
+        row = index_of[span.node]
+        first = int(span.start / width)
+        last = min(int(span.end / width), buckets - 1)
         for b in range(first, last + 1):
-            lo = max(start, b * width)
-            hi = min(end, (b + 1) * width)
+            lo = max(span.start, b * width)
+            hi = min(span.end, (b + 1) * width)
             grid[row, b] += max(0.0, hi - lo) / width
     np.clip(grid, 0.0, 1.0, out=grid)
     return node_ids, grid

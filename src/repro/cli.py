@@ -324,12 +324,7 @@ def _export_observability(
 ) -> None:
     """Write the report's trace / metrics exports where requested."""
     if trace_path is not None and report.trace is not None:
-        events = (
-            db.cluster.fault_schedule.events
-            if db.cluster.fault_schedule is not None
-            else ()
-        )
-        report.trace.save_chrome(trace_path, fault_events=events)
+        report.trace.save_chrome(trace_path)
         print(
             f"trace: {len(report.trace)} spans -> {trace_path} "
             "(load in about:tracing or https://ui.perfetto.dev)"

@@ -13,17 +13,20 @@ package reproduces that platform's *cost structure* deterministically:
   computation/communication/other breakdowns, per-node load, and peak
   memory — everything the paper's Figures 2(b), 8 and Tables 5 report.
 
+Faults are static machine failures: ``Cluster.fail_worker`` /
+``restore_worker`` take a machine out of service, the engine routes
+each block to a live replica at dispatch, and
+:class:`~repro.cluster.recovery.RecoveryManager` re-replicates lost
+blocks. Every backend honours the same failure set identically. The
+wall-clock crashes and stragglers of real pool workers live in
+:mod:`repro.cluster.host_faults`.
+
 Simulated QPS is ``queries / makespan`` where the makespan emerges from
 queueing on the node timelines, so load imbalance and pruning both show
 up exactly as they would on real hardware.
 """
 
-from repro.cluster.cluster import Cluster
-from repro.cluster.faults import (
-    FaultEvent,
-    FaultSchedule,
-    WorkerUnavailableError,
-)
+from repro.cluster.cluster import Cluster, WorkerUnavailableError
 from repro.cluster.messages import (
     MESSAGE_HEADER_BYTES,
     partial_result_bytes,
@@ -51,8 +54,6 @@ __all__ = [
     "CommMode",
     "DelayScan",
     "DropSharedMemory",
-    "FaultEvent",
-    "FaultSchedule",
     "HostFaultInjector",
     "KillWorker",
     "MESSAGE_HEADER_BYTES",

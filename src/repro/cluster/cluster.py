@@ -10,11 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.faults import (
-    MAX_RETRANSMITS,
-    FaultSchedule,
-    WorkerUnavailableError,
-)
 from repro.cluster.network import NetworkModel
 from repro.cluster.node import (
     DEFAULT_CLIENT_COMPUTE_RATE,
@@ -25,6 +20,14 @@ from repro.cluster.stats import TimeBreakdown
 
 #: Node id used for the client / master node.
 CLIENT_NODE = -1
+
+
+class WorkerUnavailableError(RuntimeError):
+    """A simulated RPC reached a failed worker.
+
+    Subclasses ``RuntimeError`` so callers that treat failed-worker
+    computes as fatal keep matching.
+    """
 
 
 class Cluster:
@@ -79,21 +82,13 @@ class Cluster:
             compute_rate=client_compute_rate or DEFAULT_CLIENT_COMPUTE_RATE,
         )
         self._failed: set[int] = set()
-        self._fault_schedule: FaultSchedule | None = None
-        self._message_counter = 0
-        #: Per-run fault bookkeeping (reset by reset_time): message
-        #: drops and retransmits observed by transfer().
-        self.fault_counters: dict[str, int] = {"dropped_messages": 0}
-        #: Optional event trace: (category, node_id, start, end) tuples
-        #: recorded while tracing is enabled (see enable_tracing).
-        self.events: list[tuple[str, int, float, float]] | None = None
         #: Optional structured span recorder (repro.obs.Tracer). Every
         #: compute / transfer / overhead charge is recorded with the
         #: producer's attribution context; None (the default) keeps the
         #: hot path one attribute check from the untraced build.
         self.tracer = None
         #: Optional live metrics registry (repro.obs.MetricsRegistry):
-        #: scan counts, queue waits, transferred bytes, message drops.
+        #: scan counts, queue waits, transferred bytes.
         self.metrics = None
 
     # ------------------------------------------------------------------
@@ -145,89 +140,17 @@ class Cluster:
             raise ValueError("the client node cannot be restored")
         self._failed.discard(node_id)
 
-    def is_failed(self, node_id: int, at_time: float | None = None) -> bool:
-        """Whether a worker is out of service.
-
-        Manual ``fail_worker`` marks are time-independent; with a fault
-        schedule attached and ``at_time`` given, scheduled crash
-        windows are also consulted at that simulated time.
-        """
-        if node_id in self._failed:
-            return True
-        if self._fault_schedule is not None and at_time is not None:
-            return self._fault_schedule.is_down(node_id, at_time)
-        return False
+    def is_failed(self, node_id: int) -> bool:
+        """Whether a worker is out of service (see :meth:`fail_worker`)."""
+        return node_id in self._failed
 
     @property
     def failed_workers(self) -> frozenset:
         return frozenset(self._failed)
 
     # ------------------------------------------------------------------
-    # Fault schedule (timed crash / straggler / link events)
-    # ------------------------------------------------------------------
-
-    @property
-    def fault_schedule(self) -> FaultSchedule | None:
-        return self._fault_schedule
-
-    def set_fault_schedule(self, schedule: FaultSchedule | None) -> None:
-        """Attach (or clear, with ``None``) a timed fault schedule.
-
-        The schedule is consulted by :meth:`compute` / :meth:`transfer`
-        at each work item's requested start time, so crashes,
-        stragglers, and link degradation hit mid-run. With no schedule
-        attached every code path is bit-identical to the fault-free
-        simulator.
-        """
-        if schedule is not None and not isinstance(schedule, FaultSchedule):
-            raise TypeError(
-                f"expected a FaultSchedule or None, got {type(schedule)!r}"
-            )
-        self._fault_schedule = schedule
-        self._message_counter = 0
-
-    def rate_multiplier(self, node_id: int, at_time: float) -> float:
-        """Straggler compute-rate multiplier on a node at ``at_time``."""
-        if self._fault_schedule is None:
-            return 1.0
-        return self._fault_schedule.rate_multiplier(node_id, at_time)
-
-    def projected_compute_seconds(
-        self,
-        node_id: int,
-        elements: float,
-        at_time: float = 0.0,
-        bytes_touched: "float | None" = None,
-        concurrency: int = 1,
-    ) -> float:
-        """Straggler-aware duration estimate for a compute request.
-
-        This is what hedging policies compare against their latency
-        threshold before committing to a replica.
-        """
-        duration = self.node(node_id).compute_duration(
-            elements, bytes_touched=bytes_touched, concurrency=concurrency
-        )
-        multiplier = self.rate_multiplier(node_id, at_time)
-        if multiplier != 1.0:
-            duration /= multiplier
-        return duration
-
-    # ------------------------------------------------------------------
     # Work primitives
     # ------------------------------------------------------------------
-
-    def enable_tracing(self) -> None:
-        """Start recording (category, node, start, end) events.
-
-        Tracing feeds :func:`repro.bench.timeline.render_timeline`;
-        it costs memory proportional to the event count, so it is off
-        by default.
-        """
-        self.events = []
-
-    def disable_tracing(self) -> None:
-        self.events = None
 
     def _record(
         self,
@@ -239,8 +162,6 @@ class Cluster:
     ) -> None:
         if end <= start:
             return
-        if self.events is not None:
-            self.events.append((category, node_id, start, end))
         if self.tracer is not None:
             # The span name comes from the producer's tracer context
             # (e.g. the engine's "scan" / "query-chunk" attribution);
@@ -264,8 +185,7 @@ class Cluster:
         Returns the ``(start, end)`` simulated timestamps.
 
         Raises:
-            WorkerUnavailableError: when the node is manually failed,
-                or a fault schedule has it crashed at ``earliest``.
+            WorkerUnavailableError: when the node is failed.
         """
         if node_id in self._failed:
             raise WorkerUnavailableError(
@@ -275,17 +195,6 @@ class Cluster:
         duration = node.compute_duration(
             elements, bytes_touched=bytes_touched, concurrency=concurrency
         )
-        if self._fault_schedule is not None:
-            if self._fault_schedule.is_down(node_id, earliest):
-                raise WorkerUnavailableError(
-                    f"worker {node_id} is crashed at simulated time "
-                    f"{earliest:.6g}"
-                )
-            multiplier = self._fault_schedule.rate_multiplier(
-                node_id, earliest
-            )
-            if multiplier != 1.0:
-                duration /= multiplier
         start, end = node.occupy(duration, earliest, "computation")
         self._record("computation", node_id, start, end, elements=elements)
         if self.metrics is not None:
@@ -329,46 +238,9 @@ class Cluster:
                 "harmony_transferred_bytes_total",
                 "Payload bytes moved between nodes",
             ).inc(nbytes)
-        schedule = self._fault_schedule
-        if schedule is None:
-            full = self.network.transfer_time(nbytes)
-            busy = self.network.sender_busy_time(nbytes)
-            start, end = src.occupy(busy, earliest, "communication")
-            self._record(
-                "communication", src_id, start, end,
-                nbytes=nbytes, dst=dst_id,
-            )
-            return start + full
-        bandwidth_factor, drop_p = schedule.link_state(earliest)
-        full = self.network.transfer_time(
-            nbytes, bandwidth_factor=bandwidth_factor
-        )
-        busy = self.network.sender_busy_time(
-            nbytes, bandwidth_factor=bandwidth_factor
-        )
-        # Dropped messages: the sender pays the send, waits out the
-        # detection delay, and retransmits. Drops are decided by the
-        # schedule's counter-based RNG, so replays are byte-identical.
-        clock = earliest
-        if drop_p > 0.0:
-            for _ in range(MAX_RETRANSMITS):
-                roll = schedule.drop_roll(self._message_counter)
-                self._message_counter += 1
-                if roll >= drop_p:
-                    break
-                self.fault_counters["dropped_messages"] += 1
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "harmony_dropped_messages_total",
-                        "Simulated message drops (each retransmitted)",
-                    ).inc()
-                start, end = src.occupy(busy, clock, "communication")
-                self._record(
-                    "communication", src_id, start, end,
-                    nbytes=nbytes, dst=dst_id, dropped=True,
-                )
-                clock = start + full + schedule.drop_detect_seconds
-        start, end = src.occupy(busy, clock, "communication")
+        full = self.network.transfer_time(nbytes)
+        busy = self.network.sender_busy_time(nbytes)
+        start, end = src.occupy(busy, earliest, "communication")
         self._record(
             "communication", src_id, start, end, nbytes=nbytes, dst=dst_id
         )
@@ -417,17 +289,8 @@ class Cluster:
         return total
 
     def reset_time(self) -> None:
-        """Clear all timelines; keeps memory-tracking state.
-
-        Fault bookkeeping (message counter, drop counts) is also
-        cleared so repeated runs under the same schedule replay
-        byte-identically.
-        """
+        """Clear all timelines; keeps memory-tracking state."""
         for node in self.all_nodes():
             node.reset_time()
-        if self.events is not None:
-            self.events = []
         if self.tracer is not None:
             self.tracer.clear()
-        self._message_counter = 0
-        self.fault_counters = {"dropped_messages": 0}

@@ -1,10 +1,11 @@
 """Deterministic chaos injection for the *host* execution path.
 
-:mod:`repro.cluster.faults` scripts failures on the simulated
-timeline; this module is its wall-clock twin for the real backends.
-A :class:`HostFaultInjector` carries a seeded schedule of injection
-points that the thread and process backends consult at well-defined
-moments:
+The simulated cluster models faults only as static machine failures
+(``Cluster.fail_worker``, replicas, ``degraded_mode``), which every
+backend honours identically. Crashes and stragglers of *real* worker
+processes are what this module plays out: a :class:`HostFaultInjector`
+carries a seeded schedule of injection points that the thread and
+process backends consult at well-defined moments:
 
 - **kill** (:class:`KillWorker`) — worker ``N`` dies when it *starts*
   its ``T``-th task. On the process backend the worker process calls
@@ -19,7 +20,9 @@ moments:
 - **drop shm** (:class:`DropSharedMemory`) — the shared layout
   segment disappears before dispatch ``at_batch``; the process
   backend must treat this as total pool loss and fall back to the
-  thread path (the only case fallback is still allowed for).
+  thread path (the only case fallback is still allowed for). Only the
+  process pool has a shared segment, so ``HarmonyDB.set_host_faults``
+  refuses these rules on the thread pool.
 
 Kills fire at task *boundaries* — never inside a deque lock or a
 half-merged heap — so every schedule is replayable and the recovery
@@ -67,8 +70,8 @@ class DelayScan:
     Attributes:
         multiplier: run matching tasks this many times slower (the
             task is timed, then ``(multiplier - 1) x elapsed`` is
-            slept). Mirrors the sim schedule's straggler
-            ``rate_multiplier``.
+            slept) — the wall-clock counterpart of a slow entry in the
+            simulated cluster's ``compute_rate`` list.
         seconds: alternatively, a fixed extra sleep per matching task.
         worker: restrict to one worker slot (None = any).
         every: apply to every ``every``-th matching task (1 = all).

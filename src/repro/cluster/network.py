@@ -51,33 +51,19 @@ class NetworkModel:
         if self.latency_s < 0:
             raise ValueError("latency must be non-negative")
 
-    def transfer_time(
-        self, nbytes: int, bandwidth_factor: float = 1.0
-    ) -> float:
-        """End-to-end time for one message of ``nbytes`` payload.
-
-        ``bandwidth_factor`` scales the effective bandwidth (degraded
-        links under fault injection); ``1.0`` is the healthy fabric.
-        """
+    def transfer_time(self, nbytes: int) -> float:
+        """End-to-end time for one message of ``nbytes`` payload."""
         if nbytes < 0:
             raise ValueError(f"message size must be non-negative, got {nbytes}")
-        if bandwidth_factor <= 0:
-            raise ValueError(
-                f"bandwidth_factor must be positive, got {bandwidth_factor}"
-            )
-        return self.latency_s + nbytes / (
-            self.bandwidth_bytes_per_s * bandwidth_factor
-        )
+        return self.latency_s + nbytes / self.bandwidth_bytes_per_s
 
-    def sender_busy_time(
-        self, nbytes: int, bandwidth_factor: float = 1.0
-    ) -> float:
+    def sender_busy_time(self, nbytes: int) -> float:
         """Time the *sender* is occupied by the transfer.
 
         Blocking sends occupy the sender for the full transfer;
         non-blocking sends only for the injection overhead.
         """
-        full = self.transfer_time(nbytes, bandwidth_factor=bandwidth_factor)
+        full = self.transfer_time(nbytes)
         if self.mode is CommMode.BLOCKING:
             return full
         return full * NONBLOCKING_SENDER_SHARE

@@ -52,20 +52,14 @@ def resolve_mode(mode: "Mode | str") -> Mode:
 #: numeric knob must lie in, and the words the error names it with.
 _RANGE_RULES = (
     (
-        ("n_machines", "nlist", "nprobe", "plan_sample", "retry_timeout",
+        ("n_machines", "nlist", "nprobe", "plan_sample",
          "delta_compact_ratio", "serve_max_batch", "serve_slo_ms",
          "serve_queue_depth", "cache_size", "routing_cache_size"),
         lambda v: v > 0, "positive", False,
     ),
     (("n_threads", "n_workers"), lambda v: v > 0, "positive", True),
-    (
-        ("hedge_latency_threshold", "memory_bandwidth"),
-        lambda v: v > 0, "positive or None", True,
-    ),
-    (
-        ("alpha", "prewarm_size", "max_retries"),
-        lambda v: v >= 0, "non-negative", False,
-    ),
+    (("memory_bandwidth",), lambda v: v > 0, "positive or None", True),
+    (("alpha", "prewarm_size"), lambda v: v >= 0, "non-negative", False),
 )
 
 #: ``(field, choices, noun, hyphens normalize to underscores)``: knobs
@@ -143,16 +137,6 @@ class HarmonyConfig:
             as a per-query coverage fraction and recall-vs-healthy
             delta in ``ExecutionReport.degraded``. Off by default:
             losing data silently is the wrong default for a database.
-        retry_timeout: simulated seconds before a shard request to a
-            crashed worker is retried (base of the exponential
-            backoff: attempt ``i`` waits ``retry_timeout * 2**i``).
-        max_retries: retry attempts per shard request after the first;
-            exhausting them abandons the scan (``degraded_mode``) or
-            raises.
-        hedge_latency_threshold: projected per-scan latency (seconds)
-            above which a duplicate request is hedged to a second live
-            replica, taking whichever finishes first. ``None`` (the
-            default) disables hedging.
         scan_precision: candidate-generation representation. ``"fp32"``
             (the default) scans full-precision rows; ``"sq8"`` scans
             packed uint8 codes with error-padded lossless pruning
@@ -230,9 +214,6 @@ class HarmonyConfig:
     n_workers: "int | None" = None
     batch_queries: bool = True
     degraded_mode: bool = False
-    retry_timeout: float = 2e-4
-    max_retries: int = 3
-    hedge_latency_threshold: "float | None" = None
     scan_precision: str = "fp32"
     delta_compact_ratio: float = 0.25
     auto_compact: bool = True

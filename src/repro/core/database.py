@@ -43,7 +43,7 @@ from repro.core.results import (
 #: Config fields that once existed and are still in files saved back
 #: then; :meth:`HarmonyDB.load` drops exactly these (a key that was
 #: never a field still fails as an unexpected keyword).
-_RETIRED_CONFIG_FIELDS = ("serve_deadline_fraction", "scan_timeout", "scan_retries", "serve_deadline_policy", "cache_semantic_epsilon")
+_RETIRED_CONFIG_FIELDS = ("serve_deadline_fraction", "scan_timeout", "scan_retries", "serve_deadline_policy", "cache_semantic_epsilon", "retry_timeout", "max_retries", "hedge_latency_threshold")
 
 
 def check_queries(queries: np.ndarray, dim: int) -> None:
@@ -635,15 +635,27 @@ class HarmonyDB:
         the current backend and to any backend built later. Pass
         ``None`` to disarm.
 
-        Raises ``ValueError`` on any other backend: ``serial`` has no
-        pool to act the faults out, and ``sim`` scripts faults via
-        ``FaultSchedule``.
+        Raises ``ValueError`` on any other backend — ``serial`` and
+        ``sim`` have no pool to act the faults out (the simulator's
+        faults are ``Cluster.fail_worker``) — and on ``thread`` when the
+        injector carries ``shm_drops``: only the process pool has a
+        shared segment to drop.
         """
         if self.config.backend not in ("thread", "process"):
             raise ValueError(
                 "host fault injection applies to the thread and process "
                 f"pools; the {self.config.backend!r} backend has none "
-                "('sim' scripts faults via FaultSchedule)"
+                "('sim' fails machines via cluster.fail_worker)"
+            )
+        if (
+            self.config.backend == "thread"
+            and injector is not None
+            and injector.shm_drops
+        ):
+            raise ValueError(
+                "shm_drops apply only to the process pool, the one "
+                "backend with a shared-memory segment; the 'thread' "
+                "backend has none to drop"
             )
         self._host_faults = injector
         with self._backend_lock:
@@ -715,9 +727,9 @@ class HarmonyDB:
         """Attach (or create) a live metrics registry; returns it.
 
         The cluster publishes low-level series (compute calls, queue
-        waits, transferred bytes, message drops) as work is charged;
-        pair with :func:`repro.obs.report_metrics` to also publish a
-        finished report's aggregates.
+        waits, transferred bytes) as work is charged; pair with
+        :func:`repro.obs.report_metrics` to also publish a finished
+        report's aggregates.
         """
         from repro.obs.metrics import MetricsRegistry
 
@@ -732,15 +744,6 @@ class HarmonyDB:
     # ------------------------------------------------------------------
     # Faults and recovery
     # ------------------------------------------------------------------
-
-    def set_fault_schedule(self, schedule) -> None:
-        """Attach (or clear, with None) a timed fault schedule.
-
-        See :class:`repro.cluster.faults.FaultSchedule`. Only the
-        ``"sim"`` backend applies timed events; host-backend searches
-        raise while a schedule is attached.
-        """
-        self.cluster.set_fault_schedule(schedule)
 
     def enable_fault_recovery(self):
         """Track live replicas and return a :class:`RecoveryManager`.

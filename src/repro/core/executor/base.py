@@ -278,19 +278,11 @@ class HostBackend(Backend):
         """What the deployment cluster's failed workers cost this plan:
         the shards :meth:`run` must skip, None when there are none.
 
-        Raises when the cluster scripts timed faults (they need the
-        simulated timeline) or when a shard is lost and
-        ``degraded_mode`` is off.
+        Raises when a shard is lost and ``degraded_mode`` is off.
         """
         cluster = self.cluster
         if cluster is None:
             return None
-        if cluster.fault_schedule is not None:
-            raise ValueError(
-                "fault schedules require the 'sim' backend; the "
-                f"{self.name!r} backend has no simulated "
-                "timeline to apply timed events to"
-            )
         if not cluster.failed_workers:
             return None
         from repro.cluster.recovery import unavailable_shards

@@ -648,6 +648,25 @@ class ScanKernel:
         part = self._gather_candidates(state, int(shard), allowed)
         return 0 if part is None else int(part.ids.size)
 
+    def _skip_shard(
+        self,
+        state: QueryState,
+        shard: int,
+        allowed: np.ndarray | None,
+        coverage: np.ndarray | None,
+    ) -> int:
+        """Account one shard dropped for lack of a live replica.
+
+        Its candidates enter the coverage total only. Returns 1 when it
+        had candidates to lose, else 0: a (query, shard) pair with no
+        candidates is no scan, so — as in the simulator — it is not a
+        skipped one either.
+        """
+        lost = self.count_candidates(state, shard, allowed)
+        if coverage is not None:
+            coverage[state.query_index, 1] += lost
+        return int(lost > 0)
+
     def step(self, scan: ShardScan, heap: TopKHeap, block: int) -> int:
         """Advance one scan by one dimension block, then prune.
 
@@ -731,11 +750,7 @@ class ScanKernel:
         for shard in self.shards_for(state):
             shard = int(shard)
             if skip_shards and shard in skip_shards:
-                skipped += 1
-                if coverage is not None:
-                    coverage[query_index, 1] += self.count_candidates(
-                        state, shard, allowed
-                    )
+                skipped += self._skip_shard(state, shard, allowed, coverage)
                 continue
             scan = self.make_scan(state, shard, allowed)
             if scan is not None:
@@ -785,11 +800,9 @@ class ScanKernel:
             for shard in self.shards_for(state):
                 shard = int(shard)
                 if skip_shards and shard in skip_shards:
-                    skipped += 1
-                    if coverage is not None:
-                        coverage[state.query_index, 1] += (
-                            self.count_candidates(state, shard, allowed)
-                        )
+                    skipped += self._skip_shard(
+                        state, shard, allowed, coverage
+                    )
                     continue
                 groups.setdefault(shard, []).append(state)
         return states, groups, skipped

@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.cluster import CLIENT_NODE, Cluster
-from repro.cluster.faults import WorkerUnavailableError
 from repro.cluster.messages import (
     MESSAGE_HEADER_BYTES,
     PARTIAL_ENTRY_BYTES,
@@ -437,9 +436,6 @@ class PipelineEngine(Backend):
 
         result = collect_results(heaps, k)
         fault_stats = self._fault_stats
-        fault_stats.dropped_messages = cluster.fault_counters[
-            "dropped_messages"
-        ]
         degraded = None
         if self._coverage is not None:
             degraded = DegradedReport.from_counts(
@@ -467,12 +463,7 @@ class PipelineEngine(Backend):
             mean_peak_memory_bytes=cluster.mean_peak_memory_bytes(),
             plan_summary=plan.describe(),
             latencies=self._query_complete - self._query_submit,
-            fault_stats=(
-                fault_stats
-                if cluster.fault_schedule is not None
-                or fault_stats.any_activity
-                else None
-            ),
+            fault_stats=fault_stats if fault_stats.any_activity else None,
             degraded=degraded,
             trace=tracer.trace() if tracer is not None else None,
             rerank_candidates=(
@@ -634,118 +625,6 @@ class PipelineEngine(Backend):
             return [int(m) for m in self.replica_directory.holders(shard, block)]
         return [int(m) for m in self.plan.replica_machines(shard, block)]
 
-    def _pick_alternate(
-        self, state: _ScanState, block: int, exclude: int, at_time: float
-    ) -> int | None:
-        """Least-loaded live replica of a block other than ``exclude``."""
-        options = [
-            m
-            for m in self._replica_options(state.shard, block)
-            if m != exclude and not self.cluster.is_failed(m, at_time=at_time)
-        ]
-        if not options:
-            return None
-        return min(options, key=lambda m: (self._dispatch_loads[m], m))
-
-    def _robust_compute(
-        self,
-        state: _ScanState,
-        block: int,
-        elements: float,
-        ready: float,
-        bytes_touched: "float | None" = None,
-        concurrency: int = 1,
-    ) -> "tuple[int, float] | tuple[None, None]":
-        """Fault-tolerant replacement for one ``cluster.compute`` call.
-
-        Retries with exponential backoff when the chosen machine is
-        crashed (each attempt charging simulated wait time), fails over
-        to another live replica when one exists (re-shipping the query
-        chunk), and — when ``hedge_latency_threshold`` is set — hedges
-        a duplicate request to a second replica if the primary's
-        projected latency (straggler-aware) exceeds the threshold,
-        keeping whichever finishes first.
-
-        Returns ``(machine, end_time)`` on success, ``(None, None)``
-        after exhausting retries (degraded mode abandons the scan;
-        otherwise the caller's contract is to raise).
-        """
-        cluster = self.cluster
-        config = self.config
-        fstats = self._fault_stats
-        widths = self.plan.slices.widths()
-        machine = state.machine_for[block]
-        clock = ready
-        for attempt in range(config.max_retries + 1):
-            hedge_machine = None
-            hedge_end = None
-            if (
-                config.hedge_latency_threshold is not None
-                and cluster.projected_compute_seconds(
-                    machine, elements, at_time=clock,
-                    bytes_touched=bytes_touched, concurrency=concurrency,
-                )
-                > config.hedge_latency_threshold
-            ):
-                hedge_machine = self._pick_alternate(
-                    state, block, machine, clock
-                )
-                if hedge_machine is not None:
-                    with trace_context(
-                        cluster.tracer, "hedge-scan", hedged=1
-                    ):
-                        chunk = cluster.transfer(
-                            CLIENT_NODE,
-                            hedge_machine,
-                            query_chunk_bytes(widths[block]),
-                            earliest=clock,
-                        )
-                        try:
-                            _, hedge_end = cluster.compute(
-                                hedge_machine, elements, earliest=chunk,
-                                bytes_touched=bytes_touched,
-                                concurrency=concurrency,
-                            )
-                            fstats.hedges += 1
-                        except WorkerUnavailableError:
-                            hedge_end = None
-            try:
-                _, end = cluster.compute(
-                    machine, elements, earliest=clock,
-                    bytes_touched=bytes_touched, concurrency=concurrency,
-                )
-            except WorkerUnavailableError:
-                end = None
-            if end is not None:
-                if hedge_end is not None and hedge_end < end:
-                    fstats.hedge_wins += 1
-                    return hedge_machine, hedge_end
-                return machine, end
-            if hedge_end is not None:
-                # Primary crashed but the hedge already landed.
-                fstats.hedge_wins += 1
-                return hedge_machine, hedge_end
-            # Timed retry: wait out the backoff, then either fail over
-            # to another live replica (re-shipping the query chunk) or
-            # knock on the same machine again — it may have recovered.
-            fstats.retries += 1
-            clock += config.retry_timeout * 2.0**attempt
-            alternate = self._pick_alternate(state, block, machine, clock)
-            if alternate is not None:
-                fstats.failovers += 1
-                with trace_context(
-                    cluster.tracer, "failover-chunk", failover=1
-                ):
-                    chunk = cluster.transfer(
-                        CLIENT_NODE,
-                        alternate,
-                        query_chunk_bytes(widths[block]),
-                        earliest=clock,
-                    )
-                clock = max(clock, chunk)
-                machine = alternate
-        return None, None
-
     def _next_block(self, state: _ScanState) -> int:
         """Pick the state's next dimension block.
 
@@ -857,22 +736,10 @@ class PipelineEngine(Backend):
             alive=int(scan.n_alive),
             pruned=int(processed - scan.n_alive),
         ):
-            if (
-                cluster.fault_schedule is None
-                and config.hedge_latency_threshold is None
-            ):
-                _, end = cluster.compute(
-                    machine, elements, earliest=ready,
-                    bytes_touched=bytes_touched, concurrency=concurrency,
-                )
-            else:
-                machine, end = self._robust_compute(
-                    state, block, elements, ready,
-                    bytes_touched=bytes_touched, concurrency=concurrency,
-                )
-        if machine is None:
-            self._abandon_scan(state)
-            return
+            _, end = cluster.compute(
+                machine, elements, earliest=ready,
+                bytes_touched=bytes_touched, concurrency=concurrency,
+            )
         state.prev_end = end
         state.prev_machine = machine
         state.position += 1
@@ -900,28 +767,6 @@ class PipelineEngine(Backend):
             self._query_complete[state.query_index] = max(
                 self._query_complete[state.query_index], done_at
             )
-
-    def _abandon_scan(self, state: _ScanState) -> None:
-        """Drop a scan whose every retry failed.
-
-        Under ``degraded_mode`` the scan's candidates leave the
-        coverage numerator (they were counted as scheduled work at
-        dispatch) and the query completes partial; otherwise the
-        failure is fatal, matching the no-live-replica dispatch error.
-        """
-        if not self.config.degraded_mode:
-            raise WorkerUnavailableError(
-                f"scan of shard {state.shard} for query "
-                f"{state.query_index} exhausted its "
-                f"{self.config.max_retries} retries with no live replica"
-            )
-        self._fault_stats.abandoned_scans += 1
-        if self._coverage is not None:
-            self._coverage[state.query_index, 0] -= state.scan.n_candidates
-        state.finished = True
-        self._query_complete[state.query_index] = max(
-            self._query_complete[state.query_index], state.prev_end
-        )
 
     def _client_merge(
         self,

@@ -43,32 +43,17 @@ class FaultStats:
     report.
 
     Attributes:
-        retries: compute attempts re-issued after hitting a crashed
-            worker (each retry charges its backoff delay in simulated
-            time).
-        failovers: scans moved to a different live replica after the
-            originally chosen machine became unavailable.
-        hedges: duplicate scans speculatively issued to a second
-            replica because the primary's projected latency exceeded
-            ``hedge_latency_threshold``.
-        hedge_wins: hedged duplicates that finished before the primary.
-        dropped_messages: simulated message drops (each one charged a
-            retransmit after the schedule's detection delay).
         skipped_scans: shard scans skipped at dispatch because no live
             replica existed (``degraded_mode`` only).
-        abandoned_scans: shard scans abandoned mid-run after exhausting
-            retries (``degraded_mode`` only).
+        abandoned_scans: process-pool tasks abandoned mid-batch once
+            requeue rounds stop completing them (``degraded_mode``
+            only).
         worker_respawns: dead host-backend worker processes replaced
             by the supervisor during the batch.
         tasks_requeued: (query-group, shard) tasks re-issued to
             surviving workers after a worker death or injected kill.
     """
 
-    retries: int = 0
-    failovers: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
-    dropped_messages: int = 0
     skipped_scans: int = 0
     abandoned_scans: int = 0
     worker_respawns: int = 0
@@ -92,7 +77,7 @@ class DegradedReport:
             (identical to a healthy cluster's answer).
         n_degraded_queries: queries with coverage below 1.0.
         skipped_scans / abandoned_scans: shard scans lost to dead
-            replicas (at dispatch / mid-run).
+            replicas at dispatch / to dead pool workers mid-batch.
         recall_vs_healthy: mean overlap between degraded and healthy
             top-k id sets over the *degraded* queries only (``1.0``
             when no query was degraded — nothing was lost).
@@ -203,8 +188,8 @@ class ExecutionReport:
             queue wait + batch service), so percentiles over a served
             batch reflect what individual callers observed rather
             than only the batch's wall time.
-        fault_stats: retry / hedge / drop counters (None on a healthy
-            run with no fault schedule attached).
+        fault_stats: skipped / abandoned scans and pool recovery
+            counters (None when the batch saw no fault activity).
         degraded: coverage and recall accounting (None unless the
             search ran with ``degraded_mode=True``).
         trace: span snapshot (:class:`repro.obs.trace.Trace`) of the

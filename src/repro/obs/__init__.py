@@ -11,7 +11,7 @@ needs instrumentation that can say *which* stage of *which* query on
   simulated time for the discrete-event backend and wall-clock time
   for the host backends. Near-zero overhead when not attached.
 - :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
-  histograms (scans, retries / hedges / failovers, pruning ratios,
+  histograms (scans, skipped scans / respawns, pruning ratios,
   queue waits, per-worker busy fractions) with Prometheus-style text
   and JSON exports.
 - :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON of the

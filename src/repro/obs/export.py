@@ -4,9 +4,7 @@
 ``trace_event`` JSON format (the ``traceEvents`` array of matched
 ``B``/``E`` duration events plus ``M`` metadata naming one lane per
 simulated node), which loads directly in ``about:tracing`` and
-https://ui.perfetto.dev. Fault-schedule events become instant (``i``)
-markers on the affected node's lane, so crashes and stragglers line up
-visually with the retries and failovers they caused.
+https://ui.perfetto.dev.
 
 :func:`validate_chrome_trace` / :func:`validate_prometheus` are the
 structural checks behind the ``trace-smoke`` CI job: timestamps
@@ -43,18 +41,11 @@ def _lane_order(node: int) -> tuple:
     return (0 if node < 0 else 1, node if node >= 0 else -node)
 
 
-def chrome_trace(
-    spans,
-    fault_events=(),
-    process_name: str = "harmony",
-) -> dict:
+def chrome_trace(spans, process_name: str = "harmony") -> dict:
     """Build a Chrome ``trace_event`` JSON object from spans.
 
     Args:
         spans: iterable of :class:`~repro.obs.trace.Span`.
-        fault_events: optional iterable of
-            :class:`~repro.cluster.faults.FaultEvent` rendered as
-            instant markers.
         process_name: display name of the single trace process.
 
     Returns:
@@ -120,29 +111,16 @@ def chrome_trace(
                 "ts": span.end * TIME_SCALE,
             }
         )
-    for event in fault_events:
-        tid = tid_of.get(getattr(event, "node", -1), 0)
-        duration.append(
-            {
-                "ph": "i",
-                "pid": TRACE_PID,
-                "tid": tid,
-                "ts": event.time * TIME_SCALE,
-                "name": f"fault:{getattr(event, 'label', event.kind)}",
-                "s": "g" if event.kind == "link" else "t",
-            }
-        )
     # Stable sort; E sorts before B at equal timestamps so back-to-back
     # spans on one lane close before the next opens.
-    phase_rank = {"E": 0, "i": 1, "B": 2}
-    duration.sort(key=lambda e: (e["ts"], phase_rank.get(e["ph"], 3)))
+    duration.sort(key=lambda e: (e["ts"], e["ph"] == "B"))
     events.extend(duration)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(path, spans, fault_events=()) -> dict:
+def write_chrome_trace(path, spans) -> dict:
     """Serialize :func:`chrome_trace` output to ``path``; returns it."""
-    obj = chrome_trace(spans, fault_events=fault_events)
+    obj = chrome_trace(spans)
     with open(path, "w") as f:
         json.dump(obj, f, allow_nan=False)
     return obj

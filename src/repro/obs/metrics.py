@@ -5,7 +5,7 @@ type, one help string) of labelled *series* (one per distinct label
 set), mirroring the Prometheus exposition model:
 
     registry = MetricsRegistry()
-    registry.counter("harmony_retries_total").inc(3)
+    registry.counter("harmony_skipped_scans_total").inc(3)
     registry.gauge("harmony_worker_busy_fraction", worker="2").set(0.81)
     registry.histogram("harmony_queue_wait_seconds").observe(1.2e-5)
     print(registry.to_prometheus())
@@ -267,7 +267,7 @@ def report_metrics(
     computation / communication / other breakdown (Figures 2(b), 8),
     per-worker loads and busy fractions (Section 5's ``Load(n, pi)``),
     per-slice pruning ratios (Figure 2(a), Table 3), fault counters
-    (retries, failovers, hedges, drops, skipped / abandoned scans),
+    (skipped / abandoned scans, worker respawns, requeued tasks),
     degraded-mode coverage, and the simulated latency distribution.
     """
     registry = registry if registry is not None else MetricsRegistry()

@@ -123,17 +123,17 @@ class Trace:
             s for s in self.spans if s.arg("query") == query_index
         )
 
-    def to_chrome(self, fault_events=()) -> dict:
+    def to_chrome(self) -> dict:
         """Chrome ``trace_event`` JSON object (see :mod:`repro.obs.export`)."""
         from repro.obs.export import chrome_trace
 
-        return chrome_trace(self.spans, fault_events=fault_events)
+        return chrome_trace(self.spans)
 
-    def save_chrome(self, path, fault_events=()) -> None:
+    def save_chrome(self, path) -> None:
         """Write the Chrome trace JSON to ``path``."""
         from repro.obs.export import write_chrome_trace
 
-        write_chrome_trace(path, self.spans, fault_events=fault_events)
+        write_chrome_trace(path, self.spans)
 
     def to_dict(self) -> dict:
         """JSON-serializable summary (span count + category totals)."""

@@ -120,12 +120,11 @@ class TestClusterPassthrough:
         cluster = Cluster(
             n_workers=1, compute_rate=1e9, memory_bandwidth=2e9
         )
-        assert cluster.projected_compute_seconds(
-            0, 1e6, bytes_touched=4e6
-        ) == pytest.approx(4e6 / 2e9)
-        assert cluster.projected_compute_seconds(0, 1e6) == pytest.approx(
-            1e6 / 1e9
+        node = cluster.node(0)
+        assert node.compute_duration(1e6, bytes_touched=4e6) == (
+            pytest.approx(4e6 / 2e9)
         )
+        assert node.compute_duration(1e6) == pytest.approx(1e6 / 1e9)
 
 
 class TestSimulatedContention:

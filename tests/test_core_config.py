@@ -70,11 +70,14 @@ class TestHarmonyConfig:
             ),
             ({"n_threads": 0}, "n_threads must be positive, got 0"),
             ({"n_workers": 0}, "n_workers must be positive, got 0"),
-            ({"retry_timeout": 0.0}, "retry_timeout must be positive, got 0.0"),
-            ({"max_retries": -1}, "max_retries must be non-negative, got -1"),
             (
-                {"hedge_latency_threshold": 0.0},
-                "hedge_latency_threshold must be positive or None, got 0.0",
+                {"delta_compact_ratio": float("nan")},
+                "delta_compact_ratio must be positive, got nan",
+            ),
+            ({"n_threads": float("nan")}, "n_threads must be positive, got nan"),
+            (
+                {"memory_bandwidth": float("nan")},
+                "memory_bandwidth must be positive or None, got nan",
             ),
             (
                 {"serve_slo_ms": float("nan")},

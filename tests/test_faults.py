@@ -5,120 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.cluster import CLIENT_NODE, Cluster
-from repro.cluster.faults import (
-    MAX_RETRANSMITS,
-    FaultEvent,
-    FaultSchedule,
-    WorkerUnavailableError,
-)
+from repro.cluster.cluster import CLIENT_NODE, Cluster, WorkerUnavailableError
 from repro.cluster.recovery import ReplicaDirectory, unavailable_shards
 from repro.core.config import HarmonyConfig
 from tests.conftest import make_db
-
-
-# ----------------------------------------------------------------------
-# FaultEvent / FaultSchedule
-# ----------------------------------------------------------------------
-
-
-class TestFaultEvent:
-    def test_valid_kinds_only(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultEvent(time=0.0, kind="meteor", node=0)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError, match="time"):
-            FaultEvent(time=-1.0, kind="crash", node=0)
-
-    def test_node_kinds_need_node(self):
-        with pytest.raises(ValueError, match="worker id"):
-            FaultEvent(time=0.0, kind="crash")
-
-    def test_link_event_needs_no_node(self):
-        event = FaultEvent(time=0.0, kind="link", bandwidth_factor=0.5)
-        assert event.node == -1
-
-    def test_drop_probability_bounds(self):
-        with pytest.raises(ValueError, match="drop_probability"):
-            FaultEvent(time=0.0, kind="link", drop_probability=0.95)
-
-    def test_bandwidth_factor_bounds(self):
-        with pytest.raises(ValueError, match="bandwidth_factor"):
-            FaultEvent(time=0.0, kind="link", bandwidth_factor=1.5)
-
-
-class TestFaultSchedule:
-    def test_crash_recover_windows(self):
-        sched = FaultSchedule(
-            [
-                FaultEvent(time=1.0, kind="crash", node=2),
-                FaultEvent(time=3.0, kind="recover", node=2),
-            ]
-        )
-        assert not sched.is_down(2, 0.5)
-        assert sched.is_down(2, 1.0)
-        assert sched.is_down(2, 2.9)
-        assert not sched.is_down(2, 3.0)
-        assert not sched.is_down(0, 2.0)
-
-    def test_straggler_window(self):
-        sched = FaultSchedule(
-            [
-                FaultEvent(
-                    time=1.0, kind="straggler", node=0, rate_multiplier=0.25
-                ),
-                FaultEvent(
-                    time=2.0, kind="straggler", node=0, rate_multiplier=1.0
-                ),
-            ]
-        )
-        assert sched.rate_multiplier(0, 0.5) == 1.0
-        assert sched.rate_multiplier(0, 1.5) == 0.25
-        assert sched.rate_multiplier(0, 2.5) == 1.0
-
-    def test_link_state_window(self):
-        sched = FaultSchedule(
-            [
-                FaultEvent(
-                    time=1.0,
-                    kind="link",
-                    bandwidth_factor=0.5,
-                    drop_probability=0.1,
-                ),
-                FaultEvent(time=2.0, kind="link"),
-            ]
-        )
-        assert sched.link_state(0.0) == (1.0, 0.0)
-        assert sched.link_state(1.5) == (0.5, 0.1)
-        assert sched.link_state(2.5) == (1.0, 0.0)
-
-    def test_drop_roll_deterministic(self):
-        a = FaultSchedule([], seed=9)
-        b = FaultSchedule([], seed=9)
-        rolls_a = [a.drop_roll(i) for i in range(16)]
-        rolls_b = [b.drop_roll(i) for i in range(16)]
-        assert rolls_a == rolls_b
-        assert all(0.0 <= r < 1.0 for r in rolls_a)
-
-    def test_random_schedule_deterministic(self):
-        a = FaultSchedule.random(4, duration=1.0, seed=3)
-        b = FaultSchedule.random(4, duration=1.0, seed=3)
-        assert a.events == b.events
-        c = FaultSchedule.random(4, duration=1.0, seed=4)
-        assert a.events != c.events
-
-    def test_horizon_and_introspection(self):
-        sched = FaultSchedule(
-            [
-                FaultEvent(time=2.0, kind="crash", node=1),
-                FaultEvent(time=0.5, kind="straggler", node=0,
-                           rate_multiplier=0.5),
-            ]
-        )
-        assert sched.horizon == 2.0
-        assert sched.nodes_touched() == frozenset({0, 1})
-        assert len(sched.events_between(0.0, 1.0)) == 1
 
 
 # ----------------------------------------------------------------------
@@ -129,115 +19,16 @@ class TestFaultSchedule:
 class TestClusterFaults:
     def test_compute_raises_while_crashed(self):
         cluster = Cluster(n_workers=2)
-        cluster.set_fault_schedule(
-            FaultSchedule(
-                [
-                    FaultEvent(time=1.0, kind="crash", node=0),
-                    FaultEvent(time=2.0, kind="recover", node=0),
-                ]
-            )
-        )
-        cluster.compute(0, 1000, earliest=0.5)  # before the crash: fine
-        with pytest.raises(WorkerUnavailableError, match="crashed"):
-            cluster.compute(0, 1000, earliest=1.5)
-        cluster.compute(0, 1000, earliest=2.5)  # recovered
+        cluster.compute(0, 1000)  # before the failure: fine
+        cluster.fail_worker(0)
+        with pytest.raises(WorkerUnavailableError, match="failed"):
+            cluster.compute(0, 1000)
+        cluster.compute(1, 1000)  # the survivor still computes
+        cluster.restore_worker(0)
+        cluster.compute(0, 1000)  # restored
 
     def test_worker_unavailable_is_runtime_error(self):
         assert issubclass(WorkerUnavailableError, RuntimeError)
-
-    def test_straggler_slows_compute(self):
-        fast = Cluster(n_workers=1)
-        slow = Cluster(n_workers=1)
-        slow.set_fault_schedule(
-            FaultSchedule(
-                [
-                    FaultEvent(
-                        time=0.0, kind="straggler", node=0,
-                        rate_multiplier=0.25,
-                    )
-                ]
-            )
-        )
-        _, end_fast = fast.compute(0, 10_000)
-        _, end_slow = slow.compute(0, 10_000)
-        assert end_slow == pytest.approx(end_fast * 4.0)
-
-    def test_degraded_link_slows_transfer(self):
-        base = Cluster(n_workers=2)
-        cut = Cluster(n_workers=2)
-        cut.set_fault_schedule(
-            FaultSchedule(
-                [FaultEvent(time=0.0, kind="link", bandwidth_factor=0.5)]
-            )
-        )
-        t_base = base.transfer(0, 1, 1_000_000)
-        t_cut = cut.transfer(0, 1, 1_000_000)
-        assert t_cut > t_base
-
-    def test_message_drops_deterministic_and_counted(self):
-        def run() -> tuple[float, int]:
-            cluster = Cluster(n_workers=2)
-            cluster.set_fault_schedule(
-                FaultSchedule(
-                    [
-                        FaultEvent(
-                            time=0.0, kind="link", drop_probability=0.5
-                        )
-                    ],
-                    seed=1,
-                )
-            )
-            arrivals = [
-                cluster.transfer(0, 1, 10_000, earliest=float(i))
-                for i in range(20)
-            ]
-            return sum(arrivals), cluster.fault_counters["dropped_messages"]
-
-        total_a, drops_a = run()
-        total_b, drops_b = run()
-        assert total_a == total_b
-        assert drops_a == drops_b
-        assert drops_a > 0
-
-    def test_retransmit_cap(self):
-        cluster = Cluster(n_workers=2)
-        cluster.set_fault_schedule(
-            FaultSchedule(
-                [FaultEvent(time=0.0, kind="link", drop_probability=0.9)],
-                seed=0,
-            )
-        )
-        cluster.transfer(0, 1, 1000)  # must terminate
-        assert (
-            cluster.fault_counters["dropped_messages"] <= MAX_RETRANSMITS
-        )
-
-    def test_no_schedule_transfer_unchanged(self):
-        plain = Cluster(n_workers=2)
-        scheduled = Cluster(n_workers=2)
-        scheduled.set_fault_schedule(FaultSchedule([]))
-        assert plain.transfer(0, 1, 12_345) == scheduled.transfer(
-            0, 1, 12_345
-        )
-
-    def test_reset_time_clears_fault_counters(self):
-        cluster = Cluster(n_workers=2)
-        cluster.set_fault_schedule(
-            FaultSchedule(
-                [FaultEvent(time=0.0, kind="link", drop_probability=0.5)],
-                seed=1,
-            )
-        )
-        for i in range(10):
-            cluster.transfer(0, 1, 10_000, earliest=float(i))
-        assert cluster.fault_counters["dropped_messages"] > 0
-        cluster.reset_time()
-        assert cluster.fault_counters["dropped_messages"] == 0
-
-    def test_set_fault_schedule_type_checked(self):
-        cluster = Cluster(n_workers=2)
-        with pytest.raises(TypeError, match="FaultSchedule"):
-            cluster.set_fault_schedule("crash everything")  # type: ignore
 
 
 class TestRestoreWorkerValidation:
@@ -268,34 +59,6 @@ class TestFaultConfig:
     def test_defaults(self):
         config = HarmonyConfig()
         assert config.degraded_mode is False
-        assert config.hedge_latency_threshold is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="retry_timeout"):
-            HarmonyConfig(retry_timeout=0.0)
-        with pytest.raises(ValueError, match="max_retries"):
-            HarmonyConfig(max_retries=-1)
-        with pytest.raises(ValueError, match="hedge_latency_threshold"):
-            HarmonyConfig(hedge_latency_threshold=-1e-3)
-
-    def test_save_load_roundtrip(self, tmp_path, tiny_data, tiny_queries):
-        from repro.core.database import HarmonyDB
-
-        db = make_db(
-            tiny_data,
-            tiny_queries,
-            degraded_mode=True,
-            retry_timeout=1e-3,
-            max_retries=5,
-            hedge_latency_threshold=2e-3,
-        )
-        path = tmp_path / "db.npz"
-        db.save(path)
-        loaded = HarmonyDB.load(path)
-        assert loaded.config.degraded_mode is True
-        assert loaded.config.retry_timeout == 1e-3
-        assert loaded.config.max_retries == 5
-        assert loaded.config.hedge_latency_threshold == 2e-3
 
 
 # ----------------------------------------------------------------------
@@ -346,77 +109,6 @@ class TestDegradedSearch:
             1.0 - degraded.recall_vs_healthy
         )
 
-    def test_crash_recover_schedule_never_raises_and_deterministic(
-        self, tiny_data, tiny_queries
-    ):
-        def run():
-            db = make_db(
-                tiny_data, tiny_queries, backend="sim",
-                degraded_mode=True, replicas=2,
-            )
-            db.set_fault_schedule(
-                FaultSchedule(
-                    [
-                        FaultEvent(time=0.0, kind="crash", node=1),
-                        FaultEvent(time=5e-4, kind="recover", node=1),
-                    ],
-                    seed=2,
-                )
-            )
-            return db.search(tiny_queries, k=5)
-
-        r1, rep1 = run()
-        r2, rep2 = run()
-        assert np.array_equal(r1.ids, r2.ids)
-        assert np.array_equal(r1.distances, r2.distances)
-        assert rep1.simulated_seconds == rep2.simulated_seconds
-        assert np.array_equal(rep1.latencies, rep2.latencies)
-
-    def test_retries_charge_simulated_time(self, tiny_data, tiny_queries):
-        db = make_db(
-            tiny_data, tiny_queries, backend="sim",
-            degraded_mode=True, replicas=2,
-        )
-        sched = FaultSchedule(
-            [
-                FaultEvent(time=0.0, kind="crash", node=0),
-                FaultEvent(time=1e-3, kind="recover", node=0),
-            ]
-        )
-        db.set_fault_schedule(sched)
-        _, faulty = db.search(tiny_queries, k=5)
-        db.set_fault_schedule(None)
-        _, healthy = db.search(tiny_queries, k=5)
-        assert faulty.fault_stats is not None
-        assert (
-            faulty.fault_stats.retries > 0
-            or faulty.fault_stats.failovers > 0
-        )
-        assert faulty.simulated_seconds > healthy.simulated_seconds
-
-    def test_hedging_counts_surface(self, tiny_data, tiny_queries):
-        db = make_db(
-            tiny_data,
-            tiny_queries,
-            backend="sim",
-            replicas=2,
-            hedge_latency_threshold=1e-7,  # hedge practically always
-        )
-        db.set_fault_schedule(
-            FaultSchedule(
-                [
-                    FaultEvent(
-                        time=0.0, kind="straggler", node=0,
-                        rate_multiplier=0.05,
-                    )
-                ]
-            )
-        )
-        _, report = db.search(tiny_queries, k=5)
-        assert report.fault_stats is not None
-        assert report.fault_stats.hedges > 0
-        assert report.fault_stats.hedge_wins >= 0
-
     def test_fault_stats_in_to_dict(self, tiny_data, tiny_queries):
         db = make_db(tiny_data, tiny_queries, degraded_mode=True)
         db.cluster.fail_worker(0)
@@ -466,12 +158,6 @@ class TestHostBackendFailures:
         np.testing.assert_allclose(
             host_report.degraded.coverage, sim_report.degraded.coverage
         )
-
-    def test_fault_schedule_rejected_on_host(self, tiny_data, tiny_queries):
-        db = make_db(tiny_data, tiny_queries, backend="serial")
-        db.set_fault_schedule(FaultSchedule([]))
-        with pytest.raises(ValueError, match="sim"):
-            db.search(tiny_queries, k=5)
 
     def test_replicated_failover_on_host(self, tiny_data, tiny_queries):
         db = make_db(tiny_data, tiny_queries, backend="serial", replicas=2)
@@ -589,19 +275,3 @@ class TestRecovery:
 
         assert run() == run()
 
-
-def test_sim_crash_is_retried_failed_over_or_skipped(tiny_data, tiny_queries):
-    """A worker crashed at t=0 sends the sim pipeline down its backoff
-    path: every scan it owned is retried, failed over, or skipped."""
-    db = make_db(
-        tiny_data, tiny_queries, backend="sim",
-        degraded_mode=True, replicas=2,
-    )
-    db.set_fault_schedule(
-        FaultSchedule([FaultEvent(time=0.0, kind="crash", node=0)])
-    )
-    _, report = db.search(tiny_queries, k=5)
-    stats = report.fault_stats
-    assert stats is not None and (
-        stats.retries > 0 or stats.failovers > 0 or stats.skipped_scans > 0
-    )

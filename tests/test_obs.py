@@ -185,18 +185,6 @@ class TestChromeExport:
         }
         assert names == {"client", "worker 2", "host thread 1"}
 
-    def test_fault_events_become_instants(self):
-        from repro.cluster.faults import FaultEvent
-
-        obj = chrome_trace(
-            [Span("a", "computation", 1, 0.0, 1.0)],
-            fault_events=[FaultEvent(time=0.5, kind="crash", node=1)],
-        )
-        counts = validate_chrome_trace(obj)
-        assert counts["i"] == 1
-        (instant,) = [e for e in obj["traceEvents"] if e["ph"] == "i"]
-        assert instant["name"] == "fault:crash"
-
     def test_validator_rejects_unordered_ts(self):
         obj = {
             "traceEvents": [
@@ -425,25 +413,6 @@ class TestBackendTracerSurface:
 
 
 class TestFaultTracing:
-    def test_traced_faulty_run_exports_fault_markers(self, data, tmp_path):
-        from repro.cluster.faults import FaultEvent, FaultSchedule
-
-        base, queries = data
-        db = make_db(data, replicas=2, degraded_mode=True)
-        schedule = FaultSchedule(
-            [FaultEvent(time=0.0, kind="straggler", node=0,
-                        rate_multiplier=0.25)]
-        )
-        db.set_fault_schedule(schedule)
-        db.enable_tracing()
-        _, report = db.search(queries, k=5)
-        assert report.trace is not None
-        path = tmp_path / "faulty.json"
-        report.trace.save_chrome(path, fault_events=schedule.events)
-        with open(path) as f:
-            counts = validate_chrome_trace(json.load(f))
-        assert counts["i"] == 1
-
     def test_recovery_transfer_is_traced(self, data):
         base, queries = data
         db = make_db(data, replicas=2)

@@ -175,6 +175,9 @@ class TestDatabasePersistence:
             ("scan_retries", 3),
             ("serve_deadline_policy", "partial"),
             ("cache_semantic_epsilon", 0.1),
+            ("retry_timeout", 1e-3),
+            ("max_retries", 5),
+            ("hedge_latency_threshold", 2e-3),
         ],
     )
     def test_load_drops_a_retired_knob(
@@ -225,6 +228,29 @@ class TestDatabasePersistence:
             assert responses[0].cache_hit
         finally:
             loaded.close()
+
+    def test_load_answers_a_file_saved_with_the_retired_fault_knobs(
+        self, db, tiny_queries, tmp_path
+    ):
+        """A file from when the simulator scripted timed faults, saved
+        with its retry, backoff and hedging knobs tuned and degraded
+        mode on, loads with degraded mode kept and answers exactly as
+        the serial oracle does."""
+        from repro.validation import check_exactness
+
+        path = self._resave_with_config(
+            db,
+            tmp_path,
+            {
+                "retry_timeout": 1e-3,
+                "max_retries": 5,
+                "hedge_latency_threshold": 2e-3,
+                "degraded_mode": True,
+            },
+        )
+        loaded = HarmonyDB.load(path)
+        assert loaded.config == db.config.replace(degraded_mode=True)
+        assert check_exactness(loaded, tiny_queries, k=5)
 
     def test_load_refuses_a_key_that_was_never_a_knob(self, db, tmp_path):
         path = self._resave_with_config(

@@ -289,12 +289,7 @@ GOLDEN['process_sq8'] = {'to_dict': {'n_queries': 3,
              'layout_refreshes': 2,
              'layout_compactions': 1,
              'worker_steals': [3, 0],
-             'fault_stats': {'retries': 0,
-                             'failovers': 0,
-                             'hedges': 0,
-                             'hedge_wins': 0,
-                             'dropped_messages': 0,
-                             'skipped_scans': 2,
+             'fault_stats': {'skipped_scans': 2,
                              'abandoned_scans': 1,
                              'worker_respawns': 1,
                              'tasks_requeued': 3},
@@ -321,18 +316,6 @@ GOLDEN['process_sq8'] = {'to_dict': {'n_queries': 3,
                                     "Mutation rows pending in the layout's "
                                     'delta segments',
                                     [[]], [12.0]],
-             'harmony_dropped_messages_total': ['counter',
-                                                'Fault handling: '
-                                                'dropped_messages',
-                                                [[]], [0.0]],
-             'harmony_failovers_total': ['counter',
-                                         'Fault handling: failovers', [[]],
-                                         [0.0]],
-             'harmony_hedge_wins_total': ['counter',
-                                          'Fault handling: hedge_wins', [[]],
-                                          [0.0]],
-             'harmony_hedges_total': ['counter', 'Fault handling: hedges',
-                                      [[]], [0.0]],
              'harmony_layout_bytes': ['gauge',
                                       'Resident bytes of the packed/shared '
                                       'shard layout scanned',
@@ -366,8 +349,6 @@ GOLDEN['process_sq8'] = {'to_dict': {'n_queries': 3,
                                             'Resident bytes of the result '
                                             'cache (queries + cached answers)',
                                             [[]], [0.0]],
-             'harmony_retries_total': ['counter', 'Fault handling: retries',
-                                       [[]], [0.0]],
              'harmony_routing_cache_evictions_total': ['counter',
                                                        'Routing-cache entries '
                                                        'evicted under '

@@ -97,7 +97,7 @@ class TestExecutionReport:
             make_report(simulated_seconds=0.0),
             make_report(
                 latencies=np.array([0.1, 0.2]),
-                fault_stats=FaultStats(retries=2),
+                fault_stats=FaultStats(skipped_scans=2),
                 degraded=DegradedReport(coverage=np.array([1.0, 0.5])),
             ),
         ):
@@ -121,11 +121,6 @@ class TestFaultStatsDict:
         # Downstream dashboards key on these names; changing them is
         # a breaking change that must be deliberate.
         assert list(FaultStats().to_dict()) == [
-            "retries",
-            "failovers",
-            "hedges",
-            "hedge_wins",
-            "dropped_messages",
             "skipped_scans",
             "abandoned_scans",
             "worker_respawns",
@@ -133,10 +128,10 @@ class TestFaultStatsDict:
         ]
 
     def test_values_round_trip(self):
-        stats = FaultStats(retries=1, hedges=3, abandoned_scans=2)
+        stats = FaultStats(skipped_scans=1, worker_respawns=3, abandoned_scans=2)
         data = stats.to_dict()
-        assert data["retries"] == 1
-        assert data["hedges"] == 3
+        assert data["skipped_scans"] == 1
+        assert data["worker_respawns"] == 3
         assert data["abandoned_scans"] == 2
         json.dumps(data, allow_nan=False)
 
