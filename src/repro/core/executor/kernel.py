@@ -26,9 +26,10 @@ Two execution shapes share the kernel:
   grouped by touched shard and every (shard, slice) stage advances the
   whole group at once (:class:`~repro.core.pruning.ShardGroupScan`) —
   dense vectorized bookkeeping and pruning across the group, each
-  member's alive rows scored with the per-query broadcast kernel.
-  Because the group stage reuses the per-query einsum reduction row for
-  row, its results are *bitwise identical* to the looped
+  member's alive rows bounded with float32 BLAS under a proved rounding
+  pad, and the survivors re-ranked with the per-query float64 kernel.
+  The pad keeps pruning lossless and the re-rank returns the exact
+  scan's bits, so its results are *bitwise identical* to the looped
   :meth:`search_one` — a property the equivalence tests pin.
 """
 
@@ -63,13 +64,15 @@ from repro.distance.partial import query_slice_norms, slice_norms
 #: fused group chunk (~8 MB). A chunk holds no candidate rows — they
 #: stay in the layout's slabs — so what grows with its row count is the
 #: group scan's dense arrays: per row ids, owner, accumulated score,
-#: stage partial and alive index, the threshold gather, bound and keep
-#: mask of a prune, and up to ``2 * n_slices`` table columns (the IP
-#: suffix sums, the SQ8 error norms) — ``8 + 2 * n_slices`` elements,
-#: which :func:`scan_group` divides by. The two stage buffers are sized
-#: by the chunk's largest *member* (one member is never split), not by
-#: this bound. Groups larger than it are processed in sequential
-#: query-disjoint chunks so the batched path's working set stays
+#: alive index and a stage's partial, the threshold gather, bound, keep
+#: mask and kept index of a prune, and up to ``2 * n_slices`` table
+#: columns (the IP suffix sums, and the fp32 IP rounding pad or the SQ8
+#: error norms) — ``8 + 2 * n_slices`` elements, which
+#: :func:`scan_group` divides by. The two stage buffers are sized by
+#: the chunk's largest *member* (one member is never split), not by
+#: this bound; phase one and the re-rank walk the chunk's rows through
+#: them in blocks of that size. Groups larger than it are processed in
+#: sequential query-disjoint chunks so the batched path's working set stays
 #: cache-and-RAM friendly at any batch size. Not a tuned value: at four
 #: slices it gives 62 500 rows a chunk, and 31k–250k rows a chunk time
 #: the same on the ledger's ``batch_fp32``.
@@ -104,13 +107,16 @@ def open_scan(layout, parts, queries, query_norms, plan, metric):
 
     The one precision/arity switch. ``parts`` / ``queries`` /
     ``query_norms`` are per-member sequences. One member opens the
-    per-query stepping unit (:class:`ShardScan`): the simulator steps
-    it out of canonical order and the serial per-query loop — the
-    reference the fused path is checked against — runs on it, which is
-    why it is not folded into the group class; a one-member chunk of
-    the fused path lands on it too because it measures ~10 % cheaper
-    per pool task than a group of one. Several members open the fused
-    group scan. Precision is read off the record: only ``gather_sq8``
+    per-query stepping unit (:class:`ShardScan`), exact at every stage:
+    the simulator steps it out of canonical order and the serial
+    per-query loop — the reference the fused path is checked against —
+    runs on it, which is why it is not folded into the group class; a
+    one-member chunk of the fused path lands on it too because it
+    measures ~10 % cheaper per pool task than a group of one. Several
+    members open the fused group scan, two-phase in either precision:
+    float32 BLAS bounds while pruning, an exact re-rank of the
+    survivors, so its answers are the exact scan's bits computed
+    another way. Precision is read off the record: only ``gather_sq8``
     fills ``err``.
     """
     sq8 = {"code_lo": layout.code_lo, "code_scale": layout.code_scale}
@@ -185,7 +191,8 @@ def scan_group(
         tracer / shard: passed to :func:`drive_scan` as span labels.
 
     Returns:
-        Candidates re-ranked against fp32 rows (0 on the fp32 path).
+        SQ8 candidates re-ranked against their fp32 rows (0 on the fp32
+        path, whose group scans re-rank rows they bounded themselves).
     """
     max_rows = max(
         1, GROUP_BLOCK_ELEMENTS // (8 + 2 * plan.slices.n_slices)

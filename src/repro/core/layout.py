@@ -23,10 +23,11 @@ generation's frozen quantization params) and mirrors deletions into a
 any row reaches a heap — so an ``add``/``remove`` batch moves O(batch)
 rows plus that mask, never the O(ntotal) packed rows, and the
 shared-memory copy of the base never has to be re-homed for it.
-Because every pruning bound and score is computed per row (partial
-einsums are independent of which other rows share a block), scanning
-base + delta under a tombstone mask is byte-identical to scanning a
-freshly rebuilt layout. When deltas and tombstones accumulate past a
+Because every score is computed per row (the exact einsums are
+independent of which other rows share a block, and a phase-one BLAS
+score is only ever used as a bound), scanning base + delta under a
+tombstone mask answers byte-identically to scanning a freshly rebuilt
+layout. When deltas and tombstones accumulate past a
 ratio of the base (:meth:`should_compact`), a *compaction* merges them
 into a new base generation via an ordinary rebuild.
 """
@@ -357,24 +358,26 @@ class ShardSlabs:
     ) -> np.ndarray:
         """Rows ``local`` of slab ``block``, written into ``out``.
 
-        ``local`` must list base rows before delta rows — the order
-        gathers produce and compaction keeps — so base versus delta is
-        one split point, not a per-row branch. ``np.take`` with
-        ``mode="clip"`` writes straight into ``out`` (indices are
-        in-range by construction, so clipping never fires).
+        ``local`` may mix base and delta rows in any order: a gather
+        lists base rows first, but a group scan's dense index array
+        concatenates its members'. With no delta attached this is one
+        ``np.take`` straight into ``out``. With one, a single mask splits
+        it: one take of every row from the base slab (``mode="clip"``
+        maps a delta index onto a base row, overwritten next) and one
+        take of the delta rows into their places.
         """
         base = self.base[block]
         if out is None:
             out = np.empty((local.size, base.shape[1]), dtype=base.dtype)
         if self.delta is None:
-            split = local.size
-        else:
-            split = int(np.count_nonzero(local < self.n_base))
-            np.take(
-                self.delta[block], local[split:] - self.n_base,
-                axis=0, out=out[split:], mode="clip",
+            return np.take(base, local, axis=0, out=out, mode="clip")
+        in_delta = np.flatnonzero(local >= self.n_base)
+        if in_delta.size < local.size:
+            np.take(base, local, axis=0, out=out, mode="clip")
+        if in_delta.size:
+            out[in_delta] = self.delta[block].take(
+                local[in_delta] - self.n_base, axis=0
             )
-        np.take(base, local[:split], axis=0, out=out[:split], mode="clip")
         return out
 
     def rows(self, local: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Dimension-level early-stop pruning (paper Sections 3.1 and 4.3).
 
 :class:`ShardScan` tracks one (query, shard) candidate batch through
-the dimension pipeline: it accumulates per-slice partial scores,
+the dimension pipeline: it accumulates exact per-slice partial scores,
 compacts its bookkeeping to the alive candidates after every prune, and
 exposes the lossless lower bound compared against the top-K threshold.
 :class:`ShardGroupScan` is its multi-query sibling used by the batched
@@ -23,12 +23,19 @@ itself lower-bounds the final score; for inner product the bound
 subtracts the Cauchy-Schwarz cap on the remaining slices' contribution,
 read from a suffix-sum table precomputed at scan construction.
 
-:class:`SQ8ShardScan` / :class:`SQ8ShardGroupScan` are the two-phase
-siblings: they walk uint8 codes with error-padded (still lossless)
-bounds and re-rank survivors against float32. What differs between the
-precisions — one slice's scores, the error padding, the exact re-rank —
-is three module-level helpers each arity calls; what differs between
-the arities is the bookkeeping around them.
+Phase one bounds, phase two answers. The two-phase scans prune on
+float32 BLAS scores padded down by a proved rounding term — scores of
+the float32 rows (:class:`ShardGroupScan`) or of the uint8 codes
+(:class:`SQ8ShardScan` / :class:`SQ8ShardGroupScan`) — and re-score only
+the survivors with the exact float64 kernel, so ids and distances are
+bitwise those of :class:`ShardScan`. That class alone stays exact all
+the way: it is the per-query reference the fused path is checked
+against and the simulator's stepping unit, so the fused path is checked
+against a genuinely different computation and simulated figures cannot
+move. The pad is derived once (:func:`_phase_one_pad`), each
+precision's scorer is one helper (:func:`_f32_padded_scores`,
+:func:`_sq8_padded_scores`) and the re-rank is one helper all
+two-phase scans share (:func:`_exact_scores`).
 """
 
 from __future__ import annotations
@@ -99,29 +106,44 @@ class PruningStats:
 class _StageBuffers:
     """The two buffers one scan object reuses for every stage.
 
-    ``stage`` takes a slice's alive rows out of the slab into the
-    first (the slab's own dtype) and hands back, beside them, a float64
-    scratch of the same shape for the distance kernel to widen into.
-    Both are flat and viewed as C-contiguous ``(n, width)`` from offset
-    0, so any stage no larger than the first reuses the same memory
-    with the operand layout the einsum reduction's bits depend on.
-    Owned by one scan, never module-global: scans run concurrently on
-    the thread backend.
+    ``stage`` takes a slice's alive rows out of the slab into the first
+    (viewed as the slab's own dtype) and hands back, beside them, a
+    float64 scratch of the same shape for the scorer to widen or cast
+    into. Both are flat and viewed as C-contiguous ``(n, width)`` from
+    offset 0, so any stage no larger than the first reuses the same
+    memory with the operand layout the einsum reduction's bits depend
+    on. The first has room for float32 rows whatever the slab's dtype:
+    the re-rank (:func:`_exact_scores`) stages float32 rows and query
+    slices there even when the scan streams uint8 codes. Owned by one
+    scan, never module-global: scans run concurrently on the thread
+    backend.
     """
 
-    __slots__ = ("_taken", "_f64")
+    __slots__ = ("rows", "_taken", "_f64")
 
     def __init__(self, n_rows: int, slabs: ShardSlabs) -> None:
-        size = n_rows * slabs.max_width
-        self._taken = np.empty(size, dtype=slabs.base[0].dtype)
+        # Two rows at least: the inner-product re-rank splits the
+        # float64 scratch between a block's rows and their queries.
+        self.rows = max(n_rows, 2)
+        size = self.rows * slabs.max_width
+        itemsize = max(slabs.base[0].itemsize, 4)
+        self._taken = np.empty(size * itemsize, dtype=np.uint8)
         self._f64 = np.empty(size, dtype=np.float64)
 
-    def f64(self, n: int, width: int) -> np.ndarray:
-        return self._f64[: n * width].reshape(n, width)
+    def taken(self, n: int, width: int, dtype) -> np.ndarray:
+        return self._taken.view(dtype)[: n * width].reshape(n, width)
+
+    def f64(self, n: int, width: int, offset: int = 0) -> np.ndarray:
+        return self._f64[offset : offset + n * width].reshape(n, width)
+
+    def f32(self, n: int, width: int) -> np.ndarray:
+        """A float32 ``(n, width)`` view of the float64 scratch."""
+        return self._f64.view(np.float32)[: n * width].reshape(n, width)
 
     def stage(self, slabs: ShardSlabs, block: int, local: np.ndarray):
-        n, width = local.size, slabs.base[block].shape[1]
-        taken = self._taken[: n * width].reshape(n, width)
+        slab = slabs.base[block]
+        n, width = local.size, slab.shape[1]
+        taken = self.taken(n, width, slab.dtype)
         return slabs.take(block, local, out=taken), self.f64(n, width)
 
 
@@ -136,17 +158,111 @@ def _slice_scores(
 
 
 #: float32's unit roundoff, float64's, and the two float32 range limits
-#: the phase-one pad is written against. ``_F32_TINY`` is the absolute
-#: error budget of one term: a weight or a product under float32's
-#: normal range (2**-126) is rounded with an absolute, not a relative,
-#: error — or dropped whole by a flush-to-zero BLAS build — and a weight
-#: is then multiplied by a code (< 2**8) or its square (< 2**16).
-#: ``_F32_SAFE`` is the largest sum of a stage's term magnitudes for
-#: which every float32 partial sum, in any order, is still finite.
+#: the phase-one pad is written against (:func:`_phase_one_pad`):
+#: ``_F32_TINY`` is one dimension's absolute error budget, ``_F32_SAFE``
+#: the largest sum of a stage's term magnitudes for which every float32
+#: partial sum, in any order, is still finite.
 _F32_U = 2.0**-24
 _F64_U = 2.0**-53
 _F32_TINY = 2.0**-108
 _F32_SAFE = 1e37
+
+
+def _phase_one_pad(widths) -> tuple[np.ndarray, np.ndarray]:
+    """``(γ, absolute term)`` per slice: phase one's rounding pad.
+
+    Written once for both precisions. **Lemma.** A float32 dot product
+    of ``w`` terms — products of float32 values, or of a float32 value
+    and a weight rounded to float32 — is within ``γ·Σ|terms|`` of the
+    real one, ``γ = (w+2)·u / (1 - (w+2)·u)``, ``u = 2⁻²⁴``, whatever
+    order the library adds them in (Higham, *Accuracy and Stability*,
+    §3.1), on two conditions:
+
+    * No product falls under float32's normal range (2⁻¹²⁶), where it is
+      rounded with an absolute, not a relative, error — or dropped whole
+      by a flush-to-zero build. ``w·_F32_TINY`` (2⁻¹⁰⁸ a dimension)
+      pays for that: an SQ8 weight under 2⁻¹²⁶ is then multiplied by a
+      code (< 2⁸) or its square (< 2¹⁶); an fp32 dimension has two
+      products.
+    * No partial sum overflows. That one is checked, not padded. IEEE
+      overflow is sticky — a partial sum that reached ±∞ ends ±∞ or
+      NaN, never finite — so a stage that could overflow (SQ8, decided
+      per (member, slice) against ``_F32_SAFE`` before computing) or did
+      (fp32, read off its non-finite result) returns the bound that is
+      true of anything: 0 for L2, ``-inf`` for the inner-product family.
+      Never NaN, which compares False against every threshold — a
+      pruned true neighbour.
+
+    **Both scorers' shapes.** L2 is ``A - 2X + C``: ``A`` the squared
+    block summed against non-negative weights, ``X`` the block against
+    weights with ``Σ|terms of X| ≤ √(A·C)`` (Cauchy-Schwarz), ``C`` a
+    float64 constant. Then ``|Â - A| ≤ γ·A`` and ``|2X̂ - 2X| ≤ 2γ·√(AC)
+    ≤ γ·(A + C)``, hence ``A - 2X + C ≥ (Â - 2X̂ + C) - ε·(Â + C)`` for
+    ``ε = 3γ ≥ 2γ/(1-γ)``. The inner-product family is one dot product
+    ``Y`` with ``Σ|terms| ≤ G``, so ``-Y ≥ -Ŷ - 2γ·G``. The slack left
+    in ``3γ`` and ``2γ`` (at least ``γ/2``, against float64 errors
+    ``2²⁹`` times smaller) covers the float64 roundings of the weights,
+    constants, norms and final sums, and of the exact float64 score the
+    bound is held against. What ``A``, ``X``, ``C`` and ``G`` are is each
+    scorer's: :func:`_f32_padded_scores`, :func:`_sq8_padded_scores`.
+    """
+    widths = np.asarray(widths, dtype=np.float64)
+    gamma = (widths + 2) * _F32_U / (1.0 - (widths + 2) * _F32_U)
+    return gamma, widths * _F32_TINY
+
+
+def _f32_padded_scores(scan, block: slice, slice_id: int) -> np.ndarray:
+    """Float32 scores of the dense rows ``block`` — several members'
+    rows, each against its own query — padded down to bound the exact
+    ones: :class:`ShardGroupScan`'s phase one.
+
+    One take of the block's rows into the scan's taken buffer, then
+    BLAS: per member, one ``sgemv`` of its rows against the weights
+    :func:`_attach_f32` hoisted for it, and the rest over the whole
+    block. For L2, ``‖x - q‖² = A - 2X + C`` with ``A = ‖x‖²`` (the block
+    squared into a float32 view of the float64 scratch, one ``sgemv``
+    against ones), ``-2X`` the member's ``sgemv`` against ``-2q`` (exact
+    in float32) and ``C = ‖q_s‖²`` a float64 (slice, member) constant
+    with the whole pad already taken off: ``Σ|x∘q| ≤ √(A·C)``, so
+    :func:`_phase_one_pad`'s lemma subtracts ``3γ·(Â + C)`` and its
+    absolute term. For the inner-product family the score is ``-x·q``,
+    the member's ``sgemv`` against ``q``, and ``Σ|x∘q| ≤ ‖x_s‖·‖q_s‖`` on
+    the per-row slice norms the scan carries, so each row's
+    ``2γ·‖x_s‖·‖q_s‖`` plus the absolute term comes off. A non-finite
+    result (float32 squares overflow near 1.8e19, where float32 data
+    does not) becomes the trivial bound.
+    """
+    local, owner = scan._local[block], scan.query_of[block]
+    start, stop = scan.slices.slice_range(slice_id)
+    n, width = local.size, stop - start
+    rows = scan._slabs.take(
+        slice_id, local, out=scan._buffers.taken(n, width, np.float32)
+    )
+    # ``owner`` ascends: each member's rows are one segment of the block.
+    first = int(owner[0])
+    cuts = np.searchsorted(owner, np.arange(first, owner[-1] + 2)).tolist()
+    weights = scan._f32_weights[:, start:stop]
+    linear = np.empty(n, dtype=np.float32)
+    for q, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=first):
+        if lo < hi:
+            np.dot(rows[lo:hi], weights[q], out=linear[lo:hi])
+    if scan._f32_cap is not None:
+        approx = np.negative(linear, dtype=np.float64)
+        approx -= scan._f32_cap[block, slice_id]
+        trivial = -np.inf
+    else:
+        squares = np.square(rows, out=scan._buffers.f32(n, width))
+        approx = np.multiply(
+            np.dot(squares, scan._f32_ones[:width]),
+            scan._f32_keep[slice_id],
+            dtype=np.float64,
+        )
+        approx += linear
+        approx += scan._f32_const[slice_id].take(owner)
+        trivial = 0.0
+    if not np.isfinite(approx.sum()):
+        approx[~np.isfinite(approx)] = trivial
+    return approx
 
 
 def _sq8_padded_scores(
@@ -157,57 +273,35 @@ def _sq8_padded_scores(
     Nothing is decoded. The codes (integers up to 255, exact in
     float32) are cast once into a float32 view of the scan's ``f64``
     scratch and scored against the weights :func:`_attach_sq8` hoisted
-    for member ``q``, with BLAS — phase one is a bound, not a bit
-    pattern, so any summation order will do. Writing ``c`` for a row's
-    codes, ``s`` / ``lo`` for the slice's scale / offset, ``u = q - lo``
-    and ``w`` for the slice width:
+    for member ``q``, with BLAS. Writing ``c`` for a row's codes,
+    ``s`` / ``lo`` for the slice's scale / offset and ``u = q - lo``:
 
     * L2: ``||decode(c) - q||² = A - 2X + C`` with ``A = Σ s²c²``,
       ``X = Σ (s∘u)·c``, ``C = Σ u²`` — ``sgemv`` of the squared block
       against ``s²``, of the block against ``-2 s∘u``, and a per
-      (member, slice) constant;
+      (member, slice) constant; ``Σ|s∘u|·c ≤ √(A·C)``;
     * IP family: ``-decode(c)·q = Y - lo·q`` with ``Y = -Σ (s∘q)·c`` —
-      one ``sgemv`` and a constant.
+      one ``sgemv`` and a constant; ``G = 255·Σ|s∘q|`` (``c ≤ 255``).
 
-    **Rounding.** With ``γ = (w+2)·u / (1 - (w+2)·u)``, ``u = 2⁻²⁴``, a
-    float32 dot product of ``w`` terms against weights that were
-    themselves rounded to float32 is off by at most ``γ · Σ|terms|``
-    whatever order the library adds them in (Higham, *Accuracy and
-    Stability*, §3.1), so
-
-    * ``|Â - A| ≤ γ·A`` (all terms non-negative),
-    * ``|2X̂ - 2X| ≤ 2γ·Σ|s∘u|·c ≤ 2γ·√(A·C) ≤ γ·(A + C)``
-      (Cauchy-Schwarz, then ``2√(AC) ≤ A + C``),
-    * ``|Ŷ - Y| ≤ γ·Σ|s∘q|·c ≤ γ·G``, ``G = 255·Σ|s∘q|`` (``c ≤ 255``),
-
-    hence ``A - 2X + C ≥ (Â - 2X̂ + C) - ε·(Â + C)`` for ``ε = 3γ ≥
-    2γ/(1-γ)``, and ``Y ≥ Ŷ - 2γ·G``. The slack left in ``3γ`` and
-    ``2γ`` (at least ``γ/2``, against float64 errors ``2²⁹`` times
-    smaller) covers the float64 roundings of the weights, constants and
-    final sums. Two absolute terms ride along. ``w·_F32_TINY`` is for
-    products in float32's denormal range, where the relative model
-    fails. The other is float64's: the error table bounds the row's
-    distance to ``decode(c)`` *as float64 computes it*, which lies up
-    to ``2⁻⁵²·(|s·c| + |lo|)`` per dimension from the real-number
-    decode expanded above — ``2⁻⁵⁰·Σ lo²`` for L2, and for the IP
-    family ``2(w+4)·2⁻⁵³·Σ|lo∘q|``, which also spans the ``w`` roundings
-    of ``lo·q`` here and in the exact score the bound is held against
-    (an offset far larger than the span leaves those to cancellation).
+    :func:`_phase_one_pad`'s lemma takes ``3γ·(Â + C)`` (L2) or
+    ``2γ·G`` off, and its absolute term. One float64 term is SQ8's own:
+    the error table bounds the row's distance to ``decode(c)`` *as
+    float64 computes it*, which lies up to ``2⁻⁵²·(|s·c| + |lo|)`` per
+    dimension from the real-number decode expanded above — ``2⁻⁵⁰·Σ
+    lo²`` for L2, and for the IP family ``2(w+4)·2⁻⁵³·Σ|lo∘q|``, which
+    also spans the ``w`` roundings of ``lo·q`` here and in the exact
+    score the bound is held against (an offset far larger than the span
+    leaves those to cancellation). Where the stage's term magnitudes
+    could exceed ``_F32_SAFE``, :func:`_attach_sq8` has marked the
+    (member, slice) with a ``-inf`` constant: nothing is computed and the
+    stage returns the trivial bound. Elsewhere every intermediate is
+    finite by construction.
 
     All of it is subtracted first; the stage then pads by the packed
     error norm exactly as the decode form did: for L2 ``max(0,
     sqrt(approx) - err)**2`` (reverse triangle inequality), for the
     inner-product family ``approx - ||q_s|| * err`` (Cauchy-Schwarz).
     ``err`` was rounded *up* at pack time.
-
-    **Range.** float32 overflows where float32 *data* does not (squares
-    pass 3.4e38 near 1.8e19), and ``inf - inf`` is NaN, which compares
-    False against every threshold — a pruned true neighbour. Where the
-    stage's term magnitudes could exceed ``_F32_SAFE``
-    (:func:`_attach_sq8` marks the (member, slice) with a ``-inf``
-    constant) nothing is computed and the stage returns the bound that
-    is true of anything: 0 for L2, ``-inf`` for the inner-product
-    family. Elsewhere every intermediate is finite by construction.
     """
     n, width = codes.shape
     l2 = scan.metric is Metric.L2
@@ -236,40 +330,63 @@ def _sq8_padded_scores(
     return np.square(np.maximum(approx, 0.0, out=approx), out=approx)
 
 
+def _query_slabs(queries: np.ndarray, slices: DimensionSlices) -> list:
+    """The queries' slice columns, one contiguous ``(n_queries, width)``
+    float32 block per slice — what the per-row query takes read."""
+    return [
+        np.ascontiguousarray(slices.take(queries, j), dtype=np.float32)
+        for j in range(slices.n_slices)
+    ]
+
+
 def _exact_scores(
-    exact: ShardSlabs,
+    slabs: ShardSlabs,
     local: np.ndarray,
-    query: np.ndarray,
-    slices: DimensionSlices,
+    owner: np.ndarray,
+    query_slabs: list,
     metric: Metric,
     buffers: _StageBuffers,
-    taken: np.ndarray,
 ) -> np.ndarray:
-    """Exact scores of float32 rows ``local`` in canonical slice order.
+    """Exact scores of float32 rows ``local``, row ``i`` against its
+    owner's query ``owner[i]`` (``query_slabs`` from
+    :func:`_query_slabs`): phase two, shared by every two-phase scan.
 
-    One small take per slab — into ``taken``, the flat float32 block
-    :func:`_rerank_block` sized for the survivors, reused by every slab
-    — then the same per-row float64 reduction the fp32 scan
-    accumulates, so re-ranked SQ8 survivors carry bitwise the scores
-    the fp32 oracle reports.
+    The rows go through in blocks the scan's own ``buffers`` hold — at
+    most ``buffers.rows`` a block, half that for the inner-product
+    family, whose widened query rows take the float64 scratch's second
+    half. Per block and slice, in canonical slice order: one take of the
+    rows into the taken buffer, widened into the float64 scratch; one
+    take of each row's owner query slice into the taken buffer, now
+    free; then :class:`ShardScan`'s reduction — subtract in place and
+    ``einsum`` (L2), or ``einsum`` against the widened query rows (IP
+    family). A materialized query row holds exactly the values the
+    broadcast one does, over operands of the same contiguity, so every
+    score carries the bits the exact scan accumulates.
     """
-    n = local.size
-    total = np.zeros(n, dtype=np.float64)
-    for slice_id in range(slices.n_slices):
-        start, stop = slices.slice_range(slice_id)
-        width = stop - start
-        rows = exact.take(
-            slice_id, local, out=taken[: n * width].reshape(n, width)
-        )
-        total += _slice_scores(
-            rows, query[start:stop], metric, buffers.f64(n, width)
-        )
+    l2 = metric is Metric.L2
+    step = buffers.rows if l2 else buffers.rows // 2
+    total = np.zeros(local.size, dtype=np.float64)
+    for start in range(0, local.size, step):
+        block = slice(start, start + step)
+        rows, owners, acc = local[block], owner[block], total[block]
+        n = rows.size
+        for slice_id, queries in enumerate(query_slabs):
+            width = queries.shape[1]
+            x = buffers.f64(n, width)
+            taken = buffers.taken(n, width, slabs.base[slice_id].dtype)
+            np.copyto(x, slabs.take(slice_id, rows, out=taken))
+            q = np.take(
+                queries, owners, axis=0,
+                out=buffers.taken(n, width, np.float32), mode="clip",
+            )
+            if l2:
+                np.subtract(x, q, out=x)
+                acc += np.einsum("ij,ij->i", x, x)
+            else:
+                q64 = buffers.f64(n, width, offset=n * width)
+                np.copyto(q64, q)
+                acc -= np.einsum("ij,ij->i", x, q64)
     return total
-
-
-def _rerank_block(exact: ShardSlabs, n_rows: int) -> np.ndarray:
-    """The float32 block one ``survivors()`` call re-ranks through."""
-    return np.empty(n_rows * exact.max_width, dtype=exact.base[0].dtype)
 
 
 def _deflated(bounds: np.ndarray) -> np.ndarray:
@@ -278,13 +395,47 @@ def _deflated(bounds: np.ndarray) -> np.ndarray:
 
 
 def _kept_rows(table: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """``table[keep]`` for a 2-D table: a row take at the kept indices,
-    an order of magnitude cheaper than a boolean-mask row copy."""
-    return table.take(np.flatnonzero(keep), axis=0)
+    """``table``'s rows at the ascending indices ``keep``: a take, an
+    order of magnitude cheaper than a boolean-mask row copy."""
+    return table.take(keep, axis=0)
+
+
+def _attach_f32(scan, norms) -> None:
+    """:class:`ShardGroupScan`'s phase-one side state — the fp32
+    counterpart of :func:`_attach_sq8`, hoisted once per scan in
+    float64.
+
+    L2: the float32 weights ``-2q`` (exact, or ``inf`` where ``q`` is
+    near float32's limit, which makes the stage non-finite and trivial),
+    ones, per slice the factor ``1 - 3γ`` and per (slice, member)
+    ``C·(1 - 3γ)`` less the absolute term. Inner-product family: the
+    queries themselves as weights, and per row and slice the pad
+    ``2γ·‖x_s‖·‖q_s‖`` plus the absolute term. ``C = ‖q_s‖²`` and
+    ``‖q_s‖`` come from the members' queries widened to float64, not
+    from the float32 ``query_norms``, which under- and overflow at
+    magnitudes float32 data reaches.
+    """
+    q64 = scan.queries.astype(np.float64)
+    bounds = np.asarray(scan.slices.boundaries)
+    widths = np.diff(bounds)
+    gamma, tiny = _phase_one_pad(widths)
+    squares = np.add.reduceat(q64 * q64, bounds[:-1], axis=1)
+    if scan.metric is Metric.L2:
+        with np.errstate(over="ignore"):
+            scan._f32_weights = (-2.0 * q64).astype(np.float32)
+        scan._f32_ones = np.ones(int(widths.max()), dtype=np.float32)
+        scan._f32_keep = 1.0 - 3.0 * gamma
+        scan._f32_const = np.ascontiguousarray(
+            (squares * scan._f32_keep - tiny).T
+        )
+    else:
+        scan._f32_weights = scan.queries
+        pad = 2.0 * gamma * np.sqrt(squares)
+        scan._f32_cap = norms * pad[scan.query_of] + tiny
 
 
 def _attach_sq8(
-    scan, queries, code_err, exact, code_lo, code_scale, query_norms
+    scan, queries, code_err, code_lo, code_scale, query_norms
 ) -> None:
     """The SQ8 side state both arities carry beside their code slabs.
 
@@ -300,7 +451,6 @@ def _attach_sq8(
     if not l2 and query_norms is None:
         raise ValueError("inner-product SQ8 pruning requires query_norms")
     scan._err = np.asarray(code_err)
-    scan._exact = exact
     scan._qnorms64 = (
         None
         if l2
@@ -319,8 +469,7 @@ def _attach_sq8(
     def per_slice(values: np.ndarray) -> np.ndarray:
         return np.add.reduceat(values, bounds[:-1], axis=-1)
 
-    gamma = (widths + 2) * _F32_U / (1.0 - (widths + 2) * _F32_U)
-    tiny = widths * _F32_TINY
+    gamma, tiny = _phase_one_pad(widths)
     if l2:
         u = q64 - lo
         square = scale * scale
@@ -351,13 +500,20 @@ def _attach_sq8(
 class ShardScan:
     """Pipelined partial-distance scan of one (query, shard) batch.
 
+    Exact at every stage: each slice is scored with the float64
+    widen-subtract-``einsum`` kernel and accumulated in place, so the
+    running sums are the final scores' own partial sums. It is the
+    per-query reference (``batch_queries=False``, the single-query
+    path) and the simulator's stepping unit; the fused two-phase scans
+    are checked against it.
+
     The scan keeps *dense* bookkeeping: after every prune it compacts
     ids, accumulated scores, norm tables and the alive index array down
     to the alive candidates, so each slice stage takes only surviving
     rows out of the slab and does no bound arithmetic for already-dead
     candidates. Rows themselves are never held or compacted.
-    :attr:`alive` remains a full-length mask over the *original*
-    candidate order for reporting.
+    :attr:`alive` is a full-length mask over the *original* candidate
+    order, built on demand for reporting.
 
     Args:
         base: full base-vector matrix (rows indexed by global id).
@@ -413,7 +569,6 @@ class ShardScan:
         self._buffers = _StageBuffers(n, part.slabs)
         self.ids = self.candidate_ids
         self.accumulated = np.zeros(n, dtype=np.float64)
-        self.alive = np.ones(n, dtype=bool)
         self._orig_idx = np.arange(n, dtype=np.intp)
         self.done: list[int] = []
         self._done_mask = np.zeros(slices.n_slices, dtype=bool)
@@ -441,6 +596,14 @@ class ShardScan:
     @property
     def n_alive(self) -> int:
         return self.ids.size
+
+    @property
+    def alive(self) -> np.ndarray:
+        """Which of the original candidates are still alive (a fresh
+        full-length mask; pruning maintains only the index arrays)."""
+        mask = np.zeros(self.n_candidates, dtype=bool)
+        mask[self._orig_idx] = True
+        return mask
 
     @property
     def is_complete(self) -> bool:
@@ -510,24 +673,22 @@ class ShardScan:
         """
         if not np.isfinite(threshold) or self.ids.size == 0:
             return 0
-        keep = self.lower_bounds() <= threshold
-        if keep.all():
-            return 0
-        return self._compact(keep)
-
-    def _compact(self, keep: np.ndarray) -> int:
-        """Shrink the bookkeeping to ``keep`` — index arrays and
-        per-candidate tables only; no row moves."""
-        killed = int(keep.size) - int(keep.sum())
-        self.alive[self._orig_idx[~keep]] = False
-        self.ids = self.ids[keep]
-        self.accumulated = self.accumulated[keep]
-        self._local = self._local[keep]
-        self._orig_idx = self._orig_idx[keep]
-        if self._contrib is not None:
-            self._contrib = self._contrib[keep]
-            self._suffix = self._suffix[keep]
+        keep = np.flatnonzero(self.lower_bounds() <= threshold)
+        killed = self.ids.size - keep.size
+        if killed:
+            self._compact(keep)
         return killed
+
+    def _compact(self, keep: np.ndarray) -> None:
+        """Shrink the bookkeeping to the positions ``keep`` — index
+        arrays and per-candidate tables only; no row moves."""
+        self.ids = self.ids.take(keep)
+        self.accumulated = self.accumulated.take(keep)
+        self._local = self._local.take(keep)
+        self._orig_idx = self._orig_idx.take(keep)
+        if self._contrib is not None:
+            self._contrib = _kept_rows(self._contrib, keep)
+            self._suffix = _kept_rows(self._suffix, keep)
 
     def survivors(self) -> tuple[np.ndarray, np.ndarray]:
         """(ids, final scores) of alive candidates; requires completion."""
@@ -536,22 +697,37 @@ class ShardScan:
         return self.ids, self.accumulated
 
 
+def _covering(handles: "list[ShardSlabs]") -> ShardSlabs:
+    """The one slab handle that addresses every group member's rows.
+
+    Members of a group share their shard's slabs; a gather attaches the
+    delta segment only where the member holds delta rows, so any handle
+    with it attached serves them all."""
+    return next((h for h in handles if h.delta is not None), handles[0])
+
+
 class ShardGroupScan:
     """Fused multi-query scan of one shard (the batched executor path).
 
-    Holds every group member's candidates at once: the cheap per-row
-    bookkeeping (ids, owning query, accumulated scores, bound tables)
-    lives in dense concatenated arrays so pruning is one vectorized
-    pass against each row's *own* query threshold, while rows stay in
-    the shard's slabs — each member keeps only its alive index array,
-    and each (shard, slice) stage takes just the alive rows' slice
-    columns and applies exactly the broadcast kernel :class:`ShardScan`
-    uses. Identical inputs, identical reduction, hence
-    bitwise-identical partial scores. (An earlier variant scored one
-    concatenated block against a materialized per-row query matrix;
-    same flop count, but the query-matrix traffic and whole-block row
-    compaction made it slower than the per-query loop it was meant to
-    beat.)
+    Holds every group member's candidates at once, in dense arrays that
+    concatenate the members' in member order: ids, owning query,
+    accumulated scores, bound tables, and the alive rows' shard-local
+    indices — so pruning is one vectorized pass against each row's
+    *own* query threshold and one take per array, and rows stay in the
+    shard's slabs.
+
+    Two phases. Each (shard, slice) stage scores the alive rows with
+    float32 BLAS, a buffer-sized block of the dense rows at a time
+    whichever members they belong to, padded down so the accumulated
+    value never exceeds the exact float64 partial
+    (:func:`_f32_padded_scores`): pruning stays lossless, and a
+    candidate pruned on the way never pays the exact kernel's per-row
+    widen-subtract-``einsum`` loop. :meth:`survivors` re-scores what is
+    left with that exact kernel in the same blocks
+    (:func:`_exact_scores`) and prunes once more on the exact scores, so
+    ids and distances are row for row those of the per-query
+    :class:`ShardScan`. Phase one's survivor count can move by a few
+    rows with the BLAS build or thread count; the answers cannot.
 
     Args:
         parts: one gathered :class:`~repro.core.layout.CandidatePart`
@@ -579,14 +755,25 @@ class ShardGroupScan:
         self.queries = np.asarray(queries, dtype=np.float32)
         self.slices = slices
         self.metric = metric
-        self._slabs = [part.slabs for part in parts]
-        #: per-member shard-local indices of its alive rows; pruning
-        #: shrinks these, never a row block.
-        self._alive = [part.local for part in parts]
-        self._buffers = _StageBuffers(max(sizes), parts[0].slabs)
+        #: Shard-local indices of the alive rows, in dense order.
+        #: Pruning shrinks this, never a row block.
+        self._local = np.concatenate([part.local for part in parts])
+        self._slabs = _covering([part.slabs for part in parts])
+        #: The float32 slabs survivors re-rank against (the SQ8 scan
+        #: streams codes and keeps these beside them).
+        self._exact = _covering(
+            [p.slabs if p.exact is None else p.exact for p in parts]
+        )
+        self._query_slabs = _query_slabs(self.queries, slices)
+        self._buffers = _StageBuffers(max(sizes), self._slabs)
         self.accumulated = np.zeros(self.ids.size, dtype=np.float64)
         self.done: list[int] = []
         self._done_mask = np.zeros(slices.n_slices, dtype=bool)
+        #: The per-query thresholds the last prune() saw, which
+        #: survivors() holds the exact scores against.
+        self._thresholds: np.ndarray | None = None
+        self._f32_cap = None
+        norms = None
         if metric is Metric.L2:
             self._suffix = None
         else:
@@ -595,11 +782,16 @@ class ShardGroupScan:
                     "inner-product pruning requires base_slice_norms "
                     "and query_norms"
                 )
-            norms = np.concatenate([part.norms for part in parts], axis=0)
-            contrib = np.asarray(norms, dtype=np.float64) * (
+            norms = np.asarray(
+                np.concatenate([part.norms for part in parts], axis=0),
+                dtype=np.float64,
+            )
+            contrib = norms * (
                 np.asarray(query_norms, dtype=np.float64)[self.query_of]
             )
             self._suffix = suffix_ip_bounds(contrib)
+        if parts[0].err is None:  # float32 rows: phase one bounds them
+            _attach_f32(self, norms)
 
     @property
     def n_alive(self) -> int:
@@ -610,42 +802,31 @@ class ShardGroupScan:
         return len(self.done) == self.slices.n_slices
 
     def process_slice(self, slice_id: int) -> int:
-        """One dimension stage over the whole group.
+        """One dimension stage over the whole group: the alive rows'
+        phase-one bounds (:func:`_f32_padded_scores`), one buffer-sized
+        block of dense rows at a time."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._advance(slice_id, self._bound_blocks)
 
-        Walks the members (each owning one contiguous segment of the
-        dense bookkeeping arrays) and applies the same broadcast
-        partial-distance kernel :class:`ShardScan` uses.
-        """
-        return self._advance(slice_id, self._exact_block)
-
-    def _advance(self, slice_id: int, score) -> int:
-        """One stage: per member, take its alive rows' slice columns
-        out of the slab and ``score(taken, f64, q, slice_id, cols,
-        seg)`` — ``seg`` its segment of the dense arrays — onto the
-        accumulator."""
+    def _advance(self, slice_id: int, stage) -> int:
+        """One stage: ``stage(slice_id)`` adds the slice's scores of the
+        alive rows onto the accumulator; then the done bookkeeping."""
         if self._done_mask[slice_id]:
             raise ValueError(f"slice {slice_id} already processed")
         n = self.ids.size
         if n:
-            cols = slice(*self.slices.slice_range(slice_id))
-            partial = np.empty(n, dtype=np.float64)
-            pos = 0
-            for q, alive in enumerate(self._alive):
-                if alive.size == 0:
-                    continue
-                taken, f64 = self._buffers.stage(
-                    self._slabs[q], slice_id, alive
-                )
-                seg = slice(pos, pos + alive.size)
-                partial[seg] = score(taken, f64, q, slice_id, cols, seg)
-                pos = seg.stop
-            self.accumulated += partial
+            stage(slice_id)
         self.done.append(slice_id)
         self._done_mask[slice_id] = True
         return int(n)
 
-    def _exact_block(self, taken, f64, q, slice_id, cols, seg) -> np.ndarray:
-        return _slice_scores(taken, self.queries[q, cols], self.metric, f64)
+    def _bound_blocks(self, slice_id: int) -> None:
+        step = self._buffers.rows
+        for start in range(0, self.ids.size, step):
+            block = slice(start, start + step)
+            self.accumulated[block] += _f32_padded_scores(
+                self, block, slice_id
+            )
 
     def lower_bounds(self) -> np.ndarray:
         """Per-row lossless lower bound (same arithmetic as ShardScan)."""
@@ -658,9 +839,9 @@ class ShardGroupScan:
     def prune(self, thresholds: np.ndarray) -> int:
         """Compact away rows beating their own query's threshold.
 
-        Only index arrays and per-row tables move: each member's alive
-        index array shrinks, and the next stage takes the survivors'
-        slice columns straight from the slab.
+        Only index arrays and per-row tables move — one take each at the
+        kept positions — and the next stage takes the survivors' slice
+        columns straight from the slab.
 
         Args:
             thresholds: per-query thresholds, ``(n_queries,)``; ``inf``
@@ -669,35 +850,52 @@ class ShardGroupScan:
         Returns:
             Number of rows pruned by this call.
         """
+        self._thresholds = np.asarray(thresholds, dtype=np.float64)
         if self.ids.size == 0:
             return 0
-        thr = np.asarray(thresholds, dtype=np.float64)[self.query_of]
-        keep = self.lower_bounds() <= thr
-        if keep.all():
-            return 0
-        killed = int(keep.size) - int(keep.sum())
-        pos = 0
-        for q, alive in enumerate(self._alive):
-            seg = keep[pos : pos + alive.size]
-            pos += alive.size
-            if not seg.all():
-                self._alive[q] = alive[seg]
-        self._compact_dense(keep)
+        keep = np.flatnonzero(
+            self.lower_bounds() <= self._thresholds[self.query_of]
+        )
+        killed = self.ids.size - keep.size
+        if killed:
+            self._compact_dense(keep)
         return killed
 
     def _compact_dense(self, keep: np.ndarray) -> None:
-        """Compact the dense per-row bookkeeping arrays to ``keep``."""
-        self.ids = self.ids[keep]
-        self.query_of = self.query_of[keep]
-        self.accumulated = self.accumulated[keep]
+        """Compact the dense per-row bookkeeping to the positions
+        ``keep``."""
+        self.ids = self.ids.take(keep)
+        self.query_of = self.query_of.take(keep)
+        self.accumulated = self.accumulated.take(keep)
+        self._local = self._local.take(keep)
         if self._suffix is not None:
-            self._suffix = self._suffix[keep]
+            self._suffix = _kept_rows(self._suffix, keep)
+        if self._f32_cap is not None:
+            self._f32_cap = _kept_rows(self._f32_cap, keep)
 
     def survivors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, final scores, owning query) of surviving rows."""
+        """(ids, exact scores, owning query) of the surviving rows.
+
+        Phase two: every member's survivors re-ranked in one blocked
+        pass (:func:`_exact_scores`), then held against the thresholds
+        the last :meth:`prune` saw — the padded bound may have kept a
+        few rows the exact scan drops there — so what is returned is row
+        for row what the per-query exact scan returns.
+        """
         if not self.is_complete:
             raise RuntimeError("scan has unprocessed slices")
-        return self.ids, self.accumulated, self.query_of
+        ids, owner = self.ids, self.query_of
+        scores = _exact_scores(
+            self._exact, self._local, owner, self._query_slabs,
+            self.metric, self._buffers,
+        )
+        if self._thresholds is not None:
+            keep = np.flatnonzero(scores <= self._thresholds[owner])
+            if keep.size < scores.size:
+                ids, scores, owner = (
+                    ids.take(keep), scores.take(keep), owner.take(keep)
+                )
+        return ids, scores, owner
 
 
 class SQ8ShardScan(ShardScan):
@@ -732,8 +930,9 @@ class SQ8ShardScan(ShardScan):
         # compaction and slice addressing are identical, only the
         # per-slice scorer differs.
         super().__init__(part=part, **scan)
+        self._exact = part.exact
         _attach_sq8(
-            self, self.query, part.err, part.exact,
+            self, self.query, part.err,
             code_lo, code_scale, scan.get("query_norms"),
         )
 
@@ -749,19 +948,20 @@ class SQ8ShardScan(ShardScan):
     def lower_bounds(self) -> np.ndarray:
         return _deflated(super().lower_bounds())
 
-    def _compact(self, keep: np.ndarray) -> int:
-        killed = super()._compact(keep)
+    def _compact(self, keep: np.ndarray) -> None:
+        super()._compact(keep)
         self._err = _kept_rows(self._err, keep)
-        return killed
 
     def survivors(self) -> tuple[np.ndarray, np.ndarray]:
         """(ids, *exact* scores): re-rank survivors against fp32 slabs."""
         if not self.is_complete:
             raise RuntimeError("scan has unprocessed slices")
-        self.reranked = int(self.ids.size)
+        n = self.ids.size
+        self.reranked = int(n)
         return self.ids, _exact_scores(
-            self._exact, self._local, self.query, self.slices, self.metric,
-            self._buffers, _rerank_block(self._exact, self.ids.size),
+            self._exact, self._local, np.zeros(n, dtype=np.intp),
+            _query_slabs(self.query[None, :], self.slices), self.metric,
+            self._buffers,
         )
 
 
@@ -770,9 +970,10 @@ class SQ8ShardGroupScan(ShardGroupScan):
 
     Phase one advances every group member's uint8 codes through each
     (shard, slice) stage with the same error-padded arithmetic as
-    :class:`SQ8ShardScan`; phase two re-ranks each query's survivors
-    against the shard's float32 slabs in canonical slice order, so the
-    merged heaps stay bitwise identical to the fp32 serial oracle.
+    :class:`SQ8ShardScan`; phase two is :class:`ShardGroupScan`'s — one
+    blocked re-rank of every member's survivors against the shard's
+    float32 slabs in canonical slice order — so the merged heaps stay
+    bitwise identical to the fp32 serial oracle.
 
     Args:
         parts: one ``gather_sq8`` record per member.
@@ -786,18 +987,31 @@ class SQ8ShardGroupScan(ShardGroupScan):
             self,
             self.queries,
             np.concatenate([part.err for part in parts], axis=0),
-            [part.exact for part in parts],
             code_lo, code_scale, scan.get("query_norms"),
         )
 
     def process_slice(self, slice_id: int) -> int:
         """One error-padded SQ8 dimension stage over the whole group."""
-        return self._advance(slice_id, self._padded_block)
+        return self._advance(slice_id, self._padded_members)
 
-    def _padded_block(self, taken, f64, q, slice_id, cols, seg) -> np.ndarray:
-        return _sq8_padded_scores(
-            self, taken, f64, q, slice_id, cols, self._err[seg, slice_id]
-        )
+    def _padded_members(self, slice_id: int) -> None:
+        """Member by member — each its contiguous segment of the dense
+        rows — against the weights :func:`_attach_sq8` hoisted for it,
+        the arithmetic :class:`SQ8ShardScan` runs per query."""
+        cols = slice(*self.slices.slice_range(slice_id))
+        cuts = np.searchsorted(
+            self.query_of, np.arange(self.queries.shape[0] + 1)
+        ).tolist()
+        for q, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+            if start == stop:
+                continue
+            seg = slice(start, stop)
+            taken, f64 = self._buffers.stage(
+                self._slabs, slice_id, self._local[seg]
+            )
+            self.accumulated[seg] += _sq8_padded_scores(
+                self, taken, f64, q, slice_id, cols, self._err[seg, slice_id]
+            )
 
     def lower_bounds(self) -> np.ndarray:
         return _deflated(super().lower_bounds())
@@ -807,21 +1021,8 @@ class SQ8ShardGroupScan(ShardGroupScan):
         self._err = _kept_rows(self._err, keep)
 
     def survivors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, *exact* scores, owning query) via fp32 re-rank."""
-        if not self.is_complete:
-            raise RuntimeError("scan has unprocessed slices")
-        n = self.ids.size
-        self.reranked = int(n)
-        exact = np.empty(n, dtype=np.float64)
-        taken = _rerank_block(
-            self._exact[0], max(alive.size for alive in self._alive)
-        )
-        pos = 0
-        for q, alive in enumerate(self._alive):
-            if alive.size:
-                exact[pos : pos + alive.size] = _exact_scores(
-                    self._exact[q], alive, self.queries[q],
-                    self.slices, self.metric, self._buffers, taken,
-                )
-                pos += alive.size
-        return self.ids, exact, self.query_of
+        """(ids, *exact* scores, owning query): the shared re-rank, with
+        the rows it re-ranked counted."""
+        survivors = super().survivors()
+        self.reranked = int(self.ids.size)
+        return survivors

@@ -48,10 +48,16 @@ def squared_l2_to_query(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Squared L2 distance of each row to a single query vector.
 
     Uses the direct difference formulation (not the norm expansion of
-    :func:`pairwise_squared_l2`) so the result is bitwise identical to
-    accumulating :func:`repro.distance.partial.partial_squared_l2` over
-    a full dimension cover — the property the executor relies on to
-    keep prewarm scores and pipeline scores interchangeable.
+    :func:`pairwise_squared_l2`): rows widened to float64, the query
+    subtracted, one ``einsum`` over the full width. That is *not*
+    bitwise the sum the dimension pipeline accumulates from
+    :func:`repro.distance.partial.partial_squared_l2` over a dimension
+    cover — one ``d``-wide reduction and several slice-wide ones added
+    in float64 differ in the last bits for most rows. The executor needs
+    no agreement: the ids prewarm scores with this kernel are excluded
+    from every shard gather (``ShardPackedBase.gather(...,
+    exclude=...)``), so no id is ever scored both ways
+    (``tests/test_prewarm_exclusion.py`` pins it on every backend).
 
     Args:
         rows: candidate matrix ``(n, d)``.

@@ -130,8 +130,9 @@ def partial_inner_product(
     Computed as a broadcast einsum rather than a BLAS gemv: gemm and
     gemv accumulate in different orders, so a matrix-vector product
     here would not be bitwise reproducible across batch shapes. The
-    einsum reduction is the one loop the per-query and batched
-    executor paths share. ``out`` is an optional C-contiguous float64
+    per-query scan scores with this einsum reduction, and the batched
+    path's exact re-rank (``repro.core.pruning._exact_scores``) runs the
+    same one over its survivors. ``out`` is an optional C-contiguous float64
     ``(n, w)`` scratch that receives the widened rows instead of a
     fresh temporary.
     """

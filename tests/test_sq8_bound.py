@@ -1,18 +1,20 @@
-"""SQ8 phase one is a *bound*: never above the exact score, and tight.
+"""Phase one is a *bound*: never above the exact score, and tight.
 
-Phase one scores uint8 codes in float32 with BLAS and pads the result
-down by a proved rounding term (``repro.core.pruning.
-_sq8_padded_scores``). The property here is the whole contract of that
-pad: for every row and every slice the contribution is at most the
-exact float64 partial score of the float32 row, every cumulative
-``lower_bounds()`` is at most the exact final score, nothing is ever
-NaN, and the re-rank returns the exact bits. It must hold for whatever
-summation order the BLAS library picks, which is why CI runs this file
-under more than one thread count.
+Phase one scores uint8 codes (SQ8) or float32 rows (the fused fp32
+group scan) in float32 with BLAS and pads the result down by a proved
+rounding term (``repro.core.pruning._phase_one_pad``,
+``_sq8_padded_scores``, ``_f32_padded_scores``). The property here is
+the whole contract of that pad, for both precisions: for every row and
+every slice the contribution is at most the exact float64 partial score
+of the float32 row, every cumulative ``lower_bounds()`` is at most the
+exact final score, nothing is ever NaN, and the re-rank returns the
+exact bits. It must hold for whatever summation order the BLAS library
+picks, which is why CI runs this file under more than one thread count.
 
-The float64 decode form the scorer used to run — widen the codes,
+The float64 decode form the SQ8 scorer used to run — widen the codes,
 ``* scale + lo``, subtract the query, ``einsum`` — lives on here as the
-reference the new bound's tightness is measured against.
+reference the SQ8 bound's tightness is measured against; the fp32
+bound's is measured against the exact per-query scan.
 """
 
 import numpy as np
@@ -27,7 +29,7 @@ from repro.core.layout import (
     sq8_slice_errors,
     sq8_train_params,
 )
-from repro.core.pruning import SQ8ShardScan
+from repro.core.pruning import ShardGroupScan, ShardScan, SQ8ShardScan
 from repro.data.synthetic import gaussian_blobs
 from repro.distance.metrics import Metric
 from repro.distance.partial import (
@@ -299,3 +301,177 @@ class TestPhaseOneIsTight:
             survivors, scored,
         )
         assert scored[SQ8ShardScan] <= 1.02 * scored[DecodeBoundScan]
+
+
+def f32_group_inputs(base, extra, queries, slices, metric):
+    """A fused fp32 group scan's members: one per query, each listing
+    every row of ``base`` and then of ``extra`` — attached as a delta
+    segment, so the group's re-rank takes base and delta rows in mixed
+    order (member 0's delta rows come before member 1's base rows)."""
+    rows = np.vstack([base, extra]) if len(extra) else base
+
+    def slabs_of(block):
+        return [
+            np.ascontiguousarray(slices.take(block, j))
+            for j in range(slices.n_slices)
+        ]
+
+    n = rows.shape[0]
+    part = CandidatePart(
+        np.arange(n, dtype=np.int64),
+        np.arange(n, dtype=np.intp),
+        ShardSlabs(slabs_of(base), slabs_of(extra) if len(extra) else None),
+        None if metric is Metric.L2 else slice_norms(rows, slices),
+    )
+    scan_args = {
+        "queries": queries,
+        "slices": slices,
+        "metric": metric,
+        # Float64 norms for the suffix cap, as in sq8_inputs.
+        "query_norms": np.stack(
+            [query_slice_norms(q.astype(np.float64), slices) for q in queries]
+        ),
+    }
+    return rows, [part] * len(queries), scan_args
+
+
+def exact_members(rows, queries, slices, metric):
+    """Per member and slice the exact partials, and per member the
+    exact total accumulated in canonical slice order."""
+    partials = [
+        [
+            exact_slice_scores(
+                rows, q, slice(*slices.slice_range(j)), metric
+            )
+            for j in range(slices.n_slices)
+        ]
+        for q in queries
+    ]
+    totals = []
+    for member in partials:
+        total = np.zeros(rows.shape[0], dtype=np.float64)
+        for part_scores in member:
+            total += part_scores
+        totals.append(total)
+    return partials, totals
+
+
+class TestFp32PhaseOneNeverExceedsExact:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=adversarial_case())
+    def test_bound_holds(self, case):
+        metric = case["metric"]
+        base, extra, query, slices = build_case(case)
+        # A second member scoring against a base row.
+        queries = np.vstack([query, base[0]]).astype(np.float32)
+        rows, parts, scan_args = f32_group_inputs(
+            base, extra, queries, slices, metric
+        )
+        partials, totals = exact_members(rows, queries, slices, metric)
+        total = np.concatenate(totals)
+
+        # One slice at a time, on a fresh scan: the accumulator after
+        # its first stage *is* that slice's contribution.
+        for j in range(slices.n_slices):
+            scan = ShardGroupScan(parts, **scan_args)
+            scan.process_slice(j)
+            exact = np.concatenate([member[j] for member in partials])
+            assert not np.isnan(scan.accumulated).any()
+            assert np.all(scan.accumulated <= exact), (j, case)
+
+        scan = ShardGroupScan(parts, **scan_args)
+        for j in range(slices.n_slices):
+            scan.process_slice(j)
+            bounds = scan.lower_bounds()
+            assert not np.isnan(bounds).any()
+            assert np.all(bounds <= total), (j, case)
+        ids, scores, owner = scan.survivors()
+        assert scores.tobytes() == total.tobytes()
+        np.testing.assert_array_equal(ids, np.tile(parts[0].ids, 2))
+        np.testing.assert_array_equal(owner, np.repeat([0, 1], rows.shape[0]))
+
+        # Pruned against each member's exact 3rd-best score: the group
+        # keeps what the exact scan keeps, with the exact bits.
+        thresholds = np.array([np.partition(t, 2)[2] for t in totals])
+        scan = ShardGroupScan(parts, **scan_args)
+        for j in range(slices.n_slices):
+            scan.process_slice(j)
+            scan.prune(thresholds)
+        ids, scores, owner = scan.survivors()
+        for m, t in enumerate(totals):
+            keep = np.flatnonzero(t <= thresholds[m])
+            np.testing.assert_array_equal(ids[owner == m], keep)
+            assert scores[owner == m].tobytes() == t[keep].tobytes()
+
+    def test_float32_overflow_yields_the_trivial_bound(self):
+        """Squares and products of 1e22-sized values pass float32's
+        range although the data does not: the stage claims nothing
+        rather than NaN, and the re-rank still returns the exact bits."""
+        rng = np.random.default_rng(0)
+        base = (1e22 * rng.standard_normal((8, 6))).astype(np.float32)
+        queries = (1e22 * rng.standard_normal((2, 6))).astype(np.float32)
+        slices = DimensionSlices.even(6, 2)
+        for metric, trivial in [
+            (Metric.L2, 0.0), (Metric.INNER_PRODUCT, -np.inf),
+        ]:
+            rows, parts, scan_args = f32_group_inputs(
+                base, [], queries, slices, metric
+            )
+            scan = ShardGroupScan(parts, **scan_args)
+            scan.process_slice(0)
+            assert np.all(scan.accumulated == trivial)
+            scan.process_slice(1)
+            assert not np.isnan(scan.lower_bounds()).any()
+            _, totals = exact_members(rows, queries, slices, metric)
+            _, scores, _ = scan.survivors()
+            assert scores.tobytes() == np.concatenate(totals).tobytes()
+
+
+class TestFp32PhaseOneIsTight:
+    @pytest.mark.parametrize("metric", [Metric.L2, Metric.INNER_PRODUCT])
+    def test_survivors_within_two_percent_of_the_exact_scan(self, metric):
+        """5 000 x 128 clustered rows, four slices, 32 queries fused in
+        one group, pruned against each query's true 10th-best score:
+        the rounding pad hands the re-rank at most 2 % more rows than
+        the exact per-query scan keeps, and scores at most 2 % more."""
+        data = gaussian_blobs(5032, 128, n_blobs=16, cluster_std=0.5, seed=3)
+        base, queries = data[:5000], data[5000:]
+        slices = DimensionSlices.even(128, 4)
+        rows, parts, scan_args = f32_group_inputs(
+            base, [], queries, slices, metric
+        )
+        _, totals = exact_members(rows, queries, slices, metric)
+        thresholds = np.array([np.partition(t, 9)[9] for t in totals])
+        group = ShardGroupScan(parts, **scan_args)
+        scored = {"group": 0, "exact": 0}
+        survivors = {"exact": 0}
+        singles = [
+            ShardScan(
+                rows=rows, candidate_ids=parts[0].ids, query=q,
+                slices=slices, metric=metric, base_slice_norms=parts[0].norms,
+                query_norms=scan_args["query_norms"][m],
+            )
+            for m, q in enumerate(queries)
+        ]
+        for j in range(slices.n_slices):
+            scored["group"] += group.process_slice(j)
+            group.prune(thresholds)
+            for m, single in enumerate(singles):
+                scored["exact"] += single.process_slice(j)
+                single.prune(thresholds[m])
+        survivors["group"] = group.n_alive
+        ids, scores, owner = group.survivors()
+        for m, single in enumerate(singles):
+            survivors["exact"] += single.n_alive
+            want_ids, want_scores = single.survivors()
+            np.testing.assert_array_equal(ids[owner == m], want_ids)
+            assert scores[owner == m].tobytes() == want_scores.tobytes()
+        assert survivors["exact"] > 0
+        assert survivors["group"] <= 1.02 * survivors["exact"], (
+            survivors, scored,
+        )
+        assert scored["group"] <= 1.02 * scored["exact"]
