@@ -8,17 +8,17 @@ backend deployment serves repeated query windows through three phases:
 1. **healthy** — baseline windows on the full pool.
 2. **chaos** — a seeded :class:`HostFaultInjector` kills one worker on
    its first task of the window (plus a straggler delay on a survivor).
-   The supervisor must detect the death, requeue the dead worker's
-   tasks onto survivors, respawn it in the background, and finish the
-   window **byte-identical** to the healthy baseline — without falling
-   back to the thread path.
+   The parent must see the death, put the dead worker's task back
+   at the front of the line, respawn it, and finish the window
+   **byte-identical** to the healthy baseline — without falling back
+   to the serial loop.
 3. **recovered** — the next windows run on the healed pool; fault
    counters must read zero and results must still match.
 
 Outputs ``results/BENCH_host_fault_recovery.json`` (per-window timeline
 + recovery counters) and ``results/host_fault_recovery.txt``.
 ``--smoke`` runs one window per phase and exits non-zero if any window
-diverges from the baseline, the chaos window fell back to threads, or
+diverges from the baseline, the chaos window fell back, or
 no respawn was observed::
 
     PYTHONPATH=../src python bench_host_fault_recovery.py          # full
@@ -200,7 +200,7 @@ def check_invariants(windows, summary):
         failures.append("a window diverged from the healthy baseline")
     if summary["fallback_ever"]:
         failures.append(
-            "supervisor fell back to threads on a single-worker crash"
+            "supervisor fell back to serial on a single-worker crash"
         )
     if summary["total_respawns"] < 1:
         failures.append("no worker respawn observed in the chaos phase")
@@ -217,7 +217,7 @@ def main(argv=None):
         "--smoke",
         action="store_true",
         help="one window per phase; fail unless every window is byte-"
-        "exact, the crash was absorbed without thread fallback, and "
+        "exact, the crash was absorbed without fallback, and "
         "the respawn/requeue counters moved",
     )
     args = parser.parse_args(argv)

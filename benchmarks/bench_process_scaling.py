@@ -5,14 +5,14 @@ figures) over a synthetic gaussian workload. One serial baseline, one
 persistent-thread-pool run, and one shared-memory process-pool run per
 worker count; every variant must return byte-identical ids and
 distances to the serial oracle (asserted). The process rows also
-record the shared layout's resident bytes and the per-batch steal
-totals, so the JSON shows that cross-process traffic is limited to
-compact top-k candidate arrays riding a fixed shared-memory layout.
+record the shared layout's resident bytes, so the JSON shows that
+cross-process traffic is limited to compact top-k candidate arrays
+riding a fixed shared-memory layout.
 
 Results accumulate in ``results/BENCH_process_scaling.json`` plus a
 text table; ``--smoke`` runs a small workload and exits non-zero if
 any parallel backend diverges from the serial oracle or the process
-pool silently fell back to threads (the CI perf-smoke gate — speedup
+pool silently fell back to the serial loop (the CI perf-smoke gate — speedup
 itself is not gated there, since CI cores vary).
 
 Usage::
@@ -115,11 +115,10 @@ def run_suite(params, log=print):
             )
             row["process_fallback"] = process.fallback_active
             row["layout_bytes"] = process.shared_layout_nbytes()
-            row["steals"] = int(process.total_steals)
         _check(f"process x{workers}", result, ref, failures)
         if row["process_fallback"]:
             failures.append(
-                f"process x{workers} fell back to the thread path"
+                f"process x{workers} fell back to the serial loop"
             )
         row["process_seconds"] = seconds
         row["thread_speedup"] = serial_seconds / row["thread_seconds"]
@@ -129,7 +128,7 @@ def run_suite(params, log=print):
             f"  {workers} workers: thread {row['thread_seconds']*1e3:8.1f} ms"
             f" ({row['thread_speedup']:.2f}x)   process"
             f" {row['process_seconds']*1e3:8.1f} ms"
-            f" ({row['process_speedup']:.2f}x, {row['steals']} steals)"
+            f" ({row['process_speedup']:.2f}x)"
         )
     return serial_seconds, rows, failures
 
@@ -153,7 +152,7 @@ def save_outputs(params, serial_seconds, rows, smoke):
     table = c.format_table(
         [
             "workers", "thread (ms)", "process (ms)",
-            "thread x", "process x", "steals", "layout (MiB)",
+            "thread x", "process x", "layout (MiB)",
         ],
         [
             [
@@ -162,7 +161,6 @@ def save_outputs(params, serial_seconds, rows, smoke):
                 round(row["process_seconds"] * 1e3, 1),
                 round(row["thread_speedup"], 2),
                 round(row["process_speedup"], 2),
-                row["steals"],
                 round(row["layout_bytes"] / 2**20, 1),
             ]
             for row in rows
@@ -181,7 +179,7 @@ def main(argv=None):
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small workload; fail on divergence or thread fallback",
+        help="small workload; fail on divergence or pool fallback",
     )
     args = parser.parse_args(argv)
     params = SMOKE if args.smoke else FULL

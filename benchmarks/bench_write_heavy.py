@@ -189,7 +189,7 @@ def check_process_overlay(params, failures, log=print):
                 f"({backend.shm_base_rehomes} re-homes, expected 1)"
             )
         if backend.fallback_active:
-            failures.append("process pool fell back to the thread path")
+            failures.append("process pool fell back to the serial loop")
         stats = {
             "shm_base_rehomes": int(backend.shm_base_rehomes),
             "shm_overlay_syncs": int(backend.shm_overlay_syncs),

@@ -15,19 +15,20 @@ process backends consult at well-defined moments:
   re-run.
 - **delay** (:class:`DelayScan`) — straggler emulation: matching
   tasks run ``multiplier``x slower (the task is timed and the excess
-  slept) or sleep a fixed ``seconds``. On the process pool, idle
-  workers steal the slowed worker's queued tasks.
+  slept) or sleep a fixed ``seconds``. On the process pool, the
+  parent hands the slowed worker fewer tasks: it returns, and so is
+  handed its next one, less often.
 - **drop shm** (:class:`DropSharedMemory`) — the shared layout
   segment disappears before dispatch ``at_batch``; the process
   backend must treat this as total pool loss and fall back to the
-  thread path (the only case fallback is still allowed for). Only the
+  serial loop (the only case fallback is still allowed for). Only the
   process pool has a shared segment, so ``HarmonyDB.set_host_faults``
   refuses these rules on the thread pool.
 
-Kills fire at task *boundaries* — never inside a deque lock or a
-half-merged heap — so every schedule is replayable and the recovery
-contract stays testable: coverage 1.0 results must be byte-identical
-to the serial oracle no matter which schedule ran.
+Kills fire when a worker *starts* a task — never in a half-merged
+heap — so every schedule is replayable and the recovery contract
+stays testable: coverage 1.0 results must be byte-identical to the
+serial oracle no matter which schedule ran.
 
 The injector is parent-owned. Worker processes receive only a plain
 picklable spec (:meth:`HostFaultInjector.process_spec`); the parent
@@ -106,17 +107,15 @@ class DropSharedMemory:
     at_batch: int
 
 
-def apply_task_chaos(
-    spec: "dict | None", worker: int, ordinal: int, flush=None
-):
+def apply_task_chaos(spec: "dict | None", worker: int, ordinal: int):
     """Worker-process side: act on a picklable chaos spec.
 
     Called at task start with the worker's own task ordinal. Kills
-    exit the process immediately with :data:`CHAOS_EXIT_CODE` —
-    after running ``flush()`` (if given), so results already handed
-    to the queue's feeder thread reach the parent and the schedule
-    stays replayable. Returns the :class:`DelayScan`-shaped delay
-    descriptor to apply (``(multiplier, seconds)``) or ``None``.
+    exit the process immediately with :data:`CHAOS_EXIT_CODE`; every
+    result the worker sent before is already in its pipe, because a
+    ``Connection.send`` has written its bytes when it returns. Returns
+    the :class:`DelayScan`-shaped delay descriptor to apply
+    (``(multiplier, seconds)``) or ``None``.
     """
     if not spec:
         return None
@@ -124,11 +123,6 @@ def apply_task_chaos(
     if kill_at is not None and ordinal >= int(kill_at):
         import os
 
-        if flush is not None:
-            try:
-                flush()
-            except Exception:
-                pass
         os._exit(CHAOS_EXIT_CODE)
     for rule in spec.get("delays", ()):
         if rule["worker"] is not None and rule["worker"] != worker:

@@ -47,11 +47,17 @@ _RETIRED_CONFIG_FIELDS = ("serve_deadline_fraction", "scan_timeout", "scan_retri
 
 
 def check_queries(queries: np.ndarray, dim: int) -> None:
-    """Refuse a query batch with a row of the wrong dimension or a
-    non-finite component: a NaN row would otherwise score, answer and
-    be cached like any other."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-    if queries.ndim != 2 or queries.shape[1] != dim:
+    """Refuse a query batch that is not one vector or a 2-D block, has
+    a row of the wrong dimension or a non-finite component: a NaN row
+    would otherwise score, answer and be cached like any other."""
+    queries = np.asarray(queries, dtype=np.float32)
+    if queries.ndim > 2:
+        raise ValueError(
+            f"queries must be one vector or a 2-D batch, got shape "
+            f"{queries.shape}"
+        )
+    queries = np.atleast_2d(queries)
+    if queries.shape[1] != dim:
         raise ValueError(
             f"query has dimension {queries.shape[-1]}, the index has {dim}"
         )
@@ -375,7 +381,8 @@ class HarmonyDB:
         ``simulated_seconds`` is measured host wall-clock instead.
 
         Raises:
-            ValueError: when a query row has the wrong dimension or a
+            ValueError: when the queries are not one vector or a 2-D
+                batch, or a row has the wrong dimension or a
                 non-finite component.
         """
         if not self.is_built:

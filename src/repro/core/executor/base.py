@@ -8,8 +8,8 @@ execution substrate. The library ships four:
 - :class:`~repro.core.executor.threads.ThreadBackend` — real host
   threads, queries fanned out across a persistent pool;
 - :class:`~repro.core.executor.process.ProcessBackend` — persistent
-  worker processes scanning shared-memory shard layouts with
-  work-stealing scheduling (multi-core without the GIL);
+  worker processes scanning shared-memory shard layouts, each handed
+  its tasks by the parent (multi-core without the GIL);
 - :class:`~repro.core.pipeline.PipelineEngine` — the discrete-event
   cluster, charging compute/comm to machine timelines.
 
@@ -171,10 +171,6 @@ class HostBackend(Backend):
     def scan_precision(self) -> str:
         return self.kernel.scan_precision
 
-    #: Successful work steals per pool worker during the most recent
-    #: :meth:`search`; None on a backend whose pool does not steal.
-    last_steal_counts = None
-
     def run(
         self,
         queries: np.ndarray,
@@ -246,7 +242,6 @@ class HostBackend(Backend):
                 abandoned_scans=faults.abandoned_scans,
                 recall_of=recall_of,
             )
-        steals = self.last_steal_counts
         packed = kernel._packed  # the layout this batch scanned
         report = ExecutionReport.host_timed(
             result.n_queries,
@@ -259,9 +254,6 @@ class HostBackend(Backend):
             degraded=degraded,
             layout_bytes=0 if packed is None else int(packed.nbytes),
             code_bytes=0 if packed is None else int(packed.codes_nbytes),
-            worker_steals=(
-                None if steals is None else [int(s) for s in steals]
-            ),
             rerank_candidates=(
                 kernel.rerank_candidates_total - reranked_before
             ),

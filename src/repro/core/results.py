@@ -198,8 +198,9 @@ class ExecutionReport:
             shard layout the executing backend scanned from; ``0``
             when no packed layout was in play (sim backend, packing
             disabled).
-        worker_steals: per-worker successful work-steals during the
-            batch (process backend only; None elsewhere).
+        worker_steals: always None. No pool steals work (the process
+            pool's parent hands out every task); the field stays only
+            because the perf ledger reads it.
         rerank_candidates: survivors re-ranked against fp32 rows during
             the batch (``0`` on the fp32 scan path, where candidate
             scores are already exact).
@@ -451,8 +452,6 @@ class ExecutionReport:
         for name, cast in _FLAT_FIELDS:
             if name not in out:
                 out[name] = cast(values[name])
-        if self.worker_steals is not None:
-            out["worker_steals"] = [int(s) for s in self.worker_steals]
         if self.latencies.size:
             out["latency"] = {
                 "mean": self.mean_latency,

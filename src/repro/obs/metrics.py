@@ -304,13 +304,6 @@ def report_metrics(
     registry.gauge(
         "harmony_load_imbalance", "Std dev of worker loads (I(pi))"
     ).set(report.load_imbalance)
-    if report.worker_steals is not None:
-        for worker, steals in enumerate(report.worker_steals):
-            registry.counter(
-                "harmony_worker_steals_total",
-                "Work-stealing task migrations per pool worker",
-                worker=worker,
-            ).inc(float(steals))
     if report.pruning is not None:
         total_scans = float(report.pruning.totals[0])
         registry.counter(

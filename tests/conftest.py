@@ -1,7 +1,11 @@
-"""Shared fixtures: small deterministic datasets, indexes, deployments."""
+"""Shared fixtures: small deterministic datasets, indexes, deployments,
+and a per-test guard against leaked shared memory and child processes."""
 
 from __future__ import annotations
 
+import gc
+import glob
+import multiprocessing
 import os
 
 import numpy as np
@@ -12,6 +16,39 @@ from repro.core.config import HarmonyConfig, Mode
 from repro.core.database import HarmonyDB
 from repro.data.synthetic import gaussian_blobs
 from repro.index.ivf import IVFFlatIndex
+
+
+def _resources() -> "tuple[set[str], set[int]]":
+    """Shared-memory segments and live child processes, by name / pid."""
+    return (
+        set(glob.glob("/dev/shm/psm_*")),
+        {child.pid for child in multiprocessing.active_children()},
+    )
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_segment_or_process(request):
+    """Fail the test that leaves a new ``/dev/shm/psm_*`` segment or a
+    new child process behind.
+
+    Every ``HarmonyDB`` and backend is a context manager, so a leak is a
+    missing ``with`` / ``close()``. A leftover that only garbage
+    collection still holds (an unreferenced backend's finalizer) is
+    given that one chance: ``gc.collect()`` runs only when the first
+    look finds something.
+    """
+    segments, children = _resources()
+    yield
+    for attempt in range(2):
+        now_segments, now_children = _resources()
+        leaked = sorted(now_segments - segments) + [
+            f"child pid {pid}" for pid in sorted(now_children - children)
+        ]
+        if not leaked:
+            return
+        if attempt == 0:
+            gc.collect()
+    pytest.fail(f"{request.node.nodeid} leaked {leaked}", pytrace=False)
 
 
 @pytest.fixture(scope="session")
@@ -59,21 +96,14 @@ def make_db(
 
     ``HARMONY_BACKEND`` (env) overrides the default backend for every
     test that doesn't pin one explicitly — CI uses it to re-run the
-    tier-1 suite on the host backends (results are byte-identical, so
+    tier-1 suite on the process pool (results are byte-identical, so
     the whole suite doubles as an equivalence check).
-    ``HARMONY_SCAN_PRECISION`` (env) likewise overrides the default
-    candidate-scan representation (``sq8`` re-runs the suite through
-    the quantized scan + exact re-rank path, which must also be
-    byte-identical).
     """
     env_backend = os.environ.get("HARMONY_BACKEND")
     if env_backend and "backend" not in overrides:
         overrides["backend"] = env_backend
         if env_backend == "process" and "n_workers" not in overrides:
             overrides["n_workers"] = 2
-    env_precision = os.environ.get("HARMONY_SCAN_PRECISION")
-    if env_precision and "scan_precision" not in overrides:
-        overrides["scan_precision"] = env_precision
     config = HarmonyConfig(
         n_machines=n_machines,
         nlist=nlist,

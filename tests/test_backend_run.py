@@ -190,30 +190,6 @@ def test_a_lost_shard_is_accounted_alike_on_every_backend(
 
 
 # ---------------------------------------------------------------------------
-# per-call values: a batch the pool never ran reports no steals
-# ---------------------------------------------------------------------------
-
-
-def test_a_fallback_batch_does_not_report_the_previous_steals(
-    tiny_data, tiny_queries
-):
-    from repro.cluster.host_faults import DropSharedMemory, HostFaultInjector
-
-    with make_db(
-        tiny_data, tiny_queries,
-        backend="process", n_workers=2, forced_grid=(4, 1),
-    ) as db:
-        db.set_host_faults(
-            HostFaultInjector(shm_drops=[DropSharedMemory(at_batch=1)])
-        )
-        db.search(tiny_queries, k=5)
-        db._host_backend.last_steal_counts = np.array([3, 1])
-        _, report = db.search(tiny_queries, k=5)
-        assert db._host_backend.fallback_active is True
-        assert report.worker_steals == [0, 0]
-
-
-# ---------------------------------------------------------------------------
 # (d) the branch cannot creep back
 # ---------------------------------------------------------------------------
 

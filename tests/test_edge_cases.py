@@ -90,6 +90,18 @@ class TestDegenerateDeployments:
         with pytest.raises(ValueError, match="dimension 7, the index has 16"):
             db.search(np.ones((2, 7)), k=3)
 
+    def test_three_dimensional_queries_name_their_shape(self, small):
+        """A (2, 3, 16) block has rows of the index's width, yet is no
+        batch: both entry points name the shape, not a dimension."""
+        data, queries = small
+        block = np.ones((2, 3, 16))
+        with build(data, queries, backend="serial") as db:
+            with pytest.raises(ValueError, match=r"shape \(2, 3, 16\)"):
+                db.search(block, k=3)
+            with db.serve() as server:
+                with pytest.raises(ValueError, match=r"shape \(2, 3, 16\)"):
+                    server.submit(block, k=3)
+
 
 @pytest.mark.parametrize("enable_cache", [False, True])
 @pytest.mark.parametrize("backend", ["serial", "thread", "process", "sim"])

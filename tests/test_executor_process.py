@@ -1,16 +1,16 @@
-"""Process backend: shared layouts, pool lifecycle, fallback, steals.
+"""Process backend: shared layouts, pool lifecycle, supervision, fallback.
 
 Byte-exactness against the serial oracle lives in
 ``test_executor_equivalence.py``; this module covers the machinery
 around it — the shared-memory layout's build/manifest/attach
-lifecycle, persistent pool reuse and revival, graceful fallback to
-the thread path when shared memory or workers misbehave, and the
-work-stealing counters surfaced through reports and metrics.
+lifecycle, persistent pool reuse and revival, the parent's dispatch
+loop under slow and dying workers, and graceful fallback to the serial
+loop when shared memory or the whole pool is lost.
 """
 
 import os
 import signal
-import time
+import threading
 
 import numpy as np
 import pytest
@@ -364,7 +364,7 @@ def test_invalid_worker_count():
 
 
 def test_single_worker_pool():
-    """One worker (no one to steal from) still matches the oracle."""
+    """One worker, handed every task in turn, still matches the oracle."""
     index = make_index()
     plan = build_plan(index, n_machines=4, n_vector_shards=2, n_dim_blocks=2)
     queries = make_queries(index.dim)
@@ -373,7 +373,7 @@ def test_single_worker_pool():
         got = backend.search(queries, k=5, nprobe=4)
         np.testing.assert_array_equal(got.ids, reference.ids)
         np.testing.assert_array_equal(got.distances, reference.distances)
-        assert backend.total_steals == 0
+        assert not backend.fallback_active
 
 
 @pytest.mark.skipif(
@@ -413,57 +413,57 @@ def test_worker_crash_between_batches_respawns():
     queries = make_queries(index.dim)
     reference = SerialBackend(index, plan=plan).search(queries, k=5, nprobe=4)
 
-    backend = ProcessBackend(index, plan=plan, n_workers=2)
-    backend.search(queries, k=5, nprobe=4)
-    victim = backend._procs[0]
-    os.kill(victim.pid, signal.SIGKILL)
-    victim.join(timeout=5.0)
+    with ProcessBackend(index, plan=plan, n_workers=2) as backend:
+        backend.search(queries, k=5, nprobe=4)
+        victim = backend._procs[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=5.0)
 
-    got = backend.search(queries, k=5, nprobe=4)  # repaired transparently
-    assert not backend.fallback_active
-    assert backend.pool_running
-    assert all(p.is_alive() for p in backend._procs)
-    assert backend.fault_counters.worker_respawns >= 1
-    np.testing.assert_array_equal(got.ids, reference.ids)
-    np.testing.assert_array_equal(got.distances, reference.distances)
-    backend.close()
+        got = backend.search(queries, k=5, nprobe=4)  # repaired in place
+        assert not backend.fallback_active
+        assert backend.pool_running
+        assert all(p.is_alive() for p in backend._procs)
+        assert backend.fault_counters.worker_respawns >= 1
+        np.testing.assert_array_equal(got.ids, reference.ids)
+        np.testing.assert_array_equal(got.distances, reference.distances)
 
 
-def test_whole_pool_crash_falls_back_to_threads():
-    """Total pool loss is the (only) crash that flips to the fallback."""
+def test_whole_pool_crash_falls_back_to_serial():
+    """Total pool loss is the crash that flips to the fallback: the
+    serial loop, which answers with the oracle's bytes, degraded mode
+    included."""
     index = make_index()
     plan = build_plan(index, n_machines=4, n_vector_shards=2, n_dim_blocks=2)
     queries = make_queries(index.dim)
     reference = SerialBackend(index, plan=plan).search(queries, k=5, nprobe=4)
 
-    backend = ProcessBackend(index, plan=plan, n_workers=2)
-    backend.search(queries, k=5, nprobe=4)
-    for victim in list(backend._procs):
-        os.kill(victim.pid, signal.SIGKILL)
-        victim.join(timeout=5.0)
+    with ProcessBackend(index, plan=plan, n_workers=2) as backend:
+        backend.search(queries, k=5, nprobe=4)
+        for victim in list(backend._procs):
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
 
-    got = backend.search(queries, k=5, nprobe=4)  # transparently degraded
-    assert backend.fallback_active
-    assert not backend.pool_running
-    np.testing.assert_array_equal(got.ids, reference.ids)
-    np.testing.assert_array_equal(got.distances, reference.distances)
+        got = backend.search(queries, k=5, nprobe=4)  # transparently serial
+        assert backend.fallback_active
+        assert not backend.pool_running
+        np.testing.assert_array_equal(got.ids, reference.ids)
+        np.testing.assert_array_equal(got.distances, reference.distances)
 
-    # Degraded mode still works identically on the fallback path.
-    cov_ref = np.zeros((queries.shape[0], 2), dtype=np.int64)
-    cov_got = np.zeros((queries.shape[0], 2), dtype=np.int64)
-    ref2 = SerialBackend(index, plan=plan).search(
-        queries, k=5, nprobe=4, skip_shards={0}, coverage=cov_ref
-    )
-    got2 = backend.search(
-        queries, k=5, nprobe=4, skip_shards={0}, coverage=cov_got
-    )
-    np.testing.assert_array_equal(got2.ids, ref2.ids)
-    np.testing.assert_array_equal(cov_got, cov_ref)
-    backend.close()
+        cov_ref = np.zeros((queries.shape[0], 2), dtype=np.int64)
+        cov_got = np.zeros((queries.shape[0], 2), dtype=np.int64)
+        ref2 = SerialBackend(index, plan=plan).search(
+            queries, k=5, nprobe=4, skip_shards={0}, coverage=cov_ref
+        )
+        got2 = backend.search(
+            queries, k=5, nprobe=4, skip_shards={0}, coverage=cov_got
+        )
+        np.testing.assert_array_equal(got2.ids, ref2.ids)
+        np.testing.assert_array_equal(cov_got, cov_ref)
+        assert not backend.pool_running  # the fallback started no pool
 
 
 def test_worker_crash_mid_query_completes_on_pool():
-    """A chaos kill mid-batch requeues + respawns; no thread fallback."""
+    """A chaos kill mid-batch requeues + respawns; no fallback."""
     from repro.cluster.host_faults import (
         DelayScan,
         HostFaultInjector,
@@ -475,26 +475,89 @@ def test_worker_crash_mid_query_completes_on_pool():
     queries = make_queries(index.dim)
     reference = SerialBackend(index, plan=plan).search(queries, k=5, nprobe=4)
 
-    backend = ProcessBackend(index, plan=plan, n_workers=2)
-    # Kill worker 0 on its very first task; pace worker 1 a little so
-    # it cannot drain the whole batch before worker 0 ever pops one.
-    backend.chaos = HostFaultInjector(
-        kills=[KillWorker(worker=0, at_task=0)],
-        delays=[DelayScan(seconds=0.002, worker=1)],
-    )
-    got = backend.search(queries, k=5, nprobe=4)
-    assert not backend.fallback_active
-    assert backend.fault_counters.worker_respawns >= 1
-    assert backend.fault_counters.tasks_requeued >= 1
-    assert "kill:worker=0" in backend.chaos.fired
-    np.testing.assert_array_equal(got.ids, reference.ids)
-    np.testing.assert_array_equal(got.distances, reference.distances)
+    with ProcessBackend(index, plan=plan, n_workers=2) as backend:
+        # Worker 0 dies as it starts its first task, which the parent
+        # hands it with the batch's first dispatch.
+        backend.chaos = HostFaultInjector(
+            kills=[KillWorker(worker=0, at_task=0)],
+            delays=[DelayScan(seconds=0.002, worker=1)],
+        )
+        got = backend.search(queries, k=5, nprobe=4)
+        assert not backend.fallback_active
+        assert backend.fault_counters.worker_respawns >= 1
+        assert backend.fault_counters.tasks_requeued >= 1
+        assert "kill:worker=0" in backend.chaos.fired
+        np.testing.assert_array_equal(got.ids, reference.ids)
+        np.testing.assert_array_equal(got.distances, reference.distances)
 
-    # The respawned pool keeps serving identically, still no fallback.
-    again = backend.search(queries, k=5, nprobe=4)
-    assert not backend.fallback_active
-    np.testing.assert_array_equal(again.ids, reference.ids)
-    backend.close()
+        # The respawned pool keeps serving identically, still no fallback.
+        again = backend.search(queries, k=5, nprobe=4)
+        assert not backend.fallback_active
+        np.testing.assert_array_equal(again.ids, reference.ids)
+
+
+def test_worker_killed_while_scanning_is_requeued_and_respawned(
+    monkeypatch,
+):
+    """A SIGKILL that lands while a worker runs its task: the parent
+    sees the death through the worker's sentinel, puts the held task
+    back and respawns the slot, and the batch completes on the pool.
+
+    ``DelayScan`` holds worker 0 in its first task; the patched chaos
+    hook (inherited by the forked workers) signals when worker 0 has
+    started it, so the kill is ordered by that event, not by a sleep.
+    """
+    import multiprocessing as mp
+
+    import repro.core.executor.process as process
+    from repro.cluster.host_faults import DelayScan, HostFaultInjector
+
+    if "fork" not in mp.get_all_start_methods():
+        pytest.skip("the started-signal reaches workers by fork")
+    index = make_index()
+    plan = build_plan(index, n_machines=4, n_vector_shards=2, n_dim_blocks=2)
+    queries = make_queries(index.dim)
+    reference = SerialBackend(index, plan=plan).search(queries, k=5, nprobe=4)
+
+    started = mp.get_context("fork").Event()
+    real_chaos = process.apply_task_chaos
+
+    def signalling_chaos(spec, worker, ordinal):
+        delay = real_chaos(spec, worker, ordinal)
+        if worker == 0 and delay is not None:
+            started.set()
+        return delay
+
+    monkeypatch.setattr(process, "apply_task_chaos", signalling_chaos)
+    with ProcessBackend(
+        index, plan=plan, n_workers=2, start_method="fork"
+    ) as backend:
+        backend.search(queries, k=5, nprobe=4)  # pool up, layout attached
+        backend.chaos = HostFaultInjector(
+            delays=[DelayScan(seconds=600.0, worker=0)]
+        )
+        out = {}
+        search = threading.Thread(
+            target=lambda: out.update(
+                got=backend.search(queries, k=5, nprobe=4)
+            )
+        )
+        search.start()
+        assert started.wait(timeout=60.0)
+        victim = backend._procs[0]
+        backend.chaos = None  # the respawned worker 0 runs at speed
+        os.kill(victim.pid, signal.SIGKILL)
+        search.join(timeout=300.0)
+        assert not search.is_alive()
+        assert not backend.fallback_active
+        assert backend.fault_counters.worker_respawns == 1
+        assert backend.fault_counters.tasks_requeued == 1
+        assert backend._procs[0] is not victim
+        assert all(p.is_alive() for p in backend._procs)
+        np.testing.assert_array_equal(out["got"].ids, reference.ids)
+        np.testing.assert_array_equal(
+            out["got"].distances, reference.distances
+        )
 
 
 def test_shared_memory_unavailable_falls_back(monkeypatch):
@@ -567,29 +630,17 @@ def test_process_module_holds_no_scan_class():
 
 
 # ---------------------------------------------------------------------------
-# Steal counters and observability
+# Dispatch and observability
 # ---------------------------------------------------------------------------
 
 
-def test_steal_counters_shape_and_accumulation():
-    index = make_index(n=1200, nlist=24)
-    plan = build_plan(index, n_machines=4, n_vector_shards=4, n_dim_blocks=1)
-    queries = make_queries(index.dim, nq=24)
-    with ProcessBackend(index, plan=plan, n_workers=3) as backend:
-        total = 0
-        for _ in range(3):
-            backend.search(queries, k=5, nprobe=8)
-            counts = backend.last_steal_counts
-            assert counts.shape == (3,)
-            assert (counts >= 0).all()
-            total += int(counts.sum())
-            assert backend.total_steals == total  # lifetime accumulation
-
-
-def test_peers_steal_from_a_slow_worker():
-    """A straggling worker needs no watchdog: its idle peer steals the
-    tasks queued behind it, and nothing is requeued or falls back."""
+def test_a_slowed_worker_is_handed_fewer_tasks():
+    """A straggler needs no watchdog and no thief: the parent hands a
+    worker its next task only when its last one returns, so the slowed
+    worker runs fewer of the batch's tasks (counted from the
+    ``worker-scan`` spans), and nothing is requeued or falls back."""
     from repro.cluster.host_faults import DelayScan, HostFaultInjector
+    from repro.obs.trace import Tracer
 
     index = make_index(n=1200, nlist=24)
     plan = build_plan(index, n_machines=4, n_vector_shards=4, n_dim_blocks=1)
@@ -600,10 +651,17 @@ def test_peers_steal_from_a_slow_worker():
         backend.chaos = HostFaultInjector(
             delays=[DelayScan(seconds=0.05, worker=0)]
         )
+        backend.tracer = Tracer()
         got, report = backend.run(queries, k=5, nprobe=8)
-        assert backend.last_steal_counts[1] > 0
+        scans = [0, 0]
+        for span in report.trace.spans:
+            if span.name == "worker-scan":
+                scans[span.arg("worker")] += 1
+        assert sum(scans) >= 6
+        assert scans[0] < scans[1]
         assert not backend.fallback_active
         assert report.fault_stats is None  # no respawn, requeue, abandon
+        assert report.worker_steals is None
         np.testing.assert_array_equal(got.ids, reference.ids)
         np.testing.assert_array_equal(got.distances, reference.distances)
 
@@ -679,8 +737,7 @@ def test_harmony_db_process_backend_end_to_end(tmp_path):
     result, report = db.search(queries, k=5)
     assert "process backend" in report.plan_summary
     assert report.layout_bytes > 0
-    assert report.worker_steals is not None
-    assert len(report.worker_steals) == 2
+    assert report.worker_steals is None
 
     serial_db = HarmonyDB(
         dim=24,
@@ -712,7 +769,7 @@ def test_harmony_db_process_backend_end_to_end(tmp_path):
         handle.close()  # idempotent
 
 
-def test_report_metrics_publishes_layout_and_steals():
+def test_report_metrics_publishes_layout_bytes():
     from repro.obs.metrics import report_metrics
 
     rng = np.random.default_rng(0)
@@ -721,17 +778,11 @@ def test_report_metrics_publishes_layout_and_steals():
     config = HarmonyConfig(
         n_machines=2, nlist=8, nprobe=4, backend="process", n_workers=2
     )
-    db = HarmonyDB(dim=16, config=config)
-    db.build(base, sample_queries=queries)
-    try:
+    with HarmonyDB(dim=16, config=config) as db:
+        db.build(base, sample_queries=queries)
         _, report = db.search(queries, k=5)
         registry = report_metrics(report)
-        text = registry.to_prometheus()
-        assert "harmony_layout_bytes" in text
-        assert "harmony_worker_steals_total" in text
+        assert "harmony_layout_bytes" in registry.to_prometheus()
         dumped = registry.to_dict()
         assert dumped["harmony_layout_bytes"]["series"][0]["value"] > 0
-        steal_series = dumped["harmony_worker_steals_total"]["series"]
-        assert {s["labels"]["worker"] for s in steal_series} == {"0", "1"}
-    finally:
-        db.close()
+        assert "harmony_worker_steals_total" not in dumped

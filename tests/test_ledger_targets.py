@@ -122,7 +122,7 @@ def test_the_process_backend_is_live_and_reports_fallback(
     try:
         _, report = db.search(tiny_queries, k=5)
         assert db._host_backend.fallback_active is False
-        assert len(report.worker_steals) == 2
+        assert report.worker_steals is None  # read, and summed when set
     finally:
         db.close()
 
