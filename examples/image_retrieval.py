@@ -12,8 +12,7 @@ Run:  python examples/image_retrieval.py
 from repro import HarmonyConfig, HarmonyDB
 from repro.bench.recall import recall_at_k
 from repro.data import exact_knn, load_dataset
-from repro.index import FaissLikeIVF
-from repro.bench.harness import simulated_faiss_seconds
+from repro.index import FaissLikeIVF, simulated_faiss_seconds
 
 
 def main() -> None:

@@ -34,7 +34,7 @@ Architecture (bottom-up):
 - :mod:`repro.serve` — the coalescing online-serving front end
   (:class:`HarmonyServer`) and its open-loop load harness.
 - :mod:`repro.baselines` — the Auncel-like comparator.
-- :mod:`repro.bench` — benchmark harness utilities.
+- :mod:`repro.bench` — recall, tuning, timeline and table utilities.
 """
 
 from repro.cache import CacheHit, CacheStats, ResultCache

@@ -1,30 +1,20 @@
-"""Benchmark harness: recall measurement, sweeps, and table formatting.
+"""Benchmark utilities: recall measurement, tuning, and table formatting.
 
-Shared plumbing for the scripts in ``benchmarks/`` that regenerate each
+Shared helpers for the scripts in ``benchmarks/`` that regenerate each
 table and figure of the paper's evaluation (Section 6).
 """
 
-from repro.bench.harness import (
-    BenchSetup,
-    make_setup,
-    run_mode,
-    simulated_faiss_seconds,
-)
 from repro.bench.recall import recall_at_k
 from repro.bench.reporting import format_series, format_table
 from repro.bench.timeline import render_timeline, utilization_grid
 from repro.bench.tuning import TuneResult, tune_nprobe
 
 __all__ = [
-    "BenchSetup",
     "TuneResult",
     "format_series",
     "format_table",
-    "make_setup",
     "recall_at_k",
     "render_timeline",
-    "run_mode",
-    "simulated_faiss_seconds",
     "tune_nprobe",
     "utilization_grid",
 ]

@@ -178,61 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     capacity.add_argument("--seed", type=int, default=0)
 
-    serve = sub.add_parser(
-        "serve-bench",
-        help="open-loop vs closed-loop serving study "
-        "(micro-batch coalescing QPS / latency curves)",
-    )
-    serve.add_argument("--dataset", default="sift1m")
-    serve.add_argument("--size", type=int, default=None)
-    serve.add_argument("--queries", type=int, default=None)
-    serve.add_argument("--nmachine", type=int, default=4)
-    serve.add_argument("--nlist", type=int, default=None)
-    serve.add_argument("--nprobe", type=int, default=8)
-    serve.add_argument(
-        "--grid",
-        type=int,
-        nargs=2,
-        default=None,
-        metavar=("B_VEC", "B_DIM"),
-        help="force the partition grid instead of the cost model "
-        "(the smoke gate defaults to 4 1: pure vector sharding, "
-        "where batched shard-major scans parallelize cleanly)",
-    )
-    serve.add_argument("--k", type=int, default=10)
-    serve.add_argument(
-        "--backend",
-        default="process",
-        choices=["process", "serial"],
-        help="host backend the server executes batches on",
-    )
-    serve.add_argument(
-        "--max-batch", type=int, default=None, dest="max_batch",
-        help="coalescing micro-batch cap (default: config serve_max_batch)",
-    )
-    serve.add_argument(
-        "--slo-ms", type=float, default=None, dest="slo_ms",
-        help="end-to-end latency SLO that slo_violations are "
-        "counted against",
-    )
-    serve.add_argument(
-        "--queue-depth", type=int, default=None, dest="queue_depth",
-        help="admission-control queue bound for the overload study",
-    )
-    serve.add_argument(
-        "--shed-policy",
-        default=None,
-        dest="shed_policy",
-        choices=["reject", "shed_oldest", "degrade_nprobe"],
-        help="overload policy for the admission study rows",
-    )
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small fast run that also gates on byte-identical results "
-        "and a coalescing speedup at saturating load",
-    )
     return parser
 
 
@@ -451,137 +396,6 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     return 0 if plan.target_met else 2
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.serve.harness import admission_study, throughput_study
-
-    if args.smoke:
-        # Operating point where coalescing clearly pays: pure vector
-        # sharding parallelizes the fused shard-major batch scan, and
-        # a finer list grid keeps per-query candidate sets small so
-        # per-call dispatch overhead dominates the unbatched baseline.
-        size = args.size if args.size is not None else 12_000
-        n_queries = args.queries if args.queries is not None else 256
-        nlist = args.nlist if args.nlist is not None else 256
-        grid = tuple(args.grid) if args.grid is not None else (4, 1)
-    else:
-        size = args.size
-        n_queries = args.queries if args.queries is not None else 512
-        nlist = args.nlist if args.nlist is not None else 64
-        grid = tuple(args.grid) if args.grid is not None else None
-    dataset = load_dataset(
-        args.dataset, size=size, n_queries=n_queries, seed=args.seed
-    )
-    config = HarmonyConfig(
-        n_machines=args.nmachine,
-        nlist=nlist,
-        nprobe=args.nprobe,
-        backend=args.backend,
-        forced_grid=grid,
-        seed=args.seed,
-    )
-    db = HarmonyDB(dim=dataset.dim, config=config)
-    db.build(dataset.base, sample_queries=dataset.queries)
-    print(
-        f"dataset {dataset.name}: {dataset.size:,} x {dataset.dim}, "
-        f"{dataset.n_queries} requests, backend {args.backend}, "
-        f"plan {db.plan.describe()}"
-    )
-    overrides = {}
-    if args.max_batch is not None:
-        overrides["max_batch"] = args.max_batch
-    elif args.smoke:
-        overrides["max_batch"] = 64
-    if args.slo_ms is not None:
-        overrides["slo_ms"] = args.slo_ms
-    study = throughput_study(
-        db,
-        dataset.queries,
-        k=args.k,
-        # The saturating row runs well past capacity so the coalescing
-        # queue reaches steady state quickly and batches stay deep.
-        fractions=(0.5, 1.0, 3.0) if args.smoke else (0.5, 1.0, 2.0),
-        seed=args.seed,
-        **overrides,
-    )
-    seq = study["sequential"]
-    print(
-        f"closed-loop unbatched: {seq['qps']:,.0f} QPS, "
-        f"p50 {seq['p50_ms']:.2f} ms, p99 {seq['p99_ms']:.2f} ms"
-    )
-    print(
-        f"{'arrival':<9} {'offered':>9} {'sustained':>10} {'x seq':>6} "
-        f"{'batch':>6} {'p50 ms':>8} {'p99 ms':>8}"
-    )
-    for row in study["rows"]:
-        print(
-            f"{row['arrival']:<9} {row['offered_qps']:>9,.0f} "
-            f"{row['sustained_qps']:>10,.0f} "
-            f"{row['speedup_vs_sequential']:>6.2f} "
-            f"{row['mean_batch_size']:>6.1f} "
-            f"{row['p50_ms']:>8.2f} {row['p99_ms']:>8.2f}"
-        )
-    queue_depth = args.queue_depth if args.queue_depth is not None else 16
-    policies = (
-        (args.shed_policy,)
-        if args.shed_policy is not None
-        else ("reject", "shed_oldest", "degrade_nprobe")
-    )
-    admission = admission_study(
-        db,
-        dataset.queries,
-        k=args.k,
-        queue_depth=queue_depth,
-        policies=policies,
-        seed=args.seed,
-        **overrides,
-    )
-    print(
-        f"admission control at 6x sequential capacity, "
-        f"queue depth {queue_depth}:"
-    )
-    for row in admission:
-        print(
-            f"  {row['policy']:<15} completed {row['completed']:>4} "
-            f"rejected {row['rejected']:>4} shed {row['shed']:>4} "
-            f"degraded {row['degraded']:>4} p99 {row['p99_ms']:>7.2f} ms "
-            f"accounted {'yes' if row['accounted'] else 'NO'}"
-        )
-    db.close()
-    failures = []
-    if study["oracle_mismatches"]:
-        failures.append(
-            f"{study['oracle_mismatches']} responses mismatched the "
-            "serial oracle"
-        )
-    failures.extend(
-        f"admission accounting failed for {row['policy']}"
-        for row in admission
-        if not row["accounted"]
-    )
-    failures.extend(
-        f"{row['oracle_mismatches']} degraded-path mismatches "
-        f"({row['policy']})"
-        for row in admission
-        if row["oracle_mismatches"]
-    )
-    if args.smoke:
-        speedup = study["speedup_at_saturation"]
-        if speedup < 1.3:
-            failures.append(
-                f"coalescing speedup {speedup:.2f}x < 1.3x at "
-                "saturating load"
-            )
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    if not failures:
-        print(
-            f"OK: coalescing {study['speedup_at_saturation']:.2f}x vs "
-            "unbatched sequential at saturating load; all responses "
-            "byte-identical to the serial oracle"
-        )
-    return 1 if failures else 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
@@ -597,8 +411,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_tune(args)
     if args.command == "capacity":
         return _cmd_capacity(args)
-    if args.command == "serve-bench":
-        return _cmd_serve_bench(args)
     return 1
 
 

@@ -54,31 +54,25 @@ class CachedRoute:
 
 
 class RoutingCache:
-    """Memoized planner-level routing with bounded LRU eviction.
+    """Memoized per-query routing with bounded LRU eviction.
 
-    Skewed serving traffic repeats itself: hot queries land in the same
-    cluster-id grid cell (the same set of probed inverted lists) over
-    and over, and the planner-derived shard probe set for a cell never
-    changes while the index generation is stable. Two maps are kept:
-
-    - *cells* (:meth:`shards_for`): keyed on the **sorted,
-      deduplicated** probed-list ids — the grid cell — so probe order
-      (which only affects scan scheduling, never the shard set) cannot
-      fragment entries.
-    - *routes* (:meth:`route_for`): keyed on the **exact probe order**,
-      memoizing the full per-shard candidate-list split the kernel
-      needs. This is the hot-path cache that lets repeated queries skip
-      the planner entirely while staying byte-identical.
+    Skewed serving traffic repeats itself: a hot query probes the same
+    inverted lists in the same order over and over, and the planner's
+    routing for that probe order never changes while the index
+    generation is stable. :meth:`route_for` memoizes the full
+    per-shard candidate-list split the kernel needs, keyed on the
+    **exact probe order**, so repeated queries skip the planner while
+    staying byte-identical.
 
     Entries are validated against ``IVFFlatIndex.version``: any add or
     effective delete moves the version and atomically drops the whole
-    cache, the same staleness protocol the packed layouts use. Both
-    maps are bounded LRUs (capacity ``max_entries`` each, configurable
-    via ``HarmonyConfig(routing_cache_size=...)``): a lookup refreshes
-    the entry's recency, and inserts past capacity evict the least
-    recently used entry — a hot key survives any cold-key flood. Hit /
-    miss / eviction counts are kept on the instance and surfaced
-    through ``ExecutionReport.routing_cache_*`` and the
+    cache, the same staleness protocol the packed layouts use. The map
+    is a bounded LRU (capacity ``max_entries``, configurable via
+    ``HarmonyConfig(routing_cache_size=...)``): a lookup refreshes the
+    entry's recency, and inserts past capacity evict the least recently
+    used entry — a hot key survives any cold-key flood. Hit / miss /
+    eviction counts are kept on the instance and surfaced through
+    ``ExecutionReport.routing_cache_*`` and the
     ``harmony_routing_cache_{hits,misses,evictions}_total`` metric
     families.
 
@@ -94,7 +88,6 @@ class RoutingCache:
                 f"max_entries must be positive, got {max_entries}"
             )
         self.max_entries = int(max_entries)
-        self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._routes: OrderedDict[tuple, CachedRoute] = OrderedDict()
         self._version: int | None = None
         self._lock = threading.Lock()
@@ -104,41 +97,13 @@ class RoutingCache:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries) + len(self._routes)
+            return len(self._routes)
 
     def _check_version(self, version: int) -> None:
         """Drop every entry when the index generation moves (locked)."""
         if self._version != version:
-            self._entries.clear()
             self._routes.clear()
             self._version = version
-
-    def _insert(self, entries: OrderedDict, key, value) -> None:
-        """LRU insert with eviction accounting (locked)."""
-        if len(entries) >= self.max_entries:
-            entries.popitem(last=False)
-            self.evictions += 1
-        entries[key] = value
-
-    def shards_for(
-        self, plan: PartitionPlan, probe_row: np.ndarray, version: int
-    ) -> np.ndarray:
-        """Cached :func:`touched_shards`, invalidated on version moves."""
-        key = tuple(sorted({int(x) for x in np.asarray(probe_row).ravel()}))
-        with self._lock:
-            self._check_version(version)
-            cached = self._entries.get(key)
-            if cached is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return cached
-            self.misses += 1
-        shards = touched_shards(plan, probe_row)
-        shards.setflags(write=False)
-        with self._lock:
-            if self._version == version and key not in self._entries:
-                self._insert(self._entries, key, shards)
-        return shards
 
     def route_for(
         self, plan: PartitionPlan, probe_row: np.ndarray, version: int
@@ -171,7 +136,10 @@ class RoutingCache:
         route = CachedRoute(shards=shards, lists_by_shard=lists_by_shard)
         with self._lock:
             if self._version == version and key not in self._routes:
-                self._insert(self._routes, key, route)
+                if len(self._routes) >= self.max_entries:
+                    self._routes.popitem(last=False)
+                    self.evictions += 1
+                self._routes[key] = route
         return route
 
     def counters(self) -> "tuple[int, int]":
@@ -186,12 +154,11 @@ class RoutingCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "entries": len(self._entries) + len(self._routes),
+                "entries": len(self._routes),
             }
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
             self._routes.clear()
             self._version = None
 

@@ -15,7 +15,7 @@ provides that substrate from scratch:
 """
 
 from repro.index.flat import FlatIndex
-from repro.index.faiss_like import FaissLikeIVF
+from repro.index.faiss_like import FaissLikeIVF, simulated_faiss_seconds
 from repro.index.hnsw import HNSWIndex, SearchTrace
 from repro.index.ivf import IVFFlatIndex
 from repro.index.kmeans import KMeans, KMeansResult
@@ -30,4 +30,5 @@ __all__ = [
     "KMeansResult",
     "SQ8IVFIndex",
     "SearchTrace",
+    "simulated_faiss_seconds",
 ]

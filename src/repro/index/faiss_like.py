@@ -2,9 +2,9 @@
 
 The paper compares HARMONY against Faiss IVF-Flat running on one node
 (Section 6.1). :class:`FaissLikeIVF` wraps :class:`IVFFlatIndex` with
-per-query operation counting so the benchmark harness can charge the
-same simulated compute rate to the baseline as to HARMONY's workers,
-making throughput ratios meaningful.
+per-query operation counting, and :func:`simulated_faiss_seconds`
+charges the same simulated compute rate to the baseline as to
+HARMONY's workers, making throughput ratios meaningful.
 """
 
 from __future__ import annotations
@@ -99,3 +99,27 @@ class FaissLikeIVF:
 
     def memory_report(self) -> dict[str, int]:
         return self.index.memory_report()
+
+
+def simulated_faiss_seconds(
+    engine: FaissLikeIVF, compute_rate: float | None = None
+) -> float:
+    """Simulated single-node time of the last Faiss-like search.
+
+    The baseline runs on one machine with no communication. Its scan
+    work is priced at the (scale-derated) worker rate Harmony's workers
+    use, while centroid ranking — whose cost does not scale with
+    dataset size — is priced at the physical rate, mirroring how the
+    Harmony client is modeled. See ``repro.cluster.node``.
+    """
+    from repro.cluster.node import (
+        DEFAULT_COMPUTE_RATE,
+        PHYSICAL_COMPUTE_RATE,
+    )
+
+    rate = compute_rate if compute_rate is not None else DEFAULT_COMPUTE_RATE
+    cost = engine.last_search_cost
+    return (
+        cost.scan_elements / rate
+        + cost.centroid_elements / PHYSICAL_COMPUTE_RATE
+    )

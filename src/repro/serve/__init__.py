@@ -23,14 +23,12 @@ Quickstart::
             print(response.ids, response.e2e_seconds)
 
 :mod:`repro.serve.harness` adds the open-loop load harness behind
-``python -m repro serve-bench`` and
 ``benchmarks/bench_latency_under_load.py``.
 """
 
 from repro.serve.harness import (
     OpenLoopResult,
     SequentialResult,
-    admission_study,
     make_serial_oracle,
     run_open_loop,
     run_sequential,
@@ -59,7 +57,6 @@ __all__ = [
     "ServeResponse",
     "ServerClosed",
     "ServeStats",
-    "admission_study",
     "make_serial_oracle",
     "run_open_loop",
     "run_sequential",

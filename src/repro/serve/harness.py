@@ -324,8 +324,7 @@ def throughput_study(
     fraction over the unbatched baseline QPS.
 
     The server rows default ``queue_depth`` to the request count so
-    admission control never sheds here — shedding behavior has its own
-    study (:func:`admission_study`). With ``verify=True`` every
+    admission control never sheds here. With ``verify=True`` every
     completed response is checked byte-identical to the serial oracle.
     """
     from repro.workload.generators import bursty_arrivals, poisson_arrivals
@@ -390,66 +389,3 @@ def throughput_study(
         "oracle_mismatches": int(mismatches),
     }
 
-
-def admission_study(
-    db,
-    queries: np.ndarray,
-    k: int = 10,
-    nprobe: int | None = None,
-    queue_depth: int = 16,
-    overload_factor: float = 6.0,
-    policies: "tuple[str, ...]" = (
-        "reject",
-        "shed_oldest",
-        "degrade_nprobe",
-    ),
-    seed: int = 0,
-    verify: bool = True,
-    **server_overrides,
-) -> "list[dict]":
-    """Admission-control behavior under sustained overload.
-
-    Replays a Poisson schedule at ``overload_factor`` times the
-    measured *sequential* capacity against a deliberately small
-    ``queue_depth``, once per shed policy. Coalescing itself roughly
-    doubles capacity, so the default factor is set well past the
-    coalesced ceiling — admission control only engages once the
-    server genuinely cannot keep up. Each row reports the
-    completed / rejected / shed / degraded split, whether accounting
-    closed exactly, and the admitted-request p99 — which stays bounded
-    by the queue (depth x batch service), not by the experiment
-    length, precisely because excess load is dropped at the door.
-    """
-    from repro.workload.generators import poisson_arrivals
-
-    queries = np.asarray(queries, dtype=np.float32)
-    n = queries.shape[0]
-    sequential = run_sequential(db, queries[: max(32, n // 4)], k=k, nprobe=nprobe)
-    rate = max(sequential.qps, 1.0) * overload_factor
-    arrivals = poisson_arrivals(n, rate, seed=seed)
-    oracle = make_serial_oracle(db) if verify else None
-    rows = []
-    for policy in policies:
-        server = db.serve(
-            queue_depth=queue_depth, shed_policy=policy, **server_overrides
-        )
-        try:
-            open_loop = run_open_loop(
-                server, queries, arrivals, k=k, nprobe=nprobe
-            )
-            stats = server.stats.to_dict()
-        finally:
-            server.close()
-        row = open_loop.to_dict()
-        row["policy"] = policy
-        row["queue_depth"] = int(queue_depth)
-        row["overload_factor"] = float(overload_factor)
-        row["accounted"] = bool(open_loop.accounted)
-        row["max_queue_depth"] = stats["max_queue_depth"]
-        row["oracle_mismatches"] = (
-            len(verify_against_oracle(open_loop.responses, queries, oracle))
-            if oracle is not None
-            else 0
-        )
-        rows.append(row)
-    return rows

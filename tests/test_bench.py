@@ -1,13 +1,8 @@
-"""Unit tests for repro.bench (recall, reporting, harness)."""
+"""Unit tests for repro.bench (recall, reporting)."""
 
 import numpy as np
 import pytest
 
-from repro.bench.harness import (
-    make_setup,
-    run_faiss_baseline,
-    run_mode,
-)
 from repro.bench.recall import recall_at_k
 from repro.bench.reporting import format_series, format_table
 
@@ -68,34 +63,3 @@ class TestReporting:
         assert "1e-05" in out
         assert "0.50" in out
 
-
-class TestHarness:
-    @pytest.fixture(scope="class")
-    def setup(self):
-        return make_setup(
-            "sift1m", size=800, n_queries=20, nlist=16, nprobe=4, seed=0
-        )
-
-    def test_setup_ground_truth_cached(self, setup):
-        gt1 = setup.ground_truth()
-        gt2 = setup.ground_truth()
-        assert gt1 is gt2
-        assert gt1.shape == (20, 10)
-
-    def test_run_mode_returns_results(self, setup):
-        result, report, db = run_mode(setup, "harmony-vector")
-        assert result.ids.shape == (20, 10)
-        assert report.qps > 0
-        assert db.plan.kind == "vector"
-
-    def test_faiss_baseline(self, setup):
-        result, seconds = run_faiss_baseline(setup)
-        assert result.ids.shape == (20, 10)
-        assert seconds > 0
-
-    def test_modes_agree_with_baseline(self, setup):
-        """Harness-level invariant: all engines return identical ids."""
-        baseline, _ = run_faiss_baseline(setup)
-        for mode in ("harmony", "harmony-vector", "harmony-dimension"):
-            result, _, _ = run_mode(setup, mode)
-            np.testing.assert_array_equal(result.ids, baseline.ids)

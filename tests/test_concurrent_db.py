@@ -113,17 +113,12 @@ class TestRoutingCache:
             cache = RoutingCache()
             kernel, probes = self._plan_and_probe(db, tiny_queries)
             version = db.index.version
-            first = cache.shards_for(kernel.plan, probes[0], version)
-            again = cache.shards_for(kernel.plan, probes[0], version)
-            assert np.array_equal(first, again)
+            first = cache.route_for(kernel.plan, probes[0], version)
+            again = cache.route_for(kernel.plan, probes[0], version)
+            assert again is first
             assert cache.counters() == (1, 1)
-            # Probe order never fragments entries: the cell is the set.
-            shuffled = probes[0][::-1].copy()
-            third = cache.shards_for(kernel.plan, shuffled, version)
-            assert np.array_equal(first, third)
-            assert cache.counters() == (2, 1)
             expected = touched_shards(kernel.plan, probes[0])
-            assert np.array_equal(first, expected)
+            assert np.array_equal(first.shards, expected)
         finally:
             db.close()
 
@@ -132,12 +127,12 @@ class TestRoutingCache:
         try:
             cache = RoutingCache()
             kernel, probes = self._plan_and_probe(db, tiny_queries)
-            cache.shards_for(kernel.plan, probes[0], version=7)
-            cache.shards_for(kernel.plan, probes[0], version=7)
+            cache.route_for(kernel.plan, probes[0], version=7)
+            cache.route_for(kernel.plan, probes[0], version=7)
             assert cache.counters() == (1, 1)
             assert len(cache) == 1
             # A new index generation drops every entry.
-            cache.shards_for(kernel.plan, probes[0], version=8)
+            cache.route_for(kernel.plan, probes[0], version=8)
             assert cache.counters() == (1, 2)
             assert len(cache) == 1
         finally:
@@ -149,7 +144,7 @@ class TestRoutingCache:
             cache = RoutingCache(max_entries=4)
             kernel, probes = self._plan_and_probe(db, tiny_queries)
             for i in range(min(8, probes.shape[0])):
-                cache.shards_for(kernel.plan, probes[i], version=1)
+                cache.route_for(kernel.plan, probes[i], version=1)
             assert len(cache) <= 4
         finally:
             db.close()
@@ -163,7 +158,7 @@ class TestRoutingCache:
         try:
             cache = RoutingCache()
             kernel, probes = self._plan_and_probe(db, tiny_queries)
-            cache.shards_for(kernel.plan, probes[0], version=1)
+            cache.route_for(kernel.plan, probes[0], version=1)
             cache.clear()
             assert len(cache) == 0
         finally:
@@ -231,15 +226,15 @@ class TestRoutingCache:
             cache = RoutingCache(max_entries=4)
             kernel, _ = self._plan_and_probe(db, tiny_queries)
             hot = np.array([0, 1, 2, 3])
-            cache.shards_for(kernel.plan, hot, version=1)
+            cache.route_for(kernel.plan, hot, version=1)
             for i in range(4, 13):  # nine distinct cold cells
                 cold = np.arange(i, i + 4) % 16
-                cache.shards_for(kernel.plan, cold, version=1)
-                cache.shards_for(kernel.plan, hot, version=1)  # re-touch
+                cache.route_for(kernel.plan, cold, version=1)
+                cache.route_for(kernel.plan, hot, version=1)  # re-touch
             stats = cache.stats()
             assert stats["evictions"] > 0
             hits_before = stats["hits"]
-            cache.shards_for(kernel.plan, hot, version=1)
+            cache.route_for(kernel.plan, hot, version=1)
             assert cache.stats()["hits"] == hits_before + 1
             assert len(cache) <= 4
         finally:
@@ -285,7 +280,7 @@ class TestRoutingCache:
             cache = RoutingCache(max_entries=2)
             kernel, _ = self._plan_and_probe(db, tiny_queries)
             for i in range(5):
-                cache.shards_for(
+                cache.route_for(
                     kernel.plan, np.arange(i, i + 4) % 16, version=1
                 )
             stats = cache.stats()

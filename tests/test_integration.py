@@ -69,15 +69,13 @@ class TestExactnessAcrossTheBoard:
 class TestPaperShapes:
     def test_distributed_beats_single_node(self, data, queries):
         """Fig 6 shape: 4-node deployments beat the 1-node baseline."""
-        from repro.bench.harness import run_faiss_baseline, make_setup
-        from repro.bench.harness import BenchSetup
-        from repro.data.datasets import DatasetSpec, Dataset
+        from repro.index.faiss_like import (
+            FaissLikeIVF,
+            simulated_faiss_seconds,
+        )
 
         db = build(data, queries, Mode.HARMONY)
         _, report = db.search(queries, k=10)
-
-        from repro.index.faiss_like import FaissLikeIVF
-        from repro.bench.harness import simulated_faiss_seconds
 
         baseline = FaissLikeIVF(dim=64, nlist=16, seed=0)
         baseline.train(data)
