@@ -15,18 +15,17 @@ from __future__ import annotations
 import functools
 import os
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.bench.recall import recall_at_k
-from repro.bench.reporting import format_series, format_table
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import NetworkModel
-from repro.cluster.node import DEFAULT_COMPUTE_RATE, PHYSICAL_COMPUTE_RATE
 from repro.core.config import HarmonyConfig, Mode
 from repro.core.database import HarmonyDB
 from repro.data.datasets import SMALL_DATASETS, load_dataset
-from repro.data.ground_truth import exact_knn
+from repro.data.ground_truth import exact_knn, recall_at_k
+from repro.index.faiss_like import search_cost
 from repro.index.ivf import IVFFlatIndex
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -145,16 +144,59 @@ def faiss_run(
     dataset = get_dataset(name)
     queries = queries if queries is not None else dataset.queries
     index = get_index(name)
-    probes = index.probe(queries, nprobe)
-    candidates = sum(
-        index.candidates(probes[i]).size for i in range(len(probes))
-    )
+    seconds = search_cost(index, queries, nprobe).simulated_seconds()
     _, ids = index.search(queries, k=K, nprobe=nprobe)
-    seconds = (
-        candidates * index.dim / DEFAULT_COMPUTE_RATE
-        + len(queries) * index.nlist * index.dim / PHYSICAL_COMPUTE_RATE
-    )
     return ids, seconds
+
+
+def _cell(value: object) -> str:
+    if isinstance(value, float):
+        if value == 0:
+            return "0"
+        if abs(value) >= 1000 or abs(value) < 0.01:
+            return f"{value:.3g}"
+        return f"{value:.2f}"
+    return str(value)
+
+
+def format_table(
+    headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = ""
+) -> str:
+    """Render an aligned ASCII table.
+
+    Args:
+        headers: column names.
+        rows: row value sequences (same length as headers).
+        title: optional caption printed above the table.
+    """
+    str_rows = [[_cell(v) for v in row] for row in rows]
+    for row in str_rows:
+        if len(row) != len(headers):
+            raise ValueError(
+                f"row has {len(row)} cells, expected {len(headers)}"
+            )
+    widths = [
+        max(len(headers[c]), *(len(r[c]) for r in str_rows)) if str_rows else len(headers[c])
+        for c in range(len(headers))
+    ]
+    lines = []
+    if title:
+        lines.append(title)
+    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in str_rows:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def format_series(
+    name: str, xs: Sequence[object], ys: Sequence[object]
+) -> str:
+    """Render an (x, y) series as ``name: (x1, y1) (x2, y2) ...``."""
+    if len(xs) != len(ys):
+        raise ValueError(f"series lengths differ: {len(xs)} vs {len(ys)}")
+    pairs = " ".join(f"({_cell(x)}, {_cell(y)})" for x, y in zip(xs, ys))
+    return f"{name}: {pairs}"
 
 
 def save_result(filename: str, text: str) -> str:

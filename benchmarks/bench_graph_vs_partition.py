@@ -37,7 +37,7 @@ def run_case(label: str, combined: np.ndarray):
     graph_result, graph_report = graph.search(queries, k=c.K, ef_search=64)
     graph_recall = c.recall_at_k(graph_result.ids, truth)
 
-    from repro.bench.tuning import tune_nprobe
+    from repro.core.capacity import tune_nprobe
     from repro.cluster.cluster import Cluster
     from repro.core.config import HarmonyConfig
     from repro.core.database import HarmonyDB

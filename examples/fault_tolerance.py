@@ -3,16 +3,20 @@
 A production cluster loses machines. With ``replicas=2`` every grid
 block lives on two machines, so the engine routes around a failure and
 answers stay byte-identical; without replication the loss is surfaced
-loudly rather than silently degrading results. The utilization
-timeline shows the survivors absorbing the failed machine's share.
+loudly rather than silently degrading results. The trace of the
+failed-over batch shows where its simulated time went and is written
+as a Chrome trace (open it in https://ui.perfetto.dev) with one row per
+node: the survivors absorb the failed machine's share.
 
 Run:  python examples/fault_tolerance.py
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from repro import HarmonyConfig, HarmonyDB, Mode
-from repro.bench.timeline import render_timeline
 from repro.data import load_dataset
 
 
@@ -41,7 +45,14 @@ def main() -> None:
         f"\nworker 1 failed -> {degraded.qps:,.0f} QPS "
         f"({degraded.qps / healthy.qps:.0%} of healthy), results identical"
     )
-    print(render_timeline(db.cluster, buckets=56))
+    totals = degraded.trace.category_totals()
+    print(
+        "  traced, summed over nodes: "
+        + ", ".join(f"{c} {s * 1e3:.2f} ms" for c, s in totals.items())
+    )
+    trace_path = Path(tempfile.gettempdir()) / "harmony-failover-trace.json"
+    degraded.trace.save_chrome(trace_path)
+    print(f"  chrome trace -> {trace_path}")
 
     # --- recovery ------------------------------------------------------------
     db.cluster.restore_worker(1)

@@ -10,8 +10,7 @@ Run:  python examples/image_retrieval.py
 """
 
 from repro import HarmonyConfig, HarmonyDB
-from repro.bench.recall import recall_at_k
-from repro.data import exact_knn, load_dataset
+from repro.data import exact_knn, load_dataset, recall_at_k
 from repro.index import FaissLikeIVF, simulated_faiss_seconds
 
 

@@ -1,4 +1,4 @@
-"""Multicore search and live drift adaptation.
+"""Multicore search and re-planning for a shifted workload.
 
 Two capabilities beyond the simulated cluster:
 
@@ -6,8 +6,9 @@ Two capabilities beyond the simulated cluster:
    on a pool of worker processes over a shared-memory layout — identical
    results to the distributed engine, real wall-clock timing (scaling
    depends on the cores the host has).
-2. :class:`DriftMonitor` watches live traffic and re-plans the
-   deployment when the active partition becomes imbalanced.
+2. ``HarmonyDB.replan`` re-runs the cost model on a sample of the live
+   traffic and redistributes the blocks when that traffic has turned
+   hot, with the same answers before and after.
 
 Run:  python examples/multicore_search.py
 """
@@ -18,7 +19,6 @@ import numpy as np
 
 from repro import HarmonyConfig, HarmonyDB
 from repro.core.executor import ProcessBackend
-from repro.core.monitor import DriftMonitor
 from repro.data import load_dataset
 from repro.workload import skewed_workload
 
@@ -50,33 +50,23 @@ def main() -> None:
             f"for {dataset.n_queries} queries (results exact vs reference)"
         )
 
-    # --- live drift adaptation ----------------------------------------------
+    # --- re-planning for hot traffic ---------------------------------------
     print(f"\ninitial plan: {db.plan.describe()}")
-    print("live traffic turns hot:")
-    monitor = DriftMonitor(
-        db, window=128, min_observations=64, imbalance_threshold=0.2
-    )
     hot = skewed_workload(
         dataset.queries, index, 128, skew=1.0, nprobe=8,
         n_hot_lists=1, seed=18,
     )
-    _, before = db.search(hot.queries, k=10)
-    monitor.observe(hot.queries)
-    status = monitor.status()
-    print(
-        f"  estimated plan imbalance on live window: {status.imbalance:.2f} "
-        f"(drifted={status.drifted})"
-    )
-    # Yesterday's pin no longer applies; let the cost model choose.
+    before_result, before = db.search(hot.queries, k=10)
+    # Yesterday's pin no longer applies; let the cost model choose from
+    # a sample of today's traffic.
     db.config.forced_grid = None
-    if monitor.maybe_replan():
-        _, after = db.search(hot.queries, k=10)
-        print(
-            f"  re-planned to {db.plan.describe()}\n"
-            f"  QPS {before.qps:,.0f} -> {after.qps:,.0f}"
-        )
-    else:
-        print("  current plan already handles this workload")
+    db.replan(hot.queries[:64])
+    after_result, after = db.search(hot.queries, k=10)
+    assert np.array_equal(before_result.ids, after_result.ids)
+    print(
+        f"live traffic turned hot: re-planned to {db.plan.describe()}\n"
+        f"  QPS {before.qps:,.0f} -> {after.qps:,.0f} (same answers)"
+    )
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import HarmonyConfig, HarmonyDB
-from repro.bench.tuning import tune_nprobe
+from repro.core.capacity import tune_nprobe
 from repro.data import load_dataset
 from repro.workload import poisson_arrivals
 

@@ -20,21 +20,29 @@ Quickstart::
 Architecture (bottom-up):
 
 - :mod:`repro.distance` — metrics, batch kernels, partial distances.
-- :mod:`repro.index` — k-means, IVF-Flat, the Faiss-like baseline.
+- :mod:`repro.index` — k-means, IVF-Flat, the Faiss-like baseline, and
+  the HNSW and SQ8 indexes the paper's motivation compares against.
 - :mod:`repro.cluster` — discrete-event cluster simulator; faults are
   static machine failures (``fail_worker``, replicas,
   :class:`RecoveryManager`) that every backend honours alike, plus the
   host chaos harness that kills and slows real pool workers.
-- :mod:`repro.data` / :mod:`repro.workload` — dataset analogues and
-  (skewed) query workloads.
+- :mod:`repro.data` / :mod:`repro.workload` — dataset analogues, exact
+  ground truth and recall@K, and (skewed) query workloads.
 - :mod:`repro.core` — partition plans, cost model, planner, pipelined
-  pruning engine, and the :class:`HarmonyDB` facade.
+  pruning engine, the :class:`HarmonyDB` facade, and nprobe / cluster
+  sizing for a recall + throughput target.
 - :mod:`repro.cache` — the result cache (:class:`ResultCache`): exact,
   byte-identical hits for repeated, skewed serving traffic.
 - :mod:`repro.serve` — the coalescing online-serving front end
   (:class:`HarmonyServer`) and its open-loop load harness.
-- :mod:`repro.baselines` — the Auncel-like comparator.
-- :mod:`repro.bench` — recall, tuning, timeline and table utilities.
+- :mod:`repro.obs` — span tracing, metrics, and their Chrome trace /
+  Prometheus exports.
+- :mod:`repro.baselines` — the Auncel-like and distributed-graph
+  comparators.
+
+``tests/test_surface.py`` holds the reachability table: every module
+here is reached from a paper-map row, a perf-ledger workload, a CLI
+command or a documented API entry with a caller, or it is deleted.
 """
 
 from repro.cache import CacheHit, CacheStats, ResultCache

@@ -9,6 +9,9 @@ this CLI exposes the same knobs over the dataset analogues::
 
     python -m repro datasets          # list available analogues
     python -m repro plan --dataset msong --nmachine 4   # planner view
+
+``run --trace FILE --metrics FILE`` also records the run's spans and
+live metrics and writes them as Chrome trace JSON and Prometheus text.
 """
 
 from __future__ import annotations
@@ -17,11 +20,10 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.bench.recall import recall_at_k
 from repro.core.config import HarmonyConfig, Mode
 from repro.core.database import HarmonyDB
 from repro.data.datasets import DATASET_REGISTRY, available_datasets, load_dataset
-from repro.data.ground_truth import exact_knn
+from repro.data.ground_truth import exact_knn, recall_at_k
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,44 +104,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace",
         default=None,
         metavar="FILE",
-        help="record per-query spans and write a Chrome trace_event "
-        "JSON timeline (loadable in about:tracing / Perfetto)",
+        help="record per-query spans, print their per-category totals "
+        "and write a Chrome trace_event JSON timeline (loadable in "
+        "about:tracing / Perfetto)",
     )
     run.add_argument(
         "--metrics",
         default=None,
         metavar="FILE",
-        help="write a Prometheus text dump of the run's metrics "
-        "('-' for stdout)",
+        help="attach the live metrics registry and write a Prometheus "
+        "text dump of the run's metrics ('-' for stdout)",
     )
     run.add_argument("--seed", type=int, default=0)
 
     sub.add_parser("datasets", help="list dataset analogues")
-
-    trace = sub.add_parser(
-        "trace",
-        help="run a small traced search and export its cluster timeline",
-    )
-    trace.add_argument("--dataset", default="sift1m")
-    trace.add_argument("--size", type=int, default=None)
-    trace.add_argument("--queries", type=int, default=8)
-    trace.add_argument("--nmachine", type=int, default=4)
-    trace.add_argument(
-        "--mode", default="harmony", choices=[m.value for m in Mode]
-    )
-    trace.add_argument("--nlist", type=int, default=64)
-    trace.add_argument("--nprobe", type=int, default=8)
-    trace.add_argument("--k", type=int, default=10)
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument(
-        "--output", default="trace.json", help="Chrome trace JSON path"
-    )
-    trace.add_argument(
-        "--metrics",
-        default=None,
-        metavar="FILE",
-        help="also write a Prometheus text dump ('-' for stdout)",
-    )
 
     plan = sub.add_parser("plan", help="show the cost model's grid choices")
     plan.add_argument("--dataset", default="sift1m")
@@ -225,6 +203,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     if args.trace is not None:
         db.enable_tracing()
+    if args.metrics is not None:
+        db.attach_metrics()
     result, report = db.search(dataset.queries, k=args.k)
     _, truth = exact_knn(dataset.base, dataset.queries, k=args.k)
     print(f"recall@{args.k}: {recall_at_k(result.ids, truth):.3f}")
@@ -252,58 +232,30 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"result cache: {stats.hits} hits / {stats.misses} misses, "
             f"{stats.entries} entries, {stats.bytes:,} bytes"
         )
-    _export_observability(db, report, args.trace, args.metrics)
-    db.close()
-    return 0
-
-
-def _export_observability(
-    db: HarmonyDB, report, trace_path, metrics_path
-) -> None:
-    """Write the report's trace / metrics exports where requested."""
-    if trace_path is not None and report.trace is not None:
-        report.trace.save_chrome(trace_path)
+    if args.trace is not None and report.trace is not None:
+        totals = report.trace.category_totals()
         print(
-            f"trace: {len(report.trace)} spans -> {trace_path} "
+            "trace totals: "
+            + ", ".join(f"{c} {s * 1e6:.0f} us" for c, s in totals.items())
+        )
+        report.trace.save_chrome(args.trace)
+        print(
+            f"trace: {len(report.trace)} spans -> {args.trace} "
             "(load in about:tracing or https://ui.perfetto.dev)"
         )
-    if metrics_path is not None:
+    if args.metrics is not None:
         from repro.obs.metrics import report_metrics
 
         registry = report_metrics(report, registry=db.metrics)
         text = registry.to_prometheus()
-        if metrics_path == "-":
+        if args.metrics == "-":
             print(text, end="")
         else:
-            with open(metrics_path, "w") as f:
+            with open(args.metrics, "w") as f:
                 f.write(text)
             print(f"metrics: {len(registry.families())} families "
-                  f"-> {metrics_path}")
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    dataset = load_dataset(
-        args.dataset, size=args.size, n_queries=args.queries, seed=args.seed
-    )
-    config = HarmonyConfig(
-        n_machines=args.nmachine,
-        nlist=args.nlist,
-        nprobe=args.nprobe,
-        mode=args.mode,
-        seed=args.seed,
-    )
-    db = HarmonyDB(dim=dataset.dim, config=config)
-    db.build(dataset.base, sample_queries=dataset.queries)
-    db.enable_tracing()
-    db.attach_metrics()
-    _, report = db.search(dataset.queries, k=args.k)
-    totals = report.trace.category_totals()
-    print(f"plan: {db.plan.describe()}")
-    print(
-        f"traced {report.n_queries} queries: {len(report.trace)} spans, "
-        + ", ".join(f"{c} {s * 1e6:.0f} us" for c, s in totals.items())
-    )
-    _export_observability(db, report, args.output, args.metrics)
+                  f"-> {args.metrics}")
+    db.close()
     return 0
 
 
@@ -341,7 +293,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.bench.tuning import tune_nprobe
+    from repro.core.capacity import tune_nprobe
     from repro.index.ivf import IVFFlatIndex
 
     dataset = load_dataset(args.dataset, size=args.size, seed=args.seed)
@@ -403,8 +355,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_datasets()
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
     if args.command == "plan":
         return _cmd_plan(args)
     if args.command == "tune":

@@ -10,10 +10,12 @@ This package is the paper's primary contribution:
   order scheduling (Sections 4.2.2, 4.3),
 - :mod:`~repro.core.executor` — the backend-agnostic execution core:
   one :class:`ScanKernel` (Section 4.3, Algorithm 1) behind the
-  serial, thread, and simulated backends,
+  serial, process-pool and simulated backends,
 - :mod:`~repro.core.pruning` / :mod:`~repro.core.pipeline` — lossless
   dimension-level early-stop pruning and the simulated timing shell,
-- :mod:`~repro.core.database` — the :class:`HarmonyDB` facade.
+- :mod:`~repro.core.database` — the :class:`HarmonyDB` facade,
+- :mod:`~repro.core.capacity` — nprobe tuning and cluster sizing for a
+  recall + throughput target.
 """
 
 from repro.core.config import HarmonyConfig, Mode, resolve_mode
@@ -26,7 +28,12 @@ from repro.core.cost_model import (
     node_loads,
     plan_cost,
 )
-from repro.core.capacity import CapacityPlan, plan_capacity
+from repro.core.capacity import (
+    CapacityPlan,
+    TuneResult,
+    plan_capacity,
+    tune_nprobe,
+)
 from repro.core.database import HarmonyDB
 from repro.core.executor import (
     Backend,
@@ -36,7 +43,6 @@ from repro.core.executor import (
     resolve_backend,
 )
 from repro.core.heap import TopKHeap
-from repro.core.monitor import DriftMonitor, DriftStatus
 from repro.core.partition import (
     PartitionPlan,
     assign_lists_balanced,
@@ -65,8 +71,6 @@ __all__ = [
     "BuildReport",
     "CapacityPlan",
     "CostParameters",
-    "DriftMonitor",
-    "DriftStatus",
     "ExecutionReport",
     "HarmonyConfig",
     "HarmonyDB",
@@ -84,6 +88,7 @@ __all__ = [
     "SerialBackend",
     "ShardScan",
     "TopKHeap",
+    "TuneResult",
     "WorkloadProfile",
     "assign_lists_balanced",
     "assign_lists_contiguous",
@@ -100,4 +105,5 @@ __all__ = [
     "shard_candidate_lists",
     "staggered_order",
     "touched_shards",
+    "tune_nprobe",
 ]

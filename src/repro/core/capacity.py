@@ -3,9 +3,11 @@
 Operations teams ask the inverse of the benchmark question: not "how
 fast is this cluster" but "how many machines do I need for R recall at
 Q queries/second". :func:`plan_capacity` answers it by composing the
-library's existing pieces — the nprobe tuner fixes the recall knob,
-then simulated deployments over increasing machine counts find the
-smallest cluster whose measured throughput meets the target.
+library's existing pieces — :func:`tune_nprobe` fixes the recall
+knob (the smallest probed-cluster count reaching the target on a
+calibration sample, against exact ground truth), then simulated
+deployments over increasing machine counts find the smallest cluster
+whose measured throughput meets the target.
 """
 
 from __future__ import annotations
@@ -14,11 +16,95 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bench.tuning import tune_nprobe
 from repro.cluster.cluster import Cluster
 from repro.core.config import HarmonyConfig, Mode
 from repro.core.database import HarmonyDB
+from repro.data.ground_truth import exact_knn, recall_at_k
 from repro.index.ivf import IVFFlatIndex
+
+
+@dataclass(frozen=True)
+class TuneResult:
+    """Outcome of an nprobe calibration.
+
+    Attributes:
+        nprobe: smallest candidate meeting the target (the largest
+            candidate when none does).
+        achieved_recall: measured recall at that nprobe.
+        target_met: whether the target was reached.
+        trace: every (nprobe, recall) pair measured, ascending.
+    """
+
+    nprobe: int
+    achieved_recall: float
+    target_met: bool
+    trace: tuple[tuple[int, float], ...]
+
+
+def tune_nprobe(
+    index: IVFFlatIndex,
+    queries: np.ndarray,
+    target_recall: float,
+    k: int = 10,
+    candidates: "tuple[int, ...] | list[int] | None" = None,
+) -> TuneResult:
+    """Find the smallest ``nprobe`` reaching ``target_recall``.
+
+    Args:
+        index: trained+populated IVF index.
+        queries: calibration queries (a few dozen suffice).
+        target_recall: recall@k target in ``(0, 1]``.
+        k: neighbours per query.
+        candidates: ascending nprobe values to try (default: powers of
+            two up to ``nlist``).
+
+    Raises:
+        ValueError: for an empty candidate list or bad target.
+        RuntimeError: if the index is not ready.
+    """
+    if not 0.0 < target_recall <= 1.0:
+        raise ValueError(
+            f"target_recall must be in (0, 1], got {target_recall}"
+        )
+    if not index.is_trained or index.ntotal == 0:
+        raise RuntimeError("index must be trained and populated")
+    if candidates is None:
+        candidates = []
+        nprobe = 1
+        while nprobe < index.nlist:
+            candidates.append(nprobe)
+            nprobe *= 2
+        candidates.append(index.nlist)
+    candidates = sorted(set(int(c) for c in candidates))
+    if not candidates:
+        raise ValueError("candidates must be non-empty")
+
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+    live = np.flatnonzero(~index.is_deleted(np.arange(index.ntotal)))
+    _, truth_local = exact_knn(
+        index.base[live], queries, k=k, metric=index.metric
+    )
+    truth = live[truth_local]
+
+    trace: list[tuple[int, float]] = []
+    for nprobe in candidates:
+        _, ids = index.search(queries, k=k, nprobe=nprobe)
+        recall = recall_at_k(ids, truth)
+        trace.append((nprobe, recall))
+        if recall >= target_recall:
+            return TuneResult(
+                nprobe=nprobe,
+                achieved_recall=recall,
+                target_met=True,
+                trace=tuple(trace),
+            )
+    nprobe, recall = trace[-1]
+    return TuneResult(
+        nprobe=nprobe,
+        achieved_recall=recall,
+        target_met=False,
+        trace=tuple(trace),
+    )
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from repro.data.datasets import (
     available_datasets,
     load_dataset,
 )
-from repro.data.ground_truth import exact_knn
+from repro.data.ground_truth import exact_knn, recall_at_k
 from repro.data.loaders import read_fvecs, read_ivecs, write_fvecs, write_ivecs
 from repro.data.synthetic import (
     correlated_walk,
@@ -40,6 +40,7 @@ __all__ = [
     "perturbed_queries",
     "read_fvecs",
     "read_ivecs",
+    "recall_at_k",
     "uniform_gaussian",
     "write_fvecs",
     "write_ivecs",

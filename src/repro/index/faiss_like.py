@@ -2,9 +2,11 @@
 
 The paper compares HARMONY against Faiss IVF-Flat running on one node
 (Section 6.1). :class:`FaissLikeIVF` wraps :class:`IVFFlatIndex` with
-per-query operation counting, and :func:`simulated_faiss_seconds`
+per-query operation counting, and :meth:`SearchCost.simulated_seconds`
 charges the same simulated compute rate to the baseline as to
-HARMONY's workers, making throughput ratios meaningful.
+HARMONY's workers, making throughput ratios meaningful. That method is
+the baseline's one price: :func:`simulated_faiss_seconds` and the
+benchmarks' shared-index baseline both read it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,43 @@ class SearchCost:
     @property
     def total_elements(self) -> int:
         return self.centroid_elements + self.scan_elements
+
+    def simulated_seconds(self, compute_rate: float | None = None) -> float:
+        """Simulated single-node time of this work.
+
+        The baseline runs on one machine with no communication. Its
+        scan work is priced at the (scale-derated) worker rate
+        Harmony's workers use, while centroid ranking — whose cost does
+        not scale with dataset size — is priced at the physical rate,
+        mirroring how the Harmony client is modeled. See
+        ``repro.cluster.node``.
+        """
+        from repro.cluster.node import (
+            DEFAULT_COMPUTE_RATE,
+            PHYSICAL_COMPUTE_RATE,
+        )
+
+        rate = compute_rate if compute_rate is not None else DEFAULT_COMPUTE_RATE
+        return (
+            self.scan_elements / rate
+            + self.centroid_elements / PHYSICAL_COMPUTE_RATE
+        )
+
+
+def search_cost(
+    index: IVFFlatIndex, queries: np.ndarray, nprobe: int
+) -> SearchCost:
+    """The work an IVF-Flat search of ``queries`` at ``nprobe`` does."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+    probes = index.probe(queries, nprobe)
+    candidates = int(
+        sum(index.candidates(probes[i]).size for i in range(len(probes)))
+    )
+    return SearchCost(
+        centroid_elements=queries.shape[0] * index.nlist * index.dim,
+        scan_elements=candidates * index.dim,
+        candidates=candidates,
+    )
 
 
 class FaissLikeIVF:
@@ -77,17 +116,7 @@ class FaissLikeIVF:
         self, queries: np.ndarray, k: int, nprobe: int = 1
     ) -> tuple[np.ndarray, np.ndarray]:
         """IVF search that also records a :class:`SearchCost`."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        probes = self.index.probe(queries, nprobe)
-        candidates = int(
-            sum(self.index.candidates(probes[i]).size for i in range(len(probes)))
-        )
-        dim = self.index.dim
-        self._last_cost = SearchCost(
-            centroid_elements=queries.shape[0] * self.index.nlist * dim,
-            scan_elements=candidates * dim,
-            candidates=candidates,
-        )
+        self._last_cost = search_cost(self.index, queries, nprobe)
         return self.index.search(queries, k=k, nprobe=nprobe)
 
     @property
@@ -104,22 +133,5 @@ class FaissLikeIVF:
 def simulated_faiss_seconds(
     engine: FaissLikeIVF, compute_rate: float | None = None
 ) -> float:
-    """Simulated single-node time of the last Faiss-like search.
-
-    The baseline runs on one machine with no communication. Its scan
-    work is priced at the (scale-derated) worker rate Harmony's workers
-    use, while centroid ranking — whose cost does not scale with
-    dataset size — is priced at the physical rate, mirroring how the
-    Harmony client is modeled. See ``repro.cluster.node``.
-    """
-    from repro.cluster.node import (
-        DEFAULT_COMPUTE_RATE,
-        PHYSICAL_COMPUTE_RATE,
-    )
-
-    rate = compute_rate if compute_rate is not None else DEFAULT_COMPUTE_RATE
-    cost = engine.last_search_cost
-    return (
-        cost.scan_elements / rate
-        + cost.centroid_elements / PHYSICAL_COMPUTE_RATE
-    )
+    """Simulated single-node time of the last Faiss-like search."""
+    return engine.last_search_cost.simulated_seconds(compute_rate)

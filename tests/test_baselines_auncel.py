@@ -70,7 +70,7 @@ class TestSearch:
     def test_reasonable_recall(self, built, tiny_data_module, queries_module):
         _, true_ids = exact_knn(tiny_data_module, queries_module, k=5)
         result, _ = built.search(queries_module, k=5)
-        from repro.bench.recall import recall_at_k
+        from repro.data.ground_truth import recall_at_k
 
         assert recall_at_k(result.ids, true_ids) > 0.5
 

@@ -1,10 +1,15 @@
-"""Unit tests for repro.bench (recall, reporting)."""
+"""Unit tests for recall@K and the benchmark suite's table formatting."""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.bench.recall import recall_at_k
-from repro.bench.reporting import format_series, format_table
+from repro.data.ground_truth import recall_at_k
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from _common import format_series, format_table  # noqa: E402
 
 
 class TestRecallAtK:

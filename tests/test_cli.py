@@ -138,17 +138,22 @@ class TestRunCommand:
 
 
 class TestTraceCommand:
+    """``run --trace --metrics``: the files CI's trace smoke validates."""
+
     def test_trace_run_exports_valid_files(self, capsys, tmp_path):
         trace_path = tmp_path / "t.json"
         metrics_path = tmp_path / "m.prom"
         code = main(
-            ["trace", "--dataset", "sift1m", "--size", "600",
+            ["run", "--dataset", "sift1m", "--size", "600",
              "--queries", "6", "--nlist", "8", "--nprobe", "2",
-             "--output", str(trace_path), "--metrics", str(metrics_path)]
+             "--trace", str(trace_path), "--metrics", str(metrics_path)]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "traced 6 queries" in out
+        assert "trace totals: computation" in out
+        # The live registry was attached before the search, so the dump
+        # carries the cluster's own series beside the report's.
+        assert "harmony_compute_calls_total" in metrics_path.read_text()
 
         import json
 
@@ -160,6 +165,10 @@ class TestTraceCommand:
         with open(trace_path) as f:
             obj = json.load(f)
         assert any(e["ph"] == "B" for e in obj["traceEvents"])
+
+    def test_trace_subcommand_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["trace", "--dataset", "sift1m"])
 
     def test_validator_exit_code_on_bad_trace(self, tmp_path, capsys):
         import json

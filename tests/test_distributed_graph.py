@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.distributed_graph import DistributedGraphANN
-from repro.bench.recall import recall_at_k
+from repro.data.ground_truth import recall_at_k
 from repro.data.synthetic import gaussian_blobs, uniform_gaussian
 from repro.index.flat import FlatIndex
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bench.recall import recall_at_k
+from repro.data.ground_truth import recall_at_k
 from repro.data.synthetic import gaussian_blobs, uniform_gaussian
 from repro.index.flat import FlatIndex
 from repro.index.hnsw import HNSWIndex

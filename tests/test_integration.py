@@ -12,9 +12,8 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.network import CommMode, NetworkModel
 from repro.core.config import HarmonyConfig, Mode
 from repro.core.database import HarmonyDB
-from repro.data.ground_truth import exact_knn
+from repro.data.ground_truth import exact_knn, recall_at_k
 from repro.data.synthetic import gaussian_blobs
-from repro.bench.recall import recall_at_k
 from repro.workload.generators import skewed_workload
 
 

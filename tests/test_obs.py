@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.cluster.cluster import Cluster
 from repro.core.config import HarmonyConfig
 from repro.core.database import HarmonyDB
 from repro.obs import (
@@ -275,6 +276,49 @@ class TestMetricsRegistry:
             validate_prometheus("not a metric line at all {{{\n")
         with pytest.raises(ValueError, match="no samples"):
             validate_prometheus("# TYPE lonely counter\n")
+
+
+class TestClusterTracing:
+    """The simulated cluster records one span per charge it is asked for."""
+
+    @staticmethod
+    def _traced(n_workers: int) -> Cluster:
+        cluster = Cluster(n_workers)
+        cluster.tracer = Tracer()
+        return cluster
+
+    def test_disabled_by_default(self):
+        cluster = Cluster(2)
+        assert cluster.tracer is None
+        cluster.compute(0, 1e6)  # records nowhere, raises nothing
+
+    def test_records_all_categories(self):
+        cluster = self._traced(2)
+        cluster.compute(0, 1e6)
+        cluster.overhead(1, 1e-6)
+        cluster.transfer(0, 1, 1000)
+        categories = {s.category for s in cluster.tracer.trace().spans}
+        assert categories == {"computation", "other", "communication"}
+
+    def test_reset_clears_events(self):
+        cluster = self._traced(2)
+        cluster.compute(0, 1e6)
+        cluster.reset_time()
+        assert len(cluster.tracer.trace()) == 0
+
+    def test_disable(self):
+        cluster = self._traced(2)
+        tracer = cluster.tracer
+        cluster.tracer = None
+        cluster.compute(0, 1e6)
+        assert len(tracer.trace()) == 0
+
+    def test_event_bounds(self):
+        cluster = self._traced(2)
+        start, end = cluster.compute(0, 1e6, earliest=0.5)
+        (span,) = cluster.tracer.trace().spans
+        assert (span.category, span.node) == ("computation", 0)
+        assert (span.start, span.end) == (start, end)
 
 
 class TestSimulatedTracing:

@@ -7,20 +7,53 @@ loader needs those names to drop them from old saved configs).
 
 (b) Every name the docs quote resolves: each backticked ``repro.…``
 path, and each ``from repro… import …`` line in fenced code, in
-``docs/*.md``, ``README.md`` and ``DESIGN.md`` imports and ``getattr``s.
+``docs/*.md``, ``README.md`` and ``DESIGN.md`` imports and ``getattr``s;
+each backticked ``Class.attr`` whose ``Class`` a ``repro`` module
+defines names a member of that class.
+
+(c) Every module earns a row. ``REACHABILITY`` maps each module under
+``src/repro/`` (package ``__init__`` modules and ``__main__`` aside) to
+the one reason it exists, and every reason is checked against the file
+it cites:
+
+- ``("paper", row)``: the ``docs/paper_mapping.md`` row whose first
+  cell contains ``row`` (exactly one does) names the module's file;
+- ``("ledger", workload)``: the workload is in ``BENCHMARK.json``, and
+  the module holds a span target of ``benchmarks/ledger/spans.py`` or a
+  ledger script imports it;
+- ``("cli", command)``: ``python -m repro <command>`` exists, and the
+  CLI module imports the module;
+- ``("api", caller, name)``: ``docs/api.md`` names the module's dotted
+  path, and ``caller`` — a benchmark script, a CI workflow, the CLI or
+  another ``src/`` module; never a test or an example — names ``name``,
+  which is the dotted path itself or a class attribute or top-level
+  name the module defines;
+- ``("used-by", M)``: ``M`` has a row of its own and its source imports
+  the module by its dotted path (a package re-export does not count).
+  Following ``used-by`` from any module ends at one of the four above.
+
+A module no row reaches is deleted or merged, not given a row.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
+import importlib.util
+import inspect
+import json
 import re
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+from repro.cli import _build_parser
 from repro.core.database import _RETIRED_CONFIG_FIELDS
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 RETIRED_SYMBOLS = (
     # The serve flush timer.
@@ -50,6 +83,9 @@ RETIRED_SYMBOLS = (
     # The second serving-study runner and the unused experiment plumbing.
     "serve-bench", "admission_study", "make_setup", "run_mode",
     "run_faiss_baseline", "BenchSetup",
+    # The modules no reachability row reached, and the trace subcommand.
+    "DriftMonitor", "DriftStatus", "DistributedKMeans", "distributed_kmeans",
+    "render_timeline", "utilization_grid", "repro.bench", "_cmd_trace",
 )
 
 DECLARATION = "_RETIRED_CONFIG_FIELDS = "
@@ -182,3 +218,320 @@ from repro.not_in_a_fence import anything
     ):
         with pytest.raises((ImportError, AttributeError)):
             _resolve(bad)
+
+
+_SPAN = re.compile(r"`([^`\n]+)`")
+_CLASS_ATTR = re.compile(r"^([A-Z]\w*)\.([A-Za-z_]\w*)(\*?)")
+
+
+def _src_modules() -> "dict[str, Path]":
+    """Dotted name → file for every module under ``src/repro``."""
+    out = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        out[".".join(parts)] = path
+    return out
+
+
+def _repro_classes() -> "dict[str, list[type]]":
+    """Class name → the classes of that name the ``repro`` modules define."""
+    found: "dict[str, list[type]]" = {}
+    for module_name, path in _src_modules().items():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [n.name for n in tree.body if isinstance(n, ast.ClassDef)]
+        if names:
+            module = importlib.import_module(module_name)
+            for name in names:
+                found.setdefault(name, []).append(getattr(module, name))
+    return found
+
+
+def _members(cls: type) -> "set[str]":
+    """What ``cls.attr`` may name: its attributes, fields and ``self.x``."""
+    names = set(dir(cls))
+    for klass in inspect.getmro(cls):
+        if not klass.__module__.startswith("repro"):
+            continue
+        names |= set(vars(klass).get("__annotations__", {}))
+        tree = ast.parse(textwrap.dedent(inspect.getsource(klass)))
+        names |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        }
+    return names
+
+
+def _class_attr_mentions(text: str) -> "list[tuple[str, str]]":
+    """``(Class, attr)`` for each backticked span opening with one.
+
+    Wildcard families (``Name.prefix_*``) are skipped.
+    """
+    out = []
+    for span in _SPAN.findall(text):
+        match = _CLASS_ATTR.match(span)
+        if match is not None and not match.group(3):
+            out.append((match.group(1), match.group(2)))
+    return out
+
+
+def _class_attr_failures(mentions, classes) -> "list[str]":
+    failures = []
+    for where, name, attr in mentions:
+        if name in classes and not any(
+            attr in _members(cls) for cls in classes[name]
+        ):
+            failures.append(f"{where}: `{name}.{attr}`")
+    return failures
+
+
+def test_doc_class_attributes_resolve():
+    mentions = []
+    for path in DOCS:
+        where = str(path.relative_to(ROOT))
+        text = path.read_text(encoding="utf-8")
+        mentions += [(where, *m) for m in _class_attr_mentions(text)]
+    classes = _repro_classes()
+    checked = [m for m in mentions if m[1] in classes]
+    assert len(checked) > 40, "the extractor found too few names"
+    assert _class_attr_failures(sorted(set(mentions)), classes) == []
+
+
+# ----------------------------------------------------------------------
+# (c) The reachability table.
+# ----------------------------------------------------------------------
+
+REACHABILITY = {
+    "repro.baselines.auncel": ("paper", "Auncel comparison"),
+    "repro.baselines.distributed_graph": ("paper", "graph-based segmentation"),
+    "repro.cache.result_cache": ("ledger", "serve_zipf"),
+    "repro.cli": ("cli", "run"),
+    "repro.cluster.cluster": ("paper", "Platform"),
+    "repro.cluster.host_faults": ("used-by", "repro.core.executor.process"),
+    "repro.cluster.messages": ("used-by", "repro.core.cost_model"),
+    "repro.cluster.network": ("paper", "Figure 2(b)"),
+    "repro.cluster.node": ("paper", "Platform"),
+    "repro.cluster.recovery": (
+        "api", "benchmarks/bench_fault_recovery.py", "RecoveryManager.repair",
+    ),
+    "repro.cluster.stats": ("used-by", "repro.cluster.cluster"),
+    "repro.core.capacity": ("cli", "capacity"),
+    "repro.core.config": ("paper", "`-NMachine`"),
+    "repro.core.cost_model": ("paper", "Table 1 notations"),
+    "repro.core.database": ("ledger", "batch_fp32"),
+    "repro.core.executor.base": ("ledger", "batch_fp32"),
+    "repro.core.executor.kernel": ("paper", "Algorithm 1 `DimensionPipeline`"),
+    "repro.core.executor.process": ("ledger", "batch_process"),
+    "repro.core.executor.serial": ("used-by", "repro.validation"),
+    "repro.core.heap": ("ledger", "batch_fp32"),
+    "repro.core.layout": ("ledger", "mixed_rw"),
+    "repro.core.partition": ("paper", "Vector-based vs dimension-based"),
+    "repro.core.pipeline": ("paper", "Algorithm 1 `VectorPipeline`"),
+    "repro.core.planner": ("ledger", "batch_fp32"),
+    "repro.core.pruning": ("paper", "Early stopping from partial distances"),
+    "repro.core.results": ("used-by", "repro.core.database"),
+    "repro.core.routing": ("paper", "Query load distribution"),
+    "repro.data.analysis": ("paper", "§6.3.3"),
+    "repro.data.datasets": ("paper", "Table 2 datasets"),
+    "repro.data.ground_truth": ("used-by", "repro.cli"),
+    "repro.data.loaders": ("paper", "Table 2 datasets"),
+    "repro.data.synthetic": ("used-by", "repro.data.datasets"),
+    "repro.distance.kernels": ("paper", "MKL distance kernels"),
+    "repro.distance.metrics": ("used-by", "repro.distance.kernels"),
+    "repro.distance.partial": ("paper", "Dimension split"),
+    "repro.index.faiss_like": ("paper", "Faiss baseline"),
+    "repro.index.flat": ("used-by", "repro.data.ground_truth"),
+    "repro.index.hnsw": ("paper", "Graph-based indexes"),
+    "repro.index.ivf": ("paper", "Cluster-based (IVF) indexes"),
+    "repro.index.kmeans": ("paper", "Cluster-based (IVF) indexes"),
+    "repro.index.quantized": ("paper", "reducing storage costs"),
+    "repro.obs.export": ("used-by", "repro.obs.trace"),
+    "repro.obs.metrics": ("used-by", "repro.cli"),
+    "repro.obs.trace": ("used-by", "repro.core.database"),
+    "repro.obs.validate": (
+        "api", ".github/workflows/ci.yml", "repro.obs.validate",
+    ),
+    "repro.serve.harness": (
+        "api", "benchmarks/bench_latency_under_load.py", "repro.serve.harness",
+    ),
+    "repro.serve.server": ("ledger", "serve_zipf"),
+    "repro.util.growable": ("used-by", "repro.index.ivf"),
+    "repro.validation": ("paper", "monotone pruning"),
+    "repro.workload.generators": ("paper", "Skewed-load bandwidth"),
+    "repro.workload.skew": ("ledger", "serve_zipf"),
+}
+
+def _table_modules() -> "dict[str, Path]":
+    """The modules that need a row: all but packages and ``__main__``."""
+    return {
+        name: path
+        for name, path in _src_modules().items()
+        if path.name != "__init__.py" and name != "repro.__main__"
+    }
+
+
+def _imports(path: Path) -> "set[str]":
+    """Every absolute module name ``path`` imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+    return found
+
+
+def _paper_rows() -> "list[tuple[str, str]]":
+    """``(first cell, whole line)`` of every docs/paper_mapping.md row."""
+    rows = []
+    text = (ROOT / "docs" / "paper_mapping.md").read_text(encoding="utf-8")
+    for line in text.splitlines():
+        cells = line.strip().strip("|").split(" | ")
+        if line.startswith("|") and len(cells) >= 2 and not set(cells[0]) <= {"-", "|"}:
+            rows.append((cells[0].strip(), line))
+    return rows
+
+
+def _ledger_modules() -> "set[str]":
+    """Modules the frozen ledger binds: span-target owners and imports."""
+    ledger = ROOT / "benchmarks" / "ledger"
+    spec = importlib.util.spec_from_file_location("ledger_spans", ledger / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = spans  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(spans)
+    finally:
+        del sys.modules[spec.name]
+    found = {target.module for target in spans.TARGETS}
+    for script in ledger.glob("*.py"):
+        found |= {m for m in _imports(script) if m.startswith("repro")}
+    return found
+
+
+def _cli_commands() -> "set[str]":
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    return set(sub.choices)
+
+
+def _row_failure(module: str, row: tuple, ctx: dict) -> "str | None":
+    """Why ``row`` does not hold for ``module``; ``None`` when it does."""
+    kind, cite = row[0], row[1]
+    path = module.replace(".", "/") + ".py"
+    if kind == "paper":
+        hits = [line for first, line in ctx["paper_rows"] if cite in first]
+        if len(hits) != 1:
+            return f"{len(hits)} paper_mapping rows match {cite!r}"
+        if path not in hits[0]:
+            return f"the paper_mapping row {cite!r} does not name {path}"
+    elif kind == "ledger":
+        if cite not in ctx["workloads"]:
+            return f"{cite!r} is not a BENCHMARK.json workload"
+        if module not in ctx["ledger_modules"]:
+            return "the ledger neither wraps nor imports it"
+    elif kind == "cli":
+        if cite not in ctx["commands"]:
+            return f"`python -m repro {cite}` does not exist"
+        if module != "repro.cli" and module not in _imports(ctx["files"]["repro.cli"]):
+            return "repro/cli.py does not import it"
+    elif kind == "api":
+        caller, name = ROOT / cite, row[2]
+        if module not in ctx["api_text"]:
+            return "docs/api.md does not name it"
+        if cite.split("/")[0] in ("tests", "examples") or not caller.is_file():
+            return f"{cite} is not a caller outside tests and examples"
+        if name != module:
+            try:
+                _resolve(f"{module}.{name}")
+            except AttributeError:
+                return f"it defines no {name!r}"
+        last = name.rsplit(".", 1)[-1] if name != module else re.escape(name)
+        if not re.search(rf"\b{last}\b", caller.read_text(encoding="utf-8")):
+            return f"{cite} does not use {name!r}"
+    elif kind == "used-by":
+        if cite not in ctx["table"]:
+            return f"{cite} has no row of its own"
+        if module not in _imports(ctx["files"][cite]):
+            return f"{cite} does not import {module}"
+    else:
+        return f"unknown row kind {kind!r}"
+    return None
+
+
+def _context(table) -> dict:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {
+        "table": table,
+        "files": _table_modules(),
+        "paper_rows": _paper_rows(),
+        "workloads": {w["name"] for w in benchmark["workloads"]},
+        "ledger_modules": _ledger_modules(),
+        "commands": _cli_commands(),
+        "api_text": (ROOT / "docs" / "api.md").read_text(encoding="utf-8"),
+    }
+
+
+def _table_failures(table) -> "list[str]":
+    modules = _table_modules()
+    failures = [f"{m}: no row" for m in sorted(set(modules) - set(table))]
+    failures += [f"{m}: no such module" for m in sorted(set(table) - set(modules))]
+    ctx = _context(table)
+    for module, row in sorted(table.items()):
+        if module in modules:
+            why = _row_failure(module, row, ctx)
+            if why is not None:
+                failures.append(f"{module}: {row[0]}: {why}")
+    for module in sorted(table):
+        seen = [module]
+        while table.get(seen[-1], ("",))[0] == "used-by":
+            nxt = table[seen[-1]][1]
+            if nxt in seen:
+                failures.append(f"{module}: used-by cycle {' -> '.join(seen + [nxt])}")
+                break
+            seen.append(nxt)
+    return failures
+
+
+def test_every_module_has_a_row_that_resolves():
+    assert _table_failures(REACHABILITY) == []
+
+
+def test_reachability_table_catches_orphans_and_stale_rows():
+    broken = dict(REACHABILITY)
+    del broken["repro.core.heap"]
+    broken["repro.core.routing"] = ("paper", "No such paper element")
+    broken["repro.util.growable"] = ("used-by", "repro.cli")
+    broken["repro.core.capacity"] = ("cli", "trace")
+    broken["repro.obs.validate"] = ("api", "tests/test_obs.py", "main")
+    broken["repro.data.synthetic"] = ("ledger", "batch_fp32")
+    broken["repro.index.flat"] = ("used-by", "repro.index.kmeans")
+    broken["repro.index.kmeans"] = ("used-by", "repro.index.flat")
+    failures = "\n".join(_table_failures(broken))
+    for expected in (
+        "repro.core.heap: no row",
+        "repro.core.routing: paper: 0 paper_mapping rows",
+        "repro.util.growable: used-by: repro.cli does not import",
+        "repro.core.capacity: cli: `python -m repro trace` does not exist",
+        "repro.obs.validate: api: tests/test_obs.py is not a caller",
+        "repro.data.synthetic: ledger: the ledger neither wraps nor imports",
+        "repro.index.flat: used-by cycle",
+    ):
+        assert expected in failures
+
+
+def test_class_attribute_check_catches_a_retired_method():
+    classes = _repro_classes()
+    text = "Use `RoutingCache.route_for` and `ExecutionReport.routing_cache_*`."
+    assert _class_attr_mentions(text) == [("RoutingCache", "route_for")]
+    good = [("api.md", "RoutingCache", "route_for"),
+            ("api.md", "HarmonyDB", "config"),
+            ("api.md", "SearchResult", "ids"),
+            ("api.md", "README", "md")]
+    assert _class_attr_failures(good, classes) == []
+    bad = [("api.md", "RoutingCache", "shards_for")]
+    assert _class_attr_failures(bad, classes) == ["api.md: `RoutingCache.shards_for`"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bench.tuning import tune_nprobe
+from repro.core.capacity import tune_nprobe
 from repro.core.config import HarmonyConfig
 from repro.core.database import HarmonyDB
 from repro.index.ivf import IVFFlatIndex
