@@ -40,12 +40,9 @@ class Cluster:
             shared by all workers, or a sequence of ``n_workers`` rates
             for heterogeneous clusters (stragglers, mixed hardware).
         network: link model shared by all node pairs.
-        client_compute_rate: client node rate (defaults to the
-            physical, non-derated rate; see ``repro.cluster.node``).
-        memory_bandwidth: per-worker memory bandwidth cap in
-            bytes/second, shared by each node's concurrent scans.
-            ``None`` (the default) keeps workers compute-bound and
-            every existing timing byte-identical.
+
+    The client node runs at the physical, non-derated rate (see
+    ``repro.cluster.node``).
     """
 
     def __init__(
@@ -55,8 +52,6 @@ class Cluster:
             DEFAULT_COMPUTE_RATE
         ),
         network: NetworkModel | None = None,
-        client_compute_rate: float | None = None,
-        memory_bandwidth: "float | None" = None,
     ) -> None:
         if n_workers <= 0:
             raise ValueError(f"n_workers must be positive, got {n_workers}")
@@ -70,16 +65,11 @@ class Cluster:
                 )
         self.network = network or NetworkModel()
         self.workers = [
-            WorkerNode(
-                node_id=i,
-                compute_rate=rate,
-                memory_bandwidth=memory_bandwidth,
-            )
+            WorkerNode(node_id=i, compute_rate=rate)
             for i, rate in enumerate(rates)
         ]
         self.client = WorkerNode(
-            node_id=CLIENT_NODE,
-            compute_rate=client_compute_rate or DEFAULT_CLIENT_COMPUTE_RATE,
+            node_id=CLIENT_NODE, compute_rate=DEFAULT_CLIENT_COMPUTE_RATE
         )
         self._failed: set[int] = set()
         #: Optional structured span recorder (repro.obs.Tracer). Every
@@ -173,14 +163,8 @@ class Cluster:
         node_id: int,
         elements: float,
         earliest: float = 0.0,
-        bytes_touched: "float | None" = None,
-        concurrency: int = 1,
     ) -> tuple[float, float]:
         """Charge a distance-kernel computation to a node's timeline.
-
-        ``bytes_touched`` / ``concurrency`` feed the node's optional
-        memory-bandwidth roofline (see ``WorkerNode.compute_duration``);
-        they are ignored on nodes without a bandwidth cap.
 
         Returns the ``(start, end)`` simulated timestamps.
 
@@ -192,9 +176,7 @@ class Cluster:
                 f"worker {node_id} is failed and cannot compute"
             )
         node = self.node(node_id)
-        duration = node.compute_duration(
-            elements, bytes_touched=bytes_touched, concurrency=concurrency
-        )
+        duration = node.compute_duration(elements)
         start, end = node.occupy(duration, earliest, "computation")
         self._record("computation", node_id, start, end, elements=elements)
         if self.metrics is not None:

@@ -37,19 +37,6 @@ DEFAULT_COMPUTE_RATE = PHYSICAL_COMPUTE_RATE / SCALE_FACTOR
 #: dataset size, so it must not be derated).
 DEFAULT_CLIENT_COMPUTE_RATE = PHYSICAL_COMPUTE_RATE
 
-#: Physical per-node memory bandwidth (bytes/s) of the reference
-#: platform (~6-channel DDR4-2933 per socket). At the fp32 rate above
-#: a full-width scan wants 4 bytes per element per second — more than
-#: one socket's bandwidth — which is exactly the bandwidth-bound
-#: regime SQ8 codes (1 byte/element) relieve.
-PHYSICAL_MEMORY_BANDWIDTH = 1.0e11
-
-#: Effective per-node bandwidth after scale-preserving derating,
-#: matching DEFAULT_COMPUTE_RATE so compute : bandwidth ratios match
-#: the physical platform.
-DEFAULT_MEMORY_BANDWIDTH = PHYSICAL_MEMORY_BANDWIDTH / SCALE_FACTOR
-
-
 #: Idle intervals a node remembers for backfilling. Bounds memory and
 #: per-occupy cost; when the list overflows, the *narrowest* gap is
 #: forgotten (wide idle windows are the ones later work can use).
@@ -70,10 +57,6 @@ class WorkerNode:
     Attributes:
         node_id: identifier (client uses ``-1``).
         compute_rate: fp32 elements processed per simulated second.
-        memory_bandwidth: bytes/second the node's memory system can
-            stream, shared by all scans concurrently resident on the
-            node. ``None`` (the default) models a compute-bound node —
-            the pre-existing behaviour, with no bandwidth term at all.
         free_at: simulated time at which the node's tail becomes idle.
         breakdown: per-category time accumulated on this node.
         current_bytes / peak_bytes: resident memory tracking for the
@@ -82,7 +65,6 @@ class WorkerNode:
 
     node_id: int
     compute_rate: float = DEFAULT_COMPUTE_RATE
-    memory_bandwidth: "float | None" = None
     free_at: float = 0.0
     breakdown: TimeBreakdown = field(default_factory=TimeBreakdown)
     current_bytes: int = 0
@@ -92,43 +74,12 @@ class WorkerNode:
     def __post_init__(self) -> None:
         if self.compute_rate <= 0:
             raise ValueError("compute_rate must be positive")
-        if self.memory_bandwidth is not None and self.memory_bandwidth <= 0:
-            raise ValueError("memory_bandwidth must be positive or None")
 
-    def compute_duration(
-        self,
-        elements: float,
-        bytes_touched: "float | None" = None,
-        concurrency: int = 1,
-    ) -> float:
-        """Seconds needed to process ``elements`` fp32 elements.
-
-        With a ``memory_bandwidth`` cap set and ``bytes_touched``
-        provided, the duration is a roofline: the larger of the
-        compute time and the time to stream the scan's bytes through a
-        memory system shared with ``concurrency - 1`` other in-flight
-        scans (each concurrent scan sees ``1/concurrency`` of the
-        cap). More concurrency therefore *stretches* bandwidth-bound
-        scans — the "more cores hurts" contention regime — while
-        compute-bound scans (e.g. 1-byte SQ8 codes) are unaffected.
-        """
+    def compute_duration(self, elements: float) -> float:
+        """Seconds needed to process ``elements`` fp32 elements."""
         if elements < 0:
             raise ValueError(f"elements must be non-negative, got {elements}")
-        duration = elements / self.compute_rate
-        if self.memory_bandwidth is not None and bytes_touched is not None:
-            if bytes_touched < 0:
-                raise ValueError(
-                    f"bytes_touched must be non-negative, got {bytes_touched}"
-                )
-            if concurrency < 1:
-                raise ValueError(
-                    f"concurrency must be at least 1, got {concurrency}"
-                )
-            duration = max(
-                duration,
-                bytes_touched * concurrency / self.memory_bandwidth,
-            )
-        return duration
+        return elements / self.compute_rate
 
     def occupy(
         self, duration: float, earliest: float = 0.0, category: str = "computation"

@@ -15,12 +15,6 @@ from dataclasses import dataclass
 from repro.distance.metrics import Metric, resolve_metric
 
 
-#: Admission-control load-shedding policies accepted by
-#: ``HarmonyConfig.serve_shed_policy`` (hyphens normalize to
-#: underscores, so the paper-issue spelling ``degrade-nprobe`` works).
-SHED_POLICIES = ("reject", "shed_oldest", "degrade_nprobe")
-
-
 class Mode(str, enum.Enum):
     """Partitioning mode (the paper's ``-Mode`` parameter).
 
@@ -52,22 +46,19 @@ def resolve_mode(mode: "Mode | str") -> Mode:
 #: numeric knob must lie in, and the words the error names it with.
 _RANGE_RULES = (
     (
-        ("n_machines", "nlist", "nprobe", "plan_sample",
-         "delta_compact_ratio", "serve_max_batch", "serve_slo_ms",
-         "serve_queue_depth", "cache_size", "routing_cache_size"),
+        ("n_machines", "nlist", "nprobe", "delta_compact_ratio",
+         "cache_size"),
         lambda v: v > 0, "positive", False,
     ),
     (("n_workers",), lambda v: v > 0, "positive", True),
-    (("memory_bandwidth",), lambda v: v > 0, "positive or None", True),
     (("alpha", "prewarm_size"), lambda v: v >= 0, "non-negative", False),
 )
 
-#: ``(field, choices, noun, hyphens normalize to underscores)``: knobs
-#: that name one of a fixed set; stored lower-cased.
+#: ``(field, choices, noun)``: knobs that name one of a fixed set;
+#: stored lower-cased.
 _CHOICE_RULES = (
-    ("backend", ("sim", "serial", "process"), "backends", False),
-    ("scan_precision", ("fp32", "sq8"), "precisions", False),
-    ("serve_shed_policy", SHED_POLICIES, "policies", True),
+    ("backend", ("sim", "serial", "process"), "backends"),
+    ("scan_precision", ("fp32", "sq8"), "precisions"),
 )
 
 #: Switches coerced to ``bool``.
@@ -77,7 +68,7 @@ _FLAGS = ("batch_queries", "degraded_mode", "auto_compact", "enable_cache")
 #: the kernel's own keyword names.
 _KERNEL_KNOBS = (
     "prewarm_size", "enable_pruning", "scan_precision",
-    "delta_compact_ratio", "auto_compact", "routing_cache_size",
+    "delta_compact_ratio", "auto_compact",
 )
 
 #: Knobs every host backend takes beside the kernel's, and the pool-size
@@ -114,8 +105,6 @@ class HarmonyConfig:
             read scaling at ``replicas``x the per-node index memory,
             the trade-off ``bench_replication_tradeoff.py`` quantifies
             against Harmony's memory-free hybrid grids.
-        plan_sample: query-sample size fed to the cost model.
-        kmeans_iterations: training iteration cap.
         seed: RNG seed for clustering and sampling.
         backend: execution backend for ``HarmonyDB.search``: ``"sim"``
             (discrete-event simulated cluster, the default),
@@ -153,33 +142,6 @@ class HarmonyConfig:
             generation. Results are byte-identical either way.
         auto_compact: disable to never compact automatically; deltas
             then accumulate until :meth:`HarmonyDB.compact` is called.
-        memory_bandwidth: simulated per-node memory bandwidth cap in
-            bytes/second shared by that node's concurrent scans
-            (``"sim"`` backend only). ``None`` (the default) models
-            compute-bound nodes, leaving existing timings untouched;
-            a finite cap reproduces the bandwidth-contention "more
-            cores hurts" regime that motivates the sq8 path.
-        serve_max_batch: largest micro-batch the serving front end
-            (:class:`repro.serve.HarmonyServer`) dispatches at once;
-            whatever arrived beyond it rides the next batch.
-        serve_slo_ms: end-to-end latency SLO target in milliseconds.
-            Responses slower than it count as ``slo_violations``. It
-            delays and cuts short nothing: the server dispatches pending
-            requests the moment it is free, so batch size follows the
-            load, and a caller that wants a bound on its own wait uses
-            ``future.result(timeout=)``.
-        serve_queue_depth: admitted-request bound. When the pending
-            queue reaches it, the shed policy applies — queueing
-            theory's alternative is unbounded queue growth and
-            unbounded p99.
-        serve_shed_policy: what to do with load beyond
-            ``serve_queue_depth``: ``"reject"`` refuses the new
-            request, ``"shed_oldest"`` drops the stalest queued
-            request in favor of the new one, ``"degrade_nprobe"``
-            admits up to ``2 * serve_queue_depth`` but serves
-            overload-admitted requests at half the requested nprobe
-            (flagged on the response, like degraded mode), shedding
-            the oldest beyond the hard cap.
         enable_cache: attach a :class:`repro.cache.ResultCache` to the
             deployment. Exact hits replay finished answers
             byte-identically and skip routing + scanning entirely;
@@ -190,10 +152,6 @@ class HarmonyConfig:
         cache_size: result-cache capacity in entries (segmented LRU:
             repeat-hit entries are protected from one-hit-wonder
             floods).
-        routing_cache_size: capacity of the kernel's planner-level
-            :class:`~repro.core.routing.RoutingCache` (LRU entries per
-            internal map); hot probe rows skip shard routing and
-            candidate-list splitting.
     """
 
     n_machines: int = 4
@@ -206,8 +164,6 @@ class HarmonyConfig:
     enable_pipeline: bool = True
     enable_load_balance: bool = True
     prewarm_size: int = 32
-    plan_sample: int = 128
-    kmeans_iterations: int = 20
     seed: int = 0
     forced_grid: "tuple[int, int] | None" = None
     replicas: int = 1
@@ -219,14 +175,8 @@ class HarmonyConfig:
     scan_precision: str = "fp32"
     delta_compact_ratio: float = 0.25
     auto_compact: bool = True
-    memory_bandwidth: "float | None" = None
-    serve_max_batch: int = 32
-    serve_slo_ms: float = 20.0
-    serve_queue_depth: int = 256
-    serve_shed_policy: str = "reject"
     enable_cache: bool = False
     cache_size: int = 1024
-    routing_cache_size: int = 4096
 
     def __post_init__(self, n_threads: "int | None") -> None:
         del n_threads  # the retired thread pool's size: ignored
@@ -257,10 +207,8 @@ class HarmonyConfig:
             # The retired thread pool never beat the serial loop; its
             # spelling (still in saved files and the perf ledger) runs it.
             self.backend = "serial"
-        for name, choices, noun, hyphens in _CHOICE_RULES:
+        for name, choices, noun in _CHOICE_RULES:
             value = str(getattr(self, name)).lower()
-            if hyphens:
-                value = value.replace("-", "_")
             if value not in choices:
                 raise ValueError(
                     f"unknown {name} {value!r}; supported {noun}: "

@@ -40,30 +40,15 @@ from repro.core.results import (
     SearchResult,
     stamp_from,
 )
+from repro.index.ivf import IVFFlatIndex, check_vectors, saved_path
 
 #: Config fields that once existed and are still in files saved back
 #: then; :meth:`HarmonyDB.load` drops exactly these (a key that was
 #: never a field still fails as an unexpected keyword).
-_RETIRED_CONFIG_FIELDS = ("serve_deadline_fraction", "scan_timeout", "scan_retries", "serve_deadline_policy", "cache_semantic_epsilon", "retry_timeout", "max_retries", "hedge_latency_threshold")
+_RETIRED_CONFIG_FIELDS = ("serve_deadline_fraction", "scan_timeout", "scan_retries", "serve_deadline_policy", "cache_semantic_epsilon", "retry_timeout", "max_retries", "hedge_latency_threshold", "plan_sample", "kmeans_iterations", "routing_cache_size", "memory_bandwidth", "serve_max_batch", "serve_slo_ms", "serve_queue_depth", "serve_shed_policy")
 
-
-def check_queries(queries: np.ndarray, dim: int) -> None:
-    """Refuse a query batch that is not one vector or a 2-D block, has
-    a row of the wrong dimension or a non-finite component: a NaN row
-    would otherwise score, answer and be cached like any other."""
-    queries = np.asarray(queries, dtype=np.float32)
-    if queries.ndim > 2:
-        raise ValueError(
-            f"queries must be one vector or a 2-D batch, got shape "
-            f"{queries.shape}"
-        )
-    queries = np.atleast_2d(queries)
-    if queries.shape[1] != dim:
-        raise ValueError(
-            f"query has dimension {queries.shape[-1]}, the index has {dim}"
-        )
-    if not np.isfinite(queries).all():
-        raise ValueError("query has a non-finite (NaN or inf) component")
+#: Query-sample size fed to the cost model.
+PLAN_SAMPLE = 128
 
 
 class HarmonyDB:
@@ -84,24 +69,18 @@ class HarmonyDB:
     ) -> None:
         self.config = config or HarmonyConfig()
         if cluster is None:
-            cluster = Cluster(
-                n_workers=self.config.n_machines,
-                memory_bandwidth=self.config.memory_bandwidth,
-            )
+            cluster = Cluster(n_workers=self.config.n_machines)
         if cluster.n_workers < self.config.n_machines:
             raise ValueError(
                 f"config wants {self.config.n_machines} machines but the "
                 f"cluster has {cluster.n_workers} workers"
             )
         self.cluster = cluster
-        from repro.index.ivf import IVFFlatIndex
-
         self.index = IVFFlatIndex(
             dim=dim,
             nlist=self.config.nlist,
             metric=self.config.metric,
             seed=self.config.seed,
-            max_iterations=self.config.kmeans_iterations,
         )
         self._decision: PlanDecision | None = None
         self._backend = None  # the one executor, see _executor()
@@ -318,17 +297,17 @@ class HarmonyDB:
         adapt = config.mode is Mode.HARMONY and sample_queries is not None
         if adapt:
             sample = np.atleast_2d(np.asarray(sample_queries, dtype=np.float32))
-            if sample.shape[0] > config.plan_sample:
+            if sample.shape[0] > PLAN_SAMPLE:
                 rng = np.random.default_rng(config.seed)
                 picks = rng.choice(
-                    sample.shape[0], size=config.plan_sample, replace=False
+                    sample.shape[0], size=PLAN_SAMPLE, replace=False
                 )
                 sample = sample[picks]
         else:
             rng = np.random.default_rng(config.seed)
             picks = rng.choice(
                 self.index.ntotal,
-                size=min(config.plan_sample, self.index.ntotal),
+                size=min(PLAN_SAMPLE, self.index.ntotal),
                 replace=False,
             )
             sample = self.index.base[picks]
@@ -389,7 +368,7 @@ class HarmonyDB:
         """
         if not self.is_built:
             raise RuntimeError("build() must be called before search()")
-        check_queries(queries, self.index.dim)
+        check_vectors(queries, self.index.dim)
         k = check_k(k)
         if self._tracer is not None:
             # One trace per batch (the simulator's reset_time does the
@@ -678,10 +657,9 @@ class HarmonyDB:
     def serve(self, **overrides):
         """Start a :class:`repro.serve.HarmonyServer` over this DB.
 
-        The server's coalescing / SLO / admission knobs default to the
-        deployment's ``serve_*`` config fields; keyword overrides
-        (``max_batch=``, ``slo_ms=``, ``queue_depth=``,
-        ``shed_policy=``, ``metrics=``) adjust them per server. The
+        Keyword arguments (``max_batch=``, ``slo_ms=``,
+        ``queue_depth=``, ``shed_policy=``) set the server's coalescing
+        / SLO / admission knobs; it publishes to :attr:`metrics`. The
         returned server is already started; use it as a context
         manager or call ``close()`` to drain and stop.
         """
@@ -705,7 +683,7 @@ class HarmonyDB:
         """The attached :class:`repro.obs.MetricsRegistry`, or None."""
         return self._metrics
 
-    def enable_tracing(self, capacity: int | None = None):
+    def enable_tracing(self):
         """Attach a span tracer; subsequent searches carry a trace.
 
         Under the ``"sim"`` backend the trace holds per-query spans
@@ -715,11 +693,9 @@ class HarmonyDB:
         is populated and exportable as Chrome ``trace_event`` JSON.
         Returns the tracer.
         """
-        from repro.obs.trace import DEFAULT_CAPACITY, Tracer
+        from repro.obs.trace import Tracer
 
-        self._tracer = Tracer(
-            capacity=capacity if capacity is not None else DEFAULT_CAPACITY
-        )
+        self._tracer = Tracer()
         self.cluster.tracer = self._tracer
         if self._backend is not None:
             self._backend.tracer = self._tracer
@@ -822,7 +798,6 @@ class HarmonyDB:
         (``_RETIRED_CONFIG_FIELDS``) are dropped.
         """
         from repro.distance.partial import DimensionSlices
-        from repro.index.ivf import saved_path
 
         with np.load(saved_path(path), allow_pickle=False) as data:
             arrays = dict(data)

@@ -152,9 +152,9 @@ class HostBackend(Backend):
             lost every copy of a shard, instead of raising.
         **kernel_options: every other keyword — ``prewarm_size``,
             ``enable_pruning``, ``scan_precision``,
-            ``delta_compact_ratio``, ``auto_compact``,
-            ``routing_cache_size`` — goes to the one signature that
-            owns it, :class:`~repro.core.executor.kernel.ScanKernel`.
+            ``delta_compact_ratio``, ``auto_compact`` — goes to the one
+            signature that owns it,
+            :class:`~repro.core.executor.kernel.ScanKernel`.
     """
 
     def __init__(

@@ -301,8 +301,6 @@ class ScanKernel:
             :meth:`packed_base` merges them into a fresh generation.
         auto_compact: disable to never compact automatically (deltas
             then grow until :meth:`compact` is called explicitly).
-        routing_cache_size: capacity of the kernel's
-            :class:`~repro.core.routing.RoutingCache`.
     """
 
     def __init__(
@@ -315,7 +313,6 @@ class ScanKernel:
         scan_precision: str = "fp32",
         delta_compact_ratio: float = 0.25,
         auto_compact: bool = True,
-        routing_cache_size: int = 4096,
     ) -> None:
         if not index.is_trained:
             raise RuntimeError("kernel requires a trained index")
@@ -352,9 +349,7 @@ class ScanKernel:
         #: serving traffic re-routes the same cells constantly). Pure
         #: memoization keyed by index version — results are unchanged.
         #: Set to None to disable.
-        self.routing_cache: RoutingCache | None = RoutingCache(
-            max_entries=routing_cache_size
-        )
+        self.routing_cache: RoutingCache | None = RoutingCache()
         if delta_compact_ratio <= 0:
             raise ValueError(
                 "delta_compact_ratio must be positive, got "

@@ -299,8 +299,6 @@ class ProcessBackend(HostBackend):
         plan: partition plan; defaults to
             :func:`~repro.core.executor.base.default_plan`.
         n_workers: pool size (default ``os.cpu_count()``).
-        start_method: multiprocessing start method; default prefers
-            ``fork`` (cheap startup) and falls back to ``spawn``.
         **options: every other keyword of
             :class:`~repro.core.executor.base.HostBackend`
             (``batch_queries``, ``degraded_mode`` and the kernel's
@@ -327,7 +325,6 @@ class ProcessBackend(HostBackend):
         index: "IVFFlatIndex",
         plan: PartitionPlan | None = None,
         n_workers: int | None = None,
-        start_method: str | None = None,
         **options,
     ) -> None:
         if n_workers is not None and n_workers <= 0:
@@ -337,7 +334,6 @@ class ProcessBackend(HostBackend):
             int(n_workers) if n_workers is not None
             else max(1, os.cpu_count() or 1)
         )
-        self._start_method = start_method
         self._procs: list = []
         #: The parent's end of each worker's duplex pipe, by slot.
         self._conns: list = []
@@ -369,10 +365,10 @@ class ProcessBackend(HostBackend):
         )
 
     def _context(self):
+        """``fork`` (cheap startup) where the platform has it, else
+        ``spawn``."""
         import multiprocessing as mp
 
-        if self._start_method is not None:
-            return mp.get_context(self._start_method)
         methods = mp.get_all_start_methods()
         return mp.get_context("fork" if "fork" in methods else "spawn")
 
@@ -453,7 +449,7 @@ class ProcessBackend(HostBackend):
         if tracer is not None:
             now = time.perf_counter()
             tracer.record(
-                "worker-respawn", "fault",
+                "worker-respawn", "other",
                 node=PROCESS_LANE_BASE + wid,
                 start=now, end=now, worker=wid,
             )
@@ -708,7 +704,7 @@ class ProcessBackend(HostBackend):
                 if tracer is not None:
                     now = time.perf_counter()
                     tracer.record(
-                        "task-requeue", "fault",
+                        "task-requeue", "other",
                         node=PROCESS_LANE_BASE + wid,
                         start=now, end=now, tasks=1,
                     )

@@ -228,12 +228,6 @@ class PipelineEngine(Backend):
         self.kernel = ScanKernel(
             index, plan, metric=config.metric, **config.kernel_options()
         )
-        #: Bytes each scanned element streams through a worker's memory
-        #: system: 1-byte SQ8 codes vs 4-byte fp32 rows. Feeds the
-        #: optional bandwidth roofline in ``Cluster.compute``.
-        self._scan_bytes_per_element = (
-            1 if config.scan_precision == "sq8" else 4
-        )
 
     # ------------------------------------------------------------------
     # Backend interface
@@ -723,11 +717,6 @@ class PipelineEngine(Backend):
         # actually processed (pruning shrinks later stages).
         processed = self.kernel.step(scan, state.heap, block)
         elements = processed * widths[block]
-        # Memory-bandwidth roofline inputs: the bytes this scan streams
-        # (codes on sq8, fp32 rows otherwise) and how many in-flight
-        # scans currently share the machine's memory system.
-        bytes_touched = elements * self._scan_bytes_per_element
-        concurrency = max(1, len(self._inflight.get(machine, ())))
         with trace_context(
             tracer, "scan",
             query=qidx, shard=state.shard, block=block,
@@ -735,10 +724,7 @@ class PipelineEngine(Backend):
             alive=int(scan.n_alive),
             pruned=int(processed - scan.n_alive),
         ):
-            _, end = cluster.compute(
-                machine, elements, earliest=ready,
-                bytes_touched=bytes_touched, concurrency=concurrency,
-            )
+            _, end = cluster.compute(machine, elements, earliest=ready)
         state.prev_end = end
         state.prev_machine = machine
         state.position += 1

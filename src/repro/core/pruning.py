@@ -115,8 +115,8 @@ class _StageBuffers:
     on. The first has room for float32 rows whatever the slab's dtype:
     the re-rank (:func:`_exact_scores`) stages float32 rows and query
     slices there even when the scan streams uint8 codes. Owned by one
-    scan, never module-global: scans run concurrently on the thread
-    backend.
+    scan, never module-global: several caller threads may search one
+    kernel at once.
     """
 
     __slots__ = ("rows", "_taken", "_f64")

@@ -67,8 +67,7 @@ class RoutingCache:
     Entries are validated against ``IVFFlatIndex.version``: any add or
     effective delete moves the version and atomically drops the whole
     cache, the same staleness protocol the packed layouts use. The map
-    is a bounded LRU (capacity ``max_entries``, configurable via
-    ``HarmonyConfig(routing_cache_size=...)``): a lookup refreshes the
+    is a bounded LRU (capacity ``max_entries``): a lookup refreshes the
     entry's recency, and inserts past capacity evict the least recently
     used entry — a hot key survives any cold-key flood. Hit / miss /
     eviction counts are kept on the instance and surfaced through

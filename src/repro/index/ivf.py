@@ -32,6 +32,26 @@ from repro.util.growable import GrowableArray
 _UIDS = itertools.count(1)
 
 
+def check_vectors(vectors: np.ndarray, dim: int) -> None:
+    """Refuse a batch that is not one vector or a 2-D block, has a row
+    of the wrong dimension or a non-finite component. A NaN query would
+    otherwise score, answer and be cached like any other; a NaN base
+    row would poison every bound on its list."""
+    vectors = np.asarray(vectors, dtype=np.float32)
+    if vectors.ndim > 2:
+        raise ValueError(
+            f"vectors must be one vector or a 2-D batch, got shape "
+            f"{vectors.shape}"
+        )
+    vectors = np.atleast_2d(vectors)
+    if vectors.shape[1] != dim:
+        raise ValueError(
+            f"vector has dimension {vectors.shape[-1]}, the index has {dim}"
+        )
+    if not np.isfinite(vectors).all():
+        raise ValueError("vector has a non-finite (NaN or inf) component")
+
+
 def saved_path(path):
     """The file a ``save(path)`` wrote: ``np.savez`` appends ``.npz`` to
     a name that lacks it, so ``load(path)`` looks there too (a file
@@ -219,6 +239,7 @@ class IVFFlatIndex:
             raise ValueError(
                 f"expected dim {self.dim}, got training data of dim {data.shape[1]}"
             )
+        check_vectors(data, self.dim)
         if self.metric is Metric.COSINE:
             data = normalize_rows(data)
         kmeans = KMeans(
@@ -248,6 +269,7 @@ class IVFFlatIndex:
             raise ValueError(
                 f"expected dim {self.dim}, got vectors of dim {vectors.shape[1]}"
             )
+        check_vectors(vectors, self.dim)
         if labels is None:
             labels = np.zeros(vectors.shape[0], dtype=np.int64)
         else:

@@ -4,8 +4,7 @@ The serving state machine (per pending request):
 
 1. **submit** — admission control runs under the queue lock. Below
    ``queue_depth`` the request is appended to the pending deque and the
-   flusher is woken. At or above depth the configured
-   :class:`~repro.core.config.HarmonyConfig` ``serve_shed_policy``
+   flusher is woken. At or above depth the server's ``shed_policy``
    decides: ``reject`` fails the *new* request, ``shed_oldest`` evicts
    the head (oldest waiter) to make room, ``degrade_nprobe`` admits up
    to ``2 x queue_depth`` requests flagged for half-``nprobe`` service
@@ -40,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.database import check_queries
 from repro.core.executor.base import check_k
+from repro.index.ivf import check_vectors
 
 SERVE_LANE = 3000
 """Trace lane for serve-layer batch spans.
@@ -53,6 +52,9 @@ trace viewer.
 """
 
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+
+#: Load-shedding policies; hyphens normalize, so ``degrade-nprobe`` works.
+SHED_POLICIES = ("reject", "shed_oldest", "degrade_nprobe")
 
 
 class AdmissionError(RuntimeError):
@@ -168,37 +170,34 @@ class HarmonyServer:
     returns and never holds a request back for batch-mates. Async
     callers use :meth:`asubmit`.
 
-    Construct via :meth:`repro.core.database.HarmonyDB.serve`, which
-    defaults every knob from the deployment's ``serve_*`` config
-    fields.
+    Construct via :meth:`repro.core.database.HarmonyDB.serve`; it
+    publishes to the deployment's metrics registry, if any. ``slo_ms``
+    only counts ``slo_violations``; the module docstring covers the rest.
     """
 
     def __init__(
         self,
         db,
-        max_batch: int | None = None,
-        slo_ms: float | None = None,
-        queue_depth: int | None = None,
-        shed_policy: str | None = None,
-        metrics=None,
+        max_batch: int = 32,
+        slo_ms: float = 20.0,
+        queue_depth: int = 256,
+        shed_policy: str = "reject",
     ) -> None:
-        overrides = {
-            "serve_max_batch": max_batch,
-            "serve_slo_ms": slo_ms,
-            "serve_queue_depth": queue_depth,
-            "serve_shed_policy": shed_policy,
-        }
-        # The deployment's config with this server's overrides applied:
-        # HarmonyConfig validates and normalizes the serve_* knobs once.
-        config = db.config.replace(
-            **{k: v for k, v in overrides.items() if v is not None}
-        )
+        for name, value in (("max_batch", max_batch), ("slo_ms", slo_ms),
+                            ("queue_depth", queue_depth)):
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        self.shed_policy = str(shed_policy).lower().replace("-", "_")
+        if self.shed_policy not in SHED_POLICIES:
+            raise ValueError(
+                f"unknown shed_policy {self.shed_policy!r}; supported "
+                f"policies: {', '.join(sorted(SHED_POLICIES))}"
+            )
         self.db = db
-        self.max_batch = config.serve_max_batch
-        self.slo_ms = config.serve_slo_ms
-        self.queue_depth = config.serve_queue_depth
-        self.shed_policy = config.serve_shed_policy
-        self.metrics = metrics if metrics is not None else db.metrics
+        self.max_batch = max_batch
+        self.slo_ms = slo_ms
+        self.queue_depth = queue_depth
+        self.metrics = db.metrics
         self.stats = ServeStats()
         self.last_report = None
         self._pending: deque[_Request] = deque()
@@ -247,7 +246,7 @@ class HarmonyServer:
         # Checked here, per request: a bad vector found when its batch
         # reaches HarmonyDB.search would fail every request batched
         # with it.
-        check_queries(query, self.db.index.dim)
+        check_vectors(query, self.db.index.dim)
         k = check_k(k)
         effective_nprobe = int(
             nprobe if nprobe is not None else self.db.config.nprobe
@@ -550,7 +549,7 @@ class HarmonyServer:
                 self.stats.slo_violations += 1
                 self._count(
                     "harmony_serve_slo_violations_total",
-                    "Requests whose e2e latency exceeded serve_slo_ms",
+                    "Requests whose e2e latency exceeded slo_ms",
                 )
             request.future.set_result(
                 ServeResponse(

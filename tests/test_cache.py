@@ -212,8 +212,6 @@ class TestConfigValidation:
     def test_cache_knobs_validated(self):
         with pytest.raises(ValueError, match="cache_size"):
             HarmonyConfig(cache_size=0)
-        with pytest.raises(ValueError, match="routing_cache_size"):
-            HarmonyConfig(routing_cache_size=0)
 
     def test_cache_off_by_default(self, tiny_data, tiny_queries):
         db = make_db(tiny_data, tiny_queries)
@@ -368,7 +366,6 @@ class TestDatabaseIntegration:
             tiny_queries,
             enable_cache=True,
             cache_size=33,
-            routing_cache_size=77,
         )
         path = tmp_path / "db.npz"
         try:
@@ -379,7 +376,6 @@ class TestDatabaseIntegration:
         try:
             assert loaded.config.enable_cache is True
             assert loaded.config.cache_size == 33
-            assert loaded.config.routing_cache_size == 77
             assert loaded.result_cache is not None
             cold, _ = loaded.search(tiny_queries, k=5)
             warm, report = loaded.search(tiny_queries, k=5)

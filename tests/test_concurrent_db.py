@@ -289,11 +289,3 @@ class TestRoutingCache:
             assert stats["entries"] <= 2
         finally:
             db.close()
-
-    def test_capacity_comes_from_config(self, tiny_data):
-        db = make_db(tiny_data, backend="serial", routing_cache_size=7)
-        try:
-            backend = db._get_host_backend()
-            assert backend.kernel.routing_cache.max_entries == 7
-        finally:
-            db.close()

@@ -4,10 +4,23 @@ import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.config import HarmonyConfig, Mode, resolve_mode
 from repro.distance.metrics import Metric
+
+from conftest import make_db
+
+
+@pytest.fixture(scope="module")
+def built_db(request):
+    """A small serial deployment, for the knobs its server checks."""
+    data = np.random.default_rng(0).standard_normal((200, 8))
+    db = make_db(data.astype(np.float32), nlist=4, n_machines=2,
+                 backend="serial")
+    request.addfinalizer(db.close)
+    return db
 
 
 class TestMode:
@@ -45,7 +58,11 @@ class TestHarmonyConfig:
 
     # One bad value per validation rule (plus NaN, which every range rule
     # must refuse, and both forced_grid entries), with the exact text the
-    # hand-written checks produced before they became a rule table.
+    # hand-written checks produced before they became a rule table. The
+    # ids are positional, so a retired knob's row is replaced in place
+    # by another case rather than removed. The serve_* knobs moved to
+    # the server, which checks them under its own keyword names: their
+    # rows keep the config spelling and run through ``db.serve(...)``.
     @pytest.mark.parametrize(
         "kwargs, message",
         [
@@ -57,7 +74,7 @@ class TestHarmonyConfig:
                 {"prewarm_size": -1},
                 "prewarm_size must be non-negative, got -1",
             ),
-            ({"plan_sample": 0}, "plan_sample must be positive, got 0"),
+            ({"nlist": float("nan")}, "nlist must be positive, got nan"),
             (
                 {"forced_grid": (0, 2)},
                 "forced_grid entries must be positive, got (0, 2)",
@@ -75,10 +92,7 @@ class TestHarmonyConfig:
                 "delta_compact_ratio must be positive, got nan",
             ),
             ({"n_workers": float("nan")}, "n_workers must be positive, got nan"),
-            (
-                {"memory_bandwidth": float("nan")},
-                "memory_bandwidth must be positive or None, got nan",
-            ),
+            ({"nprobe": float("nan")}, "nprobe must be positive, got nan"),
             (
                 {"serve_slo_ms": float("nan")},
                 "serve_slo_ms must be positive, got nan",
@@ -97,8 +111,8 @@ class TestHarmonyConfig:
                 "delta_compact_ratio must be positive, got 0.0",
             ),
             (
-                {"memory_bandwidth": 0.0},
-                "memory_bandwidth must be positive or None, got 0.0",
+                {"prewarm_size": float("nan")},
+                "prewarm_size must be non-negative, got nan",
             ),
             ({"serve_max_batch": 0}, "serve_max_batch must be positive, got 0"),
             ({"serve_slo_ms": 0.0}, "serve_slo_ms must be positive, got 0.0"),
@@ -120,8 +134,9 @@ class TestHarmonyConfig:
             ({"cache_size": 0}, "cache_size must be positive, got 0"),
             ({"alpha": float("nan")}, "alpha must be non-negative, got nan"),
             (
-                {"routing_cache_size": 0},
-                "routing_cache_size must be positive, got 0",
+                {"scan_precision": "SQ4"},
+                "unknown scan_precision 'sq4'; supported precisions: "
+                "fp32, sq8",
             ),
             (
                 {"metric": "hamming"},
@@ -129,7 +144,14 @@ class TestHarmonyConfig:
             ),
         ],
     )
-    def test_invalid_values_raise(self, kwargs, message):
+    def test_invalid_values_raise(self, kwargs, message, request):
+        ((name, value),) = kwargs.items()
+        if name.startswith("serve_"):
+            db = request.getfixturevalue("built_db")
+            message = message.replace("serve_", "")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                db.serve(**{name.removeprefix("serve_"): value})
+            return
         with pytest.raises(ValueError, match=re.escape(message)):
             HarmonyConfig(**kwargs)
 
@@ -138,12 +160,10 @@ class TestHarmonyConfig:
             n_threads=None,
             backend="Serial",
             scan_precision="SQ8",
-            serve_shed_policy="degrade-nprobe",
             forced_grid=[2, 2],
         )
         assert config.backend == "serial"
         assert config.scan_precision == "sq8"
-        assert config.serve_shed_policy == "degrade_nprobe"
         assert config.forced_grid == (2, 2)
 
     def test_every_field_is_in_the_api_reference(self):
@@ -167,7 +187,6 @@ class TestHarmonyConfig:
         assert kernel == dict(
             prewarm_size=32, enable_pruning=True, scan_precision="sq8",
             delta_compact_ratio=0.25, auto_compact=False,
-            routing_cache_size=4096,
         )
         assert config.host_options() == dict(
             kernel, batch_queries=True, degraded_mode=False, n_workers=3,
@@ -183,7 +202,7 @@ class TestHarmonyConfig:
         assert config.backend == "serial"
         assert "n_threads" not in dataclasses.asdict(config)
         assert config.replace(nprobe=2).backend == "serial"
-        assert len(dataclasses.fields(HarmonyConfig)) == 30
+        assert len(dataclasses.fields(HarmonyConfig)) == 22
 
     def test_replace(self):
         config = HarmonyConfig(nlist=32)

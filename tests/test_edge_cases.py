@@ -130,6 +130,31 @@ def test_non_finite_query_is_refused_and_never_cached(
         np.testing.assert_array_equal(result.ids, ref)
 
 
+@pytest.mark.parametrize("backend", ["serial", "process", "sim"])
+def test_non_finite_base_rows_are_refused(small, backend):
+    """``build`` and ``add`` refuse a NaN / inf base row on every
+    backend: the index checks before it trains or appends, so a refused
+    ``add`` leaves the version, the rows and the answers as they were."""
+    data, queries = small
+    pool = {"n_workers": 2} if backend == "process" else {}
+    poisoned = data.copy()
+    poisoned[7, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        build(poisoned, queries, backend=backend, **pool)
+    with build(data, queries, backend=backend, **pool) as db:
+        before, _ = db.search(queries, k=3)
+        version, ntotal = db.index.version, db.index.ntotal
+        for bad in (np.nan, np.inf, -np.inf):
+            rows = data[:4].copy()
+            rows[2, 1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                db.add(rows)
+        assert (db.index.version, db.index.ntotal) == (version, ntotal)
+        after, _ = db.search(queries, k=3)
+        np.testing.assert_array_equal(after.ids, before.ids)
+        np.testing.assert_array_equal(after.distances, before.distances)
+
+
 @pytest.mark.parametrize("enable_cache", [False, True])
 @pytest.mark.parametrize("backend", ["serial", "process", "sim"])
 def test_k_must_be_a_positive_integer(small, backend, enable_cache):

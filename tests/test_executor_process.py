@@ -529,9 +529,7 @@ def test_worker_killed_while_scanning_is_requeued_and_respawned(
         return delay
 
     monkeypatch.setattr(process, "apply_task_chaos", signalling_chaos)
-    with ProcessBackend(
-        index, plan=plan, n_workers=2, start_method="fork"
-    ) as backend:
+    with ProcessBackend(index, plan=plan, n_workers=2) as backend:
         backend.search(queries, k=5, nprobe=4)  # pool up, layout attached
         backend.chaos = HostFaultInjector(
             delays=[DelayScan(seconds=600.0, worker=0)]

@@ -237,21 +237,19 @@ class TestDeltaLayoutMaintenance:
         self, backend, tiny_data, tiny_queries
     ):
         """One config → kernel mapping: the sim engine's kernel gets
-        the write-path knobs (and the routing-cache size) the host
-        backends' kernels always got, and ``compact()`` reaches it."""
+        the write-path knobs the host backends' kernels always got, and
+        ``compact()`` reaches it."""
         db = HarmonyDB(
             dim=32,
             config=HarmonyConfig(
                 n_machines=4, nlist=16, nprobe=4, backend=backend,
                 auto_compact=False, delta_compact_ratio=0.05,
-                routing_cache_size=7,
             ),
         )
         db.build(tiny_data, sample_queries=tiny_queries)
         kernel = db._executor().kernel
         assert kernel.auto_compact is False
         assert kernel.delta_compact_ratio == 0.05
-        assert kernel.routing_cache.max_entries == 7
         stats = db.compact()  # before any search: builds, nothing pending
         assert stats["compacted"] is False
         assert stats["generation"] == kernel.packed_base().generation > 0

@@ -464,6 +464,32 @@ class TestBackendTracerSurface:
 
 
 class TestFaultTracing:
+    def test_traced_pool_respawns_a_killed_worker(self, data):
+        """A worker killed under tracing is respawned, the batch answers
+        as the serial oracle does, and the respawn leaves a span."""
+        from repro.cluster.host_faults import HostFaultInjector, KillWorker
+        from repro.core.executor.serial import SerialBackend
+
+        _, queries = data
+        db = make_db(data, backend="process", n_workers=2)
+        try:
+            oracle = SerialBackend(db.index, plan=db.plan).search(
+                queries, k=5, nprobe=4
+            )
+            db.enable_tracing()
+            db.set_host_faults(
+                HostFaultInjector(kills=[KillWorker(worker=0, at_task=0)])
+            )
+            result, report = db.search(queries, k=5)
+        finally:
+            db.close()
+        np.testing.assert_array_equal(result.ids, oracle.ids)
+        np.testing.assert_array_equal(result.distances, oracle.distances)
+        assert report.fault_stats.worker_respawns == 1
+        names = {s.name for s in report.trace.spans}
+        assert "worker-respawn" in names
+        validate_chrome_trace(report.trace.to_chrome())
+
     def test_recovery_transfer_is_traced(self, data):
         base, queries = data
         db = make_db(data, replicas=2)

@@ -178,6 +178,14 @@ class TestDatabasePersistence:
             ("retry_timeout", 1e-3),
             ("max_retries", 5),
             ("hedge_latency_threshold", 2e-3),
+            ("plan_sample", 64),
+            ("kmeans_iterations", 5),
+            ("routing_cache_size", 7),
+            ("memory_bandwidth", 2e9),
+            ("serve_max_batch", 48),
+            ("serve_slo_ms", 12.5),
+            ("serve_queue_depth", 99),
+            ("serve_shed_policy", "shed_oldest"),
         ],
     )
     def test_load_drops_a_retired_knob(
@@ -226,6 +234,45 @@ class TestDatabasePersistence:
                         responses, tiny_queries, oracle
                     )
             assert responses[0].cache_hit
+        finally:
+            loaded.close()
+
+    def test_load_serves_a_file_with_config_serve_knobs(
+        self, db, tiny_queries, tmp_path
+    ):
+        """A file from when the config carried the server's knobs (and
+        the sample size, k-means cap, routing-cache size and bandwidth
+        cap), saved with all of them off their defaults, loads; its
+        server takes the server's own defaults and answers as the
+        serial oracle does."""
+        from repro.serve import make_serial_oracle, verify_against_oracle
+
+        path = self._resave_with_config(
+            db,
+            tmp_path,
+            {
+                "plan_sample": 64,
+                "kmeans_iterations": 5,
+                "routing_cache_size": 7,
+                "memory_bandwidth": 2e9,
+                "serve_max_batch": 48,
+                "serve_slo_ms": 12.5,
+                "serve_queue_depth": 99,
+                "serve_shed_policy": "shed_oldest",
+            },
+        )
+        loaded = HarmonyDB.load(path)
+        try:
+            assert loaded.config == db.config
+            oracle = make_serial_oracle(loaded)
+            with loaded.serve() as server:
+                assert (server.max_batch, server.queue_depth) == (32, 256)
+                assert (server.slo_ms, server.shed_policy) == (20.0, "reject")
+                responses = [
+                    server.submit(q, k=5).result(timeout=30)
+                    for q in tiny_queries
+                ]
+            assert not verify_against_oracle(responses, tiny_queries, oracle)
         finally:
             loaded.close()
 

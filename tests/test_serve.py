@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import re
 import time
 
 import numpy as np
 import pytest
 
-from repro.core.config import SHED_POLICIES, HarmonyConfig
-from repro.obs.metrics import MetricsRegistry, report_metrics
+from repro.core.config import HarmonyConfig
+from repro.obs.metrics import report_metrics
 from repro.serve import (
     SERVE_LANE,
     HarmonyServer,
@@ -20,6 +21,7 @@ from repro.serve import (
     make_serial_oracle,
     verify_against_oracle,
 )
+from repro.serve.server import SHED_POLICIES
 
 from conftest import make_db
 
@@ -33,6 +35,14 @@ def serve_db(request):
     db = make_db(data, nlist=16, nprobe=4, backend="serial")
     request.addfinalizer(db.close)
     return db
+
+
+@pytest.fixture
+def serve_registry(serve_db):
+    """A fresh registry on the shared deployment: the servers a test
+    starts over it publish there. Detached after the test."""
+    yield serve_db.attach_metrics()
+    serve_db.detach_metrics()
 
 
 @pytest.fixture(scope="module")
@@ -371,10 +381,10 @@ def test_batch_report_latencies_per_request(serve_db, serve_queries):
     json.dumps(payload, allow_nan=False)
 
 
-def test_serve_metrics_families(serve_db, serve_queries):
-    registry = MetricsRegistry()
+def test_serve_metrics_families(serve_db, serve_queries, serve_registry):
+    registry = serve_registry
     with serve_db.serve(
-        max_batch=4, queue_depth=4, shed_policy="reject", metrics=registry
+        max_batch=4, queue_depth=4, shed_policy="reject"
     ) as server:
         server.pause()
         futures = [server.submit(q, k=3) for q in serve_queries[:6]]
@@ -454,50 +464,28 @@ def test_server_rejects_bad_overrides(serve_db):
         serve_db.serve(slo_ms=0.0)
 
 
-def test_config_serve_knob_validation():
-    with pytest.raises(ValueError, match="serve_max_batch"):
-        HarmonyConfig(serve_max_batch=0)
-    with pytest.raises(ValueError, match="serve_slo_ms"):
-        HarmonyConfig(serve_slo_ms=-1.0)
-    with pytest.raises(ValueError, match="serve_queue_depth"):
-        HarmonyConfig(serve_queue_depth=0)
-    with pytest.raises(ValueError, match="serve_shed_policy"):
-        HarmonyConfig(serve_shed_policy="nope")
+def test_config_serve_knob_validation(serve_db):
+    """The server owns its knobs and their checks, NaN included."""
+    for kwargs, message in [
+        ({"max_batch": 0}, "max_batch must be positive, got 0"),
+        ({"slo_ms": -1.0}, "slo_ms must be positive, got -1.0"),
+        ({"slo_ms": float("nan")}, "slo_ms must be positive, got nan"),
+        ({"queue_depth": 0}, "queue_depth must be positive, got 0"),
+        (
+            {"shed_policy": "drop"},
+            "unknown shed_policy 'drop'; supported policies: "
+            "degrade_nprobe, reject, shed_oldest",
+        ),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            serve_db.serve(**kwargs)
     # Dashes normalize to underscores, case-insensitively.
-    config = HarmonyConfig(serve_shed_policy="Degrade-Nprobe")
-    assert config.serve_shed_policy == "degrade_nprobe"
-    assert config.serve_shed_policy in SHED_POLICIES
-
-
-def test_serve_knobs_survive_save_load(tmp_path, serve_db, serve_queries):
-    from repro.core.database import HarmonyDB
-
-    db = make_db(
-        np.asarray(serve_queries, dtype=np.float32).repeat(20, axis=0),
-        nlist=8,
-        backend="serial",
-        serve_max_batch=48,
-        serve_slo_ms=12.5,
-        serve_queue_depth=99,
-        serve_shed_policy="shed_oldest",
-    )
-    path = tmp_path / "serve_knobs.npz"
-    db.save(path)
-    db.close()
-    loaded = HarmonyDB.load(path)
-    try:
-        config = loaded.config
-        assert config.serve_max_batch == 48
-        assert config.serve_slo_ms == 12.5
-        assert config.serve_queue_depth == 99
-        assert config.serve_shed_policy == "shed_oldest"
-        server = loaded.serve()
-        assert server.max_batch == 48
-        assert server.queue_depth == 99
-        assert server.shed_policy == "shed_oldest"
-        server.close()
-    finally:
-        loaded.close()
+    with serve_db.serve(shed_policy="Degrade-Nprobe") as server:
+        assert server.shed_policy == "degrade_nprobe"
+    assert server.shed_policy in SHED_POLICIES
+    with serve_db.serve() as server:
+        assert (server.max_batch, server.slo_ms) == (32, 20.0)
+        assert (server.queue_depth, server.shed_policy) == (256, "reject")
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +494,7 @@ def test_serve_knobs_survive_save_load(tmp_path, serve_db, serve_queries):
 
 
 def test_slow_batch_counts_an_slo_violation_and_still_answers(
-    serve_db, serve_queries, monkeypatch
+    serve_db, serve_queries, serve_registry, monkeypatch
 ):
     """A request that outlives ``slo_ms`` is counted, never cut short:
     a caller bounds its own wait with ``future.result(timeout=)``."""
@@ -519,8 +507,8 @@ def test_slow_batch_counts_an_slo_violation_and_still_answers(
         return real_search(*args, **kwargs)
 
     monkeypatch.setattr(serve_db, "search", slow_search)
-    registry = MetricsRegistry()
-    with serve_db.serve(slo_ms=40.0, metrics=registry) as server:
+    registry = serve_registry
+    with serve_db.serve(slo_ms=40.0) as server:
         future = server.submit(serve_queries[0], k=3)
         with pytest.raises(FuturesTimeout):
             future.result(timeout=0.01)
@@ -532,7 +520,9 @@ def test_slow_batch_counts_an_slo_violation_and_still_answers(
     assert "harmony_serve_slo_violations_total 1" in registry.to_prometheus()
 
 
-def test_flusher_survives_batch_crash(serve_db, serve_queries, monkeypatch):
+def test_flusher_survives_batch_crash(
+    serve_db, serve_queries, serve_registry, monkeypatch
+):
     """A search exception fails that batch's futures, not the flusher."""
     real_search = serve_db.search
     crashes = {"left": 1}
@@ -544,8 +534,8 @@ def test_flusher_survives_batch_crash(serve_db, serve_queries, monkeypatch):
         return real_search(*args, **kwargs)
 
     monkeypatch.setattr(serve_db, "search", flaky_search)
-    registry = MetricsRegistry()
-    with serve_db.serve(metrics=registry) as server:
+    registry = serve_registry
+    with serve_db.serve() as server:
         doomed = server.submit(serve_queries[0], k=4)
         with pytest.raises(RuntimeError, match="injected batch crash"):
             doomed.result(timeout=30)
@@ -587,23 +577,30 @@ def test_cache_hits_bypass_admission_control(cached_serve_db, serve_queries):
     db = cached_serve_db
     hot = serve_queries[:8]
     warm, _ = db.search(hot, k=5)  # fill the cache
-    registry = MetricsRegistry()
-    with db.serve(
-        max_batch=4, queue_depth=2, shed_policy="reject", metrics=registry
-    ) as server:
-        server.pause()  # nothing drains: the queue saturates
-        cold_futures = [server.submit(q, k=7) for q in serve_queries[8:12]]
-        hot_responses = []
-        for q in hot:
-            # Resolved immediately, without resume() and with the
-            # queue already full.
-            hot_responses.append(server.submit(q, k=5).result(timeout=1))
-        server.resume()
-        for future in cold_futures[:2]:
-            assert future.result(timeout=30).ids.shape == (7,)
-        for future in cold_futures[2:]:
-            with pytest.raises(RequestRejected):
-                future.result(timeout=30)
+    registry = db.attach_metrics()
+    try:
+        with db.serve(
+            max_batch=4, queue_depth=2, shed_policy="reject"
+        ) as server:
+            server.pause()  # nothing drains: the queue saturates
+            cold_futures = [
+                server.submit(q, k=7) for q in serve_queries[8:12]
+            ]
+            hot_responses = []
+            for q in hot:
+                # Resolved immediately, without resume() and with the
+                # queue already full.
+                hot_responses.append(
+                    server.submit(q, k=5).result(timeout=1)
+                )
+            server.resume()
+            for future in cold_futures[:2]:
+                assert future.result(timeout=30).ids.shape == (7,)
+            for future in cold_futures[2:]:
+                with pytest.raises(RequestRejected):
+                    future.result(timeout=30)
+    finally:
+        db.detach_metrics()
     for i, response in enumerate(hot_responses):
         assert response.cache_hit
         assert response.queue_seconds == 0.0

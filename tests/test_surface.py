@@ -33,11 +33,17 @@ it cites:
   Following ``used-by`` from any module ends at one of the four above.
 
 A module no row reaches is deleted or merged, not given a row.
+
+(d) Every knob has a caller: each ``HarmonyConfig`` field is passed as a
+keyword by some call in ``src/`` (``config.py`` aside) or
+``benchmarks/``. A knob only tests and examples set has one value in
+use, and becomes a constant.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -50,6 +56,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import _build_parser
+from repro.core.config import HarmonyConfig
 from repro.core.database import _RETIRED_CONFIG_FIELDS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,6 +93,10 @@ RETIRED_SYMBOLS = (
     # The modules no reachability row reached, and the trace subcommand.
     "DriftMonitor", "DriftStatus", "DistributedKMeans", "distributed_kmeans",
     "render_timeline", "utilization_grid", "repro.bench", "_cmd_trace",
+    # The simulator's memory-bandwidth roofline, and the constructor
+    # parameters with one value in use.
+    "MEMORY_BANDWIDTH", "bytes_touched", "_scan_bytes_per_element",
+    "client_compute_rate", "start_method=",
 )
 
 DECLARATION = "_RETIRED_CONFIG_FIELDS = "
@@ -114,23 +125,29 @@ def _scanned_files() -> "list[Path]":
     return files
 
 
-def _retired_mentions(files, names) -> "list[str]":
+def _retired_mentions(files, patterns) -> "list[str]":
     hits = []
     for path in files:
         text = path.read_text(encoding="utf-8")
         for lineno, line in enumerate(text.splitlines(), 1):
             if DECLARATION in line:
                 continue
-            for name in names:
-                if name in line:
+            for pattern in patterns:
+                if pattern.search(line):
                     where = path.relative_to(ROOT)
-                    hits.append(f"{where}:{lineno}: {name}")
+                    hits.append(f"{where}:{lineno}: {pattern.pattern}")
     return hits
 
 
 def test_retired_names_are_named_nowhere():
-    names = sorted(set(RETIRED_SYMBOLS) | set(_RETIRED_CONFIG_FIELDS))
-    assert _retired_mentions(_scanned_files(), names) == []
+    """A retired symbol matches anywhere in a line; a retired config
+    field only as a whole identifier, since a metric family may embed
+    it (the ``harmony_serve_queue_depth`` gauge outlived its field)."""
+    patterns = [re.compile(re.escape(name)) for name in RETIRED_SYMBOLS]
+    patterns += [
+        re.compile(rf"(?<!\w){name}(?!\w)") for name in _RETIRED_CONFIG_FIELDS
+    ]
+    assert _retired_mentions(_scanned_files(), patterns) == []
 
 
 def _resolve(dotted: str) -> None:
@@ -535,3 +552,27 @@ def test_class_attribute_check_catches_a_retired_method():
     assert _class_attr_failures(good, classes) == []
     bad = [("api.md", "RoutingCache", "shards_for")]
     assert _class_attr_failures(bad, classes) == ["api.md: `RoutingCache.shards_for`"]
+
+
+def _without_a_caller(names) -> "list[str]":
+    """The ``names`` no call in ``src/`` (``config.py`` aside) or
+    ``benchmarks/`` passes as a keyword."""
+    paths = [
+        p for p in sorted(SRC.rglob("*.py"))
+        if p != SRC / "repro" / "core" / "config.py"
+    ]
+    paths += sorted((ROOT / "benchmarks").rglob("*.py"))
+    passed = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                passed.update(kw.arg for kw in node.keywords if kw.arg)
+    return [name for name in names if name not in passed]
+
+
+def test_every_config_field_has_a_caller():
+    names = [f.name for f in dataclasses.fields(HarmonyConfig)]
+    assert _without_a_caller(names) == []
+    assert _without_a_caller(["nprobe", "never_passed_knob"]) == [
+        "never_passed_knob"
+    ]
