@@ -328,25 +328,12 @@ class HostBackend(Backend):
         k = check_k(k)
         start = time.perf_counter()
         kernel = self.kernel
-        tracer = self.tracer
-        kernel.tracer = tracer  # shard-group and slice wall spans when set
+        kernel.tracer = self.tracer  # query, shard-group, slice wall spans
         queries, probes, allowed = self._route(queries, nprobe, filter_labels)
-        nq = queries.shape[0]
-        if self.batch_queries and nq > 1:
-            heaps = kernel.search_batch(
-                queries, probes, k, allowed,
-                skip_shards=skip_shards, coverage=coverage,
-            )
-        else:
-            heaps = []
-            for i in range(nq):
-                with contextlib.nullcontext() if tracer is None else (
-                    tracer.wall_span("query", "computation", query=i)
-                ):
-                    heaps.append(kernel.search_one(
-                        i, queries[i], probes[i], k, allowed,
-                        skip_shards=skip_shards, coverage=coverage,
-                    ))
+        heaps = kernel.search(
+            queries, probes, k, allowed, skip_shards, coverage,
+            batched=self.batch_queries,
+        )
         result = collect_results(heaps, k)
         if self.chaos is not None:
             sleep_for_delay(

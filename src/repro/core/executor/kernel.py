@@ -32,6 +32,11 @@ Two execution shapes share the kernel:
   The pad keeps pruning lossless and the re-rank returns the exact
   scan's bits, so its results are *bitwise identical* to the looped
   :meth:`search_one` — a property the equivalence tests pin.
+
+:meth:`ScanKernel.search` picks between the two; the serial loop runs
+it over a whole batch, and every process-pool worker over its chunk of
+one, on a kernel bound to the shared layout (:meth:`ScanKernel.
+over_layout`).
 """
 
 from __future__ import annotations
@@ -83,26 +88,6 @@ GROUP_BLOCK_ELEMENTS = 1_000_000
 _NOTHING = contextlib.nullcontext()
 
 
-def gather_part(
-    layout: ShardPackedBase,
-    scan_precision: str,
-    shard: int,
-    lists_here: np.ndarray,
-    allowed: np.ndarray | None,
-    exclude: np.ndarray | None = None,
-) -> CandidatePart | None:
-    """One (query, shard) candidate record, or None when it is empty.
-
-    ``exclude`` is the query's prewarmed ids (already in its heap): the
-    parent's gather and the pool worker's both drop them here, inside
-    the one candidate mask, so the surviving order is the same on
-    every backend.
-    """
-    gather = layout.gather_sq8 if scan_precision == "sq8" else layout.gather
-    part = gather(shard, lists_here, allowed=allowed, exclude=exclude)
-    return part if part.ids.size else None
-
-
 def open_scan(layout, parts, queries, query_norms, plan, metric):
     """*Open*: gathered candidates become the scan that walks them.
 
@@ -141,10 +126,10 @@ def drive_scan(scan, plan, thresholds=None, tracer=None, **labels) -> None:
 
     Accumulate one dimension slice, prune on the monotone bound, stop
     when nothing is alive. :meth:`ScanKernel.run_scan` (the per-query
-    path on every backend) and :func:`scan_group` (the fused path of
-    the serial backend and the pool workers' task entry) both
-    run it; :meth:`ScanKernel.step` stays as the simulator's
-    single-stage entry because the simulator chooses its own order.
+    path) and :func:`scan_group` (the fused path) both run it, on the
+    caller's thread and in every pool worker alike;
+    :meth:`ScanKernel.step` stays as the simulator's single-stage
+    entry because the simulator chooses its own order.
 
     Args:
         thresholds: zero-argument threshold source returning what the
@@ -181,14 +166,12 @@ def scan_group(
         gathered: iterable of ``(member, part, query, query_norms)``
             for the members with candidates, consumed lazily so only
             one chunk's index arrays are resident at a time. ``member``
-            is the caller's handle (a :class:`QueryState`, a query
-            index).
+            is the caller's handle (a :class:`QueryState`).
         thresholds: ``thresholds(members)`` → current per-member
-            pruning thresholds (the query heaps on the host backends,
-            the shared board row in a pool worker); None disables
+            pruning thresholds (the members' heaps); None disables
             pruning.
         sink: ``sink(member, ids, scores)`` receives each member's
-            survivors (a heap push, or a worker-local top-k).
+            survivors (a heap push).
         tracer / shard: passed to :func:`drive_scan` as span labels.
 
     Returns:
@@ -285,7 +268,8 @@ class ScanKernel:
     (``_count_lock``) and the cached layout's (``_layout_lock``).
 
     Args:
-        index: trained+populated IVF index.
+        index: trained+populated IVF index (None only through
+            :meth:`over_layout`).
         plan: partition plan defining shards and dimension slices.
         metric: similarity metric; defaults to the index's.
         prewarm_size: heap-seeding candidates per query (0 disables).
@@ -314,7 +298,7 @@ class ScanKernel:
         delta_compact_ratio: float = 0.25,
         auto_compact: bool = True,
     ) -> None:
-        if not index.is_trained:
+        if index is not None and not index.is_trained:
             raise RuntimeError("kernel requires a trained index")
         if prewarm_size < 0:
             raise ValueError(
@@ -374,8 +358,24 @@ class ScanKernel:
         #: norm cache it also guards.
         self._layout_lock = threading.RLock()
         self._base_slice_norms: np.ndarray | None = None
-        if self.metric is not Metric.L2:
+        if self.metric is not Metric.L2 and index is not None:
             self._base_slice_norms = slice_norms(index.base, plan.slices)
+
+    @classmethod
+    def over_layout(
+        cls,
+        layout: ShardPackedBase,
+        plan: PartitionPlan,
+        metric: Metric,
+        **options,
+    ) -> "ScanKernel":
+        """A kernel with no index that scans ``layout`` as it stands: a
+        pool worker's, over the shared layout it attached. It routes
+        without a cache and never refreshes or rebuilds the layout."""
+        kernel = cls(None, plan, metric, **options)
+        kernel.routing_cache = None
+        kernel._packed = layout
+        return kernel
 
     # ------------------------------------------------------------------
     # Batch preparation
@@ -404,6 +404,8 @@ class ScanKernel:
         on), they are merged into a fresh base generation via a full
         rebuild. Results are byte-identical either way.
         """
+        if self.index is None:  # bound by over_layout
+            return self._packed
         with_codes = self.scan_precision == "sq8"
 
         def usable(packed) -> bool:
@@ -525,8 +527,12 @@ class ScanKernel:
 
         Prewarm scores up to ``prewarm_size`` members of the nearest
         probed list in one batched distance call, seeding the heap with
-        a finite threshold before any shard scan starts. The per-slice
-        query norms (IP metrics) are computed here exactly once.
+        a finite threshold before any shard scan starts. The members
+        are the head of that list's gather from the packed layout
+        (:meth:`~repro.core.layout.ShardPackedBase.list_head`), so a
+        pool worker prewarms from the shared layout exactly as the
+        caller's kernel does. The per-slice query norms (IP metrics)
+        are computed here exactly once.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -555,14 +561,15 @@ class ScanKernel:
     ) -> np.ndarray:
         if self.prewarm_size == 0 or not self.enable_pruning:
             return np.empty(0, dtype=np.int64)
-        ids = self.index.list_members(int(probe_row[0]))
-        if allowed is not None:
-            ids = ids[allowed[ids]]
-        ids = ids[: self.prewarm_size]
-        if ids.size == 0:
-            return ids
-        scores = scores_to_query(self.index.base[ids], query, self.metric)
-        heap.push_many(scores, ids)
+        nearest = int(probe_row[0])
+        ids, rows = self.packed_base().list_head(
+            int(self.plan.shard_of_list[nearest]),
+            nearest,
+            self.prewarm_size,
+            allowed,
+        )
+        if ids.size:
+            heap.push_many(scores_to_query(rows, query, self.metric), ids)
         return ids
 
     def shards_for(self, state: QueryState) -> np.ndarray:
@@ -606,16 +613,22 @@ class ScanKernel:
         """One shard's candidate record for a query, or None if empty.
 
         Gathered from the packed layout (contiguous shard-local
-        ranges) as indices, minus the query's prewarmed ids.
+        ranges) as indices, minus the query's prewarmed ids: they are
+        dropped inside the one candidate mask, so an id prewarm scored
+        is never scored again (``tests/test_prewarm_exclusion.py``).
         """
-        return gather_part(
-            self.packed_base(),
-            self.scan_precision,
+        layout = self.packed_base()
+        gather = (
+            layout.gather_sq8 if self.scan_precision == "sq8"
+            else layout.gather
+        )
+        part = gather(
             shard,
             self._lists_for(state, shard),
-            allowed,
-            state.prewarmed,
+            allowed=allowed,
+            exclude=state.prewarmed,
         )
+        return part if part.ids.size else None
 
     def make_scan(
         self,
@@ -767,7 +780,7 @@ class ScanKernel:
     # Batched shard-major execution
     # ------------------------------------------------------------------
 
-    def begin_batch(
+    def search(
         self,
         queries: np.ndarray,
         probes: np.ndarray,
@@ -775,21 +788,61 @@ class ScanKernel:
         allowed: np.ndarray | None = None,
         skip_shards: "frozenset[int] | set[int] | None" = None,
         coverage: np.ndarray | None = None,
-    ) -> "tuple[list[QueryState], dict[int, list[QueryState]], int]":
-        """The fused paths' prologue: begin every query, group by shard.
+        batched: bool = True,
+    ) -> "list[TopKHeap]":
+        """Algorithm 1 for a prepared batch: :meth:`search_batch` when
+        ``batched`` and there is more than one query, else the
+        :meth:`search_one` loop (a ``query`` wall span each when
+        traced). The serial loop and every pool worker's task run it.
+        """
+        if batched and queries.shape[0] > 1:
+            return self.search_batch(
+                queries, probes, k, allowed, skip_shards, coverage
+            )
+        tracer = self.tracer
+        heaps = []
+        for i in range(queries.shape[0]):
+            with _NOTHING if tracer is None else tracer.wall_span(
+                "query", "computation", query=i
+            ):
+                heaps.append(self.search_one(
+                    i, queries[i], probes[i], k, allowed,
+                    skip_shards=skip_shards, coverage=coverage,
+                ))
+        return heaps
 
-        Shared by :meth:`search_batch` and the process backend's
-        dispatcher. Prewarmed candidates count toward both coverage
-        columns and a skipped shard's candidates toward the total
-        only; scanned candidates are counted by whoever gathers them
-        (:meth:`run_shard_group`, a pool worker's task).
+    def search_batch(
+        self,
+        queries: np.ndarray,
+        probes: np.ndarray,
+        k: int,
+        allowed: np.ndarray | None = None,
+        skip_shards: "frozenset[int] | set[int] | None" = None,
+        coverage: np.ndarray | None = None,
+    ) -> "list[TopKHeap]":
+        """Algorithm 1 for a whole batch, fused shard-major.
+
+        Every query is begun (prewarmed) first; then queries are
+        grouped by touched shard, shard-groups are processed in
+        ascending shard order (each query therefore sees shards in
+        exactly the order :meth:`search_one` would), and each group's
+        (shard, slice) stages run as single fused calls over every
+        member's candidates. Results are bitwise identical to looping
+        :meth:`search_one`.
+
+        Args:
+            queries: prepared query batch ``(nq, dim)``.
+            probes: probed list ids ``(nq, nprobe)``.
+            k: top-K size.
+            allowed: optional per-id admissibility mask.
+            skip_shards / coverage: degraded-mode accounting, exactly
+                as in :meth:`search_one`: prewarmed candidates count
+                toward both coverage columns, a skipped shard's toward
+                the total only, and scanned ones as each shard-group
+                gathers them.
 
         Returns:
-            ``(states, groups, skipped)`` — one state per query, per
-            non-skipped shard the states touching it in query order,
-            and the number of (query, shard) scans skipped, which the
-            caller hands to :meth:`count_skipped_scans` once the batch
-            is certain to complete on this path.
+            One populated heap per query.
         """
         states = [
             self.begin_query(i, queries[i], probes[i], k, allowed)
@@ -808,41 +861,6 @@ class ScanKernel:
                     )
                     continue
                 groups.setdefault(shard, []).append(state)
-        return states, groups, skipped
-
-    def search_batch(
-        self,
-        queries: np.ndarray,
-        probes: np.ndarray,
-        k: int,
-        allowed: np.ndarray | None = None,
-        skip_shards: "frozenset[int] | set[int] | None" = None,
-        coverage: np.ndarray | None = None,
-    ) -> "list[TopKHeap]":
-        """Algorithm 1 for a whole batch, fused shard-major.
-
-        Queries are grouped by touched shard; shard-groups are
-        processed in ascending shard order (each query therefore sees
-        shards in exactly the order :meth:`search_one` would), and each
-        group's (shard, slice) stages run as single fused calls over
-        every member's candidates. Results are bitwise identical to
-        looping :meth:`search_one`.
-
-        Args:
-            queries: prepared query batch ``(nq, dim)``.
-            probes: probed list ids ``(nq, nprobe)``.
-            k: top-K size.
-            allowed: optional per-id admissibility mask.
-            skip_shards / coverage: degraded-mode accounting, exactly
-                as in :meth:`search_one`. Scanned candidates are
-                counted from the gather each shard-group performs.
-
-        Returns:
-            One populated heap per query.
-        """
-        states, groups, skipped = self.begin_batch(
-            queries, probes, k, allowed, skip_shards, coverage
-        )
         self.count_skipped_scans(skipped)
         tracer = self.tracer
         for shard in sorted(groups):

@@ -8,40 +8,46 @@ happens to release; this backend sidesteps it with a pool of
 - **Zero-copy data plane** — the packed shard layout is re-homed into
   one ``multiprocessing.shared_memory`` segment
   (:class:`~repro.core.layout.SharedShardPackedBase`); workers attach
-  by name and map the identical pages. Per batch, only query vectors,
-  probe rows, and prewarm ids go out, and only compact per-query
-  top-k candidate arrays come back — base vectors are never pickled.
-- **The parent hands out every task** — a batch is a shard-major table
-  of (query-group, shard) tasks. Each worker has one duplex pipe to
-  the parent and shares no lock, queue or control segment with a peer.
-  The parent keeps one task in flight per live worker and sends a
-  worker its next task as soon as the previous result arrives, before
-  merging that result, so a slow worker is simply handed fewer tasks:
-  load is balanced where work is dispatched, as the paper's client
-  does (§4.3), not by a second mechanism among the workers.
-- **Live thresholds** — the parent merges results as they stream in
-  and publishes each query's current heap threshold on a small shared
-  float64 board; workers prune against the freshest value. Stale
-  (looser) reads only prune less, never wrongly — the bound is
-  lossless — so results stay **byte-identical** to the serial oracle
-  for any interleaving, batched or per query.
+  by name and map the identical pages. Per task, only the chunk's
+  query vectors and probe rows go out, and only its ``(n, k)`` result
+  rows come back — base vectors are never pickled.
+- **A task is a chunk of whole queries** — a worker runs its chunk
+  through the kernel's own batch path (:meth:`~repro.core.executor.
+  kernel.ScanKernel.search`: prewarm, every touched shard in
+  ascending order, top-k) on a kernel bound to the shared layout
+  (:meth:`~repro.core.executor.kernel.ScanKernel.over_layout`). A
+  query's heap lives in one process from prewarm to top-k and prunes
+  against its own threshold, so results are **byte-identical** to the
+  serial oracle, and the parent neither scans nor merges: it routes,
+  cuts chunks and writes each returned row into the result.
+- **The parent hands out every chunk** — each worker has one duplex
+  pipe to the parent and shares no lock, queue or control segment with
+  a peer. Chunks are cut as the batch drains, ⌈remaining / (2 ·
+  workers)⌉ queries each with a floor of :data:`_MIN_CHUNK`: early
+  chunks amortize a round trip, late ones leave no worker idle for
+  long. The parent keeps one chunk in flight per live worker and sends
+  a worker its next chunk as soon as the previous result arrives, so a
+  slow worker is simply handed fewer: load is balanced where work is
+  dispatched, as the paper's client does (§4.3).
 - **Supervision** — the parent blocks in
   ``multiprocessing.connection.wait`` on the pipes and the workers'
   process sentinels, so a death arrives as an event. The parent drains
   the dead worker's pipe (a result sent before dying still counts),
-  puts the task it held back at the front of the pending list and
-  respawns the slot (``harmony_worker_respawns_total`` /
+  puts the chunk it held back at the front of the line and respawns
+  the slot (``harmony_worker_respawns_total`` /
   ``harmony_tasks_requeued_total``); the batch completes
-  byte-identically on the pool. A task is in flight at one worker at a
-  time, so every task merges exactly once. A task whose holder dies
-  :data:`_MAX_TASK_DEATHS` times is taken to be what kills workers: in
-  degraded mode it is abandoned with per-query coverage accounting
-  (``harmony_abandoned_scans_total``), otherwise the pool is given up.
+  byte-identically on the pool. A chunk is in flight at one worker at
+  a time, so every row is written exactly once. A chunk whose holder
+  dies :data:`_MAX_TASK_DEATHS` times is taken to be what kills
+  workers: in degraded mode its queries are abandoned
+  (``harmony_abandoned_scans_total``) — their candidates count as lost
+  in coverage and their rows come back empty, flagged degraded —
+  otherwise the pool is given up.
 - **Graceful degradation** — only when the pool is lost (every worker
-  dead at once, shared memory unavailable, a worker raising, or a task
-  that keeps killing its holders) does the backend tear the pool down
-  and re-run the batch in the plain serial loop (same kernel, same
-  bytes out).
+  dead at once, shared memory unavailable, a worker raising, or a
+  chunk that keeps killing its holders) does the backend tear the pool
+  down and re-run the batch in the plain serial loop (same kernel,
+  same bytes out).
 
 Chaos kills fire when a worker starts a task (see
 :mod:`repro.cluster.host_faults`); a death at any other moment — a
@@ -54,96 +60,31 @@ from __future__ import annotations
 import os
 import time
 import traceback
-import weakref
 from multiprocessing.connection import wait
 
 import numpy as np
 
 from repro.cluster.host_faults import apply_task_chaos, sleep_for_delay
 from repro.core.executor.base import HostBackend, check_k
-from repro.core.executor.kernel import (
-    collect_results,
-    gather_part,
-    scan_group,
-)
-from repro.core.heap import TopKHeap
-from repro.core.layout import (
-    SharedShardPackedBase,
-    _attach_shm,
-    _release_segment,
-)
+from repro.core.executor.kernel import ScanKernel, collect_results
+from repro.core.layout import SharedShardPackedBase
 from repro.core.partition import PartitionPlan
 from repro.core.results import SearchResult
-from repro.core.routing import shard_candidate_lists
 
 #: Trace lane base for pool workers (caller threads use 1000+).
 PROCESS_LANE_BASE = 2000
 
-#: Target tasks per worker: enough that a slow worker is handed a
-#: smaller share of the batch, few enough that the per-task round trip
-#: stays small beside the scan.
-TASKS_PER_WORKER = 4
+#: Fewest queries in a chunk (the batch's last may hold fewer): below
+#: it a chunk's round trip is no longer small beside its scan.
+_MIN_CHUNK = 4
 
-#: Deaths of the worker holding one task after which the task itself,
-#: not bad luck, is taken to be what kills workers.
+#: Deaths of the worker holding one chunk after which the chunk
+#: itself, not bad luck, is taken to be what kills workers.
 _MAX_TASK_DEATHS = 3
 
 
 class ProcessPoolError(RuntimeError):
     """The worker pool is unusable; the caller should fall back."""
-
-
-# ---------------------------------------------------------------------------
-# Shared threshold board
-# ---------------------------------------------------------------------------
-
-
-class _SharedVector:
-    """A small numpy vector in its own shared-memory segment: a batch's
-    float64 live threshold board."""
-
-    def __init__(self, shm, n: int, dtype, owner: bool) -> None:
-        self.shm = shm
-        self.array = np.ndarray((n,), dtype=dtype, buffer=shm.buf)
-        self._owner = owner
-        self._finalizer = (
-            weakref.finalize(self, _release_segment, shm, True)
-            if owner
-            else None
-        )
-
-    @classmethod
-    def create(cls, values: np.ndarray) -> "_SharedVector":
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(8, values.nbytes)
-        )
-        out = cls(shm, values.size, values.dtype, owner=True)
-        out.array[:] = values
-        return out
-
-    @classmethod
-    def attach(cls, manifest: dict) -> "_SharedVector":
-        return cls(
-            _attach_shm(manifest["name"]), manifest["n"], manifest["dtype"],
-            owner=False,
-        )
-
-    def manifest(self) -> dict:
-        return {
-            "name": self.shm.name,
-            "n": int(self.array.size),
-            "dtype": self.array.dtype.str,
-        }
-
-    def destroy(self) -> None:
-        arr, self.array = self.array, None
-        del arr
-        finalizer, self._finalizer = self._finalizer, None
-        if finalizer is not None:
-            finalizer.detach()
-        _release_segment(self.shm, unlink=self._owner)
 
 
 # ---------------------------------------------------------------------------
@@ -169,70 +110,40 @@ def _pin_to_own_cpu(worker_id: int) -> None:
             os.sched_setaffinity(0, {cpus[worker_id % len(cpus)]})
 
 
-def _scan_task(layout, plan, metric, ctx, shard, qidxs, board):
-    """One (query-group, shard) task — the pool's only scan entry.
+def _search_chunk(kernel: ScanKernel, ctx: dict, queries, probes):
+    """One chunk of whole queries through :meth:`ScanKernel.search`.
 
-    The kernel's :func:`~repro.core.executor.kernel.scan_group` with the
-    shared board row as threshold source and a worker-local
-    :class:`TopKHeap` per member as survivor sink, so only compact
-    top-k arrays cross the process boundary. A one-member task is a
-    group of one for dispatch; which scan class serves it is
-    ``open_scan``'s choice.
-
-    Returns ``(payload, n_reranked)`` with one
-    ``(qidx, scores, ids, n_candidates)`` payload entry per member.
+    Returns its ``(n, k)`` distance and id rows, its ``(n, 2)``
+    coverage rows (None outside degraded mode) and the re-ranked
+    candidates and skipped scans its kernel counted.
     """
-    out = {
-        q: [np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64), 0]
-        for q in qidxs
-    }
-    query_norms = ctx["query_norms"]
-
-    def gathered():
-        for qidx in qidxs:
-            part = gather_part(
-                layout,
-                ctx["scan_precision"],
-                shard,
-                shard_candidate_lists(plan, ctx["probes"][qidx], shard),
-                ctx["allowed"],
-                ctx["prewarm"][qidx],
-            )
-            if part is not None:
-                out[qidx][2] = int(part.ids.size)
-                yield (
-                    qidx,
-                    part,
-                    ctx["queries"][qidx],
-                    None if query_norms is None else query_norms[qidx],
-                )
-
-    def sink(qidx, ids, scores) -> None:
-        heap = TopKHeap(ctx["k"])
-        heap.push_many(scores, ids)
-        out[qidx][0], out[qidx][1] = heap.items_arrays()
-
-    reranked = scan_group(
-        layout,
-        gathered(),
-        plan,
-        metric,
-        (lambda members: board[list(members)])
-        if ctx["enable_pruning"]
-        else None,
-        sink,
+    coverage = None
+    if ctx["degraded"]:
+        coverage = np.zeros((queries.shape[0], 2), dtype=np.int64)
+    reranked = kernel.rerank_candidates_total
+    skipped = kernel.skipped_scans_total
+    heaps = kernel.search(
+        queries, probes, ctx["k"], ctx["allowed"], ctx["skip_shards"],
+        coverage, batched=ctx["batched"],
     )
-    return [(q, *out[q]) for q in qidxs], reranked
+    result = collect_results(heaps, ctx["k"])
+    return (
+        result.distances,
+        result.ids,
+        coverage,
+        kernel.rerank_candidates_total - reranked,
+        kernel.skipped_scans_total - skipped,
+    )
 
 
 def _worker_main(worker_id: int, plan: PartitionPlan, metric, conn) -> None:
-    """Worker loop: receive a task, scan it, send its payload back.
+    """Worker loop: receive a chunk, search it, send its rows back.
 
-    A message is ``(task_id, (shard, qidxs), ctx)``, where ``ctx`` is
-    the batch context on the first task of a batch this worker is
-    handed and None on the rest; ``None`` stops the worker. The shared
-    layout is re-attached only when its segment names move, the
-    threshold board once per batch.
+    A message is ``(task_id, queries, probes, ctx)``: the chunk's
+    prepared queries and probe rows, and the batch context on the
+    first chunk of a batch this worker is handed (None on the rest);
+    ``None`` stops the worker. The shared layout is re-attached only
+    when its segment names move; the kernel is rebound once a batch.
     """
     _pin_to_own_cpu(worker_id)
     layout: SharedShardPackedBase | None = None
@@ -240,7 +151,7 @@ def _worker_main(worker_id: int, plan: PartitionPlan, metric, conn) -> None:
     # overlay sync publishes under a fresh name, so a key change is
     # exactly "the data plane moved" — re-attach (re-mmap, no copy).
     layout_key: "tuple[str, str | None] | None" = None
-    board: _SharedVector | None = None
+    kernel: ScanKernel | None = None
     ctx: dict | None = None
     task_ordinal = 0  # lifetime tasks started by this worker slot
     try:
@@ -248,7 +159,7 @@ def _worker_main(worker_id: int, plan: PartitionPlan, metric, conn) -> None:
             msg = conn.recv()
             if msg is None:
                 break
-            task_id, (shard, qidxs), batch_ctx = msg
+            task_id, queries, probes, batch_ctx = msg
             try:
                 if batch_ctx is not None:
                     ctx = batch_ctx
@@ -264,24 +175,19 @@ def _worker_main(worker_id: int, plan: PartitionPlan, metric, conn) -> None:
                         layout, layout_key = None, None
                         layout = SharedShardPackedBase.attach(manifest)
                         layout_key = key
-                    if board is not None:
-                        board.destroy()
-                        board = None
-                    board = _SharedVector.attach(ctx["thresholds"])
+                    kernel = ScanKernel.over_layout(
+                        layout, plan, metric, **ctx["kernel"]
+                    )
                 delay = apply_task_chaos(ctx["chaos"], worker_id, task_ordinal)
                 task_ordinal += 1
                 t0 = time.perf_counter()
-                payload, reranked = _scan_task(
-                    layout, plan, metric, ctx, shard, qidxs, board.array
-                )
+                rows = _search_chunk(kernel, ctx, queries, probes)
                 t1 = time.perf_counter()
                 sleep_for_delay(delay, t1 - t0)
-                conn.send(("done", task_id, payload, reranked, t0, t1))
+                conn.send(("done", task_id, *rows, t0, t1))
             except Exception:
                 conn.send(("error", traceback.format_exc()))
     finally:
-        if board is not None:
-            board.destroy()
         if layout is not None:
             layout.close()
 
@@ -308,14 +214,16 @@ class ProcessBackend(HostBackend):
     across calls; call :meth:`close` (or use the backend as a context
     manager) to release processes and shared segments.
 
-    A worker that dies mid-batch is *supervised around*: the task it
-    held goes back to the front of the pending list, the worker is
-    respawned, and the batch completes on the pool with byte-identical
-    results — :attr:`fallback_active` stays False. A slow worker needs
-    no supervision: it asks for work less often, so it is handed less.
-    Only losing the pool (every worker dead, shared memory gone, a
-    worker error, a task that keeps killing its holders) flips
-    execution to the serial loop, which still returns the same bytes.
+    A task is a chunk of whole queries, each searched in one worker
+    from prewarm to top-k. A worker that dies mid-batch is *supervised
+    around*: the chunk it held goes back to the front of the line, the
+    worker is respawned, and the batch completes on the pool with
+    byte-identical results — :attr:`fallback_active` stays False. A
+    slow worker needs no supervision: it asks for work less often, so
+    it is handed less. Only losing the pool (every worker dead, shared
+    memory gone, a worker error, a chunk that keeps killing its
+    holders) flips execution to the serial loop, which still returns
+    the same bytes.
     """
 
     name = "process"
@@ -385,9 +293,13 @@ class ProcessBackend(HostBackend):
         packed = self.kernel.packed_base()
         if packed is layout and layout is not None:
             # Same generation: the kernel may have absorbed deltas in
-            # place since the last dispatch; republishing is a no-op
-            # unless the overlay version moved.
-            if layout.sync_overlay():
+            # place since the last dispatch. Nothing pending needs no
+            # overlay, and republishing is a no-op unless the overlay
+            # version moved, so a search on a still layout creates no
+            # segment.
+            if (
+                layout.delta_rows or layout.tombstones_since
+            ) and layout.sync_overlay():
                 self.shm_overlay_syncs += 1
             return layout
         shared = SharedShardPackedBase.from_packed(packed)
@@ -396,7 +308,8 @@ class ProcessBackend(HostBackend):
             # refreshed before the pool existed); publish them too.
             shared.sync_overlay()
         self._retire_shared_layout()
-        # The parent scans the same pages: no second resident copy.
+        # The parent's kernel reads the same pages (the serial fallback,
+        # abandoned-chunk accounting): no second resident copy.
         self.kernel._packed = shared
         self._shared_layout = shared
         self.shm_base_rehomes += 1
@@ -515,31 +428,6 @@ class ProcessBackend(HostBackend):
         except Exception:
             pass
 
-    # -- scheduling -----------------------------------------------------
-
-    def _make_tasks(
-        self, groups: "dict[int, list]"
-    ) -> "list[tuple[int, tuple[int, ...]]]":
-        """Shard-major (query-group, shard) task table.
-
-        Batched mode splits each shard's query group into chunks so
-        the table holds ~:data:`TASKS_PER_WORKER` tasks per worker —
-        enough granularity for a slow worker to be handed less.
-        Per-query mode emits one task per (query, shard); both are
-        query-disjoint, so the split can never change results.
-        """
-        chunk = 1
-        if self.batch_queries:
-            total = sum(len(v) for v in groups.values())
-            target = max(1, TASKS_PER_WORKER * self.n_workers)
-            chunk = max(1, -(-total // target))
-        tasks: list[tuple[int, tuple[int, ...]]] = []
-        for shard in sorted(groups):
-            members = [state.query_index for state in groups[shard]]
-            for i in range(0, len(members), chunk):
-                tasks.append((shard, tuple(members[i: i + chunk])))
-        return tasks
-
     # -- search ---------------------------------------------------------
 
     def search(
@@ -578,76 +466,87 @@ class ProcessBackend(HostBackend):
         kernel.tracer = None  # worker spans are recorded from timings
         queries, probes, allowed = self._route(queries, nprobe, filter_labels)
         nq = queries.shape[0]
-
-        # Prewarm in the parent (it owns the heaps), exactly as the
-        # kernel's batched path does; coverage goes to a local buffer
-        # and the skip count is held back, so a mid-batch fallback
-        # cannot double-count either.
+        out = SearchResult(
+            distances=np.full((nq, k), np.inf, dtype=np.float64),
+            ids=np.full((nq, k), -1, dtype=np.int64),
+        )
+        # Coverage goes to a local buffer and the kernel counts are held
+        # back, so a mid-batch fallback cannot double-count them.
         local_cov = (
             np.zeros((nq, 2), dtype=np.int64)
             if coverage is not None else None
         )
-        states, groups, skipped = kernel.begin_batch(
-            queries, probes, k, allowed, skip_shards, local_cov
-        )
-        tasks = self._make_tasks(groups)
-        if tasks:
-            board = _SharedVector.create(
-                np.array([s.heap.threshold for s in states], dtype=np.float64)
+        ctx = {
+            "layout": self._shared_layout.manifest(),
+            "kernel": dict(
+                prewarm_size=kernel.prewarm_size,
+                enable_pruning=kernel.enable_pruning,
+                scan_precision=kernel.scan_precision,
+            ),
+            "batched": self.batch_queries,
+            "k": k,
+            "allowed": allowed,
+            "skip_shards": skip_shards,
+            "degraded": coverage is not None,
+        }
+        try:
+            reranked, skipped = self._run_tasks(
+                queries, probes, ctx, out, local_cov
             )
-            query_norms = None
-            if states[0].query_norms is not None:
-                query_norms = np.stack([s.query_norms for s in states])
-            ctx = {
-                "layout": self._shared_layout.manifest(),
-                "thresholds": board.manifest(),
-                "queries": queries,
-                "probes": probes,
-                "prewarm": [s.prewarmed for s in states],
-                "query_norms": query_norms,
-                "allowed": allowed,
-                "k": k,
-                "enable_pruning": self.enable_pruning,
-                "scan_precision": self.scan_precision,
-            }
-            try:
-                self._run_tasks(tasks, ctx, states, board, allowed, local_cov)
-            except BaseException:
-                # Tasks may still be in flight; their results must never
-                # reach the next batch's merge.
-                self._teardown_pool()
-                raise
-            finally:
-                board.destroy()
+        except BaseException:
+            # Chunks may still be in flight; their rows must never
+            # reach the next batch's result.
+            self._teardown_pool()
+            raise
         if local_cov is not None:
             coverage += local_cov
+        kernel._count_rerank_amount(reranked)
         kernel.count_skipped_scans(skipped)
-        return collect_results([state.heap for state in states], k)
+        return out
 
-    def _run_tasks(
-        self, tasks, ctx, states, board, allowed, local_cov
-    ) -> None:
-        """Hand out every task and merge every result, surviving deaths.
+    def _run_tasks(self, queries, probes, ctx, out, local_cov):
+        """Hand out every chunk and place every row, surviving deaths.
 
-        ``pending`` is a stack (its end is the front of the line), and
-        ``held`` maps each busy worker to the one task it holds. While
-        tasks are pending every live worker holds one, so the loop
-        waits only on busy workers' pipes and sentinels. A task is in
+        Chunks are cut on demand from the queries not yet handed out;
+        ``requeued`` is a stack of chunks put back after their holder
+        died (its end is the front of the line), served before any new
+        cut. ``held`` maps each busy worker to the one chunk it holds.
+        While chunks remain every live worker holds one, so the loop
+        waits only on busy workers' pipes and sentinels. A chunk is in
         flight at one worker at a time and leaves ``held`` once —
-        merged, put back after its holder died, or abandoned — so no
-        result can merge twice.
+        placed, put back, or abandoned — so no row is written twice.
+
+        Returns the re-ranked candidates and skipped scans the workers
+        counted.
         """
         kernel = self.kernel
         tracer = self.tracer
-        pending = list(range(len(tasks)))[::-1]
+        nq = queries.shape[0]
+        spread = 2 * len(self._procs)
+        chunks: list[tuple[int, int]] = []  # task id -> query range
+        deaths: list[int] = []
+        requeued: list[int] = []
+        cut = 0  # queries below this one are in a chunk
         held: dict[int, int] = {}
         briefed: set[int] = set()  # workers holding this batch's ctx
-        deaths = [0] * len(tasks)
+        counts = [0, 0]  # re-ranked candidates, skipped scans
+
+        def next_task() -> "int | None":
+            nonlocal cut
+            if requeued:
+                return requeued.pop()
+            if cut == nq:
+                return None
+            size = max(_MIN_CHUNK, -(-(nq - cut) // spread))
+            chunks.append((cut, min(nq, cut + size)))
+            deaths.append(0)
+            cut = chunks[-1][1]
+            return len(chunks) - 1
 
         def hand_out(wid: int) -> None:
-            if not pending:
+            task_id = next_task()
+            if task_id is None:
                 return
-            task_id = pending.pop()
             held[wid] = task_id
             batch_ctx = None
             if wid not in briefed:
@@ -656,37 +555,37 @@ class ProcessBackend(HostBackend):
                 batch_ctx = dict(
                     ctx, chaos=None if chaos is None else chaos.process_spec()
                 )
+            lo, hi = chunks[task_id]
             try:
-                self._conns[wid].send((task_id, tasks[task_id], batch_ctx))
+                self._conns[wid].send(
+                    (task_id, queries[lo:hi], probes[lo:hi], batch_ctx)
+                )
             except OSError:
-                pass  # it died; its sentinel puts the task back
+                pass  # it died; its sentinel puts the chunk back
 
         def take(wid: int, msg, alive: bool) -> None:
             if msg[0] == "error":
                 raise ProcessPoolError(f"worker {wid} failed:\n{msg[1]}")
-            _, task_id, payload, reranked, t0, t1 = msg
+            _, task_id, distances, ids, cov, reranked, skipped, t0, t1 = msg
             del held[wid]
             if alive:
-                hand_out(wid)  # the next scan overlaps this merge
-            kernel._count_rerank_amount(reranked)
-            for qidx, scores, ids, n_candidates in payload:
-                if local_cov is not None:
-                    local_cov[qidx, :] += int(n_candidates)
-                if len(scores):
-                    heap = states[qidx].heap
-                    heap.push_many(scores, ids)
-                    board.array[qidx] = heap.threshold
+                hand_out(wid)  # the next scan overlaps this copy
+            lo, hi = chunks[task_id]
+            out.distances[lo:hi] = distances
+            out.ids[lo:hi] = ids
+            if local_cov is not None:
+                local_cov[lo:hi] += cov
+            counts[0] += reranked
+            counts[1] += skipped
             if tracer is not None:
                 tracer.record(
                     "worker-scan", "computation",
                     node=PROCESS_LANE_BASE + wid,
-                    start=t0, end=t1,
-                    worker=wid, shard=int(tasks[task_id][0]),
-                    queries=len(payload),
+                    start=t0, end=t1, worker=wid, queries=hi - lo,
                 )
 
         def bury(wid: int) -> None:
-            """Drain dead worker ``wid``'s pipe and put back its task."""
+            """Drain dead worker ``wid``'s pipe and put back its chunk."""
             conn = self._conns[wid]
             try:
                 while conn.poll():
@@ -699,7 +598,7 @@ class ProcessBackend(HostBackend):
                 return
             deaths[task_id] += 1
             if deaths[task_id] < _MAX_TASK_DEATHS:
-                pending.append(task_id)
+                requeued.append(task_id)
                 self.fault_counters.tasks_requeued += 1
                 if tracer is not None:
                     now = time.perf_counter()
@@ -713,11 +612,17 @@ class ProcessBackend(HostBackend):
                 raise ProcessPoolError(
                     f"task {task_id} killed {deaths[task_id]} workers"
                 )
+            # Abandoned: every candidate of its queries is lost, and
+            # their rows stay empty.
             self.fault_counters.abandoned_scans += 1
-            shard, qidxs = tasks[task_id]
-            for q in qidxs:
-                local_cov[q, 1] += kernel.count_candidates(
-                    states[q], shard, allowed
+            allowed = ctx["allowed"]
+            for q in range(*chunks[task_id]):
+                state = kernel.begin_query(
+                    q, queries[q], probes[q], ctx["k"], allowed
+                )
+                local_cov[q, 1] += state.prewarmed.size + sum(
+                    kernel.count_candidates(state, shard, allowed)
+                    for shard in kernel.shards_for(state)
                 )
 
         for wid in range(len(self._procs)):
@@ -749,3 +654,4 @@ class ProcessBackend(HostBackend):
             for wid in range(len(self._procs)):
                 if wid not in held:
                     hand_out(wid)
+        return counts

@@ -381,10 +381,8 @@ class ShardSlabs:
         return out
 
     def rows(self, local: np.ndarray) -> np.ndarray:
-        """Full rows ``local`` re-assembled column-wise (a fresh copy).
-
-        For tests and inspection; no scan path calls it.
-        """
+        """Full rows ``local`` re-assembled column-wise (a fresh copy):
+        what prewarm scores, and what tests inspect."""
         return np.concatenate(
             [self.take(j, local) for j in range(len(self.base))], axis=1
         )
@@ -969,6 +967,40 @@ class ShardPackedBase:
         if mask is None or mask.all():
             return None
         return mask
+
+    def list_head(
+        self,
+        shard: int,
+        list_id: int,
+        n: int,
+        allowed: np.ndarray | None = None,
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """The first ``n`` candidates :meth:`gather` returns for one
+        list, as ``(ids, rows)`` with full-width float32 rows (copies).
+
+        These are ``index.list_members(list_id)[allowed][:n]`` of the
+        index the layout reflects: the base packs a list's live members
+        in insertion order and the delta segment appends later ones in
+        arrival order. With no filter and no tombstone since the build,
+        a head the base range holds is that range's start.
+        """
+        start, stop = self._list_start[list_id], self._list_stop[list_id]
+        if (
+            allowed is None
+            and not self._tombstones_since
+            and (stop - start >= n or not len(self._dids[shard]))
+        ):
+            stop = min(stop, start + n)
+            rows = [slab[start:stop] for slab in self._rows[shard]]
+            return (
+                self._ids[shard][start:stop].copy(),
+                np.concatenate(rows, axis=1),
+            )
+        ids, local, _, delta_sel = self._candidates(
+            shard, np.array([list_id]), allowed, None
+        )
+        slabs = self._slabs(self._rows, self._drows, shard, delta_sel)
+        return ids[:n], slabs.rows(local[:n])
 
     def gather_sq8(
         self,

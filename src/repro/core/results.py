@@ -50,7 +50,7 @@ class FaultStats:
             only).
         worker_respawns: dead host-backend worker processes replaced
             by the supervisor during the batch.
-        tasks_requeued: (query-group, shard) tasks re-issued to
+        tasks_requeued: process-pool chunks of queries re-issued to
             surviving workers after a worker death or injected kill.
     """
 

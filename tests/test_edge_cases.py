@@ -103,6 +103,45 @@ class TestDegenerateDeployments:
                     server.submit(block, k=3)
 
 
+@pytest.mark.parametrize("backend", ["serial", "process", "sim"])
+def test_k_beyond_ntotal_pads_with_minus_one_at_inf(small, backend):
+    """With every list probed each query sees all ``ntotal`` vectors; a
+    larger ``k`` returns ``(nq, k)`` rows whose first ``ntotal`` entries
+    are every vector, ascending, and whose tail is id -1 at ``inf``. On
+    the process pool the rows come back from several chunks, each
+    written in place."""
+    data, queries = small
+    pool = {"n_workers": 2} if backend == "process" else {}
+    n = len(data)
+    with build(data, queries, backend=backend, **pool) as db:
+        result, _ = db.search(queries, k=n + 7, nprobe=db.config.nlist)
+        shape = (len(queries), n + 7)
+        assert result.ids.shape == result.distances.shape == shape
+        for row_ids, row_dist in zip(result.ids, result.distances):
+            assert sorted(row_ids[:n]) == list(range(n))
+            assert np.all(np.isfinite(row_dist[:n]))
+            assert np.all(np.diff(row_dist[:n]) >= 0)
+            assert np.all(row_ids[n:] == -1)
+            assert np.all(row_dist[n:] == np.inf)
+        _, ref = db.index.search(queries, k=n + 7, nprobe=db.config.nlist)
+        np.testing.assert_array_equal(result.ids, ref)
+
+
+@pytest.mark.parametrize("backend", ["serial", "process", "sim"])
+def test_nprobe_beyond_nlist_is_clamped_to_nlist(small, backend):
+    """An ``nprobe`` above ``nlist`` probes every list once: the answer
+    is the ``nprobe = nlist`` answer, bit for bit."""
+    data, queries = small
+    pool = {"n_workers": 2} if backend == "process" else {}
+    with build(data, queries, backend=backend, **pool) as db:
+        nlist = db.config.nlist
+        over, _ = db.search(queries, k=5, nprobe=10 * nlist)
+        full, _ = db.search(queries, k=5, nprobe=nlist)
+        np.testing.assert_array_equal(over.ids, full.ids)
+        np.testing.assert_array_equal(over.distances, full.distances)
+        assert np.all(over.ids >= 0)
+
+
 @pytest.mark.parametrize("enable_cache", [False, True])
 # "thread" is the retired thread pool's spelling, which builds serial.
 @pytest.mark.parametrize("backend", ["serial", "thread", "process", "sim"])

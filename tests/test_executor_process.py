@@ -558,6 +558,65 @@ def test_worker_killed_while_scanning_is_requeued_and_respawned(
         )
 
 
+def test_a_chunk_that_kills_every_holder_is_abandoned_or_fatal(
+    monkeypatch,
+):
+    """A chunk whose holder dies ``_MAX_TASK_DEATHS`` times is taken to
+    be what kills workers. Under ``degraded_mode`` its queries are
+    abandoned: their rows stay -1 / inf, all their candidates count as
+    lost and they are flagged, while every other row is the oracle's.
+    Without it the pool is given up and the serial loop answers exactly.
+
+    The patched chunk entry (inherited by every forked worker, respawned
+    ones too) kills its process on the chunk holding query 5.
+    """
+    import multiprocessing as mp
+
+    import repro.core.executor.process as process
+
+    if "fork" not in mp.get_all_start_methods():
+        pytest.skip("the deadly chunk entry reaches workers by fork")
+    index = make_index()
+    plan = build_plan(index, n_machines=4, n_vector_shards=2, n_dim_blocks=2)
+    queries = make_queries(index.dim)
+    reference = SerialBackend(index, plan=plan).search(queries, k=5, nprobe=4)
+    poison = queries[5]
+    real = process._search_chunk
+
+    def deadly(kernel, ctx, chunk, probes):
+        if (chunk == poison).all(axis=1).any():
+            os._exit(1)
+        return real(kernel, ctx, chunk, probes)
+
+    monkeypatch.setattr(process, "_search_chunk", deadly)
+    with ProcessBackend(
+        index, plan=plan, n_workers=2, degraded_mode=True
+    ) as backend:
+        got, report = backend.run(queries, k=5, nprobe=4)
+        assert not backend.fallback_active
+        coverage = report.degraded.coverage
+        lost = np.flatnonzero(coverage < 1.0)
+        assert 5 in lost and lost.size < len(queries)
+        assert np.all(coverage[lost] == 0.0)
+        assert report.degraded.n_degraded_queries == lost.size
+        assert np.all(got.ids[lost] == -1)
+        assert np.all(got.distances[lost] == np.inf)
+        kept = np.setdiff1d(np.arange(len(queries)), lost)
+        np.testing.assert_array_equal(got.ids[kept], reference.ids[kept])
+        np.testing.assert_array_equal(
+            got.distances[kept], reference.distances[kept]
+        )
+        assert report.fault_stats.abandoned_scans == 1
+        assert report.fault_stats.tasks_requeued == (
+            process._MAX_TASK_DEATHS - 1
+        )
+    with ProcessBackend(index, plan=plan, n_workers=2) as backend:
+        got = backend.search(queries, k=5, nprobe=4)
+        assert backend.fallback_active
+        np.testing.assert_array_equal(got.ids, reference.ids)
+        np.testing.assert_array_equal(got.distances, reference.distances)
+
+
 def test_shared_memory_unavailable_falls_back(monkeypatch):
     index = make_index()
     plan = build_plan(index, n_machines=4, n_vector_shards=2, n_dim_blocks=2)
@@ -615,6 +674,37 @@ def test_chaos_shm_drop_falls_back_exact_and_leaves_no_segment():
         assert set(os.listdir("/dev/shm")) <= segments_before
     finally:
         db.close()
+
+
+def test_a_warm_pool_search_creates_no_shared_segment(monkeypatch):
+    """Once the pool is up and the layout re-homed, a search — a batch
+    or a single query — sends queries down the pipes and nothing else:
+    no shared-memory segment is created per search."""
+    from multiprocessing import shared_memory
+
+    index = make_index()
+    plan = build_plan(index, n_machines=4, n_vector_shards=2, n_dim_blocks=2)
+    queries = make_queries(index.dim)
+    reference = SerialBackend(index, plan=plan).search(queries, k=5, nprobe=4)
+    created = []
+    real = shared_memory.SharedMemory
+
+    class Counting(real):
+        def __init__(self, name=None, create=False, size=0, **kwargs):
+            if create:
+                created.append(size)
+            super().__init__(name, create, size, **kwargs)
+
+    with ProcessBackend(index, plan=plan, n_workers=2) as backend:
+        backend.search(queries, k=5, nprobe=4)  # pool up, layout re-homed
+        monkeypatch.setattr(shared_memory, "SharedMemory", Counting)
+        got = backend.search(queries, k=5, nprobe=4)
+        one = backend.search(queries[:1], k=5, nprobe=4)
+        assert created == []
+        assert not backend.fallback_active
+        np.testing.assert_array_equal(got.ids, reference.ids)
+        np.testing.assert_array_equal(got.distances, reference.distances)
+        np.testing.assert_array_equal(one.ids, reference.ids[:1])
 
 
 def test_process_module_holds_no_scan_class():

@@ -97,6 +97,9 @@ RETIRED_SYMBOLS = (
     # parameters with one value in use.
     "MEMORY_BANDWIDTH", "bytes_touched", "_scan_bytes_per_element",
     "client_compute_rate", "start_method=",
+    # The process pool's per-batch threshold board and shard-major table.
+    "_SharedVector", "TASKS_PER_WORKER", "_scan_task", "_make_tasks",
+    "begin_batch", "gather_part",
 )
 
 DECLARATION = "_RETIRED_CONFIG_FIELDS = "
