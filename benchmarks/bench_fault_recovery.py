@@ -17,10 +17,12 @@ through a scripted fault timeline:
    are trimmed, and results must again match the healthy run
    byte-for-byte.
 
-Outputs ``results/BENCH_fault_recovery.json`` (per-window timeline +
-recovery events) and ``results/fault_recovery.txt``. ``--smoke`` runs
-one window per phase and exits non-zero if coverage after recovery is
-below 1.0 or the restored phase diverges from the healthy baseline::
+The full run writes ``results/BENCH_fault_recovery.json`` (per-window
+timeline + recovery events) and ``results/fault_recovery.txt``.
+``--smoke`` (and the pytest entry) runs one window per phase, prints
+the table without touching those files, and exits non-zero if coverage
+after recovery is below 1.0 or the restored phase diverges from the
+healthy baseline::
 
     PYTHONPATH=../src python bench_fault_recovery.py          # full
     PYTHONPATH=../src python bench_fault_recovery.py --smoke  # CI gate
@@ -145,6 +147,9 @@ def run_timeline(windows_per_phase=FULL_WINDOWS_PER_PHASE, log=print):
 
 
 def save_outputs(windows, events, summary, smoke):
+    """The timeline table; a full run also writes it and the JSON to
+    ``results/``. A smoke timeline is printed only, so the committed
+    full-run files stay what the full run wrote."""
     payload = {
         "workload": {
             "dataset": DATASET,
@@ -159,7 +164,6 @@ def save_outputs(windows, events, summary, smoke):
         "events": events,
         "summary": summary,
     }
-    c.save_result("BENCH_fault_recovery.json", json.dumps(payload, indent=2))
     rows = [
         [
             w["window"],
@@ -183,7 +187,11 @@ def save_outputs(windows, events, summary, smoke):
             "re-replicated -> restored (simulated)"
         ),
     )
-    c.save_result("fault_recovery.txt", text)
+    if not smoke:
+        c.save_result(
+            "BENCH_fault_recovery.json", json.dumps(payload, indent=2)
+        )
+        c.save_result("fault_recovery.txt", text)
     return text
 
 

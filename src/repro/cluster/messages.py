@@ -8,8 +8,6 @@ far smaller than the raw vectors they describe (Section 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 #: Fixed per-message envelope: MPI/tcp headers, query id, shard/slice ids.
 MESSAGE_HEADER_BYTES = 64
 
@@ -44,42 +42,3 @@ def result_set_bytes(k: int) -> int:
         raise ValueError(f"k must be non-negative, got {k}")
     return MESSAGE_HEADER_BYTES + k * RESULT_ENTRY_BYTES
 
-
-@dataclass(frozen=True)
-class QueryChunk:
-    """A query restricted to one dimension slice, bound for one machine."""
-
-    query_id: int
-    shard_id: int
-    slice_id: int
-    width: int
-
-    @property
-    def nbytes(self) -> int:
-        return query_chunk_bytes(self.width)
-
-
-@dataclass(frozen=True)
-class PartialResult:
-    """Accumulated partial distances forwarded between pipeline stages."""
-
-    query_id: int
-    shard_id: int
-    slice_id: int
-    n_survivors: int
-
-    @property
-    def nbytes(self) -> int:
-        return partial_result_bytes(self.n_survivors)
-
-
-@dataclass(frozen=True)
-class ResultSet:
-    """Final top-K answer returned to the client."""
-
-    query_id: int
-    k: int
-
-    @property
-    def nbytes(self) -> int:
-        return result_set_bytes(self.k)

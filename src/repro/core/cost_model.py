@@ -153,6 +153,7 @@ def estimate_survival(
     L2 metric only (the library's pruning bound for inner product is
     looser; the planner conservatively skips the pilot there).
     """
+    from repro.core.executor.kernel import drive_steps
     from repro.core.heap import TopKHeap
     from repro.core.pruning import ShardScan
     from repro.distance.metrics import squared_l2
@@ -181,12 +182,11 @@ def estimate_survival(
             query=queries[i],
             slices=slices,
         )
-        for position in range(n_blocks):
-            survival[position] += scan.n_alive / scan.n_candidates
-            if scan.n_alive == 0:
-                continue
-            scan.process_slice(position)
-            scan.prune(heap.threshold)
+        # A position the loop never reaches had nothing alive: it adds 0.
+        for position, processed in drive_steps(
+            scan, range(n_blocks), lambda: heap.threshold
+        ):
+            survival[position] += processed / scan.n_candidates
         weight += 1.0
     if weight == 0.0:
         return np.ones(n_blocks, dtype=np.float64)

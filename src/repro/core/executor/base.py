@@ -79,9 +79,9 @@ class Backend(abc.ABC):
     #: failed workers every backend honors (the simulator also runs on
     #: it), and the live
     #: :class:`~repro.cluster.recovery.ReplicaDirectory`, which
-    #: overrides the plan's static replica placement (the simulator
-    #: routes by machine; host backends skip the shards it leaves
-    #: without a live copy).
+    #: overrides the plan's static replica placement (every backend
+    #: skips the shards it leaves without a live copy; the simulator
+    #: also routes each block to a live holder).
     tracer = None
     chaos = None
     cluster = None
@@ -106,6 +106,29 @@ class Backend(abc.ABC):
         """Pruned top-``k`` search for a query batch: the answers and
         this execution's report. ``arrival_times`` (open-loop simulated
         arrivals) is the simulator's; other backends refuse it."""
+
+    def _shards_without_a_live_copy(self) -> "frozenset[int] | None":
+        """What the deployment cluster's failed workers cost this plan:
+        the shards :meth:`run` must skip, None when there are none —
+        every backend's one dead-shard rule, whether or not a query
+        touches the shard.
+
+        Raises when a shard is lost and the backend's ``degraded_mode``
+        is off.
+        """
+        cluster = self.cluster
+        if cluster is None or not cluster.failed_workers:
+            return None
+        from repro.cluster.recovery import unavailable_shards
+
+        dead = unavailable_shards(cluster, self.plan, self.replica_directory)
+        if dead and not self.degraded_mode:
+            raise RuntimeError(
+                f"no live replica of grid blocks of shard {min(dead)}; "
+                f"failed workers: {sorted(cluster.failed_workers)}; "
+                f"enable degraded_mode to serve partial results"
+            )
+        return frozenset(dead) or None
 
     def close(self) -> None:
         """Release execution resources (pools, shared memory).
@@ -283,28 +306,6 @@ class HostBackend(Backend):
                 report, "routing", routing_before, routing_cache.stats()
             )
         return result, report
-
-    def _shards_without_a_live_copy(self) -> "frozenset[int] | None":
-        """What the deployment cluster's failed workers cost this plan:
-        the shards :meth:`run` must skip, None when there are none.
-
-        Raises when a shard is lost and ``degraded_mode`` is off.
-        """
-        cluster = self.cluster
-        if cluster is None:
-            return None
-        if not cluster.failed_workers:
-            return None
-        from repro.cluster.recovery import unavailable_shards
-
-        dead = unavailable_shards(cluster, self.plan, self.replica_directory)
-        if dead and not self.degraded_mode:
-            raise RuntimeError(
-                f"no live replica of grid blocks of shard {min(dead)}; "
-                f"failed workers: {sorted(cluster.failed_workers)}; "
-                f"enable degraded_mode to serve partial results"
-            )
-        return frozenset(dead) or None
 
     def search(
         self,

@@ -6,10 +6,12 @@ algorithm: prewarm the top-K heap from the nearest probed list, walk
 each touched shard's candidates through the dimension pipeline with
 lossless early-stop pruning, and merge the survivors into the heap.
 :class:`ScanKernel` is that algorithm's single home, and the scan
-itself is three module-level functions every caller shares:
-:func:`open_scan` (gathered candidates → the right scan object),
-:func:`drive_scan` (the slice loop) and :func:`scan_group` (chunking a
-shard-group and handing survivors back per query).
+itself is module-level functions every caller shares: :func:`open_scan`
+(gathered candidates → the right scan object), :func:`drive_steps` (the
+slice loop, a generator of stages: the host paths run it out through
+:func:`drive_scan`, the simulator takes one stage a round, the
+planner's survival pilot reads survival off it) and :func:`scan_group`
+(chunking a shard-group and handing survivors back per query).
 
 The kernel is deliberately *timing-free*: it gathers candidate indices
 from a cached :class:`~repro.core.layout.ShardPackedBase`, scores
@@ -121,17 +123,22 @@ def open_scan(layout, parts, queries, query_norms, plan, metric):
     return ShardGroupScan(parts, **shared)
 
 
-def drive_scan(scan, plan, thresholds=None, tracer=None, **labels) -> None:
+def drive_steps(scan, order, thresholds=None, tracer=None, **labels):
     """*Drive*: Algorithm 1's slice loop — the only copy in the tree.
 
-    Accumulate one dimension slice, prune on the monotone bound, stop
-    when nothing is alive. :meth:`ScanKernel.run_scan` (the per-query
-    path) and :func:`scan_group` (the fused path) both run it, on the
-    caller's thread and in every pool worker alike;
-    :meth:`ScanKernel.step` stays as the simulator's single-stage
-    entry because the simulator chooses its own order.
+    Each stage accumulates one dimension slice, prunes on the monotone
+    bound and yields ``(block, processed)``: the block and the rows
+    alive when the stage began (the compute volume a simulator charges).
+    A block is taken from ``order`` only while something is alive.
+    :func:`drive_scan` runs it out in canonical order (every host path);
+    the simulator (:class:`~repro.core.pipeline.PipelineEngine`) takes
+    one stage a round in its own order, and the planner's survival pilot
+    (:func:`~repro.core.cost_model.estimate_survival`) reads survival
+    off it.
 
     Args:
+        order: dimension blocks, read one per stage, so a generator may
+            pick each block when asked (the simulator's load-aware one).
         thresholds: zero-argument threshold source returning what the
             scan's ``prune`` takes (a per-member array; a
             :class:`ShardScan` also takes its one threshold as a
@@ -139,16 +146,30 @@ def drive_scan(scan, plan, thresholds=None, tracer=None, **labels) -> None:
         tracer / labels: with a tracer, each stage records a wall
             span carrying ``labels`` (which never affect execution).
     """
-    for block in range(plan.n_dim_blocks):
-        if scan.n_alive == 0:
-            break
+    blocks = iter(order)
+    while scan.n_alive:
+        block = next(blocks, None)
+        if block is None:
+            return
         with _NOTHING if tracer is None else tracer.wall_span(
             "scan", "computation",
             block=block, alive=int(scan.n_alive), **labels,
         ):
-            scan.process_slice(block)
+            processed = scan.process_slice(block)
             if thresholds is not None:
                 scan.prune(thresholds())
+        yield block, processed
+
+
+def drive_scan(scan, plan, thresholds=None, tracer=None, **labels) -> None:
+    """:func:`drive_steps` run to the end in canonical slice order: the
+    per-query path (:meth:`ScanKernel.run_scan`) and the fused one
+    (:func:`scan_group`), on the caller's thread and in every pool
+    worker alike."""
+    for _ in drive_steps(
+        scan, range(plan.n_dim_blocks), thresholds, tracer, **labels
+    ):
+        pass
 
 
 def scan_group(
@@ -682,18 +703,6 @@ class ScanKernel:
         if coverage is not None:
             coverage[state.query_index, 1] += lost
         return int(lost > 0)
-
-    def step(self, scan: ShardScan, heap: TopKHeap, block: int) -> int:
-        """Advance one scan by one dimension block, then prune.
-
-        Returns the number of candidate rows actually processed (the
-        compute volume a simulating backend should charge for the
-        stage).
-        """
-        processed = scan.process_slice(block)
-        if self.enable_pruning:
-            scan.prune(heap.threshold)
-        return processed
 
     def merge_survivors(self, scan: ShardScan, heap: TopKHeap) -> int:
         """Fold a completed scan's survivors into the query heap.

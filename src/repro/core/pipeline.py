@@ -15,8 +15,10 @@ couples:
    communication mode, just like the paper's MPI deployment.
 
 This module owns only the *timing shell*: machine selection, message
-transfers, timeline charging, and the stage-synchronous round loop.
-The search algorithm itself lives in ``repro.core.executor``.
+transfers, timeline charging, the stage-synchronous round loop, and the
+block order each scan's slice loop (the kernel's ``drive_steps``, one
+stage a round) is handed. The search algorithm itself lives in
+``repro.core.executor``.
 
 Execution is *stage-synchronous*, mirroring the paper's Figure 5: all
 in-flight (query, shard) scans advance one dimension block per round,
@@ -39,6 +41,7 @@ overlaps queries naturally. Per query (Algorithm 1):
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +60,7 @@ from repro.core.executor.kernel import (
     QueryState,
     ScanKernel,
     collect_results,
+    drive_steps,
     recall_vs_healthy,
 )
 from repro.core.heap import TopKHeap
@@ -147,22 +151,21 @@ def placement_report(
 
 @dataclass
 class _ScanState:
-    """One in-flight (query, shard) pass through the dimension pipeline."""
+    """One in-flight (query, shard) pass through the dimension pipeline;
+    ``steps`` is the kernel's ``drive_steps`` over ``scan``."""
 
     query_index: int
     shard: int
     scan: ShardScan
+    steps: Iterator[tuple[int, int]]
     heap: TopKHeap
     chunk_arrival: dict[int, float]
-    involved: frozenset[int]
     start_round: int
-    fixed_order: np.ndarray | None
     machine_for: dict[int, int] = field(default_factory=dict)
     position: int = 0
     prev_end: float = 0.0
     prev_machine: int | None = None
     finished: bool = False
-    remaining: list[int] = field(default_factory=list)
 
 
 class PipelineEngine(Backend):
@@ -203,6 +206,7 @@ class PipelineEngine(Backend):
         self.plan = plan
         self.cluster = cluster
         self.config = config
+        self.degraded_mode = bool(config.degraded_mode)
         self._static_allocations: dict[int, int] = {}
         self._placed_version = index.version
         self._inflight: dict[int, list[int]] = {}
@@ -345,6 +349,7 @@ class PipelineEngine(Backend):
                 arrival_times < 0
             ):
                 raise ValueError("arrival_times must be ascending and >= 0")
+        skip_shards = self._shards_without_a_live_copy()
         cluster = self.cluster
         cluster.reset_time()
         self._drain_inflight()
@@ -368,9 +373,7 @@ class PipelineEngine(Backend):
         # [scanned, total] candidate counts per query; only maintained
         # under degraded_mode (the healthy fast path stays untouched).
         self._coverage = (
-            np.zeros((nq, 2), dtype=np.int64)
-            if self.config.degraded_mode
-            else None
+            np.zeros((nq, 2), dtype=np.int64) if self.degraded_mode else None
         )
 
         # Dispatch phase: prewarm every query's heap (a kernel step,
@@ -404,9 +407,15 @@ class PipelineEngine(Backend):
             for shard_pos, shard in enumerate(
                 self.kernel.shards_for(query_state)
             ):
+                shard = int(shard)
+                if skip_shards and shard in skip_shards:
+                    self._fault_stats.skipped_scans += self.kernel._skip_shard(
+                        query_state, shard, allowed, self._coverage
+                    )
+                    continue
                 state = self._make_state(
                     query_state=query_state,
-                    shard=int(shard),
+                    shard=shard,
                     shard_pos=shard_pos,
                     dispatch_t=dispatch_t,
                     allowed=allowed,
@@ -524,57 +533,32 @@ class PipelineEngine(Backend):
         candidates = scan.candidate_ids
         qidx = query_state.query_index
         if self._coverage is not None:
-            self._coverage[qidx, 1] += scan.n_candidates
-
-        fixed_order: np.ndarray | None
-        if plan.n_dim_blocks == 1:
-            fixed_order = np.zeros(1, dtype=np.int64)
-        elif config.enable_load_balance:
-            fixed_order = None  # chosen lazily per round, load-aware
-        elif config.enable_pipeline:
-            fixed_order = staggered_order(
-                plan.n_dim_blocks, query_state.query_index, shard
-            )
-        else:
-            fixed_order = np.arange(plan.n_dim_blocks, dtype=np.int64)
+            self._coverage[qidx, :] += scan.n_candidates
 
         # Pick each block's serving machine at dispatch time: with
         # replication, the replica with the least *projected* load wins
         # (real loads are still zero during the dispatch phase). Failed
-        # workers are routed around; a block with no live replica makes
-        # the search fail loudly — unless degraded_mode accepts the
-        # coverage loss and skips the whole shard instead.
+        # workers are routed around; :meth:`run` already skipped (or
+        # refused) the shards with a block that has no live replica.
         machine_for: dict[int, int] = {}
-        widths_all = plan.slices.widths()
+        widths = plan.slices.widths()
         for block in range(plan.n_dim_blocks):
-            options = [
-                m
-                for m in self._replica_options(shard, block)
-                if not cluster.is_failed(m)
-            ]
-            if not options:
-                if config.degraded_mode:
-                    self._fault_stats.skipped_scans += 1
-                    return None
-                raise RuntimeError(
-                    f"no live replica of grid block (shard {shard}, "
-                    f"block {block}); failed workers: "
-                    f"{sorted(cluster.failed_workers)}"
-                )
             chosen = min(
-                options, key=lambda m: (self._dispatch_loads[m], m)
+                (
+                    m
+                    for m in self._replica_options(shard, block)
+                    if not cluster.is_failed(m)
+                ),
+                key=lambda m: (self._dispatch_loads[m], m),
             )
             machine_for[block] = chosen
             self._dispatch_loads[chosen] += (
                 candidates.size
-                * widths_all[block]
+                * widths[block]
                 / cluster.workers[chosen].compute_rate
             )
-        if self._coverage is not None:
-            self._coverage[qidx, 0] += scan.n_candidates
 
         # Query chunks are dispatched to every involved machine up front.
-        widths = plan.slices.widths()
         chunk_arrival: dict[int, float] = {}
         for block in range(plan.n_dim_blocks):
             with trace_context(
@@ -588,23 +572,33 @@ class PipelineEngine(Backend):
                     earliest=dispatch_t,
                 )
 
-        involved = frozenset(machine_for.values())
         if plan.n_dim_blocks > 1:
             acc_bytes = candidates.size * PARTIAL_ENTRY_BYTES
-            for machine in involved:
+            for machine in frozenset(machine_for.values()):
                 self._charge_inflight(machine, acc_bytes)
 
+        if config.enable_load_balance:
+            order = self._least_loaded_first(machine_for)
+        elif config.enable_pipeline:
+            order = staggered_order(plan.n_dim_blocks, qidx, shard).tolist()
+        else:
+            order = range(plan.n_dim_blocks)
+        heap = query_state.heap
         return _ScanState(
-            query_index=query_state.query_index,
+            query_index=qidx,
             shard=shard,
             scan=scan,
-            heap=query_state.heap,
+            steps=drive_steps(
+                scan,
+                order,
+                (lambda: heap.threshold)
+                if self.kernel.enable_pruning
+                else None,
+            ),
+            heap=heap,
             chunk_arrival=chunk_arrival,
-            involved=involved,
             start_round=shard_pos,
-            fixed_order=fixed_order,
             machine_for=machine_for,
-            remaining=list(range(plan.n_dim_blocks)),
         )
 
     def _replica_options(self, shard: int, block: int) -> list[int]:
@@ -618,22 +612,22 @@ class PipelineEngine(Backend):
             return [int(m) for m in self.replica_directory.holders(shard, block)]
         return [int(m) for m in self.plan.replica_machines(shard, block)]
 
-    def _next_block(self, state: _ScanState) -> int:
-        """Pick the state's next dimension block.
-
-        Load-aware mode defers the busiest machine's block to later
-        positions (the paper's adaptive reordering); otherwise the
-        precomputed staggered/canonical order applies.
-        """
-        if state.fixed_order is not None:
-            return int(state.fixed_order[state.position])
-        loads = {
-            m.node_id: m.breakdown.computation for m in self.cluster.workers
-        }
-        return min(
-            state.remaining,
-            key=lambda b: (loads[state.machine_for[b]], b),
-        )
+    def _least_loaded_first(self, machine_for: dict[int, int]):
+        """Section 4.3's load-aware order, one block each time the scan
+        asks: the block whose machine has done the least computation
+        so far, so the busiest machine's block is deferred to later
+        positions (the paper's adaptive reordering)."""
+        remaining = sorted(machine_for)
+        while remaining:
+            loads = {
+                m.node_id: m.breakdown.computation
+                for m in self.cluster.workers
+            }
+            block = min(
+                remaining, key=lambda b: (loads[machine_for[b]], b)
+            )
+            remaining.remove(block)
+            yield block
 
     def _advance(self, state: _ScanState, stats: PruningStats, k: int) -> None:
         """Advance one state by one dimension block (one round)."""
@@ -641,15 +635,11 @@ class PipelineEngine(Backend):
         cluster = self.cluster
         config = self.config
         scan = state.scan
+        step = next(state.steps, None)
 
-        stats.record(
-            state.position,
-            n_pruned=scan.n_candidates - scan.n_alive,
-            n_total=scan.n_candidates,
-        )
-        if scan.n_alive == 0:
+        if step is None:
             # Everything pruned: remaining positions are pure skips.
-            for position in range(state.position + 1, plan.n_dim_blocks):
+            for position in range(state.position, plan.n_dim_blocks):
                 stats.record(
                     position,
                     n_pruned=scan.n_candidates,
@@ -661,8 +651,14 @@ class PipelineEngine(Backend):
             )
             return
 
-        block = self._next_block(state)
-        state.remaining.remove(block)
+        # The stage ran in the kernel; its rows alive at the start are
+        # what moves and what is charged (pruning shrinks later stages).
+        block, processed = step
+        stats.record(
+            state.position,
+            n_pruned=scan.n_candidates - processed,
+            n_total=scan.n_candidates,
+        )
         machine = state.machine_for[block]
         widths = plan.slices.widths()
         tracer = cluster.tracer
@@ -672,7 +668,7 @@ class PipelineEngine(Backend):
         # the partial results forwarded from the previous machine.
         ready = state.chunk_arrival[block]
         if state.position > 0 and state.prev_machine is not None:
-            nbytes = partial_result_bytes(scan.n_alive)
+            nbytes = partial_result_bytes(processed)
             with trace_context(
                 tracer, "partial-forward",
                 query=qidx, shard=state.shard, block=block,
@@ -712,10 +708,6 @@ class PipelineEngine(Backend):
                 arrival = max(arrival, go_ahead)
             ready = max(ready, arrival)
 
-        # One kernel step: accumulate the slice, prune against the
-        # query heap. The compute charge covers the rows that were
-        # actually processed (pruning shrinks later stages).
-        processed = self.kernel.step(scan, state.heap, block)
         elements = processed * widths[block]
         with trace_context(
             tracer, "scan",

@@ -9,7 +9,9 @@ no two in-flight queries contend for the same slice stage. The
 load-aware policy ("if M1 becomes overloaded, subsequent queries
 process D1 last") needs the replica actually chosen and the loads of
 the round it runs in, so it lives with the engine that has both:
-:meth:`repro.core.pipeline.PipelineEngine._next_block`.
+:meth:`repro.core.pipeline.PipelineEngine._least_loaded_first`, a
+block generator the engine hands the kernel's ``drive_steps`` as its
+order.
 """
 
 from __future__ import annotations

@@ -7,9 +7,6 @@ from repro.cluster.messages import (
     MESSAGE_HEADER_BYTES,
     PARTIAL_ENTRY_BYTES,
     RESULT_ENTRY_BYTES,
-    PartialResult,
-    QueryChunk,
-    ResultSet,
     partial_result_bytes,
     query_chunk_bytes,
     result_set_bytes,
@@ -49,16 +46,3 @@ class TestSizeHelpers:
         n = 1000
         assert partial_result_bytes(n) < n * dim * FLOAT_BYTES
 
-
-class TestMessageDataclasses:
-    def test_query_chunk_nbytes(self):
-        chunk = QueryChunk(query_id=1, shard_id=0, slice_id=2, width=16)
-        assert chunk.nbytes == query_chunk_bytes(16)
-
-    def test_partial_result_nbytes(self):
-        msg = PartialResult(query_id=1, shard_id=0, slice_id=2, n_survivors=7)
-        assert msg.nbytes == partial_result_bytes(7)
-
-    def test_result_set_nbytes(self):
-        msg = ResultSet(query_id=3, k=10)
-        assert msg.nbytes == result_set_bytes(10)

@@ -1,10 +1,15 @@
-"""Unit tests for repro.core.pruning (ShardScan + PruningStats)."""
+"""Unit tests for repro.core.pruning (ShardScan + PruningStats) and the
+one slice loop that drives a scan (``drive_steps``)."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.executor.kernel import drive_steps
 from repro.core.layout import CandidatePart, ShardSlabs
 from repro.core.pruning import PruningStats, ShardScan
 from repro.distance.metrics import Metric, squared_l2
@@ -50,6 +55,85 @@ def make_scan(base, query, slices, metric=Metric.L2):
         metric=metric,
         base_slice_norms=norms,
     )
+
+
+class TestDriveSteps:
+    """The contract the host paths, the simulator and the planner's
+    survival pilot all rely on."""
+
+    def test_one_yield_per_stage_in_the_given_order(self, base, query, slices):
+        scan = make_scan(base, query, slices)
+        steps = list(drive_steps(scan, [2, 0, 3, 1]))
+        assert [block for block, _ in steps] == [2, 0, 3, 1]
+        assert scan.done == [2, 0, 3, 1]
+        ids, scores = scan.survivors()
+        np.testing.assert_allclose(scores, squared_l2(base[ids], query))
+
+    def test_processed_is_the_rows_alive_when_the_stage_began(
+        self, base, query, slices
+    ):
+        scan = make_scan(base, query, slices)
+        threshold = float(np.sort(squared_l2(base, query))[5])
+        steps = drive_steps(scan, range(4), lambda: threshold)
+        alive_before = []
+        while True:
+            alive_before.append(scan.n_alive)
+            step = next(steps, None)
+            if step is None:
+                break
+            assert step[1] == alive_before[-1]
+        assert alive_before[0] == base.shape[0]
+        assert alive_before[-1] < base.shape[0]  # pruning did shrink it
+
+    def test_ends_once_nothing_is_alive(self, base, query, slices):
+        scan = make_scan(base, query, slices)
+        taken = []
+
+        def order():
+            for block in range(4):
+                taken.append(block)
+                yield block
+
+        steps = list(drive_steps(scan, order(), lambda: -1.0))
+        assert steps == [(0, base.shape[0])]
+        assert scan.n_alive == 0
+        assert taken == [0]  # no block is taken once nothing is alive
+
+    def test_never_prunes_without_thresholds(self, base, query, slices):
+        scan = make_scan(base, query, slices)
+        scan.prune = lambda *_: pytest.fail("pruned without thresholds")
+        steps = list(drive_steps(scan, range(4)))
+        assert steps == [(block, base.shape[0]) for block in range(4)]
+        assert scan.n_alive == base.shape[0]
+
+    def test_it_is_the_only_slice_loop_in_src(self):
+        """Outside the scan classes, ``process_slice`` and ``prune`` are
+        called in ``drive_steps`` and nowhere else in ``src/``."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        inside, outside = 0, []
+        for path in sorted((src / "repro").rglob("*.py")):
+            if path.name == "pruning.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            loops = [
+                range(node.lineno, node.end_lineno + 1)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "drive_steps"
+            ]
+            for node in ast.walk(tree):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("process_slice", "prune")
+                ):
+                    continue
+                if any(node.lineno in loop for loop in loops):
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+        assert outside == []
+        assert inside == 2
 
 
 class TestShardScanAccumulation:

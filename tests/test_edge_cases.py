@@ -103,19 +103,39 @@ class TestDegenerateDeployments:
                     server.submit(block, k=3)
 
 
-@pytest.mark.parametrize("backend", ["serial", "process", "sim"])
-def test_k_beyond_ntotal_pads_with_minus_one_at_inf(small, backend):
+_BACKENDS = ("serial", "process", "sim")
+
+
+@pytest.mark.parametrize(
+    "backend, emptied",
+    [pytest.param(b, None, id=b) for b in _BACKENDS]
+    + [
+        pytest.param(b, (precision, nq), id=f"{b}-emptied-{precision}-{nq}q")
+        for b in _BACKENDS
+        for precision in ("fp32", "sq8")
+        for nq in (1, 10)
+    ],
+)
+def test_k_beyond_ntotal_pads_with_minus_one_at_inf(small, backend, emptied):
     """With every list probed each query sees all ``ntotal`` vectors; a
     larger ``k`` returns ``(nq, k)`` rows whose first ``ntotal`` entries
     are every vector, ascending, and whose tail is id -1 at ``inf``. On
     the process pool the rows come back from several chunks, each
-    written in place."""
+    written in place. An index that ``remove`` has emptied is the
+    ``ntotal = 0`` case, for one query and for a batch in either scan
+    precision: every row is all tail, and the simulator opens no scan."""
     data, queries = small
     pool = {"n_workers": 2} if backend == "process" else {}
-    n = len(data)
-    with build(data, queries, backend=backend, **pool) as db:
-        result, _ = db.search(queries, k=n + 7, nprobe=db.config.nlist)
-        shape = (len(queries), n + 7)
+    precision, nq = emptied or ("fp32", len(queries))
+    n = 0 if emptied else len(data)
+    with build(
+        data, queries, backend=backend, scan_precision=precision, **pool
+    ) as db:
+        if emptied:
+            db.remove(np.arange(len(data)))
+        batch = queries[:nq]
+        result, _ = db.search(batch, k=n + 7, nprobe=db.config.nlist)
+        shape = (nq, n + 7)
         assert result.ids.shape == result.distances.shape == shape
         for row_ids, row_dist in zip(result.ids, result.distances):
             assert sorted(row_ids[:n]) == list(range(n))
@@ -123,7 +143,7 @@ def test_k_beyond_ntotal_pads_with_minus_one_at_inf(small, backend):
             assert np.all(np.diff(row_dist[:n]) >= 0)
             assert np.all(row_ids[n:] == -1)
             assert np.all(row_dist[n:] == np.inf)
-        _, ref = db.index.search(queries, k=n + 7, nprobe=db.config.nlist)
+        _, ref = db.index.search(batch, k=n + 7, nprobe=db.config.nlist)
         np.testing.assert_array_equal(result.ids, ref)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster.cluster import CLIENT_NODE, Cluster, WorkerUnavailableError
 from repro.cluster.recovery import ReplicaDirectory, unavailable_shards
-from repro.core.config import HarmonyConfig
+from repro.core.config import HarmonyConfig, Mode
 from tests.conftest import make_db
 
 
@@ -167,6 +167,41 @@ class TestHostBackendFailures:
         healthy = make_db(tiny_data, tiny_queries).search(tiny_queries, k=5)
         assert np.array_equal(result.ids, healthy[0].ids)
         assert report.degraded is None
+
+
+@pytest.mark.parametrize("degraded", [False, True])
+@pytest.mark.parametrize("backend", ["sim", "serial", "process"])
+def test_a_dead_shard_no_query_touches_follows_one_rule(
+    tiny_data, tiny_queries, backend, degraded
+):
+    """Every backend skips dead shards by one rule, whether or not a
+    query touches them: without ``degraded_mode`` a shard with no live
+    copy fails the search; with it, an untouched dead shard costs the
+    answer nothing — the serial oracle's bits at coverage 1.0 and no
+    skipped scan."""
+    options = dict(mode=Mode.VECTOR, nprobe=1, degraded_mode=degraded)
+    pool = {"n_workers": 2} if backend == "process" else {}
+    with make_db(
+        tiny_data, tiny_queries, backend=backend, **options, **pool
+    ) as db:
+        plan = db.plan
+        shard_of = plan.shard_of_list[db.index.probe(tiny_queries, 1)[:, 0]]
+        for machine in plan.replica_machines(int(shard_of[0]), 0):
+            db.cluster.fail_worker(int(machine))
+        dead = unavailable_shards(db.cluster, plan)
+        queries = tiny_queries[~np.isin(shard_of, sorted(dead))]
+        assert queries.shape[0] > 0
+        if not degraded:
+            with pytest.raises(RuntimeError, match="no live replica"):
+                db.search(queries, k=5)
+            return
+        result, report = db.search(queries, k=5)
+    with make_db(tiny_data, tiny_queries, backend="serial", **options) as oracle:
+        expected, _ = oracle.search(queries, k=5)
+    np.testing.assert_array_equal(result.ids, expected.ids)
+    np.testing.assert_array_equal(result.distances, expected.distances)
+    assert report.degraded.min_coverage == 1.0
+    assert report.degraded.skipped_scans == 0
 
 
 # ----------------------------------------------------------------------

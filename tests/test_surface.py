@@ -100,6 +100,9 @@ RETIRED_SYMBOLS = (
     # The process pool's per-batch threshold board and shard-major table.
     "_SharedVector", "TASKS_PER_WORKER", "_scan_task", "_make_tasks",
     "begin_batch", "gather_part",
+    # The simulator's own slice stepping, and the unused message records.
+    "ScanKernel.step", "kernel.step(", "_next_block", "fixed_order",
+    "state.remaining", "QueryChunk", "PartialResult", "ResultSet",
 )
 
 DECLARATION = "_RETIRED_CONFIG_FIELDS = "
