@@ -28,6 +28,15 @@ heap — so every schedule is replayable and the recovery contract
 stays testable: coverage 1.0 results must be byte-identical to the
 serial oracle no matter which schedule ran.
 
+A process-backend search too small to split (at most ``_MIN_CHUNK``
+queries) runs the serial loop in the parent, and chaos sees it as the
+serial loop's search: it takes :meth:`HostFaultInjector.search_delay`
+exactly as the total-loss fallback does, so a ``worker``-restricted
+:class:`DelayScan` applies to it as it does on serial; it starts no
+task, so :class:`KillWorker` rules stay armed until a worker starts
+one; and :class:`DropSharedMemory` ``at_batch`` still counts it, as
+it counts every search.
+
 The injector is parent-owned. Worker processes receive only a plain
 picklable spec (:meth:`HostFaultInjector.process_spec`); the parent
 disarms a kill rule once it observes the death
@@ -96,8 +105,9 @@ class DelayScan:
 class DropSharedMemory:
     """Drop the shared layout segment before dispatch ``at_batch``.
 
-    ``at_batch`` is the 0-based ordinal of ``ProcessBackend`` batch
-    dispatches since the injector was armed.
+    ``at_batch`` is the 0-based ordinal of ``ProcessBackend`` searches
+    since the injector was armed, those the parent runs itself
+    included.
     """
 
     at_batch: int

@@ -18,8 +18,16 @@ happens to release; this backend sidesteps it with a pool of
   (:meth:`~repro.core.executor.kernel.ScanKernel.over_layout`). A
   query's heap lives in one process from prewarm to top-k and prunes
   against its own threshold, so results are **byte-identical** to the
-  serial oracle, and the parent neither scans nor merges: it routes,
-  cuts chunks and writes each returned row into the result.
+  serial oracle, and the parent merges nothing: it routes, cuts chunks
+  and writes each returned row into the result.
+- **A search too small to split stays in the parent** — a search of at
+  most :data:`_MIN_CHUNK` queries would be one chunk on one worker, with
+  no parallelism to pay for its round trip, so the parent answers it
+  with :meth:`HostBackend.search` (the serial oracle's loop, the one
+  the fallback runs) on its own kernel, which reads the same shared
+  pages. The pool is still started or repaired first, so a small
+  search brings it up after a build and counts toward a chaos shm
+  drop like any other.
 - **The parent hands out every chunk** — each worker has one duplex
   pipe to the parent and shares no lock, queue or control segment with
   a peer. Chunks are cut as the batch drains, ⌈remaining / (2 ·
@@ -75,7 +83,9 @@ from repro.core.results import SearchResult
 PROCESS_LANE_BASE = 2000
 
 #: Fewest queries in a chunk (the batch's last may hold fewer): below
-#: it a chunk's round trip is no longer small beside its scan.
+#: it a chunk's round trip is no longer small beside its scan. A search
+#: of at most this many queries would be one chunk on one worker — no
+#: parallelism, one round trip — so the parent runs it itself.
 _MIN_CHUNK = 4
 
 #: Deaths of the worker holding one chunk after which the chunk
@@ -215,15 +225,16 @@ class ProcessBackend(HostBackend):
     manager) to release processes and shared segments.
 
     A task is a chunk of whole queries, each searched in one worker
-    from prewarm to top-k. A worker that dies mid-batch is *supervised
-    around*: the chunk it held goes back to the front of the line, the
-    worker is respawned, and the batch completes on the pool with
-    byte-identical results — :attr:`fallback_active` stays False. A
-    slow worker needs no supervision: it asks for work less often, so
-    it is handed less. Only losing the pool (every worker dead, shared
-    memory gone, a worker error, a chunk that keeps killing its
-    holders) flips execution to the serial loop, which still returns
-    the same bytes.
+    from prewarm to top-k; a search of at most :data:`_MIN_CHUNK`
+    queries is not split into tasks but runs in the parent. A worker
+    that dies mid-batch is *supervised around*: the chunk it held goes
+    back to the front of the line, the worker is respawned, and the
+    batch completes on the pool with byte-identical results —
+    :attr:`fallback_active` stays False. A slow worker needs no
+    supervision: it asks for work less often, so it is handed less.
+    Only losing the pool (every worker dead, shared memory gone, a
+    worker error, a chunk that keeps killing its holders) flips
+    execution to the serial loop, which still returns the same bytes.
     """
 
     name = "process"
@@ -440,7 +451,14 @@ class ProcessBackend(HostBackend):
         coverage: np.ndarray | None = None,
     ) -> SearchResult:
         k = check_k(k)
-        if self._ensure_pool():
+        # The pool is started (or repaired) and the layout published even
+        # for a search that stays in the parent, so pool start-up, the
+        # chaos shm-drop ordinal and worker repair never depend on a
+        # search's size.
+        if (
+            self._ensure_pool()
+            and np.atleast_2d(queries).shape[0] > _MIN_CHUNK
+        ):
             try:
                 return self._process_search(
                     queries, k, nprobe, filter_labels, skip_shards, coverage

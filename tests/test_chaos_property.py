@@ -33,6 +33,7 @@ from repro.cluster.host_faults import (
     HostFaultInjector,
     KillWorker,
 )
+from repro.core.executor.process import _MIN_CHUNK
 from repro.distance.kernels import scores_to_query
 from tests.conftest import make_db
 
@@ -324,3 +325,98 @@ def test_serial_loop_acts_out_scan_delays(tiny_data, tiny_queries):
         np.testing.assert_array_equal(result.ids, oracle.ids)
         np.testing.assert_array_equal(result.distances, oracle.distances)
     assert seconds[0] < 0.2 <= seconds[1]
+
+
+# ----------------------------------------------------------------------
+# A search too small to split runs in the parent: what chaos does to it
+# ----------------------------------------------------------------------
+
+
+def test_parent_run_search_takes_the_serial_loops_delay(
+    tiny_data, tiny_queries, monkeypatch
+):
+    """A search of at most ``_MIN_CHUNK`` queries runs the serial loop
+    in the parent, so it takes ``search_delay()`` once, as the serial
+    backend and the total-loss fallback do: a ``DelayScan`` restricted
+    to worker 1 applies to it, as it does on serial. A search the pool
+    runs takes no delay in the parent; its workers act theirs out."""
+    import repro.core.executor.base as base
+
+    slept = []
+    monkeypatch.setattr(
+        base, "sleep_for_delay", lambda delay, elapsed: slept.append(delay)
+    )
+    rule = DelayScan(seconds=0.01, worker=1)
+    small = tiny_queries[:_MIN_CHUNK]
+    for backend in ("serial", "process"):
+        db = _make_chaos_db(tiny_data, tiny_queries, backend)
+        db.set_host_faults(HostFaultInjector(delays=[rule]))
+        try:
+            slept.clear()
+            for _ in range(2):
+                db.search(small, k=5)
+            assert slept == [(1.0, 0.01)] * 2, backend
+            if backend == "process":
+                db.search(tiny_queries, k=5)  # the pool's search
+                assert slept == [(1.0, 0.01)] * 2
+                assert db._executor().pool_running
+        finally:
+            db.close()
+
+
+def test_parent_run_search_leaves_kill_rules_armed(tiny_data, tiny_queries):
+    """A ``KillWorker`` rule fires when a worker starts a task, and a
+    search the parent runs starts none: the rule stays armed through
+    any number of them, then fires on the first search the pool runs,
+    whose answer is still the oracle's."""
+    oracle, _ = make_db(tiny_data, tiny_queries, backend="serial").search(
+        tiny_queries, k=5
+    )
+    db = _make_chaos_db(tiny_data, tiny_queries, "process")
+    injector = HostFaultInjector(kills=[KillWorker(worker=0, at_task=0)])
+    db.set_host_faults(injector)
+    try:
+        for lo in range(3):
+            hi = lo + _MIN_CHUNK
+            result, report = db.search(tiny_queries[lo:hi], k=5)
+            np.testing.assert_array_equal(result.ids, oracle.ids[lo:hi])
+            np.testing.assert_array_equal(
+                result.distances, oracle.distances[lo:hi]
+            )
+            assert report.fault_stats is None
+        assert injector.fired == []
+        assert injector.process_spec()["kills"] == {0: 0}
+        result, report = db.search(tiny_queries, k=5)
+        assert injector.fired == ["kill:worker=0"]
+        assert report.fault_stats.worker_respawns == 1
+        np.testing.assert_array_equal(result.ids, oracle.ids)
+        np.testing.assert_array_equal(result.distances, oracle.distances)
+    finally:
+        db.close()
+
+
+def test_parent_run_search_counts_toward_a_shm_drop(tiny_data, tiny_queries):
+    """``DropSharedMemory.at_batch`` counts every search, those the
+    parent runs included: with ``at_batch=2``, two one-query searches
+    leave the pool up, and the third drops the segment and falls back
+    to the serial loop with the oracle's answer."""
+    oracle, _ = make_db(tiny_data, tiny_queries, backend="serial").search(
+        tiny_queries, k=5
+    )
+    db = _make_chaos_db(tiny_data, tiny_queries, "process")
+    injector = HostFaultInjector(shm_drops=[DropSharedMemory(at_batch=2)])
+    db.set_host_faults(injector)
+    try:
+        backend = db._executor()
+        for q in range(2):
+            db.search(tiny_queries[q : q + 1], k=5)
+            assert backend.pool_running and not backend.fallback_active
+        assert injector.fired == []
+        result, _ = db.search(tiny_queries[2:3], k=5)
+        assert injector.fired == ["shm-drop:batch=2"]
+        assert backend.fallback_active
+        assert backend.shared_layout_nbytes() == 0
+        np.testing.assert_array_equal(result.ids, oracle.ids[2:3])
+        np.testing.assert_array_equal(result.distances, oracle.distances[2:3])
+    finally:
+        db.close()

@@ -25,6 +25,7 @@ from repro.core.executor import (
     SerialBackend,
     resolve_backend,
 )
+from repro.core.executor.process import _MIN_CHUNK
 from repro.core.partition import build_plan
 from repro.core.pipeline import PipelineEngine
 from repro.distance.metrics import Metric
@@ -401,3 +402,80 @@ def test_property_backend_equivalence(
             "sim-canonical": sim.run(queries, **kwargs)[0],
         }
     assert_equivalent(results, reference.ids, reference.distances, bitwise={})
+
+
+@settings(
+    max_examples=16,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 10_000),
+    nq=st.integers(1, _MIN_CHUNK + 1),
+    precision=st.sampled_from(["fp32", "sq8"]),
+    mutate=st.booleans(),
+    filtered=st.booleans(),
+    failed=st.sampled_from([None, 0, 1, 2, 3]),
+)
+def test_property_small_searches_equal_serial(
+    seed, nq, precision, mutate, filtered, failed
+):
+    """A search of 1 … ``_MIN_CHUNK + 1`` queries on a warm pool: the
+    parent runs it when it is at most ``_MIN_CHUNK`` queries, the pool
+    otherwise, and either way process equals serial bit for bit — ids,
+    distances and, in degraded mode with a failed cluster worker, the
+    coverage rows and degraded flags — also over delta rows and
+    tombstones the shared layout absorbed in place."""
+    index = make_index(Metric.L2, n=150, dim=9, nlist=8, seed=seed)
+    plan = build_plan(index, n_machines=4, n_vector_shards=4, n_dim_blocks=1)
+    rng = np.random.default_rng(seed + 2)
+    options = dict(
+        scan_precision=precision,
+        degraded_mode=failed is not None,
+        auto_compact=False,
+    )
+    serial = SerialBackend(index, plan=plan, **options)
+    with ProcessBackend(index, plan=plan, n_workers=2, **options) as process:
+        warm = make_queries(index.dim, nq=12, seed=seed + 3)
+        for backend in (serial, process):
+            backend.search(warm, k=5, nprobe=4)  # pool up, layout in shm
+        if mutate:
+            extra = rng.standard_normal((25, index.dim)).astype(np.float32)
+            index.add(extra, labels=rng.integers(0, N_LABELS, 25))
+            alive = np.flatnonzero(~index._deleted)
+            index.remove_ids(rng.choice(alive, size=10, replace=False))
+        if failed is not None:
+            for backend in (serial, process):
+                backend.cluster = Cluster(plan.n_machines)
+                backend.cluster.fail_worker(failed)
+        pool_runs = []
+        run_tasks = process._run_tasks
+
+        def counted_run_tasks(*args):
+            pool_runs.append(1)
+            return run_tasks(*args)
+
+        process._run_tasks = counted_run_tasks
+        queries = make_queries(index.dim, nq=nq, seed=seed + 1)
+        kwargs = dict(
+            k=5, nprobe=4, filter_labels=[1, 3] if filtered else None
+        )
+        reference, serial_report = serial.run(queries, **kwargs)
+        result, process_report = process.run(queries, **kwargs)
+        assert len(pool_runs) == int(nq > _MIN_CHUNK)
+        assert process.shm_base_rehomes == 1  # mutations absorbed in place
+        layout = process._shared_layout
+        assert layout.delta_rows == (25 if mutate else 0)
+        assert layout.tombstones_since == (10 if mutate else 0)
+        assert process.kernel._packed is layout
+        assert not process.fallback_active
+    np.testing.assert_array_equal(result.ids, reference.ids)
+    np.testing.assert_array_equal(result.distances, reference.distances)
+    if failed is None:
+        assert process_report.degraded is None
+        return
+    ours, theirs = process_report.degraded, serial_report.degraded
+    np.testing.assert_array_equal(ours.coverage, theirs.coverage)
+    assert ours.n_degraded_queries == theirs.n_degraded_queries
+    assert ours.skipped_scans == theirs.skipped_scans
+    assert ours.recall_vs_healthy == theirs.recall_vs_healthy

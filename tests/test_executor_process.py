@@ -18,6 +18,7 @@ import pytest
 from repro.core.config import HarmonyConfig
 from repro.core.database import HarmonyDB
 from repro.core.executor import ProcessBackend, SerialBackend
+from repro.core.executor.process import _MIN_CHUNK
 from repro.core.layout import ShardPackedBase, SharedShardPackedBase
 from repro.core.partition import build_plan
 from repro.distance.metrics import Metric
@@ -677,9 +678,11 @@ def test_chaos_shm_drop_falls_back_exact_and_leaves_no_segment():
 
 
 def test_a_warm_pool_search_creates_no_shared_segment(monkeypatch):
-    """Once the pool is up and the layout re-homed, a search — a batch
-    or a single query — sends queries down the pipes and nothing else:
-    no shared-memory segment is created per search."""
+    """Once the pool is up and the layout re-homed, no search creates a
+    shared-memory segment: a batch, and a ``_MIN_CHUNK + 1``-query
+    search, send their queries down the pipes and nothing else, and a
+    search of at most ``_MIN_CHUNK`` queries runs in the parent over
+    the pages already published."""
     from multiprocessing import shared_memory
 
     index = make_index()
@@ -698,13 +701,45 @@ def test_a_warm_pool_search_creates_no_shared_segment(monkeypatch):
     with ProcessBackend(index, plan=plan, n_workers=2) as backend:
         backend.search(queries, k=5, nprobe=4)  # pool up, layout re-homed
         monkeypatch.setattr(shared_memory, "SharedMemory", Counting)
-        got = backend.search(queries, k=5, nprobe=4)
-        one = backend.search(queries[:1], k=5, nprobe=4)
-        assert created == []
+        for nq in (len(queries), *range(_MIN_CHUNK + 1, 0, -1)):
+            got = backend.search(queries[:nq], k=5, nprobe=4)
+            assert created == [], nq
+            np.testing.assert_array_equal(got.ids, reference.ids[:nq])
+            np.testing.assert_array_equal(
+                got.distances, reference.distances[:nq]
+            )
         assert not backend.fallback_active
-        np.testing.assert_array_equal(got.ids, reference.ids)
-        np.testing.assert_array_equal(got.distances, reference.distances)
+
+
+def test_a_search_too_small_to_split_runs_in_the_parent(monkeypatch):
+    """On a warm two-worker pool, a search of 1 … ``_MIN_CHUNK``
+    queries hands out no task: ``_run_tasks`` is never called. A
+    ``_MIN_CHUNK + 1``-query search goes to the pool, one call. The
+    pool stays up throughout."""
+    index = make_index()
+    plan = build_plan(index, n_machines=4, n_vector_shards=2, n_dim_blocks=2)
+    queries = make_queries(index.dim)
+    reference = SerialBackend(index, plan=plan).search(queries, k=5, nprobe=4)
+    pool_runs = []
+    run_tasks = ProcessBackend._run_tasks
+
+    def counted_run_tasks(self, *args):
+        pool_runs.append(args[0].shape[0])
+        return run_tasks(self, *args)
+
+    with ProcessBackend(index, plan=plan, n_workers=2) as backend:
+        backend.search(queries, k=5, nprobe=4)  # pool up, layout re-homed
+        pids = [p.pid for p in backend._procs]
+        monkeypatch.setattr(ProcessBackend, "_run_tasks", counted_run_tasks)
+        for nq in range(1, _MIN_CHUNK + 1):
+            backend.search(queries[:nq], k=5, nprobe=4)
+        one = backend.search(queries[0], k=5, nprobe=4)  # a 1-D query
         np.testing.assert_array_equal(one.ids, reference.ids[:1])
+        assert pool_runs == []
+        backend.search(queries[: _MIN_CHUNK + 1], k=5, nprobe=4)
+        assert pool_runs == [_MIN_CHUNK + 1]
+        assert [p.pid for p in backend._procs] == pids
+        assert not backend.fallback_active
 
 
 def test_process_module_holds_no_scan_class():
