@@ -8,13 +8,19 @@ executions of the identical search:
   + compacted ``ShardScan`` (``batch_queries=False``). This is the
   reference the batched path must beat.
 - ``batched_serial``    — fused shard-major ``search_batch`` on the
-  serial backend.
+  serial backend. Batches of 8 and 32 queries leave every shard-group
+  below the kernel's sharing rule, so it gathers member by member;
+  64 and 256 put every group above it, so it reads each probed list
+  once (the list-major first slice). Each case records how many of its
+  groups went list-major.
 
+Each case is the best of its repeats, the two variants taking turns.
 Both must return byte-identical ids and distances (asserted).
 Results are saved both as a text table and as machine-readable
 ``results/BENCH_scan_kernel.json``; ``--smoke`` runs a small workload
-and exits non-zero if the batched path is slower than the per-query
-path (the CI perf-smoke gate).
+— one batch on each side of the rule — and exits non-zero if the
+batched path is slower than the per-query path in either (the CI
+perf-smoke gate).
 
 Usage::
 
@@ -33,16 +39,18 @@ import numpy as np
 
 import _common as c
 from repro.core.executor import SerialBackend
+from repro.core.executor.kernel import _list_major
 from repro.core.partition import build_plan
+from repro.core.routing import shard_candidate_lists, touched_shards
 from repro.index.ivf import IVFFlatIndex
 
 FULL = dict(
     n=100_000, dim=128, nlist=64, nprobe=8, k=10,
-    n_shards=4, slice_counts=(4, 8), batches=(16, 64, 256), repeats=3,
+    n_shards=4, slice_counts=(4, 8), batches=(8, 32, 64, 256), repeats=3,
 )
 SMOKE = dict(
     n=15_000, dim=64, nlist=32, nprobe=8, k=10,
-    n_shards=2, slice_counts=(4,), batches=(32,), repeats=2,
+    n_shards=2, slice_counts=(4,), batches=(16, 32), repeats=3,
 )
 
 
@@ -63,14 +71,16 @@ def build_workload(params, seed=0):
     return index, queries
 
 
-def _best_of(fn, repeats):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+def list_major_groups(index, plan, queries, nprobe):
+    """``(list-major, all)`` shard-groups of one batch, by the kernel's
+    own rule."""
+    groups = {}
+    for row in index.probe(queries, nprobe):
+        for shard in touched_shards(plan, row):
+            groups.setdefault(int(shard), []).append(
+                shard_candidate_lists(plan, row, shard)
+            )
+    return sum(map(_list_major, groups.values())), len(groups)
 
 
 def run_suite(params, log=print):
@@ -88,29 +98,36 @@ def run_suite(params, log=print):
         batched = SerialBackend(index, plan=plan, batch_queries=True)
         for batch in params["batches"]:
             queries = all_queries[:batch]
-            seconds = {}
-            ref = None
             variants = {
                 "packed_per_query": per_query,
                 "batched_serial": batched,
             }
-            for name, backend in variants.items():
-                seconds[name], result = _best_of(
-                    lambda b=backend: b.search(queries, k=k, nprobe=nprobe),
-                    params["repeats"],
-                )
-                if ref is None:
-                    ref = result
+            # Best of the repeats, the two variants taking turns, so a
+            # drift in the machine's pace reaches both alike.
+            seconds = dict.fromkeys(variants, float("inf"))
+            results = {}
+            for _ in range(params["repeats"]):
+                for name, backend in variants.items():
+                    start = time.perf_counter()
+                    results[name] = backend.search(queries, k=k, nprobe=nprobe)
+                    seconds[name] = min(
+                        seconds[name], time.perf_counter() - start
+                    )
+            ref = results["packed_per_query"]
+            for name, result in results.items():
                 assert np.array_equal(result.ids, ref.ids), (
                     f"{name} ids diverge from the per-query path"
                 )
                 assert np.array_equal(result.distances, ref.distances), (
                     f"{name} distances diverge from the per-query path"
                 )
+            major, groups = list_major_groups(index, plan, queries, nprobe)
             case = {
                 "batch": batch,
                 "n_slices": n_slices,
                 "n_shards": params["n_shards"],
+                "list_major_groups": major,
+                "groups": groups,
                 "seconds": seconds,
                 "speedup_batched_vs_packed_per_query": (
                     seconds["packed_per_query"] / seconds["batched_serial"]
@@ -125,7 +142,7 @@ def run_suite(params, log=print):
                 )
                 + "  (batched "
                 f"{case['speedup_batched_vs_packed_per_query']:.2f}x"
-                " vs per-query)"
+                f" vs per-query; {major}/{groups} groups list-major)"
             )
     return cases
 
@@ -144,6 +161,7 @@ def save_outputs(params, cases, smoke):
         [
             case["batch"],
             case["n_slices"],
+            f"{case['list_major_groups']}/{case['groups']}",
             round(case["seconds"]["packed_per_query"] * 1e3, 1),
             round(case["seconds"]["batched_serial"] * 1e3, 1),
             round(case["speedup_batched_vs_packed_per_query"], 2),
@@ -152,7 +170,8 @@ def save_outputs(params, cases, smoke):
     ]
     text = c.format_table(
         [
-            "batch", "slices", "per-query (ms)", "batched (ms)",
+            "batch", "slices", "list-major groups", "per-query (ms)",
+            "batched (ms)",
             "speedup vs per-query",
         ],
         rows,

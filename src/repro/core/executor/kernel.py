@@ -35,6 +35,15 @@ Two execution shapes share the kernel:
   scan's bits, so its results are *bitwise identical* to the looped
   :meth:`search_one` — a property the equivalence tests pin.
 
+A shard-group has two sources, chosen by one rule on its own shape
+(:func:`_list_major`: its (member, list) pairs over its distinct
+probed lists, against :data:`_LIST_SHARING`). Below the rule each
+member's candidates are gathered on their own; above it the group is
+read *list-major* — slice 0 scores each probed list once, with one
+GEMM of its slab range against every member probing it, and only the
+survivors become the group's dense rows. SQ8 groups and scans without
+pruning always gather member by member.
+
 :meth:`ScanKernel.search` picks between the two; the serial loop runs
 it over a whole batch, and every process-pool worker over its chunk of
 one, on a kernel bound to the shared layout (:meth:`ScanKernel.
@@ -68,29 +77,68 @@ from repro.distance.kernels import scores_to_query
 from repro.distance.metrics import Metric, normalize_rows
 from repro.distance.partial import query_slice_norms, slice_norms
 
-#: Upper bound on 8-byte elements of dense per-row bookkeeping in one
-#: fused group chunk (~8 MB). A chunk holds no candidate rows — they
-#: stay in the layout's slabs — so what grows with its row count is the
-#: group scan's dense arrays: per row ids, owner, accumulated score,
-#: alive index and a stage's partial, the threshold gather, bound, keep
-#: mask and kept index of a prune, and up to ``2 * n_slices`` table
-#: columns (the IP suffix sums, and the fp32 IP rounding pad or the SQ8
-#: error norms) — ``8 + 2 * n_slices`` elements, which
-#: :func:`scan_group` divides by. The two stage buffers are sized by
-#: the chunk's largest *member* (one member is never split), not by
-#: this bound; phase one and the re-rank walk the chunk's rows through
-#: them in blocks of that size. Groups larger than it are processed in
-#: sequential query-disjoint chunks so the batched path's working set stays
-#: cache-and-RAM friendly at any batch size. Not a tuned value: at four
-#: slices it gives 62 500 rows a chunk, and 31k–250k rows a chunk time
-#: the same on the ledger's ``batch_fp32``.
+#: Upper bound on 8-byte elements of per-row bookkeeping a fused group
+#: chunk opens with (~8 MB). A chunk holds no candidate rows — they stay
+#: in the layout's slabs. Member by member, what grows with its row
+#: count is the group scan's dense arrays: per row ids, owner,
+#: accumulated score, alive index and a stage's partial, the threshold
+#: gather, bound, keep mask and kept index of a prune, and up to
+#: ``2 * n_slices`` table columns (the IP suffix sums, and the fp32 IP
+#: rounding pad or the SQ8 error norms) — ``8 + 2 * n_slices`` elements,
+#: which :func:`scan_group` divides by. List by list (the list-major
+#: first slice, :func:`_list_major`), a chunk opens with one float64
+#: slice-0 score per (member, row) pair and no dense row at all, so it
+#: holds up to this many *pairs*; only slice 0's survivors become dense
+#: rows — 38 % of the pairs on the ledger's ``batch_fp32`` at seed 7,
+#: but every pair of a member whose heap is not yet full (prewarm off,
+#: or seeding fewer than k rows), which can reach ``8 + 2 * n_slices``
+#: times the bound. The two stage buffers are sized by the chunk's
+#: largest *member* (one member is never split; list by list, also its
+#: largest list), not by this bound;
+#: phase one and the re-rank walk the chunk's rows through them in
+#: blocks of that size. Groups larger than it are processed in
+#: sequential query-disjoint chunks so the batched path's working set
+#: stays cache-and-RAM friendly at any batch size. Not a tuned value:
+#: member by member, at four slices it gives 62 500 rows a chunk, and
+#: 31k–250k rows a chunk time the same on ``batch_fp32``; list by list,
+#: it keeps that workload's 256-query group (~690k pairs) one chunk —
+#: cut in two, the list path's gain there fell from 1.57× to 1.33×
+#: (in-process, alternating, 16 batches at seed 7).
 GROUP_BLOCK_ELEMENTS = 1_000_000
+
+#: S, the least sharing at which a shard-group is read list by list:
+#: its (member, probed list) pairs over its distinct probed lists
+#: (:func:`_list_major`). The list path pays a fixed cost per distinct
+#: list — one GEMM, its pad, prune and merge — and saves per pair a
+#: gather and slice 0's take and ``sgemv``. Swept on the ledger's
+#: ``batch_fp32`` shape (20k x 128 on a 1 x 4 grid, nlist 128, nprobe
+#: 16; in-process, the two paths alternating, up to 60 batches a size,
+#: seeds 7 and 3), list path over member path by sharing: 2.7–2.8 (16
+#: queries) 0.78–0.83x, 3.7 (24) 0.88–0.89x, 4.6–4.7 (32) 0.98–0.99x,
+#: 5.5–5.6 (40) 1.02–1.06x, 6.4 (48) 1.05–1.10x, 8.3–8.4 (64) 1.16x,
+#: 16 (128) 1.28–1.31x, 32 (256) 1.36–1.46x. The crossover sits at
+#: 4.6–4.7; S is the first whole number past it. The gain also grows
+#: with what slice 0 prunes: on ``bench_scan_kernel``'s unclustered
+#: gaussian rows, where little is, 256 queries read 1.04x.
+_LIST_SHARING = 5.0
+
+
+def _list_major(member_lists) -> bool:
+    """The source rule: whether a shard-group whose members probe
+    ``member_lists`` (per member, its lists in the shard) is read list
+    by list."""
+    pairs = sum(len(lists) for lists in member_lists)
+    if pairs < _LIST_SHARING:
+        return False
+    distinct = np.unique(np.concatenate(member_lists)).size
+    return pairs >= _LIST_SHARING * distinct
+
 
 #: Stands in for a trace span that is not there.
 _NOTHING = contextlib.nullcontext()
 
 
-def open_scan(layout, parts, queries, query_norms, plan, metric):
+def open_scan(layout, parts, queries, query_norms, plan, metric, lists=None):
     """*Open*: gathered candidates become the scan that walks them.
 
     The one precision/arity switch. ``parts`` / ``queries`` /
@@ -109,7 +157,7 @@ def open_scan(layout, parts, queries, query_norms, plan, metric):
     """
     sq8 = {"code_lo": layout.code_lo, "code_scale": layout.code_scale}
     shared = {"slices": plan.slices, "metric": metric}
-    if len(parts) == 1:
+    if len(parts) == 1 and lists is None:
         part = parts[0]
         shared.update(query=queries[0], query_norms=query_norms[0])
         if part.err is not None:
@@ -120,7 +168,7 @@ def open_scan(layout, parts, queries, query_norms, plan, metric):
         shared.update(query_norms=np.stack(query_norms))
     if parts[0].err is not None:
         return SQ8ShardGroupScan(parts, **shared, **sq8)
-    return ShardGroupScan(parts, **shared)
+    return ShardGroupScan(parts, **shared, lists=lists)
 
 
 def drive_steps(scan, order, thresholds=None, tracer=None, **labels):
@@ -173,7 +221,8 @@ def drive_scan(scan, plan, thresholds=None, tracer=None, **labels) -> None:
 
 
 def scan_group(
-    layout, gathered, plan, metric, thresholds, sink, tracer=None, shard=None
+    layout, gathered, plan, metric, thresholds, sink, tracer=None, shard=None,
+    lists=None,
 ) -> int:
     """*Chunk/demux*: one shard for a group of queries, fused.
 
@@ -194,30 +243,54 @@ def scan_group(
         sink: ``sink(member, ids, scores)`` receives each member's
             survivors (a heap push).
         tracer / shard: passed to :func:`drive_scan` as span labels.
+        lists: ``(blocks, counts)`` to open the group list-major: the
+            members' base candidates as the layout's per-list blocks
+            and each member's candidate count. ``gathered`` then holds
+            *every* member, in block member order, with its delta part;
+            a chunk holds at most :data:`GROUP_BLOCK_ELEMENTS` (member,
+            row) pairs and scans the blocks restricted to its members.
 
     Returns:
         SQ8 candidates re-ranked against their fp32 rows (0 on the fp32
         path, whose group scans re-rank rows they bounded themselves).
     """
-    max_rows = max(
-        1, GROUP_BLOCK_ELEMENTS // (8 + 2 * plan.slices.n_slices)
-    )
+    if lists is None:
+        max_rows = max(
+            1, GROUP_BLOCK_ELEMENTS // (8 + 2 * plan.slices.n_slices)
+        )
+    else:
+        blocks, counts = lists
+        max_rows = GROUP_BLOCK_ELEMENTS
     run = (layout, plan, metric, thresholds, sink, tracer, shard)
     reranked = 0
-    chunk, chunk_rows = [], 0
+    chunk, chunk_rows, first = [], 0, 0
+
+    def scan_chunk() -> int:
+        if lists is None:
+            return _scan_chunk(chunk, *run)
+        hi = first + len(chunk)
+        mine = blocks if (first, hi) == (0, counts.size) else [
+            b for b in (b.members_in(first, hi) for b in blocks) if b
+        ]
+        return _scan_chunk(chunk, *run, lists=mine)
+
     for item in gathered:
         chunk.append(item)
-        chunk_rows += int(item[1].ids.size)
+        chunk_rows += int(
+            item[1].ids.size if lists is None
+            else counts[first + len(chunk) - 1]
+        )
         if chunk_rows >= max_rows:
-            reranked += _scan_chunk(chunk, *run)
+            reranked += scan_chunk()
+            first += len(chunk)
             chunk, chunk_rows = [], 0
     if chunk:
-        reranked += _scan_chunk(chunk, *run)
+        reranked += scan_chunk()
     return reranked
 
 
 def _scan_chunk(
-    chunk, layout, plan, metric, thresholds, sink, tracer, shard
+    chunk, layout, plan, metric, thresholds, sink, tracer, shard, lists=None
 ) -> int:
     """Open, drive and demux one chunk of :func:`scan_group`.
 
@@ -225,7 +298,9 @@ def _scan_chunk(
     buffers — dies on return, before the next chunk is gathered.
     """
     members, parts, queries, query_norms = zip(*chunk)
-    scan = open_scan(layout, parts, queries, query_norms, plan, metric)
+    scan = open_scan(
+        layout, parts, queries, query_norms, plan, metric, lists
+    )
     drive_scan(
         scan,
         plan,
@@ -239,12 +314,12 @@ def _scan_chunk(
     survivors = scan.survivors()
     if len(survivors) == 2:  # the per-query unit: one owner
         sink(members[0], *survivors)
-    else:
+    else:  # owner ascends: each member's survivors are one segment
         ids, scores, owner = survivors
-        for local, member in enumerate(members):
-            mask = owner == local
-            if mask.any():
-                sink(member, ids[mask], scores[mask])
+        cuts = np.searchsorted(owner, np.arange(len(members) + 1)).tolist()
+        for member, lo, hi in zip(members, cuts, cuts[1:]):
+            if lo < hi:
+                sink(member, ids[lo:hi], scores[lo:hi])
     return getattr(scan, "reranked", 0)
 
 
@@ -890,17 +965,22 @@ class ScanKernel:
 
         :func:`scan_group` with the query heaps as threshold source and
         a heap push as survivor sink; each member's ``coverage`` row
-        (both columns) grows by the candidates gathered here.
+        (both columns) grows by the candidates gathered here. The
+        source is the group's choice (:func:`_list_major`): a group that
+        shares its probed lists enough is read list by list from the
+        layout, any other one member by member.
         """
         shard = int(shard)
-
-        def gathered():
-            for state in group:
-                part = self._gather_candidates(state, shard, allowed)
-                if part is not None:
-                    if coverage is not None:
-                        coverage[state.query_index, :] += part.ids.size
-                    yield state, part, state.query, state.query_norms
+        layout = self.packed_base()
+        gathered = lists = None
+        if self.enable_pruning and self.scan_precision == "fp32":
+            member_lists = [self._lists_for(state, shard) for state in group]
+            if _list_major(member_lists):
+                gathered, lists = self._listed(
+                    layout, shard, group, member_lists, allowed, coverage
+                )
+        if gathered is None:
+            gathered = self._gathered(group, shard, allowed, coverage)
 
         def thresholds(states) -> np.ndarray:
             return np.array([state.heap.threshold for state in states])
@@ -909,16 +989,47 @@ class ScanKernel:
             state.heap.push_many(scores, ids)
 
         reranked = scan_group(
-            self.packed_base(),
-            gathered(),
+            layout,
+            gathered,
             self.plan,
             self.metric,
             thresholds if self.enable_pruning else None,
             sink,
             self.tracer,
             shard,
+            lists,
         )
         self._count_rerank_amount(reranked)
+
+    def _listed(self, layout, shard, group, member_lists, allowed, coverage):
+        """List by list: the group's base candidates as the layout's
+        per-list blocks, each member with its delta part, for
+        :func:`scan_group`'s ``(gathered, lists)``."""
+        blocks, deltas = layout._list_rows(
+            shard, member_lists, allowed,
+            [(int(state.probe_row[0]), state.prewarmed) for state in group],
+        )
+        counts = np.array([part.ids.size for part in deltas])
+        for block in blocks:
+            counts[block.members] += block.counts
+        if coverage is not None:
+            for state, count in zip(group, counts.tolist()):
+                coverage[state.query_index, :] += count
+        gathered = [
+            (state, part, state.query, state.query_norms)
+            for state, part in zip(group, deltas)
+        ]
+        return gathered, (blocks, counts)
+
+    def _gathered(self, group, shard, allowed, coverage):
+        """Member by member: each member's candidates gathered on its
+        own, for :func:`scan_group`."""
+        for state in group:
+            part = self._gather_candidates(state, shard, allowed)
+            if part is not None:
+                if coverage is not None:
+                    coverage[state.query_index, :] += part.ids.size
+                yield state, part, state.query, state.query_norms
 
 
 def recall_vs_healthy(

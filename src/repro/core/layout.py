@@ -424,6 +424,49 @@ class CandidatePart(NamedTuple):
     exact: "ShardSlabs | None" = None
 
 
+class _ListRows(NamedTuple):
+    """One probed list's base rows where they lie, and who probes it:
+    a block of :meth:`ShardPackedBase._list_rows`.
+
+    Attributes:
+        start: shard-local index of the list's first row; its rows are
+            ``start … start + ids.size`` of every slab.
+        ids: the rows' global ids (a view of the packed table).
+        norms: their per-slice norms (a view; None for L2).
+        members: ascending indices of the group members probing it.
+        live: rows the filter admits and no tombstone hides (None: all).
+        drops: ``(columns, mask)`` per prewarmed set drawn from this
+            list: the members (columns) whose nearest list it is and who
+            prewarmed the same ids, and the rows they did not prewarm.
+        counts: candidates per member column — what a per-member gather
+            of this list would hold.
+    """
+
+    start: int
+    ids: np.ndarray
+    norms: "np.ndarray | None"
+    members: np.ndarray
+    live: "np.ndarray | None"
+    drops: tuple
+    counts: np.ndarray
+
+    def members_in(self, lo: int, hi: int) -> "_ListRows | None":
+        """The block restricted to members ``lo … hi - 1``, renumbered
+        from 0 (None when none of them probes it)."""
+        c0, c1 = np.searchsorted(self.members, (lo, hi)).tolist()
+        if c0 == c1:
+            return None
+        drops = []
+        for cols, keep in self.drops:
+            cols = cols[(cols >= c0) & (cols < c1)]
+            if cols.size:
+                drops.append((cols - c0, keep))
+        return self._replace(
+            members=self.members[c0:c1] - lo, drops=tuple(drops),
+            counts=self.counts[c0:c1],
+        )
+
+
 class ShardPackedBase:
     """Per-shard contiguous copies of list-member rows, ids, and norms.
 
@@ -1001,6 +1044,100 @@ class ShardPackedBase:
         )
         slabs = self._slabs(self._rows, self._drows, shard, delta_sel)
         return ids[:n], slabs.rows(local[:n])
+
+    def _list_rows(
+        self,
+        shard: int,
+        member_lists: "list[np.ndarray]",
+        allowed: np.ndarray | None,
+        excludes: "list[tuple[int, np.ndarray]]",
+    ) -> "tuple[list[_ListRows], list[CandidatePart]]":
+        """A shard-group's float32 candidates read list by list: what
+        the fused scan's list-major first slice scans in place.
+
+        Index work only, and per *distinct* probed list rather than per
+        (member, list) pair: each list's base range, id and norm views,
+        and one row mask (:meth:`gather`'s filter and tombstone terms).
+        Prewarm exclusion is the one per-member term. A member's
+        prewarmed ids are the head of its nearest probed list
+        (:meth:`list_head`), so it applies to that one block only.
+
+        Args:
+            member_lists: per member, its probed lists in ``shard``.
+            excludes: per member, ``(nearest list, prewarmed ids)``.
+
+        Returns:
+            ``(blocks, deltas)``: one :class:`_ListRows` per distinct
+            non-empty probed list, and per member a
+            :class:`CandidatePart` of its delta-segment candidates
+            (often empty). Delta rows are not list-contiguous, so they
+            are gathered per member as :meth:`gather` gathers them. All
+            the parts share one slab handle.
+        """
+        pairs = np.concatenate(member_lists).astype(np.int64)
+        owners = np.repeat(
+            np.arange(len(member_lists), dtype=np.intp),
+            [len(lists) for lists in member_lists],
+        )
+        order = np.argsort(pairs, kind="stable")
+        pairs, owners = pairs[order], owners[order]
+        cuts = (np.flatnonzero(np.diff(pairs)) + 1).tolist()
+        nearest: dict = {}
+        for member, (list_id, prewarmed) in enumerate(excludes):
+            if prewarmed.size:
+                nearest.setdefault(int(list_id), []).append(
+                    (member, prewarmed)
+                )
+        shard_ids, norms = self._ids[shard], self._norms[shard]
+        blocks = []
+        for lo, hi in zip([0, *cuts], [*cuts, pairs.size]):
+            list_id = int(pairs[lo])
+            start = int(self._list_start[list_id])
+            stop = int(self._list_stop[list_id])
+            if stop == start:
+                continue
+            ids, members = shard_ids[start:stop], owners[lo:hi]
+            live = self._candidate_mask(ids, allowed, None)
+            counts = np.full(
+                members.size,
+                ids.size if live is None else np.count_nonzero(live),
+                dtype=np.int64,
+            )
+            # Members whose nearest list this is prewarmed its head, so
+            # under one filter they share their prewarmed ids: one
+            # exclusion mask per distinct set.
+            sets: dict = {}
+            for member, prewarmed in nearest.get(list_id, ()):
+                cols = sets.setdefault(prewarmed.tobytes(), [prewarmed])
+                cols.append(int(np.searchsorted(members, member)))
+            drops = []
+            for prewarmed, *cols in sets.values():
+                keep, cols = _not_among(ids, prewarmed), np.array(cols)
+                counts[cols] = np.count_nonzero(
+                    keep if live is None else keep & live
+                )
+                drops.append((cols, keep))
+            blocks.append(_ListRows(
+                start, ids, None if norms is None else norms[start:stop],
+                members, live, tuple(drops), counts,
+            ))
+        found = [
+            self._delta_candidates(shard, lists, allowed, exclude)
+            for lists, (_, exclude) in zip(member_lists, excludes)
+        ]
+        any_delta = next((sel for sel, _ in found if sel is not None), None)
+        slabs = self._slabs(self._rows, self._drows, shard, any_delta)
+        n_base = shard_ids.size
+        deltas = [
+            CandidatePart(
+                np.empty(0, dtype=np.int64) if sel is None else dids,
+                np.empty(0, dtype=np.intp) if sel is None else sel + n_base,
+                slabs,
+                _take_both(norms, None, self._dnorms[shard], sel),
+            )
+            for sel, dids in found
+        ]
+        return blocks, deltas
 
     def gather_sq8(
         self,

@@ -16,7 +16,10 @@ candidates — shard-local row indices into a
 just that slice's columns of just those rows out of the slab, into
 stage buffers the scan object owns (never shared: concurrent callers
 of one kernel each open their own scans). Pruning therefore moves index
-arrays only.
+arrays only. The one stage that takes nothing is a group opened
+*list-major*: its first slice reads each probed list's slab range in
+place and scores it against every member probing it with one GEMM
+(:func:`_list_scores`), and only the survivors become alive indices.
 
 Score convention: smaller is better. For L2 the accumulated partial sum
 itself lower-bounds the final score; for inner product the bound
@@ -34,8 +37,9 @@ against and the simulator's stepping unit, so the fused path is checked
 against a genuinely different computation and simulated figures cannot
 move. The pad is derived once (:func:`_phase_one_pad`), each
 precision's scorer is one helper (:func:`_f32_padded_scores`,
-:func:`_sq8_padded_scores`) and the re-rank is one helper all
-two-phase scans share (:func:`_exact_scores`).
+:func:`_sq8_padded_scores`; the list-major first slice's
+:func:`_list_scores` is the fp32 one's arithmetic over a GEMM) and the
+re-rank is one helper all two-phase scans share (:func:`_exact_scores`).
 """
 
 from __future__ import annotations
@@ -430,8 +434,79 @@ def _attach_f32(scan, norms) -> None:
         )
     else:
         scan._f32_weights = scan.queries
-        pad = 2.0 * gamma * np.sqrt(squares)
-        scan._f32_cap = norms * pad[scan.query_of] + tiny
+        scan._f32_pad = (2.0 * gamma * np.sqrt(squares), tiny)
+        scan._f32_cap = _ip_cap(scan, norms, scan.query_of)
+
+
+def _ip_cap(scan, norms: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Per row and slice, the inner-product family's phase-one pad
+    ``2γ·‖x_s‖·‖q_s‖`` plus the absolute term (:func:`_attach_f32`)."""
+    pad, tiny = scan._f32_pad
+    return norms * pad[owner] + tiny
+
+
+def _list_scores(scan, block) -> np.ndarray:
+    """Slice 0 of one probed list for every member probing it: the
+    list-major :class:`ShardGroupScan`'s phase one, ``(rows, members)``.
+
+    The list's slab-0 rows are read in place — no gather, no take — and
+    scored against the stacked weights of its members with one float32
+    ``sgemm``. The rest is :func:`_f32_padded_scores`' arithmetic, each
+    element built from the same operands in the same order: for L2 the
+    rows' ``Â`` (squared in the scan's float32 scratch, one ``sgemv``
+    against ones) once per list, times ``1 - 3γ``, plus the product, plus
+    the member's constant; for the inner-product family the negated
+    product less ``outer(‖x_0‖, 2γ·‖q_0‖)`` and the absolute term.
+    :func:`_phase_one_pad`'s lemma bounds a dot product in any summation
+    order, so a GEMM's order keeps the bound sound.
+    """
+    start, stop = scan.slices.slice_range(0)
+    n, width = block.ids.size, stop - start
+    rows = scan._slabs.base[0][block.start : block.start + n]
+    members = block.members
+    linear = rows @ scan._f32_weights[members, start:stop].T
+    if scan._f32_cap is not None:
+        approx = np.negative(linear, dtype=np.float64)
+        pad, tiny = scan._f32_pad
+        approx -= (
+            np.multiply.outer(block.norms[:, 0], pad[members, 0]) + tiny[0]
+        )
+        trivial = -np.inf
+    else:
+        squares = np.square(rows, out=scan._buffers.f32(n, width))
+        approx = np.multiply(
+            np.dot(squares, scan._f32_ones[:width]),
+            scan._f32_keep[0],
+            dtype=np.float64,
+        )[:, None] + linear
+        approx += scan._f32_const[0].take(members)
+        trivial = 0.0
+    if not np.isfinite(approx.sum()):
+        approx[~np.isfinite(approx)] = trivial
+    return approx
+
+
+def _list_survivors(scan, block, approx: np.ndarray) -> np.ndarray:
+    """Flat indices of one list's stage-0 scores that survive:
+    the bound held against each column's member threshold, under the
+    list's row mask and the members' prewarm exclusions."""
+    members = block.members
+    bound = approx
+    if scan._suffix is not None and scan.slices.n_slices > 1:
+        # suffix_ip_bounds' column 1, summed in its order (last slice
+        # first) for every (row, member) pair at once.
+        qnorms, norms = scan._qnorms, block.norms
+        last = scan.slices.n_slices - 1
+        raw = np.multiply.outer(norms[:, last], qnorms[members, last])
+        for j in range(last - 1, 0, -1):
+            raw += np.multiply.outer(norms[:, j], qnorms[members, j])
+        bound = approx - (raw * (1.0 + BOUND_REL_EPS) + BOUND_ABS_EPS)
+    keep = bound <= scan._thresholds[members]
+    if block.live is not None:
+        keep &= block.live[:, None]
+    for cols, kept in block.drops:
+        keep[:, cols] &= kept[:, None]
+    return np.flatnonzero(keep)
 
 
 def _attach_sq8(
@@ -729,16 +804,29 @@ class ShardGroupScan:
     :class:`ShardScan`. Phase one's survivor count can move by a few
     rows with the BLAS build or thread count; the answers cannot.
 
+    **List-major first slice.** Opened with ``lists`` (the layout's
+    per-list blocks, :meth:`~repro.core.layout.ShardPackedBase.
+    _list_rows`), the group's base candidates are not gathered member by
+    member: slice 0 scores each probed list once, one ``sgemm`` of its
+    slab range read in place against every member probing it
+    (:func:`_list_scores`), and :meth:`prune` turns only the survivors
+    into the dense arrays (:func:`_list_survivors`). From there the scan
+    is the one above, so the answers are the same bits.
+
     Args:
         parts: one gathered :class:`~repro.core.layout.CandidatePart`
             per member, all of the same shard; the dense arrays are
-            their concatenation in member order.
+            their concatenation in member order. With ``lists``, the
+            members' delta-segment candidates.
         queries: the members' query vectors, ``(n_queries, dim)``
             float32 (or a sequence of them).
         slices: the plan's dimension slicing.
         metric: L2 or inner-product family.
         query_norms: per-query per-slice norms (IP only),
             ``(n_queries, m)``.
+        lists: float32 only — the members' base candidates as
+            :class:`~repro.core.layout._ListRows` blocks, whose member
+            indices count from 0 in ``parts`` order.
     """
 
     def __init__(
@@ -748,6 +836,7 @@ class ShardGroupScan:
         slices: DimensionSlices,
         metric: Metric = Metric.L2,
         query_norms: np.ndarray | None = None,
+        lists: "list | None" = None,
     ) -> None:
         sizes = [part.ids.size for part in parts]
         self.ids = np.concatenate([part.ids for part in parts])
@@ -765,7 +854,21 @@ class ShardGroupScan:
             [p.slabs if p.exact is None else p.exact for p in parts]
         )
         self._query_slabs = _query_slabs(self.queries, slices)
-        self._buffers = _StageBuffers(max(sizes), self._slabs)
+        #: The list-major first slice's blocks until :meth:`prune`
+        #: settles them; then their stage-0 scores; then None.
+        self._lists = lists
+        self._pending = 0
+        rows = max(sizes)
+        if lists:
+            counts = np.array(sizes, dtype=np.int64)
+            for block in lists:
+                counts[block.members] += block.counts
+                rows = max(rows, block.ids.size)
+            self._pending = int(counts.sum() - sum(sizes))
+            rows = max(rows, int(counts.max()))
+        if not self._pending:
+            self._lists = None
+        self._buffers = _StageBuffers(rows, self._slabs)
         self.accumulated = np.zeros(self.ids.size, dtype=np.float64)
         self.done: list[int] = []
         self._done_mask = np.zeros(slices.n_slices, dtype=bool)
@@ -786,16 +889,16 @@ class ShardGroupScan:
                 np.concatenate([part.norms for part in parts], axis=0),
                 dtype=np.float64,
             )
-            contrib = norms * (
-                np.asarray(query_norms, dtype=np.float64)[self.query_of]
+            self._qnorms = np.asarray(query_norms, dtype=np.float64)
+            self._suffix = suffix_ip_bounds(
+                norms * self._qnorms[self.query_of]
             )
-            self._suffix = suffix_ip_bounds(contrib)
         if parts[0].err is None:  # float32 rows: phase one bounds them
             _attach_f32(self, norms)
 
     @property
     def n_alive(self) -> int:
-        return self.ids.size
+        return self.ids.size + self._pending
 
     @property
     def is_complete(self) -> bool:
@@ -804,7 +907,12 @@ class ShardGroupScan:
     def process_slice(self, slice_id: int) -> int:
         """One dimension stage over the whole group: the alive rows'
         phase-one bounds (:func:`_f32_padded_scores`), one buffer-sized
-        block of dense rows at a time."""
+        block of dense rows at a time — and, opened list-major, slice 0
+        of every probed list (:func:`_list_scores`)."""
+        if self._lists is not None and (self.done or slice_id != 0):
+            raise RuntimeError(
+                "a list-major scan starts at slice 0 and prunes after it"
+            )
         with np.errstate(over="ignore", invalid="ignore"):
             return self._advance(slice_id, self._bound_blocks)
 
@@ -813,7 +921,7 @@ class ShardGroupScan:
         alive rows onto the accumulator; then the done bookkeeping."""
         if self._done_mask[slice_id]:
             raise ValueError(f"slice {slice_id} already processed")
-        n = self.ids.size
+        n = self.n_alive
         if n:
             stage(slice_id)
         self.done.append(slice_id)
@@ -827,6 +935,10 @@ class ShardGroupScan:
             self.accumulated[block] += _f32_padded_scores(
                 self, block, slice_id
             )
+        if self._lists is not None:
+            self._lists = [
+                (block, _list_scores(self, block)) for block in self._lists
+            ]
 
     def lower_bounds(self) -> np.ndarray:
         """Per-row lossless lower bound (same arithmetic as ShardScan)."""
@@ -841,7 +953,8 @@ class ShardGroupScan:
 
         Only index arrays and per-row tables move — one take each at the
         kept positions — and the next stage takes the survivors' slice
-        columns straight from the slab.
+        columns straight from the slab. After a list-major slice 0, the
+        lists' survivors join the dense arrays here.
 
         Args:
             thresholds: per-query thresholds, ``(n_queries,)``; ``inf``
@@ -851,15 +964,67 @@ class ShardGroupScan:
             Number of rows pruned by this call.
         """
         self._thresholds = np.asarray(thresholds, dtype=np.float64)
-        if self.ids.size == 0:
-            return 0
-        keep = np.flatnonzero(
-            self.lower_bounds() <= self._thresholds[self.query_of]
-        )
-        killed = self.ids.size - keep.size
-        if killed:
-            self._compact_dense(keep)
+        killed = 0
+        if self.ids.size:
+            keep = np.flatnonzero(
+                self.lower_bounds() <= self._thresholds[self.query_of]
+            )
+            killed = self.ids.size - keep.size
+            if killed:
+                self._compact_dense(keep)
+        if self._lists is not None and self.done:
+            killed += self._settle_lists()
         return killed
+
+    def _settle_lists(self) -> int:
+        """The list-major slice 0's survivors into the dense arrays,
+        owner-major again. Returns the pairs it pruned.
+
+        One array at a time, each list's stage-0 scores dropped once its
+        survivors' are read, so the peak holds little beyond the scores
+        and one survivor-sized array or two.
+        """
+        lists, self._lists = self._lists, None
+        pending, self._pending = self._pending, 0
+        dense = self.ids.size
+        kept = [_list_survivors(self, *item) for item in lists]
+        accumulated = [self.accumulated]
+        for i, flat in enumerate(kept):
+            accumulated.append(lists[i][1].ravel().take(flat))
+            lists[i] = lists[i][0]  # the scores are read
+        rows, owner = [], [self.query_of]
+        for block, flat in zip(lists, kept):
+            row, col = np.divmod(flat, block.members.size)
+            rows.append(row)
+            owner.append(block.members.take(col))
+        del kept
+        owner = np.concatenate(owner)
+        # Stable sorts of integers of 16 bits or fewer are radix sorts.
+        narrow = np.uint16 if self.queries.shape[0] <= 1 << 16 else np.intp
+        order = np.argsort(owner.astype(narrow), kind="stable")
+
+        def merged(head, per_list) -> np.ndarray:
+            return np.concatenate(
+                [head] + [per_list(b, row) for b, row in zip(lists, rows)]
+            ).take(order, axis=0)
+
+        self.accumulated = np.concatenate(accumulated).take(order)
+        del accumulated
+        if self._suffix is not None:
+            norms = np.concatenate(
+                [b.norms.take(row, axis=0) for b, row in zip(lists, rows)]
+            )
+            listed = owner[dense:]
+            self._suffix = np.concatenate([
+                self._suffix, suffix_ip_bounds(norms * self._qnorms[listed])
+            ]).take(order, axis=0)
+            self._f32_cap = np.concatenate(
+                [self._f32_cap, _ip_cap(self, norms, listed)]
+            ).take(order, axis=0)
+        self.ids = merged(self.ids, lambda b, row: b.ids.take(row))
+        self._local = merged(self._local, lambda b, row: row + b.start)
+        self.query_of = owner.take(order)
+        return pending - (owner.size - dense)
 
     def _compact_dense(self, keep: np.ndarray) -> None:
         """Compact the dense per-row bookkeeping to the positions
@@ -882,7 +1047,7 @@ class ShardGroupScan:
         few rows the exact scan drops there — so what is returned is row
         for row what the per-query exact scan returns.
         """
-        if not self.is_complete:
+        if not self.is_complete or self._lists is not None:
             raise RuntimeError("scan has unprocessed slices")
         ids, owner = self.ids, self.query_of
         scores = _exact_scores(

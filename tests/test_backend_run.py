@@ -15,17 +15,18 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import database
+from repro.core import database, pruning
 from repro.core.executor import (
     Backend,
     HostBackend,
     SerialBackend,
 )
+from repro.core.executor.kernel import _list_major
 from repro.core.layout import ShardPackedBase
 from repro.core.partition import build_plan
 from repro.core.pipeline import PipelineEngine
 from repro.core.results import ExecutionReport, SearchResult
-from repro.core.routing import touched_shards
+from repro.core.routing import shard_candidate_lists, touched_shards
 from repro.index.ivf import IVFFlatIndex
 from tests.conftest import make_db
 
@@ -106,25 +107,72 @@ def _counting(monkeypatch, owner, name, calls):
 def test_healthy_degraded_mode_probes_and_gathers_once(
     backend, monkeypatch, tiny_data, tiny_queries
 ):
+    """Each (query, shard) pair is read once. A shard-group below the
+    sharing rule gathers each member once; one above it makes no gather
+    and reads the group's probed lists once, scoring each non-empty one
+    once. Three queries never share a list five ways; twenty do on some
+    shards, and each source then runs where the rule sends it."""
     with make_db(
         tiny_data, tiny_queries,
         backend=backend, forced_grid=(4, 1), degraded_mode=True,
     ) as db:
         db.search(tiny_queries, k=5)  # layout built, pool started
-        calls = {}
-        with monkeypatch.context() as patch:
-            _counting(patch, IVFFlatIndex, "probe", calls)
-            _counting(patch, ShardPackedBase, "gather", calls)
-            _counting(patch, ShardPackedBase, "gather_sq8", calls)
-            _, report = db.search(tiny_queries, k=5)
-        probes = db.index.probe(tiny_queries, db.config.nprobe)
-        touched = sum(len(touched_shards(db.plan, row)) for row in probes)
-        assert touched > len(tiny_queries)  # rows shared between groups
-        assert calls.pop("probe") == 1
-        assert sum(calls.values()) == touched
-        assert report.degraded.mean_coverage == 1.0
-        assert report.degraded.n_degraded_queries == 0
-        assert report.fault_stats is None
+        for nq in (3, 20):
+            _reads_once(db, tiny_queries[:nq], monkeypatch)
+
+
+def _reads_once(db, queries, monkeypatch):
+    calls, gathered, read = {}, {}, {}
+
+    def spy(owner, name, record):
+        original = getattr(owner, name)
+
+        def spied(*args, **kwargs):
+            record(*args)
+            return original(*args, **kwargs)
+
+        patch.setattr(owner, name, spied)
+
+    def gather(layout, shard, *_):
+        gathered[shard] = gathered.get(shard, 0) + 1
+
+    def list_rows(layout, shard, *_):
+        assert shard not in read  # one read per group
+        read[shard] = []
+
+    def list_scores(scan, block):  # a list's first id names it
+        read[next(reversed(read))].append(int(block.ids[0]))
+
+    with monkeypatch.context() as patch:
+        _counting(patch, IVFFlatIndex, "probe", calls)
+        spy(ShardPackedBase, "gather", gather)
+        spy(ShardPackedBase, "gather_sq8", gather)
+        spy(ShardPackedBase, "_list_rows", list_rows)
+        spy(pruning, "_list_scores", list_scores)
+        _, report = db.search(queries, k=5)
+    assert calls.pop("probe") == 1
+    groups = {}
+    for row in db.index.probe(queries, db.config.nprobe):
+        for shard in touched_shards(db.plan, row):
+            groups.setdefault(int(shard), []).append(
+                shard_candidate_lists(db.plan, row, shard)
+            )
+    assert sum(map(len, groups.values())) > len(queries)  # shared groups
+    major = {s for s, lists in groups.items() if _list_major(lists)}
+    assert bool(major) == (len(queries) == 20)
+    assert set(read) == major
+    assert set(gathered) == set(groups) - major
+    for shard, count in gathered.items():
+        assert count == len(groups[shard])
+    for shard in major:
+        probed = np.unique(np.concatenate(groups[shard]))
+        heads = [db.index.list_members(int(l)) for l in probed]
+        assert sorted(read[shard]) == sorted(
+            int(head[0]) for head in heads if head.size
+        )
+    assert report.degraded.mean_coverage == 1.0
+    assert report.degraded.n_degraded_queries == 0
+    assert report.fault_stats is None
 
 
 def test_concurrent_shard_groups_lose_no_coverage_update(

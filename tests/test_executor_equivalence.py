@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
+from repro.core import pruning
 from repro.core.config import HarmonyConfig
 from repro.core.executor import (
     ProcessBackend,
@@ -26,6 +27,7 @@ from repro.core.executor import (
     resolve_backend,
 )
 from repro.core.executor.process import _MIN_CHUNK
+from repro.core.layout import ShardPackedBase
 from repro.core.partition import build_plan
 from repro.core.pipeline import PipelineEngine
 from repro.distance.metrics import Metric
@@ -479,3 +481,76 @@ def test_property_small_searches_equal_serial(
     assert ours.n_degraded_queries == theirs.n_degraded_queries
     assert ours.skipped_scans == theirs.skipped_scans
     assert ours.recall_vs_healthy == theirs.recall_vs_healthy
+
+
+@settings(
+    max_examples=16,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 10_000),
+    metric=st.sampled_from(METRICS),
+    n_vector_shards=st.integers(1, 2),
+    n_dim_blocks=st.integers(1, 3),
+    prewarm=st.sampled_from([0, 8, 32]),
+    k=st.integers(1, 12),
+    filtered=st.booleans(),
+    mutate=st.booleans(),
+    n_large=st.integers(16, 40),
+)
+def test_property_both_group_sources_equal_looped(
+    seed, metric, n_vector_shards, n_dim_blocks, prewarm, k, filtered,
+    mutate, n_large,
+):
+    """Shard-groups on both sides of the sharing rule answer as the
+    per-query loop does, bit for bit — also over delta rows and
+    tombstones the layout absorbed in place. Two or three queries never
+    share a probed list four ways, so their groups gather member by
+    member; 16 or more on 8 lists always do, so theirs are read list by
+    list. The spies show both sources ran."""
+    index = make_index(metric, n=300, dim=9, nlist=8, seed=seed)
+    plan = build_plan(
+        index,
+        n_machines=n_vector_shards * n_dim_blocks,
+        n_vector_shards=n_vector_shards,
+        n_dim_blocks=n_dim_blocks,
+    )
+    options = dict(plan=plan, prewarm_size=prewarm, auto_compact=False)
+    looped = SerialBackend(index, batch_queries=False, **options)
+    fused = SerialBackend(index, batch_queries=True, **options)
+    kwargs = dict(k=k, nprobe=4, filter_labels=[1, 3] if filtered else None)
+    warm = make_queries(index.dim, nq=4, seed=seed + 3)
+    for backend in (looped, fused):
+        backend.search(warm, **kwargs)  # layouts built before mutating
+    if mutate:
+        rng = np.random.default_rng(seed + 2)
+        extra = rng.standard_normal((25, index.dim)).astype(np.float32)
+        index.add(extra, labels=rng.integers(0, N_LABELS, 25))
+        alive = np.flatnonzero(~index._deleted)
+        index.remove_ids(rng.choice(alive, size=10, replace=False))
+    ran = {"gather": 0, "lists": 0}
+
+    def spy(owner, name, source):
+        original = getattr(owner, name)
+
+        def spied(*args, **kw):
+            ran[source] += 1
+            return original(*args, **kw)
+
+        patch.setattr(owner, name, spied)
+
+    for nq in (2 + seed % 2, n_large):
+        queries = make_queries(index.dim, nq=nq, seed=seed + nq)
+        reference = looped.search(queries, **kwargs)
+        with pytest.MonkeyPatch.context() as patch:
+            spy(ShardPackedBase, "gather", "gather")
+            spy(pruning, "_list_scores", "lists")
+            result = fused.search(queries, **kwargs)
+        assert_equivalent(
+            {"fused": result}, reference.ids, reference.distances, {}
+        )
+    if mutate:
+        layout = fused.kernel._packed
+        assert (layout.delta_rows, layout.tombstones_since) == (25, 10)
+    assert ran["gather"] and ran["lists"]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.core.config import HarmonyConfig
+from repro.core.executor import kernel as kernel_module
 from repro.core.executor import (
     ProcessBackend,
     ScanKernel,
@@ -25,6 +26,7 @@ from repro.core.executor import (
 from repro.core.layout import SharedShardPackedBase
 from repro.core.partition import build_plan
 from repro.core.pipeline import PipelineEngine
+from repro.core.pruning import ShardGroupScan
 from repro.distance.kernels import scores_to_query
 from repro.distance.metrics import Metric
 from repro.index.ivf import IVFFlatIndex
@@ -130,6 +132,53 @@ def test_every_backend_scores_a_prewarmed_id_once(metric):
     # Answers hold prewarmed ids whose two scorings differ, so the bits
     # above tell which way each was scored.
     assert differing > 0
+
+
+@pytest.mark.parametrize(
+    "metric", [Metric.L2, Metric.INNER_PRODUCT, Metric.COSINE]
+)
+def test_the_list_path_never_scores_a_prewarmed_id_again(
+    metric, monkeypatch
+):
+    """24 queries probing 3 of 8 lists on one vector shard share each
+    list nine ways, so their group is read list by list. Its first slice
+    scores every row of a probed list at once; each member's prewarmed
+    ids are masked out of its nearest list's block there, so none of
+    them reaches the dense arrays slice 0 leaves — and the answers are
+    the per-query loop's, bit for bit."""
+    index = make_index(metric)
+    plan = build_plan(index, n_machines=2, n_vector_shards=1, n_dim_blocks=2)
+    kernel = ScanKernel(index, plan, prewarm_size=PREWARM)
+    queries = kernel.prepare_queries(
+        np.random.default_rng(3).standard_normal((24, DIM)).astype(
+            np.float32
+        )
+    )
+    probes = index.probe(queries, NPROBE)
+    members, settled = [], []
+    scan_chunk = kernel_module._scan_chunk
+    settle = ShardGroupScan._settle_lists
+
+    def chunk_spy(chunk, *args, **kwargs):
+        members[:] = [state for state, *_ in chunk]
+        return scan_chunk(chunk, *args, **kwargs)
+
+    def settle_spy(scan):
+        pruned = settle(scan)
+        for j, state in enumerate(members):
+            assert state.prewarmed.size > 0
+            mine = scan.ids[scan.query_of == j]
+            assert not np.isin(mine, state.prewarmed).any()
+        settled.append(scan.ids.size)
+        return pruned
+
+    monkeypatch.setattr(kernel_module, "_scan_chunk", chunk_spy)
+    monkeypatch.setattr(ShardGroupScan, "_settle_lists", settle_spy)
+    heaps = kernel.search_batch(queries, probes, K)
+    assert settled and settled[0] > 0
+    for i, heap in enumerate(heaps):
+        looped = kernel.search_one(i, queries[i], probes[i], K)
+        assert heap.items() == looped.items()
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The scan reads the packed layout where it lies.
 
-Two properties of the slab-fed scan that the result-equivalence suites
+Three properties of the slab-fed scan that the result-equivalence suites
 cannot see:
 
 - *no hidden copy*: between the layout and the distance kernel no
@@ -10,7 +10,9 @@ cannot see:
   gather used to build on a 1x4 grid;
 - *no shared scratch*: the stage buffers belong to one scan object, so
   caller threads searching one backend at once cannot overwrite each
-  other's staged rows.
+  other's staged rows;
+- *list by list in place*: a group read list-major multiplies views of
+  the layout's slab in its first slice, never a gathered copy.
 """
 
 import sys
@@ -20,6 +22,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core import pruning
 from repro.core.executor import ScanKernel, SerialBackend
 from repro.core.partition import build_plan
 from repro.index.ivf import IVFFlatIndex
@@ -96,6 +99,62 @@ def test_search_batch_never_allocates_a_members_row_block(kernel):
     )
     grown = peak_growth(lambda: kernel.search_batch(queries, probes, K))
     assert grown < largest * DIM * 4
+
+
+class _Watched(np.ndarray):
+    """A slab that records what each matrix product reads from it."""
+
+    products: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _Watched.products.append(inputs[0])
+        plain = [
+            x.view(np.ndarray) if isinstance(x, _Watched) else x
+            for x in inputs
+        ]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def test_a_list_major_group_reads_its_lists_in_place(kernel, monkeypatch):
+    """16 queries probing 4 of 8 lists share each list eight ways, so
+    the group is read list by list: each slice-0 GEMM multiplies a view
+    of the layout's slab — no gather, no take — and nothing the search
+    allocates is as large as the row block of the candidates it reads
+    (every row of the lists it probes, at full width)."""
+    queries, probes = make_queries(kernel, 16, seed=4)
+    read = sum(
+        kernel.index.list_members(int(l)).size for l in np.unique(probes)
+    )
+    scored = []
+    list_scores = pruning._list_scores
+
+    def spied(scan, block):
+        scored.append(block)
+        return list_scores(scan, block)
+
+    monkeypatch.setattr(pruning, "_list_scores", spied)
+    grown = peak_growth(lambda: kernel.search_batch(queries, probes, K))
+    assert scored  # the group was read list by list
+    assert grown < read * DIM * 4
+
+    slabs = kernel.packed_base()._rows[0]
+    slab = slabs[0]
+    slabs[0] = slab.view(_Watched)
+    _Watched.products.clear()
+    scored.clear()
+    try:
+        heaps = kernel.search_batch(queries, probes, K)
+    finally:
+        slabs[0] = slab
+    assert len(_Watched.products) == len(scored)
+    for rows, block in zip(_Watched.products, scored):
+        assert rows.shape[0] == block.ids.size
+        assert np.shares_memory(rows, slab)
+    for i, heap in enumerate(heaps):
+        assert heap.items() == kernel.search_one(
+            i, queries[i], probes[i], K
+        ).items()
 
 
 def test_concurrent_shard_groups_do_not_share_scratch():

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.core.layout import (
     CandidatePart,
     ShardSlabs,
+    _ListRows,
     sq8_encode,
     sq8_slice_errors,
     sq8_train_params,
@@ -335,6 +336,25 @@ def f32_group_inputs(base, extra, queries, slices, metric):
     return rows, [part] * len(queries), scan_args
 
 
+def f32_list_inputs(base, extra, queries, slices, metric):
+    """The same members opened list-major: ``base`` is one probed list
+    both members score in place, ``extra`` each member's delta part."""
+    rows, (part, *_), scan_args = f32_group_inputs(
+        base, extra, queries, slices, metric
+    )
+    n = base.shape[0]
+    delta = CandidatePart(
+        part.ids[n:], part.local[n:], part.slabs,
+        None if part.norms is None else part.norms[n:],
+    )
+    block = _ListRows(
+        0, part.ids[:n], None if part.norms is None else part.norms[:n],
+        np.arange(len(queries)), None, (),
+        np.full(len(queries), n, dtype=np.int64),
+    )
+    return rows, [delta] * len(queries), dict(scan_args, lists=[block])
+
+
 def exact_members(rows, queries, slices, metric):
     """Per member and slice the exact partials, and per member the
     exact total accumulated in canonical slice order."""
@@ -406,6 +426,65 @@ class TestFp32PhaseOneNeverExceedsExact:
             keep = np.flatnonzero(t <= thresholds[m])
             np.testing.assert_array_equal(ids[owner == m], keep)
             assert scores[owner == m].tobytes() == t[keep].tobytes()
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=adversarial_case())
+    def test_list_major_bound_holds(self, case):
+        """Opened list-major, slice 0 is one GEMM of the list's rows
+        against both members: every (member, row) score of it is at
+        most the exact partial, every later bound at most the exact
+        total, and pruning keeps what the exact scan keeps."""
+        metric = case["metric"]
+        base, extra, query, slices = build_case(case)
+        queries = np.vstack([query, base[0]]).astype(np.float32)
+        rows, parts, scan_args = f32_list_inputs(
+            base, extra, queries, slices, metric
+        )
+        partials, totals = exact_members(rows, queries, slices, metric)
+        everything = np.full(len(queries), np.inf)
+
+        def by_member(scan, values):
+            return [
+                (scan.ids[scan.query_of == m], values[scan.query_of == m])
+                for m in range(len(queries))
+            ]
+
+        scan = ShardGroupScan(parts, **scan_args)
+        assert scan.process_slice(0) == 2 * rows.shape[0]
+        assert scan.prune(everything) == 0
+        bounds = by_member(scan, scan.lower_bounds())
+        for m, (ids, first) in enumerate(by_member(scan, scan.accumulated)):
+            np.testing.assert_array_equal(np.sort(ids), np.arange(len(rows)))
+            assert not np.isnan(first).any()
+            assert np.all(first <= partials[m][0][ids]), case
+            assert np.all(bounds[m][1] <= totals[m][ids]), case
+        for j in range(1, slices.n_slices):
+            scan.process_slice(j)
+            scan.prune(everything)
+            for m, (ids, bound) in enumerate(
+                by_member(scan, scan.lower_bounds())
+            ):
+                assert not np.isnan(bound).any()
+                assert np.all(bound <= totals[m][ids]), (j, case)
+        ids, scores, owner = scan.survivors()
+        for m, t in enumerate(totals):
+            assert scores[owner == m].tobytes() == t[ids[owner == m]].tobytes()
+
+        thresholds = np.array([np.partition(t, 2)[2] for t in totals])
+        scan = ShardGroupScan(parts, **scan_args)
+        for j in range(slices.n_slices):
+            scan.process_slice(j)
+            scan.prune(thresholds)
+        ids, scores, owner = scan.survivors()
+        for m, t in enumerate(totals):
+            keep = np.flatnonzero(t <= thresholds[m])
+            mine = np.argsort(ids[owner == m], kind="stable")
+            np.testing.assert_array_equal(ids[owner == m][mine], keep)
+            assert scores[owner == m][mine].tobytes() == t[keep].tobytes()
 
     def test_float32_overflow_yields_the_trivial_bound(self):
         """Squares and products of 1e22-sized values pass float32's
