@@ -9,10 +9,12 @@ bytes, so the JSON shows that cross-process traffic is limited to
 compact top-k candidate arrays riding a fixed shared-memory layout.
 
 Results accumulate in ``results/BENCH_process_scaling.json`` plus a
-text table; ``--smoke`` runs a small workload and exits non-zero if
-the process pool diverges from the serial oracle or silently fell back
-to the serial loop (the CI perf-smoke gate — speedup itself is not
-gated there, since CI cores vary).
+text table; a full run quotes the full reading it replaces beside its
+own (``previous``, the table's ``before x``). ``--smoke`` runs a small
+workload and exits non-zero if the process pool diverges from the
+serial oracle or silently fell back to the serial loop (the CI
+perf-smoke gate — speedup itself is not gated there, since CI cores
+vary).
 
 Usage::
 
@@ -123,7 +125,27 @@ def run_suite(params, log=print):
     return serial_seconds, rows, failures
 
 
+def _previous_reading(smoke):
+    """The full reading the results file holds before this run
+    replaces it (None for a smoke run, or if it holds none), quoted
+    beside the new one."""
+    path = c.RESULTS_DIR / "BENCH_process_scaling.json"
+    if smoke or not path.exists():
+        return None
+    old = json.loads(path.read_text())
+    if old["workload"]["smoke"]:
+        return None
+    return {
+        "serial_seconds": old["serial_seconds"],
+        "process_speedup": {
+            str(row["workers"]): row["process_speedup"]
+            for row in old["cases"]
+        },
+    }
+
+
 def save_outputs(params, serial_seconds, rows, smoke):
+    previous = _previous_reading(smoke)
     payload = {
         "workload": {
             key: params[key]
@@ -136,24 +158,34 @@ def save_outputs(params, serial_seconds, rows, smoke):
         "serial_seconds": serial_seconds,
         "cases": rows,
     }
+    if previous is not None:
+        payload["previous"] = previous
     c.save_result(
         "BENCH_process_scaling.json", json.dumps(payload, indent=2)
     )
+    before = previous["process_speedup"] if previous else {}
+    title = (
+        f"process-pool scaling vs serial "
+        f"({serial_seconds * 1e3:.1f} ms baseline, host wall-clock)"
+    )
+    if previous:
+        title += (
+            f"; before x: the previous full reading"
+            f" ({previous['serial_seconds'] * 1e3:.1f} ms baseline)"
+        )
     table = c.format_table(
-        ["workers", "process (ms)", "process x", "layout (MiB)"],
+        ["workers", "process (ms)", "process x", "before x", "layout (MiB)"],
         [
             [
                 row["workers"],
                 round(row["process_seconds"] * 1e3, 1),
                 round(row["process_speedup"], 2),
+                round(before.get(str(row["workers"]), float("nan")), 2),
                 round(row["layout_bytes"] / 2**20, 1),
             ]
             for row in rows
         ],
-        title=(
-            f"process-pool scaling vs serial "
-            f"({serial_seconds * 1e3:.1f} ms baseline, host wall-clock)"
-        ),
+        title=title,
     )
     c.save_result("process_scaling.txt", table)
     return table

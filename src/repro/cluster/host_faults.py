@@ -13,11 +13,13 @@ backend's pool consults at well-defined moments:
   and respawn).
 - **delay** (:class:`DelayScan`) — straggler emulation: matching
   tasks run ``multiplier``x slower (the task is timed and the excess
-  slept) or sleep a fixed ``seconds``. The parent hands the slowed
-  worker fewer tasks: it returns, and so is handed its next one, less
-  often. The serial loop acts out delays too, with a whole search as
-  the task (:meth:`HostFaultInjector.search_delay`); it has no worker
-  to kill and no segment to drop, so it refuses the other two rules.
+  slept) or sleep a fixed ``seconds``. The pool cuts a search into
+  one chunk per worker, so the slowed worker delays its own chunk.
+  A worker starts at most one task a search, so a kill at ``at_task``
+  fires no earlier than the pool's ``(at_task + 1)``-th search. The
+  serial loop acts out delays too, with a whole search as the task
+  (:meth:`HostFaultInjector.search_delay`); it has no worker to kill
+  and no segment to drop, so it refuses the other two rules.
 - **drop shm** (:class:`DropSharedMemory`) — the shared layout
   segment disappears before dispatch ``at_batch``; the process
   backend must treat this as total pool loss and fall back to the

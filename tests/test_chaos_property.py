@@ -171,10 +171,35 @@ def test_host_batched_equals_looped_under_failures(tiny_data, tiny_queries):
 # ----------------------------------------------------------------------
 
 
+#: Seeds of ``CHAOS_SEEDS`` whose drawn kill fired within one search
+#: under the pool's former guided cut (⌈remaining / (2 · workers)⌉
+#: queries a chunk, two tasks a worker on ``tiny_queries``): seeds 0, 2
+#: and 3 of the four that draw a kill.
+KILLS_FIRED_UNDER_GUIDED_CUT = 3
+
+
+def _search_until_fired(db, injector, queries, check) -> int:
+    """Search ``queries`` until the drawn kill has fired; return the
+    number of searches run.
+
+    The pool cuts a search into one chunk per worker, so each worker
+    starts one task a search and a kill at ``at_task`` fires within
+    ``at_task + 1`` searches; a schedule without a kill runs one.
+    ``check(result, report)`` sees every search.
+    """
+    rounds = 1 + max((kill.at_task for kill in injector.kills), default=0)
+    for n in range(1, rounds + 1):
+        check(*db.search(queries, k=5))
+        if injector.fired:
+            break
+    return n
+
+
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
 @pytest.mark.parametrize("backend", HOST_BACKENDS)
 def test_host_chaos_exact_or_flagged(tiny_data, tiny_queries, backend, seed):
-    """Random kills + delays: byte-exact at full coverage, else flagged."""
+    """Random kills + delays: byte-exact at full coverage, else flagged,
+    on every search until the drawn kill has fired."""
     oracle_db = make_db(tiny_data, tiny_queries, backend="serial")
     oracle, _ = oracle_db.search(tiny_queries, k=5)
 
@@ -185,8 +210,8 @@ def test_host_chaos_exact_or_flagged(tiny_data, tiny_queries, backend, seed):
     n_workers = 2
     injector = HostFaultInjector.random(n_workers=n_workers, seed=seed)
     db.set_host_faults(injector)
-    try:
-        result, report = db.search(tiny_queries, k=5)
+
+    def check(result, report):
         assert report.degraded is not None
         coverage = report.degraded.coverage
         _assert_genuine(db, result, tiny_queries, coverage, oracle)
@@ -195,6 +220,9 @@ def test_host_chaos_exact_or_flagged(tiny_data, tiny_queries, backend, seed):
             np.testing.assert_array_equal(
                 result.distances, oracle.distances
             )
+
+    try:
+        _search_until_fired(db, injector, tiny_queries, check)
     finally:
         db.close()
 
@@ -208,8 +236,8 @@ def test_host_chaos_without_degraded_mode_stays_exact(
 
     Without ``degraded_mode`` there is no abandonment escape hatch —
     every injected kill must be healed by re-running its tasks, so the
-    answer is byte-identical to the oracle or the search raises. It
-    must never be silently short.
+    answer of every search until the kill has fired is byte-identical
+    to the oracle or the search raises. It must never be silently short.
     """
     oracle_db = make_db(tiny_data, tiny_queries, backend="serial")
     oracle, _ = oracle_db.search(tiny_queries, k=5)
@@ -217,15 +245,47 @@ def test_host_chaos_without_degraded_mode_stays_exact(
     db = _make_chaos_db(tiny_data, tiny_queries, backend)
     injector = HostFaultInjector.random(n_workers=2, seed=seed)
     db.set_host_faults(injector)
-    try:
-        result, report = db.search(tiny_queries, k=5)
+
+    def check(result, report):
         np.testing.assert_array_equal(result.ids, oracle.ids)
         np.testing.assert_array_equal(result.distances, oracle.distances)
         if injector.fired and report.fault_stats is not None:
             stats = report.fault_stats.to_dict()
             assert stats["worker_respawns"] or stats["tasks_requeued"]
+
+    try:
+        _search_until_fired(db, injector, tiny_queries, check)
     finally:
         db.close()
+
+
+@pytest.mark.parametrize("backend", HOST_BACKENDS)
+def test_host_chaos_kills_fire(tiny_data, tiny_queries, backend):
+    """Seeded kills still fire: searching until the drawn schedule has
+    fired, bounded by ``at_task + 1`` searches, fires the kill of at
+    least as many ``CHAOS_SEEDS`` as one search did under the former
+    guided cut, and every answer on the way is the oracle's."""
+    oracle, _ = make_db(tiny_data, tiny_queries, backend="serial").search(
+        tiny_queries, k=5
+    )
+
+    def check(result, report):
+        np.testing.assert_array_equal(result.ids, oracle.ids)
+        np.testing.assert_array_equal(result.distances, oracle.distances)
+
+    fired = 0
+    for seed in CHAOS_SEEDS:
+        injector = HostFaultInjector.random(n_workers=2, seed=seed)
+        if not injector.kills:
+            continue
+        db = _make_chaos_db(tiny_data, tiny_queries, backend)
+        db.set_host_faults(injector)
+        try:
+            _search_until_fired(db, injector, tiny_queries, check)
+        finally:
+            db.close()
+        fired += bool(injector.fired)
+    assert fired >= KILLS_FIRED_UNDER_GUIDED_CUT
 
 
 @pytest.mark.parametrize("backend", HOST_BACKENDS)
@@ -237,13 +297,20 @@ def test_host_chaos_next_search_runs_clean(tiny_data, tiny_queries, backend):
     db = _make_chaos_db(tiny_data, tiny_queries, backend)
     injector = HostFaultInjector.random(n_workers=2, seed=0)
     db.set_host_faults(injector)
-    try:
-        db.search(tiny_queries, k=5)
-        # Second batch: all one-shot kills are spent; results and
-        # fault counters must both be clean.
-        result, report = db.search(tiny_queries, k=5)
+
+    def check(result, report):
         np.testing.assert_array_equal(result.ids, oracle.ids)
         np.testing.assert_array_equal(result.distances, oracle.distances)
+
+    try:
+        # Seed 0 kills worker 1 as it starts its second task: in the
+        # second search, one chunk per worker.
+        assert _search_until_fired(db, injector, tiny_queries, check) == 2
+        assert injector.fired == ["kill:worker=1"]
+        # Next batch: all one-shot kills are spent; results and fault
+        # counters must both be clean.
+        result, report = db.search(tiny_queries, k=5)
+        check(result, report)
         stats = report.fault_stats
         if stats is not None:
             assert stats.worker_respawns == 0
@@ -257,25 +324,34 @@ def test_host_chaos_next_search_runs_clean(tiny_data, tiny_queries, backend):
 def test_served_requests_survive_host_chaos(
     tiny_data, tiny_queries, backend, seed
 ):
-    """Requests served through HarmonyServer complete exactly under chaos."""
+    """Requests served through HarmonyServer complete exactly under
+    chaos, round after round until the drawn kill has fired (at most
+    ``at_task + 1`` rounds: the server may coalesce a round into
+    searches the parent runs, which start no task)."""
     oracle_db = make_db(tiny_data, tiny_queries, backend="serial")
     oracle, _ = oracle_db.search(tiny_queries, k=5)
 
     db = _make_chaos_db(tiny_data, tiny_queries, backend)
     injector = HostFaultInjector.random(n_workers=2, seed=seed)
     db.set_host_faults(injector)
+    rounds = 1 + max((kill.at_task for kill in injector.kills), default=0)
     try:
         with db.serve(slo_ms=60_000.0) as server:
-            futures = [
-                server.submit(tiny_queries[i], k=5)
-                for i in range(len(tiny_queries))
-            ]
-            for i, future in enumerate(futures):
-                response = future.result(timeout=120)
-                np.testing.assert_array_equal(response.ids, oracle.ids[i])
-                np.testing.assert_array_equal(
-                    response.distances, oracle.distances[i]
-                )
+            for _ in range(rounds):
+                futures = [
+                    server.submit(tiny_queries[i], k=5)
+                    for i in range(len(tiny_queries))
+                ]
+                for i, future in enumerate(futures):
+                    response = future.result(timeout=120)
+                    np.testing.assert_array_equal(
+                        response.ids, oracle.ids[i]
+                    )
+                    np.testing.assert_array_equal(
+                        response.distances, oracle.distances[i]
+                    )
+                if injector.fired:
+                    break
     finally:
         db.close()
 

@@ -4,8 +4,9 @@ Byte-exactness against the serial oracle lives in
 ``test_executor_equivalence.py``; this module covers the machinery
 around it — the shared-memory layout's build/manifest/attach
 lifecycle, persistent pool reuse and revival, the parent's dispatch
-loop under slow and dying workers, and graceful fallback to the serial
-loop when shared memory or the whole pool is lost.
+loop (one chunk per worker) under slow and dying workers, and
+graceful fallback to the serial loop when shared memory or the whole
+pool is lost.
 """
 
 import os
@@ -402,6 +403,51 @@ def test_workers_are_pinned_one_cpu_each_round_robin():
         assert os.sched_getaffinity(0) == set(cpus)
 
 
+def test_limit_blas_threads_returns_the_count_it_replaced():
+    from repro.util.blas import limit_blas_threads
+
+    previous = limit_blas_threads(1)
+    if previous is None:
+        pytest.skip("no OpenBLAS loaded")
+    try:
+        assert limit_blas_threads(previous) == 1
+    finally:
+        assert limit_blas_threads(previous) == previous
+
+
+def test_each_worker_runs_one_blas_thread(monkeypatch):
+    """A worker sits on one CPU, so it caps its BLAS pool at one thread;
+    the pool it inherits would spin on that CPU once a chunk's GEMM is
+    large enough to split (see :mod:`repro.util.blas`). The patched cap
+    (inherited by the forked workers) reports each worker's count after
+    it ran."""
+    import multiprocessing as mp
+
+    import repro.core.executor.process as process
+    from repro.util.blas import limit_blas_threads
+
+    if "fork" not in mp.get_all_start_methods():
+        pytest.skip("the patched cap reaches workers by fork")
+    previous = limit_blas_threads(1)
+    if previous is None:
+        pytest.skip("no OpenBLAS loaded")
+    limit_blas_threads(previous)  # the parent keeps its own pool
+    counts = mp.get_context("fork").Queue()
+
+    def reporting(n):
+        limit_blas_threads(n)
+        counts.put(limit_blas_threads(n))
+
+    monkeypatch.setattr(process, "limit_blas_threads", reporting)
+    index = make_index()
+    plan = build_plan(index, n_machines=4, n_vector_shards=2, n_dim_blocks=2)
+    with ProcessBackend(index, plan=plan, n_workers=2) as backend:
+        backend.search(make_queries(index.dim), k=5, nprobe=4)
+        assert [counts.get(timeout=30.0) for _ in range(2)] == [1, 1]
+    counts.close()
+    counts.join_thread()
+
+
 # ---------------------------------------------------------------------------
 # Supervision + fallback
 # ---------------------------------------------------------------------------
@@ -757,11 +803,14 @@ def test_process_module_holds_no_scan_class():
 # ---------------------------------------------------------------------------
 
 
-def test_a_slowed_worker_is_handed_fewer_tasks():
-    """A straggler needs no watchdog and no thief: the parent hands a
-    worker its next task only when its last one returns, so the slowed
-    worker runs fewer of the batch's tasks (counted from the
-    ``worker-scan`` spans), and nothing is requeued or falls back."""
+def test_a_search_is_cut_into_one_equal_chunk_per_worker():
+    """A search of ``nq > _MIN_CHUNK`` queries is cut once into
+    ``min(workers, ⌈nq / _MIN_CHUNK⌉)`` chunks of ``max(_MIN_CHUNK,
+    ⌈nq / workers⌉)`` queries (the last may hold fewer), chunk ``i`` to
+    worker ``i`` (counted from the ``worker-scan`` spans). A slowed
+    worker is not balanced around: it still runs its one chunk, and the
+    answer is the oracle's with nothing requeued, no fallback and no
+    steal."""
     from repro.cluster.host_faults import DelayScan, HostFaultInjector
     from repro.obs.trace import Tracer
 
@@ -769,24 +818,39 @@ def test_a_slowed_worker_is_handed_fewer_tasks():
     plan = build_plan(index, n_machines=4, n_vector_shards=4, n_dim_blocks=1)
     queries = make_queries(index.dim, nq=24)
     reference = SerialBackend(index, plan=plan).search(queries, k=5, nprobe=8)
-    with ProcessBackend(index, plan=plan, n_workers=2) as backend:
-        backend.run(queries, k=5, nprobe=8)  # pool up, layout attached
-        backend.chaos = HostFaultInjector(
-            delays=[DelayScan(seconds=0.05, worker=0)]
-        )
-        backend.tracer = Tracer()
-        got, report = backend.run(queries, k=5, nprobe=8)
-        scans = [0, 0]
-        for span in report.trace.spans:
-            if span.name == "worker-scan":
-                scans[span.arg("worker")] += 1
-        assert sum(scans) >= 6
-        assert scans[0] < scans[1]
-        assert not backend.fallback_active
-        assert report.fault_stats is None  # no respawn, requeue, abandon
-        assert report.worker_steals is None
-        np.testing.assert_array_equal(got.ids, reference.ids)
-        np.testing.assert_array_equal(got.distances, reference.distances)
+    expected = {  # (workers, nq) -> queries in worker 0's, 1's, ... chunk
+        (2, 5): [4, 1], (2, 9): [5, 4], (2, 24): [12, 12],
+        (3, 5): [4, 1], (3, 9): [4, 4, 1], (3, 24): [8, 8, 8],
+    }
+
+    def chunks(report):
+        spans = [s for s in report.trace.spans if s.name == "worker-scan"]
+        return [
+            s.arg("queries")
+            for s in sorted(spans, key=lambda s: s.arg("worker"))
+        ], [s.arg("worker") for s in spans]
+
+    for n_workers in (2, 3):
+        with ProcessBackend(index, plan=plan, n_workers=n_workers) as backend:
+            for nq in (5, 9, 24):
+                backend.tracer = Tracer()
+                got, report = backend.run(queries[:nq], k=5, nprobe=8)
+                sizes, workers = chunks(report)
+                assert sizes == expected[n_workers, nq], (n_workers, nq)
+                assert len(sizes) == min(n_workers, -(-nq // _MIN_CHUNK))
+                assert sorted(workers) == list(range(len(sizes)))
+                np.testing.assert_array_equal(got.ids, reference.ids[:nq])
+            backend.chaos = HostFaultInjector(
+                delays=[DelayScan(seconds=0.05, worker=0)]
+            )
+            backend.tracer = Tracer()
+            got, report = backend.run(queries, k=5, nprobe=8)
+            assert chunks(report)[0] == expected[n_workers, 24]
+            assert not backend.fallback_active
+            assert report.fault_stats is None  # no respawn, requeue, abandon
+            assert report.worker_steals is None
+            np.testing.assert_array_equal(got.ids, reference.ids)
+            np.testing.assert_array_equal(got.distances, reference.distances)
 
 
 def test_worker_spans_recorded_on_process_lanes():

@@ -383,6 +383,7 @@ REACHABILITY = {
         "api", "benchmarks/bench_latency_under_load.py", "repro.serve.harness",
     ),
     "repro.serve.server": ("ledger", "serve_zipf"),
+    "repro.util.blas": ("used-by", "repro.core.executor.process"),
     "repro.util.growable": ("used-by", "repro.index.ivf"),
     "repro.validation": ("paper", "monotone pruning"),
     "repro.workload.generators": ("paper", "Skewed-load bandwidth"),
