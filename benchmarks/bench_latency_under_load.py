@@ -19,7 +19,7 @@ Two halves:
   oracle, (b) coalescing sustains >= 1.3x the unbatched sequential
   QPS at saturating load, and (c) a bounded queue keeps the admitted
   p99 below the unbounded-queue reference while accounting for every
-  submitted request.
+  submitted request. A smoke run, or its pytest entry, writes nothing.
 
 Usage::
 
@@ -283,6 +283,9 @@ def run_serve_experiment(params, log=print):
 
 
 def save_serve_outputs(params, study, admission, smoke):
+    """The table; a full run also writes it and the JSON to
+    ``results/``. A smoke run's are printed only, so the committed
+    full-run files stay what the full run wrote."""
     payload = {
         "workload": {
             key: params[key]
@@ -299,9 +302,6 @@ def save_serve_outputs(params, study, admission, smoke):
         "oracle_mismatches": study["oracle_mismatches"],
         "admission": admission,
     }
-    c.save_result(
-        "BENCH_serve_throughput.json", json.dumps(payload, indent=2)
-    )
     seq = study["sequential"]
     rows = [
         (
@@ -337,7 +337,11 @@ def save_serve_outputs(params, study, admission, smoke):
             f"{params['backend']} backend, host wall-clock)"
         ),
     )
-    c.save_result("serve_throughput.txt", table)
+    if not smoke:
+        c.save_result(
+            "BENCH_serve_throughput.json", json.dumps(payload, indent=2)
+        )
+        c.save_result("serve_throughput.txt", table)
     return table
 
 

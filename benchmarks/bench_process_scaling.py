@@ -14,7 +14,7 @@ own (``previous``, the table's ``before x``). ``--smoke`` runs a small
 workload and exits non-zero if the process pool diverges from the
 serial oracle or silently fell back to the serial loop (the CI
 perf-smoke gate — speedup itself is not gated there, since CI cores
-vary).
+vary). A smoke run, or the pytest entry, writes nothing.
 
 Usage::
 
@@ -145,6 +145,9 @@ def _previous_reading(smoke):
 
 
 def save_outputs(params, serial_seconds, rows, smoke):
+    """The table; a full run also writes it and the JSON to
+    ``results/``. A smoke run's are printed only, so the committed
+    full-run files stay what the full run wrote."""
     previous = _previous_reading(smoke)
     payload = {
         "workload": {
@@ -160,9 +163,6 @@ def save_outputs(params, serial_seconds, rows, smoke):
     }
     if previous is not None:
         payload["previous"] = previous
-    c.save_result(
-        "BENCH_process_scaling.json", json.dumps(payload, indent=2)
-    )
     before = previous["process_speedup"] if previous else {}
     title = (
         f"process-pool scaling vs serial "
@@ -187,7 +187,11 @@ def save_outputs(params, serial_seconds, rows, smoke):
         ],
         title=title,
     )
-    c.save_result("process_scaling.txt", table)
+    if not smoke:
+        c.save_result(
+            "BENCH_process_scaling.json", json.dumps(payload, indent=2)
+        )
+        c.save_result("process_scaling.txt", table)
     return table
 
 

@@ -22,7 +22,8 @@ simulated contention model charges for.
 Results are saved as a text table and machine-readable
 ``results/BENCH_quantized_scan.json``; ``--smoke`` runs a small
 workload and exits non-zero if sq8 exactness or the 3x layout-bytes
-gate fails (the CI perf-smoke gate).
+gate fails (the CI perf-smoke gate). A smoke run, or the pytest
+entry, writes nothing.
 
 Usage::
 
@@ -162,6 +163,9 @@ def run_suite(params, log=print):
 
 
 def save_outputs(params, footprint, cases, smoke):
+    """The table; a full run also writes it and the JSON to
+    ``results/``. A smoke run's are printed only, so the committed
+    full-run files stay what the full run wrote."""
     payload = {
         "workload": {
             key: params[key]
@@ -173,7 +177,6 @@ def save_outputs(params, footprint, cases, smoke):
         "layout": footprint,
         "cases": cases,
     }
-    c.save_result("BENCH_quantized_scan.json", json.dumps(payload, indent=2))
     rows = [
         [
             case["batch"],
@@ -195,7 +198,11 @@ def save_outputs(params, footprint, cases, smoke):
             "host wall-clock, synthetic gaussian)"
         ),
     )
-    c.save_result("quantized_scan.txt", text)
+    if not smoke:
+        c.save_result(
+            "BENCH_quantized_scan.json", json.dumps(payload, indent=2)
+        )
+        c.save_result("quantized_scan.txt", text)
     return text
 
 

@@ -22,7 +22,8 @@ the uncached deployment byte for byte.
 Results accumulate in ``results/BENCH_result_cache.json`` plus a
 text table; ``--smoke`` runs a small stream and exits non-zero if the
 exact arm diverges from the uncached oracle, its hit rate falls below
-60%, or invalidation misbehaves (the CI cache-smoke gate). The full
+60%, or invalidation misbehaves (the CI cache-smoke gate); a smoke
+run, or the pytest entry, writes nothing. The full
 run additionally gates the headline speedups: exact caching must
 deliver >= 3x p50 and >= 2x QPS over the uncached arm.
 
@@ -282,6 +283,9 @@ def run_suite(params, smoke, log=print):
 
 
 def save_outputs(params, rows, serve_rows, invalidation, speedups, smoke):
+    """The table; a full run also writes it and the JSON to
+    ``results/``. A smoke run's are printed only, so the committed
+    full-run files stay what the full run wrote."""
     payload = {
         "workload": {
             key: params[key]
@@ -296,9 +300,6 @@ def save_outputs(params, rows, serve_rows, invalidation, speedups, smoke):
         "invalidation": invalidation,
         "speedup": speedups,
     }
-    c.save_result(
-        "BENCH_result_cache.json", json.dumps(payload, indent=2)
-    )
     table = c.format_table(
         ["arm", "p50 (ms)", "p99 (ms)", "qps", "hit rate"],
         [
@@ -317,7 +318,11 @@ def save_outputs(params, rows, serve_rows, invalidation, speedups, smoke):
             f"{speedups['qps']:.1f}x; host wall-clock)"
         ),
     )
-    c.save_result("result_cache.txt", table)
+    if not smoke:
+        c.save_result(
+            "BENCH_result_cache.json", json.dumps(payload, indent=2)
+        )
+        c.save_result("result_cache.txt", table)
     return table
 
 

@@ -20,7 +20,7 @@ Results are saved both as a text table and as machine-readable
 ``results/BENCH_scan_kernel.json``; ``--smoke`` runs a small workload
 — one batch on each side of the rule — and exits non-zero if the
 batched path is slower than the per-query path in either (the CI
-perf-smoke gate).
+perf-smoke gate). A smoke run, or the pytest entry, writes nothing.
 
 Usage::
 
@@ -148,6 +148,9 @@ def run_suite(params, log=print):
 
 
 def save_outputs(params, cases, smoke):
+    """The table; a full run also writes it and the JSON to
+    ``results/``. A smoke run's are printed only, so the committed
+    full-run files stay what the full run wrote."""
     payload = {
         "workload": {
             key: params[key]
@@ -156,7 +159,6 @@ def save_outputs(params, cases, smoke):
         | {"smoke": smoke},
         "cases": cases,
     }
-    c.save_result("BENCH_scan_kernel.json", json.dumps(payload, indent=2))
     rows = [
         [
             case["batch"],
@@ -180,7 +182,11 @@ def save_outputs(params, cases, smoke):
             "(host wall-clock, synthetic gaussian)"
         ),
     )
-    c.save_result("scan_kernel.txt", text)
+    if not smoke:
+        c.save_result(
+            "BENCH_scan_kernel.json", json.dumps(payload, indent=2)
+        )
+        c.save_result("scan_kernel.txt", text)
     return text
 
 

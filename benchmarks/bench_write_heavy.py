@@ -27,7 +27,8 @@ Results accumulate in ``results/BENCH_write_heavy.json`` plus a text
 table; ``--smoke`` runs a small mix and exits non-zero if any arm
 diverges from the oracle, the delta arm rebuilt its layout, or the
 process pool re-homed shared memory on a delta-only mutation (the CI
-write-smoke gate — speedup itself is not gated there).
+write-smoke gate — speedup itself is not gated there). A smoke run, or
+the pytest entry, writes nothing.
 
 Usage::
 
@@ -237,6 +238,9 @@ def run_suite(params, log=print):
 
 
 def save_outputs(params, rows, overlay, speedups, smoke):
+    """The table; a full run also writes it and the JSON to
+    ``results/``. A smoke run's are printed only, so the committed
+    full-run files stay what the full run wrote."""
     payload = {
         "workload": {
             key: params[key]
@@ -251,7 +255,6 @@ def save_outputs(params, rows, overlay, speedups, smoke):
         "process_overlay": overlay,
         "speedup": speedups,
     }
-    c.save_result("BENCH_write_heavy.json", json.dumps(payload, indent=2))
     headline = ", ".join(
         f"{precision} {ratio:.2f}x" for precision, ratio in speedups.items()
     )
@@ -277,7 +280,11 @@ def save_outputs(params, rows, overlay, speedups, smoke):
             f"({headline}, host wall-clock)"
         ),
     )
-    c.save_result("write_heavy.txt", table)
+    if not smoke:
+        c.save_result(
+            "BENCH_write_heavy.json", json.dumps(payload, indent=2)
+        )
+        c.save_result("write_heavy.txt", table)
     return table
 
 

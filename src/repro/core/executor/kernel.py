@@ -40,9 +40,9 @@ A shard-group has two sources, chosen by one rule on its own shape
 probed lists, against :data:`_LIST_SHARING`). Below the rule each
 member's candidates are gathered on their own; above it the group is
 read *list-major* — slice 0 scores each probed list once, with one
-GEMM of its slab range against every member probing it, and only the
-survivors become the group's dense rows. SQ8 groups and scans without
-pruning always gather member by member.
+GEMM of its slab range, rows or codes, against every member probing
+it, and only the survivors become the group's dense rows. Scans
+without pruning always gather member by member.
 
 :meth:`ScanKernel.search` picks between the two; the serial loop runs
 it over a whole batch, and every process-pool worker over its chunk of
@@ -83,18 +83,18 @@ from repro.distance.partial import query_slice_norms, slice_norms
 #: count is the group scan's dense arrays: per row ids, owner,
 #: accumulated score, alive index and a stage's partial, the threshold
 #: gather, bound, keep mask and kept index of a prune, and up to
-#: ``2 * n_slices`` table columns (the IP suffix sums, and the fp32 IP
-#: rounding pad or the SQ8 error norms) — ``8 + 2 * n_slices`` elements,
-#: which :func:`scan_group` divides by. List by list (the list-major
-#: first slice, :func:`_list_major`), a chunk opens with one float64
-#: slice-0 score per (member, row) pair and no dense row at all, so it
-#: holds up to this many *pairs*; only slice 0's survivors become dense
-#: rows — 38 % of the pairs on the ledger's ``batch_fp32`` at seed 7,
-#: but every pair of a member whose heap is not yet full (prewarm off,
-#: or seeding fewer than k rows), which can reach ``8 + 2 * n_slices``
-#: times the bound. The two stage buffers are sized by the chunk's
-#: largest *member* (one member is never split; list by list, also its
-#: largest list), not by this bound;
+#: ``2 * n_slices`` table columns (the IP suffix sums, and the scorer's
+#: pad term: the fp32 IP cap or the SQ8 error norms) — ``8 + 2 *
+#: n_slices`` elements, which :func:`scan_group` divides by. List by list
+#: (the list-major first slice, :func:`_list_major`, either precision),
+#: a chunk opens with one float64 slice-0 score per (member, row) pair
+#: and no dense row at all, so it holds up to this many *pairs*; only
+#: slice 0's survivors become dense rows — 38 % of the pairs on the
+#: ledger's ``batch_fp32`` at seed 7, but every pair of a member whose
+#: heap is not yet full (prewarm off, or seeding fewer than k rows),
+#: which can reach ``8 + 2 * n_slices`` times the bound. The two stage
+#: buffers are sized by the chunk's largest *member* (one member is
+#: never split; list by list, also its largest list), not by this bound;
 #: phase one and the re-rank walk the chunk's rows through them in
 #: blocks of that size. Groups larger than it are processed in
 #: sequential query-disjoint chunks so the batched path's working set
@@ -167,7 +167,7 @@ def open_scan(layout, parts, queries, query_norms, plan, metric, lists=None):
     if metric is not Metric.L2:
         shared.update(query_norms=np.stack(query_norms))
     if parts[0].err is not None:
-        return SQ8ShardGroupScan(parts, **shared, **sq8)
+        return SQ8ShardGroupScan(parts, **shared, **sq8, lists=lists)
     return ShardGroupScan(parts, **shared, lists=lists)
 
 
@@ -973,7 +973,7 @@ class ScanKernel:
         shard = int(shard)
         layout = self.packed_base()
         gathered = lists = None
-        if self.enable_pruning and self.scan_precision == "fp32":
+        if self.enable_pruning:
             member_lists = [self._lists_for(state, shard) for state in group]
             if _list_major(member_lists):
                 gathered, lists = self._listed(
@@ -1008,6 +1008,7 @@ class ScanKernel:
         blocks, deltas = layout._list_rows(
             shard, member_lists, allowed,
             [(int(state.probe_row[0]), state.prewarmed) for state in group],
+            codes=self.scan_precision == "sq8",
         )
         counts = np.array([part.ids.size for part in deltas])
         for block in blocks:

@@ -440,6 +440,7 @@ class _ListRows(NamedTuple):
             prewarmed the same ids, and the rows they did not prewarm.
         counts: candidates per member column — what a per-member gather
             of this list would hold.
+        err: the rows' per-slice SQ8 error norms (a view; None: fp32).
     """
 
     start: int
@@ -449,6 +450,7 @@ class _ListRows(NamedTuple):
     live: "np.ndarray | None"
     drops: tuple
     counts: np.ndarray
+    err: "np.ndarray | None" = None
 
     def members_in(self, lo: int, hi: int) -> "_ListRows | None":
         """The block restricted to members ``lo … hi - 1``, renumbered
@@ -889,16 +891,30 @@ class ShardPackedBase:
             float32 slabs, with the matching per-slice ``norms`` table
             (None for L2).
         """
-        ids, local, base_sel, delta_sel = self._candidates(
-            shard, lists, allowed, exclude
+        return self._part(
+            shard, *self._candidates(shard, lists, allowed, exclude)
         )
+
+    def _part(
+        self, shard: int, ids, local, base_sel, delta_sel, codes=False
+    ) -> CandidatePart:
+        """``shard``'s candidates ``ids`` at ``local`` (side-table rows
+        ``base_sel`` / ``delta_sel``) as :meth:`gather` or, with
+        ``codes``, :meth:`gather_sq8` returns them."""
+        rows = self._slabs(self._rows, self._drows, shard, delta_sel)
+        norms = _take_both(
+            self._norms[shard], base_sel, self._dnorms[shard], delta_sel
+        )
+        if not codes:
+            return CandidatePart(ids, local, rows, norms)
         return CandidatePart(
-            ids,
-            local,
-            self._slabs(self._rows, self._drows, shard, delta_sel),
+            ids, local,
+            self._slabs(self._codes, self._dcodes, shard, delta_sel), norms,
             _take_both(
-                self._norms[shard], base_sel, self._dnorms[shard], delta_sel
+                self._code_err[shard], base_sel,
+                self._dcode_err[shard], delta_sel,
             ),
+            rows,
         )
 
     def _slabs(self, base, delta, shard: int, delta_sel) -> ShardSlabs:
@@ -1051,9 +1067,11 @@ class ShardPackedBase:
         member_lists: "list[np.ndarray]",
         allowed: np.ndarray | None,
         excludes: "list[tuple[int, np.ndarray]]",
+        codes: bool = False,
     ) -> "tuple[list[_ListRows], list[CandidatePart]]":
-        """A shard-group's float32 candidates read list by list: what
-        the fused scan's list-major first slice scans in place.
+        """A shard-group's candidates read list by list: what the fused
+        scan's list-major first slice scans in place — float32 rows, or
+        with ``codes`` SQ8 codes and their error norms.
 
         Index work only, and per *distinct* probed list rather than per
         (member, list) pair: each list's base range, id and norm views,
@@ -1065,14 +1083,15 @@ class ShardPackedBase:
         Args:
             member_lists: per member, its probed lists in ``shard``.
             excludes: per member, ``(nearest list, prewarmed ids)``.
+            codes: SQ8: blocks with error-norm views, and parts as
+                :meth:`gather_sq8` returns them.
 
         Returns:
             ``(blocks, deltas)``: one :class:`_ListRows` per distinct
             non-empty probed list, and per member a
             :class:`CandidatePart` of its delta-segment candidates
             (often empty). Delta rows are not list-contiguous, so they
-            are gathered per member as :meth:`gather` gathers them. All
-            the parts share one slab handle.
+            are gathered per member as :meth:`gather` gathers them.
         """
         pairs = np.concatenate(member_lists).astype(np.int64)
         owners = np.repeat(
@@ -1089,6 +1108,7 @@ class ShardPackedBase:
                     (member, prewarmed)
                 )
         shard_ids, norms = self._ids[shard], self._norms[shard]
+        code_err = self._code_err[shard] if codes else None
         blocks = []
         for lo, hi in zip([0, *cuts], [*cuts, pairs.size]):
             list_id = int(pairs[lo])
@@ -1120,23 +1140,17 @@ class ShardPackedBase:
             blocks.append(_ListRows(
                 start, ids, None if norms is None else norms[start:stop],
                 members, live, tuple(drops), counts,
+                None if code_err is None else code_err[start:stop],
             ))
-        found = [
-            self._delta_candidates(shard, lists, allowed, exclude)
-            for lists, (_, exclude) in zip(member_lists, excludes)
-        ]
-        any_delta = next((sel for sel, _ in found if sel is not None), None)
-        slabs = self._slabs(self._rows, self._drows, shard, any_delta)
-        n_base = shard_ids.size
-        deltas = [
-            CandidatePart(
-                np.empty(0, dtype=np.int64) if sel is None else dids,
-                np.empty(0, dtype=np.intp) if sel is None else sel + n_base,
-                slabs,
-                _take_both(norms, None, self._dnorms[shard], sel),
-            )
-            for sel, dids in found
-        ]
+        deltas = []
+        for lists, (_, exclude) in zip(member_lists, excludes):
+            sel, dids = self._delta_candidates(shard, lists, allowed, exclude)
+            local = np.empty(0, dtype=np.intp)
+            if sel is None:
+                dids = np.empty(0, dtype=np.int64)
+            else:
+                local = sel + shard_ids.size
+            deltas.append(self._part(shard, dids, local, None, sel, codes))
         return blocks, deltas
 
     def gather_sq8(
@@ -1159,21 +1173,9 @@ class ShardPackedBase:
         """
         if not self.has_codes:
             raise RuntimeError("layout was packed without SQ8 codes")
-        ids, local, base_sel, delta_sel = self._candidates(
-            shard, lists, allowed, exclude
-        )
-        return CandidatePart(
-            ids,
-            local,
-            self._slabs(self._codes, self._dcodes, shard, delta_sel),
-            _take_both(
-                self._norms[shard], base_sel, self._dnorms[shard], delta_sel
-            ),
-            _take_both(
-                self._code_err[shard], base_sel,
-                self._dcode_err[shard], delta_sel,
-            ),
-            self._slabs(self._rows, self._drows, shard, delta_sel),
+        return self._part(
+            shard, *self._candidates(shard, lists, allowed, exclude),
+            codes=True,
         )
 
 

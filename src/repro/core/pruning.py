@@ -19,7 +19,7 @@ of one kernel each open their own scans). Pruning therefore moves index
 arrays only. The one stage that takes nothing is a group opened
 *list-major*: its first slice reads each probed list's slab range in
 place and scores it against every member probing it with one GEMM
-(:func:`_list_scores`), and only the survivors become alive indices.
+(:meth:`_Scorer.listed`), and only the survivors become alive indices.
 
 Score convention: smaller is better. For L2 the accumulated partial sum
 itself lower-bounds the final score; for inner product the bound
@@ -35,14 +35,17 @@ bitwise those of :class:`ShardScan`. That class alone stays exact all
 the way: it is the per-query reference the fused path is checked
 against and the simulator's stepping unit, so the fused path is checked
 against a genuinely different computation and simulated figures cannot
-move. The pad is derived once (:func:`_phase_one_pad`), each
-precision's scorer is one helper (:func:`_f32_padded_scores`,
-:func:`_sq8_padded_scores`; the list-major first slice's
-:func:`_list_scores` is the fp32 one's arithmetic over a GEMM) and the
-re-rank is one helper all two-phase scans share (:func:`_exact_scores`).
+move. The pad is derived once (:func:`_phase_one_pad`), each precision
+is one scorer (:class:`_F32Scorer`, :class:`_SQ8Scorer`) whose dense
+rows and probed lists share one padding expression (:class:`_Scorer`),
+one group scan runs either scorer, list by list or member by member,
+and the re-rank is one helper all two-phase scans share
+(:func:`_exact_scores`).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -208,130 +211,276 @@ def _phase_one_pad(widths) -> tuple[np.ndarray, np.ndarray]:
     ``2²⁹`` times smaller) covers the float64 roundings of the weights,
     constants, norms and final sums, and of the exact float64 score the
     bound is held against. What ``A``, ``X``, ``C`` and ``G`` are is each
-    scorer's: :func:`_f32_padded_scores`, :func:`_sq8_padded_scores`.
+    scorer's: :class:`_F32Scorer`, :class:`_SQ8Scorer`.
     """
     widths = np.asarray(widths, dtype=np.float64)
     gamma = (widths + 2) * _F32_U / (1.0 - (widths + 2) * _F32_U)
     return gamma, widths * _F32_TINY
 
 
-def _f32_padded_scores(scan, block: slice, slice_id: int) -> np.ndarray:
-    """Float32 scores of the dense rows ``block`` — several members'
-    rows, each against its own query — padded down to bound the exact
-    ones: :class:`ShardGroupScan`'s phase one.
+def _as_f32(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``rows`` as float32 BLAS operands: float32 rows as they are, uint8
+    codes (integers up to 255, exact in float32) cast once into
+    ``scratch``, a float32 view of the scan's float64 scratch. Nothing is
+    decoded."""
+    if rows.dtype == np.float32:
+        return rows
+    np.copyto(scratch, rows)
+    return scratch
 
-    One take of the block's rows into the scan's taken buffer, then
-    BLAS: per member, one ``sgemv`` of its rows against the weights
-    :func:`_attach_f32` hoisted for it, and the rest over the whole
-    block. For L2, ``‖x - q‖² = A - 2X + C`` with ``A = ‖x‖²`` (the block
-    squared into a float32 view of the float64 scratch, one ``sgemv``
-    against ones), ``-2X`` the member's ``sgemv`` against ``-2q`` (exact
-    in float32) and ``C = ‖q_s‖²`` a float64 (slice, member) constant
-    with the whole pad already taken off: ``Σ|x∘q| ≤ √(A·C)``, so
-    :func:`_phase_one_pad`'s lemma subtracts ``3γ·(Â + C)`` and its
-    absolute term. For the inner-product family the score is ``-x·q``,
-    the member's ``sgemv`` against ``q``, and ``Σ|x∘q| ≤ ‖x_s‖·‖q_s‖`` on
-    the per-row slice norms the scan carries, so each row's
-    ``2γ·‖x_s‖·‖q_s‖`` plus the absolute term comes off. A non-finite
-    result (float32 squares overflow near 1.8e19, where float32 data
-    does not) becomes the trivial bound.
+
+class _Scorer:
+    """Phase one of one precision: float32 BLAS scores of a scan's rows,
+    padded down to bound the exact float64 ones — ``A - 2X + C`` (L2) or
+    ``Y + C`` less a per-row term (inner-product family). A precision's
+    constructor (:class:`_F32Scorer`, :class:`_SQ8Scorer`) hoists in
+    float64 what does not depend on the row: per member the float32
+    ``weights`` of ``X`` or ``Y``; for L2 the weights of the squared rows
+    (``square``) and per slice ``keep = 1 - 3γ``; per (slice, member) the
+    constant ``const``, the whole rounding pad taken off; and per
+    (member, slice) the ``factor`` a row's ``pads_by`` table (norms or
+    error norms) is multiplied by into the row's own term (:meth:`table`),
+    which the scan compacts and settles beside its rows.
+
+    :meth:`dense` bounds a block of dense rows, one ``sgemv`` per member
+    segment; :meth:`listed` one probed list read in place, one ``sgemm``
+    against every member probing it. Both end in :meth:`_padded`, element
+    for element the same operands in the same order;
+    :func:`_phase_one_pad`'s lemma bounds a dot product in any summation
+    order, so a GEMM's order keeps the bound sound.
+
+    A non-finite stage (float32 squares overflow near 1.8e19, where
+    float32 data does not; or a ``-inf`` constant) becomes the bound that
+    is true of anything: 0 for L2, ``-inf`` for the inner-product family.
+    ``finite`` lists the slices where no member's stage can be non-finite
+    (SQ8's, wherever no constant is ``-inf``): their results are not
+    checked, and computing them raises no floating-point warning.
     """
-    local, owner = scan._local[block], scan.query_of[block]
-    start, stop = scan.slices.slice_range(slice_id)
-    n, width = local.size, stop - start
-    rows = scan._slabs.take(
-        slice_id, local, out=scan._buffers.taken(n, width, np.float32)
-    )
-    # ``owner`` ascends: each member's rows are one segment of the block.
-    first = int(owner[0])
-    cuts = np.searchsorted(owner, np.arange(first, owner[-1] + 2)).tolist()
-    weights = scan._f32_weights[:, start:stop]
-    linear = np.empty(n, dtype=np.float32)
-    for q, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=first):
-        if lo < hi:
-            np.dot(rows[lo:hi], weights[q], out=linear[lo:hi])
-    if scan._f32_cap is not None:
-        approx = np.negative(linear, dtype=np.float64)
-        approx -= scan._f32_cap[block, slice_id]
-        trivial = -np.inf
-    else:
-        squares = np.square(rows, out=scan._buffers.f32(n, width))
-        approx = np.multiply(
-            np.dot(squares, scan._f32_ones[:width]),
-            scan._f32_keep[slice_id],
-            dtype=np.float64,
+
+    #: SQ8: the rows are uint8 codes, the L2 bound is padded by their
+    #: error norms, bounds are deflated once more (:meth:`bound`), and
+    #: the survivors count as re-ranked against float32.
+    codes = False
+    #: The per-row table of a part or list block the row term comes from.
+    pads_by = "norms"
+
+    def __init__(self, queries, slices: DimensionSlices, metric: Metric):
+        self.l2 = metric is Metric.L2
+        self.trivial = 0.0 if self.l2 else -np.inf
+        self.factor = None
+        bounds = np.asarray(slices.boundaries)
+        self._starts = bounds[:-1]
+        self._widths = np.diff(bounds)
+        self._gamma, self._tiny = _phase_one_pad(self._widths)
+        self.keep = 1.0 - 3.0 * self._gamma
+        self._q64 = np.atleast_2d(queries).astype(np.float64)
+
+    def _per_slice(self, values: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(values, self._starts, axis=-1)
+
+    def table(self, source, owner) -> "np.ndarray | None":
+        """The rows' pad term per slice (None: there is none, fp32 L2):
+        their ``pads_by`` table ``source`` times ``factor[owner]`` — the
+        rows' owners, an int for one member's rows, or ``(members, 0)``
+        for a list's slice-0 column against its members; SQ8 L2's is the
+        error norms themselves, which :meth:`_padded` takes off the
+        square root."""
+        if self.factor is None:  # L2
+            return source if self.codes else None
+        return source * self.factor[owner]
+
+    def bound(self, bounds: np.ndarray) -> np.ndarray:
+        """What the scan prunes on: SQ8's error-padded bounds deflated once
+        more by the standard float-safety epsilons, so float rounding can
+        never flip a keep into a kill."""
+        if not self.codes:
+            return bounds
+        return bounds - (np.abs(bounds) * BOUND_REL_EPS + BOUND_ABS_EPS)
+
+    def dense(self, taken, buffers, owner, term, slice_id: int, cols):
+        """Bound of dense rows ``taken`` (the slab's dtype), row ``i``
+        against member ``owner[i]``: ``owner`` ascends, so each member's
+        rows are one segment, scored with one ``sgemv`` against its
+        weights; an int ``owner`` is one member's rows. ``term`` is the
+        rows' :meth:`table` column of slice ``slice_id``."""
+        scratch = buffers.f32(*taken.shape)
+        rows = _as_f32(taken, scratch)
+        weights = self.weights[:, cols]
+        if isinstance(owner, int):
+            linear = np.dot(rows, weights[owner])
+        else:
+            linear = np.empty(rows.shape[0], dtype=np.float32)
+            first = int(owner[0])
+            cuts = np.searchsorted(
+                owner, np.arange(first, owner[-1] + 2)
+            ).tolist()
+            for q, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=first):
+                if lo < hi:
+                    np.dot(rows[lo:hi], weights[q], out=linear[lo:hi])
+        return self._padded(rows, scratch, linear, owner, term, slice_id, cols)
+
+    def listed(self, slab, buffers, block, cols) -> np.ndarray:
+        """Slice 0 of one probed list against every member probing it,
+        ``(rows, members)``: the list's range of ``slab`` (float32 rows
+        or SQ8 codes) read in place — no gather, no take — and scored
+        with one ``sgemm`` against the members' stacked weights, less the
+        pad term :meth:`table` would give each (row, member) pair."""
+        members = block.members
+        rows = slab[block.start : block.start + block.ids.size]
+        scratch = buffers.f32(*rows.shape)
+        floats = _as_f32(rows, scratch)
+        linear = floats @ self.weights[members, cols].T
+        source = getattr(block, self.pads_by)
+        term = None if source is None else self.table(
+            source[:, :1], (members, 0)
         )
-        approx += linear
-        approx += scan._f32_const[slice_id].take(owner)
-        trivial = 0.0
-    if not np.isfinite(approx.sum()):
-        approx[~np.isfinite(approx)] = trivial
-    return approx
+        return self._padded(floats, scratch, linear, members, term, 0, cols)
+
+    def _padded(self, rows, scratch, linear, member, term, slice_id, cols):
+        """The padding expression both shapes share. ``linear`` is the
+        rows' float32 product with their members' weights — ``(n,)``
+        with ``member`` the rows' owners, or ``(n, m)`` with ``member``
+        the list's members — and ``term`` broadcasts against it.
+
+        L2: ``Â`` (the rows squared into the float32 scratch, one
+        ``sgemv`` against ``square``) times ``keep``, plus the product,
+        plus the member's constant — and for SQ8 ``max(0, sqrt(·) -
+        err)²`` after (reverse triangle inequality). Inner-product
+        family: the product plus the constant, less the row's term.
+        """
+        const = self.const[slice_id].take(member)
+        if self.l2:
+            squares = np.square(rows, out=scratch)
+            approx = np.multiply(
+                np.dot(squares, self.square[cols]),
+                self.keep[slice_id],
+                dtype=np.float64,
+            )
+            if linear.ndim == 1:
+                approx += linear
+            else:
+                approx = approx[:, None] + linear
+            approx += const
+        else:
+            approx = np.add(linear, const, dtype=np.float64)
+            approx -= term
+        if not (self.finite[slice_id] or np.isfinite(approx.sum())):
+            approx[~np.isfinite(approx)] = self.trivial
+        if self.codes and self.l2:
+            np.sqrt(np.maximum(approx, 0.0, out=approx), out=approx)
+            approx -= term
+            np.square(np.maximum(approx, 0.0, out=approx), out=approx)
+        return approx
 
 
-def _sq8_padded_scores(
-    scan, codes, f64, q: int, slice_id: int, cols: slice, err
-) -> np.ndarray:
-    """One slice's SQ8 scores, padded down to bound the exact ones.
+class _F32Scorer(_Scorer):
+    """Phase one of float32 rows: :class:`ShardGroupScan`'s scorer.
 
-    Nothing is decoded. The codes (integers up to 255, exact in
-    float32) are cast once into a float32 view of the scan's ``f64``
-    scratch and scored against the weights :func:`_attach_sq8` hoisted
-    for member ``q``, with BLAS. Writing ``c`` for a row's codes,
-    ``s`` / ``lo`` for the slice's scale / offset and ``u = q - lo``:
+    L2: ``‖x - q‖² = A - 2X + C`` with ``A = ‖x‖²`` (``square`` is ones),
+    weights ``-2q`` (exact in float32, or ``inf`` where ``q`` is near
+    float32's limit, which makes the stage non-finite and trivial) and
+    ``C = ‖q_s‖²``: ``Σ|x∘q| ≤ √(A·C)``, so :func:`_phase_one_pad`'s
+    lemma takes ``3γ·(Â + C)`` and its absolute term off — the constant
+    is ``C·(1 - 3γ)`` less the absolute term. Inner-product family: the
+    score is ``-x·q``, weights ``-q``, and ``Σ|x∘q| ≤ ‖x_s‖·‖q_s‖`` on the
+    per-row slice norms, so each row's table holds the IP cap
+    ``2γ·‖x_s‖·‖q_s‖`` (``factor = 2γ·‖q_s‖``) and the constant is minus
+    the absolute term. ``C = ‖q_s‖²`` and ``‖q_s‖`` come from the
+    members' queries widened to float64, not from the float32
+    ``query_norms``, which under- and overflow at magnitudes float32
+    data reaches.
+    """
 
-    * L2: ``||decode(c) - q||² = A - 2X + C`` with ``A = Σ s²c²``,
-      ``X = Σ (s∘u)·c``, ``C = Σ u²`` — ``sgemv`` of the squared block
-      against ``s²``, of the block against ``-2 s∘u``, and a per
-      (member, slice) constant; ``Σ|s∘u|·c ≤ √(A·C)``;
-    * IP family: ``-decode(c)·q = Y - lo·q`` with ``Y = -Σ (s∘q)·c`` —
-      one ``sgemv`` and a constant; ``G = 255·Σ|s∘q|`` (``c ≤ 255``).
+    def __init__(self, queries, slices, metric) -> None:
+        super().__init__(queries, slices, metric)
+        q64 = self._q64
+        squares = self._per_slice(q64 * q64)
+        if self.l2:
+            with np.errstate(over="ignore"):
+                self.weights = (-2.0 * q64).astype(np.float32)
+            self.square = np.ones(q64.shape[1], dtype=np.float32)
+            const = squares * self.keep - self._tiny
+        else:
+            self.weights = np.negative(queries, dtype=np.float32)
+            self.factor = 2.0 * self._gamma * np.sqrt(squares)
+            const = np.broadcast_to(-self._tiny, squares.shape)
+        self.const = np.ascontiguousarray(const.T)
+        self.finite = [False] * self.const.shape[0]
 
-    :func:`_phase_one_pad`'s lemma takes ``3γ·(Â + C)`` (L2) or
-    ``2γ·G`` off, and its absolute term. One float64 term is SQ8's own:
-    the error table bounds the row's distance to ``decode(c)`` *as
-    float64 computes it*, which lies up to ``2⁻⁵²·(|s·c| + |lo|)`` per
-    dimension from the real-number decode expanded above — ``2⁻⁵⁰·Σ
-    lo²`` for L2, and for the IP family ``2(w+4)·2⁻⁵³·Σ|lo∘q|``, which
-    also spans the ``w`` roundings of ``lo·q`` here and in the exact
-    score the bound is held against (an offset far larger than the span
-    leaves those to cancellation). Where the stage's term magnitudes
-    could exceed ``_F32_SAFE``, :func:`_attach_sq8` has marked the
-    (member, slice) with a ``-inf`` constant: nothing is computed and the
-    stage returns the trivial bound. Elsewhere every intermediate is
-    finite by construction.
+
+class _SQ8Scorer(_Scorer):
+    """Phase one of uint8 codes: the SQ8 scans' scorer.
+
+    Writing ``c`` for a row's codes, ``s`` / ``lo`` for the slice's
+    scale / offset and ``u = q - lo``:
+
+    * L2: ``||decode(c) - q||² = A - 2X + C`` with ``A = Σ s²c²``
+      (``square = s²``), ``X = Σ (s∘u)·c`` (weights ``-2 s∘u``) and
+      ``C = Σ u²``; ``Σ|s∘u|·c ≤ √(A·C)``;
+    * IP family: ``-decode(c)·q = Y - lo·q`` with ``Y = -Σ (s∘q)·c``
+      (weights ``-(s∘q)``) and a constant; ``G = 255·Σ|s∘q|``
+      (``c ≤ 255``).
+
+    :func:`_phase_one_pad`'s lemma takes ``3γ·(Â + C)`` (L2) or ``2γ·G``
+    off, and its absolute term. One float64 term is SQ8's own: the error
+    table bounds the row's distance to ``decode(c)`` *as float64 computes
+    it*, which lies up to ``2⁻⁵²·(|s·c| + |lo|)`` per dimension from the
+    real-number decode expanded above — ``2⁻⁵⁰·Σ lo²`` for L2, and for
+    the IP family ``2(w+4)·2⁻⁵³·Σ|lo∘q|``, which also spans the ``w``
+    roundings of ``lo·q`` here and in the exact score the bound is held
+    against (an offset far larger than the span leaves those to
+    cancellation). Where the stage's term magnitudes could exceed
+    ``_F32_SAFE`` the (member, slice) constant is ``-inf``, so the stage
+    returns the trivial bound; elsewhere every intermediate is finite by
+    construction.
 
     All of it is subtracted first; the stage then pads by the packed
     error norm exactly as the decode form did: for L2 ``max(0,
     sqrt(approx) - err)**2`` (reverse triangle inequality), for the
-    inner-product family ``approx - ||q_s|| * err`` (Cauchy-Schwarz).
-    ``err`` was rounded *up* at pack time.
+    inner-product family ``approx - ||q_s|| * err`` (Cauchy-Schwarz:
+    ``factor`` is ``||q_s||``). ``err`` was rounded *up* at pack time.
     """
-    n, width = codes.shape
-    l2 = scan.metric is Metric.L2
-    const = scan._sq8_const[q, slice_id]
-    if const == -np.inf:
-        return np.full(n, 0.0 if l2 else -np.inf)
-    block = f64.reshape(-1).view(np.float32)[: n * width].reshape(n, width)
-    np.copyto(block, codes)
-    linear = np.dot(block, scan._sq8_linear[q, cols])
-    if not l2:
-        approx = np.add(linear, const, dtype=np.float64)
-        approx -= np.multiply(
-            err, scan._qnorms64[q, slice_id], dtype=np.float64
-        )
-        return approx
-    np.square(block, out=block)
-    approx = np.multiply(
-        np.dot(block, scan._sq8_square[cols]),
-        scan._sq8_keep[slice_id],
-        dtype=np.float64,
-    )
-    approx += linear
-    approx += const
-    np.sqrt(np.maximum(approx, 0.0, out=approx), out=approx)
-    approx -= err
-    return np.square(np.maximum(approx, 0.0, out=approx), out=approx)
+
+    codes = True
+    pads_by = "err"
+
+    def __init__(
+        self, queries, slices, metric, query_norms, code_lo, code_scale
+    ) -> None:
+        super().__init__(queries, slices, metric)
+        if not self.l2 and query_norms is None:
+            raise ValueError("inner-product SQ8 pruning requires query_norms")
+        lo = np.asarray(code_lo, dtype=np.float64)
+        scale = np.asarray(code_scale, dtype=np.float64)
+        q64, per_slice = self._q64, self._per_slice
+        gamma, tiny, widths = self._gamma, self._tiny, self._widths
+        if self.l2:
+            u = q64 - lo
+            square = scale * scale
+            linear = -2.0 * scale * u
+            c = per_slice(u * u)
+            const = c * self.keep - 2.0**-50 * per_slice(lo * lo) - tiny
+            safe = 65025.0 * per_slice(square) + c < _F32_SAFE
+        else:
+            self.factor = np.atleast_2d(
+                np.asarray(query_norms, dtype=np.float64)
+            )
+            linear = -(scale * q64)
+            lo_q = lo * q64
+            reach = 255.0 * per_slice(np.abs(linear))
+            const = -per_slice(lo_q) - (
+                2.0 * gamma * reach
+                + 2.0 * (widths + 4) * _F64_U * per_slice(np.abs(lo_q))
+                + tiny
+            )
+            safe = reach < _F32_SAFE
+        self.const = np.ascontiguousarray(np.where(safe, const, -np.inf).T)
+        self.finite = safe.all(axis=0).tolist()
+        # Unsafe slices may overflow the cast; their stages are trivial.
+        with np.errstate(over="ignore"):
+            self.weights = linear.astype(np.float32)
+            if self.l2:
+                self.square = square.astype(np.float32)
 
 
 def _query_slabs(queries: np.ndarray, slices: DimensionSlices) -> list:
@@ -393,97 +542,10 @@ def _exact_scores(
     return total
 
 
-def _deflated(bounds: np.ndarray) -> np.ndarray:
-    """Error-padded bounds, deflated once more for float safety."""
-    return bounds - (np.abs(bounds) * BOUND_REL_EPS + BOUND_ABS_EPS)
-
-
 def _kept_rows(table: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """``table``'s rows at the ascending indices ``keep``: a take, an
     order of magnitude cheaper than a boolean-mask row copy."""
     return table.take(keep, axis=0)
-
-
-def _attach_f32(scan, norms) -> None:
-    """:class:`ShardGroupScan`'s phase-one side state — the fp32
-    counterpart of :func:`_attach_sq8`, hoisted once per scan in
-    float64.
-
-    L2: the float32 weights ``-2q`` (exact, or ``inf`` where ``q`` is
-    near float32's limit, which makes the stage non-finite and trivial),
-    ones, per slice the factor ``1 - 3γ`` and per (slice, member)
-    ``C·(1 - 3γ)`` less the absolute term. Inner-product family: the
-    queries themselves as weights, and per row and slice the pad
-    ``2γ·‖x_s‖·‖q_s‖`` plus the absolute term. ``C = ‖q_s‖²`` and
-    ``‖q_s‖`` come from the members' queries widened to float64, not
-    from the float32 ``query_norms``, which under- and overflow at
-    magnitudes float32 data reaches.
-    """
-    q64 = scan.queries.astype(np.float64)
-    bounds = np.asarray(scan.slices.boundaries)
-    widths = np.diff(bounds)
-    gamma, tiny = _phase_one_pad(widths)
-    squares = np.add.reduceat(q64 * q64, bounds[:-1], axis=1)
-    if scan.metric is Metric.L2:
-        with np.errstate(over="ignore"):
-            scan._f32_weights = (-2.0 * q64).astype(np.float32)
-        scan._f32_ones = np.ones(int(widths.max()), dtype=np.float32)
-        scan._f32_keep = 1.0 - 3.0 * gamma
-        scan._f32_const = np.ascontiguousarray(
-            (squares * scan._f32_keep - tiny).T
-        )
-    else:
-        scan._f32_weights = scan.queries
-        scan._f32_pad = (2.0 * gamma * np.sqrt(squares), tiny)
-        scan._f32_cap = _ip_cap(scan, norms, scan.query_of)
-
-
-def _ip_cap(scan, norms: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """Per row and slice, the inner-product family's phase-one pad
-    ``2γ·‖x_s‖·‖q_s‖`` plus the absolute term (:func:`_attach_f32`)."""
-    pad, tiny = scan._f32_pad
-    return norms * pad[owner] + tiny
-
-
-def _list_scores(scan, block) -> np.ndarray:
-    """Slice 0 of one probed list for every member probing it: the
-    list-major :class:`ShardGroupScan`'s phase one, ``(rows, members)``.
-
-    The list's slab-0 rows are read in place — no gather, no take — and
-    scored against the stacked weights of its members with one float32
-    ``sgemm``. The rest is :func:`_f32_padded_scores`' arithmetic, each
-    element built from the same operands in the same order: for L2 the
-    rows' ``Â`` (squared in the scan's float32 scratch, one ``sgemv``
-    against ones) once per list, times ``1 - 3γ``, plus the product, plus
-    the member's constant; for the inner-product family the negated
-    product less ``outer(‖x_0‖, 2γ·‖q_0‖)`` and the absolute term.
-    :func:`_phase_one_pad`'s lemma bounds a dot product in any summation
-    order, so a GEMM's order keeps the bound sound.
-    """
-    start, stop = scan.slices.slice_range(0)
-    n, width = block.ids.size, stop - start
-    rows = scan._slabs.base[0][block.start : block.start + n]
-    members = block.members
-    linear = rows @ scan._f32_weights[members, start:stop].T
-    if scan._f32_cap is not None:
-        approx = np.negative(linear, dtype=np.float64)
-        pad, tiny = scan._f32_pad
-        approx -= (
-            np.multiply.outer(block.norms[:, 0], pad[members, 0]) + tiny[0]
-        )
-        trivial = -np.inf
-    else:
-        squares = np.square(rows, out=scan._buffers.f32(n, width))
-        approx = np.multiply(
-            np.dot(squares, scan._f32_ones[:width]),
-            scan._f32_keep[0],
-            dtype=np.float64,
-        )[:, None] + linear
-        approx += scan._f32_const[0].take(members)
-        trivial = 0.0
-    if not np.isfinite(approx.sum()):
-        approx[~np.isfinite(approx)] = trivial
-    return approx
 
 
 def _list_survivors(scan, block, approx: np.ndarray) -> np.ndarray:
@@ -501,75 +563,12 @@ def _list_survivors(scan, block, approx: np.ndarray) -> np.ndarray:
         for j in range(last - 1, 0, -1):
             raw += np.multiply.outer(norms[:, j], qnorms[members, j])
         bound = approx - (raw * (1.0 + BOUND_REL_EPS) + BOUND_ABS_EPS)
-    keep = bound <= scan._thresholds[members]
+    keep = scan._scorer.bound(bound) <= scan._thresholds[members]
     if block.live is not None:
         keep &= block.live[:, None]
     for cols, kept in block.drops:
         keep[:, cols] &= kept[:, None]
     return np.flatnonzero(keep)
-
-
-def _attach_sq8(
-    scan, queries, code_err, code_lo, code_scale, query_norms
-) -> None:
-    """The SQ8 side state both arities carry beside their code slabs.
-
-    Everything :func:`_sq8_padded_scores` needs that does not depend on
-    the row is computed here, once per scan, in float64: the float32
-    ``sgemv`` weights per dimension, and per (member, slice) the
-    constant term with the whole rounding pad already taken off it
-    (``-inf`` where float32 could overflow). ``queries`` is one query
-    or the group's ``(n_queries, dim)`` block; a single scan is member
-    0 of a group of one.
-    """
-    l2 = scan.metric is Metric.L2
-    if not l2 and query_norms is None:
-        raise ValueError("inner-product SQ8 pruning requires query_norms")
-    scan._err = np.asarray(code_err)
-    scan._qnorms64 = (
-        None
-        if l2
-        else np.atleast_2d(np.asarray(query_norms, dtype=np.float64))
-    )
-    #: Candidates re-ranked against fp32 by the last survivors() call
-    #: (the harmony_rerank_candidates_total metric).
-    scan.reranked = 0
-
-    lo = np.asarray(code_lo, dtype=np.float64)
-    scale = np.asarray(code_scale, dtype=np.float64)
-    q64 = np.atleast_2d(queries).astype(np.float64)
-    bounds = np.asarray(scan.slices.boundaries)
-    widths = np.diff(bounds)
-
-    def per_slice(values: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(values, bounds[:-1], axis=-1)
-
-    gamma, tiny = _phase_one_pad(widths)
-    if l2:
-        u = q64 - lo
-        square = scale * scale
-        linear = -2.0 * scale * u
-        c = per_slice(u * u)
-        keep = 1.0 - 3.0 * gamma
-        const = c * keep - 2.0**-50 * per_slice(lo * lo) - tiny
-        safe = 65025.0 * per_slice(square) + c < _F32_SAFE
-        scan._sq8_keep = keep
-    else:
-        linear = -(scale * q64)
-        lo_q = lo * q64
-        reach = 255.0 * per_slice(np.abs(linear))
-        const = -per_slice(lo_q) - (
-            2.0 * gamma * reach
-            + 2.0 * (widths + 4) * _F64_U * per_slice(np.abs(lo_q))
-            + tiny
-        )
-        safe = reach < _F32_SAFE
-    scan._sq8_const = np.where(safe, const, -np.inf)
-    # Unsafe slices may overflow the cast; their weights are never read.
-    with np.errstate(over="ignore"):
-        scan._sq8_linear = linear.astype(np.float32)
-        if l2:
-            scan._sq8_square = square.astype(np.float32)
 
 
 class ShardScan:
@@ -794,8 +793,9 @@ class ShardGroupScan:
     Two phases. Each (shard, slice) stage scores the alive rows with
     float32 BLAS, a buffer-sized block of the dense rows at a time
     whichever members they belong to, padded down so the accumulated
-    value never exceeds the exact float64 partial
-    (:func:`_f32_padded_scores`): pruning stays lossless, and a
+    value never exceeds the exact float64 partial (the scan's scorer,
+    :class:`_F32Scorer` over float32 rows or :class:`_SQ8Scorer` over
+    uint8 codes): pruning stays lossless, and a
     candidate pruned on the way never pays the exact kernel's per-row
     widen-subtract-``einsum`` loop. :meth:`survivors` re-scores what is
     left with that exact kernel in the same blocks
@@ -809,7 +809,7 @@ class ShardGroupScan:
     _list_rows`), the group's base candidates are not gathered member by
     member: slice 0 scores each probed list once, one ``sgemm`` of its
     slab range read in place against every member probing it
-    (:func:`_list_scores`), and :meth:`prune` turns only the survivors
+    (:meth:`_Scorer.listed`), and :meth:`prune` turns only the survivors
     into the dense arrays (:func:`_list_survivors`). From there the scan
     is the one above, so the answers are the same bits.
 
@@ -824,9 +824,12 @@ class ShardGroupScan:
         metric: L2 or inner-product family.
         query_norms: per-query per-slice norms (IP only),
             ``(n_queries, m)``.
-        lists: float32 only — the members' base candidates as
+        lists: the members' base candidates as
             :class:`~repro.core.layout._ListRows` blocks, whose member
             indices count from 0 in ``parts`` order.
+        codes: SQ8 only — the layout's ``(code_lo, code_scale)``: the
+            parts (and lists) stream uint8 codes, bounded by the SQ8
+            scorer, and re-rank against their ``exact`` float32 slabs.
     """
 
     def __init__(
@@ -837,6 +840,7 @@ class ShardGroupScan:
         metric: Metric = Metric.L2,
         query_norms: np.ndarray | None = None,
         lists: "list | None" = None,
+        codes: "tuple | None" = None,
     ) -> None:
         sizes = [part.ids.size for part in parts]
         self.ids = np.concatenate([part.ids for part in parts])
@@ -875,8 +879,6 @@ class ShardGroupScan:
         #: The per-query thresholds the last prune() saw, which
         #: survivors() holds the exact scores against.
         self._thresholds: np.ndarray | None = None
-        self._f32_cap = None
-        norms = None
         if metric is Metric.L2:
             self._suffix = None
         else:
@@ -893,8 +895,17 @@ class ShardGroupScan:
             self._suffix = suffix_ip_bounds(
                 norms * self._qnorms[self.query_of]
             )
-        if parts[0].err is None:  # float32 rows: phase one bounds them
-            _attach_f32(self, norms)
+        if codes is None:
+            self._scorer = _F32Scorer(self.queries, slices, metric)
+        else:
+            self._scorer = _SQ8Scorer(
+                self.queries, slices, metric, query_norms, *codes
+            )
+        pads = [getattr(part, self._scorer.pads_by) for part in parts]
+        #: The scorer's per-row pad term (:meth:`_Scorer.table`).
+        self._table = self._scorer.table(
+            None if pads[0] is None else np.concatenate(pads), self.query_of
+        )
 
     @property
     def n_alive(self) -> int:
@@ -906,47 +917,51 @@ class ShardGroupScan:
 
     def process_slice(self, slice_id: int) -> int:
         """One dimension stage over the whole group: the alive rows'
-        phase-one bounds (:func:`_f32_padded_scores`), one buffer-sized
-        block of dense rows at a time — and, opened list-major, slice 0
-        of every probed list (:func:`_list_scores`)."""
+        phase-one bounds (:meth:`_Scorer.dense`), one buffer-sized block
+        of dense rows at a time — and, opened list-major, slice 0 of
+        every probed list (:meth:`_Scorer.listed`)."""
         if self._lists is not None and (self.done or slice_id != 0):
             raise RuntimeError(
                 "a list-major scan starts at slice 0 and prunes after it"
             )
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._advance(slice_id, self._bound_blocks)
-
-    def _advance(self, slice_id: int, stage) -> int:
-        """One stage: ``stage(slice_id)`` adds the slice's scores of the
-        alive rows onto the accumulator; then the done bookkeeping."""
         if self._done_mask[slice_id]:
             raise ValueError(f"slice {slice_id} already processed")
         n = self.n_alive
         if n:
-            stage(slice_id)
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._bound_blocks(slice_id)
         self.done.append(slice_id)
         self._done_mask[slice_id] = True
         return int(n)
 
     def _bound_blocks(self, slice_id: int) -> None:
-        step = self._buffers.rows
+        cols = slice(*self.slices.slice_range(slice_id))
+        step, table = self._buffers.rows, self._table
         for start in range(0, self.ids.size, step):
             block = slice(start, start + step)
-            self.accumulated[block] += _f32_padded_scores(
-                self, block, slice_id
+            taken, _ = self._buffers.stage(
+                self._slabs, slice_id, self._local[block]
+            )
+            self.accumulated[block] += self._scorer.dense(
+                taken, self._buffers, self.query_of[block],
+                None if table is None else table[block, slice_id],
+                slice_id, cols,
             )
         if self._lists is not None:
+            slab = self._slabs.base[0]
             self._lists = [
-                (block, _list_scores(self, block)) for block in self._lists
+                (block, self._scorer.listed(slab, self._buffers, block, cols))
+                for block in self._lists
             ]
 
     def lower_bounds(self) -> np.ndarray:
-        """Per-row lossless lower bound (same arithmetic as ShardScan)."""
-        if self.metric is Metric.L2 or self.is_complete:
-            return self.accumulated
-        assert self._suffix is not None
-        raw = self._suffix[:, len(self.done)]
-        return self.accumulated - (raw * (1.0 + BOUND_REL_EPS) + BOUND_ABS_EPS)
+        """Per-row lossless lower bound (same arithmetic as ShardScan),
+        as the scorer prunes on it (:meth:`_Scorer.bound`)."""
+        bounds = self.accumulated
+        if self.metric is not Metric.L2 and not self.is_complete:
+            raw = self._suffix[:, len(self.done)]
+            bounds = bounds - (raw * (1.0 + BOUND_REL_EPS) + BOUND_ABS_EPS)
+        return self._scorer.bound(bounds)
 
     def prune(self, thresholds: np.ndarray) -> int:
         """Compact away rows beating their own query's threshold.
@@ -1003,26 +1018,33 @@ class ShardGroupScan:
         narrow = np.uint16 if self.queries.shape[0] <= 1 << 16 else np.intp
         order = np.argsort(owner.astype(narrow), kind="stable")
 
-        def merged(head, per_list) -> np.ndarray:
+        def per_list(of) -> list:
+            return [of(b, row) for b, row in zip(lists, rows)]
+
+        def merged(head, tails) -> np.ndarray:
+            return np.concatenate([head, *tails]).take(order, axis=0)
+
+        @functools.cache  # fp32 IP reads the norms twice
+        def table(name: str) -> np.ndarray:
             return np.concatenate(
-                [head] + [per_list(b, row) for b, row in zip(lists, rows)]
-            ).take(order, axis=0)
+                per_list(lambda b, row: getattr(b, name).take(row, axis=0))
+            )
 
         self.accumulated = np.concatenate(accumulated).take(order)
         del accumulated
+        owners = owner[dense:]
         if self._suffix is not None:
-            norms = np.concatenate(
-                [b.norms.take(row, axis=0) for b, row in zip(lists, rows)]
-            )
-            listed = owner[dense:]
-            self._suffix = np.concatenate([
-                self._suffix, suffix_ip_bounds(norms * self._qnorms[listed])
-            ]).take(order, axis=0)
-            self._f32_cap = np.concatenate(
-                [self._f32_cap, _ip_cap(self, norms, listed)]
-            ).take(order, axis=0)
-        self.ids = merged(self.ids, lambda b, row: b.ids.take(row))
-        self._local = merged(self._local, lambda b, row: row + b.start)
+            self._suffix = merged(self._suffix, [
+                suffix_ip_bounds(table("norms") * self._qnorms[owners])
+            ])
+        if self._table is not None:
+            self._table = merged(self._table, [
+                self._scorer.table(table(self._scorer.pads_by), owners)
+            ])
+        self.ids = merged(self.ids, per_list(lambda b, row: b.ids.take(row)))
+        self._local = merged(
+            self._local, per_list(lambda b, row: row + b.start)
+        )
         self.query_of = owner.take(order)
         return pending - (owner.size - dense)
 
@@ -1035,8 +1057,8 @@ class ShardGroupScan:
         self._local = self._local.take(keep)
         if self._suffix is not None:
             self._suffix = _kept_rows(self._suffix, keep)
-        if self._f32_cap is not None:
-            self._f32_cap = _kept_rows(self._f32_cap, keep)
+        if self._table is not None:
+            self._table = _kept_rows(self._table, keep)
 
     def survivors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ids, exact scores, owning query) of the surviving rows.
@@ -1045,11 +1067,14 @@ class ShardGroupScan:
         pass (:func:`_exact_scores`), then held against the thresholds
         the last :meth:`prune` saw — the padded bound may have kept a
         few rows the exact scan drops there — so what is returned is row
-        for row what the per-query exact scan returns.
+        for row what the per-query exact scan returns. An SQ8 scan
+        counts the rows it re-ranked against float32 (``reranked``).
         """
         if not self.is_complete or self._lists is not None:
             raise RuntimeError("scan has unprocessed slices")
         ids, owner = self.ids, self.query_of
+        if self._scorer.codes:
+            self.reranked = int(ids.size)
         scores = _exact_scores(
             self._exact, self._local, owner, self._query_slabs,
             self.metric, self._buffers,
@@ -1069,15 +1094,15 @@ class SQ8ShardScan(ShardScan):
     Phase one walks the *uint8* code slabs through the dimension
     pipeline — a quarter of the float32 row traffic — accumulating
     per-slice partial scores that are *padded down* by the packed
-    reconstruction-error norms (:func:`_sq8_padded_scores`), so every
-    accumulated value lower-bounds the exact score and pruning stays
-    lossless: any candidate the fp32 scan would keep, this scan keeps
-    too. Phase two (:meth:`survivors`) re-ranks the few remaining
-    candidates against their float32 slabs (:func:`_exact_scores`), so
-    final scores (and therefore heap contents) are bitwise identical to
-    the fp32 serial oracle. :meth:`lower_bounds` deflates once more by
-    the standard float-safety epsilons, so float rounding can never
-    flip a keep into a kill.
+    reconstruction-error norms (:class:`_SQ8Scorer`, bound as one member
+    of a group), so every accumulated value lower-bounds the exact score
+    and pruning stays lossless: any candidate the fp32 scan would keep,
+    this scan keeps too. Phase two (:meth:`survivors`) re-ranks the few
+    remaining candidates against their float32 slabs
+    (:func:`_exact_scores`), so final scores (and therefore heap
+    contents) are bitwise identical to the fp32 serial oracle.
+    :meth:`lower_bounds` deflates once more by the standard float-safety
+    epsilons, so float rounding can never flip a keep into a kill.
 
     Args:
         part: the candidates' :class:`~repro.core.layout.CandidatePart`
@@ -1096,29 +1121,36 @@ class SQ8ShardScan(ShardScan):
         # per-slice scorer differs.
         super().__init__(part=part, **scan)
         self._exact = part.exact
-        _attach_sq8(
-            self, self.query, part.err,
-            code_lo, code_scale, scan.get("query_norms"),
+        self._scorer = _SQ8Scorer(
+            self.query, self.slices, self.metric, scan.get("query_norms"),
+            code_lo, code_scale,
         )
+        self._table = self._scorer.table(part.err, 0)
 
     def process_slice(self, slice_id: int) -> int:
-        """Accumulate one slice's error-padded SQ8 partial scores."""
-        return self._advance(slice_id, self._padded_slice)
+        """Accumulate one slice's error-padded SQ8 partial scores (a
+        stage float32 could overflow runs with its warnings off)."""
+        if self._scorer.finite[slice_id]:
+            return self._advance(slice_id, self._bounded_slice)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._advance(slice_id, self._bounded_slice)
 
-    def _padded_slice(self, taken, f64, slice_id: int, cols: slice):
-        return _sq8_padded_scores(
-            self, taken, f64, 0, slice_id, cols, self._err[:, slice_id]
+    def _bounded_slice(self, taken, f64, slice_id: int, cols: slice):
+        return self._scorer.dense(
+            taken, self._buffers, 0, self._table[:, slice_id], slice_id, cols
         )
 
     def lower_bounds(self) -> np.ndarray:
-        return _deflated(super().lower_bounds())
+        return self._scorer.bound(super().lower_bounds())
 
     def _compact(self, keep: np.ndarray) -> None:
         super()._compact(keep)
-        self._err = _kept_rows(self._err, keep)
+        self._table = _kept_rows(self._table, keep)
 
     def survivors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, *exact* scores): re-rank survivors against fp32 slabs."""
+        """(ids, *exact* scores): re-rank survivors against fp32 slabs,
+        counting them (``reranked``, the harmony_rerank_candidates_total
+        metric)."""
         if not self.is_complete:
             raise RuntimeError("scan has unprocessed slices")
         n = self.ids.size
@@ -1131,63 +1163,27 @@ class SQ8ShardScan(ShardScan):
 
 
 class SQ8ShardGroupScan(ShardGroupScan):
-    """Fused multi-query SQ8 scan (batched sibling of SQ8ShardScan).
+    """Fused multi-query SQ8 scan: :class:`ShardGroupScan` with the SQ8
+    scorer bound (:class:`_SQ8Scorer`).
 
-    Phase one advances every group member's uint8 codes through each
-    (shard, slice) stage with the same error-padded arithmetic as
-    :class:`SQ8ShardScan`; phase two is :class:`ShardGroupScan`'s — one
-    blocked re-rank of every member's survivors against the shard's
-    float32 slabs in canonical slice order — so the merged heaps stay
-    bitwise identical to the fp32 serial oracle.
+    Everything else is the group scan's own — its stage loop, its
+    list-major first slice, its compaction and its re-rank of every
+    member's survivors against the shard's float32 slabs — so the merged
+    heaps stay bitwise identical to the fp32 serial oracle.
+    ``process_slice`` and ``survivors`` are aliases of the group scan's
+    functions, held in this class's own namespace: the perf ledger's
+    span recorder times each class's methods by name, and a call
+    delegated up to the group scan's would be timed twice.
 
     Args:
-        parts: one ``gather_sq8`` record per member.
+        parts: one ``gather_sq8`` record per member (with ``lists``, the
+            members' delta-segment codes).
         code_lo / code_scale: per-dimension dequantization params.
         scan: the remaining arguments of :class:`ShardGroupScan`.
     """
 
     def __init__(self, parts: list, code_lo, code_scale, **scan) -> None:
-        super().__init__(parts, **scan)
-        _attach_sq8(
-            self,
-            self.queries,
-            np.concatenate([part.err for part in parts], axis=0),
-            code_lo, code_scale, scan.get("query_norms"),
-        )
+        super().__init__(parts, codes=(code_lo, code_scale), **scan)
 
-    def process_slice(self, slice_id: int) -> int:
-        """One error-padded SQ8 dimension stage over the whole group."""
-        return self._advance(slice_id, self._padded_members)
-
-    def _padded_members(self, slice_id: int) -> None:
-        """Member by member — each its contiguous segment of the dense
-        rows — against the weights :func:`_attach_sq8` hoisted for it,
-        the arithmetic :class:`SQ8ShardScan` runs per query."""
-        cols = slice(*self.slices.slice_range(slice_id))
-        cuts = np.searchsorted(
-            self.query_of, np.arange(self.queries.shape[0] + 1)
-        ).tolist()
-        for q, (start, stop) in enumerate(zip(cuts, cuts[1:])):
-            if start == stop:
-                continue
-            seg = slice(start, stop)
-            taken, f64 = self._buffers.stage(
-                self._slabs, slice_id, self._local[seg]
-            )
-            self.accumulated[seg] += _sq8_padded_scores(
-                self, taken, f64, q, slice_id, cols, self._err[seg, slice_id]
-            )
-
-    def lower_bounds(self) -> np.ndarray:
-        return _deflated(super().lower_bounds())
-
-    def _compact_dense(self, keep: np.ndarray) -> None:
-        super()._compact_dense(keep)
-        self._err = _kept_rows(self._err, keep)
-
-    def survivors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, *exact* scores, owning query): the shared re-rank, with
-        the rows it re-ranked counted."""
-        survivors = super().survivors()
-        self.reranked = int(self.ids.size)
-        return survivors
+    process_slice = ShardGroupScan.process_slice
+    survivors = ShardGroupScan.survivors

@@ -21,6 +21,7 @@ from repro.core.executor import (
     HostBackend,
     SerialBackend,
 )
+from repro.core.executor import kernel
 from repro.core.executor.kernel import _list_major
 from repro.core.layout import ShardPackedBase
 from repro.core.partition import build_plan
@@ -29,6 +30,7 @@ from repro.core.results import ExecutionReport, SearchResult
 from repro.core.routing import shard_candidate_lists, touched_shards
 from repro.index.ivf import IVFFlatIndex
 from tests.conftest import make_db
+from tests.test_ledger_targets import _load
 
 #: ``"thread"`` is the retired thread pool's spelling, which builds the
 #: serial backend; its rows pin that the perf ledger's ``serve_zipf``
@@ -107,18 +109,56 @@ def _counting(monkeypatch, owner, name, calls):
 def test_healthy_degraded_mode_probes_and_gathers_once(
     backend, monkeypatch, tiny_data, tiny_queries
 ):
-    """Each (query, shard) pair is read once. A shard-group below the
-    sharing rule gathers each member once; one above it makes no gather
-    and reads the group's probed lists once, scoring each non-empty one
-    once. Three queries never share a list five ways; twenty do on some
-    shards, and each source then runs where the rule sends it."""
+    """Each (query, shard) pair is read once, in either scan precision.
+    A shard-group below the sharing rule gathers each member once; one
+    above it makes no gather and reads the group's probed lists once,
+    scoring each non-empty one once. Three queries never share a list
+    five ways; twenty do on some shards, and each source then runs where
+    the rule sends it."""
+    for precision in ("fp32", "sq8"):
+        with make_db(
+            tiny_data, tiny_queries, backend=backend, forced_grid=(4, 1),
+            degraded_mode=True, scan_precision=precision,
+        ) as db:
+            db.search(tiny_queries, k=5)  # layout built, pool started
+            for nq in (3, 20):
+                _reads_once(db, tiny_queries[:nq], monkeypatch)
+
+
+def test_each_sq8_stage_and_rerank_is_one_ledger_span(
+    monkeypatch, tiny_data, tiny_queries
+):
+    """The perf ledger's span recorder, around a fused and a
+    single-query SQ8 search, records one ``pruning.score`` span per stage
+    ``drive_steps`` ran and one ``pruning.rerank`` span per ``survivors``
+    call. The SQ8 scan classes hold those two methods themselves; one
+    that called up to its parent's (recorded) method would be timed
+    twice."""
+    recorder = _load("spans").Recorder()
+    stages, calls = [], {}
+    drive_steps = kernel.drive_steps
+
+    def counted(*args, **kwargs):
+        for step in drive_steps(*args, **kwargs):
+            stages.append(step)
+            yield step
+
+    monkeypatch.setattr(kernel, "drive_steps", counted)
+    for scan in (pruning.SQ8ShardScan, pruning.SQ8ShardGroupScan):
+        _counting(monkeypatch, scan, "survivors", calls)
     with make_db(
-        tiny_data, tiny_queries,
-        backend=backend, forced_grid=(4, 1), degraded_mode=True,
+        tiny_data, tiny_queries, backend="serial", scan_precision="sq8"
     ) as db:
-        db.search(tiny_queries, k=5)  # layout built, pool started
-        for nq in (3, 20):
-            _reads_once(db, tiny_queries[:nq], monkeypatch)
+        db.search(tiny_queries, k=5)  # layout built
+        for queries in (tiny_queries, tiny_queries[:1]):
+            stages.clear()
+            calls.clear()
+            with recorder:
+                db.search(queries, k=5)
+            names = [span[1] for span in recorder.spans]
+            recorder.spans.clear()
+            assert names.count("pruning.score") == len(stages) > 0
+            assert names.count("pruning.rerank") == calls["survivors"] > 0
 
 
 def _reads_once(db, queries, monkeypatch):
@@ -140,7 +180,7 @@ def _reads_once(db, queries, monkeypatch):
         assert shard not in read  # one read per group
         read[shard] = []
 
-    def list_scores(scan, block):  # a list's first id names it
+    def list_scores(scorer, slab, buffers, block, cols):  # first id names it
         read[next(reversed(read))].append(int(block.ids[0]))
 
     with monkeypatch.context() as patch:
@@ -148,7 +188,7 @@ def _reads_once(db, queries, monkeypatch):
         spy(ShardPackedBase, "gather", gather)
         spy(ShardPackedBase, "gather_sq8", gather)
         spy(ShardPackedBase, "_list_rows", list_rows)
-        spy(pruning, "_list_scores", list_scores)
+        spy(pruning._Scorer, "listed", list_scores)
         _, report = db.search(queries, k=5)
     assert calls.pop("probe") == 1
     groups = {}

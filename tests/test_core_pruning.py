@@ -515,12 +515,14 @@ class TestPhaseOneScoresCodesWhereTheyLie:
 
         tree = ast.parse(inspect.getsource(pruning))
         assert "sq8_decode" not in self._called_names(tree)
-        (scorer,) = [
+        scorers = [
             node for node in tree.body
-            if isinstance(node, ast.FunctionDef)
-            and node.name == "_sq8_padded_scores"
+            if isinstance(node, ast.ClassDef)
+            and node.name in ("_Scorer", "_SQ8Scorer")
         ]
-        assert not self._called_names(scorer) & {
-            "sq8_decode", "partial_squared_l2", "partial_inner_product",
-            "einsum",
-        }
+        assert len(scorers) == 2
+        for scorer in scorers:
+            assert not self._called_names(scorer) & {
+                "sq8_decode", "partial_squared_l2", "partial_inner_product",
+                "einsum",
+            }

@@ -498,17 +498,18 @@ def test_property_small_searches_equal_serial(
     filtered=st.booleans(),
     mutate=st.booleans(),
     n_large=st.integers(16, 40),
+    precision=st.sampled_from(["fp32", "sq8"]),
 )
 def test_property_both_group_sources_equal_looped(
     seed, metric, n_vector_shards, n_dim_blocks, prewarm, k, filtered,
-    mutate, n_large,
+    mutate, n_large, precision,
 ):
     """Shard-groups on both sides of the sharing rule answer as the
-    per-query loop does, bit for bit — also over delta rows and
-    tombstones the layout absorbed in place. Two or three queries never
-    share a probed list four ways, so their groups gather member by
-    member; 16 or more on 8 lists always do, so theirs are read list by
-    list. The spies show both sources ran."""
+    per-query loop does, bit for bit, in either scan precision — also
+    over delta rows and tombstones the layout absorbed in place. Two or
+    three queries never share a probed list four ways, so their groups
+    gather member by member; 16 or more on 8 lists always do, so theirs
+    are read list by list. The spies show both sources ran."""
     index = make_index(metric, n=300, dim=9, nlist=8, seed=seed)
     plan = build_plan(
         index,
@@ -518,7 +519,9 @@ def test_property_both_group_sources_equal_looped(
     )
     options = dict(plan=plan, prewarm_size=prewarm, auto_compact=False)
     looped = SerialBackend(index, batch_queries=False, **options)
-    fused = SerialBackend(index, batch_queries=True, **options)
+    fused = SerialBackend(
+        index, batch_queries=True, scan_precision=precision, **options
+    )
     kwargs = dict(k=k, nprobe=4, filter_labels=[1, 3] if filtered else None)
     warm = make_queries(index.dim, nq=4, seed=seed + 3)
     for backend in (looped, fused):
@@ -544,8 +547,9 @@ def test_property_both_group_sources_equal_looped(
         queries = make_queries(index.dim, nq=nq, seed=seed + nq)
         reference = looped.search(queries, **kwargs)
         with pytest.MonkeyPatch.context() as patch:
-            spy(ShardPackedBase, "gather", "gather")
-            spy(pruning, "_list_scores", "lists")
+            gather = "gather" if precision == "fp32" else "gather_sq8"
+            spy(ShardPackedBase, gather, "gather")
+            spy(pruning._Scorer, "listed", "lists")
             result = fused.search(queries, **kwargs)
         assert_equivalent(
             {"fused": result}, reference.ids, reference.distances, {}

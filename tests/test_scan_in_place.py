@@ -127,13 +127,13 @@ def test_a_list_major_group_reads_its_lists_in_place(kernel, monkeypatch):
         kernel.index.list_members(int(l)).size for l in np.unique(probes)
     )
     scored = []
-    list_scores = pruning._list_scores
+    listed = pruning._Scorer.listed
 
-    def spied(scan, block):
+    def spied(scorer, slab, buffers, block, cols):
         scored.append(block)
-        return list_scores(scan, block)
+        return listed(scorer, slab, buffers, block, cols)
 
-    monkeypatch.setattr(pruning, "_list_scores", spied)
+    monkeypatch.setattr(pruning._Scorer, "listed", spied)
     grown = peak_growth(lambda: kernel.search_batch(queries, probes, K))
     assert scored  # the group was read list by list
     assert grown < read * DIM * 4

@@ -2,8 +2,8 @@
 
 Phase one scores uint8 codes (SQ8) or float32 rows (the fused fp32
 group scan) in float32 with BLAS and pads the result down by a proved
-rounding term (``repro.core.pruning._phase_one_pad``,
-``_sq8_padded_scores``, ``_f32_padded_scores``). The property here is
+rounding term (``repro.core.pruning._phase_one_pad``, the scorers
+``_SQ8Scorer`` and ``_F32Scorer``). The property here is
 the whole contract of that pad, for both precisions: for every row and
 every slice the contribution is at most the exact float64 partial score
 of the float32 row, every cumulative ``lower_bounds()`` is at most the
@@ -52,33 +52,44 @@ def exact_slice_scores(rows, query, cols, metric):
     return -np.einsum("ij,ij->i", rows64, np.broadcast_to(q64, rows64.shape))
 
 
-def decode_bound(codes, lo, scale, q_slice, err, q_norm, metric):
-    """The float64 decode form of one slice's padded score."""
+def decode_bound(codes, lo, scale, q_slice, term, metric):
+    """The float64 decode form of one slice's padded score. ``term`` is
+    the scorer's pad term of the rows: their error norms (L2), or those
+    times the query slice's norm (inner-product family)."""
     decoded = codes.astype(np.float64) * scale + lo
     q64 = q_slice.astype(np.float64)
     if metric is Metric.L2:
         diff = decoded - q64
         approx = np.einsum("ij,ij->i", diff, diff)
-        return np.square(np.maximum(np.sqrt(approx) - err, 0.0))
+        return np.square(np.maximum(np.sqrt(approx) - term, 0.0))
     approx = -np.einsum(
         "ij,ij->i", decoded, np.broadcast_to(q64, decoded.shape)
     )
-    return approx - q_norm * err
+    return approx - term
+
+
+class DecodeScorer:
+    """The decode form in the SQ8 scorer's place: the scan keeps the SQ8
+    scorer's pad terms and bound, and each slice is scored by decoding."""
+
+    def __init__(self, sq8, code_lo, code_scale, query, metric):
+        self.table, self.bound, self.finite = sq8.table, sq8.bound, sq8.finite
+        self._decode = code_lo, code_scale, query, metric
+
+    def dense(self, taken, buffers, owner, term, slice_id, cols):
+        lo, scale, query, metric = self._decode
+        return decode_bound(
+            taken, lo[cols], scale[cols], query[cols], term, metric
+        )
 
 
 class DecodeBoundScan(SQ8ShardScan):
-    """The same scan with the decode form in the scorer's place."""
+    """The same scan with a decode scorer swapped in for the SQ8 one."""
 
     def __init__(self, part, code_lo, code_scale, **scan):
         super().__init__(part, code_lo, code_scale, **scan)
-        self._lo, self._scale = code_lo, code_scale
-
-    def _padded_slice(self, taken, f64, slice_id, cols):
-        l2 = self.metric is Metric.L2
-        return decode_bound(
-            taken, self._lo[cols], self._scale[cols], self.query[cols],
-            self._err[:, slice_id].astype(np.float64),
-            None if l2 else self._qnorms64[0, slice_id], self.metric,
+        self._scorer = DecodeScorer(
+            self._scorer, code_lo, code_scale, self.query, self.metric
         )
 
 
@@ -212,6 +223,30 @@ class TestPhaseOneNeverExceedsExact:
             assert np.all(bounds <= total), (j, case)
         _, scores = scan.survivors()
         assert scores.tobytes() == total.tobytes()
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=adversarial_case())
+    def test_list_major_bound_holds(self, case):
+        """The fp32 test's twin over codes: slice 0 is one GEMM of the
+        list's code range against both members, padded by the error
+        norms — every (member, row) bound of it at most the exact
+        partial of the float32 row, every later bound at most the exact
+        total, and the survivors exact."""
+        from repro.core.pruning import SQ8ShardGroupScan
+
+        base, extra, query, slices = build_case(case)
+        queries = np.vstack([query, base[0]]).astype(np.float32)
+        rows, parts, lo, scale, scan_args = sq8_list_inputs(
+            base, extra, queries, slices, case["metric"]
+        )
+        assert_list_major_bound_holds(
+            lambda: SQ8ShardGroupScan(parts, lo, scale, **scan_args),
+            rows, queries, slices, case,
+        )
 
     def test_float32_overflow_yields_the_trivial_bound(self):
         """Squares of 1e20-sized steps pass float32's range although the
@@ -355,6 +390,48 @@ def f32_list_inputs(base, extra, queries, slices, metric):
     return rows, [delta] * len(queries), dict(scan_args, lists=[block])
 
 
+def sq8_list_inputs(base, extra, queries, slices, metric):
+    """The members of :func:`f32_list_inputs` over SQ8 codes: ``base``
+    is one probed list of codes both members score in place (with its
+    error-norm view), ``extra`` each member's delta part, encoded against
+    params trained on ``base`` alone (out-of-range values clip)."""
+    rows = np.vstack([base, extra]) if len(extra) else base
+    lo, scale = sq8_train_params(base)
+    codes = sq8_encode(rows, lo, scale)
+    err = sq8_slice_errors(rows, codes, lo, scale, slices)
+    norms = None if metric is Metric.L2 else slice_norms(rows, slices)
+    n = base.shape[0]
+
+    def slabs(block):
+        cut = [
+            [np.ascontiguousarray(slices.take(part, j))
+             for j in range(slices.n_slices)]
+            for part in (block[:n], block[n:])
+        ]
+        return ShardSlabs(cut[0], cut[1] if len(extra) else None)
+
+    local = np.arange(n, rows.shape[0])
+    delta = CandidatePart(
+        local.astype(np.int64), local.astype(np.intp), slabs(codes),
+        None if norms is None else norms[n:], err[n:], slabs(rows),
+    )
+    block = _ListRows(
+        0, np.arange(n, dtype=np.int64),
+        None if norms is None else norms[:n], np.arange(len(queries)),
+        None, (), np.full(len(queries), n, dtype=np.int64), err[:n],
+    )
+    scan_args = {
+        "queries": queries,
+        "slices": slices,
+        "metric": metric,
+        "query_norms": np.stack(
+            [query_slice_norms(q.astype(np.float64), slices) for q in queries]
+        ),
+        "lists": [block],
+    }
+    return rows, [delta] * len(queries), lo, scale, scan_args
+
+
 def exact_members(rows, queries, slices, metric):
     """Per member and slice the exact partials, and per member the
     exact total accumulated in canonical slice order."""
@@ -374,6 +451,56 @@ def exact_members(rows, queries, slices, metric):
             total += part_scores
         totals.append(total)
     return partials, totals
+
+
+def assert_list_major_bound_holds(open_scan, rows, queries, slices, case):
+    """A group scan opened list-major over every row of ``rows`` for
+    each of ``queries``: its slice-0 score of every (member, row) pair is
+    at most the exact partial, every bound at most the exact total, and
+    its survivors — unpruned, then pruned against each member's exact
+    3rd-best score — are the exact scan's, with the exact bits."""
+    metric = case["metric"]
+    partials, totals = exact_members(rows, queries, slices, metric)
+    everything = np.full(len(queries), np.inf)
+
+    def by_member(scan, values):
+        return [
+            (scan.ids[scan.query_of == m], values[scan.query_of == m])
+            for m in range(len(queries))
+        ]
+
+    scan = open_scan()
+    assert scan.process_slice(0) == 2 * rows.shape[0]
+    assert scan.prune(everything) == 0
+    bounds = by_member(scan, scan.lower_bounds())
+    for m, (ids, first) in enumerate(by_member(scan, scan.accumulated)):
+        np.testing.assert_array_equal(np.sort(ids), np.arange(len(rows)))
+        assert not np.isnan(first).any()
+        assert np.all(first <= partials[m][0][ids]), case
+        assert np.all(bounds[m][1] <= totals[m][ids]), case
+    for j in range(1, slices.n_slices):
+        scan.process_slice(j)
+        scan.prune(everything)
+        for m, (ids, bound) in enumerate(
+            by_member(scan, scan.lower_bounds())
+        ):
+            assert not np.isnan(bound).any()
+            assert np.all(bound <= totals[m][ids]), (j, case)
+    ids, scores, owner = scan.survivors()
+    for m, t in enumerate(totals):
+        assert scores[owner == m].tobytes() == t[ids[owner == m]].tobytes()
+
+    thresholds = np.array([np.partition(t, 2)[2] for t in totals])
+    scan = open_scan()
+    for j in range(slices.n_slices):
+        scan.process_slice(j)
+        scan.prune(thresholds)
+    ids, scores, owner = scan.survivors()
+    for m, t in enumerate(totals):
+        keep = np.flatnonzero(t <= thresholds[m])
+        mine = np.argsort(ids[owner == m], kind="stable")
+        np.testing.assert_array_equal(ids[owner == m][mine], keep)
+        assert scores[owner == m][mine].tobytes() == t[keep].tobytes()
 
 
 class TestFp32PhaseOneNeverExceedsExact:
@@ -438,53 +565,15 @@ class TestFp32PhaseOneNeverExceedsExact:
         against both members: every (member, row) score of it is at
         most the exact partial, every later bound at most the exact
         total, and pruning keeps what the exact scan keeps."""
-        metric = case["metric"]
         base, extra, query, slices = build_case(case)
         queries = np.vstack([query, base[0]]).astype(np.float32)
         rows, parts, scan_args = f32_list_inputs(
-            base, extra, queries, slices, metric
+            base, extra, queries, slices, case["metric"]
         )
-        partials, totals = exact_members(rows, queries, slices, metric)
-        everything = np.full(len(queries), np.inf)
-
-        def by_member(scan, values):
-            return [
-                (scan.ids[scan.query_of == m], values[scan.query_of == m])
-                for m in range(len(queries))
-            ]
-
-        scan = ShardGroupScan(parts, **scan_args)
-        assert scan.process_slice(0) == 2 * rows.shape[0]
-        assert scan.prune(everything) == 0
-        bounds = by_member(scan, scan.lower_bounds())
-        for m, (ids, first) in enumerate(by_member(scan, scan.accumulated)):
-            np.testing.assert_array_equal(np.sort(ids), np.arange(len(rows)))
-            assert not np.isnan(first).any()
-            assert np.all(first <= partials[m][0][ids]), case
-            assert np.all(bounds[m][1] <= totals[m][ids]), case
-        for j in range(1, slices.n_slices):
-            scan.process_slice(j)
-            scan.prune(everything)
-            for m, (ids, bound) in enumerate(
-                by_member(scan, scan.lower_bounds())
-            ):
-                assert not np.isnan(bound).any()
-                assert np.all(bound <= totals[m][ids]), (j, case)
-        ids, scores, owner = scan.survivors()
-        for m, t in enumerate(totals):
-            assert scores[owner == m].tobytes() == t[ids[owner == m]].tobytes()
-
-        thresholds = np.array([np.partition(t, 2)[2] for t in totals])
-        scan = ShardGroupScan(parts, **scan_args)
-        for j in range(slices.n_slices):
-            scan.process_slice(j)
-            scan.prune(thresholds)
-        ids, scores, owner = scan.survivors()
-        for m, t in enumerate(totals):
-            keep = np.flatnonzero(t <= thresholds[m])
-            mine = np.argsort(ids[owner == m], kind="stable")
-            np.testing.assert_array_equal(ids[owner == m][mine], keep)
-            assert scores[owner == m][mine].tobytes() == t[keep].tobytes()
+        assert_list_major_bound_holds(
+            lambda: ShardGroupScan(parts, **scan_args),
+            rows, queries, slices, case,
+        )
 
     def test_float32_overflow_yields_the_trivial_bound(self):
         """Squares and products of 1e22-sized values pass float32's
