@@ -133,8 +133,6 @@ def _previous_reading(smoke):
     if smoke or not path.exists():
         return None
     old = json.loads(path.read_text())
-    if old["workload"]["smoke"]:
-        return None
     return {
         "serial_seconds": old["serial_seconds"],
         "process_speedup": {

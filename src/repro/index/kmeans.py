@@ -3,6 +3,14 @@
 This is the "Train" stage of IVF index construction (paper Figure 10).
 The implementation counts the floating-point elements it processes so
 that build-time benchmarks can charge deterministic simulated time.
+
+Its host wall-clock is real too (most of an index build's setup), so
+the float64 copy of the training points and their row norms are taken
+once per fit and shared by the seeding, every Lloyd step and the final
+assignment (a subsampled fit widens the full data once more for that
+assignment), and cluster sums are per-dimension ``np.bincount`` calls.
+A fit's bits are those of one ``pairwise_squared_l2`` call per distance
+and an ``np.add.at`` sum per update.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.distance.kernels import pairwise_squared_l2
+from repro.distance.kernels import squared_l2_from_widened, widened_rows
 
 
 @dataclass
@@ -77,15 +85,19 @@ class KMeans:
             subset = rng.choice(n, size=self.max_train_points, replace=False)
             train = data[subset]
 
-        centroids = self._init_plus_plus(train, rng)
+        widened = widened_rows(train)
+        centroids = self._init_plus_plus(widened, rng)
+        columns = np.ascontiguousarray(train.T)
         inertia = np.inf
         iterations = 0
         for iterations in range(1, self.max_iterations + 1):
-            distances = pairwise_squared_l2(train, centroids)
+            distances = squared_l2_from_widened(*widened, centroids)
             self._elements += train.shape[0] * self.n_clusters * dim
             labels = np.argmin(distances, axis=1)
             new_inertia = float(distances[np.arange(train.shape[0]), labels].sum())
-            centroids = self._recompute_centroids(train, labels, centroids, rng)
+            centroids = self._recompute_centroids(
+                widened, columns, labels, centroids
+            )
             converged = np.isfinite(inertia) and (
                 inertia - new_inertia <= self.tolerance * inertia
             )
@@ -95,7 +107,9 @@ class KMeans:
 
         # Final assignment over the full dataset (the "Add" path reuses
         # this result when training ran on the full data).
-        full_distances = pairwise_squared_l2(data, centroids)
+        if train is not data:
+            widened = widened_rows(data)
+        full_distances = squared_l2_from_widened(*widened, centroids)
         self._elements += n * self.n_clusters * dim
         assignments = np.argmin(full_distances, axis=1).astype(np.int64)
         inertia = float(
@@ -110,26 +124,19 @@ class KMeans:
         )
 
     def _init_plus_plus(
-        self, data: np.ndarray, rng: np.random.Generator
+        self, widened: tuple[np.ndarray, np.ndarray], rng: np.random.Generator
     ) -> np.ndarray:
         """k-means++ seeding: spread initial centroids by D^2 sampling.
 
-        Each distance column is :func:`pairwise_squared_l2` of the data
-        against one centroid, term for term, with the two things that
-        do not depend on the centroid — the float64 copy of the data
-        and its row norms — computed once instead of ``n_clusters``
-        times.
+        ``widened`` is ``widened_rows(points)``; each distance column is
+        :func:`squared_l2_from_widened` of it against one centroid.
         """
+        data, _ = widened
         n, dim = data.shape
-        data64 = data.astype(np.float64)
-        data_sq = np.sum(data64 * data64, axis=1)[:, None]
 
         def distance_to(centroid: np.ndarray) -> np.ndarray:
             self._elements += n * dim
-            c_sq = np.sum(centroid * centroid, axis=1)[None, :]
-            out = data_sq + c_sq - 2.0 * (data64 @ centroid.T)
-            np.maximum(out, 0.0, out=out)
-            return out[:, 0]
+            return squared_l2_from_widened(*widened, centroid)[:, 0]
 
         centroids = np.empty((self.n_clusters, dim), dtype=np.float64)
         first = int(rng.integers(n))
@@ -149,26 +156,29 @@ class KMeans:
 
     def _recompute_centroids(
         self,
-        data: np.ndarray,
+        widened: tuple[np.ndarray, np.ndarray],
+        columns: np.ndarray,
         labels: np.ndarray,
         previous: np.ndarray,
-        rng: np.random.Generator,
     ) -> np.ndarray:
         """Mean update with empty-cluster repair.
 
-        An empty cluster is re-seeded at the point currently farthest
-        from its assigned centroid, the standard Faiss-style repair.
+        ``columns`` is the points transposed: one ``np.bincount`` per
+        dimension adds its weights in index order, as ``np.add.at``
+        does. An empty cluster is re-seeded at the point currently
+        farthest from its assigned centroid, the standard Faiss-style
+        repair.
         """
+        data, _ = widened
         k, dim = previous.shape
-        sums = np.zeros((k, dim), dtype=np.float64)
+        sums = np.stack([np.bincount(labels, c, k) for c in columns], 1)
         counts = np.bincount(labels, minlength=k).astype(np.float64)
-        np.add.at(sums, labels, data.astype(np.float64))
         centroids = previous.copy()
         nonempty = counts > 0
         centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
         empty = np.flatnonzero(~nonempty)
         if empty.size:
-            residual = pairwise_squared_l2(data, centroids)
+            residual = squared_l2_from_widened(*widened, centroids)
             self._elements += data.shape[0] * k * dim
             worst = np.argsort(
                 -residual[np.arange(data.shape[0]), labels]

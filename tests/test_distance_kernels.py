@@ -6,7 +6,9 @@ import pytest
 from repro.distance.kernels import (
     pairwise_inner_product,
     pairwise_squared_l2,
+    squared_l2_from_widened,
     top_k_smallest,
+    widened_rows,
 )
 from repro.distance.metrics import squared_l2
 
@@ -48,6 +50,28 @@ class TestPairwiseSquaredL2:
         out = pairwise_squared_l2(np.ones(4), np.zeros(4))
         assert out.shape == (1, 1)
         assert out[0, 0] == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_of_the_norm_expansion(self, dtype):
+        """Every caller (IVF, flat, HNSW, k-means) gets exactly
+        ``(q_sq + b_sq) - 2 * cross``, clipped at zero, in float64."""
+        rng = np.random.default_rng(5)
+        queries = rng.standard_normal((40, 24)).astype(dtype)
+        base = (rng.standard_normal((60, 24)) * 1e3).astype(dtype)
+        q, b = queries.astype(np.float64), base.astype(np.float64)
+        expected = (
+            np.sum(q * q, axis=1)[:, None]
+            + np.sum(b * b, axis=1)[None, :]
+            - 2.0 * (q @ b.T)
+        )
+        np.maximum(expected, 0.0, out=expected)
+        np.testing.assert_array_equal(
+            pairwise_squared_l2(queries, base), expected
+        )
+        rows64, rows_sq = widened_rows(queries)
+        np.testing.assert_array_equal(
+            squared_l2_from_widened(rows64, rows_sq, base), expected
+        )
 
 
 class TestPairwiseInnerProduct:
