@@ -592,9 +592,8 @@ class HarmonyDB:
                 self._backend = backend
         return backend
 
-    # The perf ledger (benchmarks/ledger, frozen) reads the executor
-    # under these two names.
-    _get_host_backend = _executor
+    # The perf ledger (benchmarks/ledger, frozen) reads the built
+    # executor under this name, without building one.
     _host_backend = property(lambda self: self._backend)
 
     def close(self) -> None:

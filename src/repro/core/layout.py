@@ -41,6 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.partition import PartitionPlan
+from repro.distance.partial import exact_partial
 from repro.index.quantized import (  # the codec's one home; re-exported
     sq8_decode,
     sq8_encode,
@@ -158,8 +159,7 @@ def _sq8_slab_error(
     rows: np.ndarray, codes: np.ndarray, lo: np.ndarray, scale: np.ndarray
 ) -> np.ndarray:
     """Float64 reconstruction-error norm of every row of one slab."""
-    seg = rows.astype(np.float64) - sq8_decode(codes, lo, scale)
-    return np.sqrt(np.einsum("ij,ij->i", seg, seg))
+    return np.sqrt(exact_partial(rows, sq8_decode(codes, lo, scale), True))
 
 
 def _sq8_round_up(err: np.ndarray) -> np.ndarray:

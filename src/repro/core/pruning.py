@@ -52,9 +52,9 @@ import numpy as np
 from repro.core.layout import CandidatePart, ShardSlabs
 from repro.distance.metrics import Metric
 from repro.distance.partial import (
-    BOUND_ABS_EPS,
-    BOUND_REL_EPS,
     DimensionSlices,
+    deflated_bound,
+    padded_cap,
     partial_inner_product,
     partial_squared_l2,
     query_slice_norms,
@@ -120,28 +120,29 @@ class _StageBuffers:
     offset 0, so any stage no larger than the first reuses the same
     memory with the operand layout the einsum reduction's bits depend
     on. The first has room for float32 rows whatever the slab's dtype:
-    the re-rank (:func:`_exact_scores`) stages float32 rows and query
-    slices there even when the scan streams uint8 codes. Owned by one
-    scan, never module-global: several caller threads may search one
-    kernel at once.
+    the re-rank (:func:`_exact_scores`) stages float32 rows and their
+    query rows there, half a buffer each, even when the scan streams
+    uint8 codes. Owned by one scan, never module-global: several caller
+    threads may search one kernel at once.
     """
 
     __slots__ = ("rows", "_taken", "_f64")
 
     def __init__(self, n_rows: int, slabs: ShardSlabs) -> None:
-        # Two rows at least: the inner-product re-rank splits the
-        # float64 scratch between a block's rows and their queries.
+        # Two rows at least: the re-rank splits both buffers between
+        # a block's rows and their query rows.
         self.rows = max(n_rows, 2)
         size = self.rows * slabs.max_width
         itemsize = max(slabs.base[0].itemsize, 4)
         self._taken = np.empty(size * itemsize, dtype=np.uint8)
         self._f64 = np.empty(size, dtype=np.float64)
 
-    def taken(self, n: int, width: int, dtype) -> np.ndarray:
-        return self._taken.view(dtype)[: n * width].reshape(n, width)
+    def taken(self, n: int, width: int, dtype, offset: int = 0) -> np.ndarray:
+        view = self._taken.view(dtype)
+        return view[offset : offset + n * width].reshape(n, width)
 
-    def f64(self, n: int, width: int, offset: int = 0) -> np.ndarray:
-        return self._f64[offset : offset + n * width].reshape(n, width)
+    def f64(self, n: int, width: int) -> np.ndarray:
+        return self._f64[: n * width].reshape(n, width)
 
     def f32(self, n: int, width: int) -> np.ndarray:
         """A float32 ``(n, width)`` view of the float64 scratch."""
@@ -157,8 +158,9 @@ class _StageBuffers:
 def _slice_scores(
     rows: np.ndarray, q_slice: np.ndarray, metric: Metric, f64: np.ndarray
 ) -> np.ndarray:
-    """One slice's per-row score contribution (``L2`` or ``-IP``),
-    widened into the scan's ``f64`` scratch."""
+    """One slice's per-row score contribution (``L2`` or ``-IP``) against
+    a query slice or one query row per row, widened into the scan's
+    ``f64`` scratch (:func:`~repro.distance.partial.exact_partial`)."""
     if metric is Metric.L2:
         return partial_squared_l2(rows, q_slice, f64)
     return -partial_inner_product(rows, q_slice, f64)
@@ -295,7 +297,7 @@ class _Scorer:
         never flip a keep into a kill."""
         if not self.codes:
             return bounds
-        return bounds - (np.abs(bounds) * BOUND_REL_EPS + BOUND_ABS_EPS)
+        return deflated_bound(bounds)
 
     def dense(self, taken, buffers, owner, term, slice_id: int, cols):
         """Bound of dense rows ``taken`` (the slab's dtype), row ``i``
@@ -504,20 +506,16 @@ def _exact_scores(
     owner's query ``owner[i]`` (``query_slabs`` from
     :func:`_query_slabs`): phase two, shared by every two-phase scan.
 
-    The rows go through in blocks the scan's own ``buffers`` hold — at
-    most ``buffers.rows`` a block, half that for the inner-product
-    family, whose widened query rows take the float64 scratch's second
-    half. Per block and slice, in canonical slice order: one take of the
-    rows into the taken buffer, widened into the float64 scratch; one
-    take of each row's owner query slice into the taken buffer, now
-    free; then :class:`ShardScan`'s reduction — subtract in place and
-    ``einsum`` (L2), or ``einsum`` against the widened query rows (IP
-    family). A materialized query row holds exactly the values the
-    broadcast one does, over operands of the same contiguity, so every
-    score carries the bits the exact scan accumulates.
+    The rows go through in blocks of half what the scan's own
+    ``buffers`` hold, so a block's rows and their owners' query rows
+    sit side by side in both. Per block and slice, in canonical slice
+    order: one take of the rows and one of each row's owner query slice
+    into the taken buffer, then :class:`ShardScan`'s own slice score
+    (:func:`_slice_scores`) against those query rows, widened into the
+    float64 scratch. A row's score is thus the exact scan's, term for
+    term and in its order.
     """
-    l2 = metric is Metric.L2
-    step = buffers.rows if l2 else buffers.rows // 2
+    step = buffers.rows // 2
     total = np.zeros(local.size, dtype=np.float64)
     for start in range(0, local.size, step):
         block = slice(start, start + step)
@@ -525,20 +523,15 @@ def _exact_scores(
         n = rows.size
         for slice_id, queries in enumerate(query_slabs):
             width = queries.shape[1]
-            x = buffers.f64(n, width)
             taken = buffers.taken(n, width, slabs.base[slice_id].dtype)
-            np.copyto(x, slabs.take(slice_id, rows, out=taken))
             q = np.take(
-                queries, owners, axis=0,
-                out=buffers.taken(n, width, np.float32), mode="clip",
+                queries, owners, axis=0, mode="clip",
+                out=buffers.taken(n, width, np.float32, offset=n * width),
             )
-            if l2:
-                np.subtract(x, q, out=x)
-                acc += np.einsum("ij,ij->i", x, x)
-            else:
-                q64 = buffers.f64(n, width, offset=n * width)
-                np.copyto(q64, q)
-                acc -= np.einsum("ij,ij->i", x, q64)
+            acc += _slice_scores(
+                slabs.take(slice_id, rows, out=taken), q, metric,
+                buffers.f64(2 * n, width),
+            )
     return total
 
 
@@ -562,7 +555,7 @@ def _list_survivors(scan, block, approx: np.ndarray) -> np.ndarray:
         raw = np.multiply.outer(norms[:, last], qnorms[members, last])
         for j in range(last - 1, 0, -1):
             raw += np.multiply.outer(norms[:, j], qnorms[members, j])
-        bound = approx - (raw * (1.0 + BOUND_REL_EPS) + BOUND_ABS_EPS)
+        bound = approx - padded_cap(raw)
     keep = scan._scorer.bound(bound) <= scan._thresholds[members]
     if block.live is not None:
         keep &= block.live[:, None]
@@ -734,7 +727,7 @@ class ShardScan:
         else:
             remaining = np.flatnonzero(~self._done_mask)
             raw = self._contrib[:, remaining].sum(axis=1)
-        return self.accumulated - (raw * (1.0 + BOUND_REL_EPS) + BOUND_ABS_EPS)
+        return self.accumulated - padded_cap(raw)
 
     def prune(self, threshold: float) -> int:
         """Kill candidates whose lower bound exceeds ``threshold``
@@ -960,7 +953,7 @@ class ShardGroupScan:
         bounds = self.accumulated
         if self.metric is not Metric.L2 and not self.is_complete:
             raw = self._suffix[:, len(self.done)]
-            bounds = bounds - (raw * (1.0 + BOUND_REL_EPS) + BOUND_ABS_EPS)
+            bounds = bounds - padded_cap(raw)
         return self._scorer.bound(bounds)
 
     def prune(self, thresholds: np.ndarray) -> int:

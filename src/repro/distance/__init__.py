@@ -27,7 +27,6 @@ from repro.distance.partial import (
     DimensionSlices,
     partial_inner_product,
     partial_squared_l2,
-    remaining_ip_bound,
     slice_norms,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "pairwise_squared_l2",
     "partial_inner_product",
     "partial_squared_l2",
-    "remaining_ip_bound",
     "resolve_metric",
     "slice_norms",
     "squared_l2",

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.distance.partial import exact_partial
+
 
 def widened_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``rows`` in float64 and their ``(n, 1)`` squared norms: the terms
@@ -71,17 +73,17 @@ def pairwise_inner_product(queries: np.ndarray, base: np.ndarray) -> np.ndarray:
 def squared_l2_to_query(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Squared L2 distance of each row to a single query vector.
 
-    Uses the direct difference formulation (not the norm expansion of
-    :func:`pairwise_squared_l2`): rows widened to float64, the query
-    subtracted, one ``einsum`` over the full width. That is *not*
-    bitwise the sum the dimension pipeline accumulates from
-    :func:`repro.distance.partial.partial_squared_l2` over a dimension
-    cover — one ``d``-wide reduction and several slice-wide ones added
-    in float64 differ in the last bits for most rows. The executor needs
-    no agreement: the ids prewarm scores with this kernel are excluded
-    from every shard gather (``ShardPackedBase.gather(...,
-    exclude=...)``), so no id is ever scored both ways
-    (``tests/test_prewarm_exclusion.py`` pins it on every backend).
+    The direct difference formulation (not the norm expansion of
+    :func:`pairwise_squared_l2`), as one slice as wide as the vector:
+    :func:`repro.distance.partial.exact_partial` over the full width.
+    That is *not* bitwise the sum the dimension pipeline accumulates
+    over a dimension cover — one ``d``-wide reduction and several
+    slice-wide ones added in float64 differ in the last bits for most
+    rows. The executor needs no agreement: the ids prewarm scores with
+    this kernel are excluded from every shard gather
+    (``ShardPackedBase.gather(..., exclude=...)``), so no id is ever
+    scored both ways (``tests/test_prewarm_exclusion.py`` pins it on
+    every backend).
 
     Args:
         rows: candidate matrix ``(n, d)``.
@@ -90,10 +92,7 @@ def squared_l2_to_query(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
     Returns:
         Non-negative array of length ``n``.
     """
-    diff = np.asarray(rows, dtype=np.float64) - np.asarray(
-        query, dtype=np.float64
-    )
-    return np.einsum("ij,ij->i", diff, diff)
+    return exact_partial(rows, query, True)
 
 
 def inner_product_to_query(rows: np.ndarray, query: np.ndarray) -> np.ndarray:

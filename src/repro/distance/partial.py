@@ -90,34 +90,66 @@ class DimensionSlices:
         return x[..., start:stop]
 
 
+def exact_partial(
+    rows: np.ndarray,
+    query: np.ndarray,
+    l2: bool,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-row float64 score of one dimension slice: the one exact
+    reduction every caller's bits come from.
+
+    The rows are widened to float64; for squared L2 the query is
+    subtracted from them, ``Σ (x - q)²``, and for the inner product it
+    is the other operand, ``Σ x·q``. Either way one
+    ``einsum("ij,ij->i")`` reduces each row over float64 operands whose
+    rows are contiguous, so a row's score does not depend on which
+    caller asks, on the query's shape, or on whether scratch was given
+    (``tests/test_distance_partial.py::TestOneExactReduction``).
+
+    Args:
+        rows: candidate rows restricted to the slice, ``(n, w)``.
+        query: the query slice ``(w,)``, or one query row per candidate
+            ``(n, w)`` (row ``i`` is scored against ``query[i]``).
+        l2: squared L2 if true, else the inner product.
+        out: optional C-contiguous float64 scratch of ``w`` columns: its
+            first ``n`` rows receive the widened rows (and the
+            difference) instead of a fresh temporary, and inner-product
+            query rows are widened into the next ``n``.
+
+    Returns:
+        Array of length ``n``; non-negative for squared L2.
+    """
+    query = np.asarray(query)
+    if query.ndim == 1:
+        query = np.asarray(query, dtype=np.float64)
+    n = rows.shape[0]
+    if out is None:
+        x = np.ascontiguousarray(rows, dtype=np.float64)
+    else:
+        x = out[:n]
+        np.copyto(x, rows)
+    if l2:
+        diff = np.subtract(x, query, out=None if out is None else x)
+        return np.einsum("ij,ij->i", diff, diff)
+    if query.ndim == 1:
+        q = np.broadcast_to(query, x.shape)
+    elif out is None:
+        q = np.asarray(query, dtype=np.float64)
+    else:
+        q = out[n : 2 * n]
+        np.copyto(q, query)
+    return np.einsum("ij,ij->i", x, q)
+
+
 def partial_squared_l2(
     base_slice: np.ndarray,
     query_slice: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-row squared-L2 contribution of one dimension slice.
-
-    Args:
-        base_slice: candidate rows restricted to the slice, ``(n, w)``.
-        query_slice: the query restricted to the slice, ``(w,)``.
-        out: optional C-contiguous float64 ``(n, w)`` scratch (it may
-            be ``base_slice`` itself) the rows are widened into and the
-            query subtracted from in place, instead of two fresh
-            temporaries. The arithmetic is the same either way — rows
-            widened to float64, one float64 subtract, one einsum over
-            contiguous operands — so the result does not depend on it.
-
-    Returns:
-        Non-negative array of length ``n``.
-    """
-    query = np.asarray(query_slice, dtype=np.float64)
-    if out is None:
-        diff = np.asarray(base_slice, dtype=np.float64) - query
-    else:
-        if out is not base_slice:
-            np.copyto(out, base_slice)
-        diff = np.subtract(out, query, out=out)
-    return np.einsum("ij,ij->i", diff, diff)
+    """Per-row squared-L2 contribution of one dimension slice: the scan's
+    name for :func:`exact_partial` with ``l2``."""
+    return exact_partial(base_slice, query_slice, True, out)
 
 
 def partial_inner_product(
@@ -125,32 +157,23 @@ def partial_inner_product(
     query_slice: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-row inner-product contribution of one dimension slice.
+    """Per-row inner-product contribution of one dimension slice: the
+    scan's name for :func:`exact_partial` without ``l2``.
 
-    Computed as a broadcast einsum rather than a BLAS gemv: gemm and
-    gemv accumulate in different orders, so a matrix-vector product
-    here would not be bitwise reproducible across batch shapes. The
-    per-query scan scores with this einsum reduction, and the batched
-    path's exact re-rank (``repro.core.pruning._exact_scores``) runs the
-    same one over its survivors. ``out`` is an optional C-contiguous float64
-    ``(n, w)`` scratch that receives the widened rows instead of a
-    fresh temporary.
+    An ``einsum`` reduction rather than a BLAS gemv: gemm and gemv
+    accumulate in different orders, so a matrix-vector product here
+    would not be bitwise reproducible across batch shapes.
     """
-    if out is None:
-        base = np.asarray(base_slice, dtype=np.float64)
-    else:
-        np.copyto(out, base_slice)
-        base = out
-    query = np.asarray(query_slice, dtype=np.float64)
-    return np.einsum("ij,ij->i", base, np.broadcast_to(query, base.shape))
+    return exact_partial(base_slice, query_slice, False, out)
 
 
 def slice_norms(base: np.ndarray, slices: DimensionSlices) -> np.ndarray:
     """L2 norm of every base vector restricted to every slice.
 
     Returns an array of shape ``(n, n_slices)``; column ``j`` holds
-    ``||b_i^(j)||``. Precomputed once at index build time and used by
-    :func:`remaining_ip_bound`.
+    ``||b_i^(j)||``. Precomputed once at index build time; times the
+    query's slice norms, the scans' Cauchy-Schwarz caps
+    (:func:`suffix_ip_bounds`).
     """
     base = np.asarray(base, dtype=np.float64)
     out = np.empty((base.shape[0], slices.n_slices), dtype=np.float64)
@@ -176,11 +199,28 @@ def query_slice_norms(
     )
 
 
-#: Relative / absolute inflation applied to Cauchy-Schwarz caps: sqrt
-#: rounding can place the exact bound a few ulp *below* the true dot
-#: product for (anti)parallel vectors, which would make pruning lossy.
+#: Relative / absolute pad applied to every bound the scans prune on:
+#: sqrt rounding can place a Cauchy-Schwarz cap a few ulp *below* the
+#: true dot product for (anti)parallel vectors, which would make pruning
+#: lossy. Named in this module only; the two functions below apply them.
 BOUND_REL_EPS = 1e-7
 BOUND_ABS_EPS = 1e-12
+
+
+def padded_cap(raw: np.ndarray) -> np.ndarray:
+    """A Cauchy-Schwarz cap on the remaining slices' dot product (a
+    :func:`suffix_ip_bounds` column, or any other sum of the per-slice
+    caps ``||b^(j)|| * ||q^(j)||``), inflated so float rounding can
+    never place it below the true remaining dot: what a scan subtracts
+    from its accumulated score."""
+    return raw * (1.0 + BOUND_REL_EPS) + BOUND_ABS_EPS
+
+
+def deflated_bound(bounds: np.ndarray) -> np.ndarray:
+    """A lower bound on scores moved down by the same pad, relative to
+    its own magnitude: what SQ8's error-padded bounds are pruned on, so
+    float rounding can never flip a keep into a kill."""
+    return bounds - (np.abs(bounds) * BOUND_REL_EPS + BOUND_ABS_EPS)
 
 
 def suffix_ip_bounds(contrib: np.ndarray) -> np.ndarray:
@@ -202,34 +242,3 @@ def suffix_ip_bounds(contrib: np.ndarray) -> np.ndarray:
     out = np.zeros((n, m + 1), dtype=np.float64)
     out[:, :m] = np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1]
     return out
-
-
-def remaining_ip_bound(
-    base_norms: np.ndarray,
-    query_norms: np.ndarray,
-    done_slices: "list[int] | tuple[int, ...]",
-    n_slices: int,
-) -> np.ndarray:
-    """Upper bound on the inner product still obtainable from unseen slices.
-
-    For each candidate, sums the Cauchy-Schwarz bounds
-    ``||b^(j)|| * ||q^(j)||`` over the slices *not* in ``done_slices``.
-    A candidate whose (accumulated dot + bound) is below the current
-    top-K threshold can be pruned losslessly.
-
-    Args:
-        base_norms: per-candidate per-slice norms, shape ``(n, n_slices)``.
-        query_norms: per-slice query norms, shape ``(n_slices,)``.
-        done_slices: slice indices already accumulated.
-        n_slices: total number of slices.
-
-    Returns:
-        Array of length ``n`` of non-negative bounds.
-    """
-    done = set(done_slices)
-    remaining = [j for j in range(n_slices) if j not in done]
-    if not remaining:
-        return np.zeros(base_norms.shape[0], dtype=np.float64)
-    cols = np.asarray(remaining, dtype=np.intp)
-    bound = base_norms[:, cols] @ query_norms[cols]
-    return bound * (1.0 + BOUND_REL_EPS) + BOUND_ABS_EPS

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distance.kernels import top_k_smallest
+from repro.distance.kernels import squared_l2_to_query, top_k_smallest
 from repro.distance.metrics import Metric, resolve_metric
 from repro.index.ivf import IVFFlatIndex
 
@@ -154,9 +154,9 @@ class SQ8IVFIndex:
             cand = self._ivf.candidates(probes[i])
             if cand.size == 0:
                 continue
-            decoded = self.decode(self._codes[cand])
-            diff = decoded.astype(np.float64) - queries[i].astype(np.float64)
-            scores = np.einsum("ij,ij->i", diff, diff)
+            scores = squared_l2_to_query(
+                self.decode(self._codes[cand]), queries[i]
+            )
             take = min(k, cand.size)
             order, _ = top_k_smallest(scores, take)
             out_ids[i, :take] = cand[order]

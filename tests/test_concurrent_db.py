@@ -101,7 +101,7 @@ class TestConcurrentSearch:
 
 class TestRoutingCache:
     def _plan_and_probe(self, db, queries):
-        backend = db._get_host_backend()
+        backend = db._executor()
         kernel = backend.kernel
         prepared = kernel.prepare_queries(queries)
         probes = db.index.probe(prepared, db.config.nprobe)
@@ -167,7 +167,7 @@ class TestRoutingCache:
     def test_kernel_without_cache_still_routes(self, tiny_data, tiny_queries):
         db = make_db(tiny_data, backend="serial")
         try:
-            backend = db._get_host_backend()
+            backend = db._executor()
             backend.kernel.routing_cache = None
             result, report = db.search(tiny_queries, k=5)
             assert report.routing_cache_hits == 0

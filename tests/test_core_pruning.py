@@ -2,6 +2,7 @@
 one slice loop that drives a scan (``drive_steps``)."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,24 @@ class TestDriveSteps:
                     outside.append(f"{path.name}:{node.lineno}")
         assert outside == []
         assert inside == 2
+
+    def test_one_module_holds_the_exact_reduction_and_the_pad(self):
+        """In ``src/``, only ``repro/distance/partial.py`` names the bound
+        pad's constants or spells the exact reduction's ``einsum``: every
+        other caller goes through its functions."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        owned = re.compile(
+            r"BOUND_REL_EPS|BOUND_ABS_EPS|einsum\(\s*[\"']ij,ij->i[\"']"
+        )
+        strays = []
+        for path in sorted((src / "repro").rglob("*.py")):
+            if path.relative_to(src).as_posix() == "repro/distance/partial.py":
+                continue
+            text = path.read_text(encoding="utf-8")
+            for match in owned.finditer(text):
+                lineno = text.count("\n", 0, match.start()) + 1
+                strays.append(f"{path.name}:{lineno}")
+        assert strays == []
 
 
 class TestShardScanAccumulation:

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.distance.metrics import inner_product, squared_l2
+from repro.core.pruning import ShardScan
+from repro.distance.metrics import Metric, inner_product, squared_l2
 from repro.distance.partial import (
     DimensionSlices,
+    exact_partial,
+    padded_cap,
     partial_inner_product,
     partial_squared_l2,
-    remaining_ip_bound,
     slice_norms,
+    suffix_ip_bounds,
 )
 
 
@@ -133,6 +136,11 @@ class TestSliceNorms:
 
 
 class TestRemainingIpBound:
+    """The cap on what unseen slices can still add to a dot product, as
+    the scans prune on it: a :func:`suffix_ip_bounds` column through
+    :func:`padded_cap` in canonical slice order, and
+    ``ShardScan.lower_bounds`` in any other."""
+
     def test_bound_dominates_remaining_dot(self):
         """Cauchy-Schwarz: the bound must cap the true remaining dot."""
         rng = np.random.default_rng(6)
@@ -143,23 +151,176 @@ class TestRemainingIpBound:
         query_norms = np.array(
             [np.linalg.norm(slices.take(query, j)) for j in range(4)]
         )
-        done = [0, 2]
-        bound = remaining_ip_bound(base_norms, query_norms, done, 4)
+        suffix = suffix_ip_bounds(base_norms * query_norms)
+        for done in range(5):
+            true_remaining = sum(
+                (
+                    partial_inner_product(
+                        slices.take(base, j), slices.take(query, j)
+                    )
+                    for j in range(done, 4)
+                ),
+                np.zeros(40),
+            )
+            assert np.all(np.abs(true_remaining) <= padded_cap(suffix[:, done]))
+        # Out of canonical order the scan sums the remaining columns.
+        scan = ShardScan(
+            base=base, candidate_ids=np.arange(40), query=query,
+            slices=slices, metric=Metric.INNER_PRODUCT,
+            base_slice_norms=base_norms,
+        )
+        scan.process_slice(0)
+        scan.process_slice(2)
         true_remaining = sum(
-            partial_inner_product(slices.take(base, j), slices.take(query, j))
+            partial_inner_product(
+                slices.take(base, j), slices.take(scan.query, j)
+            )
             for j in (1, 3)
         )
-        assert np.all(np.abs(true_remaining) <= bound + 1e-9)
+        assert np.all(
+            scan.lower_bounds() <= scan.accumulated - np.abs(true_remaining)
+        )
 
     def test_all_done_gives_zero(self):
         norms = np.ones((5, 3))
-        out = remaining_ip_bound(norms, np.ones(3), [0, 1, 2], 3)
-        np.testing.assert_array_equal(out, 0.0)
+        np.testing.assert_array_equal(suffix_ip_bounds(norms)[:, 3], 0.0)
+        scan = ShardScan(
+            rows=np.ones((5, 3), dtype=np.float32),
+            candidate_ids=np.arange(5), query=np.ones(3),
+            slices=DimensionSlices.even(3, 3),
+            metric=Metric.INNER_PRODUCT, base_slice_norms=norms,
+        )
+        for j in (2, 0, 1):
+            scan.process_slice(j)
+        # A complete scan's bound is its score: no cap, no pad.
+        np.testing.assert_array_equal(scan.lower_bounds(), scan.accumulated)
 
     def test_none_done_uses_all_slices(self):
         norms = np.ones((2, 3))
-        out = remaining_ip_bound(norms, np.ones(3), [], 3)
-        # The bound carries a tiny conservative inflation (see
-        # remaining_ip_bound) so it can never round below the true dot.
+        out = padded_cap(suffix_ip_bounds(norms)[:, 0])
+        # The cap carries a tiny conservative inflation (padded_cap) so
+        # it can never round below the true dot.
         np.testing.assert_allclose(out, 3.0, rtol=1e-6)
         assert np.all(out >= 3.0)
+        scan = ShardScan(
+            rows=np.ones((2, 3), dtype=np.float32),
+            candidate_ids=np.arange(2), query=np.ones(3),
+            slices=DimensionSlices.even(3, 3),
+            metric=Metric.INNER_PRODUCT, base_slice_norms=norms,
+            query_norms=np.ones(3),
+        )
+        np.testing.assert_array_equal(scan.lower_bounds(), -out)
+
+
+# Test-local copies of the six forms the exact reduction replaced, as
+# they were written out before it existed: the scan's two partials (with
+# and without scratch), the re-rank's L2 and IP blocks, the prewarm
+# kernel and the SQ8 layout's error norm (before its square root).
+
+
+def _form_partial_l2(base, query, out=None):
+    query = np.asarray(query, dtype=np.float64)
+    if out is None:
+        diff = np.asarray(base, dtype=np.float64) - query
+    else:
+        np.copyto(out, base)
+        diff = np.subtract(out, query, out=out)
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _form_partial_ip(base, query, out=None):
+    if out is None:
+        base = np.asarray(base, dtype=np.float64)
+    else:
+        np.copyto(out, base)
+        base = out
+    query = np.asarray(query, dtype=np.float64)
+    return np.einsum("ij,ij->i", base, np.broadcast_to(query, base.shape))
+
+
+def _form_rerank_l2(rows, query_rows):
+    x = np.empty(rows.shape)
+    np.copyto(x, rows)
+    np.subtract(x, query_rows, out=x)
+    return np.einsum("ij,ij->i", x, x)
+
+
+def _form_rerank_ip(rows, query_rows):
+    x, q64 = np.empty(rows.shape), np.empty(rows.shape)
+    np.copyto(x, rows)
+    np.copyto(q64, query_rows)
+    return np.einsum("ij,ij->i", x, q64)
+
+
+def _form_prewarm(rows, query):
+    diff = np.asarray(rows, dtype=np.float64) - np.asarray(
+        query, dtype=np.float64
+    )
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _form_sq8_error(rows, decoded):
+    seg = rows.astype(np.float64) - decoded.astype(np.float64)
+    return np.einsum("ij,ij->i", seg, seg)
+
+
+def _forms(rows, query, l2):
+    """Every form above that scores this metric and query shape."""
+    if query.ndim == 1 and l2:
+        scratch = np.empty(rows.shape)
+        return [
+            _form_partial_l2(rows, query),
+            _form_partial_l2(rows, query, scratch),
+            _form_prewarm(rows, query),
+        ]
+    if query.ndim == 1:
+        scratch = np.empty(rows.shape)
+        return [
+            _form_partial_ip(rows, query),
+            _form_partial_ip(rows, query, scratch),
+        ]
+    if l2:
+        return [_form_rerank_l2(rows, query), _form_sq8_error(rows, query)]
+    return [_form_rerank_ip(rows, query)]
+
+
+class TestOneExactReduction:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("l2", [True, False], ids=["l2", "ip"])
+    @pytest.mark.parametrize("query_rows", [False, True], ids=["w", "nw"])
+    def test_bits_of_every_form(self, dtype, l2, query_rows):
+        """Every caller (the scan's slices, the two-phase re-rank,
+        prewarm, the SQ8 index and its layout's error table) gets exactly
+        the bits it computed on its own, at every width up to 1 024,
+        with and without scan scratch; a query tiled into rows scores as
+        the query itself; and a re-rank's ``acc += -ip`` is its
+        ``acc -= ip``."""
+        rng = np.random.default_rng(46)
+        n = 5
+        for width in range(1, 1025):
+            rows = (rng.standard_normal((n, width)) * 1e3).astype(dtype)
+            shape = (n, width) if query_rows else (width,)
+            query = rng.standard_normal(shape).astype(dtype)
+            scratch = np.empty((2 * n, width))
+            got = exact_partial(rows, query, l2)
+            for expected in _forms(rows, query, l2):
+                np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(
+                exact_partial(rows, query, l2, scratch), got
+            )
+            # The scratch holds what was reduced: the difference x - q
+            # (the order a sum of squares cannot tell), or the rows.
+            rows64, q64 = rows.astype(np.float64), query.astype(np.float64)
+            np.testing.assert_array_equal(
+                scratch[:n], rows64 - q64 if l2 else rows64
+            )
+            if not query_rows:
+                # The re-rank's materialized query rows score as the
+                # scan's broadcast query does.
+                tiled = np.repeat(query[None, :], n, axis=0)
+                np.testing.assert_array_equal(
+                    exact_partial(rows, tiled, l2, scratch), got
+                )
+            if not l2:
+                acc = rng.standard_normal(n)
+                np.testing.assert_array_equal(acc + -got, acc - got)

@@ -708,7 +708,7 @@ def test_chaos_shm_drop_falls_back_exact_and_leaves_no_segment():
     db.build(base, sample_queries=queries)
     try:
         db.search(queries, k=5)  # pool up, layout re-homed into shm
-        backend = db._get_host_backend()
+        backend = db._executor()
         assert backend.shared_layout_nbytes() > 0
         db.set_host_faults(
             HostFaultInjector(shm_drops=[DropSharedMemory(at_batch=0)])

@@ -105,7 +105,7 @@ def test_a_report_has_every_attribute_the_ledger_sums(
     assert sums.scan_ratio_peak == workloads.scan_ratio(
         report, db.index.nlive
     ) > 0
-    assert db._host_backend is db._get_host_backend()
+    assert db._host_backend is db._executor()
     assert db.plan is not None and db.index is not None
 
 

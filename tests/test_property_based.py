@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core.heap import TopKHeap
 from repro.core.pruning import ShardScan
 from repro.distance.kernels import pairwise_squared_l2, top_k_smallest
-from repro.distance.metrics import squared_l2
+from repro.distance.metrics import Metric, squared_l2
 from repro.distance.partial import DimensionSlices, slice_norms
 
 FINITE_FLOATS = st.floats(
@@ -79,23 +79,40 @@ class TestPartialDistanceProperties:
             ]
         )
         from repro.distance.partial import (
+            padded_cap,
             partial_inner_product,
-            remaining_ip_bound,
+            suffix_ip_bounds,
         )
 
-        for done_count in range(slices.n_slices):
-            done = list(range(done_count))
-            bound = remaining_ip_bound(norms, q_norms, done, slices.n_slices)
-            true_remaining = sum(
+        def true_remaining(remaining):
+            return sum(
                 (
                     partial_inner_product(
                         slices.take(rows, j), slices.take(query, j)
                     )
-                    for j in range(done_count, slices.n_slices)
+                    for j in remaining
                 ),
                 np.zeros(rows.shape[0]),
             )
-            assert np.all(np.abs(true_remaining) <= bound + 1e-5)
+
+        # Canonical order: the suffix-sum column the scans read, padded.
+        suffix = suffix_ip_bounds(norms * q_norms)
+        for done_count in range(slices.n_slices):
+            bound = padded_cap(suffix[:, done_count])
+            remaining = range(done_count, slices.n_slices)
+            assert np.all(np.abs(true_remaining(remaining)) <= bound + 1e-5)
+        # Any other order: the scan's own bound after the last slices.
+        scan = ShardScan(
+            rows=rows, candidate_ids=np.arange(rows.shape[0]), query=query,
+            slices=slices, metric=Metric.INNER_PRODUCT,
+            base_slice_norms=norms, query_norms=q_norms,
+        )
+        for done_count, j in enumerate(
+            range(slices.n_slices - 1, 0, -1), start=1
+        ):
+            scan.process_slice(j)
+            cap = np.abs(true_remaining(range(slices.n_slices - done_count)))
+            assert np.all(scan.lower_bounds() <= scan.accumulated - cap + 1e-5)
 
 
 class TestHeapProperties:

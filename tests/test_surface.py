@@ -103,6 +103,8 @@ RETIRED_SYMBOLS = (
     # The simulator's own slice stepping, and the unused message records.
     "ScanKernel.step", "kernel.step(", "_next_block", "fixed_order",
     "state.remaining", "QueryChunk", "PartialResult", "ResultSet",
+    # The unused remaining-slices cap and the executor's second name.
+    "remaining_ip_bound", "_get_host_backend",
 )
 
 DECLARATION = "_RETIRED_CONFIG_FIELDS = "
