@@ -101,23 +101,6 @@ class DistributedGraphANN:
         self.graph.add(base)
         self._split()
 
-    def with_machines(self, n_machines: int) -> "DistributedGraphANN":
-        """This built graph, split over ``n_machines`` machines instead.
-
-        Graph construction does not depend on the machine count; only
-        the k-means split does. The copy shares this graph and runs the
-        split alone, so it answers exactly as a fresh ``build`` on
-        ``n_machines`` machines would.
-        """
-        if self._machine_of is None:
-            raise RuntimeError("build() must be called first")
-        other = DistributedGraphANN(
-            dim=self.graph.dim, n_machines=n_machines, seed=self.seed
-        )
-        other.graph = self.graph
-        other._split()
-        return other
-
     def _split(self) -> None:
         kmeans = KMeans(n_clusters=self.n_machines, seed=self.seed)
         result = kmeans.fit(self.graph.base)

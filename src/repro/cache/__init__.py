@@ -8,8 +8,6 @@ Public surface:
   generations.
 - :class:`CacheHit` / :class:`CacheStats` — lookup result and counter
   snapshot types.
-- :func:`make_filter_key` — canonical hashable form of a
-  ``filter_labels`` argument.
 
 Enable it on a deployment with ``HarmonyConfig(enable_cache=True)``
 (plus ``cache_size``); the CLI flags are ``--cache`` /
@@ -21,7 +19,6 @@ from repro.cache.result_cache import (
     CacheHit,
     CacheStats,
     ResultCache,
-    make_filter_key,
 )
 
 __all__ = [
@@ -29,5 +26,4 @@ __all__ = [
     "CacheHit",
     "CacheStats",
     "ResultCache",
-    "make_filter_key",
 ]

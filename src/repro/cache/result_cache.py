@@ -4,7 +4,7 @@ Real serving traffic repeats itself: recommendation / RAG workloads
 re-issue the same queries under a Zipf popularity law, so the
 cheapest "scan" is the one that never happens. :class:`ResultCache`
 memoizes finished top-K answers keyed on the full request identity —
-``(query bytes, k, nprobe, metric, filter)`` — and serves them back
+``(query bytes, k, nprobe, metric)`` — and serves them back
 when an incoming query's float32 bytes equal a cached query's bytes.
 The cached ``(ids, distances)`` are returned *byte-identically*,
 skipping routing and scanning entirely. A hit can never change a
@@ -45,18 +45,6 @@ PROTECTED_FRACTION = 0.8
 #: Trace lane for ``cache-lookup`` spans (host threads occupy
 #: lanes 1000+, the serving front end lane 3000).
 CACHE_LANE = 3500
-
-
-def make_filter_key(filter_labels) -> "tuple | None":
-    """Canonical hashable key for a ``filter_labels`` argument.
-
-    Order and duplicates never change the allowed-vector mask, so they
-    must not fragment cache entries.
-    """
-    if filter_labels is None:
-        return None
-    labels = np.asarray(filter_labels).ravel()
-    return tuple(sorted({int(x) for x in labels}))
 
 
 @dataclass(frozen=True)
@@ -131,10 +119,8 @@ class ResultCache:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _key(
-        query: np.ndarray, k: int, nprobe: int, metric: str, filter_key
-    ) -> tuple:
-        return (query.tobytes(), int(k), int(nprobe), str(metric), filter_key)
+    def _key(query: np.ndarray, k: int, nprobe: int, metric: str) -> tuple:
+        return (query.tobytes(), int(k), int(nprobe), str(metric))
 
     # ------------------------------------------------------------------
     # Generation handling
@@ -176,7 +162,6 @@ class ResultCache:
         k: int,
         nprobe: int,
         metric: str,
-        filter_key,
         generation: tuple,
         record_miss: bool = True,
     ) -> "CacheHit | None":
@@ -189,7 +174,7 @@ class ResultCache:
         layer's pre-enqueue peek) so a later authoritative lookup
         doesn't double-count the miss.
         """
-        key = self._key(query, k, nprobe, metric, filter_key)
+        key = self._key(query, k, nprobe, metric)
         with self._lock:
             self._check_generation(generation)
             entry = self._probation.pop(key, None)
@@ -213,7 +198,6 @@ class ResultCache:
         k: int,
         nprobe: int,
         metric: str,
-        filter_key,
         generation: tuple,
         ids: np.ndarray,
         distances: np.ndarray,
@@ -223,7 +207,7 @@ class ResultCache:
         Callers must not insert degraded / partial-coverage answers —
         those are wrong to replay once the cluster heals.
         """
-        key = self._key(query, k, nprobe, metric, filter_key)
+        key = self._key(query, k, nprobe, metric)
         ids = np.array(ids, copy=True)
         distances = np.array(distances, copy=True)
         for arr in (ids, distances):

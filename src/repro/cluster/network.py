@@ -67,11 +67,3 @@ class NetworkModel:
         if self.mode is CommMode.BLOCKING:
             return full
         return full * NONBLOCKING_SENDER_SHARE
-
-    def with_mode(self, mode: CommMode) -> "NetworkModel":
-        """Copy of this model with a different communication mode."""
-        return NetworkModel(
-            bandwidth_bytes_per_s=self.bandwidth_bytes_per_s,
-            latency_s=self.latency_s,
-            mode=mode,
-        )

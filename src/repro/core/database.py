@@ -175,7 +175,6 @@ class HarmonyDB:
         base: np.ndarray,
         sample_queries: np.ndarray | None = None,
         k: int = 10,
-        labels: np.ndarray | None = None,
     ) -> BuildReport:
         """Train, populate, plan, and distribute the index.
 
@@ -184,8 +183,6 @@ class HarmonyDB:
             sample_queries: workload sample for the cost model; when
                 omitted the planner assumes uniform probe frequencies.
             k: top-K size assumed when pricing result messages.
-            labels: optional per-vector metadata labels for filtered
-                search.
 
         Returns:
             A :class:`BuildReport` with simulated Train / Add /
@@ -193,7 +190,7 @@ class HarmonyDB:
         """
         base = np.atleast_2d(np.asarray(base, dtype=np.float32))
         self.index.train(base)
-        self.index.add(base, labels=labels)
+        self.index.add(base)
         stats = self.index.build_stats()
         client_rate = self.cluster.client.compute_rate
         train_seconds = stats.train_elements / client_rate
@@ -210,17 +207,14 @@ class HarmonyDB:
             placement=placement,
         )
 
-    def add(
-        self, vectors: np.ndarray, labels: np.ndarray | None = None
-    ) -> int:
+    def add(self, vectors: np.ndarray) -> int:
         """Insert vectors into a built deployment (streaming ingest).
 
         New vectors join their nearest centroid's inverted list under
         the existing clustering and partition plan; the executor's
         kernel absorbs them as delta rows on its next search.
         Subsequent searches see the new vectors immediately and remain
-        exact w.r.t. a single-node scan. Optional per-vector metadata
-        ``labels`` are usable as search filters.
+        exact w.r.t. a single-node scan.
 
         Returns:
             Number of vectors added.
@@ -228,7 +222,7 @@ class HarmonyDB:
         if not self.is_built:
             raise RuntimeError("build() must be called before add()")
         before = self.index.ntotal
-        self.index.add(vectors, labels=labels)
+        self.index.add(vectors)
         if self._result_cache is not None:
             self._result_cache.invalidate()
         return self.index.ntotal - before
@@ -339,20 +333,16 @@ class HarmonyDB:
         k: int = 10,
         nprobe: int | None = None,
         arrival_times: np.ndarray | None = None,
-        filter_labels: "np.ndarray | list[int] | None" = None,
     ) -> tuple[SearchResult, ExecutionReport]:
         """Distributed top-K search for a batch of queries.
 
         Returns the exact same result sets a single-node IVF scan with
-        identical nlist/nprobe (and the same label filter) would
-        produce, plus the simulated performance report of the
-        distributed execution.
+        identical nlist/nprobe would produce, plus the simulated
+        performance report of the distributed execution.
 
         Pass ``arrival_times`` (ascending simulated timestamps, one per
         query) for open-loop load experiments: latencies then include
-        queueing delay behind earlier queries. Pass ``filter_labels``
-        to restrict the search to vectors carrying one of the given
-        metadata labels (see ``IVFFlatIndex.add``'s ``labels``).
+        queueing delay behind earlier queries.
 
         The execution substrate follows ``config.backend``: under
         ``"sim"`` (default) the report carries simulated cluster
@@ -375,19 +365,14 @@ class HarmonyDB:
             # same for an engine driven directly).
             self._tracer.clear()
         if self._result_cache is not None and arrival_times is None:
-            return self._cached_search(
-                queries, k=k, nprobe=nprobe, filter_labels=filter_labels
-            )
-        return self._uncached_search(
-            queries, k, nprobe, filter_labels, arrival_times
-        )
+            return self._cached_search(queries, k=k, nprobe=nprobe)
+        return self._uncached_search(queries, k, nprobe, arrival_times)
 
     def _uncached_search(
         self,
         queries: np.ndarray,
         k: int,
         nprobe: int | None,
-        filter_labels: "np.ndarray | list[int] | None",
         arrival_times: np.ndarray | None = None,
     ) -> tuple[SearchResult, ExecutionReport]:
         """The configured backend's search, bypassing the result cache."""
@@ -395,7 +380,6 @@ class HarmonyDB:
             queries,
             k,
             nprobe if nprobe is not None else self.config.nprobe,
-            filter_labels=filter_labels,
             arrival_times=arrival_times,
         )
 
@@ -411,11 +395,7 @@ class HarmonyDB:
         )
 
     def cache_probe(
-        self,
-        query: np.ndarray,
-        k: int,
-        nprobe: int | None = None,
-        filter_labels: "np.ndarray | list[int] | None" = None,
+        self, query: np.ndarray, k: int, nprobe: int | None = None
     ):
         """Advisory single-query result-cache probe (serve fast path).
 
@@ -428,8 +408,6 @@ class HarmonyDB:
         cache = self._result_cache
         if cache is None or not self.is_built:
             return None
-        from repro.cache import make_filter_key
-
         prepared = self._executor().kernel.prepare_queries(query)
         if prepared.shape[0] != 1:
             raise ValueError(
@@ -442,7 +420,6 @@ class HarmonyDB:
             k,
             nprobe,
             self.config.metric.value,
-            make_filter_key(filter_labels),
             self._cache_generation(),
             record_miss=False,
         )
@@ -452,7 +429,6 @@ class HarmonyDB:
         queries: np.ndarray,
         k: int,
         nprobe: int | None,
-        filter_labels: "np.ndarray | list[int] | None",
     ) -> tuple[SearchResult, ExecutionReport]:
         """Search through the result cache: serve hit rows from cached
         answers, dispatch only the miss rows to the backend, and cache
@@ -461,7 +437,6 @@ class HarmonyDB:
         Hits are byte-identical by construction: the key includes the
         prepared query bytes and every answer-shaping parameter.
         """
-        from repro.cache import make_filter_key
         from repro.cache.result_cache import CACHE_LANE
 
         cache = self._result_cache
@@ -470,16 +445,13 @@ class HarmonyDB:
         prepared = self._executor().kernel.prepare_queries(queries)
         nq = prepared.shape[0]
         if nq == 0:
-            return self._uncached_search(queries, k, nprobe, filter_labels)
+            return self._uncached_search(queries, k, nprobe)
         metric = self.config.metric.value
-        filter_key = make_filter_key(filter_labels)
         stats_before = vars(cache.stats())
         generation = self._cache_generation()
         lookup_start = time.perf_counter()
         hits = [
-            cache.lookup(
-                prepared[i], k, nprobe, metric, filter_key, generation
-            )
+            cache.lookup(prepared[i], k, nprobe, metric, generation)
             for i in range(nq)
         ]
         lookup_end = time.perf_counter()
@@ -520,9 +492,7 @@ class HarmonyDB:
         # byte-identical to an uncached run.
         raw = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         sub = np.ascontiguousarray(raw[miss_rows])
-        sub_result, report = self._uncached_search(
-            sub, k, nprobe, filter_labels
-        )
+        sub_result, report = self._uncached_search(sub, k, nprobe)
 
         # Only cache answers that are (a) fully covered — degraded
         # partial results are wrong to replay once the cluster heals —
@@ -540,8 +510,7 @@ class HarmonyDB:
                 if coverage is not None and coverage[j] < 1.0:
                     continue
                 cache.insert(
-                    prepared[row], k, nprobe, metric, filter_key,
-                    post_generation,
+                    prepared[row], k, nprobe, metric, post_generation,
                     sub_result.ids[j], sub_result.distances[j],
                 )
 

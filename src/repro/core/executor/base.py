@@ -100,7 +100,6 @@ class Backend(abc.ABC):
         queries: np.ndarray,
         k: int,
         nprobe: int,
-        filter_labels: "np.ndarray | list[int] | None" = None,
         arrival_times: np.ndarray | None = None,
     ) -> "tuple[SearchResult, ExecutionReport]":
         """Pruned top-``k`` search for a query batch: the answers and
@@ -217,7 +216,6 @@ class HostBackend(Backend):
         queries: np.ndarray,
         k: int,
         nprobe: int = 1,
-        filter_labels: "np.ndarray | list[int] | None" = None,
         arrival_times: np.ndarray | None = None,
     ) -> "tuple[SearchResult, ExecutionReport]":
         """:meth:`search` plus its report, timed on the host.
@@ -252,9 +250,7 @@ class HostBackend(Backend):
         reranked_before = kernel.rerank_candidates_total
         skipped_before = kernel.skipped_scans_total
         start = time.perf_counter()
-        result = self.search(
-            queries, k, nprobe, filter_labels, skip_shards, coverage
-        )
+        result = self.search(queries, k, nprobe, skip_shards, coverage)
         elapsed = time.perf_counter() - start
         faults, self.fault_counters = self.fault_counters, FaultStats()
         faults.skipped_scans = kernel.skipped_scans_total - skipped_before
@@ -272,7 +268,6 @@ class HostBackend(Backend):
                     lost,
                     self.index.probe(lost, nprobe),
                     k,
-                    self.index.allowed_mask(filter_labels),
                     np.arange(degraded_idx.size),
                     result.ids[degraded_idx],
                 )
@@ -312,7 +307,6 @@ class HostBackend(Backend):
         queries: np.ndarray,
         k: int,
         nprobe: int = 1,
-        filter_labels: "np.ndarray | list[int] | None" = None,
         skip_shards: "frozenset[int] | set[int] | None" = None,
         coverage: np.ndarray | None = None,
     ) -> SearchResult:
@@ -330,9 +324,9 @@ class HostBackend(Backend):
         start = time.perf_counter()
         kernel = self.kernel
         kernel.tracer = self.tracer  # query, shard-group, slice wall spans
-        queries, probes, allowed = self._route(queries, nprobe, filter_labels)
+        queries, probes = self._route(queries, nprobe)
         heaps = kernel.search(
-            queries, probes, k, allowed, skip_shards, coverage,
+            queries, probes, k, skip_shards, coverage,
             batched=self.batch_queries,
         )
         result = collect_results(heaps, k)
@@ -342,16 +336,16 @@ class HostBackend(Backend):
             )
         return result
 
-    def _route(self, queries, nprobe: int, filter_labels):
-        """Canonical queries, their probed lists (a ``route`` wall span
-        when traced) and the filter's admissibility mask."""
+    def _route(self, queries, nprobe: int):
+        """Canonical queries and their probed lists (a ``route`` wall
+        span when traced)."""
         queries = self.kernel.prepare_queries(queries)
         tracer = self.tracer
         with contextlib.nullcontext() if tracer is None else tracer.wall_span(
             "route", "computation", n=queries.shape[0]
         ):
             probes = self.index.probe(queries, nprobe)
-        return queries, probes, self.index.allowed_mask(filter_labels)
+        return queries, probes
 
 
 BACKENDS: dict[str, str] = {

@@ -617,7 +617,6 @@ class ScanKernel:
         query: np.ndarray,
         probe_row: np.ndarray,
         k: int,
-        allowed: np.ndarray | None = None,
     ) -> QueryState:
         """Create a query's state and prewarm its heap (PrewarmHeap).
 
@@ -633,7 +632,7 @@ class ScanKernel:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         heap = TopKHeap(k)
-        prewarmed = self._prewarm(query, probe_row, heap, allowed)
+        prewarmed = self._prewarm(query, probe_row, heap)
         query_norms = None
         if self.metric is not Metric.L2:
             query_norms = query_slice_norms(
@@ -653,7 +652,6 @@ class ScanKernel:
         query: np.ndarray,
         probe_row: np.ndarray,
         heap: TopKHeap,
-        allowed: np.ndarray | None,
     ) -> np.ndarray:
         if self.prewarm_size == 0 or not self.enable_pruning:
             return np.empty(0, dtype=np.int64)
@@ -662,7 +660,6 @@ class ScanKernel:
             int(self.plan.shard_of_list[nearest]),
             nearest,
             self.prewarm_size,
-            allowed,
         )
         if ids.size:
             heap.push_many(scores_to_query(rows, query, self.metric), ids)
@@ -701,10 +698,7 @@ class ScanKernel:
         return shard_candidate_lists(self.plan, state.probe_row, shard)
 
     def _gather_candidates(
-        self,
-        state: QueryState,
-        shard: int,
-        allowed: np.ndarray | None,
+        self, state: QueryState, shard: int
     ) -> CandidatePart | None:
         """One shard's candidate record for a query, or None if empty.
 
@@ -719,25 +713,17 @@ class ScanKernel:
             else layout.gather
         )
         part = gather(
-            shard,
-            self._lists_for(state, shard),
-            allowed=allowed,
-            exclude=state.prewarmed,
+            shard, self._lists_for(state, shard), exclude=state.prewarmed
         )
         return part if part.ids.size else None
 
-    def make_scan(
-        self,
-        state: QueryState,
-        shard: int,
-        allowed: np.ndarray | None = None,
-    ) -> ShardScan | None:
+    def make_scan(self, state: QueryState, shard: int) -> ShardScan | None:
         """Gather one shard's candidates into a fresh :class:`ShardScan`.
 
         Returns None when the shard contributes no candidates (all its
-        probed lists are empty, filtered out, or fully prewarmed).
+        probed lists are empty or fully prewarmed).
         """
-        part = self._gather_candidates(state, int(shard), allowed)
+        part = self._gather_candidates(state, int(shard))
         if part is None:
             return None
         return open_scan(
@@ -745,26 +731,20 @@ class ScanKernel:
             self.plan, self.metric,
         )
 
-    def count_candidates(
-        self,
-        state: QueryState,
-        shard: int,
-        allowed: np.ndarray | None = None,
-    ) -> int:
+    def count_candidates(self, state: QueryState, shard: int) -> int:
         """Candidate count a shard *would* contribute to a query.
 
         Degraded-mode coverage accounting: shards skipped for lack of a
         live replica still enter the coverage denominator, so a partial
         result honestly reports how much of its candidate set it saw.
         """
-        part = self._gather_candidates(state, int(shard), allowed)
+        part = self._gather_candidates(state, int(shard))
         return 0 if part is None else int(part.ids.size)
 
     def _skip_shard(
         self,
         state: QueryState,
         shard: int,
-        allowed: np.ndarray | None,
         coverage: np.ndarray | None,
     ) -> int:
         """Account one shard dropped for lack of a live replica.
@@ -774,7 +754,7 @@ class ScanKernel:
         candidates is no scan, so — as in the simulator — it is not a
         skipped one either.
         """
-        lost = self.count_candidates(state, shard, allowed)
+        lost = self.count_candidates(state, shard)
         if coverage is not None:
             coverage[state.query_index, 1] += lost
         return int(lost > 0)
@@ -826,7 +806,6 @@ class ScanKernel:
         query: np.ndarray,
         probe_row: np.ndarray,
         k: int,
-        allowed: np.ndarray | None = None,
         skip_shards: "frozenset[int] | set[int] | None" = None,
         coverage: np.ndarray | None = None,
     ) -> TopKHeap:
@@ -843,16 +822,16 @@ class ScanKernel:
                 ``[scanned, total]`` candidate counts, updated in place
                 at row ``query_index``.
         """
-        state = self.begin_query(query_index, query, probe_row, k, allowed)
+        state = self.begin_query(query_index, query, probe_row, k)
         if coverage is not None:
             coverage[query_index, :] += state.prewarmed.size
         skipped = 0
         for shard in self.shards_for(state):
             shard = int(shard)
             if skip_shards and shard in skip_shards:
-                skipped += self._skip_shard(state, shard, allowed, coverage)
+                skipped += self._skip_shard(state, shard, coverage)
                 continue
-            scan = self.make_scan(state, shard, allowed)
+            scan = self.make_scan(state, shard)
             if scan is not None:
                 if coverage is not None:
                     coverage[query_index, :] += scan.n_candidates
@@ -869,7 +848,6 @@ class ScanKernel:
         queries: np.ndarray,
         probes: np.ndarray,
         k: int,
-        allowed: np.ndarray | None = None,
         skip_shards: "frozenset[int] | set[int] | None" = None,
         coverage: np.ndarray | None = None,
         batched: bool = True,
@@ -880,9 +858,7 @@ class ScanKernel:
         traced). The serial loop and every pool worker's task run it.
         """
         if batched and queries.shape[0] > 1:
-            return self.search_batch(
-                queries, probes, k, allowed, skip_shards, coverage
-            )
+            return self.search_batch(queries, probes, k, skip_shards, coverage)
         tracer = self.tracer
         heaps = []
         for i in range(queries.shape[0]):
@@ -890,7 +866,7 @@ class ScanKernel:
                 "query", "computation", query=i
             ):
                 heaps.append(self.search_one(
-                    i, queries[i], probes[i], k, allowed,
+                    i, queries[i], probes[i], k,
                     skip_shards=skip_shards, coverage=coverage,
                 ))
         return heaps
@@ -900,7 +876,6 @@ class ScanKernel:
         queries: np.ndarray,
         probes: np.ndarray,
         k: int,
-        allowed: np.ndarray | None = None,
         skip_shards: "frozenset[int] | set[int] | None" = None,
         coverage: np.ndarray | None = None,
     ) -> "list[TopKHeap]":
@@ -918,7 +893,6 @@ class ScanKernel:
             queries: prepared query batch ``(nq, dim)``.
             probes: probed list ids ``(nq, nprobe)``.
             k: top-K size.
-            allowed: optional per-id admissibility mask.
             skip_shards / coverage: degraded-mode accounting, exactly
                 as in :meth:`search_one`: prewarmed candidates count
                 toward both coverage columns, a skipped shard's toward
@@ -929,7 +903,7 @@ class ScanKernel:
             One populated heap per query.
         """
         states = [
-            self.begin_query(i, queries[i], probes[i], k, allowed)
+            self.begin_query(i, queries[i], probes[i], k)
             for i in range(queries.shape[0])
         ]
         groups: dict[int, list[QueryState]] = {}
@@ -940,9 +914,7 @@ class ScanKernel:
             for shard in self.shards_for(state):
                 shard = int(shard)
                 if skip_shards and shard in skip_shards:
-                    skipped += self._skip_shard(
-                        state, shard, allowed, coverage
-                    )
+                    skipped += self._skip_shard(state, shard, coverage)
                     continue
                 groups.setdefault(shard, []).append(state)
         self.count_skipped_scans(skipped)
@@ -951,14 +923,13 @@ class ScanKernel:
             with _NOTHING if tracer is None else tracer.wall_span(
                 "shard-group", "computation", shard=shard
             ):
-                self.run_shard_group(shard, groups[shard], allowed, coverage)
+                self.run_shard_group(shard, groups[shard], coverage)
         return [state.heap for state in states]
 
     def run_shard_group(
         self,
         shard: int,
         group: "list[QueryState]",
-        allowed: np.ndarray | None = None,
         coverage: np.ndarray | None = None,
     ) -> None:
         """Process one shard for every query in ``group``, fused.
@@ -977,10 +948,10 @@ class ScanKernel:
             member_lists = [self._lists_for(state, shard) for state in group]
             if _list_major(member_lists):
                 gathered, lists = self._listed(
-                    layout, shard, group, member_lists, allowed, coverage
+                    layout, shard, group, member_lists, coverage
                 )
         if gathered is None:
-            gathered = self._gathered(group, shard, allowed, coverage)
+            gathered = self._gathered(group, shard, coverage)
 
         def thresholds(states) -> np.ndarray:
             return np.array([state.heap.threshold for state in states])
@@ -1001,12 +972,12 @@ class ScanKernel:
         )
         self._count_rerank_amount(reranked)
 
-    def _listed(self, layout, shard, group, member_lists, allowed, coverage):
+    def _listed(self, layout, shard, group, member_lists, coverage):
         """List by list: the group's base candidates as the layout's
         per-list blocks, each member with its delta part, for
         :func:`scan_group`'s ``(gathered, lists)``."""
         blocks, deltas = layout._list_rows(
-            shard, member_lists, allowed,
+            shard, member_lists,
             [(int(state.probe_row[0]), state.prewarmed) for state in group],
             codes=self.scan_precision == "sq8",
         )
@@ -1022,11 +993,11 @@ class ScanKernel:
         ]
         return gathered, (blocks, counts)
 
-    def _gathered(self, group, shard, allowed, coverage):
+    def _gathered(self, group, shard, coverage):
         """Member by member: each member's candidates gathered on its
         own, for :func:`scan_group`."""
         for state in group:
-            part = self._gather_candidates(state, shard, allowed)
+            part = self._gather_candidates(state, shard)
             if part is not None:
                 if coverage is not None:
                     coverage[state.query_index, :] += part.ids.size
@@ -1038,7 +1009,6 @@ def recall_vs_healthy(
     queries: np.ndarray,
     probes: np.ndarray,
     k: int,
-    allowed: np.ndarray | None,
     query_indices: np.ndarray,
     result_ids: np.ndarray,
 ) -> float:
@@ -1054,7 +1024,7 @@ def recall_vs_healthy(
     overlaps = []
     for i in query_indices:
         i = int(i)
-        heap = kernel.search_one(i, queries[i], probes[i], k, allowed)
+        heap = kernel.search_one(i, queries[i], probes[i], k)
         _, ids = heap.items_arrays()
         healthy = {int(x) for x in ids}
         if not healthy:

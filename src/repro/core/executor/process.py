@@ -137,8 +137,8 @@ def _search_chunk(kernel: ScanKernel, ctx: dict, queries, probes):
     reranked = kernel.rerank_candidates_total
     skipped = kernel.skipped_scans_total
     heaps = kernel.search(
-        queries, probes, ctx["k"], ctx["allowed"], ctx["skip_shards"],
-        coverage, batched=ctx["batched"],
+        queries, probes, ctx["k"], ctx["skip_shards"], coverage,
+        batched=ctx["batched"],
     )
     result = collect_results(heaps, ctx["k"])
     return (
@@ -452,7 +452,6 @@ class ProcessBackend(HostBackend):
         queries: np.ndarray,
         k: int,
         nprobe: int = 1,
-        filter_labels: "np.ndarray | list[int] | None" = None,
         skip_shards: "frozenset[int] | set[int] | None" = None,
         coverage: np.ndarray | None = None,
     ) -> SearchResult:
@@ -467,14 +466,14 @@ class ProcessBackend(HostBackend):
         ):
             try:
                 return self._process_search(
-                    queries, k, nprobe, filter_labels, skip_shards, coverage
+                    queries, k, nprobe, skip_shards, coverage
                 )
             except (ProcessPoolError, OSError, EOFError):
                 self._teardown_pool()
                 self._pool_broken = True
         return super().search(
-            queries, k, nprobe=nprobe, filter_labels=filter_labels,
-            skip_shards=skip_shards, coverage=coverage,
+            queries, k, nprobe=nprobe, skip_shards=skip_shards,
+            coverage=coverage,
         )
 
     def _process_search(
@@ -482,13 +481,12 @@ class ProcessBackend(HostBackend):
         queries: np.ndarray,
         k: int,
         nprobe: int,
-        filter_labels,
         skip_shards,
         coverage: np.ndarray | None,
     ) -> SearchResult:
         kernel = self.kernel
         kernel.tracer = None  # worker spans are recorded from timings
-        queries, probes, allowed = self._route(queries, nprobe, filter_labels)
+        queries, probes = self._route(queries, nprobe)
         nq = queries.shape[0]
         out = SearchResult(
             distances=np.full((nq, k), np.inf, dtype=np.float64),
@@ -509,7 +507,6 @@ class ProcessBackend(HostBackend):
             ),
             "batched": self.batch_queries,
             "k": k,
-            "allowed": allowed,
             "skip_shards": skip_shards,
             "degraded": coverage is not None,
         }
@@ -622,13 +619,10 @@ class ProcessBackend(HostBackend):
             # Abandoned: every candidate of its queries is lost, and
             # their rows stay empty.
             self.fault_counters.abandoned_scans += 1
-            allowed = ctx["allowed"]
             for q in range(*chunks[task_id]):
-                state = kernel.begin_query(
-                    q, queries[q], probes[q], ctx["k"], allowed
-                )
+                state = kernel.begin_query(q, queries[q], probes[q], ctx["k"])
                 local_cov[q, 1] += state.prewarmed.size + sum(
-                    kernel.count_candidates(state, shard, allowed)
+                    kernel.count_candidates(state, shard)
                     for shard in kernel.shards_for(state)
                 )
 

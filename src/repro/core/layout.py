@@ -434,7 +434,7 @@ class _ListRows(NamedTuple):
         ids: the rows' global ids (a view of the packed table).
         norms: their per-slice norms (a view; None for L2).
         members: ascending indices of the group members probing it.
-        live: rows the filter admits and no tombstone hides (None: all).
+        live: rows no tombstone hides (None: all).
         drops: ``(columns, mask)`` per prewarmed set drawn from this
             list: the members (columns) whose nearest list it is and who
             prewarmed the same ids, and the rows they did not prewarm.
@@ -816,10 +816,6 @@ class ShardPackedBase:
         """Dimension blocks (slabs per shard) the layout was packed in."""
         return len(self._rows[0]) if self._rows else 0
 
-    def shard_size(self, shard: int) -> int:
-        """Packed row count of one shard (base + delta segments)."""
-        return self._ids[shard].size + len(self._dids[shard])
-
     @property
     def nbytes(self) -> int:
         """Total bytes held by the packed arrays (base + deltas)."""
@@ -868,7 +864,6 @@ class ShardPackedBase:
         self,
         shard: int,
         lists: np.ndarray,
-        allowed: np.ndarray | None = None,
         exclude: np.ndarray | None = None,
     ) -> CandidatePart:
         """Candidate ids, row indices and norms for a shard's probed lists.
@@ -881,7 +876,6 @@ class ShardPackedBase:
         Args:
             shard: vector shard to gather from.
             lists: probed inverted-list ids living in this shard.
-            allowed: optional per-global-id admissibility mask.
             exclude: optional array of the few global ids to drop (the
                 query's already-prewarmed candidates); costs
                 O(candidates + len(exclude)), never O(ntotal).
@@ -891,9 +885,7 @@ class ShardPackedBase:
             float32 slabs, with the matching per-slice ``norms`` table
             (None for L2).
         """
-        return self._part(
-            shard, *self._candidates(shard, lists, allowed, exclude)
-        )
+        return self._part(shard, *self._candidates(shard, lists, exclude))
 
     def _part(
         self, shard: int, ids, local, base_sel, delta_sel, codes=False
@@ -926,17 +918,15 @@ class ShardPackedBase:
             None if delta_sel is None else [d.view for d in delta[shard]],
         )
 
-    def _candidates(self, shard: int, lists, allowed, exclude):
+    def _candidates(self, shard: int, lists, exclude):
         """``(ids, local, base_sel, delta_sel)`` of a shard's candidates.
 
         ``local`` indexes the shard's slabs (delta rows offset by the
         base row count); the two selections index the base and delta
         side tables and are None where that side has no candidate.
         """
-        base_sel, ids = self._base_candidates(shard, lists, allowed, exclude)
-        delta_sel, dids = self._delta_candidates(
-            shard, lists, allowed, exclude
-        )
+        base_sel, ids = self._base_candidates(shard, lists, exclude)
+        delta_sel, dids = self._delta_candidates(shard, lists, exclude)
         if base_sel is None and delta_sel is None:
             return (
                 np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp),
@@ -953,7 +943,6 @@ class ShardPackedBase:
         self,
         shard: int,
         lists: np.ndarray,
-        allowed: np.ndarray | None,
         exclude: np.ndarray | None,
     ) -> "tuple[np.ndarray | None, np.ndarray | None]":
         """Masked (local indices, global ids) of base-block candidates."""
@@ -968,7 +957,7 @@ class ShardPackedBase:
             return None, None
         local = np.concatenate(parts) if len(parts) > 1 else parts[0]
         ids = shard_ids[local]
-        mask = self._candidate_mask(ids, allowed, exclude)
+        mask = self._candidate_mask(ids, exclude)
         if mask is not None:
             local = local[mask]
             ids = ids[mask]
@@ -980,7 +969,6 @@ class ShardPackedBase:
         self,
         shard: int,
         lists: np.ndarray,
-        allowed: np.ndarray | None,
         exclude: np.ndarray | None,
     ) -> "tuple[np.ndarray | None, np.ndarray | None]":
         """Masked (delta indices, global ids) of delta-segment candidates.
@@ -999,7 +987,7 @@ class ShardPackedBase:
         if sel.size == 0:
             return None, None
         ids = self._dids[shard].view[sel]
-        mask = self._candidate_mask(ids, allowed, exclude)
+        mask = self._candidate_mask(ids, exclude)
         if mask is not None:
             sel = sel[mask]
             ids = ids[mask]
@@ -1008,18 +996,12 @@ class ShardPackedBase:
         return sel, ids
 
     def _candidate_mask(
-        self,
-        ids: np.ndarray,
-        allowed: np.ndarray | None,
-        exclude: np.ndarray | None,
+        self, ids: np.ndarray, exclude: np.ndarray | None
     ) -> np.ndarray | None:
-        """Combined admissibility/tombstone mask, or None to keep all."""
+        """Combined exclusion/tombstone mask, or None to keep all."""
         mask = None
-        if allowed is not None:
-            mask = allowed[ids]
         if exclude is not None and exclude.size:
-            drop = _not_among(ids, exclude)
-            mask = drop if mask is None else mask & drop
+            mask = _not_among(ids, exclude)
         if self._tombstones_since:
             live = ~self._tombstone[ids]
             mask = live if mask is None else mask & live
@@ -1028,26 +1010,20 @@ class ShardPackedBase:
         return mask
 
     def list_head(
-        self,
-        shard: int,
-        list_id: int,
-        n: int,
-        allowed: np.ndarray | None = None,
+        self, shard: int, list_id: int, n: int
     ) -> "tuple[np.ndarray, np.ndarray]":
         """The first ``n`` candidates :meth:`gather` returns for one
         list, as ``(ids, rows)`` with full-width float32 rows (copies).
 
-        These are ``index.list_members(list_id)[allowed][:n]`` of the
-        index the layout reflects: the base packs a list's live members
-        in insertion order and the delta segment appends later ones in
-        arrival order. With no filter and no tombstone since the build,
-        a head the base range holds is that range's start.
+        These are ``index.list_members(list_id)[:n]`` of the index the
+        layout reflects: the base packs a list's live members in
+        insertion order and the delta segment appends later ones in
+        arrival order. With no tombstone since the build, a head the
+        base range holds is that range's start.
         """
         start, stop = self._list_start[list_id], self._list_stop[list_id]
-        if (
-            allowed is None
-            and not self._tombstones_since
-            and (stop - start >= n or not len(self._dids[shard]))
+        if not self._tombstones_since and (
+            stop - start >= n or not len(self._dids[shard])
         ):
             stop = min(stop, start + n)
             rows = [slab[start:stop] for slab in self._rows[shard]]
@@ -1056,7 +1032,7 @@ class ShardPackedBase:
                 np.concatenate(rows, axis=1),
             )
         ids, local, _, delta_sel = self._candidates(
-            shard, np.array([list_id]), allowed, None
+            shard, np.array([list_id]), None
         )
         slabs = self._slabs(self._rows, self._drows, shard, delta_sel)
         return ids[:n], slabs.rows(local[:n])
@@ -1065,7 +1041,6 @@ class ShardPackedBase:
         self,
         shard: int,
         member_lists: "list[np.ndarray]",
-        allowed: np.ndarray | None,
         excludes: "list[tuple[int, np.ndarray]]",
         codes: bool = False,
     ) -> "tuple[list[_ListRows], list[CandidatePart]]":
@@ -1075,7 +1050,7 @@ class ShardPackedBase:
 
         Index work only, and per *distinct* probed list rather than per
         (member, list) pair: each list's base range, id and norm views,
-        and one row mask (:meth:`gather`'s filter and tombstone terms).
+        and one row mask (:meth:`gather`'s tombstone term).
         Prewarm exclusion is the one per-member term. A member's
         prewarmed ids are the head of its nearest probed list
         (:meth:`list_head`), so it applies to that one block only.
@@ -1117,15 +1092,15 @@ class ShardPackedBase:
             if stop == start:
                 continue
             ids, members = shard_ids[start:stop], owners[lo:hi]
-            live = self._candidate_mask(ids, allowed, None)
+            live = self._candidate_mask(ids, None)
             counts = np.full(
                 members.size,
                 ids.size if live is None else np.count_nonzero(live),
                 dtype=np.int64,
             )
             # Members whose nearest list this is prewarmed its head, so
-            # under one filter they share their prewarmed ids: one
-            # exclusion mask per distinct set.
+            # they share their prewarmed ids: one exclusion mask per
+            # distinct set.
             sets: dict = {}
             for member, prewarmed in nearest.get(list_id, ()):
                 cols = sets.setdefault(prewarmed.tobytes(), [prewarmed])
@@ -1144,7 +1119,7 @@ class ShardPackedBase:
             ))
         deltas = []
         for lists, (_, exclude) in zip(member_lists, excludes):
-            sel, dids = self._delta_candidates(shard, lists, allowed, exclude)
+            sel, dids = self._delta_candidates(shard, lists, exclude)
             local = np.empty(0, dtype=np.intp)
             if sel is None:
                 dids = np.empty(0, dtype=np.int64)
@@ -1157,7 +1132,6 @@ class ShardPackedBase:
         self,
         shard: int,
         lists: np.ndarray,
-        allowed: np.ndarray | None = None,
         exclude: np.ndarray | None = None,
     ) -> CandidatePart:
         """The SQ8 sibling of :meth:`gather`, same arguments.
@@ -1174,8 +1148,7 @@ class ShardPackedBase:
         if not self.has_codes:
             raise RuntimeError("layout was packed without SQ8 codes")
         return self._part(
-            shard, *self._candidates(shard, lists, allowed, exclude),
-            codes=True,
+            shard, *self._candidates(shard, lists, exclude), codes=True
         )
 
 

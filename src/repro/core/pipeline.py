@@ -306,7 +306,6 @@ class PipelineEngine(Backend):
         queries: np.ndarray,
         k: int,
         nprobe: int | None = None,
-        filter_labels: "np.ndarray | list[int] | None" = None,
         arrival_times: np.ndarray | None = None,
     ) -> tuple[SearchResult, ExecutionReport]:
         """Execute a query batch; returns answers plus a timing report.
@@ -318,8 +317,6 @@ class PipelineEngine(Backend):
             queries: ``(nq, dim)`` query batch.
             k: neighbours per query.
             nprobe: probed lists (defaults to the config's).
-            filter_labels: optional metadata labels; only vectors whose
-                label is in this set are searched.
             arrival_times: optional per-query simulated arrival
                 timestamps (ascending) for open-loop load experiments;
                 a query is not dispatched before it arrives, and its
@@ -361,7 +358,6 @@ class PipelineEngine(Backend):
         dim = index.dim
 
         probes = index.probe(queries, nprobe)
-        allowed = index.allowed_mask(filter_labels)
 
         stats = PruningStats(plan.n_dim_blocks)
         heaps: list[TopKHeap] = []
@@ -389,9 +385,7 @@ class PipelineEngine(Backend):
                 cluster.compute(
                     CLIENT_NODE, index.nlist * dim, earliest=arrival
                 )
-            query_state = self.kernel.begin_query(
-                i, queries[i], probes[i], k, allowed
-            )
+            query_state = self.kernel.begin_query(i, queries[i], probes[i], k)
             heaps.append(query_state.heap)
             if self._coverage is not None:
                 self._coverage[i, :] += query_state.prewarmed.size
@@ -410,7 +404,7 @@ class PipelineEngine(Backend):
                 shard = int(shard)
                 if skip_shards and shard in skip_shards:
                     self._fault_stats.skipped_scans += self.kernel._skip_shard(
-                        query_state, shard, allowed, self._coverage
+                        query_state, shard, self._coverage
                     )
                     continue
                 state = self._make_state(
@@ -418,7 +412,6 @@ class PipelineEngine(Backend):
                     shard=shard,
                     shard_pos=shard_pos,
                     dispatch_t=dispatch_t,
-                    allowed=allowed,
                 )
                 if state is not None:
                     states.append(state)
@@ -445,8 +438,8 @@ class PipelineEngine(Backend):
                 skipped_scans=fault_stats.skipped_scans,
                 abandoned_scans=fault_stats.abandoned_scans,
                 recall_of=lambda degraded_idx: recall_vs_healthy(
-                    self.kernel, queries, probes, k, allowed,
-                    degraded_idx, result.ids,
+                    self.kernel, queries, probes, k, degraded_idx,
+                    result.ids,
                 ),
             )
         report = ExecutionReport(
@@ -521,13 +514,12 @@ class PipelineEngine(Backend):
         shard: int,
         shard_pos: int,
         dispatch_t: float,
-        allowed: np.ndarray | None = None,
     ) -> _ScanState | None:
         """Create the scan state for one (query, shard) pair."""
         plan = self.plan
         cluster = self.cluster
         config = self.config
-        scan = self.kernel.make_scan(query_state, shard, allowed)
+        scan = self.kernel.make_scan(query_state, shard)
         if scan is None:
             return None
         candidates = scan.candidate_ids

@@ -550,7 +550,3 @@ class BuildReport:
     add_seconds: float
     preassign_seconds: float
     placement: PlacementReport
-
-    @property
-    def total_seconds(self) -> float:
-        return self.train_seconds + self.add_seconds + self.preassign_seconds

@@ -26,10 +26,6 @@ class Metric(str, enum.Enum):
     INNER_PRODUCT = "ip"
     COSINE = "cosine"
 
-    @property
-    def larger_is_better(self) -> bool:
-        return self in (Metric.INNER_PRODUCT, Metric.COSINE)
-
 
 def resolve_metric(metric: "Metric | str") -> Metric:
     """Coerce a user-supplied metric name into a :class:`Metric`.

@@ -74,10 +74,6 @@ class DimensionSlices:
         """Half-open coordinate range ``[start, stop)`` of slice ``j``."""
         return self.boundaries[j], self.boundaries[j + 1]
 
-    def slice_width(self, j: int) -> int:
-        start, stop = self.slice_range(j)
-        return stop - start
-
     def widths(self) -> tuple[int, ...]:
         return tuple(
             self.boundaries[j + 1] - self.boundaries[j]

@@ -33,10 +33,6 @@ class SearchCost:
     scan_elements: int
     candidates: int
 
-    @property
-    def total_elements(self) -> int:
-        return self.centroid_elements + self.scan_elements
-
     def simulated_seconds(self, compute_rate: float | None = None) -> float:
         """Simulated single-node time of this work.
 

@@ -92,7 +92,3 @@ class FlatIndex:
             out_ids[i] = ids
             out_dist[i] = dist
         return out_dist, out_ids
-
-    def memory_bytes(self) -> int:
-        """Bytes held by the base matrix."""
-        return int(self._base.nbytes)

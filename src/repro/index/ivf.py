@@ -148,7 +148,6 @@ class IVFFlatIndex:
         self._base_buf = GrowableArray(row_shape=(dim,), dtype=np.float32)
         self._list_ids = _InvertedLists(nlist)
         self._deleted_buf = GrowableArray(dtype=bool)
-        self._labels_buf = GrowableArray(dtype=np.int64)
         self._assign_buf = GrowableArray(dtype=np.int64)
         self._train_elements = 0
         self._add_elements = 0
@@ -199,16 +198,6 @@ class IVFFlatIndex:
     def _deleted(self, array: np.ndarray) -> None:
         self._deleted_buf = GrowableArray.adopt(np.asarray(array, dtype=bool))
 
-    @property
-    def _labels(self) -> np.ndarray:
-        return self._labels_buf.view
-
-    @_labels.setter
-    def _labels(self, array: np.ndarray) -> None:
-        self._labels_buf = GrowableArray.adopt(
-            np.asarray(array, dtype=np.int64)
-        )
-
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -251,17 +240,9 @@ class IVFFlatIndex:
         self._centroids = result.centroids
         self._train_elements = result.elements_processed
 
-    def add(
-        self, vectors: np.ndarray, labels: np.ndarray | None = None
-    ) -> None:
-        """Assign ``vectors`` to their nearest centroid's inverted list.
-
-        Args:
-            vectors: ``(n, dim)`` batch to index.
-            labels: optional per-vector int64 metadata label (e.g. a
-                tenant, category, or shard key) usable as a search
-                filter; defaults to 0.
-        """
+    def add(self, vectors: np.ndarray) -> None:
+        """Assign ``vectors`` (``(n, dim)``) to their nearest centroid's
+        inverted list."""
         if not self.is_trained:
             raise RuntimeError("train() must be called before add()")
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
@@ -270,15 +251,6 @@ class IVFFlatIndex:
                 f"expected dim {self.dim}, got vectors of dim {vectors.shape[1]}"
             )
         check_vectors(vectors, self.dim)
-        if labels is None:
-            labels = np.zeros(vectors.shape[0], dtype=np.int64)
-        else:
-            labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-            if labels.shape != (vectors.shape[0],):
-                raise ValueError(
-                    f"need one label per vector, got {labels.shape} for "
-                    f"{vectors.shape[0]} vectors"
-                )
         if self.metric is Metric.COSINE:
             vectors = normalize_rows(vectors)
         first_id = self.ntotal
@@ -288,7 +260,6 @@ class IVFFlatIndex:
         self._assignments()  # materialize before ntotal moves
         self._base_buf.append(vectors)
         self._deleted_buf.append(np.zeros(vectors.shape[0], dtype=bool))
-        self._labels_buf.append(labels)
         self._assign_buf.append(assignment)
         ids = np.arange(first_id, first_id + vectors.shape[0], dtype=np.int64)
         # Only the lists that actually received rows are touched;
@@ -367,34 +338,6 @@ class IVFFlatIndex:
         return ids
 
     # ------------------------------------------------------------------
-    # Metadata labels / filtering
-    # ------------------------------------------------------------------
-
-    def labels_of(self, ids: np.ndarray) -> np.ndarray:
-        """Metadata labels of the given ids.
-
-        Raises:
-            IndexError: for ids outside ``[0, ntotal)``.
-        """
-        return self._labels[self._validate_ids(ids)]
-
-    def allowed_mask(
-        self, filter_labels: "np.ndarray | list[int] | tuple[int, ...] | None"
-    ) -> np.ndarray | None:
-        """Per-id admissibility mask for a label filter.
-
-        Returns None when ``filter_labels`` is None (no filtering);
-        otherwise a boolean array over all ids, True where the vector's
-        label is in the filter set.
-        """
-        if filter_labels is None:
-            return None
-        wanted = np.atleast_1d(np.asarray(filter_labels, dtype=np.int64))
-        if wanted.size == 0:
-            raise ValueError("filter_labels must be non-empty when given")
-        return np.isin(self._labels, wanted)
-
-    # ------------------------------------------------------------------
     # Introspection used by the distributed engines
     # ------------------------------------------------------------------
 
@@ -431,7 +374,6 @@ class IVFFlatIndex:
         return int(
             self._base_buf.bytes_copied
             + self._deleted_buf.bytes_copied
-            + self._labels_buf.bytes_copied
             + self._assign_buf.bytes_copied
             + self._list_ids.bytes_copied
         )
@@ -482,25 +424,12 @@ class IVFFlatIndex:
             out[i] = ids
         return out
 
-    def candidates(
-        self,
-        probe_lists: np.ndarray,
-        allowed: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Union of live member ids of the probed lists, ascending.
-
-        Args:
-            probe_lists: inverted-list ids to gather from.
-            allowed: optional per-id boolean mask (see
-                :meth:`allowed_mask`); excluded ids are dropped.
-        """
+    def candidates(self, probe_lists: np.ndarray) -> np.ndarray:
+        """Union of live member ids of the probed lists, ascending."""
         parts = [self.list_members(int(lid)) for lid in probe_lists]
         if not parts:
             return np.empty(0, dtype=np.int64)
-        ids = np.sort(np.concatenate(parts))
-        if allowed is not None:
-            ids = ids[allowed[ids]]
-        return ids
+        return np.sort(np.concatenate(parts))
 
     # ------------------------------------------------------------------
     # Search
@@ -511,13 +440,11 @@ class IVFFlatIndex:
         queries: np.ndarray,
         k: int,
         nprobe: int = 1,
-        filter_labels: "np.ndarray | list[int] | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Single-node IVF search.
 
         Scans the ``nprobe`` nearest lists exhaustively and returns the
-        top ``k`` candidates per query, optionally restricted to
-        vectors whose metadata label is in ``filter_labels``.
+        top ``k`` candidates per query.
 
         Returns:
             ``(distances, ids)`` of shape ``(nq, k)``; rows are padded
@@ -532,13 +459,12 @@ class IVFFlatIndex:
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         if self.metric is Metric.COSINE:
             queries = normalize_rows(queries)
-        allowed = self.allowed_mask(filter_labels)
         probes = self.probe(queries, nprobe)
         nq = queries.shape[0]
         out_dist = np.full((nq, k), np.inf, dtype=np.float64)
         out_ids = np.full((nq, k), -1, dtype=np.int64)
         for i in range(nq):
-            cand = self.candidates(probes[i], allowed=allowed)
+            cand = self.candidates(probes[i])
             if cand.size == 0:
                 continue
             block = self._base[cand]
@@ -571,7 +497,6 @@ class IVFFlatIndex:
             "centroids": self._centroids,
             "assignment": self._assignments(),
             "deleted": self._deleted,
-            "labels": self._labels,
             "meta": np.array(
                 [self.dim, self.nlist, self.seed, self.max_iterations,
                  self._train_elements, self._add_elements],
@@ -584,14 +509,14 @@ class IVFFlatIndex:
         """Adopt :meth:`state_arrays` output (a mapping or an open
         ``.npz``) into this index, constructed with the same ``dim`` /
         ``nlist`` / ``metric``. A file written before the build-stat
-        counters were stored leaves them at zero."""
+        counters were stored leaves them at zero; one written with the
+        retired per-vector ``labels`` array loads, ignoring it."""
         if "meta" in data:
             self._train_elements = int(data["meta"][4])
             self._add_elements = int(data["meta"][5])
         self._centroids = data["centroids"]
         self._base = data["base"]
         self._deleted = data["deleted"]
-        self._labels = data["labels"]
         assignment = data["assignment"]
         for list_id in range(self.nlist):
             # Ids within a list are ascending == insertion order.
@@ -634,48 +559,6 @@ class IVFFlatIndex:
         if ids.size and (ids.min() < 0 or ids.max() >= self.ntotal):
             raise IndexError(f"ids must be in [0, {self.ntotal})")
         return self._base[ids].copy()
-
-    def range_search(
-        self,
-        queries: np.ndarray,
-        radius: float,
-        nprobe: int = 1,
-        filter_labels: "np.ndarray | list[int] | None" = None,
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """All candidates within a score radius, per query.
-
-        Scores follow the library convention (squared L2, or negated
-        similarity), so ``radius`` is a squared-L2 distance for L2 and
-        ``-min_similarity`` for IP/cosine. Like :meth:`search`, only
-        the ``nprobe`` nearest lists are scanned — standard IVF range
-        semantics.
-
-        Returns:
-            One ``(ids, scores)`` pair per query, ids ascending.
-        """
-        if self.ntotal == 0:
-            raise RuntimeError("range_search on empty index")
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        if self.metric is Metric.COSINE:
-            queries = normalize_rows(queries)
-        allowed = self.allowed_mask(filter_labels)
-        probes = self.probe(queries, nprobe)
-        out: list[tuple[np.ndarray, np.ndarray]] = []
-        for i in range(queries.shape[0]):
-            cand = self.candidates(probes[i], allowed=allowed)
-            if cand.size == 0:
-                out.append(
-                    (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-                )
-                continue
-            block = self._base[cand]
-            if self.metric is Metric.L2:
-                scores = pairwise_squared_l2(queries[i : i + 1], block)[0]
-            else:
-                scores = -pairwise_inner_product(queries[i : i + 1], block)[0]
-            keep = scores <= radius
-            out.append((cand[keep], scores[keep]))
-        return out
 
     def memory_report(self) -> dict[str, int]:
         """Byte counts of the index components (paper Table 4 substrate)."""

@@ -48,7 +48,6 @@ def check_exactness(
     queries: np.ndarray,
     k: int = 10,
     nprobe: int | None = None,
-    filter_labels: "np.ndarray | list[int] | None" = None,
 ) -> ExactnessReport:
     """Verify a deployment against the serial reference backend.
 
@@ -60,8 +59,6 @@ def check_exactness(
         db: a built deployment.
         queries: query batch to verify with.
         k / nprobe: search parameters (nprobe defaults to the config's).
-        filter_labels: optional metadata label filter applied to both
-            executions.
 
     Raises:
         RuntimeError: if ``db`` is not built.
@@ -70,15 +67,11 @@ def check_exactness(
         raise RuntimeError("build() must be called before validation")
     nprobe = nprobe if nprobe is not None else db.config.nprobe
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-    result, _ = db.search(
-        queries, k=k, nprobe=nprobe, filter_labels=filter_labels
-    )
+    result, _ = db.search(queries, k=k, nprobe=nprobe)
     oracle = SerialBackend(
         db.index, plan=db.plan, prewarm_size=0, enable_pruning=False
     )
-    reference = oracle.search(
-        queries, k=k, nprobe=nprobe, filter_labels=filter_labels
-    )
+    reference = oracle.search(queries, k=k, nprobe=nprobe)
     id_rows = np.all(result.ids == reference.ids, axis=1)
     dist_rows = np.all(
         np.isclose(

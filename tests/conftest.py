@@ -5,10 +5,10 @@ threads."""
 from __future__ import annotations
 
 import gc
-import glob
 import multiprocessing
 import os
 import threading
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -20,10 +20,27 @@ from repro.data.synthetic import gaussian_blobs
 from repro.index.ivf import IVFFlatIndex
 
 
-def _resources() -> "tuple[set[str], set[int], set[threading.Thread]]":
-    """Shared-memory segments, live child processes and live threads."""
+#: Names of the shared-memory segments this process created, in order.
+#: Pool workers only attach to segments, so every segment a test can
+#: leak is created here; segments other processes on the machine make
+#: (a benchmark run from another checkout) are never listed.
+_CREATED_SEGMENTS: "list[str]" = []
+_create_segment = shared_memory.SharedMemory.__init__
+
+
+def _recording_init(self, name=None, create=False, size=0, **options):
+    _create_segment(self, name, create, size, **options)
+    if create:
+        _CREATED_SEGMENTS.append(self.name)
+
+
+shared_memory.SharedMemory.__init__ = _recording_init
+
+
+def _resources() -> "tuple[int, set[int], set[threading.Thread]]":
+    """Segments created so far, live child processes and live threads."""
     return (
-        set(glob.glob("/dev/shm/psm_*")),
+        len(_CREATED_SEGMENTS),
         {child.pid for child in multiprocessing.active_children()},
         set(threading.enumerate()),
     )
@@ -31,7 +48,7 @@ def _resources() -> "tuple[set[str], set[int], set[threading.Thread]]":
 
 @pytest.fixture(autouse=True)
 def no_leaked_segment_or_process(request):
-    """Fail the test that leaves a new ``/dev/shm/psm_*`` segment, a
+    """Fail the test that leaves a shared-memory segment it created, a
     new child process or a new live thread behind.
 
     Every ``HarmonyDB``, backend and ``HarmonyServer`` is a context
@@ -42,11 +59,14 @@ def no_leaked_segment_or_process(request):
     given that one chance: ``gc.collect()`` runs only when the first
     look finds something.
     """
-    segments, children, threads = _resources()
+    created, children, threads = _resources()
     yield
     for attempt in range(2):
-        now_segments, now_children, now_threads = _resources()
-        leaked = sorted(now_segments - segments) + [
+        _, now_children, now_threads = _resources()
+        leaked = sorted(
+            name for name in _CREATED_SEGMENTS[created:]
+            if os.path.exists(os.path.join("/dev/shm", name))
+        ) + [
             f"child pid {pid}" for pid in sorted(now_children - children)
         ] + sorted(
             f"thread {thread.name!r}" for thread in now_threads - threads

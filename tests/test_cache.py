@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cache import CacheHit, ResultCache, make_filter_key
+from repro.cache import CacheHit, ResultCache
 from repro.core.config import HarmonyConfig
 from repro.obs.metrics import MetricsRegistry, report_metrics
 
@@ -32,27 +32,16 @@ def _answer(k: int = 5, offset: int = 0):
     return ids, distances
 
 
-def _insert(cache, query, offset=0, k=5, nprobe=4, generation=GEN_A,
-            filter_key=None):
+def _insert(cache, query, offset=0, k=5, nprobe=4, generation=GEN_A):
     ids, distances = _answer(k, offset)
-    cache.insert(query, k, nprobe, "l2", filter_key, generation,
-                 ids, distances)
+    cache.insert(query, k, nprobe, "l2", generation, ids, distances)
     return ids, distances
 
 
 def _lookup(cache, query, k=5, nprobe=4, generation=GEN_A,
-            filter_key=None, record_miss=True):
-    return cache.lookup(query, k, nprobe, "l2", filter_key, generation,
+            record_miss=True):
+    return cache.lookup(query, k, nprobe, "l2", generation,
                         record_miss=record_miss)
-
-
-class TestFilterKey:
-    def test_none_passthrough(self):
-        assert make_filter_key(None) is None
-
-    def test_order_and_duplicates_canonicalized(self):
-        assert make_filter_key([3, 1, 3]) == (1, 3)
-        assert make_filter_key((1, 3)) == make_filter_key(np.array([3, 1]))
 
 
 class TestExactTier:
@@ -77,8 +66,7 @@ class TestExactTier:
         _insert(cache, q)
         assert _lookup(cache, q, k=7) is None
         assert _lookup(cache, q, nprobe=8) is None
-        assert cache.lookup(q, 5, 4, "cosine", None, GEN_A) is None
-        assert _lookup(cache, q, filter_key=(1, 2)) is None
+        assert cache.lookup(q, 5, 4, "cosine", GEN_A) is None
         assert _lookup(cache, q) is not None
 
     def test_advisory_probe_does_not_count_miss(self):
@@ -102,7 +90,7 @@ class TestExactTier:
         cache = ResultCache(max_entries=8)
         q = _query(4)
         ids, distances = _answer()
-        cache.insert(q, 5, 4, "l2", None, GEN_A, ids, distances)
+        cache.insert(q, 5, 4, "l2", GEN_A, ids, distances)
         ids[:] = -1
         distances[:] = -1.0
         hit = _lookup(cache, q)
@@ -257,35 +245,6 @@ class TestDatabaseIntegration:
         finally:
             cached.close()
             plain.close()
-
-    def test_filtered_searches_keyed_separately(
-        self, tiny_data, tiny_queries
-    ):
-        from repro.core.database import HarmonyDB
-
-        labels = (np.arange(tiny_data.shape[0]) % 3).astype(np.int64)
-        db = HarmonyDB(
-            dim=tiny_data.shape[1],
-            config=HarmonyConfig(
-                n_machines=4, nlist=16, nprobe=4, enable_cache=True, seed=0
-            ),
-        )
-        db.build(tiny_data, sample_queries=tiny_queries, labels=labels)
-        try:
-            plain, _ = db.search(tiny_queries, k=5)
-            filtered, report = db.search(
-                tiny_queries, k=5, filter_labels=[1]
-            )
-            # The filter is part of the key: no cross-contamination.
-            assert report.result_cache_hits == 0
-            assert not np.array_equal(plain.ids, filtered.ids)
-            warm, warm_report = db.search(
-                tiny_queries, k=5, filter_labels=np.array([1])
-            )
-            np.testing.assert_array_equal(warm.ids, filtered.ids)
-            assert warm_report.result_cache_hits == tiny_queries.shape[0]
-        finally:
-            db.close()
 
     def test_mutation_invalidates_and_recovers(
         self, tiny_data, tiny_queries

@@ -46,13 +46,6 @@ class TestNetworkModel:
             net.transfer_time(1000) * NONBLOCKING_SENDER_SHARE
         )
 
-    def test_with_mode_copies(self):
-        net = NetworkModel(mode=CommMode.NONBLOCKING)
-        blocking = net.with_mode(CommMode.BLOCKING)
-        assert blocking.mode is CommMode.BLOCKING
-        assert net.mode is CommMode.NONBLOCKING
-        assert blocking.bandwidth_bytes_per_s == net.bandwidth_bytes_per_s
-
     def test_monotone_in_size(self):
         net = NetworkModel()
         assert net.transfer_time(2000) > net.transfer_time(1000)

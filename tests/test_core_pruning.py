@@ -433,12 +433,9 @@ class TestSlabFedScanIsBitIdentical:
             [Metric.L2, Metric.INNER_PRODUCT, Metric.COSINE]
         ),
         sq8=st.booleans(),
-        filtered=st.booleans(),
         n_blocks=st.sampled_from([2, 3, 4]),
     )
-    def test_per_slice_accumulated_bits(
-        self, seed, metric, sq8, filtered, n_blocks
-    ):
+    def test_per_slice_accumulated_bits(self, seed, metric, sq8, n_blocks):
         from repro.core.executor.kernel import ScanKernel, open_scan
         from repro.core.partition import build_plan
         from repro.index.ivf import IVFFlatIndex
@@ -461,14 +458,13 @@ class TestSlabFedScanIsBitIdentical:
         index.add(rng.standard_normal((20, dim)).astype(np.float32))
         index.remove_ids(rng.choice(240, size=10, replace=False))
         layout = kernel.packed_base()
-        allowed = rng.random(index.ntotal) < 0.7 if filtered else None
         query = kernel.prepare_queries(
             rng.standard_normal(dim).astype(np.float32)
         )[0]
         state = kernel.begin_query(
-            0, query, index.probe(query[None, :], 4)[0], 5, allowed
+            0, query, index.probe(query[None, :], 4)[0], 5
         )
-        part = kernel._gather_candidates(state, 0, allowed)
+        part = kernel._gather_candidates(state, 0)
         if part is None:
             return
         scan = open_scan(

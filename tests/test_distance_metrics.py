@@ -19,11 +19,6 @@ class TestMetricEnum:
         assert Metric.INNER_PRODUCT.value == "ip"
         assert Metric.COSINE.value == "cosine"
 
-    def test_larger_is_better(self):
-        assert not Metric.L2.larger_is_better
-        assert Metric.INNER_PRODUCT.larger_is_better
-        assert Metric.COSINE.larger_is_better
-
     def test_resolve_from_string(self):
         assert resolve_metric("l2") is Metric.L2
         assert resolve_metric("IP") is Metric.INNER_PRODUCT

@@ -70,12 +70,6 @@ class TestDegenerateDeployments:
         result, _ = db.search(queries, k=5)
         assert np.all(result.ids == -1)
 
-    def test_filter_matching_nothing(self, small):
-        data, queries = small
-        db = build(data, queries)
-        result, _ = db.search(queries, k=5, filter_labels=[12345])
-        assert np.all(result.ids == -1)
-
     def test_prewarm_larger_than_list(self, small):
         """Prewarm gracefully caps at the nearest list's size."""
         data, queries = small

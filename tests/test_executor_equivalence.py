@@ -2,8 +2,8 @@
 
 The executor refactor's contract: every backend runs the one shared
 ``ScanKernel``, so ids and distances are byte-identical across
-execution substrates — for every metric, filter, prewarm size, and
-after arbitrary add/remove mutation sequences.
+execution substrates — for every metric, prewarm size, and after
+arbitrary add/remove mutation sequences.
 
 The simulated engine is compared in two configurations: with canonical
 slice ordering (pipeline/load-balance ablations off) its float
@@ -34,7 +34,6 @@ from repro.distance.metrics import Metric
 from repro.index.ivf import IVFFlatIndex
 
 METRICS = [Metric.L2, Metric.INNER_PRODUCT, Metric.COSINE]
-N_LABELS = 4
 
 
 def make_index(metric, n=400, dim=24, nlist=16, seed=0):
@@ -42,7 +41,7 @@ def make_index(metric, n=400, dim=24, nlist=16, seed=0):
     base = rng.standard_normal((n, dim)).astype(np.float32)
     index = IVFFlatIndex(dim=dim, nlist=nlist, metric=metric, seed=0)
     index.train(base)
-    index.add(base, labels=rng.integers(0, N_LABELS, n))
+    index.add(base)
     return index
 
 
@@ -86,19 +85,20 @@ def assert_equivalent(results, ids_ref, dist_ref, bitwise):
 @pytest.mark.parametrize("precision", ["fp32", "sq8"])
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("prewarm", [0, 32])
-@pytest.mark.parametrize("filtered", [False, True])
-def test_three_backends_identical(metric, prewarm, filtered, precision):
+@pytest.mark.parametrize("tombstoned", [False, True])
+def test_three_backends_identical(metric, prewarm, tombstoned, precision):
     """All backends == the serial fp32 oracle, under either precision.
 
     The sq8 rows are the dual-representation contract: quantized
     candidate generation with exact fp32 re-ranking must stay
     *byte-identical* to the full-precision serial scan on every
-    backend.
+    backend. The tombstoned rows delete every third id after every
+    backend packed its layout, so each scan also reads the tombstone
+    mask its layout absorbed in place.
     """
     index = make_index(metric)
     queries = make_queries(index.dim)
     plan = build_plan(index, n_machines=4, n_vector_shards=2, n_dim_blocks=2)
-    filter_labels = [0, 2] if filtered else None
 
     # The oracle is ALWAYS the serial fp32 scan, even on sq8 rows.
     oracle = SerialBackend(index, plan=plan, prewarm_size=prewarm)
@@ -112,18 +112,24 @@ def test_three_backends_identical(metric, prewarm, filtered, precision):
         index, plan, prewarm, canonical_order=False, scan_precision=precision
     )
 
-    kwargs = dict(k=5, nprobe=4, filter_labels=filter_labels)
-    reference = oracle.search(queries, **kwargs)
+    kwargs = dict(k=5, nprobe=4)
     with ProcessBackend(
         index, plan=plan, n_workers=2, prewarm_size=prewarm,
         scan_precision=precision,
     ) as process:
-        results = {
-            "serial": serial.search(queries, **kwargs),
-            "process": process.search(queries, **kwargs),
-            "sim-canonical": sim_canonical.run(queries, **kwargs)[0],
-            "sim-default": sim_default.run(queries, **kwargs)[0],
-        }
+
+        def search_all():
+            return oracle.search(queries, **kwargs), {
+                "serial": serial.search(queries, **kwargs),
+                "process": process.search(queries, **kwargs),
+                "sim-canonical": sim_canonical.run(queries, **kwargs)[0],
+                "sim-default": sim_default.run(queries, **kwargs)[0],
+            }
+
+        reference, results = search_all()
+        if tombstoned:
+            index.remove_ids(np.arange(0, index.ntotal, 3))
+            reference, results = search_all()
         assert not process.fallback_active
     assert_equivalent(
         results,
@@ -156,7 +162,7 @@ def test_backends_identical_after_mutations(metric, precision):
     ) as process:
         for step in range(3):
             extra = rng.standard_normal((40, index.dim)).astype(np.float32)
-            index.add(extra, labels=rng.integers(0, N_LABELS, 40))
+            index.add(extra)
             alive = np.flatnonzero(~index._deleted)
             index.remove_ids(rng.choice(alive, size=15, replace=False))
 
@@ -204,42 +210,88 @@ def test_resolve_backend_names():
 @pytest.mark.parametrize("precision", ["fp32", "sq8"])
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("prewarm", [0, 32])
-@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize("tombstoned", [False, True])
 def test_batched_search_matches_per_query_loop(
-    metric, prewarm, filtered, precision
+    metric, prewarm, tombstoned, precision
 ):
     """search_batch == looping search_one, bitwise, on both host backends.
 
     The looped reference stays the fp32 serial loop, so the sq8 rows
     additionally pin batched quantized scans to the full-precision
-    oracle.
+    oracle. The tombstoned rows delete every third id after every
+    layout is packed, as in :func:`test_three_backends_identical`.
     """
     index = make_index(metric)
     queries = make_queries(index.dim, nq=16)
     plan = build_plan(index, n_machines=4, n_vector_shards=2, n_dim_blocks=2)
-    kwargs = dict(
-        k=5, nprobe=4, filter_labels=[0, 2] if filtered else None
-    )
-
-    looped = SerialBackend(
-        index, plan=plan, prewarm_size=prewarm, batch_queries=False
-    ).search(queries, **kwargs)
+    kwargs = dict(k=5, nprobe=4)
+    options = dict(plan=plan, prewarm_size=prewarm)
+    oracle = SerialBackend(index, batch_queries=False, **options)
+    backends = {
+        "looped-serial": SerialBackend(
+            index, batch_queries=False, scan_precision=precision, **options
+        ),
+        "batched-serial": SerialBackend(
+            index, batch_queries=True, scan_precision=precision, **options
+        ),
+    }
     with ProcessBackend(
-        index, plan=plan, n_workers=2, prewarm_size=prewarm,
-        batch_queries=True, scan_precision=precision,
+        index, n_workers=2, batch_queries=True, scan_precision=precision,
+        **options,
     ) as process:
+        backends["batched-process"] = process
+        if tombstoned:
+            for backend in (oracle, *backends.values()):
+                backend.search(queries, **kwargs)
+            index.remove_ids(np.arange(0, index.ntotal, 3))
+        looped = oracle.search(queries, **kwargs)
         results = {
-            "looped-serial": SerialBackend(
-                index, plan=plan, prewarm_size=prewarm, batch_queries=False,
-                scan_precision=precision,
-            ).search(queries, **kwargs),
-            "batched-serial": SerialBackend(
-                index, plan=plan, prewarm_size=prewarm, batch_queries=True,
-                scan_precision=precision,
-            ).search(queries, **kwargs),
-            "batched-process": process.search(queries, **kwargs),
+            name: backend.search(queries, **kwargs)
+            for name, backend in backends.items()
         }
     assert_equivalent(results, looped.ids, looped.distances, bitwise={})
+
+
+@pytest.mark.parametrize("precision", ["fp32", "sq8"])
+@pytest.mark.parametrize("metric", METRICS)
+def test_list_major_groups_over_tombstones_equal_looped(metric, precision):
+    """A shard-group read list by list over lists its layout tombstoned
+    in place — blocks whose ``live`` mask is partial — answers as the
+    per-query loop does, bit for bit, in-process and on the pool. The
+    spy shows such a block was read."""
+    index = make_index(metric, n=300, dim=9, nlist=8)
+    plan = build_plan(index, n_machines=2, n_vector_shards=1, n_dim_blocks=2)
+    options = dict(plan=plan, prewarm_size=8, auto_compact=False)
+    looped = SerialBackend(index, batch_queries=False, **options)
+    fused = SerialBackend(
+        index, batch_queries=True, scan_precision=precision, **options
+    )
+    queries = make_queries(index.dim, nq=32, seed=4)
+    kwargs = dict(k=5, nprobe=4)
+    blocks = []
+    list_rows = ShardPackedBase._list_rows
+
+    def spied(layout, *args, **kw):
+        out = list_rows(layout, *args, **kw)
+        blocks.extend(out[0])
+        return out
+
+    with ProcessBackend(
+        index, n_workers=2, scan_precision=precision, **options
+    ) as process:
+        for backend in (looped, fused, process):
+            backend.search(queries, **kwargs)  # layouts packed first
+        index.remove_ids(np.arange(0, index.ntotal, 3))
+        reference = looped.search(queries, **kwargs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ShardPackedBase, "_list_rows", spied)
+            results = {"fused": fused.search(queries, **kwargs)}
+        results["process"] = process.search(queries, **kwargs)
+        assert process._shared_layout.tombstones_since == 100
+    assert any(
+        block.live is not None and not block.live.all() for block in blocks
+    )
+    assert_equivalent(results, reference.ids, reference.distances, {})
 
 
 @pytest.mark.parametrize("precision", ["fp32", "sq8"])
@@ -301,7 +353,6 @@ def test_process_degraded_mode_parity(metric, batch_queries, precision):
     prewarm=st.sampled_from([0, 8, 32]),
     nprobe=st.integers(1, 8),
     k=st.integers(1, 12),
-    filtered=st.booleans(),
     mutate=st.booleans(),
 )
 def test_property_batched_equals_looped(
@@ -312,7 +363,6 @@ def test_property_batched_equals_looped(
     prewarm,
     nprobe,
     k,
-    filtered,
     mutate,
 ):
     """For ANY small deployment — including after streaming mutations
@@ -322,7 +372,7 @@ def test_property_batched_equals_looped(
     rng = np.random.default_rng(seed + 2)
     if mutate:
         extra = rng.standard_normal((25, index.dim)).astype(np.float32)
-        index.add(extra, labels=rng.integers(0, N_LABELS, 25))
+        index.add(extra)
         alive = np.flatnonzero(~index._deleted)
         index.remove_ids(rng.choice(alive, size=10, replace=False))
     queries = make_queries(index.dim, nq=6, seed=seed + 1)
@@ -332,9 +382,7 @@ def test_property_batched_equals_looped(
         n_vector_shards=n_vector_shards,
         n_dim_blocks=n_dim_blocks,
     )
-    kwargs = dict(
-        k=k, nprobe=nprobe, filter_labels=[1, 3] if filtered else None
-    )
+    kwargs = dict(k=k, nprobe=nprobe)
 
     looped = SerialBackend(
         index, plan=plan, prewarm_size=prewarm, batch_queries=False
@@ -365,12 +413,11 @@ def test_property_batched_equals_looped(
     prewarm=st.sampled_from([0, 8, 32]),
     nprobe=st.integers(1, 8),
     k=st.integers(1, 12),
-    filtered=st.booleans(),
     precision=st.sampled_from(["fp32", "sq8"]),
 )
 def test_property_backend_equivalence(
     seed, metric, n_vector_shards, n_dim_blocks, prewarm, nprobe, k,
-    filtered, precision,
+    precision,
 ):
     """For ANY small deployment, all backends agree byte-for-byte with
     the fp32 serial oracle — under either scan precision."""
@@ -382,8 +429,7 @@ def test_property_backend_equivalence(
         n_vector_shards=n_vector_shards,
         n_dim_blocks=n_dim_blocks,
     )
-    filter_labels = [1, 3] if filtered else None
-    kwargs = dict(k=k, nprobe=nprobe, filter_labels=filter_labels)
+    kwargs = dict(k=k, nprobe=nprobe)
 
     oracle = SerialBackend(index, plan=plan, prewarm_size=prewarm)
     serial = SerialBackend(
@@ -416,11 +462,10 @@ def test_property_backend_equivalence(
     nq=st.integers(1, _MIN_CHUNK + 1),
     precision=st.sampled_from(["fp32", "sq8"]),
     mutate=st.booleans(),
-    filtered=st.booleans(),
     failed=st.sampled_from([None, 0, 1, 2, 3]),
 )
 def test_property_small_searches_equal_serial(
-    seed, nq, precision, mutate, filtered, failed
+    seed, nq, precision, mutate, failed
 ):
     """A search of 1 … ``_MIN_CHUNK + 1`` queries on a warm pool: the
     parent runs it when it is at most ``_MIN_CHUNK`` queries, the pool
@@ -443,7 +488,7 @@ def test_property_small_searches_equal_serial(
             backend.search(warm, k=5, nprobe=4)  # pool up, layout in shm
         if mutate:
             extra = rng.standard_normal((25, index.dim)).astype(np.float32)
-            index.add(extra, labels=rng.integers(0, N_LABELS, 25))
+            index.add(extra)
             alive = np.flatnonzero(~index._deleted)
             index.remove_ids(rng.choice(alive, size=10, replace=False))
         if failed is not None:
@@ -459,9 +504,7 @@ def test_property_small_searches_equal_serial(
 
         process._run_tasks = counted_run_tasks
         queries = make_queries(index.dim, nq=nq, seed=seed + 1)
-        kwargs = dict(
-            k=5, nprobe=4, filter_labels=[1, 3] if filtered else None
-        )
+        kwargs = dict(k=5, nprobe=4)
         reference, serial_report = serial.run(queries, **kwargs)
         result, process_report = process.run(queries, **kwargs)
         assert len(pool_runs) == int(nq > _MIN_CHUNK)
@@ -495,14 +538,13 @@ def test_property_small_searches_equal_serial(
     n_dim_blocks=st.integers(1, 3),
     prewarm=st.sampled_from([0, 8, 32]),
     k=st.integers(1, 12),
-    filtered=st.booleans(),
     mutate=st.booleans(),
     n_large=st.integers(16, 40),
     precision=st.sampled_from(["fp32", "sq8"]),
 )
 def test_property_both_group_sources_equal_looped(
-    seed, metric, n_vector_shards, n_dim_blocks, prewarm, k, filtered,
-    mutate, n_large, precision,
+    seed, metric, n_vector_shards, n_dim_blocks, prewarm, k, mutate,
+    n_large, precision,
 ):
     """Shard-groups on both sides of the sharing rule answer as the
     per-query loop does, bit for bit, in either scan precision — also
@@ -522,14 +564,14 @@ def test_property_both_group_sources_equal_looped(
     fused = SerialBackend(
         index, batch_queries=True, scan_precision=precision, **options
     )
-    kwargs = dict(k=k, nprobe=4, filter_labels=[1, 3] if filtered else None)
+    kwargs = dict(k=k, nprobe=4)
     warm = make_queries(index.dim, nq=4, seed=seed + 3)
     for backend in (looped, fused):
         backend.search(warm, **kwargs)  # layouts built before mutating
     if mutate:
         rng = np.random.default_rng(seed + 2)
         extra = rng.standard_normal((25, index.dim)).astype(np.float32)
-        index.add(extra, labels=rng.integers(0, N_LABELS, 25))
+        index.add(extra)
         alive = np.flatnonzero(~index._deleted)
         index.remove_ids(rng.choice(alive, size=10, replace=False))
     ran = {"gather": 0, "lists": 0}

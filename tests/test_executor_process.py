@@ -25,15 +25,13 @@ from repro.core.partition import build_plan
 from repro.distance.metrics import Metric
 from repro.index.ivf import IVFFlatIndex
 
-N_LABELS = 4
-
 
 def make_index(metric=Metric.L2, n=400, dim=24, nlist=16, seed=0):
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((n, dim)).astype(np.float32)
     index = IVFFlatIndex(dim=dim, nlist=nlist, metric=metric, seed=0)
     index.train(base)
-    index.add(base, labels=rng.integers(0, N_LABELS, n))
+    index.add(base)
     return index
 
 
@@ -315,10 +313,7 @@ def test_shared_layout_absorbs_mutations_without_rehoming():
         backend.search(queries, k=5, nprobe=4)
         assert backend.shm_base_rehomes == 1  # the initial build
         name_before = backend._shared_layout.shm_name
-        index.add(
-            rng.standard_normal((30, index.dim)).astype(np.float32),
-            labels=rng.integers(0, N_LABELS, 30),
-        )
+        index.add(rng.standard_normal((30, index.dim)).astype(np.float32))
         got = backend.search(queries, k=5, nprobe=4)
         assert backend._shared_layout.shm_name == name_before
         assert backend.shm_base_rehomes == 1
@@ -341,10 +336,7 @@ def test_shared_layout_rehomes_on_compaction():
     with ProcessBackend(index, plan=plan, n_workers=2) as backend:
         backend.search(queries, k=5, nprobe=4)
         name_before = backend._shared_layout.shm_name
-        index.add(
-            rng.standard_normal((30, index.dim)).astype(np.float32),
-            labels=rng.integers(0, N_LABELS, 30),
-        )
+        index.add(rng.standard_normal((30, index.dim)).astype(np.float32))
         backend.search(queries, k=5, nprobe=4)
         stats = backend.kernel.compact()
         assert stats["compacted"] is True

@@ -102,9 +102,3 @@ class TestFlatIndexOtherMetrics:
         index.add(base)
         _, ids = index.search(np.array([0.0, 0.001]), k=1)
         assert ids[0, 0] == 1
-
-    def test_memory_bytes_tracks_base(self):
-        index = FlatIndex(dim=8)
-        assert index.memory_bytes() == 0
-        index.add(np.ones((10, 8), dtype=np.float32))
-        assert index.memory_bytes() == 10 * 8 * 4

@@ -175,7 +175,7 @@ class TestStreamingWrites:
         logical = (
             ix.memory_report()["base_vectors"]
             + ix.memory_report()["inverted_list_ids"]
-            + ix.ntotal * (8 + 8 + 1)  # labels, assignments, tombstones
+            + ix.ntotal * (8 + 1)  # assignments, tombstones
         )
         # What the old np.vstack/np.concatenate-per-call path moved:
         # every batch recopied everything before it.
@@ -200,15 +200,9 @@ class TestStreamingWrites:
         with pytest.raises(IndexError, match=r"ids must be in \[0,"):
             index.is_deleted([-1])
 
-    def test_labels_of_validates_range(self, index):
-        with pytest.raises(IndexError, match=r"ids must be in \[0,"):
-            index.labels_of([index.ntotal + 3])
-        with pytest.raises(IndexError, match=r"ids must be in \[0,"):
-            index.labels_of([-2, 0])
-
     def test_valid_ids_still_work(self, index):
         assert not index.is_deleted([0, index.ntotal - 1]).any()
-        assert index.labels_of([0]).shape == (1,)
+        assert index.assignment_of([0]).shape == (1,)
 
     def test_uid_distinguishes_reloaded_index(self, data, tmp_path):
         ix = IVFFlatIndex(dim=16, nlist=8, seed=0)

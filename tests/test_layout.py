@@ -71,7 +71,10 @@ class TestBuildAndGather:
         plan = make_plan(index)
         packed = ShardPackedBase.build(index, plan)
         assert packed.n_shards == 2
-        total = sum(packed.shard_size(s) for s in range(packed.n_shards))
+        total = sum(
+            packed.gather(s, plan.lists_of_shard(s)).ids.size
+            for s in range(packed.n_shards)
+        )
         assert total == index.ntotal
         assert packed.nbytes > 0
         for shard in range(plan.n_vector_shards):
@@ -109,19 +112,17 @@ class TestBuildAndGather:
         assert rows_of(part).shape == (0, DIM)
         assert part.norms is None
 
-    def test_gather_allowed_mask_and_excluded_ids(self):
+    def test_gather_tombstones_and_excluded_ids(self):
         index = make_index()
         plan = make_plan(index)
         packed = ShardPackedBase.build(index, plan)
         lists = plan.lists_of_shard(0)
         all_ids, *_ = packed.gather(0, lists)
-        allowed = np.zeros(index.ntotal, dtype=bool)
-        allowed[all_ids[::2]] = True
+        index.remove_ids(all_ids[1::2])
+        assert packed.refresh(index)
         exclude = all_ids[:4]
-        part = packed.gather(0, lists, allowed=allowed, exclude=exclude)
-        expected = [
-            i for i in all_ids if allowed[i] and i not in set(exclude)
-        ]
+        part = packed.gather(0, lists, exclude=exclude)
+        expected = [i for i in all_ids[::2] if i not in set(exclude)]
         np.testing.assert_array_equal(part.ids, expected)
         np.testing.assert_array_equal(rows_of(part), index.base[part.ids])
 
@@ -371,11 +372,11 @@ class TestSQ8Codes:
         packed = ShardPackedBase.build(index, plan, with_codes=True)
         lists = plan.lists_of_shard(0)
         all_ids, *_ = packed.gather(0, lists)
-        allowed = np.zeros(index.ntotal, dtype=bool)
-        allowed[all_ids[::2]] = True
+        index.remove_ids(all_ids[1::2])
+        assert packed.refresh(index)
         exclude = all_ids[:4]
-        ref = packed.gather(0, lists, allowed=allowed, exclude=exclude)
-        part = packed.gather_sq8(0, lists, allowed=allowed, exclude=exclude)
+        ref = packed.gather(0, lists, exclude=exclude)
+        part = packed.gather_sq8(0, lists, exclude=exclude)
         np.testing.assert_array_equal(part.ids, ref.ids)
         np.testing.assert_array_equal(
             part.exact.rows(part.local), rows_of(ref)

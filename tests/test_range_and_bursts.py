@@ -1,9 +1,8 @@
-"""Tests for range search, reconstruction, and bursty arrivals."""
+"""Tests for reconstruction and bursty arrivals."""
 
 import numpy as np
 import pytest
 
-from repro.distance.metrics import squared_l2
 from repro.workload.generators import bursty_arrivals, poisson_arrivals
 
 
@@ -31,61 +30,6 @@ class TestReconstruct:
         rows = trained_index.reconstruct(np.array([0]))
         rows[:] = 0
         assert not np.all(trained_index.base[0] == 0)
-
-
-class TestRangeSearch:
-    def test_full_probe_matches_brute_force(self, trained_index, tiny_data,
-                                             tiny_queries):
-        radius = 20.0
-        results = trained_index.range_search(
-            tiny_queries[:5], radius, nprobe=16
-        )
-        for q, (ids, scores) in zip(tiny_queries[:5], results):
-            truth = squared_l2(tiny_data, q)
-            expected = np.flatnonzero(truth <= radius)
-            np.testing.assert_array_equal(ids, expected)
-            np.testing.assert_allclose(scores, truth[expected], rtol=1e-6)
-
-    def test_scores_within_radius(self, trained_index, tiny_queries):
-        for ids, scores in trained_index.range_search(
-            tiny_queries, 10.0, nprobe=4
-        ):
-            assert np.all(scores <= 10.0)
-
-    def test_radius_zero_tiny_results(self, trained_index, tiny_queries):
-        results = trained_index.range_search(tiny_queries, 1e-9, nprobe=4)
-        assert all(ids.size == 0 for ids, _ in results)
-
-    def test_respects_filter(self, tiny_data, tiny_queries):
-        from repro.index.ivf import IVFFlatIndex
-
-        rng = np.random.default_rng(0)
-        labels = rng.integers(0, 3, size=len(tiny_data)).astype(np.int64)
-        index = IVFFlatIndex(dim=32, nlist=16, seed=0)
-        index.train(tiny_data)
-        index.add(tiny_data, labels=labels)
-        for ids, _ in index.range_search(
-            tiny_queries, 50.0, nprobe=16, filter_labels=[1]
-        ):
-            assert np.all(labels[ids] == 1)
-
-    def test_respects_deletes(self, tiny_data, tiny_queries):
-        from repro.index.ivf import IVFFlatIndex
-
-        index = IVFFlatIndex(dim=32, nlist=16, seed=0)
-        index.train(tiny_data)
-        index.add(tiny_data)
-        index.remove_ids(np.arange(50))
-        for ids, _ in index.range_search(tiny_queries, 50.0, nprobe=16):
-            assert np.all(ids >= 50)
-
-    def test_empty_index_raises(self, tiny_data):
-        from repro.index.ivf import IVFFlatIndex
-
-        index = IVFFlatIndex(dim=32, nlist=16, seed=0)
-        index.train(tiny_data)
-        with pytest.raises(RuntimeError, match="empty"):
-            index.range_search(tiny_data[:1], 1.0)
 
 
 class TestBurstyArrivals:

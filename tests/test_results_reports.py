@@ -7,7 +7,6 @@ import pytest
 
 from repro.cluster.stats import TimeBreakdown
 from repro.core.results import (
-    BuildReport,
     DegradedReport,
     ExecutionReport,
     FaultStats,
@@ -171,14 +170,3 @@ class TestPlacementReport:
         assert report.max_machine_bytes == 0
         assert report.mean_machine_bytes == 0.0
         assert report.total_bytes == 0
-
-
-class TestBuildReport:
-    def test_total(self):
-        report = BuildReport(
-            train_seconds=1.0,
-            add_seconds=0.5,
-            preassign_seconds=0.25,
-            placement=PlacementReport(),
-        )
-        assert report.total_seconds == pytest.approx(1.75)

@@ -38,6 +38,10 @@ A module no row reaches is deleted or merged, not given a row.
 keyword by some call in ``src/`` (``config.py`` aside) or
 ``benchmarks/``. A knob only tests and examples set has one value in
 use, and becomes a constant.
+
+(e) Every public def has a caller: each public function or method in
+``src/`` is named in ``src/``, ``benchmarks/`` or ``examples/`` outside
+its own lines, or in ``docs/api.md``. One only tests reach is deleted.
 """
 
 from __future__ import annotations
@@ -105,6 +109,9 @@ RETIRED_SYMBOLS = (
     "state.remaining", "QueryChunk", "PartialResult", "ResultSet",
     # The unused remaining-slices cap and the executor's second name.
     "remaining_ip_bound", "_get_host_backend",
+    # Metadata-filtered search and range search.
+    "filter_labels", "allowed_mask", "labels_of", "range_search",
+    "make_filter_key", "filter_key", "multitenant_filtering",
 )
 
 DECLARATION = "_RETIRED_CONFIG_FIELDS = "
@@ -584,4 +591,82 @@ def test_every_config_field_has_a_caller():
     assert _without_a_caller(names) == []
     assert _without_a_caller(["nprobe", "never_passed_knob"]) == [
         "never_passed_knob"
+    ]
+
+
+def _public_defs(source: str) -> "list[tuple[str, str, int, int]]":
+    """``(label, name, first line, last line)`` of each public function
+    a module defines at top level or in a top-level class (decorators
+    included in the span)."""
+    found = []
+    for node in ast.parse(source).body:
+        scopes = [(None, node)]
+        if isinstance(node, ast.ClassDef):
+            scopes = [(node.name, member) for member in node.body]
+        for owner, fn in scopes:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if fn.name.startswith("_"):
+                continue
+            first = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
+            label = fn.name if owner is None else f"{owner}.{fn.name}"
+            found.append((label, fn.name, first, fn.end_lineno))
+    return found
+
+
+def _uncalled_public_defs(defined, mentioned, api: str) -> "list[str]":
+    """The public defs of ``defined`` (``{path: source}``) whose name no
+    line of ``mentioned`` (``{path: source}``) holds outside the def's
+    own lines, and that ``api`` does not name either."""
+    where: "dict[str, list[tuple[object, int]]]" = {}
+    for path, text in mentioned.items():
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for word in set(re.findall(r"\w+", line)):
+                where.setdefault(word, []).append((path, lineno))
+    documented = set(re.findall(r"\w+", api))
+    orphans = []
+    for path, text in defined.items():
+        for label, name, first, last in _public_defs(text):
+            if name in documented:
+                continue
+            if not any(
+                other != path or not first <= lineno <= last
+                for other, lineno in where.get(name, ())
+            ):
+                orphans.append(label)
+    return orphans
+
+
+def test_every_public_def_has_a_caller():
+    """A public function or method is called (or named) somewhere in
+    ``src/``, ``benchmarks/`` or ``examples/`` — tests do not count —
+    or is a documented entry point in ``docs/api.md``. One that only
+    tests reach is deleted with its tests, not kept for them."""
+    defined = {
+        path: path.read_text(encoding="utf-8")
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    mentioned = dict(defined)
+    for top in ("benchmarks", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            mentioned[path] = path.read_text(encoding="utf-8")
+    api = (ROOT / "docs" / "api.md").read_text(encoding="utf-8")
+    assert _uncalled_public_defs(defined, mentioned, api) == []
+
+    stray = {
+        "stray.py": (
+            "class Stray:\n"
+            "    @property\n"
+            "    def nobody_reads_this(self):\n"
+            "        '''nobody_reads_this names itself only.'''\n"
+            "    def _private(self):\n"
+            "        pass\n"
+            "\n"
+            "def named_elsewhere():\n"
+            "    pass\n"
+        ),
+        "caller.py": "named_elsewhere()\n",
+    }
+    assert _uncalled_public_defs(stray, stray, api) == [
+        "Stray.nobody_reads_this"
     ]
