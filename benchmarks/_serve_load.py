@@ -1,4 +1,4 @@
-"""Open-loop / closed-loop serving load harness.
+"""Open-loop / closed-loop serving load driver for the serving benches.
 
 Methodology (the serving-systems standard the paper's throughput
 claims assume):
@@ -12,12 +12,14 @@ claims assume):
   :mod:`repro.workload.generators`) regardless of completions, as
   real traffic does. Under saturation the coalescing server's queue
   fills, batches deepen, and sustained throughput rises toward the
-  fused ``search_batch`` ceiling — the win this harness quantifies.
+  fused ``search_batch`` ceiling — the win this driver quantifies.
 
-Every completed response is checkable against a per-query *serial
-oracle* (:func:`make_serial_oracle`): byte-identical ids and distances
-at the response's ``nprobe_used``, extending the repo's
-backend-equivalence contract through the serving layer.
+Every completed response is checkable against the per-query serial
+oracle (:func:`repro.validation.make_serial_oracle`): byte-identical
+ids and distances at the response's ``nprobe_used``.
+
+``bench_latency_under_load.py`` and ``bench_result_cache.py`` import
+it; it is evaluation tooling, not part of the library.
 """
 
 from __future__ import annotations
@@ -33,55 +35,7 @@ from repro.serve.server import (
     RequestShed,
     ServeResponse,
 )
-
-
-def make_serial_oracle(db):
-    """Per-query serial reference executor for byte-identity checks.
-
-    Builds a :class:`~repro.core.executor.serial.SerialBackend` over
-    the database's live index and plan (same pruning / prewarm / scan
-    precision settings) and returns ``oracle(query, k, nprobe) ->
-    (ids, distances)`` running one query at a time — the ground truth
-    any batched, coalesced, or degraded-admission execution must match
-    exactly at the same effective nprobe.
-    """
-    from repro.core.executor.serial import SerialBackend
-
-    backend = SerialBackend(
-        db.index,
-        plan=db.plan,
-        batch_queries=False,
-        **db.config.kernel_options(),
-    )
-
-    def oracle(query, k: int, nprobe: int):
-        query = np.asarray(query, dtype=np.float32).reshape(1, -1)
-        result = backend.search(query, k=k, nprobe=nprobe)
-        return result.ids[0], result.distances[0]
-
-    return oracle
-
-
-def verify_against_oracle(responses, queries, oracle) -> "list[int]":
-    """Indices of completed responses that mismatch the serial oracle.
-
-    Admission failures (rejected / shed entries) are skipped — only
-    answers actually returned to callers are held to byte identity.
-    Degraded responses are checked at their reduced ``nprobe_used``:
-    degraded service changes *which* question is answered, never the
-    exactness of the answer.
-    """
-    mismatches: list[int] = []
-    for i, response in enumerate(responses):
-        if not isinstance(response, ServeResponse):
-            continue
-        ids, distances = oracle(queries[i], response.k, response.nprobe_used)
-        if not (
-            np.array_equal(ids, response.ids)
-            and np.array_equal(distances, response.distances)
-        ):
-            mismatches.append(i)
-    return mismatches
+from repro.validation import make_serial_oracle, verify_against_oracle
 
 
 def _percentile_ms(latencies: np.ndarray, percentile: float) -> float:

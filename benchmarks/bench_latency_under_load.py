@@ -33,13 +33,8 @@ import os
 import sys
 
 import _common as c
-from repro.serve.harness import (
-    make_serial_oracle,
-    run_open_loop,
-    run_sequential,
-    throughput_study,
-    verify_against_oracle,
-)
+from _serve_load import run_open_loop, run_sequential, throughput_study
+from repro.validation import make_serial_oracle, verify_against_oracle
 from repro.workload.generators import bursty_arrivals, poisson_arrivals
 
 DATASET = "sift1m"

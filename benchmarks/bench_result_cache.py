@@ -44,8 +44,8 @@ import time
 import numpy as np
 
 import _common as c
+from _serve_load import run_open_loop
 from repro import HarmonyConfig, HarmonyDB
-from repro.serve.harness import run_open_loop
 from repro.workload import poisson_arrivals, zipf_query_stream
 
 FULL = dict(

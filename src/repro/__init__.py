@@ -34,7 +34,7 @@ Architecture (bottom-up):
 - :mod:`repro.cache` — the result cache (:class:`ResultCache`): exact,
   byte-identical hits for repeated, skewed serving traffic.
 - :mod:`repro.serve` — the coalescing online-serving front end
-  (:class:`HarmonyServer`) and its open-loop load harness.
+  (:class:`HarmonyServer`).
 - :mod:`repro.obs` — span tracing, metrics, and their Chrome trace /
   Prometheus exports.
 - :mod:`repro.baselines` — the Auncel-like and distributed-graph

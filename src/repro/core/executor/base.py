@@ -166,9 +166,9 @@ class HostBackend(Backend):
         index: trained+populated IVF index.
         plan: partition plan; defaults to :func:`default_plan`.
         batch_queries: route multi-query batches through the kernel's
-            fused shard-major ``search_batch`` path (bitwise identical
-            to the per-query loop); False forces one ``search_one``
-            call per query.
+            fused shard-major ``search_batch`` path when pruning is on
+            (bitwise identical to the per-query loop); False forces one
+            ``search_one`` call per query.
         degraded_mode: :meth:`run` serves partial results, with
             coverage accounting, when the deployment's cluster has
             lost every copy of a shard, instead of raising.

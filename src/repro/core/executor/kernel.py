@@ -41,10 +41,11 @@ probed lists, against :data:`_LIST_SHARING`). Below the rule each
 member's candidates are gathered on their own; above it the group is
 read *list-major* — slice 0 scores each probed list once, with one
 GEMM of its slab range, rows or codes, against every member probing
-it, and only the survivors become the group's dense rows. Scans
-without pruning always gather member by member.
+it, and only the survivors become the group's dense rows.
 
-:meth:`ScanKernel.search` picks between the two; the serial loop runs
+:meth:`ScanKernel.search` picks between the two, and takes the
+per-query loop whenever pruning is off (bounds nothing reads are not
+worth a fused pass); the serial loop runs
 it over a whole batch, and every process-pool worker over its chunk of
 one, on a kernel bound to the shared layout (:meth:`ScanKernel.
 over_layout`).
@@ -150,7 +151,7 @@ def open_scan(layout, parts, queries, query_norms, plan, metric, lists=None):
     one-member chunk of the fused path lands on it too because it
     measures ~10 % cheaper per pool task than a group of one. Several
     members open the fused group scan, two-phase in either precision:
-    float32 BLAS bounds while pruning, an exact re-rank of the
+    float32 BLAS bounds to prune on, an exact re-rank of the
     survivors, so its answers are the exact scan's bits computed
     another way. Precision is read off the record: only ``gather_sq8``
     fills ``err``.
@@ -238,8 +239,7 @@ def scan_group(
             one chunk's index arrays are resident at a time. ``member``
             is the caller's handle (a :class:`QueryState`).
         thresholds: ``thresholds(members)`` → current per-member
-            pruning thresholds (the members' heaps); None disables
-            pruning.
+            pruning thresholds (the members' heaps).
         sink: ``sink(member, ids, scores)`` receives each member's
             survivors (a heap push).
         tracer / shard: passed to :func:`drive_scan` as span labels.
@@ -304,7 +304,7 @@ def _scan_chunk(
     drive_scan(
         scan,
         plan,
-        None if thresholds is None else lambda: thresholds(members),
+        lambda: thresholds(members),
         tracer,
         shard=shard,
         group=len(members),
@@ -853,11 +853,12 @@ class ScanKernel:
         batched: bool = True,
     ) -> "list[TopKHeap]":
         """Algorithm 1 for a prepared batch: :meth:`search_batch` when
-        ``batched`` and there is more than one query, else the
-        :meth:`search_one` loop (a ``query`` wall span each when
-        traced). The serial loop and every pool worker's task run it.
+        ``batched``, pruning is on and there is more than one query,
+        else the :meth:`search_one` loop (a ``query`` wall span each
+        when traced). The serial loop and every pool worker's task run
+        it.
         """
-        if batched and queries.shape[0] > 1:
+        if batched and self.enable_pruning and queries.shape[0] > 1:
             return self.search_batch(queries, probes, k, skip_shards, coverage)
         tracer = self.tracer
         heaps = []
@@ -887,7 +888,8 @@ class ScanKernel:
         exactly the order :meth:`search_one` would), and each group's
         (shard, slice) stages run as single fused calls over every
         member's candidates. Results are bitwise identical to looping
-        :meth:`search_one`.
+        :meth:`search_one`. It always prunes: :meth:`search` sends a
+        pruning-off batch to the loop instead.
 
         Args:
             queries: prepared query batch ``(nq, dim)``.
@@ -943,15 +945,13 @@ class ScanKernel:
         """
         shard = int(shard)
         layout = self.packed_base()
-        gathered = lists = None
-        if self.enable_pruning:
-            member_lists = [self._lists_for(state, shard) for state in group]
-            if _list_major(member_lists):
-                gathered, lists = self._listed(
-                    layout, shard, group, member_lists, coverage
-                )
-        if gathered is None:
-            gathered = self._gathered(group, shard, coverage)
+        member_lists = [self._lists_for(state, shard) for state in group]
+        if _list_major(member_lists):
+            gathered, lists = self._listed(
+                layout, shard, group, member_lists, coverage
+            )
+        else:
+            gathered, lists = self._gathered(group, shard, coverage), None
 
         def thresholds(states) -> np.ndarray:
             return np.array([state.heap.threshold for state in states])
@@ -964,7 +964,7 @@ class ScanKernel:
             gathered,
             self.plan,
             self.metric,
-            thresholds if self.enable_pruning else None,
+            thresholds,
             sink,
             self.tracer,
             shard,

@@ -16,9 +16,10 @@ class SerialBackend(HostBackend):
     """Single-threaded execution, shards and slices in canonical order.
 
     Multi-query batches route through the kernel's fused
-    ``search_batch`` path by default (``batch_queries=False`` restores
-    the strict one-``search_one``-per-query loop); both are bitwise
-    identical by construction, and the equivalence tests pin that.
+    ``search_batch`` path by default (``batch_queries=False``, or
+    pruning off, runs the strict one-``search_one``-per-query loop);
+    both are bitwise identical by construction, and the equivalence
+    tests pin that.
 
     Several caller threads may search one instance at once (the
     deployment's executor is shared); each search runs whole on its

@@ -579,8 +579,6 @@ class ShardScan:
     to the alive candidates, so each slice stage takes only surviving
     rows out of the slab and does no bound arithmetic for already-dead
     candidates. Rows themselves are never held or compacted.
-    :attr:`alive` is a full-length mask over the *original* candidate
-    order, built on demand for reporting.
 
     Args:
         base: full base-vector matrix (rows indexed by global id).
@@ -636,7 +634,6 @@ class ShardScan:
         self._buffers = _StageBuffers(n, part.slabs)
         self.ids = self.candidate_ids
         self.accumulated = np.zeros(n, dtype=np.float64)
-        self._orig_idx = np.arange(n, dtype=np.intp)
         self.done: list[int] = []
         self._done_mask = np.zeros(slices.n_slices, dtype=bool)
         self._canonical = True
@@ -663,14 +660,6 @@ class ShardScan:
     @property
     def n_alive(self) -> int:
         return self.ids.size
-
-    @property
-    def alive(self) -> np.ndarray:
-        """Which of the original candidates are still alive (a fresh
-        full-length mask; pruning maintains only the index arrays)."""
-        mask = np.zeros(self.n_candidates, dtype=bool)
-        mask[self._orig_idx] = True
-        return mask
 
     @property
     def is_complete(self) -> bool:
@@ -752,7 +741,6 @@ class ShardScan:
         self.ids = self.ids.take(keep)
         self.accumulated = self.accumulated.take(keep)
         self._local = self._local.take(keep)
-        self._orig_idx = self._orig_idx.take(keep)
         if self._contrib is not None:
             self._contrib = _kept_rows(self._contrib, keep)
             self._suffix = _kept_rows(self._suffix, keep)

@@ -22,19 +22,10 @@ Quickstart::
             response = fut.result()
             print(response.ids, response.e2e_seconds)
 
-:mod:`repro.serve.harness` adds the open-loop load harness behind
-``benchmarks/bench_latency_under_load.py``.
+Served answers are checked byte for byte against the per-query serial
+oracle by :func:`repro.validation.verify_against_oracle`.
 """
 
-from repro.serve.harness import (
-    OpenLoopResult,
-    SequentialResult,
-    make_serial_oracle,
-    run_open_loop,
-    run_sequential,
-    throughput_study,
-    verify_against_oracle,
-)
 from repro.serve.server import (
     SERVE_LANE,
     AdmissionError,
@@ -50,16 +41,9 @@ __all__ = [
     "SERVE_LANE",
     "AdmissionError",
     "HarmonyServer",
-    "OpenLoopResult",
     "RequestRejected",
     "RequestShed",
-    "SequentialResult",
     "ServeResponse",
     "ServerClosed",
     "ServeStats",
-    "make_serial_oracle",
-    "run_open_loop",
-    "run_sequential",
-    "throughput_study",
-    "verify_against_oracle",
 ]

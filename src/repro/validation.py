@@ -11,6 +11,11 @@ with pruning disabled: a plain loop that accumulates every slice of
 every candidate, with no early stop, no threads, and no scheduling
 freedom. (Its own agreement with ``IVFFlatIndex.search`` is covered by
 the test suite, so the oracle is anchored to the single-node scan.)
+
+The serving layer is held to the same bits one request at a time:
+:func:`make_serial_oracle` answers a single query through the
+per-query serial loop, and :func:`verify_against_oracle` checks a
+stream of served responses against it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 
 from repro.core.database import HarmonyDB
 from repro.core.executor.serial import SerialBackend
+from repro.serve.server import ServeResponse
 
 
 @dataclass(frozen=True)
@@ -87,3 +93,50 @@ def check_exactness(
         n_queries=queries.shape[0],
         mismatched_queries=mismatched,
     )
+
+
+def make_serial_oracle(db):
+    """Per-query serial reference executor for byte-identity checks.
+
+    Builds a :class:`~repro.core.executor.serial.SerialBackend` over
+    the database's live index and plan (same pruning / prewarm / scan
+    precision settings) and returns ``oracle(query, k, nprobe) ->
+    (ids, distances)`` running one query at a time — the ground truth
+    any batched, coalesced, or degraded-admission execution must match
+    exactly at the same effective nprobe.
+    """
+    backend = SerialBackend(
+        db.index,
+        plan=db.plan,
+        batch_queries=False,
+        **db.config.kernel_options(),
+    )
+
+    def oracle(query, k: int, nprobe: int):
+        query = np.asarray(query, dtype=np.float32).reshape(1, -1)
+        result = backend.search(query, k=k, nprobe=nprobe)
+        return result.ids[0], result.distances[0]
+
+    return oracle
+
+
+def verify_against_oracle(responses, queries, oracle) -> "list[int]":
+    """Indices of completed responses that mismatch the serial oracle.
+
+    Admission failures (rejected / shed entries) are skipped — only
+    answers actually returned to callers are held to byte identity.
+    Degraded responses are checked at their reduced ``nprobe_used``:
+    degraded service changes *which* question is answered, never the
+    exactness of the answer.
+    """
+    mismatches: list[int] = []
+    for i, response in enumerate(responses):
+        if not isinstance(response, ServeResponse):
+            continue
+        ids, distances = oracle(queries[i], response.k, response.nprobe_used)
+        if not (
+            np.array_equal(ids, response.ids)
+            and np.array_equal(distances, response.distances)
+        ):
+            mismatches.append(i)
+    return mismatches

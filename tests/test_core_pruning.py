@@ -58,6 +58,12 @@ def make_scan(base, query, slices, metric=Metric.L2):
     )
 
 
+def _alive(scan) -> np.ndarray:
+    """Which of the scan's original candidates are still alive (its
+    candidate ids are unique)."""
+    return np.isin(scan.candidate_ids, scan.ids)
+
+
 class TestDriveSteps:
     """The contract the host paths, the simulator and the planner's
     survival pilot all rely on."""
@@ -199,12 +205,12 @@ class TestShardScanAccumulation:
         assert scan.ids.size == n_alive
         assert scan.accumulated.size == n_alive
         assert scan.n_alive == n_alive
-        # ...while the reporting mask and original ids keep full length.
-        assert scan.alive.size == 60
-        assert int(scan.alive.sum()) == n_alive
+        # ...while the mask over the original ids keeps full length.
+        assert _alive(scan).size == 60
+        assert int(_alive(scan).sum()) == n_alive
         assert scan.candidate_ids.size == 60
         np.testing.assert_array_equal(
-            scan.ids, scan.candidate_ids[scan.alive]
+            scan.ids, scan.candidate_ids[_alive(scan)]
         )
 
     def test_survivors_before_completion_raises(self, base, query, slices):
@@ -225,7 +231,7 @@ class TestShardScanPruningL2:
             scan.prune(threshold)
         # Everything with final score <= threshold must have survived.
         should_survive = full <= threshold
-        assert np.all(scan.alive[should_survive])
+        assert np.all(_alive(scan)[should_survive])
 
     def test_prune_infinite_threshold_noop(self, base, query, slices):
         scan = make_scan(base, query, slices)
@@ -248,14 +254,14 @@ class TestShardScanPruningL2:
         full = squared_l2(base, query)
         threshold = float(full[7])
         scan.prune(threshold)
-        assert scan.alive[7]
+        assert _alive(scan)[7]
 
     def test_lower_bounds_never_exceed_final(self, base, query, slices):
         scan = make_scan(base, query, slices)
         final = squared_l2(base, query)
         for j in range(4):
             bounds = scan.lower_bounds()
-            assert np.all(bounds[scan.alive] <= final[scan.alive] + 1e-9)
+            assert np.all(bounds[_alive(scan)] <= final[_alive(scan)] + 1e-9)
             scan.process_slice(j)
 
 
@@ -297,7 +303,7 @@ class TestShardScanInnerProduct:
             scan.process_slice(j)
             scan.prune(threshold)
         should_survive = final <= threshold
-        assert np.all(scan.alive[should_survive])
+        assert np.all(_alive(scan)[should_survive])
 
 
 class TestShardGroupScan:
@@ -497,10 +503,10 @@ class TestSlabFedScanIsBitIdentical:
             # compacted, still base-before-delta index array.
             threshold = float(np.median(scan.lower_bounds()))
             scan.prune(threshold)
-            alive = scan.alive.copy()
+            alive = _alive(scan)
             if sq8:
                 fp32.prune(threshold)
-                assert not (fp32.alive & ~alive).any()
+                assert not (_alive(fp32) & ~alive).any()
         if sq8:
             # Re-ranked survivors carry the fp32 scan's exact bits.
             ids, scores = scan.survivors()

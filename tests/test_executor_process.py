@@ -16,6 +16,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import _CREATED_SEGMENTS
 from repro.core.config import HarmonyConfig
 from repro.core.database import HarmonyDB
 from repro.core.executor import ProcessBackend, SerialBackend
@@ -695,13 +696,14 @@ def test_chaos_shm_drop_falls_back_exact_and_leaves_no_segment():
     oracle, _ = oracle_db.search(queries, k=5)
     oracle_db.close()
 
-    segments_before = set(os.listdir("/dev/shm"))
+    created = len(_CREATED_SEGMENTS)
     db = HarmonyDB(dim=24, config=config)
     db.build(base, sample_queries=queries)
     try:
         db.search(queries, k=5)  # pool up, layout re-homed into shm
         backend = db._executor()
         assert backend.shared_layout_nbytes() > 0
+        assert len(_CREATED_SEGMENTS) > created
         db.set_host_faults(
             HostFaultInjector(shm_drops=[DropSharedMemory(at_batch=0)])
         )
@@ -710,7 +712,11 @@ def test_chaos_shm_drop_falls_back_exact_and_leaves_no_segment():
         assert backend.shared_layout_nbytes() == 0
         np.testing.assert_array_equal(result.ids, oracle.ids)
         np.testing.assert_array_equal(result.distances, oracle.distances)
-        assert set(os.listdir("/dev/shm")) <= segments_before
+        # Every segment this process made since the pool came up is gone.
+        assert [
+            name for name in _CREATED_SEGMENTS[created:]
+            if os.path.exists(os.path.join("/dev/shm", name))
+        ] == []
     finally:
         db.close()
 

@@ -93,6 +93,45 @@ class TestCheckExactness:
         report = check_exactness(db, tiny_queries, k=5, nprobe=16)
         assert report.exact
 
+    def test_oracle_is_the_plain_loop(self, db, tiny_queries, monkeypatch):
+        """The unpruned oracle ``check_exactness`` builds never opens a
+        fused group scan on a multi-query batch: it runs the per-query
+        loop, and answers with its bytes."""
+        import repro.validation as validation
+        from repro.core.pruning import ShardGroupScan
+
+        opened = []
+        init = ShardGroupScan.__init__
+
+        def spy(self, *args, **kwargs):
+            opened.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        class SpiedOracle(SerialBackend):
+            def search(self, *args, **kwargs):
+                with monkeypatch.context() as patch:
+                    patch.setattr(ShardGroupScan, "__init__", spy)
+                    return super().search(*args, **kwargs)
+
+        # The spy sees the fused path when pruning is on...
+        SpiedOracle(db.index, plan=db.plan).search(tiny_queries, k=5, nprobe=4)
+        assert opened
+        opened.clear()
+        # ...and nothing while check_exactness's oracle searches.
+        monkeypatch.setattr(validation, "SerialBackend", SpiedOracle)
+        assert check_exactness(db, tiny_queries, k=5).exact
+        assert opened == []
+
+        options = dict(plan=db.plan, prewarm_size=0, enable_pruning=False)
+        batched = SerialBackend(db.index, **options).search(
+            tiny_queries, k=5, nprobe=4
+        )
+        looped = SerialBackend(db.index, batch_queries=False, **options).search(
+            tiny_queries, k=5, nprobe=4
+        )
+        np.testing.assert_array_equal(batched.ids, looped.ids)
+        assert batched.distances.tobytes() == looped.distances.tobytes()
+
 
 class TestReportExport:
     @pytest.fixture()

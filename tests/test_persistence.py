@@ -208,7 +208,7 @@ class TestDatabasePersistence:
         deadline policies existed, saved with both switched on, loads
         into the exact cache and the plain server: every served answer,
         cold and cached, is the serial oracle's."""
-        from repro.serve import make_serial_oracle, verify_against_oracle
+        from repro.validation import make_serial_oracle, verify_against_oracle
 
         path = self._resave_with_config(
             db,
@@ -245,7 +245,7 @@ class TestDatabasePersistence:
         cap), saved with all of them off their defaults, loads; its
         server takes the server's own defaults and answers as the
         serial oracle does."""
-        from repro.serve import make_serial_oracle, verify_against_oracle
+        from repro.validation import make_serial_oracle, verify_against_oracle
 
         path = self._resave_with_config(
             db,

@@ -18,10 +18,9 @@ from repro.serve import (
     RequestRejected,
     RequestShed,
     ServerClosed,
-    make_serial_oracle,
-    verify_against_oracle,
 )
 from repro.serve.server import SHED_POLICIES
+from repro.validation import make_serial_oracle, verify_against_oracle
 
 from conftest import make_db
 

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.serve import RequestShed, ServeResponse, make_serial_oracle
+from repro.serve import RequestShed, ServeResponse
+from repro.validation import make_serial_oracle
 from conftest import make_db
 
 from repro.data.synthetic import gaussian_blobs

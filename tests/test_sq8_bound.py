@@ -331,7 +331,8 @@ class TestPhaseOneIsTight:
                     scan.prune(threshold)
                 survivors[cls] += scan.n_alive
                 # Lossless either way: the true top 10 are all alive.
-                assert scan.alive[np.argsort(total)[:10]].all()
+                alive = np.isin(scan.candidate_ids, scan.ids)
+                assert alive[np.argsort(total)[:10]].all()
         assert survivors[DecodeBoundScan] > 0
         assert survivors[SQ8ShardScan] <= 1.02 * survivors[DecodeBoundScan], (
             survivors, scored,

@@ -24,10 +24,11 @@ it cites:
 - ``("cli", command)``: ``python -m repro <command>`` exists, and the
   CLI module imports the module;
 - ``("api", caller, name)``: ``docs/api.md`` names the module's dotted
-  path, and ``caller`` — a benchmark script, a CI workflow, the CLI or
-  another ``src/`` module; never a test or an example — names ``name``,
+  path, and ``caller`` — a CI workflow, the CLI or another ``src/``
+  module; never a test, an example or a bench script — names ``name``,
   which is the dotted path itself or a class attribute or top-level
-  name the module defines;
+  name the module defines (a module only a bench calls belongs under
+  ``benchmarks/``);
 - ``("used-by", M)``: ``M`` has a row of its own and its source imports
   the module by its dotted path (a package re-export does not count).
   Following ``used-by`` from any module ends at one of the four above.
@@ -112,6 +113,8 @@ RETIRED_SYMBOLS = (
     # Metadata-filtered search and range search.
     "filter_labels", "allowed_mask", "labels_of", "range_search",
     "make_filter_key", "filter_key", "multitenant_filtering",
+    # The load harness in the library (its driver lives beside its benches).
+    "repro.serve.harness", "serve/harness.py",
 )
 
 DECLARATION = "_RETIRED_CONFIG_FIELDS = "
@@ -348,9 +351,7 @@ REACHABILITY = {
     "repro.cluster.messages": ("used-by", "repro.core.cost_model"),
     "repro.cluster.network": ("paper", "Figure 2(b)"),
     "repro.cluster.node": ("paper", "Platform"),
-    "repro.cluster.recovery": (
-        "api", "benchmarks/bench_fault_recovery.py", "RecoveryManager.repair",
-    ),
+    "repro.cluster.recovery": ("used-by", "repro.core.database"),
     "repro.cluster.stats": ("used-by", "repro.cluster.cluster"),
     "repro.core.capacity": ("cli", "capacity"),
     "repro.core.config": ("paper", "`-NMachine`"),
@@ -387,9 +388,6 @@ REACHABILITY = {
     "repro.obs.trace": ("used-by", "repro.core.database"),
     "repro.obs.validate": (
         "api", ".github/workflows/ci.yml", "repro.obs.validate",
-    ),
-    "repro.serve.harness": (
-        "api", "benchmarks/bench_latency_under_load.py", "repro.serve.harness",
     ),
     "repro.serve.server": ("ledger", "serve_zipf"),
     "repro.util.blas": ("used-by", "repro.core.executor.process"),
@@ -476,8 +474,10 @@ def _row_failure(module: str, row: tuple, ctx: dict) -> "str | None":
         caller, name = ROOT / cite, row[2]
         if module not in ctx["api_text"]:
             return "docs/api.md does not name it"
-        if cite.split("/")[0] in ("tests", "examples") or not caller.is_file():
-            return f"{cite} is not a caller outside tests and examples"
+        if cite.split("/")[0] in ("tests", "examples", "benchmarks"):
+            return f"{cite} is not a caller outside tests, examples and benches"
+        if not caller.is_file():
+            return f"{cite} is not a file"
         if name != module:
             try:
                 _resolve(f"{module}.{name}")
@@ -541,6 +541,9 @@ def test_reachability_table_catches_orphans_and_stale_rows():
     broken["repro.util.growable"] = ("used-by", "repro.cli")
     broken["repro.core.capacity"] = ("cli", "trace")
     broken["repro.obs.validate"] = ("api", "tests/test_obs.py", "main")
+    broken["repro.cluster.recovery"] = (
+        "api", "benchmarks/bench_fault_recovery.py", "RecoveryManager.repair",
+    )
     broken["repro.data.synthetic"] = ("ledger", "batch_fp32")
     broken["repro.index.flat"] = ("used-by", "repro.index.kmeans")
     broken["repro.index.kmeans"] = ("used-by", "repro.index.flat")
@@ -551,6 +554,8 @@ def test_reachability_table_catches_orphans_and_stale_rows():
         "repro.util.growable: used-by: repro.cli does not import",
         "repro.core.capacity: cli: `python -m repro trace` does not exist",
         "repro.obs.validate: api: tests/test_obs.py is not a caller",
+        "repro.cluster.recovery: api: benchmarks/bench_fault_recovery.py "
+        "is not a caller",
         "repro.data.synthetic: ledger: the ledger neither wraps nor imports",
         "repro.index.flat: used-by cycle",
     ):
