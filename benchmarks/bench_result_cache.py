@@ -39,12 +39,11 @@ import argparse
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
 import _common as c
-from _serve_load import run_open_loop
+from _serve_load import run_open_loop, run_sequential
 from repro import HarmonyConfig, HarmonyDB
 from repro.workload import poisson_arrivals, zipf_query_stream
 
@@ -92,25 +91,12 @@ def build_db(params, base, pool, enable_cache):
 
 
 def run_closed_loop(db, stream, k):
-    """One request in flight at a time; per-request wall latencies."""
-    latencies = np.zeros(stream.shape[0], dtype=np.float64)
-    ids, distances = [], []
-    t0 = time.perf_counter()
-    for i in range(stream.shape[0]):
-        t_start = time.perf_counter()
-        result, _ = db.search(stream[i : i + 1], k=k)
-        latencies[i] = time.perf_counter() - t_start
-        ids.append(result.ids[0])
-        distances.append(result.distances[0])
-    elapsed = time.perf_counter() - t0
-    row = {
-        "n_requests": int(stream.shape[0]),
-        "qps": stream.shape[0] / elapsed if elapsed > 0 else 0.0,
-        "p50_ms": float(np.percentile(latencies, 50) * 1e3),
-        "p99_ms": float(np.percentile(latencies, 99) * 1e3),
-        "mean_ms": float(latencies.mean() * 1e3),
-    }
-    return row, ids, distances
+    """One request in flight at a time (``run_sequential``): the
+    closed-loop row, then the per-request ids and distances."""
+    done = run_sequential(db, stream, k=k)
+    row = done.to_dict()
+    del row["mode"]
+    return row, done.ids, done.distances
 
 
 def mismatch_count(ids_a, dist_a, ids_b, dist_b) -> int:

@@ -703,17 +703,22 @@ class ScanKernel:
         """One shard's candidate record for a query, or None if empty.
 
         Gathered from the packed layout (contiguous shard-local
-        ranges) as indices, minus the query's prewarmed ids: they are
-        dropped inside the one candidate mask, so an id prewarm scored
-        is never scored again (``tests/test_prewarm_exclusion.py``).
+        ranges) as indices, minus the query's prewarmed ids, so an id
+        prewarm scored is never scored again
+        (``tests/test_prewarm_exclusion.py``). Those ids are members of
+        the nearest probed list, so only its shard's gather excludes
+        them; there they are the head of the list's range, cut off by
+        range.
         """
         layout = self.packed_base()
         gather = (
             layout.gather_sq8 if self.scan_precision == "sq8"
             else layout.gather
         )
+        nearest = self.plan.shard_of_list[state.probe_row[0]]
         part = gather(
-            shard, self._lists_for(state, shard), exclude=state.prewarmed
+            shard, self._lists_for(state, shard),
+            exclude=state.prewarmed if nearest == shard else None,
         )
         return part if part.ids.size else None
 

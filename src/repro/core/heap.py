@@ -67,8 +67,10 @@ class TopKHeap:
         vectorized: offers that cannot beat the current threshold are
         masked out in one numpy pass, and of the rest only the ``k``
         lexicographically smallest ``(score, id)`` pairs — the only ones
-        that can appear in the final heap — are pushed. The resulting
-        heap state is identical to the sequential loop's.
+        that can appear in the final heap — are pushed; into an empty
+        heap (a prewarm) every one of them is retained, so they are
+        heapified in one step. The result has the same retained set and
+        threshold as the sequential loop's, and the same return value.
         """
         scores = np.asarray(scores, dtype=np.float64)
         ids = np.asarray(ids, dtype=np.int64)
@@ -92,6 +94,10 @@ class TopKHeap:
         if scores.size > self.k:
             order = np.lexsort((ids, scores))[: self.k]
             scores, ids = scores[order], ids[order]
+        if not self._heap:
+            self._heap = list(zip((-scores).tolist(), (-ids).tolist()))
+            heapq.heapify(self._heap)
+            return len(self._heap)
         retained = 0
         for score, cid in zip(scores.tolist(), ids.tolist()):
             retained += self.push(score, cid)

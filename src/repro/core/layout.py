@@ -519,7 +519,7 @@ class ShardPackedBase:
         self._tombstones_since = meta.get("tombstones_since", 0)
         self._hold(bound)
         # The base generation never changes, so its bytes are counted
-        # once; a search reads ``nbytes`` for its report every call.
+        # once.
         self._base_nbytes = sum(
             arr.nbytes for _, arr in _named_arrays(self, _BASE_FAMILIES)
         )
@@ -544,6 +544,7 @@ class ShardPackedBase:
         """Take ``{family name: arrays}`` as the family attributes."""
         for name, held in bound.items():
             setattr(self, "_" + name, held)
+        self._nbytes_at = None  # (delta_version, nbytes) once counted
 
     def _meta(self) -> dict:
         """The scalars that, with the arrays, are the layout's state."""
@@ -818,9 +819,21 @@ class ShardPackedBase:
 
     @property
     def nbytes(self) -> int:
-        """Total bytes held by the packed arrays (base + deltas)."""
-        pending = _named_arrays(self, _OVERLAY_FAMILIES)
-        return int(self._base_nbytes + sum(arr.nbytes for _, arr in pending))
+        """Total bytes held by the packed arrays (base + deltas).
+
+        Counted once per change: only a refresh moves the deltas, and
+        it moves ``delta_version`` with them; a search reads this for
+        its report every call.
+        """
+        counted = self._nbytes_at
+        if counted is None or counted[0] != self.delta_version:
+            pending = _named_arrays(self, _OVERLAY_FAMILIES)
+            counted = (
+                self.delta_version,
+                int(self._base_nbytes + sum(arr.nbytes for _, arr in pending)),
+            )
+            self._nbytes_at = counted
+        return counted[1]
 
     @property
     def has_codes(self) -> bool:
@@ -875,10 +888,14 @@ class ShardPackedBase:
 
         Args:
             shard: vector shard to gather from.
-            lists: probed inverted-list ids living in this shard.
+            lists: probed inverted-list ids living in this shard, in
+                probe order.
             exclude: optional array of the few global ids to drop (the
-                query's already-prewarmed candidates); costs
-                O(candidates + len(exclude)), never O(ntotal).
+                query's already-prewarmed candidates). When they are
+                the head of the first list's base range — what
+                :meth:`list_head` gives with no tombstone in it — that
+                head is cut off the range; otherwise they are masked,
+                at O(candidates + len(exclude)), never O(ntotal).
 
         Returns:
             A :class:`CandidatePart` whose ``slabs`` are the shard's
@@ -925,7 +942,7 @@ class ShardPackedBase:
         base row count); the two selections index the base and delta
         side tables and are None where that side has no candidate.
         """
-        base_sel, ids = self._base_candidates(shard, lists, exclude)
+        base_sel, ids, exclude = self._base_candidates(shard, lists, exclude)
         delta_sel, dids = self._delta_candidates(shard, lists, exclude)
         if base_sel is None and delta_sel is None:
             return (
@@ -944,26 +961,45 @@ class ShardPackedBase:
         shard: int,
         lists: np.ndarray,
         exclude: np.ndarray | None,
-    ) -> "tuple[np.ndarray | None, np.ndarray | None]":
-        """Masked (local indices, global ids) of base-block candidates."""
+    ) -> "tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]":
+        """Masked (local indices, global ids) of base-block candidates,
+        and the part of ``exclude`` still to drop from the delta rows.
+
+        The probed lists' base ranges, read in one vectorized pass. A
+        query's prewarmed ids are the head of its nearest list's gather
+        (:meth:`list_head`), which the caller lists first: where that
+        list's base range starts with exactly ``exclude``, the head is
+        cut off the range and nothing is left to exclude. Otherwise (a
+        tombstone inside the head, or a head that reaches into delta
+        rows) ``exclude`` is dropped by the candidate mask, as a
+        tombstone is.
+        """
+        lists = np.asarray(lists, dtype=np.int64)
+        starts = self._list_start[lists]
+        sizes = self._list_stop[lists] - starts
         shard_ids = self._ids[shard]
-        parts = []
-        for list_id in np.asarray(lists, dtype=np.int64):
-            start = self._list_start[list_id]
-            stop = self._list_stop[list_id]
-            if stop > start:
-                parts.append(np.arange(start, stop, dtype=np.intp))
-        if not parts:
-            return None, None
-        local = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        if exclude is not None and exclude.size and sizes.size:
+            head = shard_ids[starts[0] : starts[0] + min(sizes[0], exclude.size)]
+            if np.array_equal(head, exclude):
+                starts[0] += exclude.size  # both are fresh arrays
+                sizes[0] -= exclude.size
+                exclude = None
+        total = int(sizes.sum())
+        if total == 0:
+            return None, None, exclude
+        # The concatenated ranges: every row's offset from its list's
+        # first candidate is its place in ``local`` minus the sizes
+        # before its list.
+        local = np.arange(total, dtype=np.intp)
+        local += np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
         ids = shard_ids[local]
         mask = self._candidate_mask(ids, exclude)
         if mask is not None:
             local = local[mask]
             ids = ids[mask]
             if ids.size == 0:
-                return None, None
-        return local, ids
+                return None, None, exclude
+        return local, ids, exclude
 
     def _delta_candidates(
         self,

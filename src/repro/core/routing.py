@@ -118,7 +118,7 @@ class RoutingCache:
         freshly planned ones by construction.
         """
         probe_row = np.asarray(probe_row, dtype=np.int64)
-        key = tuple(int(x) for x in probe_row.ravel())
+        key = tuple(probe_row.ravel().tolist())
         with self._lock:
             self._check_version(version)
             cached = self._routes.get(key)

@@ -26,17 +26,24 @@ def widened_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def squared_l2_from_widened(
-    rows64: np.ndarray, rows_sq: np.ndarray, base: np.ndarray
+    rows64: np.ndarray,
+    rows_sq: np.ndarray,
+    base: np.ndarray,
+    base_sq: np.ndarray | None = None,
 ) -> np.ndarray:
     """Squared L2 distance of ``widened_rows(rows)`` to every ``base`` row.
 
     Computed as ``(x_sq + b_sq) - 2 * cross`` in float64, the doubling
     and the subtraction in place; tiny negative values from
     floating-point cancellation are clipped to zero so downstream
-    monotonicity assumptions hold.
+    monotonicity assumptions hold. A caller that scores many batches
+    against one base (IVF's centroids) passes ``widened_rows(base)`` as
+    ``base, base_sq``: its norm sum is the reduction computed here
+    otherwise, so the bits are the same.
     """
-    base = np.asarray(base, dtype=np.float64)
-    b_sq = np.sum(base * base, axis=1)[None, :]
+    if base_sq is None:
+        base, base_sq = widened_rows(base)
+    b_sq = base_sq.T
     cross = rows64 @ base.T
     cross *= 2.0
     out = rows_sq + b_sq

@@ -18,7 +18,9 @@ import numpy as np
 from repro.distance.kernels import (
     pairwise_inner_product,
     pairwise_squared_l2,
+    squared_l2_from_widened,
     top_k_smallest,
+    widened_rows,
 )
 from repro.distance.metrics import Metric, normalize_rows, resolve_metric
 from repro.index.kmeans import KMeans
@@ -191,6 +193,26 @@ class IVFFlatIndex:
         )
 
     @property
+    def _centroids(self) -> "np.ndarray | None":
+        return self._centroids_f32
+
+    @_centroids.setter
+    def _centroids(self, centroids: "np.ndarray | None") -> None:
+        # Every probe and add scores against the same centroids, so
+        # their float64 copy and squared norms are derived once here.
+        self._centroids_f32 = centroids
+        self._centroid_terms = (
+            None if centroids is None else widened_rows(centroids)
+        )
+
+    def _centroid_distances(self, vectors: np.ndarray) -> np.ndarray:
+        """``pairwise_squared_l2(vectors, centroids)``, bit for bit,
+        from the centroid terms derived when the centroids were set."""
+        return squared_l2_from_widened(
+            *widened_rows(vectors), *self._centroid_terms
+        )
+
+    @property
     def _deleted(self) -> np.ndarray:
         return self._deleted_buf.view
 
@@ -254,7 +276,7 @@ class IVFFlatIndex:
         if self.metric is Metric.COSINE:
             vectors = normalize_rows(vectors)
         first_id = self.ntotal
-        distances = pairwise_squared_l2(vectors, self._centroids)
+        distances = self._centroid_distances(vectors)
         self._add_elements += vectors.shape[0] * self.nlist * self.dim
         assignment = np.argmin(distances, axis=1).astype(np.int64)
         self._assignments()  # materialize before ntotal moves
@@ -417,7 +439,7 @@ class IVFFlatIndex:
         if self.metric is Metric.COSINE:
             queries = normalize_rows(queries)
         nprobe = min(nprobe, self.nlist)
-        distances = pairwise_squared_l2(queries, self._centroids)
+        distances = self._centroid_distances(queries)
         out = np.empty((queries.shape[0], nprobe), dtype=np.int64)
         for i in range(queries.shape[0]):
             ids, _ = top_k_smallest(distances[i], nprobe)
